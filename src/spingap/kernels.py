@@ -8,7 +8,8 @@ classes, and closed-form birth--death reductions.
 
 Full configuration spaces are materialized as dense matrices and are
 therefore capped at a few thousand states; the class-space chains are
-the large-N route (O(N) or O(N^2) states).
+the large-N route (O(N) or O(N^2) states), held as move tables that
+are made dense only on request.
 """
 
 from __future__ import annotations
@@ -432,10 +433,6 @@ def warmup_block_partition(spec: ModelSpec) -> Partition:
 # Closed-form class chains (the large-N route).
 # ---------------------------------------------------------------------------
 
-def _ising_signed_values(N: int) -> np.ndarray:
-    return np.arange(-N, N + 1, 2)
-
-
 def _require_mixture_params(spec: ModelSpec, kind: str) -> tuple[float, float]:
     if kind == "equi-energy":
         if spec.p1 is None or spec.p2 is None:
@@ -444,86 +441,140 @@ def _require_mixture_params(spec: ModelSpec, kind: str) -> tuple[float, float]:
     return 1.0, 0.0
 
 
-def signed_lumped_chain(spec: ModelSpec, kind: str = "equi-energy") -> FiniteKernel:
-    """Exact strong lumping of the Metropolis chain onto signed classes.
+@dataclass(frozen=True)
+class MoveTable:
+    """A chain on signed classes as triplets: P(rows[k], cols[k]) += vals[k].
 
-    Valid for both the naive and the equi-energy chains because every
-    transition mass out of a state depends only on its signed class; the
-    resulting spectrum is a subset of the full chain's spectrum.  For
-    warmup the signed classes are the states themselves, so the full
-    chain is returned.
-
-    ising states are ordered by magnetization S ascending; beg states by
-    (r, S) with r ascending.
+    Only the moves are listed (a target may repeat); the holding mass
+    1 - sum of the row is implied.  ``flip`` maps each state to its
+    mirror image under the global flip J: x -> -x, which every chain
+    here commutes with.
     """
-    if spec.kind == "warmup":
-        return metropolis_chain(spec, kind)
-    if kind not in ("naive", "equi-energy"):
-        raise ValueError(f"signed lumping applies to naive/equi-energy, not {kind!r}")
+
+    labels: tuple
+    log_pi: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    flip: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_kernel(cls, kernel: FiniteKernel, flip: np.ndarray) -> "MoveTable":
+        """The off-diagonal nonzeros of a dense chain as a move table."""
+        off = kernel.P.copy()
+        np.fill_diagonal(off, 0.0)
+        rows, cols = np.nonzero(off)
+        return cls(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
+                   vals=off[rows, cols], flip=flip)
+
+    def to_kernel(self) -> FiniteKernel:
+        """The dense transition matrix; the size is checked before allocating."""
+        if self.n > DEFAULT_MAX_STATES:
+            raise ValueError(
+                f"{self.n} states exceed the dense materialization cap {DEFAULT_MAX_STATES}; "
+                "exact gaps at this size come from exact_gap_record"
+            )
+        P = np.zeros((self.n, self.n))
+        np.add.at(P, (self.rows, self.cols), self.vals)
+        np.fill_diagonal(P, np.diag(P) + 1.0 - P.sum(axis=1))
+        return FiniteKernel(labels=self.labels, log_pi=self.log_pi, P=P)
+
+
+def _exp_nonpositive(delta: np.ndarray) -> np.ndarray:
+    """exp(min(0, delta)) through math.exp, matching the per-state formulas bit for bit."""
+    return np.array([math.exp(d) for d in np.minimum(0.0, delta).tolist()])
+
+
+def _move_table(labels, log_pi, flip, moves) -> MoveTable:
+    """Concatenate (rows, cols, vals) move groups in order."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*moves))
+    return MoveTable(labels=labels, log_pi=log_pi, rows=rows, cols=cols, vals=vals,
+                     flip=flip)
+
+
+def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
     p1, p2 = _require_mixture_params(spec, kind)
     N, beta = spec.N, spec.beta
-    if spec.kind == "ising":
-        S = _ising_signed_values(N)
-        n = len(S)
-        P = np.zeros((n, n))
-        for i, s in enumerate(S):
-            n_minus = (N - s) // 2
-            n_plus = (N + s) // 2
-            if n_minus > 0:
-                acc = math.exp(min(0.0, 2 * beta * (s + 1) / N))
-                P[i, i + 1] += p1 * n_minus / N * acc
-            if n_plus > 0:
-                acc = math.exp(min(0.0, 2 * beta * (1 - s) / N))
-                P[i, i - 1] += p1 * n_plus / N * acc
-            if kind == "equi-energy" and s != 0:
-                P[i, n - 1 - i] += p2
-        log_pi = np.array(
-            [models.log_binom(N, (N + s) // 2) + beta * s * s / (2 * N) for s in S]
-        )
-        np.fill_diagonal(P, np.diag(P) + 1.0 - P.sum(axis=1))
-        return FiniteKernel(labels=tuple(int(s) for s in S), log_pi=log_pi, P=P)
+    S = np.arange(-N, N + 1, 2)
+    idx = np.arange(len(S))
+    flip = idx[::-1].copy()
+    n_minus = (N - S) // 2
+    n_plus = (N + S) // 2
+    up = n_minus > 0
+    down = n_plus > 0
+    moves = [
+        (idx[up], idx[up] + 1,
+         p1 * n_minus[up] / N * _exp_nonpositive(2 * beta * (S[up] + 1) / N)),
+        (idx[down], idx[down] - 1,
+         p1 * n_plus[down] / N * _exp_nonpositive(2 * beta * (1 - S[down]) / N)),
+    ]
+    if kind == "equi-energy":
+        signed = S != 0
+        moves.append((idx[signed], flip[signed], np.full(int(signed.sum()), p2)))
+    log_pi = np.array(
+        [models.log_binom(N, (N + s) // 2) + beta * s * s / (2 * N) for s in S.tolist()]
+    )
+    return _move_table(tuple(S.tolist()), log_pi, flip, moves)
 
-    # beg: signed classes (S, r), r ascending then S ascending
-    K = spec.K
-    states = []
-    for s, r in models.enumerate_beg_classes(N):
-        if s == 0:
-            states.append((0, r))
-        else:
-            states.append((-s, r))
-            states.append((s, r))
-    states.sort(key=lambda t: (t[1], t[0]))
-    index = {sr: i for i, sr in enumerate(states)}
-    n = len(states)
-    P = np.zeros((n, n))
-    log_pi = np.empty(n)
-    for i, (s, r) in enumerate(states):
-        log_pi[i] = (
-            models.log_binom(N, r)
-            + models.log_binom(r, (r - s) // 2)
-            - beta * r
-            + K * beta * s * s / N
-        )
-        n0 = N - r
-        npl = (r + s) // 2
-        nmi = (r - s) // 2
-        moves = (
-            (s + 1, r + 1, n0),
-            (s - 1, r + 1, n0),
-            (s - 2, r, npl),
-            (s - 1, r - 1, npl),
-            (s + 2, r, nmi),
-            (s + 1, r - 1, nmi),
-        )
-        for s2, r2, cnt in moves:
-            if cnt == 0:
-                continue
-            delta = -beta * (r2 - r) + K * beta * (s2 * s2 - s * s) / N
-            P[i, index[(s2, r2)]] += p1 * cnt / (2 * N) * math.exp(min(0.0, delta))
-        if kind == "equi-energy" and s != 0:
-            P[i, index[(-s, r)]] += p2
-    np.fill_diagonal(P, np.diag(P) + 1.0 - P.sum(axis=1))
-    return FiniteKernel(labels=tuple(states), log_pi=log_pi, P=P)
+
+def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
+    p1, p2 = _require_mixture_params(spec, kind)
+    N, beta, K = spec.N, spec.beta, spec.K
+    # classes (s, r) ordered by r, then s: (s, r) sits at r(r+1)/2 + (s+r)/2
+    r = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    idx = np.arange(len(r))
+    s = 2 * (idx - r * (r + 1) // 2) - r
+    index = lambda s2, r2: r2 * (r2 + 1) // 2 + (s2 + r2) // 2
+    flip = index(-s, r)
+    n0 = N - r
+    npl = (r + s) // 2
+    nmi = (r - s) // 2
+    moves = []
+    for ds, dr, cnt in ((1, 1, n0), (-1, 1, n0), (-2, 0, npl),
+                        (-1, -1, npl), (2, 0, nmi), (1, -1, nmi)):
+        m = cnt > 0
+        s2 = s[m] + ds
+        delta = -beta * dr + K * beta * (s2 * s2 - s[m] * s[m]) / N
+        moves.append((idx[m], index(s2, r[m] + dr),
+                      p1 * cnt[m] / (2 * N) * _exp_nonpositive(delta)))
+    if kind == "equi-energy":
+        signed = np.flatnonzero(s)
+        moves.append((signed, flip[signed], np.full(len(signed), p2)))
+    log_pi = np.array([
+        models.log_binom(N, ri) + models.log_binom(ri, (ri - si) // 2)
+        - beta * ri + K * beta * si * si / N
+        for si, ri in zip(s.tolist(), r.tolist())
+    ])
+    return _move_table(tuple(zip(s.tolist(), r.tolist())), log_pi, flip, moves)
+
+
+def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
+    """The Metropolis chain on signed classes as a move table.
+
+    Every transition mass out of a state depends only on its signed
+    class, so the lumping is exact and its spectrum is a subset of the
+    full chain's.  ising and beg tables are built in O(states) memory.
+    For warmup the signed classes are the states, so the table is read
+    off the dense full chain.  ising states are ordered by magnetization
+    S ascending; beg states by (r, S) with r ascending.
+    """
+    if spec.kind == "warmup":
+        chain = metropolis_chain(spec, kind)
+        return MoveTable.from_kernel(chain, _negation_indices(spec, chain.n))
+    if kind not in ("naive", "equi-energy"):
+        raise ValueError(f"signed lumping applies to naive/equi-energy, not {kind!r}")
+    if spec.kind == "ising":
+        return _ising_moves(spec, kind)
+    return _beg_moves(spec, kind)
+
+
+def signed_lumped_chain(spec: ModelSpec, kind: str = "equi-energy") -> FiniteKernel:
+    """Dense form of ``signed_move_table``: the oracle and export route."""
+    return signed_move_table(spec, kind).to_kernel()
 
 
 def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:

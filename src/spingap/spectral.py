@@ -2,7 +2,10 @@
 
 Eigenvalues come from the symmetrization D^{1/2} P D^{-1/2} (D the
 diagonal of stationary weights), computed with a dense symmetric solver;
-birth--death chains route to the symmetric-tridiagonal solver.  On top
+birth--death chains route to the symmetric-tridiagonal solver.  Exact
+gaps of the signed class chains come from ``sector_spectrum``, which
+splits the chain into the even and odd sectors of the global flip and
+solves each on its nonzeros; the dense routes are its oracles.  On top
 of the spectrum: spectral gap, exhaustive conductance with the Cheeger
 sandwich, the chain-decomposition lower bound, the birth--death path
 bound, the Gershgorin bound, asymptotic variance, and the total
@@ -20,8 +23,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .kernels import BirthDeathChain, FiniteKernel, Partition, lumped_projection, restriction
+from .kernels import (
+    BirthDeathChain,
+    FiniteKernel,
+    MoveTable,
+    Partition,
+    lumped_projection,
+    restriction,
+)
 
 #: gaps below this are reported as "below resolution" rather than zero:
 #: slow chains at large beta*N sit under the floating-point floor and the
@@ -30,9 +41,18 @@ GAP_RESOLUTION = 1e-12
 
 DEFAULT_MAX_DENSE = 8192
 
+#: flip sectors up to this many states that are not tridiagonal go to the
+#: dense solver; larger ones go to sparse Lanczos iteration.  On BEG
+#: sectors dense eigvalsh wins below about 340 states, Lanczos above 380.
+DENSE_SECTOR_MAX = 360
+
 
 class NonReversibleError(ValueError):
     """Detailed balance fails beyond tolerance; the symmetrization is invalid."""
+
+
+class SymmetryError(ValueError):
+    """The symmetrized chain is not invariant under the global flip J."""
 
 
 class ReducibleChainError(ValueError):
@@ -159,6 +179,171 @@ def spectral_summary(chain: Chain, with_conductance: bool = False,
 
 
 # ---------------------------------------------------------------------------
+# Flip sectors.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SectorSpectrum:
+    """Extreme eigenvalues of a flip-invariant reversible chain, by sector.
+
+    ``even_lambda1`` is the largest eigenvalue of the even sector after
+    lambda_0 = 1 (-inf if the sector holds lambda_0 only),
+    ``odd_lambda1`` the largest of the odd sector, and ``lambda_min``
+    the smallest over both.  ``dim`` is the chain's size.
+    """
+
+    even_lambda1: float
+    odd_lambda1: float
+    lambda_min: float
+    dim: int
+
+    @property
+    def lambda1(self) -> float:
+        return max(self.even_lambda1, self.odd_lambda1)
+
+    @property
+    def gap(self) -> float:
+        return 1.0 - max(self.lambda1, abs(self.lambda_min))
+
+
+def _relative_mismatch(X, Y) -> float:
+    """Largest |X - Y| / max(|X|, |Y|) over entries where X or Y is nonzero.
+
+    Both arguments must hold no explicit zeros.
+    """
+    D = abs(X - Y)
+    D.eliminate_zeros()
+    if D.nnz == 0:
+        return 0.0
+    return float(D.multiply(abs(X).maximum(abs(Y)).power(-1)).max())
+
+
+def _flip_sectors(table: MoveTable, reversibility_tol: float = 1e-8) -> tuple:
+    """(even, odd) sectors of the symmetrized chain, as sparse matrices.
+
+    The symmetrization A = D^{1/2} P D^{-1/2} is built on the table's
+    nonzeros and checked for detailed balance (NonReversibleError) and
+    for invariance under the flip (SymmetryError) in O(nnz).  The even
+    basis has (e_i + e_Ji)/sqrt(2) per mirror pair and e_i per fixed
+    state, the odd basis (e_i - e_Ji)/sqrt(2) per pair; the sectors are
+    A in these bases, orbits ordered by their lower state index.  Also
+    returns sqrt(pi) in the even basis, the unit eigenvector of
+    lambda_0 = 1.
+    """
+    n = table.n
+    idx = np.arange(n)
+    rows = np.concatenate([table.rows, idx])
+    cols = np.concatenate([table.cols, idx])
+    hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
+    vals = np.concatenate([table.vals, hold])
+    lw = table.log_pi
+    S = scipy.sparse.csr_array((vals * np.exp(0.5 * (lw[rows] - lw[cols])), (rows, cols)),
+                               shape=(n, n))
+    S.eliminate_zeros()
+    err = _relative_mismatch(S, S.T)
+    if err > reversibility_tol:
+        raise NonReversibleError(
+            f"detailed-balance residual {err} exceeds {reversibility_tol}")
+    A = ((S + S.T) * 0.5).tocsr()
+    flip = table.flip
+    err = _relative_mismatch(A, A[flip][:, flip])
+    if err > reversibility_tol:
+        raise SymmetryError(f"flip-invariance residual {err} exceeds {reversibility_tol}")
+
+    A = A.tocoo()
+    i, j = A.row, A.col
+    fixed = flip == idx
+    lower = np.minimum(idx, flip)
+    orbit = np.unique(lower, return_inverse=True)[1]
+    # <even_k, A even_l>: 1/sqrt(2) from each state of a mirror pair
+    w = np.where(fixed[i] & fixed[j], 1.0,
+                 np.where(fixed[i] | fixed[j], math.sqrt(0.5), 0.5))
+    m = int(orbit.max()) + 1
+    even = scipy.sparse.coo_array((w * A.data, (orbit[i], orbit[j])), shape=(m, m))
+    # <odd_k, A odd_l>: +-1/sqrt(2), minus on the higher state of a pair
+    pair = ~fixed[i] & ~fixed[j]
+    odd_orbit = np.full(n, -1)
+    odd_orbit[~fixed] = np.unique(lower[~fixed], return_inverse=True)[1]
+    sign = np.where(idx == lower, 1.0, -1.0)
+    i, j = i[pair], j[pair]
+    m = int((~fixed).sum()) // 2
+    odd = scipy.sparse.coo_array((0.5 * sign[i] * sign[j] * A.data[pair],
+                                  (odd_orbit[i], odd_orbit[j])), shape=(m, m))
+    # sqrt(pi) projected on the even basis: orbit sums over sqrt(orbit size)
+    root = np.bincount(orbit, weights=np.exp(0.5 * (lw - lw.max())))
+    root /= np.sqrt(np.bincount(orbit))
+    even, odd = (((M + M.T) * 0.5).tocsr() for M in (even.tocsr(), odd.tocsr()))
+    return even, odd, root / np.linalg.norm(root)
+
+
+def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
+    """(largest, smallest) eigenvalue of a sector.
+
+    With ``u``, the unit eigenvector of the eigenvalue 1, the largest is
+    taken over the rest of the spectrum (-inf if nothing is left).
+    """
+    m = M.shape[0]
+    top = m - 1 if u is None else m - 2
+    if top < 0:
+        return -math.inf, 1.0
+    coo = M.tocoo()
+    if np.all(np.abs(coo.row - coo.col) <= 1):
+        # bisection for the wanted eigenvalues only: O(m) each
+        d, e = M.diagonal(), M.diagonal(1)
+        return tuple(float(scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                                         select_range=(k, k))[0])
+                     for k in (top, 0))
+    if m <= DENSE_SECTOR_MAX:
+        return _dense_extremes(M, top)
+    return _lanczos_extremes(M, u)
+
+
+def _dense_extremes(M, top: int) -> tuple:
+    vals = scipy.linalg.eigvalsh(M.toarray())
+    return float(vals[top]), float(vals[0])
+
+
+def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    m = M.shape[0]
+    op = M
+    if u is not None:
+        # send the known eigenvalue 1 to -1: Lanczos could miss one copy of
+        # an eigenvalue pair at 1 to machine precision (phase coexistence)
+        def deflated(x):
+            x = x.ravel()
+            return M @ x - 2.0 * (u @ x) * u
+
+        op = LinearOperator(M.shape, matvec=deflated, dtype=float)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, m)  # fixed start: reproducible bits
+    try:
+        hi = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        lo = eigsh(M, k=1, which="SA", v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence as e:
+        if m > DEFAULT_MAX_DENSE:
+            raise ValueError(f"Lanczos did not converge on a {m}-state sector") from e
+        return _dense_extremes(M, m - 1 if u is None else m - 2)
+    return float(hi[0]), float(lo[0])
+
+
+def sector_spectrum(table: MoveTable, reversibility_tol: float = 1e-8) -> SectorSpectrum:
+    """lambda_1 and lambda_min of a flip-invariant chain from its two sectors.
+
+    The even sector holds lambda_0 = 1, whose eigenvector sqrt(pi) is
+    known and left out; the slow mode of a two-phase chain lies in the
+    odd sector.  Tridiagonal sectors (nearest-neighbour chains) go to
+    the tridiagonal solver, small ones to the dense solver, the rest to
+    Lanczos iteration on the sparse matrix.
+    """
+    even, odd, root = _flip_sectors(table, reversibility_tol)
+    even_top, even_min = _sector_extremes(even, root)
+    odd_top, odd_min = _sector_extremes(odd)
+    return SectorSpectrum(even_lambda1=even_top, odd_lambda1=odd_top,
+                          lambda_min=min(even_min, odd_min), dim=table.n)
+
+
+# ---------------------------------------------------------------------------
 # Conductance.
 # ---------------------------------------------------------------------------
 
@@ -257,7 +442,9 @@ def cut_bottleneck_log(kernel: FiniteKernel, subset: Sequence[int]) -> float:
     lw = kernel.log_pi
     log_mass = logsumexp(lw[inA])
     log_comp = logsumexp(lw[~inA])
-    if log_mass > log_comp:
+    # a mirror cut has p(A) just under 1/2; rounding may put its log mass
+    # an ulp or so above the complement's, so an excess that small is a tie
+    if log_mass - log_comp > 4 * math.ulp(max(abs(log_mass), abs(log_comp))):
         raise ValueError("subset carries more than half the stationary mass")
     terms = []
     for i in np.flatnonzero(inA):

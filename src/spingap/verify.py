@@ -16,19 +16,26 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
-from scipy.special import logsumexp
+from scipy.special import logsumexp, stdtrit
 
 from . import models
 from .kernels import (
-    beg_lumped,
+    MoveTable,
     lumped_projection,
     metropolis_chain,
     signed_lumped_chain,
+    signed_move_table,
     warmup_block_partition,
 )
 from .models import ModelSpec, beg, ising, warmup
-from .spectral import GAP_RESOLUTION, cut_bottleneck_log, gap, spectrum
+from .spectral import (
+    GAP_RESOLUTION,
+    SectorSpectrum,
+    cut_bottleneck_log,
+    gap,
+    sector_spectrum,
+    spectrum,
+)
 
 UNDERFLOW = GAP_RESOLUTION
 
@@ -68,7 +75,7 @@ def ols_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     dof = n - 2
     s2 = float((resid ** 2).sum()) / dof if dof > 0 else 0.0
     stderr = math.sqrt(s2 / sxx)
-    t = float(sps.t.ppf(0.975, dof)) if dof > 0 else math.inf
+    t = float(stdtrit(dof, 0.975)) if dof > 0 else math.inf
     return FitResult(slope=slope, intercept=intercept, stderr=stderr,
                      ci_lo=slope - t * stderr, ci_hi=slope + t * stderr, n_points=n)
 
@@ -116,17 +123,20 @@ def chain_for(spec: ModelSpec, kind: str):
     return signed_lumped_chain(spec, kind)
 
 
-def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
-    s = spectrum(chain_for(spec, kind))
-    g = gap(s)
+def _gap_record(s: SectorSpectrum) -> dict:
     return {
-        "gap": g,
-        "one_minus_lambda1": 1.0 - float(s.eigenvalues[1]) if s.dim > 1 else 1.0,
-        "lambda1": float(s.eigenvalues[1]) if s.dim > 1 else 1.0,
-        "lambda_min": float(s.eigenvalues[-1]),
+        "gap": s.gap,
+        "one_minus_lambda1": 1.0 - s.lambda1,
+        "lambda1": s.lambda1,
+        "lambda_min": s.lambda_min,
         "dim": s.dim,
-        "underflow": bool(g < UNDERFLOW),
+        "underflow": bool(s.gap < UNDERFLOW),
     }
+
+
+def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
+    """Gap of the signed class chain, solved on its two flip sectors."""
+    return _gap_record(sector_spectrum(signed_move_table(spec, kind)))
 
 
 def _fit_over(records, xkey: Callable, ykey: Callable, min_points: int = 6):
@@ -259,12 +269,8 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
         mid = N // 2
         if not math.isclose(H.P[mid, mid + 1], (1 - epsilon) / 4, rel_tol=1e-12):
             failures.append(f"N={N}: projection up-rate {H.P[mid, mid + 1]} != (1-eps)/4")
-        vals = {}
-        s = spectrum(M)
-        vals["gap"] = gap(s)
-        vals["lambda1"] = float(s.eigenvalues[1])
-        vals["lambda_min"] = float(s.eigenvalues[-1])
-        vals["underflow"] = bool(vals["gap"] < UNDERFLOW)
+        fast = _gap_record(sector_spectrum(MoveTable.from_kernel(M, np.arange(M.n)[::-1])))
+        vals = {k: fast[k] for k in ("gap", "lambda1", "lambda_min", "underflow")}
         vals["gap_times_N2"] = vals["gap"] * N * N
         naive = exact_gap_record(spec, "naive")
         vals["naive_gap"] = naive["gap"]
@@ -413,9 +419,10 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
         floor = beg_decomposition_floor(p1, p2)
         for N in Ns:
             spec = beg(N, beta=beta, K=K, p1=p1, p2=p2)
-            vals = exact_gap_record(spec, "equi-energy")
-            bar = beg_lumped(spec)
-            vals["gap_pbar"] = gap(spectrum(bar))
+            sectors = sector_spectrum(signed_move_table(spec, "equi-energy"))
+            vals = _gap_record(sectors)
+            # P_bar = (I + E)/2, E the even sector as a chain on unsigned classes
+            vals["gap_pbar"] = 0.5 * (1.0 - sectors.even_lambda1)
             vals["decomposition_floor"] = vals["gap_pbar"] * floor
             ok = vals["gap"] >= vals["decomposition_floor"] - 1e-12
             if not ok:
@@ -716,11 +723,12 @@ def signed_containment(spec: ModelSpec, kind: str, tol: float = 1e-8) -> dict:
     """
     full = metropolis_chain(spec, kind)
     lump = signed_lumped_chain(spec, kind)
-    ev_full = spectrum(full).eigenvalues
-    ev_lump = spectrum(lump).eigenvalues
+    s_full = spectrum(full)
+    s_lump = spectrum(lump)
+    ev_full, ev_lump = s_full.eigenvalues, s_lump.eigenvalues
     dist = float(max(np.abs(ev_full[None, :] - ev_lump[:, None]).min(axis=1).max(), 0.0))
-    gap_full = gap(spectrum(full))
-    gap_lump = gap(spectrum(lump))
+    gap_full = gap(s_full)
+    gap_lump = gap(s_lump)
     return {
         "hausdorff_one_sided": dist,
         "contained": dist <= tol,

@@ -409,6 +409,80 @@ def test_signed_lumped_chain_shape_and_validity():
     nchain.check(1e-12)
 
 
+def scalar_signed_chain(spec, kind):
+    """Per-state loop over the moves, entry by entry: the reference for the table."""
+    p1, p2 = (spec.p1, spec.p2) if kind == "equi-energy" else (1.0, 0.0)
+    N, beta = spec.N, spec.beta
+    if spec.kind == "ising":
+        states = list(range(-N, N + 1, 2))
+        log_w = lambda s: models.log_binom(N, (N + s) // 2) + beta * s * s / (2 * N)
+        moves = lambda s: ((s + 2, (N - s) // 2, 2 * beta * (s + 1) / N),
+                           (s - 2, (N + s) // 2, 2 * beta * (1 - s) / N))
+        mirror = lambda s: -s
+        scale = N
+    else:
+        K = spec.K
+        states = sorted(((s, r) for r in range(N + 1) for s in range(-r, r + 1, 2)),
+                        key=lambda t: (t[1], t[0]))
+        log_w = lambda c: (models.log_binom(N, c[1]) + models.log_binom(c[1], (c[1] - c[0]) // 2)
+                           - beta * c[1] + K * beta * c[0] * c[0] / N)
+        def moves(c):
+            s, r = c
+            out = []
+            for s2, r2, cnt in ((s + 1, r + 1, N - r), (s - 1, r + 1, N - r),
+                                (s - 2, r, (r + s) // 2), (s - 1, r - 1, (r + s) // 2),
+                                (s + 2, r, (r - s) // 2), (s + 1, r - 1, (r - s) // 2)):
+                delta = -beta * (r2 - r) + K * beta * (s2 * s2 - s * s) / N
+                out.append(((s2, r2), cnt, delta))
+            return out
+        mirror = lambda c: (-c[0], c[1])
+        scale = 2 * N
+    index = {c: i for i, c in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for i, c in enumerate(states):
+        for target, cnt, delta in moves(c):
+            if cnt > 0:
+                P[i, index[target]] += p1 * cnt / scale * math.exp(min(0.0, delta))
+        if kind == "equi-energy" and mirror(c) != c:
+            P[i, index[mirror(c)]] += p2
+    np.fill_diagonal(P, np.diag(P) + 1.0 - P.sum(axis=1))
+    return tuple(states), np.array([log_w(c) for c in states]), P
+
+
+@pytest.mark.parametrize("kind", ["naive", "equi-energy"])
+@pytest.mark.parametrize("spec", [ising(2, beta=1.0, p1=0.5, p2=0.25),
+                                  ising(30, beta=1.7, p1=0.4, p2=0.3),
+                                  ising(80, beta=0.6, p1=0.5, p2=0.25),
+                                  beg(2, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                  beg(10, beta=1.5, K=2.0, p1=0.37, p2=0.21),
+                                  beg(64, beta=0.3, K=0.7, p1=0.5, p2=0.25)])
+def test_signed_chain_matches_scalar_reference_bit_for_bit(spec, kind):
+    labels, log_pi, P = scalar_signed_chain(spec, kind)
+    chain = signed_lumped_chain(spec, kind)
+    assert chain.labels == labels
+    assert np.array_equal(chain.log_pi, log_pi)
+    assert np.array_equal(chain.P, P)
+
+
+@pytest.mark.parametrize("kind", ["naive", "small-world"])
+def test_warmup_move_table_is_the_full_chain(kind):
+    spec = warmup(7, theta=1.7, epsilon=0.3)
+    chain = signed_lumped_chain(spec, kind)
+    full = metropolis_chain(spec, kind)
+    assert chain.labels == full.labels
+    assert np.array_equal(chain.log_pi, full.log_pi)
+    assert np.array_equal(chain.P, full.P)
+
+
+def test_move_table_flip_is_the_mirror_class():
+    for spec in (ising(6, beta=1.0, p1=0.5, p2=0.25), beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                 warmup(4, theta=2.0, epsilon=0.3)):
+        table = kernels.signed_move_table(spec, "naive")
+        mirror = [(-lab[0], lab[1]) if isinstance(lab, tuple) else -lab
+                  for lab in table.labels]
+        assert [table.labels[j] for j in table.flip] == mirror
+
+
 def test_unsigned_projection_of_signed_chain_matches_closed_forms():
     # lumping the signed chain onto unsigned classes reproduces the
     # closed-form projections (the two-step lumping telescopes)

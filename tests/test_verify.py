@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import stdtrit
 
 from spingap import models
 from spingap.kernels import signed_lumped_chain
 from spingap.models import beg, class_table, ising
 from spingap.spectral import cut_bottleneck_log
 from spingap.verify import (
+    _negative_side_cut_log,
     beg_unimodality_scan,
     exact_gap_record,
     ising_fast_bound,
@@ -49,6 +52,12 @@ def test_ols_fit_known_noise():
     assert fit.ci_hi - fit.ci_lo == pytest.approx(
         2 * fit.stderr * float(__import__("scipy.stats", fromlist=["t"]).t.ppf(0.975, 48)),
         rel=1e-12)
+
+
+def test_fit_t_quantile_matches_scipy_stats():
+    # the interval edge uses stdtrit, which matches t.ppf bit for bit
+    dofs = np.arange(1, 401)
+    assert np.array_equal(stdtrit(dofs, 0.975), stats.t.ppf(0.975, dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +214,16 @@ def test_cut_bound_rejects_heavy_subset():
     heavy = [i for i, s in enumerate(chain.labels) if s <= 0]  # more than half
     with pytest.raises(ValueError):
         cut_bottleneck_log(chain, heavy)
+
+
+def test_mirror_cut_is_accepted_when_log_masses_round_the_wrong_way():
+    # at N=148 p(S=0) ~ e^-51, so the two halves' log masses (about 151)
+    # are one ulp apart, in the wrong order
+    spec = ising(148, beta=2.0)
+    chain = signed_lumped_chain(spec, "naive")
+    subset = [i for i, s in enumerate(chain.labels) if s < 0]
+    assert math.isfinite(cut_bottleneck_log(chain, subset))
+    assert math.isfinite(_negative_side_cut_log(spec, "naive"))
 
 
 def test_signed_containment_small():
