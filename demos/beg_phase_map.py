@@ -25,6 +25,7 @@ from spingap import (
     is_unimodal,
     rate_function_argmin,
     signed_lumped_chain,
+    signed_move_table,
     spectrum,
 )
 from spingap.verify import _negative_side_cut_log
@@ -64,7 +65,7 @@ for beta, K in ((1.0, 1.0), (1.5, 2.0)):
 print("\ndeep cell (beta,K)=(3,5): log10 of the cut bound on the naive gap")
 for N in (6, 12, 18, 24):
     spec = beg(N, beta=3.0, K=5.0)
-    log2h = _negative_side_cut_log(spec, "naive")
+    log2h = _negative_side_cut_log(spec, signed_move_table(spec, "naive"))
     print(f"  N={N}: gap <= 10^{log2h / math.log(10):.1f}")
 
 # the projection onto unsigned classes drives the fast-mixing estimate

@@ -113,11 +113,12 @@ def partition_by(keys: Sequence, order: Optional[Sequence] = None) -> Partition:
     keys = list(keys)
     if order is None:
         order = sorted(set(keys))
-    blocks = []
-    for k in order:
-        idx = np.array([i for i, key in enumerate(keys) if key == k], dtype=np.intp)
-        blocks.append(idx)
-    return Partition(blocks=tuple(blocks), labels=tuple(order))
+    members = {k: [] for k in order}
+    for i, key in enumerate(keys):
+        if key in members:
+            members[key].append(i)
+    blocks = tuple(np.array(members[k], dtype=np.intp) for k in order)
+    return Partition(blocks=blocks, labels=tuple(order))
 
 
 @dataclass(frozen=True)
@@ -189,19 +190,18 @@ def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> Finit
     n = proposal.n
     if lw.shape != (n,):
         raise ValueError(f"target weights have shape {lw.shape}, expected ({n},)")
+    xs, ys = np.nonzero(K)
+    off = xs != ys
+    xs, ys = xs[off], ys[off]
+    fwd, back = K[xs, ys], K[ys, xs]
+    bad = np.flatnonzero(back == 0.0)
+    if bad.size:
+        row = xs == xs[bad[0]]
+        x, y = int(xs[bad[0]]), int(ys[row][np.argmin(back[row])])
+        raise SupportError(f"K({x},{y}) > 0 but K({y},{x}) = 0")
+    delta = (lw[ys] + np.log(back)) - (lw[xs] + np.log(fwd))
     M = np.zeros_like(K)
-    for x in range(n):
-        row = K[x]
-        nz = np.flatnonzero(row)
-        nz = nz[nz != x]
-        if nz.size == 0:
-            continue
-        back = K[nz, x]
-        if np.any(back == 0.0):
-            y = int(nz[np.argmin(back)])
-            raise SupportError(f"K({x},{y}) > 0 but K({y},{x}) = 0")
-        delta = (lw[nz] + np.log(back)) - (lw[x] + np.log(row[nz]))
-        M[x, nz] = row[nz] * np.exp(np.minimum(0.0, delta))
+    M[xs, ys] = fwd * np.exp(np.minimum(0.0, delta))
     diag = 1.0 - M.sum(axis=1)
     np.fill_diagonal(M, np.maximum(diag, 0.0))
     return FiniteKernel(labels=proposal.labels, log_pi=lw.copy(), P=M)
@@ -355,20 +355,26 @@ def lumped_projection(kernel: FiniteKernel, parts: Partition) -> FiniteKernel:
     weights are the block masses.
     """
     lw = kernel.log_pi
-    if sum(len(b) for b in parts.blocks) != kernel.n:
+    sizes = [len(b) for b in parts.blocks]
+    if sum(sizes) != kernel.n:
         raise ValueError("partition does not cover the kernel's state set")
     m = parts.m
+    block = np.empty(kernel.n, dtype=np.intp)
+    block[np.concatenate(parts.blocks)] = np.repeat(np.arange(m), sizes)
+    top = np.full(m, -np.inf)
+    np.maximum.at(top, block, lw)
+    log_pi_H = top + np.log(np.bincount(block, weights=np.exp(lw - top[block]), minlength=m))
+    share = np.exp(lw - log_pi_H[block])  # p(x) / p(A_i) for x in A_i
+    xs, ys = np.nonzero(kernel.P)
+    cross = block[xs] != block[ys]
+    xs, ys = xs[cross], ys[cross]
+    # sum each block pair's run pairwise (reduceat): a sequential bincount
+    # loses tens of ulps on blocks of a hundred states or more
+    key = block[xs] * m + block[ys]
+    order = np.argsort(key, kind="stable")
+    pairs, starts = np.unique(key[order], return_index=True)
     H = np.zeros((m, m))
-    log_pi_H = np.empty(m)
-    flows = np.empty((m, kernel.n))
-    for i, bi in enumerate(parts.blocks):
-        log_pi_H[i] = logsumexp(lw[bi])
-        w = np.exp(lw[bi] - log_pi_H[i])
-        flows[i] = w @ kernel.P[bi, :]
-    for i in range(m):
-        for j, bj in enumerate(parts.blocks):
-            if j != i:
-                H[i, j] = 0.5 * flows[i][bj].sum()
+    H.flat[pairs] = 0.5 * np.add.reduceat((share[xs] * kernel.P[xs, ys])[order], starts)
     np.fill_diagonal(H, 1.0 - H.sum(axis=1))
     return FiniteKernel(labels=parts.labels, log_pi=log_pi_H, P=H)
 
@@ -465,11 +471,11 @@ class MoveTable:
     @classmethod
     def from_kernel(cls, kernel: FiniteKernel, flip: np.ndarray) -> "MoveTable":
         """The off-diagonal nonzeros of a dense chain as a move table."""
-        off = kernel.P.copy()
-        np.fill_diagonal(off, 0.0)
-        rows, cols = np.nonzero(off)
+        rows, cols = np.nonzero(kernel.P)
+        off = rows != cols
+        rows, cols = rows[off], cols[off]
         return cls(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
-                   vals=off[rows, cols], flip=flip)
+                   vals=kernel.P[rows, cols], flip=flip)
 
     def to_kernel(self) -> FiniteKernel:
         """The dense transition matrix; the size is checked before allocating."""

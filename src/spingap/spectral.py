@@ -424,36 +424,45 @@ def interval_conductance(kernel: FiniteKernel) -> tuple[float, int]:
     return max(best, 0.0), best_k
 
 
-def cut_bottleneck_log(kernel: FiniteKernel, subset: Sequence[int]) -> float:
+def cut_bottleneck_log(chain: Union[FiniteKernel, MoveTable], subset: Sequence[int]) -> float:
     """log of Q(A, A^c)/p(A) for one cut, computed entirely in log space.
 
     The value upper-bounds log h whenever p(A) <= 1/2 (checked exactly by
     comparing log masses), and log(2) more upper-bounds log(1 - lambda_1)
     through the Cheeger inequality.  Stays finite far below the floating
     floor, which is what makes the deep slow-mixing cells auditable.
+    Only the moves that cross the cut are visited, so a move table is cut
+    without ever being made dense; its repeated moves add up in table
+    order, as in ``MoveTable.to_kernel``, and the terms are summed in
+    row-major order, so both forms of a chain give the same bits.
     """
     from scipy.special import logsumexp
 
-    n = kernel.n
+    n = chain.n
     inA = np.zeros(n, dtype=bool)
     inA[np.asarray(list(subset), dtype=np.intp)] = True
     if not inA.any() or inA.all():
         raise ValueError("cut must be a proper nonempty subset")
-    lw = kernel.log_pi
+    lw = chain.log_pi
     log_mass = logsumexp(lw[inA])
     log_comp = logsumexp(lw[~inA])
     # a mirror cut has p(A) just under 1/2; rounding may put its log mass
     # an ulp or so above the complement's, so an excess that small is a tie
     if log_mass - log_comp > 4 * math.ulp(max(abs(log_mass), abs(log_comp))):
         raise ValueError("subset carries more than half the stationary mass")
-    terms = []
-    for i in np.flatnonzero(inA):
-        row = kernel.P[i]
-        for j in np.flatnonzero(~inA):
-            if row[j] > 0:
-                terms.append(lw[i] + math.log(row[j]))
-    if not terms:
+    if isinstance(chain, MoveTable):
+        rows, cols, vals = chain.rows, chain.cols, chain.vals
+    else:
+        rows, cols = np.nonzero(chain.P)
+        vals = chain.P[rows, cols]
+    cross = inA[rows] & ~inA[cols]
+    keys, slot = np.unique(rows[cross] * n + cols[cross], return_inverse=True)
+    flow = np.bincount(slot, weights=vals[cross], minlength=len(keys))
+    keys, flow = keys[flow > 0], flow[flow > 0]
+    if not keys.size:
         return -math.inf
+    # math.log, not np.log: the SIMD log differs in the last bit on some values
+    terms = lw[keys // n] + np.array([math.log(f) for f in flow.tolist()])
     return float(logsumexp(terms)) - float(log_mass)
 
 

@@ -139,6 +139,28 @@ def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
     return _gap_record(sector_spectrum(signed_move_table(spec, kind)))
 
 
+def _negative_side_cut_log(spec: ModelSpec, table: MoveTable) -> float:
+    """log(2h) for the cut at negative magnetization, in pure log space.
+
+    h is evaluated at A = {signed classes with S < 0} of the chain's move
+    table, so the value upper-bounds the true log(2h) and hence
+    log(1 - lambda_1); it stays computable when the gap itself underflows.
+    """
+    if spec.kind == "ising":
+        subset = [i for i, s in enumerate(table.labels) if s < 0]
+    else:
+        subset = [i for i, (s, _) in enumerate(table.labels) if s < 0]
+    return math.log(2.0) + cut_bottleneck_log(table, subset)
+
+
+def _slow_cell_values(spec: ModelSpec) -> dict:
+    """Gap record and negative-side cut of the naive chain, from one move table."""
+    table = signed_move_table(spec, "naive")
+    vals = _gap_record(sector_spectrum(table))
+    vals["log_2h_cut"] = _negative_side_cut_log(spec, table)
+    return vals
+
+
 def _fit_over(records, xkey: Callable, ykey: Callable, min_points: int = 6):
     pts = [(xkey(r), ykey(r)) for r in records if not r.values["underflow"]]
     if len(pts) < min_points:
@@ -215,8 +237,7 @@ def verify_ising_slow(betas: Sequence[float], Ns: Sequence[int],
         cell_records = []
         for N in Ns:
             spec = ising(N, beta=beta)
-            vals = exact_gap_record(spec, "naive")
-            vals["log_2h_cut"] = _negative_side_cut_log(spec, "naive")
+            vals = _slow_cell_values(spec)
             cell_records.append(CellRecord(
                 cell={"model": "ising", "kind": "naive", "N": N, "beta": beta},
                 values=vals,
@@ -313,21 +334,6 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
 # BEG.
 # ---------------------------------------------------------------------------
 
-def _negative_side_cut_log(spec: ModelSpec, kind: str) -> float:
-    """log(2h) for the cut at negative magnetization, in pure log space.
-
-    h is evaluated at A = {signed classes with S < 0}, so the value
-    upper-bounds the true log(2h) and hence log(1 - lambda_1); it stays
-    computable when the gap itself underflows.
-    """
-    chain = signed_lumped_chain(spec, kind)
-    if spec.kind == "ising":
-        subset = [i for i, s in enumerate(chain.labels) if s < 0]
-    else:
-        subset = [i for i, (s, _) in enumerate(chain.labels) if s < 0]
-    return math.log(2.0) + cut_bottleneck_log(chain, subset)
-
-
 def verify_beg_slow(cells: Sequence[tuple], Ns: Sequence[int],
                     deep: Optional[Sequence[tuple]] = None,
                     slope_threshold: float = -0.05) -> BoundReport:
@@ -350,8 +356,7 @@ def verify_beg_slow(cells: Sequence[tuple], Ns: Sequence[int],
         cell_records = []
         for N in Ns:
             spec = beg(N, beta=beta, K=K)
-            vals = exact_gap_record(spec, "naive")
-            vals["log_2h_cut"] = _negative_side_cut_log(spec, "naive")
+            vals = _slow_cell_values(spec)
             cell_records.append(CellRecord(
                 cell={"model": "beg", "kind": "naive", "N": N, "beta": beta, "K": K},
                 values=vals,

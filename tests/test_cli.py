@@ -1,4 +1,7 @@
+import csv
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -179,3 +182,40 @@ def test_validation_errors_exit_2(tmp_path):
     # missing model
     rc = main(["simulate", "--n", "8", "--steps", "100", "--out", str(tmp_path / "mm")])
     assert rc == EXIT_USAGE
+
+
+def test_beg_slow_runs_past_the_dense_cap(tmp_path):
+    # N >= 128 has more than 8192 signed classes; the cut is summed over
+    # the move table, so no dense matrix bounds the grid
+    out = tmp_path / "deep"
+    rc = main(["verify", "beg-slow", "--beta-k", "3:5", "--n", "126..132..2",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader((out / "report.csv").open()))
+    assert [int(r["N"]) for r in rows] == [126, 128, 130, 132]
+    assert all(math.isfinite(float(r["log_2h_cut"])) for r in rows)
+
+
+#: sha256 of report.csv and fits.csv for small README-style grids, recorded
+#: before the kernel layer lost its per-element loops (numpy 2.4, scipy 1.17,
+#: x86-64); a refactor that moves one bit of a reported number changes them
+PINNED_DIGESTS = {
+    "verify warmup --theta 2 --epsilon 0.3 --n 10..40..2": (
+        "29f110bdbce3ca7a1575cef6b468fb635c2cedff8e0026764ee6e49f18e79f0d",
+        "0c269f23ee4ed64301ccca3552c2d32e96442f9b2b1ca0085a177755f3f36896"),
+    "verify ising-slow --beta 2 --n 10..60..2": (
+        "48b51e7501f2e7efb987b7834650a682202d567dad3e72939f9bed63dcb9e882",
+        "b1b82fe472f0dc2a4c44e5e8f96e4dea1b285641fd333f763396a2c92eccdba0"),
+    "verify beg-slow --beta-k 3:5,1.5:2 --deep 3:5,1.5:2 --n 6..16..2": (
+        "f7a13fdf1f180b14b018b509c06bb696cff1743036243c4bbe2060834d72c7d4",
+        "327c489bfeb097eed771bd96e9d16d530783f5c1d789fafba5853e8388c183b5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))
+def test_verify_artifacts_match_pinned_digests(tmp_path, command):
+    assert main(command.split() + ["--out", str(tmp_path)]) == EXIT_OK
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("report.csv", "fits.csv"))
+    assert digests == PINNED_DIGESTS[command]
+

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from spingap import kernels, models
 from spingap.kernels import (
@@ -539,3 +542,150 @@ def test_unsigned_class_partition_orders():
     spec = beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25)
     parts = unsigned_class_partition(spec)
     assert list(parts.labels) == models.enumerate_beg_classes(4)
+
+
+# ---------------------------------------------------------------------------
+# loop-free kernel layer against the per-element loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_partition_by(keys, order=None):
+    keys = list(keys)
+    if order is None:
+        order = sorted(set(keys))
+    blocks = tuple(np.array([i for i, key in enumerate(keys) if key == k], dtype=np.intp)
+                   for k in order)
+    return Partition(blocks=blocks, labels=tuple(order))
+
+
+def reference_metropolize(proposal, target_log_weights):
+    lw = np.asarray(target_log_weights, dtype=float)
+    K = proposal.P
+    M = np.zeros_like(K)
+    for x in range(proposal.n):
+        row = K[x]
+        nz = np.flatnonzero(row)
+        nz = nz[nz != x]
+        if nz.size == 0:
+            continue
+        back = K[nz, x]
+        if np.any(back == 0.0):
+            y = int(nz[np.argmin(back)])
+            raise SupportError(f"K({x},{y}) > 0 but K({y},{x}) = 0")
+        delta = (lw[nz] + np.log(back)) - (lw[x] + np.log(row[nz]))
+        M[x, nz] = row[nz] * np.exp(np.minimum(0.0, delta))
+    np.fill_diagonal(M, np.maximum(1.0 - M.sum(axis=1), 0.0))
+    return FiniteKernel(labels=proposal.labels, log_pi=lw.copy(), P=M)
+
+
+def reference_lumped_projection(kernel, parts):
+    lw = kernel.log_pi
+    m = parts.m
+    H = np.zeros((m, m))
+    log_pi_H = np.empty(m)
+    flows = np.empty((m, kernel.n))
+    for i, bi in enumerate(parts.blocks):
+        log_pi_H[i] = logsumexp(lw[bi])
+        flows[i] = np.exp(lw[bi] - log_pi_H[i]) @ kernel.P[bi, :]
+    for i in range(m):
+        for j, bj in enumerate(parts.blocks):
+            if j != i:
+                H[i, j] = 0.5 * flows[i][bj].sum()
+    np.fill_diagonal(H, 1.0 - H.sum(axis=1))
+    return FiniteKernel(labels=parts.labels, log_pi=log_pi_H, P=H)
+
+
+def random_kernel(seed, n, density, symmetric_support=True, reversible=False):
+    """A random chain on n states; reversible ones come from symmetric conductances."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    if symmetric_support or reversible:
+        mask |= mask.T
+    np.fill_diagonal(mask, False)
+    log_pi = rng.uniform(-5.0, 5.0, n)
+    if reversible:
+        C = np.triu(rng.random((n, n)) * mask, 1)
+        P = (C + C.T) * np.exp(-log_pi)[:, None]
+    else:
+        P = rng.random((n, n)) * mask
+    P *= rng.uniform(0.1, 1.0) / max(P.sum(axis=1).max(), 1.0)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return FiniteKernel(labels=tuple(range(n)), log_pi=log_pi, P=P)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), m=st.integers(1, 6),
+       ordered=st.booleans())
+def test_partition_by_matches_reference(seed, n, m, ordered):
+    rng = np.random.default_rng(seed)
+    keys = [(int(k) % 2, int(k)) for k in rng.integers(0, m, n)]
+    order = None
+    if ordered:
+        order = sorted(set(keys), key=lambda k: (-k[1], k[0]))
+    got = partition_by(keys, order=order)
+    want = reference_partition_by(keys, order=order)
+    assert got.labels == want.labels
+    assert len(got.blocks) == len(want.blocks)
+    for b, ref in zip(got.blocks, want.blocks):
+        assert b.dtype == ref.dtype and np.array_equal(b, ref)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
+       density=st.floats(0.0, 1.0), symmetric=st.booleans())
+def test_metropolize_matches_reference_bit_for_bit(seed, n, density, symmetric):
+    proposal = random_kernel(seed, n, density, symmetric_support=symmetric)
+    target = np.random.default_rng(seed + 1).uniform(-8.0, 8.0, n)
+    try:
+        want = reference_metropolize(proposal, target)
+    except SupportError as e:
+        with pytest.raises(SupportError) as got:
+            metropolize(proposal, target)
+        assert str(got.value) == str(e)
+        return
+    got = metropolize(proposal, target)
+    assert got.labels == want.labels
+    assert np.array_equal(got.log_pi, want.log_pi)
+    assert np.array_equal(got.P, want.P)
+
+
+@pytest.mark.parametrize("spec,kind", [(ising(6, beta=1.5, p1=0.5, p2=0.25), "equi-energy"),
+                                       (beg(4, beta=1.2, K=0.8, p1=0.5, p2=0.25), "naive"),
+                                       (warmup(9, theta=2.0, epsilon=0.3), "small-world")])
+def test_metropolis_chains_match_reference_bit_for_bit(spec, kind):
+    proposal = {"naive": single_flip_proposal, "equi-energy": equi_energy_proposal,
+                "small-world": small_world_proposal}[kind](spec)
+    target = models.log_weights_all(spec)
+    assert np.array_equal(metropolize(proposal, target).P,
+                          reference_metropolize(proposal, target).P)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), m=st.integers(1, 6),
+       density=st.floats(0.0, 1.0))
+def test_lumped_projection_matches_reference(seed, n, m, density):
+    kernel = random_kernel(seed, n, density, reversible=True)
+    assert kernel.detailed_balance_error() <= 1e-12
+    keys = np.random.default_rng(seed + 2).integers(0, m, n).tolist()
+    parts = partition_by(keys)
+    got = lumped_projection(kernel, parts)
+    want = reference_lumped_projection(kernel, parts)
+    assert got.labels == want.labels
+    assert np.allclose(got.log_pi, want.log_pi, rtol=1e-15, atol=1e-14)
+    assert np.allclose(got.P, want.P, rtol=0.0, atol=1e-15)
+    assert got.row_sum_error() <= 1e-15
+    assert got.detailed_balance_error() <= 1e-12
+
+
+def test_lumped_projection_matches_reference_on_model_chains():
+    for spec in (beg(4, beta=1.2, K=0.8, p1=0.5, p2=0.25), ising(8, beta=2.0, p1=0.5, p2=0.25)):
+        M = metropolis_chain(spec, "equi-energy")
+        parts = unsigned_class_partition(spec)
+        got = lumped_projection(M, parts)
+        want = reference_lumped_projection(M, parts)
+        assert np.allclose(got.P, want.P, rtol=0.0, atol=1e-15)
+    spec = warmup(40, theta=2.0, epsilon=0.3)
+    M = metropolis_chain(spec, "small-world")
+    parts = warmup_block_partition(spec)
+    assert np.allclose(lumped_projection(M, parts).P,
+                       reference_lumped_projection(M, parts).P, rtol=0.0, atol=1e-15)
+

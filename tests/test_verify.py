@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
 from spingap import models
-from spingap.kernels import signed_lumped_chain
+from spingap.kernels import FiniteKernel, signed_lumped_chain, signed_move_table
 from spingap.models import beg, class_table, ising
 from spingap.spectral import cut_bottleneck_log
+from spingap import verify
 from spingap.verify import (
     _negative_side_cut_log,
     beg_unimodality_scan,
@@ -223,7 +226,84 @@ def test_mirror_cut_is_accepted_when_log_masses_round_the_wrong_way():
     chain = signed_lumped_chain(spec, "naive")
     subset = [i for i, s in enumerate(chain.labels) if s < 0]
     assert math.isfinite(cut_bottleneck_log(chain, subset))
-    assert math.isfinite(_negative_side_cut_log(spec, "naive"))
+    assert math.isfinite(_negative_side_cut_log(spec, signed_move_table(spec, "naive")))
+
+
+def reference_cut_log(chain, subset):
+    """The per-pair double loop over A x A^c that cut_bottleneck_log replaced."""
+    from scipy.special import logsumexp
+    inA = np.zeros(chain.n, dtype=bool)
+    inA[subset] = True
+    lw = chain.log_pi
+    terms = [lw[i] + math.log(chain.P[i, j])
+             for i in np.flatnonzero(inA) for j in np.flatnonzero(~inA) if chain.P[i, j] > 0]
+    if not terms:
+        return -math.inf
+    return float(logsumexp(terms)) - float(logsumexp(lw[inA]))
+
+
+@pytest.mark.parametrize("kind", ["naive", "equi-energy"])
+@pytest.mark.parametrize("spec", [ising(2, beta=1.0, p1=0.5, p2=0.25),
+                                  ising(20, beta=2.0, p1=0.5, p2=0.25),
+                                  ising(148, beta=2.0, p1=0.5, p2=0.25),
+                                  beg(2, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                  beg(10, beta=3.0, K=5.0, p1=0.5, p2=0.25),
+                                  beg(24, beta=1.5, K=2.0, p1=0.4, p2=0.3)])
+def test_move_table_cut_matches_dense_cut_bit_for_bit(spec, kind):
+    # equi-energy beg tables repeat a target (the flip of s = +-1 is also a
+    # +-2 move), so the table route must add repeats up as the dense one does
+    table = signed_move_table(spec, kind)
+    chain = table.to_kernel()
+    signs = [lab[0] if isinstance(lab, tuple) else lab for lab in table.labels]
+    subset = [i for i, s in enumerate(signs) if s < 0]
+    dense = cut_bottleneck_log(chain, subset)
+    assert cut_bottleneck_log(table, subset) == dense
+    assert reference_cut_log(chain, subset) == dense
+    assert _negative_side_cut_log(spec, table) == math.log(2.0) + dense
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), density=st.floats(0.1, 1.0))
+def test_cut_matches_reference_on_random_chains(seed, n, density):
+    # random flows hit values where numpy's SIMD log and math.log differ
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) < density)
+    P /= P.sum(axis=1).max() + 1.0
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1) + np.diag(P))
+    chain = FiniteKernel(labels=tuple(range(n)), log_pi=rng.uniform(-5.0, 5.0, n), P=P)
+    inA = rng.random(n) < 0.5
+    inA[0], inA[-1] = True, False
+    if np.logaddexp.reduce(chain.log_pi[inA]) > np.logaddexp.reduce(chain.log_pi[~inA]):
+        inA = ~inA
+    subset = np.flatnonzero(inA).tolist()
+    assert cut_bottleneck_log(chain, subset) == reference_cut_log(chain, subset)
+
+
+def test_cut_terms_take_math_log():
+    # numpy's vectorized log and math.log disagree in the last bit on a few
+    # values on some hosts; the cut keeps math.log, as its per-pair loop did
+    x = np.random.default_rng(0).random(20000)
+    split = x[np.log(x) != np.array([math.log(v) for v in x.tolist()])][:20]
+    for v in split.tolist() + [0.3]:
+        chain = FiniteKernel(labels=(0, 1), log_pi=np.zeros(2),
+                             P=np.array([[1 - v, v], [v, 1 - v]]))
+        assert cut_bottleneck_log(chain, [0]) == math.log(v)
+
+
+def test_slow_verifiers_build_each_chain_once(monkeypatch):
+    calls = []
+    real = verify.signed_move_table
+
+    def counted(spec, kind="equi-energy"):
+        calls.append((spec.kind, spec.N, kind))
+        return real(spec, kind)
+
+    monkeypatch.setattr(verify, "signed_move_table", counted)
+    monkeypatch.setattr(verify, "signed_lumped_chain", None)  # no dense chain either
+    verify.verify_ising_slow([2.0], [10, 12, 14])
+    verify.verify_beg_slow([(3.0, 5.0)], [6, 8, 10])
+    assert calls == [("ising", N, "naive") for N in (10, 12, 14)] + \
+        [("beg", N, "naive") for N in (6, 8, 10)]
 
 
 def test_signed_containment_small():
