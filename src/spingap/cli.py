@@ -28,8 +28,7 @@ from .kernels import (
     export_kernel_text,
     metropolis_chain,
     signed_lumped_chain,
-    ising_lumped_bd,
-    beg_lumped,
+    unsigned_lumped_chain,
     format_label,
 )
 from .models import ModelSpec
@@ -47,7 +46,7 @@ EXIT_AUDIT_FAILED = 3
 _CONFIG_SCHEMA = {
     "model": {"kind", "n", "beta", "k", "theta", "epsilon", "p1", "p2"},
     "run": {"chain", "steps", "burn_in", "thinning", "seed", "observable", "trace"},
-    "grid": {"beta", "k", "beta_k", "deep", "n", "theta", "epsilon", "p1", "p2"},
+    "grid": {"beta", "beta_k", "deep", "n", "theta", "epsilon", "p1", "p2"},
     "output": {"dir", "jobs"},
 }
 
@@ -417,7 +416,10 @@ def cmd_simulate(args, config) -> int:
                     observable=observable)
     trace_rows = []
     sink = None
-    want_trace = bool(args.trace or _cfg(config, "run", "trace", None, False))
+    trace = _cfg(config, "run", "trace", None, "false")
+    if trace.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ConfigError(f"[run] trace must be true/false, yes/no, on/off or 1/0, not {trace!r}")
+    want_trace = args.trace or configparser.ConfigParser.BOOLEAN_STATES[trace.lower()]
     if want_trace:
         sink = lambda t, label, v: trace_rows.append([t, format_label(label), v])
     stats = run_estimate(spec, chain, cfg, trace_sink=sink)
@@ -449,12 +451,7 @@ def _chain_from_args(args, config):
     elif space == "signed":
         kernel = signed_lumped_chain(spec, chain_kind)
     elif space == "unsigned":
-        if spec.kind == "ising":
-            kernel = ising_lumped_bd(spec).to_kernel()
-        elif spec.kind == "beg":
-            kernel = beg_lumped(spec)
-        else:
-            raise ConfigError("unsigned projections exist for ising and beg")
+        kernel = unsigned_lumped_chain(spec, chain_kind)
     else:
         raise ConfigError(f"unknown state space {space!r}")
     return spec, chain_kind, kernel

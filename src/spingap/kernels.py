@@ -4,7 +4,7 @@ Proposal chains (single-flip, orbit-jump mixtures, small-world), their
 Metropolis chains, and the derived class-space chains: projections onto
 a partition (with the 1/2 factor that makes the projection lazy),
 restrictions to a block, exact strong lumpings onto signed orbit
-classes, and closed-form birth--death reductions.
+classes, and their projections onto unsigned classes.
 
 Full configuration spaces are materialized as dense matrices and are
 therefore capped at a few thousand states; the class-space chains are
@@ -346,35 +346,45 @@ def metropolis_chain(spec: ModelSpec, kind: str,
 # Projection, restriction, lumping.
 # ---------------------------------------------------------------------------
 
-def lumped_projection(kernel: FiniteKernel, parts: Partition) -> FiniteKernel:
+def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> FiniteKernel:
     """Projection chain on the blocks, with the explicit 1/2 factor.
 
     P_H(i,j) = (1 / 2 p(A_i)) sum_{x in A_i, y in A_j} P(x,y) p(x) for
     i != j; the factor 1/2 makes the projection lazy and is kept exactly
-    as defined, since the closed-form class chains embed it.  Stationary
-    weights are the block masses.
+    as defined, since the class chains embed it.  Stationary weights are
+    the block masses.  A move table is projected from its triplets and
+    never made dense; the m x m result is, so more than
+    DEFAULT_MAX_STATES blocks are refused before it is allocated.
     """
-    lw = kernel.log_pi
+    lw = chain.log_pi
     sizes = [len(b) for b in parts.blocks]
-    if sum(sizes) != kernel.n:
+    if sum(sizes) != chain.n:
         raise ValueError("partition does not cover the kernel's state set")
     m = parts.m
-    block = np.empty(kernel.n, dtype=np.intp)
+    if m > DEFAULT_MAX_STATES:
+        raise ValueError(
+            f"{m} blocks exceed the dense materialization cap {DEFAULT_MAX_STATES}"
+        )
+    block = np.empty(chain.n, dtype=np.intp)
     block[np.concatenate(parts.blocks)] = np.repeat(np.arange(m), sizes)
     top = np.full(m, -np.inf)
     np.maximum.at(top, block, lw)
     log_pi_H = top + np.log(np.bincount(block, weights=np.exp(lw - top[block]), minlength=m))
     share = np.exp(lw - log_pi_H[block])  # p(x) / p(A_i) for x in A_i
-    xs, ys = np.nonzero(kernel.P)
+    if isinstance(chain, MoveTable):
+        xs, ys, vals = chain.rows, chain.cols, chain.vals
+    else:
+        xs, ys = np.nonzero(chain.P)
+        vals = chain.P[xs, ys]
     cross = block[xs] != block[ys]
-    xs, ys = xs[cross], ys[cross]
+    xs, ys, vals = xs[cross], ys[cross], vals[cross]
     # sum each block pair's run pairwise (reduceat): a sequential bincount
     # loses tens of ulps on blocks of a hundred states or more
     key = block[xs] * m + block[ys]
     order = np.argsort(key, kind="stable")
     pairs, starts = np.unique(key[order], return_index=True)
     H = np.zeros((m, m))
-    H.flat[pairs] = 0.5 * np.add.reduceat((share[xs] * kernel.P[xs, ys])[order], starts)
+    H.flat[pairs] = 0.5 * np.add.reduceat((share[xs] * vals)[order], starts)
     np.fill_diagonal(H, 1.0 - H.sum(axis=1))
     return FiniteKernel(labels=parts.labels, log_pi=log_pi_H, P=H)
 
@@ -392,18 +402,6 @@ def restriction(kernel: FiniteKernel, block: Sequence[int],
     return FiniteKernel(labels=labels, log_pi=kernel.log_pi[b].copy(), P=sub)
 
 
-def unsigned_class_keys(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> list:
-    """Per-state unsigned orbit key in enumeration order."""
-    states = models.enumerate_states(spec, max_states=max_states)
-    if spec.kind == "warmup":
-        return [abs(int(x)) for x in states]
-    S = states.sum(axis=1, dtype=np.int64)
-    if spec.kind == "ising":
-        return np.abs(S).tolist()
-    R = np.count_nonzero(states, axis=1)
-    return list(zip(np.abs(S).tolist(), R.tolist()))
-
-
 def signed_class_keys(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> list:
     """Per-state signed orbit key (S, or (S, R)) in enumeration order."""
     states = models.enumerate_states(spec, max_states=max_states)
@@ -418,10 +416,12 @@ def signed_class_keys(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> 
 
 def unsigned_class_partition(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> Partition:
     """Partition of the full space by unsigned orbit (the energy sets)."""
-    keys = unsigned_class_keys(spec, max_states=max_states)
+    keys = signed_class_keys(spec, max_states=max_states)
     if spec.kind == "beg":
+        keys = [(abs(s), r) for s, r in keys]
         order = sorted(set(keys), key=lambda t: (t[1], t[0]))
     else:
+        keys = [abs(k) for k in keys]
         order = sorted(set(keys))
     return partition_by(keys, order=order)
 
@@ -583,88 +583,56 @@ def signed_lumped_chain(spec: ModelSpec, kind: str = "equi-energy") -> FiniteKer
     return signed_move_table(spec, kind).to_kernel()
 
 
-def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:
-    """Projection of the equi-energy ising chain onto |S| in closed form.
+def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
+    """Projection of ``signed_move_table`` onto the flip orbits {x, -x}.
 
-    Rates on {0, 2, ..., N}:
+    The orbits are the unsigned classes (|S| for ising, (|S|, R) for
+    beg), each labelled and ordered by its member with S >= 0: ising by
+    |S| ascending, beg by (r, |s|).  The projection carries the 1/2
+    factor of ``lumped_projection``; it is an exact lumping because
+    every chain here commutes with the global flip.
+    """
+    if spec.kind == "warmup":
+        raise ValueError("unsigned projections exist for ising and beg")
+    table = signed_move_table(spec, kind)
+    idx = np.arange(table.n)
+    # within an orbit the table orders S ascending, so the S >= 0 member
+    # has the larger index
+    rep = np.maximum(idx, table.flip)
+    order = [table.labels[i] for i in np.flatnonzero(rep == idx)]
+    parts = partition_by([table.labels[i] for i in rep], order=order)
+    return lumped_projection(table, parts)
+
+
+def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:
+    """Projection of the equi-energy ising chain onto |S|, as a birth-death chain.
+
+    Read off the two off-diagonals of ``unsigned_lumped_chain``.  In
+    closed form the rates on {0, 2, ..., N} are
         up(0)   = p1/2
         up(i)   = (p1/4) (N-i)/N
         down(i) = (p1/4) ((N+i)/N) exp(2 beta (1-i)/N)
-    These embed the 1/2 projection factor and must agree with
-    lumped_projection of the materialized chain to 1e-12; see
-    ising_lumped_deviation.
+    with the 1/2 projection factor embedded.
     """
     if spec.kind != "ising":
         raise ValueError("ising only")
-    if spec.p1 is None:
-        raise ValueError("needs p1")
-    N, beta, p1 = spec.N, spec.beta, spec.p1
-    i_vals, log_pi = models.ising_unsigned_log_weights(spec)
-    n = len(i_vals)
-    up = np.zeros(n)
-    down = np.zeros(n)
-    up[0] = p1 / 2
-    for k in range(1, n):
-        i = int(i_vals[k])
-        if i != N:
-            up[k] = p1 * (N - i) / (4 * N)
-        down[k] = p1 * (N + i) / (4 * N) * math.exp(2 * beta * (1 - i) / N)
-    return BirthDeathChain(
-        up=up, down=down, log_pi=log_pi, labels=tuple(int(i) for i in i_vals)
-    )
+    chain = unsigned_lumped_chain(spec, "equi-energy")
+    return BirthDeathChain(up=np.append(np.diag(chain.P, 1), 0.0),
+                           down=np.insert(np.diag(chain.P, -1), 0, 0.0),
+                           log_pi=chain.log_pi, labels=chain.labels)
 
 
 def beg_lumped(spec: ModelSpec) -> FiniteKernel:
-    """Projection of the equi-energy beg chain onto unsigned classes.
+    """Projection of the equi-energy beg chain onto the unsigned classes (|s|, r).
 
-    Built by per-move accounting from a + representative of each class
-    (counts of zero / aligned / anti-aligned spins, acceptance
-    exp(min(0, delta)) with delta = -beta dR + (K beta / N) dS^2, and
-    the 1/2 projection factor).  This construction is the authoritative
-    one: it coincides with direct lumping of the materialized chain by
-    definition of strong lumpability.  A hand-tabulated per-entry rate
-    table is kept in beg_lumped_tabulated for cross-checking.
+    This is ``unsigned_lumped_chain``, the authoritative chain: by strong
+    lumpability it coincides with direct lumping of the materialized
+    chain.  A hand-tabulated per-entry rate table is kept in
+    beg_lumped_tabulated for cross-checking.
     """
     if spec.kind != "beg":
         raise ValueError("beg only")
-    if spec.p1 is None:
-        raise ValueError("needs p1")
-    N, beta, K, p1 = spec.N, spec.beta, spec.K, spec.p1
-    classes = models.enumerate_beg_classes(N)
-    index = {sr: i for i, sr in enumerate(classes)}
-    n = len(classes)
-    P = np.zeros((n, n))
-    log_pi = np.empty(n)
-    for i, (s, r) in enumerate(classes):
-        two = 0.0 if s == 0 else math.log(2.0)
-        log_pi[i] = (
-            two
-            + models.log_binom(N, r)
-            + models.log_binom(r, (r - s) // 2)
-            - beta * r
-            + K * beta * s * s / N
-        )
-        n0 = N - r
-        npl = (r + s) // 2
-        nmi = (r - s) // 2
-        moves = (
-            (s + 1, r + 1, n0),
-            (s - 1, r + 1, n0),
-            (s - 2, r, npl),
-            (s - 1, r - 1, npl),
-            (s + 2, r, nmi),
-            (s + 1, r - 1, nmi),
-        )
-        for s2, r2, cnt in moves:
-            if cnt == 0:
-                continue
-            target = (abs(s2), r2)
-            if target == (s, r):
-                continue  # sign-only move: stays in the unsigned class
-            delta = -beta * (r2 - r) + K * beta * (s2 * s2 - s * s) / N
-            P[i, index[target]] += 0.5 * p1 * cnt / (2 * N) * math.exp(min(0.0, delta))
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return FiniteKernel(labels=tuple(classes), log_pi=log_pi, P=P)
+    return unsigned_lumped_chain(spec, "equi-energy")
 
 
 #: Entries of the hand-tabulated beg rate table known to deviate from the
@@ -783,20 +751,12 @@ def beg_rate_discrepancies(spec: ModelSpec, tol: float = 1e-12) -> list[RateDisc
     return out
 
 
-def ising_lumped_deviation(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> float:
-    """Max |closed-form - direct lumping| over the unsigned ising projection."""
-    bd = ising_lumped_bd(spec).to_kernel()
+def unsigned_lumping_deviation(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> float:
+    """Max |derived - direct lumping| over the unsigned equi-energy projection."""
+    derived = unsigned_lumped_chain(spec, "equi-energy")
     full = metropolis_chain(spec, "equi-energy", max_states=max_states)
     direct = lumped_projection(full, unsigned_class_partition(spec, max_states=max_states))
-    return float(np.abs(bd.P - direct.P).max())
-
-
-def beg_lumped_deviation(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> float:
-    """Max |closed-form - direct lumping| over the unsigned beg projection."""
-    closed = beg_lumped(spec)
-    full = metropolis_chain(spec, "equi-energy", max_states=max_states)
-    direct = lumped_projection(full, unsigned_class_partition(spec, max_states=max_states))
-    return float(np.abs(closed.P - direct.P).max())
+    return float(np.abs(derived.P - direct.P).max())
 
 
 # ---------------------------------------------------------------------------

@@ -352,13 +352,6 @@ def ising_magnetization_log_profile(N: int, beta: float) -> tuple[np.ndarray, np
     return i, logq
 
 
-def ising_unsigned_log_weights(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(i, log pi_bar(i)) up to normalization: the weight of the orbit X_i."""
-    i, logq = ising_magnetization_log_profile(spec.N, spec.beta)
-    two = np.where(i == 0, 0.0, math.log(2.0))
-    return i, logq + two
-
-
 def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
     """log q(r) for r = 0..N, the total class weight at fixed quadrupole r.
 
@@ -391,16 +384,3 @@ def beg_row_log_weights(table: ClassTable) -> np.ndarray:
         if sel:
             out[r] = logsumexp(table.log_class_weight[sel])
     return out
-
-
-def beg_conditional_log_weights(table: ClassTable, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, log weight) of the orbits at fixed quadrupole r, s ascending."""
-    spec = table.spec
-    svals = []
-    logs = []
-    start = 0 if r % 2 == 0 else 1
-    for s in range(start, r + 1, 2):
-        sel = [i for i, c in enumerate(table.classes) if c.r == r and c.s == s]
-        svals.append(s)
-        logs.append(logsumexp(table.log_class_weight[sel]))
-    return np.array(svals), np.array(logs)

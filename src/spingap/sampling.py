@@ -61,10 +61,6 @@ class CostCounters:
     ops: int = 0             # elementary operations, direct O(N) orbit draws
     ops_sequential: int = 0  # same run billed with O(n k) sequential draws
 
-    def merge(self, other: "CostCounters") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
 
 @dataclass(frozen=True)
 class StepRecord:

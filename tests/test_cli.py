@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spingap.cli import (
@@ -15,6 +16,8 @@ from spingap.cli import (
     parse_int_range,
     parse_pair_list,
 )
+from spingap.kernels import ising_lumped_bd
+from spingap.models import ising
 
 
 def read_all(outdir: Path) -> dict:
@@ -219,3 +222,53 @@ def test_verify_artifacts_match_pinned_digests(tmp_path, command):
                     for name in ("report.csv", "fits.csv"))
     assert digests == PINNED_DIGESTS[command]
 
+
+def read_kernel_text(path: Path) -> dict:
+    """kernel.txt as {(row label, column label): probability}."""
+    out = {}
+    for line in path.read_text().splitlines():
+        row, entries = line.split(": ")
+        for entry in entries.split():
+            col, value = entry.split("=")
+            out[row, col] = float(value)
+    return out
+
+
+def test_unsigned_export_follows_the_chain_kind(tmp_path):
+    base = ["export-kernel", "--model", "ising", "--n", "4", "--beta", "1",
+            "--p1", "0.5", "--p2", "0.25", "--space", "unsigned"]
+    assert main(base + ["--kind", "naive", "--out", str(tmp_path / "naive")]) == EXIT_OK
+    naive = read_kernel_text(tmp_path / "naive" / "kernel.txt")
+    assert naive["0", "2"] == 0.5  # both single flips out of S=0, halved
+    prov = json.loads((tmp_path / "naive" / "provenance.json").read_text())
+    assert prov["config"]["kind"] == "naive"
+
+    assert main(base + ["--kind", "equi-energy", "--out", str(tmp_path / "eq")]) == EXIT_OK
+    got = read_kernel_text(tmp_path / "eq" / "kernel.txt")
+    bd = ising_lumped_bd(ising(4, beta=1.0, p1=0.5, p2=0.25)).to_kernel()
+    want = np.array([[got.get((str(a), str(b)), 0.0) for b in bd.labels] for a in bd.labels])
+    assert np.abs(want - bd.P).max() <= 1e-14
+
+
+def test_unsigned_export_refuses_oversized_projection(tmp_path, capsys):
+    # BEG N=400 has 40401 unsigned classes; the cap is checked before the
+    # dense matrix is allocated
+    rc = main(["export-kernel", "--model", "beg", "--n", "400", "--beta", "1", "--k", "1",
+               "--p1", "0.5", "--p2", "0.25", "--kind", "equi-energy", "--space", "unsigned",
+               "--out", str(tmp_path / "big")])
+    assert rc == EXIT_USAGE
+    assert "40401 blocks exceed the dense materialization cap 8192" in capsys.readouterr().err
+    assert not (tmp_path / "big" / "kernel.txt").exists()
+
+
+@pytest.mark.parametrize("value,rc,traced", [("false", EXIT_OK, False), ("true", EXIT_OK, True),
+                                             ("maybe", EXIT_USAGE, False)])
+def test_config_trace_is_a_boolean(tmp_path, capsys, value, rc, traced):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\nkind = ising\nn = 8\nbeta = 1.0\n"
+                   f"[run]\nchain = naive\nsteps = 2000\nseed = 3\ntrace = {value}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == rc
+    assert (out / "trace.csv").exists() == traced
+    if rc == EXIT_USAGE:
+        assert "[run] trace must be" in capsys.readouterr().err

@@ -13,13 +13,11 @@ from spingap.kernels import (
     Partition,
     SupportError,
     beg_lumped,
-    beg_lumped_deviation,
     beg_lumped_tabulated,
     beg_rate_discrepancies,
     equi_energy_proposal,
     export_kernel_text,
     ising_lumped_bd,
-    ising_lumped_deviation,
     lumped_projection,
     metropolis_chain,
     metropolize,
@@ -29,6 +27,8 @@ from spingap.kernels import (
     single_flip_proposal,
     small_world_proposal,
     unsigned_class_partition,
+    unsigned_lumped_chain,
+    unsigned_lumping_deviation,
     warmup_block_partition,
 )
 from spingap.models import beg, ising, warmup
@@ -305,7 +305,7 @@ def test_ising_lumped_bd_hand_values():
 @pytest.mark.parametrize("N,beta", [(4, 1.0), (6, 0.5), (8, 2.0), (10, 1.0), (12, 3.0)])
 def test_ising_lumped_matches_direct(N, beta):
     spec = ising(N, beta=beta, p1=0.5, p2=0.25)
-    assert ising_lumped_deviation(spec) < 1e-12
+    assert unsigned_lumping_deviation(spec) < 1e-12
 
 
 def test_beg_lumped_hand_values():
@@ -324,7 +324,7 @@ def test_beg_lumped_hand_values():
 @pytest.mark.parametrize("N,beta,K", [(2, 1.0, 1.0), (4, 1.0, 1.0), (6, 0.7, 2.0), (8, 1.5, 3.0)])
 def test_beg_lumped_matches_direct(N, beta, K):
     spec = beg(N, beta=beta, K=K, p1=0.5, p2=0.25)
-    assert beg_lumped_deviation(spec) < 1e-12
+    assert unsigned_lumping_deviation(spec) < 1e-12
 
 
 def test_beg_tabulated_rates_deviate_only_at_annotated_entries():
@@ -487,14 +487,14 @@ def test_move_table_flip_is_the_mirror_class():
 
 
 def test_unsigned_projection_of_signed_chain_matches_closed_forms():
-    # lumping the signed chain onto unsigned classes reproduces the
-    # closed-form projections (the two-step lumping telescopes)
+    # lumping the dense signed chain onto unsigned classes reproduces the
+    # per-class loops that wrote the projections out by hand (the two-step
+    # lumping telescopes)
     spec = ising(10, beta=1.5, p1=0.5, p2=0.25)
     chain = signed_lumped_chain(spec, "equi-energy")
     parts = partition_by([abs(s) for s in chain.labels])
     H = lumped_projection(chain, parts)
-    bd = ising_lumped_bd(spec).to_kernel()
-    assert np.allclose(H.P, bd.P, atol=1e-14)
+    assert np.allclose(H.P, reference_ising_lumped_bd(spec).to_kernel().P, atol=1e-14)
 
     bspec = beg(8, beta=1.5, K=3.0, p1=0.5, p2=0.25)
     bchain = signed_lumped_chain(bspec, "equi-energy")
@@ -502,8 +502,7 @@ def test_unsigned_projection_of_signed_chain_matches_closed_forms():
                           order=sorted({(abs(s), r) for s, r in bchain.labels},
                                        key=lambda t: (t[1], t[0])))
     bH = lumped_projection(bchain, bparts)
-    closed = beg_lumped(bspec)
-    assert np.allclose(bH.P, closed.P, atol=1e-14)
+    assert np.allclose(bH.P, reference_beg_lumped(bspec).P, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -689,3 +688,110 @@ def test_lumped_projection_matches_reference_on_model_chains():
     assert np.allclose(lumped_projection(M, parts).P,
                        reference_lumped_projection(M, parts).P, rtol=0.0, atol=1e-15)
 
+
+# ---------------------------------------------------------------------------
+# unsigned projections derived from the signed move table against the
+# per-class loops that wrote them out by hand
+# ---------------------------------------------------------------------------
+
+def reference_ising_lumped_bd(spec):
+    N, beta, p1 = spec.N, spec.beta, spec.p1
+    i_vals, logq = models.ising_magnetization_log_profile(N, beta)
+    log_pi = logq + np.where(i_vals == 0, 0.0, math.log(2.0))
+    n = len(i_vals)
+    up = np.zeros(n)
+    down = np.zeros(n)
+    up[0] = p1 / 2
+    for k in range(1, n):
+        i = int(i_vals[k])
+        if i != N:
+            up[k] = p1 * (N - i) / (4 * N)
+        down[k] = p1 * (N + i) / (4 * N) * math.exp(2 * beta * (1 - i) / N)
+    return BirthDeathChain(up=up, down=down, log_pi=log_pi,
+                           labels=tuple(int(i) for i in i_vals))
+
+
+def reference_beg_lumped(spec):
+    N, beta, K, p1 = spec.N, spec.beta, spec.K, spec.p1
+    classes = models.enumerate_beg_classes(N)
+    index = {sr: i for i, sr in enumerate(classes)}
+    n = len(classes)
+    P = np.zeros((n, n))
+    log_pi = np.empty(n)
+    for i, (s, r) in enumerate(classes):
+        two = 0.0 if s == 0 else math.log(2.0)
+        log_pi[i] = (two + models.log_binom(N, r) + models.log_binom(r, (r - s) // 2)
+                     - beta * r + K * beta * s * s / N)
+        n0, npl, nmi = N - r, (r + s) // 2, (r - s) // 2
+        for s2, r2, cnt in ((s + 1, r + 1, n0), (s - 1, r + 1, n0), (s - 2, r, npl),
+                            (s - 1, r - 1, npl), (s + 2, r, nmi), (s + 1, r - 1, nmi)):
+            if cnt == 0:
+                continue
+            target = (abs(s2), r2)
+            if target == (s, r):
+                continue  # sign-only move: stays in the unsigned class
+            delta = -beta * (r2 - r) + K * beta * (s2 * s2 - s * s) / N
+            P[i, index[target]] += 0.5 * p1 * cnt / (2 * N) * math.exp(min(0.0, delta))
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return FiniteKernel(labels=tuple(classes), log_pi=log_pi, P=P)
+
+
+def assert_log_pi_close(got, want):
+    # the derived weights add the same terms in another order, so they
+    # round relative to the largest weight, not to each entry
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def assert_matches_reference(spec):
+    if spec.kind == "ising":
+        got, want = ising_lumped_bd(spec), reference_ising_lumped_bd(spec)
+        assert np.abs(got.up - want.up).max() <= 1e-14
+        assert np.abs(got.down - want.down).max() <= 1e-14
+        got, want = got.to_kernel(), want.to_kernel()
+    else:
+        got, want = beg_lumped(spec), reference_beg_lumped(spec)
+    assert got.labels == want.labels
+    assert_log_pi_close(got.log_pi, want.log_pi)
+    assert np.abs(got.P - want.P).max() <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [ising(2, beta=1.0, p1=0.5, p2=0.25),
+                                  ising(10, beta=0.0, p1=0.3, p2=0.6),
+                                  ising(40, beta=2.0, p1=0.5, p2=0.25),
+                                  ising(200, beta=4.0, p1=0.5, p2=0.25),
+                                  beg(2, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                  beg(8, beta=1.5, K=3.0, p1=0.5, p2=0.25),
+                                  beg(30, beta=4.0, K=1.004518, p1=0.37, p2=0.21),
+                                  beg(60, beta=0.3, K=0.7, p1=0.5, p2=0.25)])
+def test_derived_unsigned_projection_matches_hand_written_loops(spec):
+    assert_matches_reference(spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["ising", "beg"]), half_n=st.integers(1, 30),
+       beta=st.floats(0.0, 5.0), K=st.floats(0.01, 5.0), p1=st.floats(0.05, 0.9),
+       p2_share=st.floats(0.05, 0.95))
+def test_derived_unsigned_projection_matches_hand_written_loops_property(
+        model, half_n, beta, K, p1, p2_share):
+    p2 = p2_share * (1.0 - p1)
+    if model == "ising":
+        spec = ising(2 * half_n, beta=beta, p1=p1, p2=p2)
+    else:
+        spec = beg(2 * half_n, beta=beta, K=K, p1=p1, p2=p2)
+    assert_matches_reference(spec)
+
+
+def test_unsigned_lumped_chain_follows_the_chain_kind():
+    spec = beg(6, beta=1.2, K=2.0, p1=0.5, p2=0.25)
+    direct = lumped_projection(metropolis_chain(spec, "naive"), unsigned_class_partition(spec))
+    derived = unsigned_lumped_chain(spec, "naive")
+    assert derived.labels == direct.labels
+    assert np.abs(derived.P - direct.P).max() < 1e-12
+    with pytest.raises(ValueError, match="unsigned projections exist for ising and beg"):
+        unsigned_lumped_chain(warmup(4, theta=2.0, epsilon=0.3), "small-world")
+
+
+def test_unsigned_lumped_chain_refuses_too_many_classes_before_allocating():
+    # beg N=178 has 8100 unsigned classes, N=180 has 8281
+    with pytest.raises(ValueError, match="8281 blocks exceed the dense materialization cap"):
+        unsigned_lumped_chain(beg(180, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
