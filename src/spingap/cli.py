@@ -20,11 +20,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import models, verify as verify_mod
 from .kernels import (
+    CHAIN_KINDS,
     export_kernel_text,
     metropolis_chain,
     signed_lumped_chain,
@@ -32,7 +35,7 @@ from .kernels import (
     format_label,
 )
 from .models import ModelSpec
-from .sampling import RunConfig, run_estimate
+from .sampling import OBSERVABLES, RunConfig, run_estimate
 from .spectral import cheeger_interval, conductance_exact, interval_conductance
 from .verify import exact_gap_record
 
@@ -43,12 +46,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_AUDIT_FAILED = 3
 
-_CONFIG_SCHEMA = {
-    "model": {"kind", "n", "beta", "k", "theta", "epsilon", "p1", "p2"},
-    "run": {"chain", "steps", "burn_in", "thinning", "seed", "observable", "trace"},
-    "grid": {"beta", "beta_k", "deep", "n", "theta", "epsilon", "p1", "p2"},
-    "output": {"dir", "jobs"},
-}
+#: the mixture weights an equi-energy chain gets when given neither
+DEFAULT_P1 = 0.5
+DEFAULT_P2 = 0.25
 
 
 class ConfigError(ValueError):
@@ -108,8 +108,21 @@ def parse_pair_list(text: str) -> list[tuple[float, float]]:
     return out
 
 
+def parse_count(text: str) -> int:
+    """A step count, float notation allowed: '1e6' -> 1000000."""
+    return int(float(text))
+
+
+def parse_bool(text: str) -> bool:
+    """configparser's boolean words: true/false, yes/no, on/off, 1/0."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ConfigError(f"must be true/false, yes/no, on/off or 1/0, not {text!r}")
+    return states[text.lower()]
+
+
 def load_config(path: str) -> dict:
-    """Strict INI config: unknown sections or keys are rejected."""
+    """Strict INI config: sections and keys outside the option table are rejected."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
@@ -119,59 +132,79 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error in {path}: {e}") from e
     out = {}
     for section in cp.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in {key.split(".")[0] for key in INI_KEYS}:
             raise ConfigError(f"unknown config section [{section}] in {path}")
         out[section] = {}
         for key, value in cp.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
+            if f"{section}.{key}" not in INI_KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
             out[section][key] = value
     return out
 
 
-def _cfg(config: dict, section: str, key: str, override, default=None):
-    """Resolution order: explicit CLI flag, config file, default."""
-    if override is not None:
-        return override
-    if section in config and key in config[section]:
-        return config[section][key]
-    return default
+def _option_value(o: Option, args: argparse.Namespace, config: dict):
+    """Resolution order: explicit flag, config file, default."""
+    text, source = getattr(args, o.name), o.flag
+    if text is None and o.ini:
+        section, key = o.ini.split(".")
+        text, source = config.get(section, {}).get(key), f"[{section}] {key}"
+    if text is None:
+        text = o.default() if callable(o.default) else o.default
+    if text is None and o.required:
+        raise ConfigError(f"{o.flag} is required")
+    if not isinstance(text, str):
+        return text
+    try:
+        value = o.parse(text)
+    except ValueError as e:
+        raise ConfigError(f"{source} {e}") from e
+    if o.choices and value not in o.choices:
+        raise ConfigError(f"{source} must be one of {', '.join(o.choices)}, not {value!r}")
+    return value
 
 
-def build_spec(kind: str, N: int, beta=None, K=None, theta=None, epsilon=None,
-               p1=None, p2=None) -> ModelSpec:
-    if kind == "ising":
-        return models.ising(N, beta=beta, p1=p1, p2=p2)
-    if kind == "beg":
-        return models.beg(N, beta=beta, K=K, p1=p1, p2=p2)
-    if kind == "warmup":
-        return models.warmup(N, theta=theta, epsilon=epsilon)
-    raise ConfigError(f"unknown model kind {kind!r}")
+def resolve(command: Command, args: argparse.Namespace, config: dict) -> argparse.Namespace:
+    """The value of each of the command's options; the model-dependent ones
+    come last, when the run's model is known."""
+    values = argparse.Namespace()
+    for o in sorted(command.options, key=lambda o: bool(o.models)):
+        read = not o.models or values.model in o.models
+        setattr(values, o.name, _option_value(o, args, config) if read else None)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Output plumbing.
 # ---------------------------------------------------------------------------
 
-def _outdir(args, config) -> Path:
-    out = _cfg(config, "output", "dir", args.out,
-               os.environ.get(OUTPUT_ENV, "out"))
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+#: provenance text of the list-valued options; other values stay JSON natives
+_LIST_TEXT = {
+    parse_int_range: lambda v: ",".join(map(str, v)),
+    parse_float_list: lambda v: ",".join(map(fmt, v)),
+    parse_pair_list: str,
+}
 
 
-def write_provenance(outdir: Path, subcommand: str, effective: dict) -> None:
-    record = {
-        "version": VERSION,
-        "subcommand": subcommand,
-        "config": effective,
-    }
-    (outdir / "provenance.json").write_text(
+def write_provenance(command: Command, values: argparse.Namespace) -> None:
+    """provenance.json and effective_config.ini: the value of each recorded option."""
+    effective = {}
+    for o in command.options:
+        unread = bool(o.models) and values.model not in o.models
+        if o.record == "never" or (o.record == "read" and unread):
+            continue
+        value = getattr(values, o.name)
+        if o.parse in _LIST_TEXT:
+            value = "" if value is None else _LIST_TEXT[o.parse](value)
+        effective[o.name] = value
+    _, _, target = command.name.partition(" ")
+    if target:
+        effective["target"] = target
+    record = {"version": VERSION, "subcommand": command.name, "config": effective}
+    (values.out / "provenance.json").write_text(
         json.dumps(record, indent=2, sort_keys=True, default=fmt) + "\n")
     cp = configparser.ConfigParser()
     cp["effective"] = {k: fmt(v) for k, v in sorted(effective.items())}
-    with open(outdir / "effective_config.ini", "w") as fh:
+    with open(values.out / "effective_config.ini", "w") as fh:
         cp.write(fh)
 
 
@@ -201,68 +234,51 @@ plot for [f in files] f using 1:2 with linespoints title f
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def _gap_cell(job):
-    kind_model, chain_kind, N, beta, K, theta, epsilon, p1, p2 = job
-    spec = build_spec(kind_model, N, beta=beta, K=K, theta=theta,
-                      epsilon=epsilon, p1=p1, p2=p2)
-    return exact_gap_record(spec, chain_kind)
+def _spec(o: argparse.Namespace, N: int, beta: Optional[float], K: Optional[float]) -> ModelSpec:
+    """The model at one grid point; parameters its model does not read are None.
+
+    An equi-energy chain given neither p1 nor p2 gets the documented defaults.
+    """
+    if o.kind == "equi-energy" and o.p1 is None and o.p2 is None:
+        o.p1, o.p2 = DEFAULT_P1, DEFAULT_P2
+    return ModelSpec(kind=o.model, N=N, beta=beta, K=K, theta=o.theta, p1=o.p1, p2=o.p2,
+                     epsilon=o.epsilon)
 
 
-def cmd_gap_scan(args, config) -> int:
-    outdir = _outdir(args, config)
-    model = _cfg(config, "model", "kind", args.model)
-    if model is None:
-        raise ConfigError("--model is required")
-    chain = _cfg(config, "run", "chain", args.kind, "equi-energy")
-    Ns = parse_int_range(str(_cfg(config, "model", "n", args.n, "10..40..10")))
-    betas = parse_float_list(_cfg(config, "model", "beta", args.beta, "1.0")) \
-        if model != "warmup" else [None]
-    Ks = parse_float_list(_cfg(config, "model", "k", args.k, "1.0")) \
-        if model == "beg" else [None]
-    theta = _cfg(config, "model", "theta", args.theta)
-    theta = float(theta) if theta is not None else None
-    epsilon = _cfg(config, "model", "epsilon", args.epsilon)
-    epsilon = float(epsilon) if epsilon is not None else None
-    p1 = _cfg(config, "model", "p1", args.p1)
-    p2 = _cfg(config, "model", "p2", args.p2)
-    p1 = float(p1) if p1 is not None else None
-    p2 = float(p2) if p2 is not None else None
-    if chain == "equi-energy" and p1 is None and p2 is None:
-        p1, p2 = DEFAULT_P1, DEFAULT_P2
-    jobs = int(_cfg(config, "output", "jobs", args.jobs, 1))
-    cells = [(model, chain, N, beta, K, theta, epsilon, p1, p2)
-             for beta in betas for K in Ks for N in Ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_gap_cell, cells))
+def cmd_gap_scan(command: Command, o: argparse.Namespace) -> int:
+    if o.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {o.jobs}")
+    betas = [None] if o.beta is None else o.beta
+    Ks = [None] if o.k is None else o.k
+    specs = [_spec(o, N, beta, K) for beta in betas for K in Ks for N in o.n]
+    # the pool forks all its workers on the first submit, so no more than
+    # there are cells or processors
+    workers = min(o.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(exact_gap_record, specs, repeat(o.kind)))
     else:
-        results = [_gap_cell(c) for c in cells]
+        results = [exact_gap_record(spec, o.kind) for spec in specs]
     header = ["model", "kind", "N", "beta", "K", "theta", "epsilon", "p1", "p2",
               "gap", "one_minus_lambda1", "lambda1", "lambda_min", "underflow"]
     rows = []
-    for cell, rec in zip(cells, results):
-        _, _, N, beta, K, th, eps, q1, q2 = cell
-        rows.append([model, chain, N, beta, K, th, eps, q1, q2,
-                     rec["gap"], rec["one_minus_lambda1"], rec["lambda1"],
+    for spec, rec in zip(specs, results):
+        rows.append([spec.kind, o.kind, spec.N, spec.beta, spec.K, spec.theta, spec.epsilon,
+                     spec.p1, spec.p2, rec["gap"], rec["one_minus_lambda1"], rec["lambda1"],
                      rec["lambda_min"], rec["underflow"]])
-    write_csv(outdir / "gaps.csv", header, rows)
+    write_csv(o.out / "gaps.csv", header, rows)
     for beta in betas:
         for K in Ks:
-            sel = [(c, r) for c, r in zip(cells, results)
-                   if c[3] == beta and c[4] == K and not r["underflow"]]
+            sel = [(spec, r) for spec, r in zip(specs, results)
+                   if spec.beta == beta and spec.K == K and not r["underflow"]]
             if len(sel) >= 2:
                 tag = "_".join(filter(None, [
-                    model, None if beta is None else f"beta{fmt_tag(beta)}",
+                    o.model, None if beta is None else f"beta{fmt_tag(beta)}",
                     None if K is None else f"K{fmt_tag(K)}"]))
-                write_series(outdir / f"gap_vs_N_{tag}.dat",
-                             [c[2] for c, _ in sel], [r["gap"] for _, r in sel])
-    (outdir / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
-    write_provenance(outdir, "gap-scan", {
-        "model": model, "kind": chain, "n": ",".join(map(str, Ns)),
-        "beta": _cfg(config, "model", "beta", args.beta, ""),
-        "k": _cfg(config, "model", "k", args.k, ""),
-        "theta": theta, "epsilon": epsilon, "p1": p1, "p2": p2, "jobs": jobs,
-    })
+                write_series(o.out / f"gap_vs_N_{tag}.dat",
+                             [spec.N for spec, _ in sel], [r["gap"] for _, r in sel])
+    (o.out / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
+    write_provenance(command, o)
     return EXIT_OK
 
 
@@ -299,46 +315,10 @@ def _flatten_report(outdir: Path, report) -> None:
     (outdir / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
 
 
-def cmd_verify(args, config) -> int:
-    outdir = _outdir(args, config)
-    target = args.target
-    Ns = parse_int_range(str(_cfg(config, "grid", "n", args.n, "10..30..2")))
-    p1 = float(_cfg(config, "grid", "p1", args.p1, 0.5))
-    p2 = float(_cfg(config, "grid", "p2", args.p2, 0.25))
-    effective = {"target": target, "n": ",".join(map(str, Ns)), "p1": p1, "p2": p2}
-    if target == "ising-fast":
-        betas = parse_float_list(_cfg(config, "grid", "beta", args.beta, "0.5,1,2,4"))
-        report = verify_mod.verify_ising_fast(betas, Ns, p1, p2)
-        effective["beta"] = ",".join(map(fmt, betas))
-    elif target == "ising-slow":
-        betas = parse_float_list(_cfg(config, "grid", "beta", args.beta, "2"))
-        report = verify_mod.verify_ising_slow(betas, Ns,
-                                              slope_threshold=args.slope_threshold)
-        effective["beta"] = ",".join(map(fmt, betas))
-        effective["slope_threshold"] = args.slope_threshold
-    elif target == "warmup":
-        theta = float(_cfg(config, "grid", "theta", args.theta, 2.0))
-        epsilon = float(_cfg(config, "grid", "epsilon", args.epsilon, 0.3))
-        report = verify_mod.verify_warmup(theta, epsilon, Ns)
-        effective.update(theta=theta, epsilon=epsilon)
-    elif target == "beg-slow":
-        cells = parse_pair_list(_cfg(config, "grid", "beta_k", args.beta_k, "3:5"))
-        deep_arg = _cfg(config, "grid", "deep", args.deep)
-        deep = parse_pair_list(deep_arg) if deep_arg else None
-        report = verify_mod.verify_beg_slow(cells, Ns, deep=deep,
-                                            slope_threshold=args.slope_threshold)
-        effective["beta_k"] = str(cells)
-        effective["slope_threshold"] = args.slope_threshold
-    elif target == "beg-fast":
-        cells = parse_pair_list(_cfg(config, "grid", "beta_k", args.beta_k, "1:1"))
-        report = verify_mod.verify_beg_fast(cells, Ns, p1, p2,
-                                            slope_floor=args.slope_floor)
-        effective["beta_k"] = str(cells)
-        effective["slope_floor"] = args.slope_floor
-    else:
-        raise ConfigError(f"unknown verify target {target!r}")
-    _flatten_report(outdir, report)
-    write_provenance(outdir, f"verify {target}", effective)
+def cmd_verify(command: Command, o: argparse.Namespace) -> int:
+    report = command.audit(o)
+    _flatten_report(o.out, report)
+    write_provenance(command, o)
     if not report.passed:
         for failure in report.failures:
             print(f"AUDIT FAILURE: {failure}", file=sys.stderr)
@@ -346,123 +326,61 @@ def cmd_verify(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_unimodality_scan(args, config) -> int:
-    outdir = _outdir(args, config)
-    model = _cfg(config, "model", "kind", args.model, "beg")
-    Ns = parse_int_range(str(_cfg(config, "grid", "n", args.n, "5..30..5")))
-    if model == "beg":
-        pairs_text = _cfg(config, "grid", "beta_k", args.beta_k, "1:1,2.5:1.082")
-        pairs = parse_pair_list(pairs_text)
-        report = verify_mod.beg_unimodality_scan(pairs, Ns)
-        effective = {"model": model, "beta_k": str(pairs), "n": ",".join(map(str, Ns))}
-    elif model == "ising":
-        betas = parse_float_list(_cfg(config, "grid", "beta", args.beta, "0.5,2"))
-        report = verify_mod.ising_profile_scan(betas, Ns)
-        effective = {"model": model, "beta": ",".join(map(fmt, betas)),
-                     "n": ",".join(map(str, Ns))}
+def cmd_unimodality_scan(command: Command, o: argparse.Namespace) -> int:
+    if o.model == "beg":
+        report = verify_mod.beg_unimodality_scan(o.beta_k, o.n)
     else:
-        raise ConfigError("unimodality scans exist for ising and beg")
+        report = verify_mod.ising_profile_scan(o.beta, o.n)
     rows = []
     for s in report.series:
         p = s.params
         tag_parts = [f"{k}{fmt_tag(v)}" for k, v in sorted(p.items()) if k != "model"]
         tag = "_".join([p["model"]] + tag_parts)
-        write_series(outdir / f"qprofile_{tag}.dat", s.x, s.log_values)
+        write_series(o.out / f"qprofile_{tag}.dat", s.x, s.log_values)
         rows.append([p["model"], p.get("beta"), p.get("K"), p["N"],
                      s.unimodal, s.monotone_decreasing])
-    write_csv(outdir / "unimodality.csv",
+    write_csv(o.out / "unimodality.csv",
               ["model", "beta", "K", "N", "unimodal", "monotone_decreasing"], rows)
-    (outdir / "n0.json").write_text(
+    (o.out / "n0.json").write_text(
         json.dumps(report.n0, indent=2, sort_keys=True, default=fmt) + "\n")
-    (outdir / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
-    write_provenance(outdir, "unimodality-scan", effective)
+    (o.out / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
+    write_provenance(command, o)
     return EXIT_OK
 
 
-DEFAULT_P1 = 0.5
-DEFAULT_P2 = 0.25
-
-
-def _spec_from_args(args, config, chain_kind: Optional[str] = None) -> ModelSpec:
-    model = _cfg(config, "model", "kind", args.model)
-    if model is None:
-        raise ConfigError("--model is required")
-    N = int(_cfg(config, "model", "n", args.n, 0))
-    if N == 0:
-        raise ConfigError("--n is required (a single size here)")
-    getf = lambda key, flag: (lambda v: float(v) if v is not None else None)(
-        _cfg(config, "model", key, flag))
-    p1 = getf("p1", args.p1)
-    p2 = getf("p2", args.p2)
-    if chain_kind == "equi-energy" and p1 is None and p2 is None:
-        p1, p2 = DEFAULT_P1, DEFAULT_P2  # documented defaults
-    return build_spec(model, N, beta=getf("beta", args.beta),
-                      K=getf("k", args.k), theta=getf("theta", args.theta),
-                      epsilon=getf("epsilon", args.epsilon),
-                      p1=p1, p2=p2)
-
-
-def cmd_simulate(args, config) -> int:
-    outdir = _outdir(args, config)
-    chain = _cfg(config, "run", "chain", args.kind, "equi-energy")
-    spec = _spec_from_args(args, config, chain_kind=chain)
-    steps = int(float(_cfg(config, "run", "steps", args.steps, 100000)))
-    burn = _cfg(config, "run", "burn_in", args.burn_in)
-    burn = int(float(burn)) if burn is not None else None
-    thinning = int(_cfg(config, "run", "thinning", args.thin, 1))
-    seed = int(_cfg(config, "run", "seed", args.seed, 0))
-    observable = _cfg(config, "run", "observable", args.observable, "mag")
-    cfg = RunConfig(steps=steps, seed=seed, burn_in=burn, thinning=thinning,
-                    observable=observable)
+def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
+    spec = _spec(o, o.n, o.beta, o.k)
+    cfg = RunConfig(steps=o.steps, seed=o.seed, burn_in=o.burn_in, thinning=o.thinning,
+                    observable=o.observable)
+    o.burn_in = cfg.effective_burn_in
     trace_rows = []
     sink = None
-    trace = _cfg(config, "run", "trace", None, "false")
-    if trace.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ConfigError(f"[run] trace must be true/false, yes/no, on/off or 1/0, not {trace!r}")
-    want_trace = args.trace or configparser.ConfigParser.BOOLEAN_STATES[trace.lower()]
-    if want_trace:
+    if o.trace:
         sink = lambda t, label, v: trace_rows.append([t, format_label(label), v])
-    stats = run_estimate(spec, chain, cfg, trace_sink=sink)
-    payload = {"version": VERSION, "model": _spec_dict(spec), "stats": stats.to_dict()}
-    (outdir / "runstats.json").write_text(
+    stats = run_estimate(spec, o.kind, cfg, trace_sink=sink)
+    payload = {"version": VERSION, "model": asdict(spec), "stats": stats.to_dict()}
+    (o.out / "runstats.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=fmt) + "\n")
-    if want_trace:
-        write_csv(outdir / "trace.csv", ["step", "class", "value"], trace_rows)
-    write_provenance(outdir, "simulate", {
-        "model": spec.kind, "n": spec.N, "kind": chain, "steps": steps,
-        "burn_in": cfg.effective_burn_in, "thinning": thinning, "seed": seed,
-        "observable": observable, "beta": spec.beta, "k": spec.K,
-        "theta": spec.theta, "epsilon": spec.epsilon, "p1": spec.p1, "p2": spec.p2,
-    })
+    if o.trace:
+        write_csv(o.out / "trace.csv", ["step", "class", "value"], trace_rows)
+    write_provenance(command, o)
     return EXIT_OK
 
 
-def _spec_dict(spec: ModelSpec) -> dict:
-    return {k: getattr(spec, k) for k in
-            ("kind", "N", "beta", "K", "theta", "p1", "p2", "epsilon", "a")}
+def _chain(o: argparse.Namespace):
+    spec = _spec(o, o.n, o.beta, o.k)
+    if o.space == "full":
+        return spec, metropolis_chain(spec, o.kind)
+    if o.space == "signed":
+        return spec, signed_lumped_chain(spec, o.kind)
+    return spec, unsigned_lumped_chain(spec, o.kind)
 
 
-def _chain_from_args(args, config):
-    chain_kind = _cfg(config, "run", "chain", args.kind, "equi-energy")
-    spec = _spec_from_args(args, config, chain_kind=chain_kind)
-    space = args.space
-    if space == "full":
-        kernel = metropolis_chain(spec, chain_kind)
-    elif space == "signed":
-        kernel = signed_lumped_chain(spec, chain_kind)
-    elif space == "unsigned":
-        kernel = unsigned_lumped_chain(spec, chain_kind)
-    else:
-        raise ConfigError(f"unknown state space {space!r}")
-    return spec, chain_kind, kernel
-
-
-def cmd_conductance(args, config) -> int:
-    outdir = _outdir(args, config)
-    spec, chain_kind, kernel = _chain_from_args(args, config)
-    payload = {"version": VERSION, "model": _spec_dict(spec), "kind": chain_kind,
-               "space": args.space, "states": kernel.n}
-    if args.interval:
+def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
+    spec, kernel = _chain(o)
+    payload = {"version": VERSION, "model": asdict(spec), "kind": o.kind,
+               "space": o.space, "states": kernel.n}
+    if o.interval:
         h_up, cut = interval_conductance(kernel)
         payload["interval_bound"] = h_up
         payload["cut_index"] = cut
@@ -474,99 +392,177 @@ def cmd_conductance(args, config) -> int:
         payload["argmin_set"] = [format_label(kernel.labels[i]) for i in members]
         payload["cheeger_lower_lambda1"] = lo
         payload["cheeger_upper_lambda1"] = hi
-    (outdir / "conductance.json").write_text(
+    (o.out / "conductance.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=fmt) + "\n")
-    write_provenance(outdir, "conductance", {
-        "model": spec.kind, "n": spec.N, "kind": chain_kind, "space": args.space,
-        "interval": bool(args.interval)})
+    write_provenance(command, o)
     return EXIT_OK
 
 
-def cmd_export_kernel(args, config) -> int:
-    outdir = _outdir(args, config)
-    spec, chain_kind, kernel = _chain_from_args(args, config)
-    (outdir / "kernel.txt").write_text(export_kernel_text(kernel))
-    write_provenance(outdir, "export-kernel", {
-        "model": spec.kind, "n": spec.N, "kind": chain_kind, "space": args.space})
+def cmd_export_kernel(command: Command, o: argparse.Namespace) -> int:
+    _, kernel = _chain(o)
+    (o.out / "kernel.txt").write_text(export_kernel_text(kernel))
+    write_provenance(command, o)
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# The option table: it drives argparse, the INI keys and provenance.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Option:
+    """One option of a command: its flag, INI key, parser and default.
+
+    ``name`` is the argparse destination and the provenance key.  Text
+    from the flag, the INI file or a text default goes through
+    ``parse`` and must give one of ``choices``, if any; ``parse_bool``
+    options are flags without a value.  For a model outside ``models``
+    (empty: all) the option is not read and resolves to None.
+    ``record``: provenance records it "always" (unread as empty), when
+    "read", or "never".
+    """
+
+    name: str
+    flag: str
+    ini: Optional[str] = None  # "section.key"
+    parse: Callable[[str], Any] = str
+    default: Any = None
+    choices: tuple = ()
+    required: bool = False
+    models: tuple = ()
+    record: str = "always"
+    help: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand, or "verify <target>" with the ``audit`` that makes its report."""
+
+    name: str
+    help: str
+    run: Callable[["Command", argparse.Namespace], int]
+    options: tuple
+    audit: Optional[Callable[[argparse.Namespace], Any]] = None
+
+
+RANGE_HELP = "size or range: '12', '10..60..2', '10,20,30'"
+PAIRS_HELP = "beg cells 'beta:K,beta:K'"
+SPIN_MODELS = ("ising", "beg")
+
+OUT = Option("out", "--out", "output.dir", Path, lambda: os.environ.get(OUTPUT_ENV, "out"),
+             record="never", help=f"output directory (default ${OUTPUT_ENV} or ./out)")
+CONFIG = Option("config", "--config", record="never", help="INI config file; flags override it")
+MODEL = Option("model", "--model", "model.kind", choices=models.KINDS, required=True)
+CHAIN = Option("kind", "--kind", "run.chain", default="equi-energy", choices=CHAIN_KINDS)
+THETA = Option("theta", "--theta", "model.theta", float, models=("warmup",))
+EPSILON = Option("epsilon", "--epsilon", "model.epsilon", float, models=("warmup",))
+P1 = Option("p1", "--p1", "model.p1", float, models=SPIN_MODELS)
+P2 = Option("p2", "--p2", "model.p2", float, models=SPIN_MODELS)
+#: one model instance (simulate, conductance, export-kernel)
+SPEC = (MODEL, Option("n", "--n", "model.n", int, required=True, help="system size"), CHAIN)
+SPEC_PARAMS = (Option("beta", "--beta", "model.beta", float, models=SPIN_MODELS),
+               Option("k", "--k", "model.k", float, models=("beg",), help="beg coupling K"),
+               THETA, EPSILON, P1, P2)
+UNRECORDED_SPEC_PARAMS = tuple(replace(o, record="never") for o in SPEC_PARAMS)
+SPACE = Option("space", "--space", default="full", choices=("full", "signed", "unsigned"))
+
+GRID_N = Option("n", "--n", "grid.n", parse_int_range, "10..30..2", help=RANGE_HELP)
+GRID_P1 = Option("p1", "--p1", "grid.p1", float, DEFAULT_P1)
+GRID_P2 = Option("p2", "--p2", "grid.p2", float, DEFAULT_P2)
+SLOPE_THRESHOLD = Option("slope_threshold", "--slope-threshold", parse=float, default=-0.05)
+
+
+def _verify(target: str, help: str, audit, *options: Option) -> Command:
+    return Command(f"verify {target}", help, cmd_verify, (GRID_N, *options, OUT, CONFIG), audit)
+
+
+COMMANDS = (
+    Command("gap-scan", "exact spectral gaps over a parameter grid", cmd_gap_scan, (
+        MODEL, CHAIN,
+        Option("n", "--n", "model.n", parse_int_range, "10..40..10", help=RANGE_HELP),
+        Option("beta", "--beta", "model.beta", parse_float_list, "1.0", models=SPIN_MODELS),
+        Option("k", "--k", "model.k", parse_float_list, "1.0", models=("beg",),
+               help="beg coupling K"),
+        THETA, EPSILON, P1, P2,
+        Option("jobs", "--jobs", "output.jobs", int, 1, help="parallel grid cells"),
+        OUT, CONFIG)),
+    # verifiers are looked up on their module at call time, where a tracer
+    # may have wrapped them
+    _verify("ising-fast", "polynomial gap floor of the equi-energy ising chain",
+            lambda o: verify_mod.verify_ising_fast(o.beta, o.n, o.p1, o.p2),
+            Option("beta", "--beta", "grid.beta", parse_float_list, "0.5,1,2,4"),
+            GRID_P1, GRID_P2),
+    _verify("ising-slow", "exponential gap collapse of the naive ising chain",
+            lambda o: verify_mod.verify_ising_slow(o.beta, o.n, slope_threshold=o.slope_threshold),
+            Option("beta", "--beta", "grid.beta", parse_float_list, "2"), SLOPE_THRESHOLD),
+    _verify("warmup", "gap scaling of the naive and small-world warm-up chains",
+            lambda o: verify_mod.verify_warmup(o.theta, o.epsilon, o.n),
+            Option("theta", "--theta", "grid.theta", float, 2.0),
+            Option("epsilon", "--epsilon", "grid.epsilon", float, 0.3)),
+    _verify("beg-slow", "exponential gap collapse of the naive beg chain",
+            lambda o: verify_mod.verify_beg_slow(o.beta_k, o.n, deep=o.deep or None,
+                                                 slope_threshold=o.slope_threshold),
+            Option("beta_k", "--beta-k", "grid.beta_k", parse_pair_list, "3:5", help=PAIRS_HELP),
+            Option("deep", "--deep", "grid.deep", parse_pair_list,
+                   help="subset of --beta-k that must show collapse"),
+            SLOPE_THRESHOLD),
+    _verify("beg-fast", "polynomial gap of the equi-energy beg chain",
+            lambda o: verify_mod.verify_beg_fast(o.beta_k, o.n, o.p1, o.p2,
+                                                 slope_floor=o.slope_floor),
+            Option("beta_k", "--beta-k", "grid.beta_k", parse_pair_list, "1:1", help=PAIRS_HELP),
+            GRID_P1, GRID_P2,
+            Option("slope_floor", "--slope-floor", parse=float, default=-6.25)),
+    Command("unimodality-scan", "class-weight profile scans", cmd_unimodality_scan, (
+        Option("model", "--model", "model.kind", default="beg", choices=SPIN_MODELS),
+        Option("n", "--n", "grid.n", parse_int_range, "5..30..5", help=RANGE_HELP),
+        Option("beta_k", "--beta-k", "grid.beta_k", parse_pair_list, "1:1,2.5:1.082",
+               models=("beg",), record="read", help=PAIRS_HELP),
+        Option("beta", "--beta", "grid.beta", parse_float_list, "0.5,2",
+               models=("ising",), record="read"),
+        OUT, CONFIG)),
+    Command("simulate", "trajectory estimate at sampling scale", cmd_simulate, (
+        *SPEC, *SPEC_PARAMS,
+        Option("steps", "--steps", "run.steps", parse_count, 100000),
+        Option("burn_in", "--burn-in", "run.burn_in", parse_count),
+        Option("thinning", "--thin", "run.thinning", int, 1),
+        Option("seed", "--seed", "run.seed", int, 0),
+        Option("observable", "--observable", "run.observable", default="mag",
+               choices=OBSERVABLES),
+        Option("trace", "--trace", "run.trace", parse_bool, False, help="write the thinned trace"),
+        OUT, CONFIG)),
+    Command("conductance", "exact bottleneck analysis (<= 24 states)", cmd_conductance, (
+        *SPEC, *UNRECORDED_SPEC_PARAMS, SPACE,
+        Option("interval", "--interval", parse=parse_bool, default=False,
+               help="interval-cut upper bound instead of the exact h"),
+        OUT, CONFIG)),
+    Command("export-kernel", "write a kernel in the text format", cmd_export_kernel, (
+        *SPEC, *UNRECORDED_SPEC_PARAMS, SPACE, OUT, CONFIG)),
+)
+
+#: every accepted INI key, as "section.key"
+INI_KEYS = frozenset(o.ini for c in COMMANDS for o in c.options if o.ini)
 
 
 # ---------------------------------------------------------------------------
 # Parser.
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p):
-    p.add_argument("--model", choices=("ising", "beg", "warmup"))
-    p.add_argument("--n", help="size or range: '12', '10..60..2', '10,20,30'")
-    p.add_argument("--beta")
-    p.add_argument("--k", help="beg coupling K")
-    p.add_argument("--theta")
-    p.add_argument("--epsilon")
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p2", type=float)
-
-
-def _add_common(p):
-    p.add_argument("--out", help=f"output directory (default ${OUTPUT_ENV} or ./out)")
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--jobs", type=int, help="parallel grid cells")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spingap", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gap-scan", help="exact spectral gaps over a parameter grid")
-    _add_model_flags(p)
-    _add_common(p)
-    p.add_argument("--kind", choices=("naive", "equi-energy", "small-world"))
-    p.set_defaults(func=cmd_gap_scan)
-
-    p = sub.add_parser("verify", help="theorem audits")
-    p.add_argument("target", choices=("ising-fast", "ising-slow", "warmup",
-                                      "beg-slow", "beg-fast"))
-    _add_model_flags(p)
-    _add_common(p)
-    p.add_argument("--beta-k", help="beg cells 'beta:K,beta:K'")
-    p.add_argument("--deep", help="subset of --beta-k that must show collapse")
-    p.add_argument("--slope-threshold", type=float, default=-0.05)
-    p.add_argument("--slope-floor", type=float, default=-6.25)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("unimodality-scan", help="class-weight profile scans")
-    _add_model_flags(p)
-    _add_common(p)
-    p.add_argument("--beta-k", help="beg cells 'beta:K,beta:K'")
-    p.set_defaults(func=cmd_unimodality_scan)
-
-    p = sub.add_parser("simulate", help="trajectory estimate at sampling scale")
-    _add_model_flags(p)
-    _add_common(p)
-    p.add_argument("--kind", choices=("naive", "equi-energy", "small-world"))
-    p.add_argument("--steps")
-    p.add_argument("--burn-in", dest="burn_in")
-    p.add_argument("--thin", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--observable", choices=("mag", "abs_mag", "quad", "const"))
-    p.add_argument("--trace", action="store_true", help="write the thinned trace")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("conductance", help="exact bottleneck analysis (<= 24 states)")
-    _add_model_flags(p)
-    _add_common(p)
-    p.add_argument("--kind", choices=("naive", "equi-energy", "small-world"))
-    p.add_argument("--space", choices=("full", "signed", "unsigned"), default="full")
-    p.add_argument("--interval", action="store_true",
-                   help="interval-cut upper bound instead of the exact h")
-    p.set_defaults(func=cmd_conductance)
-
-    p = sub.add_parser("export-kernel", help="write a kernel in the text format")
-    _add_model_flags(p)
-    _add_common(p)
-    p.add_argument("--kind", choices=("naive", "equi-energy", "small-world"))
-    p.add_argument("--space", choices=("full", "signed", "unsigned"), default="full")
-    p.set_defaults(func=cmd_export_kernel)
-
+    targets = sub.add_parser("verify", help="theorem audits").add_subparsers(
+        dest="target", required=True)
+    for command in COMMANDS:
+        group, _, target = command.name.partition(" ")
+        # no abbreviations: a command accepts exactly the flags it reads
+        p = (targets if target else sub).add_parser(target or group, help=command.help,
+                                                    allow_abbrev=False)
+        for o in command.options:
+            if o.parse is parse_bool:
+                p.add_argument(o.flag, dest=o.name, action="store_const", const=True, help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.name, choices=o.choices or None, help=o.help)
+        p.set_defaults(command=command)
     return ap
 
 
@@ -578,7 +574,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code) if e.code else EXIT_OK
     try:
         config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        values = resolve(args.command, args, config)
+        values.out.mkdir(parents=True, exist_ok=True)
+        return args.command.run(args.command, values)
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -289,21 +289,11 @@ def equi_energy_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) 
     p1, p2 = spec.p1, spec.p2
     base = single_flip_proposal(spec, max_states=max_states)
     n = base.n
-    states = models.enumerate_states(spec, max_states=max_states)
-    S = states.sum(axis=1, dtype=np.int64)
-    if spec.kind == "beg":
-        R = np.count_nonzero(states, axis=1)
-        keys = list(zip(S.tolist(), R.tolist()))
-    else:
-        keys = S.tolist()
     neg = _negation_indices(spec, n)
+    parts = partition_by(signed_class_keys(spec, max_states=max_states))
     P = p1 * base.P
-    groups = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    for k, members in groups.items():
-        g = np.array(members, dtype=np.intp)
-        s_val = k[0] if spec.kind == "beg" else k
+    for key, g in zip(parts.labels, parts.blocks):
+        s_val = key[0] if spec.kind == "beg" else key
         if s_val == 0:
             P[np.ix_(g, g)] += (1.0 - p1) / len(g)
         else:
@@ -346,6 +336,13 @@ def metropolis_chain(spec: ModelSpec, kind: str,
 # Projection, restriction, lumping.
 # ---------------------------------------------------------------------------
 
+def _check_blocks(m: int) -> None:
+    if m > DEFAULT_MAX_STATES:
+        raise ValueError(
+            f"{m} blocks exceed the dense materialization cap {DEFAULT_MAX_STATES}"
+        )
+
+
 def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> FiniteKernel:
     """Projection chain on the blocks, with the explicit 1/2 factor.
 
@@ -361,10 +358,7 @@ def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> Fini
     if sum(sizes) != chain.n:
         raise ValueError("partition does not cover the kernel's state set")
     m = parts.m
-    if m > DEFAULT_MAX_STATES:
-        raise ValueError(
-            f"{m} blocks exceed the dense materialization cap {DEFAULT_MAX_STATES}"
-        )
+    _check_blocks(m)
     block = np.empty(chain.n, dtype=np.intp)
     block[np.concatenate(parts.blocks)] = np.repeat(np.arange(m), sizes)
     top = np.full(m, -np.inf)
@@ -594,6 +588,9 @@ def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
     """
     if spec.kind == "warmup":
         raise ValueError("unsigned projections exist for ising and beg")
+    # the orbit count is known from N: refuse before building the table
+    half = spec.N // 2 + 1
+    _check_blocks(half if spec.kind == "ising" else half * half)
     table = signed_move_table(spec, kind)
     idx = np.arange(table.n)
     # within an orbit the table orders S ascending, so the S >= 0 member

@@ -63,14 +63,6 @@ class CostCounters:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    component: str  # flip | global | orbit
-    accepted: bool
-    ops: int
-    ops_sequential: int
-
-
-@dataclass(frozen=True)
 class RunStats:
     kind: str
     N: int
@@ -246,16 +238,18 @@ class Sampler:
     def _accept(self, delta_log: float) -> bool:
         return delta_log >= 0.0 or self.rng.random() < math.exp(delta_log)
 
-    def _step_warmup(self) -> StepRecord:
-        spec, rng = self.spec, self.rng
+    def _step_warmup(self) -> str:
+        spec, rng, cost = self.spec, self.rng, self.cost
         eps = spec.epsilon if self.kind == "small-world" else 0.0
+        cost.ops += 1
+        cost.ops_sequential += 1
         if self.kind == "small-world" and rng.random() < eps:
             # reflection proposal: equal weight, always accepted
             self.x = -self.x
             self.S = self.x
-            self.cost.global_proposed += 1
-            self.cost.global_accepted += 1
-            return StepRecord("global", True, 1, 1)
+            cost.global_proposed += 1
+            cost.global_accepted += 1
+            return "global"
         dx = 1 if rng.random() < 0.5 else -1
         y = self.x + dx
         accepted = False
@@ -265,11 +259,11 @@ class Sampler:
                 self.x = y
                 self.S = y
                 accepted = True
-        self.cost.flip_proposed += 1
-        self.cost.flip_accepted += accepted
-        return StepRecord("flip", accepted, 1, 1)
+        cost.flip_proposed += 1
+        cost.flip_accepted += accepted
+        return "flip"
 
-    def _flip_ising(self) -> StepRecord:
+    def _flip_ising(self) -> str:
         spec, rng = self.spec, self.rng
         N = spec.N
         j = int(rng.random() * N)
@@ -280,11 +274,10 @@ class Sampler:
         if accepted:
             self.x[j] = -self.x[j]
             self.S = s_new
-        self.cost.flip_proposed += 1
-        self.cost.flip_accepted += accepted
-        return StepRecord("flip", accepted, N, N)
+        self._bill_flip(accepted)
+        return "flip"
 
-    def _flip_beg(self) -> StepRecord:
+    def _flip_beg(self) -> str:
         spec, rng = self.spec, self.rng
         N = spec.N
         j = int(rng.random() * N)
@@ -304,11 +297,17 @@ class Sampler:
             self.x[j] = new
             self.S = s_new
             self.R = r_new
-        self.cost.flip_proposed += 1
-        self.cost.flip_accepted += accepted
-        return StepRecord("flip", accepted, N, N)
+        self._bill_flip(accepted)
+        return "flip"
 
-    def _orbit_jump(self) -> StepRecord:
+    def _bill_flip(self, accepted: bool) -> None:
+        cost, N = self.cost, self.spec.N
+        cost.flip_proposed += 1
+        cost.flip_accepted += accepted
+        cost.ops += N
+        cost.ops_sequential += N
+
+    def _orbit_jump(self) -> str:
         spec = self.spec
         N = spec.N
         label = self.class_label()
@@ -321,40 +320,40 @@ class Sampler:
             seq = n_balls * (N - n_balls + 1)
         else:
             seq = N
-        ops = seq if self.orbit_method == "sequential" else N
-        return StepRecord("orbit", True, ops, seq)
+        self.cost.ops += seq if self.orbit_method == "sequential" else N
+        self.cost.ops_sequential += seq
+        return "orbit"
 
-    def _global_flip(self) -> StepRecord:
+    def _global_flip(self) -> str:
         np.negative(self.x, out=self.x)
         self.S = -self.S
-        self.cost.global_proposed += 1
-        self.cost.global_accepted += 1
-        return StepRecord("global", True, self.spec.N, self.spec.N)
+        cost, N = self.cost, self.spec.N
+        cost.global_proposed += 1
+        cost.global_accepted += 1
+        cost.ops += N
+        cost.ops_sequential += N
+        return "global"
 
-    def step(self) -> StepRecord:
+    def step(self) -> str:
+        """One transition; returns the move component: flip, global or orbit."""
         spec = self.spec
         if spec.kind == "warmup":
-            rec = self._step_warmup()
-        elif self.kind == "naive":
-            rec = self._flip_ising() if spec.kind == "ising" else self._flip_beg()
-        else:
-            u = self.rng.random()
-            if u < spec.p1:
-                rec = self._flip_ising() if spec.kind == "ising" else self._flip_beg()
-            elif self.S != 0 and u < spec.p1 + spec.p2:
-                rec = self._global_flip()
-            else:
-                rec = self._orbit_jump()
-        self.cost.ops += rec.ops
-        self.cost.ops_sequential += rec.ops_sequential
-        return rec
+            return self._step_warmup()
+        if self.kind == "naive":
+            return self._flip_ising() if spec.kind == "ising" else self._flip_beg()
+        u = self.rng.random()
+        if u < spec.p1:
+            return self._flip_ising() if spec.kind == "ising" else self._flip_beg()
+        if self.S != 0 and u < spec.p1 + spec.p2:
+            return self._global_flip()
+        return self._orbit_jump()
 
 
 def step(spec: ModelSpec, kind: str, x, rng: np.random.Generator):
-    """One Metropolis transition from x; returns (new state, StepRecord)."""
+    """One Metropolis transition from x; returns (new state, move component)."""
     sampler = Sampler(spec, kind, rng, x0=x)
-    rec = sampler.step()
-    return sampler.x, rec
+    component = sampler.step()
+    return sampler.x, component
 
 
 def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,

@@ -2,15 +2,21 @@ import csv
 import hashlib
 import json
 import math
+import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spingap.cli as cli
 from spingap.cli import (
     EXIT_AUDIT_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    INI_KEYS,
+    build_parser,
     load_config,
     main,
     parse_int_range,
@@ -272,3 +278,149 @@ def test_config_trace_is_a_boolean(tmp_path, capsys, value, rc, traced):
     assert (out / "trace.csv").exists() == traced
     if rc == EXIT_USAGE:
         assert "[run] trace must be" in capsys.readouterr().err
+
+
+#: (command, flag) pairs that were accepted and then ignored; each command
+#: now accepts only the flags it reads
+UNREAD_FLAGS = [
+    *[("verify ising-fast", f) for f in ("--model", "--k", "--theta", "--epsilon", "--jobs",
+                                         "--beta-k", "--deep", "--slope-threshold",
+                                         "--slope-floor")],
+    *[("verify ising-slow", f) for f in ("--model", "--k", "--theta", "--epsilon", "--p1",
+                                         "--p2", "--jobs", "--beta-k", "--deep",
+                                         "--slope-floor")],
+    *[("verify warmup", f) for f in ("--model", "--beta", "--k", "--p1", "--p2", "--jobs",
+                                     "--beta-k", "--deep", "--slope-threshold",
+                                     "--slope-floor")],
+    *[("verify beg-slow", f) for f in ("--model", "--beta", "--k", "--theta", "--epsilon",
+                                       "--p1", "--p2", "--jobs", "--slope-floor")],
+    *[("verify beg-fast", f) for f in ("--model", "--beta", "--k", "--theta", "--epsilon",
+                                       "--jobs", "--deep", "--slope-threshold")],
+    *[("unimodality-scan", f) for f in ("--k", "--theta", "--epsilon", "--p1", "--p2",
+                                        "--jobs")],
+    ("simulate", "--jobs"), ("conductance", "--jobs"), ("export-kernel", "--jobs"),
+]
+
+#: a value each flag accepted, and a small valid run of each command
+FLAG_VALUES = {"--model": "beg", "--beta": "1", "--k": "1", "--theta": "2", "--epsilon": "0.3",
+               "--p1": "0.5", "--p2": "0.25", "--jobs": "2", "--beta-k": "3:5", "--deep": "3:5",
+               "--slope-threshold": "-0.05", "--slope-floor": "-6.25"}
+BASE_RUNS = {
+    "simulate": "--model ising --n 4 --beta 1 --steps 100",
+    "conductance": "--model warmup --n 3 --theta 2 --epsilon 0.3 --kind small-world",
+    "export-kernel": "--model ising --n 4 --beta 1 --kind naive",
+}
+
+
+def test_every_unread_pair_is_listed():
+    assert len(UNREAD_FLAGS) == len(set(UNREAD_FLAGS)) == 55
+    # 144 pairs were accepted when every verify target took all 15 verify flags
+    assert sum(len(c.options) for c in cli.COMMANDS) == 144 - 55
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, flag):
+    argv = [*command.split(), *BASE_RUNS.get(command, "").split(),
+            f"{flag}={FLAG_VALUES[flag]}", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def provenance(outdir: Path) -> dict:
+    return json.loads((outdir / "provenance.json").read_text())["config"]
+
+
+def test_provenance_records_deep_and_trace(tmp_path):
+    out = tmp_path / "deep"
+    assert main(["verify", "beg-slow", "--beta-k", "3:5,1.5:2", "--deep", "3:5",
+                 "--n", "6..10..2", "--out", str(out)]) == EXIT_OK
+    assert provenance(out)["deep"] == "[(3.0, 5.0)]"
+
+    base = ["simulate", "--model", "ising", "--n", "8", "--beta", "1", "--steps", "2000"]
+    assert main(base + ["--trace", "--out", str(tmp_path / "flag")]) == EXIT_OK
+    assert provenance(tmp_path / "flag")["trace"] is True
+    assert main(base + ["--out", str(tmp_path / "off")]) == EXIT_OK
+    assert provenance(tmp_path / "off")["trace"] is False
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ntrace = yes\n")
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "ini")]) == EXIT_OK
+    assert provenance(tmp_path / "ini")["trace"] is True
+    assert (tmp_path / "ini" / "trace.csv").exists()
+
+
+def test_gap_scan_records_the_beta_it_ran(tmp_path):
+    assert main(["gap-scan", "--model", "ising", "--n", "8..10..2",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "gaps.csv").open()))
+    assert {r["beta"] for r in rows} == {"1"}
+    assert provenance(tmp_path)["beta"] == "1"
+    assert provenance(tmp_path)["k"] == ""  # ising reads no K, and gaps.csv leaves it empty
+
+
+def test_ini_keys_are_the_documented_set(tmp_path):
+    keys = {
+        "model": {"kind", "n", "beta", "k", "theta", "epsilon", "p1", "p2"},
+        "run": {"chain", "steps", "burn_in", "thinning", "seed", "observable", "trace"},
+        "grid": {"beta", "beta_k", "deep", "n", "theta", "epsilon", "p1", "p2"},
+        "output": {"dir", "jobs"},
+    }
+    assert INI_KEYS == {f"{section}.{key}" for section, ks in keys.items() for key in ks}
+    cfg = tmp_path / "all.ini"
+    cfg.write_text("".join(f"[{section}]\n" + "".join(f"{k} = 1\n" for k in ks)
+                           for section, ks in keys.items()))
+    assert {s: set(v) for s, v in load_config(str(cfg)).items()} == keys
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_gap_scan_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    rc = main(["gap-scan", "--model", "ising", "--n", "8", f"--jobs={jobs}",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("betas,cpus,workers", [("1", 64, 3), ("0.5,2", 2, 2)])
+def test_gap_scan_pool_size_is_capped_by_cells_and_cpus(tmp_path, monkeypatch, betas, cpus,
+                                                        workers):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(["gap-scan", "--model", "ising", "--kind", "naive", "--beta", betas,
+                 "--n", "8..16..4", "--jobs", "100000", "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == [workers]
+
+
+def readme_text() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_commands_parse():
+    block = re.search(r"```\n(spingap .*?)```", readme_text(), re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) >= 9
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "spingap"
+        build_parser().parse_args(argv[1:])
+
+
+def test_readme_lists_the_ini_keys():
+    sentence = re.search(r"Config sections and keys: (.*?)\.\s", readme_text(), re.S).group(1)
+    listed = {f"{section}.{key.strip()}"
+              for section, keys in re.findall(r"`\[(\w+)\]` ([^;`]+)", sentence)
+              for key in keys.split(",")}
+    assert listed == INI_KEYS

@@ -795,3 +795,63 @@ def test_unsigned_lumped_chain_refuses_too_many_classes_before_allocating():
     # beg N=178 has 8100 unsigned classes, N=180 has 8281
     with pytest.raises(ValueError, match="8281 blocks exceed the dense materialization cap"):
         unsigned_lumped_chain(beg(180, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+
+
+
+def reference_equi_energy_proposal(spec):
+    """The proposal as it was written before it reused partition_by: a hand grouping."""
+    p1, p2 = spec.p1, spec.p2
+    base = single_flip_proposal(spec)
+    states = models.enumerate_states(spec)
+    S = states.sum(axis=1, dtype=np.int64)
+    if spec.kind == "beg":
+        keys = list(zip(S.tolist(), np.count_nonzero(states, axis=1).tolist()))
+    else:
+        keys = S.tolist()
+    neg = kernels._negation_indices(spec, base.n)
+    P = p1 * base.P
+    groups = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    for k, members in groups.items():
+        g = np.array(members, dtype=np.intp)
+        s_val = k[0] if spec.kind == "beg" else k
+        if s_val == 0:
+            P[np.ix_(g, g)] += (1.0 - p1) / len(g)
+        else:
+            P[np.ix_(g, g)] += (1.0 - p1 - p2) / len(g)
+            P[g, neg[g]] += p2
+    return P
+
+
+@pytest.mark.parametrize("spec", [ising(8, beta=1.0, p1=0.5, p2=0.25),
+                                  ising(10, beta=2.0, p1=0.3, p2=0.4),
+                                  beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                  beg(6, beta=1.5, K=2.0, p1=0.4, p2=0.3)])
+def test_equi_energy_proposal_matches_hand_grouping_bit_for_bit(spec):
+    assert np.array_equal(equi_energy_proposal(spec).P, reference_equi_energy_proposal(spec))
+
+
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("spec,classes", [
+    (beg(400, beta=1.0, K=1.0, p1=0.5, p2=0.25), 40401),
+    (ising(16384, beta=1.0, p1=0.5, p2=0.25), 8193),
+    (beg(178, beta=1.0, K=1.0, p1=0.5, p2=0.25), None),   # 8100 classes: under the cap
+    (ising(16382, beta=1.0, p1=0.5, p2=0.25), None),      # 8192 classes: at the cap
+])
+def test_unsigned_lumped_chain_counts_classes_before_building_the_table(monkeypatch, spec,
+                                                                       classes):
+    def build(*args, **kwargs):
+        raise TableBuilt
+
+    monkeypatch.setattr(kernels, "signed_move_table", build)
+    if classes is None:
+        with pytest.raises(TableBuilt):
+            unsigned_lumped_chain(spec, "equi-energy")
+    else:
+        with pytest.raises(ValueError,
+                           match=f"{classes} blocks exceed the dense materialization cap 8192"):
+            unsigned_lumped_chain(spec, "equi-energy")
