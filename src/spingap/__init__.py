@@ -66,7 +66,6 @@ from .spectral import (
     interval_conductance,
     lazy_mixture_bound,
     sector_spectrum,
-    spectral_gap,
     spectral_summary,
     spectrum,
     tv_bound,
@@ -99,7 +98,6 @@ from .verify import (
     verify_beg_slow,
     verify_ising_fast,
     verify_ising_slow,
-    verify_scaled_ising,
     verify_warmup,
 )
 

@@ -142,14 +142,16 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _option_value(o: Option, args: argparse.Namespace, config: dict):
-    """Resolution order: explicit flag, config file, default."""
+def _option_value(o: Option, args: argparse.Namespace, config: dict,
+                  values: argparse.Namespace):
+    """Resolution order: explicit flag, config file, default; a callable
+    default gets the values resolved before it."""
     text, source = getattr(args, o.name), o.flag
     if text is None and o.ini:
         section, key = o.ini.split(".")
         text, source = config.get(section, {}).get(key), f"[{section}] {key}"
     if text is None:
-        text = o.default() if callable(o.default) else o.default
+        text = o.default(values) if callable(o.default) else o.default
     if text is None and o.required:
         raise ConfigError(f"{o.flag} is required")
     if not isinstance(text, str):
@@ -169,7 +171,7 @@ def resolve(command: Command, args: argparse.Namespace, config: dict) -> argpars
     values = argparse.Namespace()
     for o in sorted(command.options, key=lambda o: bool(o.models)):
         read = not o.models or values.model in o.models
-        setattr(values, o.name, _option_value(o, args, config) if read else None)
+        setattr(values, o.name, _option_value(o, args, config, values) if read else None)
     return values
 
 
@@ -416,7 +418,8 @@ class Option:
     ``name`` is the argparse destination and the provenance key.  Text
     from the flag, the INI file or a text default goes through
     ``parse`` and must give one of ``choices``, if any; ``parse_bool``
-    options are flags without a value.  For a model outside ``models``
+    options are flags without a value.  A callable ``default`` is given
+    the values resolved before it.  For a model outside ``models``
     (empty: all) the option is not read and resolves to None.
     ``record``: provenance records it "always" (unread as empty), when
     "read", or "never".
@@ -449,11 +452,13 @@ RANGE_HELP = "size or range: '12', '10..60..2', '10,20,30'"
 PAIRS_HELP = "beg cells 'beta:K,beta:K'"
 SPIN_MODELS = ("ising", "beg")
 
-OUT = Option("out", "--out", "output.dir", Path, lambda: os.environ.get(OUTPUT_ENV, "out"),
+OUT = Option("out", "--out", "output.dir", Path, lambda _: os.environ.get(OUTPUT_ENV, "out"),
              record="never", help=f"output directory (default ${OUTPUT_ENV} or ./out)")
 CONFIG = Option("config", "--config", record="never", help="INI config file; flags override it")
 MODEL = Option("model", "--model", "model.kind", choices=models.KINDS, required=True)
-CHAIN = Option("kind", "--kind", "run.chain", default="equi-energy", choices=CHAIN_KINDS)
+#: follows --model, which every command lists before it
+CHAIN = Option("kind", "--kind", "run.chain", choices=CHAIN_KINDS,
+               default=lambda v: "small-world" if v.model == "warmup" else "equi-energy")
 THETA = Option("theta", "--theta", "model.theta", float, models=("warmup",))
 EPSILON = Option("epsilon", "--epsilon", "model.epsilon", float, models=("warmup",))
 P1 = Option("p1", "--p1", "model.p1", float, models=SPIN_MODELS)
@@ -562,14 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(o.flag, dest=o.name, action="store_const", const=True, help=o.help)
             else:
                 p.add_argument(o.flag, dest=o.name, choices=o.choices or None, help=o.help)
-        p.set_defaults(command=command)
+        p.set_defaults(command=command, command_parser=p)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # the sub-parsers hand unknown flags up to the root; report
+            # them with the command's own usage line
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     try:

@@ -15,7 +15,7 @@ are made dense only on request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,6 +178,13 @@ class BirthDeathChain:
 # Metropolis construction.
 # ---------------------------------------------------------------------------
 
+def _accepted(lw: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+              fwd: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """K(x,y) min(1, pi(y)K(y,x) / (pi(x)K(x,y))) per move, in log space."""
+    delta = (lw[ys] + np.log(back)) - (lw[xs] + np.log(fwd))
+    return fwd * np.exp(np.minimum(0.0, delta))
+
+
 def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> FiniteKernel:
     """Turn a proposal chain into the Metropolis chain for the target.
 
@@ -199,9 +206,8 @@ def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> Finit
         row = xs == xs[bad[0]]
         x, y = int(xs[bad[0]]), int(ys[row][np.argmin(back[row])])
         raise SupportError(f"K({x},{y}) > 0 but K({y},{x}) = 0")
-    delta = (lw[ys] + np.log(back)) - (lw[xs] + np.log(fwd))
     M = np.zeros_like(K)
-    M[xs, ys] = fwd * np.exp(np.minimum(0.0, delta))
+    M[xs, ys] = _accepted(lw, xs, ys, fwd, back)
     diag = 1.0 - M.sum(axis=1)
     np.fill_diagonal(M, np.maximum(diag, 0.0))
     return FiniteKernel(labels=proposal.labels, log_pi=lw.copy(), P=M)
@@ -211,16 +217,11 @@ def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> Finit
 # Full-space proposal chains.
 # ---------------------------------------------------------------------------
 
-def _state_labels(spec: ModelSpec, states: np.ndarray) -> tuple:
-    if spec.kind == "warmup":
-        return tuple(int(x) for x in states)
-    return tuple(tuple(int(v) for v in x) for x in states)
-
-
 def _guard_states(spec: ModelSpec, max_states: int) -> int:
     if spec.kind == "warmup":
-        return 2 * spec.N + 1
-    n = (2 if spec.kind == "ising" else 3) ** spec.N
+        n = 2 * spec.N + 1
+    else:
+        n = (2 if spec.kind == "ising" else 3) ** spec.N
     if n > max_states:
         raise ValueError(
             f"{n} states exceed the dense materialization cap {max_states}; "
@@ -238,17 +239,13 @@ def single_flip_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) 
     holding 1/2 at the endpoints.
     """
     n = _guard_states(spec, max_states)
+    if spec.kind == "warmup":
+        return _warmup_proposal(spec, None).to_kernel()
     states = models.enumerate_states(spec, max_states=max_states)
-    labels = _state_labels(spec, states)
+    labels = tuple(tuple(int(v) for v in x) for x in states)
     P = np.zeros((n, n))
     idx = np.arange(n)
-    if spec.kind == "warmup":
-        for i in range(n - 1):
-            P[i, i + 1] = 0.5
-            P[i + 1, i] = 0.5
-        P[0, 0] = 0.5
-        P[n - 1, n - 1] = 0.5
-    elif spec.kind == "ising":
+    if spec.kind == "ising":
         for j in range(spec.N):
             P[idx, idx ^ (1 << j)] += 1.0 / spec.N
     else:
@@ -265,8 +262,6 @@ def single_flip_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) 
 
 def _negation_indices(spec: ModelSpec, n: int) -> np.ndarray:
     idx = np.arange(n)
-    if spec.kind == "warmup":
-        return n - 1 - idx
     if spec.kind == "ising":
         return idx ^ (n - 1)
     pow3 = 3 ** np.arange(spec.N)
@@ -307,15 +302,16 @@ def small_world_proposal(spec: ModelSpec, epsilon: Optional[float] = None,
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
     if spec.kind != "warmup":
         raise ValueError(f"small-world proposal is a warmup construction, not {spec.kind}")
+    eps = _epsilon(spec, epsilon)
+    _guard_states(spec, max_states)
+    return _warmup_proposal(spec, eps).to_kernel()
+
+
+def _epsilon(spec: ModelSpec, epsilon: Optional[float] = None) -> float:
     eps = spec.epsilon if epsilon is None else epsilon
     if eps is None or not (0 < eps < 1):
         raise ValueError(f"epsilon must lie in (0,1), got {eps}")
-    base = single_flip_proposal(spec, max_states=max_states)
-    n = base.n
-    P = (1.0 - eps) * base.P
-    neg = _negation_indices(spec, n)
-    P[np.arange(n), neg] += eps  # x = 0 reflects onto itself: holding
-    return FiniteKernel(labels=base.labels, log_pi=np.zeros(n), P=P)
+    return eps
 
 
 def metropolis_chain(spec: ModelSpec, kind: str,
@@ -462,15 +458,6 @@ class MoveTable:
     def n(self) -> int:
         return len(self.labels)
 
-    @classmethod
-    def from_kernel(cls, kernel: FiniteKernel, flip: np.ndarray) -> "MoveTable":
-        """The off-diagonal nonzeros of a dense chain as a move table."""
-        rows, cols = np.nonzero(kernel.P)
-        off = rows != cols
-        rows, cols = rows[off], cols[off]
-        return cls(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
-                   vals=kernel.P[rows, cols], flip=flip)
-
     def to_kernel(self) -> FiniteKernel:
         """The dense transition matrix; the size is checked before allocating."""
         if self.n > DEFAULT_MAX_STATES:
@@ -552,19 +539,51 @@ def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
     return _move_table(tuple(zip(s.tolist(), r.tolist())), log_pi, flip, moves)
 
 
+def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:
+    """The warmup proposal on -N..N, its moves in row-major order.
+
+    The +-1 walk with mass (1-eps)/2 each way (1/2 for eps None, the
+    plain walk), plus the reflection x -> -x with mass eps for x != 0;
+    x = 0 reflects onto itself, which is holding.
+    """
+    n = 2 * spec.N + 1
+    idx = np.arange(n)
+    walk = 0.5 if eps is None else (1.0 - eps) * 0.5
+    moves = [(idx[1:], idx[:-1], np.full(n - 1, walk)),
+             (idx[:-1], idx[1:], np.full(n - 1, walk))]
+    if eps is not None:
+        x = np.flatnonzero(idx != spec.N)
+        moves.append((x, n - 1 - x, np.full(n - 1, eps)))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*moves))
+    order = np.lexsort((cols, rows))
+    return MoveTable(labels=tuple(range(-spec.N, spec.N + 1)), log_pi=np.zeros(n),
+                     rows=rows[order], cols=cols[order], vals=vals[order], flip=idx[::-1].copy())
+
+
+def _warmup_moves(spec: ModelSpec, kind: str) -> MoveTable:
+    if kind == "equi-energy":
+        raise ValueError("equi-energy proposal is defined for ising/beg, not warmup")
+    if kind not in CHAIN_KINDS:
+        raise ValueError(f"unknown chain kind {kind!r}, expected one of {CHAIN_KINDS}")
+    proposal = _warmup_proposal(spec, _epsilon(spec) if kind == "small-world" else None)
+    lw = models.log_weights_all(spec)
+    # the proposal is symmetric: each move's reverse has the same mass
+    vals = _accepted(lw, proposal.rows, proposal.cols, proposal.vals, proposal.vals)
+    return replace(proposal, log_pi=lw, vals=vals)
+
+
 def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     """The Metropolis chain on signed classes as a move table.
 
     Every transition mass out of a state depends only on its signed
     class, so the lumping is exact and its spectrum is a subset of the
-    full chain's.  ising and beg tables are built in O(states) memory.
-    For warmup the signed classes are the states, so the table is read
-    off the dense full chain.  ising states are ordered by magnetization
-    S ascending; beg states by (r, S) with r ascending.
+    full chain's.  Every table is built in O(states) memory.  For warmup
+    the signed classes are the states -N..N themselves.  ising states are
+    ordered by magnetization S ascending; beg states by (r, S) with r
+    ascending.
     """
     if spec.kind == "warmup":
-        chain = metropolis_chain(spec, kind)
-        return MoveTable.from_kernel(chain, _negation_indices(spec, chain.n))
+        return _warmup_moves(spec, kind)
     if kind not in ("naive", "equi-energy"):
         raise ValueError(f"signed lumping applies to naive/equi-energy, not {kind!r}")
     if spec.kind == "ising":

@@ -154,10 +154,6 @@ def gap(s: Spectrum) -> float:
     return 1.0 - max(lam1, abs(lam_min))
 
 
-def spectral_gap(chain: Chain, **kw) -> float:
-    return gap(spectrum(chain, **kw))
-
-
 def spectral_summary(chain: Chain, with_conductance: bool = False,
                      bounds: Sequence[BoundEvaluation] = ()) -> SpectralSummary:
     s = spectrum(chain)

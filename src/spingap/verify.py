@@ -117,9 +117,7 @@ class BoundReport:
 
 
 def chain_for(spec: ModelSpec, kind: str):
-    """The exact spectral surrogate: full chain for warmup, signed lumping else."""
-    if spec.kind == "warmup":
-        return metropolis_chain(spec, kind)
+    """The exact spectral surrogate: the signed lumping (for warmup, the chain itself)."""
     return signed_lumped_chain(spec, kind)
 
 
@@ -285,12 +283,12 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     fits = []
     for N in Ns:
         spec = warmup(N, theta=theta, epsilon=epsilon)
-        M = metropolis_chain(spec, "small-world")
-        H = lumped_projection(M, warmup_block_partition(spec))
+        table = signed_move_table(spec, "small-world")
+        H = lumped_projection(table, warmup_block_partition(spec))
         mid = N // 2
         if not math.isclose(H.P[mid, mid + 1], (1 - epsilon) / 4, rel_tol=1e-12):
             failures.append(f"N={N}: projection up-rate {H.P[mid, mid + 1]} != (1-eps)/4")
-        fast = _gap_record(sector_spectrum(MoveTable.from_kernel(M, np.arange(M.n)[::-1])))
+        fast = _gap_record(sector_spectrum(table))
         vals = {k: fast[k] for k in ("gap", "lambda1", "lambda_min", "underflow")}
         vals["gap_times_N2"] = vals["gap"] * N * N
         naive = exact_gap_record(spec, "naive")
@@ -672,48 +670,6 @@ def scaled_params_consistent(a: float, N: int) -> ScaledParams:
     if a <= 0:
         raise ValueError("a must be positive")
     return ScaledParams(p1=1.0 - a / N, p2=a / (2.0 * N), valid=True)
-
-
-def verify_scaled_ising(a: float, betas: Sequence[float], Ns: Sequence[int],
-                        slope_floor: float = -5.25) -> BoundReport:
-    """Gap decay under the N-scaled weights stays polynomial, slope >= -5.25.
-
-    Runs the self-consistent variant; the stated pair is recorded as
-    invalid in the summary rather than silently repaired.
-    """
-    records = []
-    fits = []
-    failures = []
-    stated = scaled_params(a, max(Ns))
-    for beta in betas:
-        cell_records = []
-        for N in Ns:
-            params = scaled_params_consistent(a, N)
-            spec = ModelSpec(kind="ising", N=N, beta=beta,
-                             p1=params.p1, p2=params.p2, a=a)
-            vals = exact_gap_record(spec, "equi-energy")
-            vals["p1"] = params.p1
-            vals["p2"] = params.p2
-            cell_records.append(CellRecord(
-                cell={"model": "ising", "kind": "equi-energy", "N": N, "beta": beta,
-                      "a": a},
-                values=vals))
-        records.extend(cell_records)
-        fit = _fit_over(cell_records, lambda r: math.log(r.cell["N"]),
-                        lambda r: math.log(r.values["gap"]))
-        if fit is None:
-            failures.append(f"beta={beta}: too few resolvable gaps")
-            continue
-        fits.append((f"loglog-gap-beta={beta}", fit))
-        if not fit.ci_lo >= slope_floor:
-            failures.append(
-                f"beta={beta}: slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
-                f"dips below {slope_floor}")
-    return BoundReport(name="ising-scaled", records=tuple(records), fits=tuple(fits),
-                       passed=not failures, failures=tuple(failures),
-                       summary={"stated_pair": {"p1": stated.p1, "p2": stated.p2,
-                                                "valid": stated.valid,
-                                                "note": stated.note}})
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,48 @@ def test_verify_artifacts_match_pinned_digests(tmp_path, command):
     assert digests == PINNED_DIGESTS[command]
 
 
+#: sha256 of gaps.csv for two warm-up gap-scans, recorded while the warm-up
+#: move table was still read off its dense Metropolis chain
+PINNED_GAP_DIGESTS = {
+    "gap-scan --model warmup --kind small-world --theta 2 --epsilon 0.3 --n 10..400..10":
+        "070369ebbe788b17ffafa3a37e596d62f3c335975d60a84b3ff8ff9771c172f5",
+    "gap-scan --model warmup --kind naive --theta 1.5 --n 10..60..10":
+        "f67e728c55a0eb98d2d48677f131cf8b5001bd8741b9a3b1dc32a1b5d4a24763",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_GAP_DIGESTS))
+def test_gap_scan_matches_pinned_digest(tmp_path, command):
+    assert main(command.split() + ["--out", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "gaps.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_GAP_DIGESTS[command]
+
+
+def test_warmup_kind_defaults_to_small_world(tmp_path, capsys):
+    base = "gap-scan --model warmup --theta 2 --epsilon 0.3 --n 10..40..10".split()
+    assert main(base + ["--out", str(tmp_path / "default")]) == EXIT_OK
+    assert main(base + ["--kind", "small-world", "--out", str(tmp_path / "explicit")]) == EXIT_OK
+    assert read_all(tmp_path / "default") == read_all(tmp_path / "explicit")
+    assert provenance(tmp_path / "default")["kind"] == "small-world"
+    # the spin models keep the equi-energy default
+    assert main(["gap-scan", "--model", "ising", "--n", "10", "--out", str(tmp_path / "i")]) == 0
+    assert provenance(tmp_path / "i")["kind"] == "equi-energy"
+    capsys.readouterr()
+    rc = main(base + ["--kind", "equi-energy", "--out", str(tmp_path / "eq")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: equi-energy proposal is defined for ising/beg, not warmup\n")
+
+
+def test_unknown_flag_is_reported_with_the_command_usage(tmp_path, capsys):
+    assert main(["verify", "beg-slow", "--beta", "2", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spingap verify beg-slow ")
+    assert "spingap verify beg-slow: error: unrecognized arguments: --beta 2" in err
+    assert main(["gap-scan", "--model", "ising", "--bogus", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage: spingap gap-scan ")
+
+
 def read_kernel_text(path: Path) -> dict:
     """kernel.txt as {(row label, column label): probability}."""
     out = {}

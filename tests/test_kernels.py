@@ -10,6 +10,7 @@ from spingap import kernels, models
 from spingap.kernels import (
     BirthDeathChain,
     FiniteKernel,
+    MoveTable,
     Partition,
     SupportError,
     beg_lumped,
@@ -24,6 +25,7 @@ from spingap.kernels import (
     partition_by,
     restriction,
     signed_lumped_chain,
+    signed_move_table,
     single_flip_proposal,
     small_world_proposal,
     unsigned_class_partition,
@@ -467,6 +469,17 @@ def test_signed_chain_matches_scalar_reference_bit_for_bit(spec, kind):
     assert np.array_equal(chain.P, P)
 
 
+def table_from_kernel(kernel, flip):
+    """The off-diagonal nonzeros of a dense chain in row-major order, as
+    the warm-up move table was read off its dense chain before it was
+    built from the proposal's moves."""
+    rows, cols = np.nonzero(kernel.P)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    return MoveTable(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
+                     vals=kernel.P[rows, cols], flip=flip)
+
+
 @pytest.mark.parametrize("kind", ["naive", "small-world"])
 def test_warmup_move_table_is_the_full_chain(kind):
     spec = warmup(7, theta=1.7, epsilon=0.3)
@@ -475,6 +488,34 @@ def test_warmup_move_table_is_the_full_chain(kind):
     assert chain.labels == full.labels
     assert np.array_equal(chain.log_pi, full.log_pi)
     assert np.array_equal(chain.P, full.P)
+    # the table itself, bit for bit, against the dense chain's nonzeros
+    for N in (1, 2, 3, 7, 40, 199, 200):
+        for theta in (1.05, 1.7, 2.0, 3.3):
+            for eps in (0.01, 0.2, 0.3, 0.77):
+                spec = warmup(N, theta=theta, epsilon=eps)
+                full = metropolis_chain(spec, kind)
+                want = table_from_kernel(full, np.arange(full.n)[::-1])
+                got = signed_move_table(spec, kind)
+                assert got.labels == want.labels
+                for field in ("log_pi", "rows", "cols", "vals", "flip"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (N, theta, eps, field)
+
+
+def test_warmup_proposals_densify_the_moves():
+    # holding = 1 - row sum; the off-diagonal masses are the closed forms
+    spec = warmup(6, theta=2.0, epsilon=0.3)
+    for K, eps in ((single_flip_proposal(spec), 0.0), (small_world_proposal(spec), 0.3)):
+        assert K.labels == tuple(range(-6, 7))
+        assert np.array_equal(K.log_pi, np.zeros(13))
+        off = K.P - np.diag(np.diag(K.P))
+        walk = 0.5 if eps == 0.0 else (1.0 - eps) * 0.5
+        assert np.array_equal(np.diag(off, 1), np.full(12, walk))
+        assert np.array_equal(np.diag(off, -1), np.full(12, walk))
+        mirror = off[np.arange(13), np.arange(13)[::-1]]
+        assert np.array_equal(np.delete(mirror, 6), np.full(12, eps))
+        assert np.count_nonzero(off) == 24 + (12 if eps else 0)
+        assert np.array_equal(np.diag(K.P), 1.0 - off.sum(axis=1))
 
 
 def test_move_table_flip_is_the_mirror_class():

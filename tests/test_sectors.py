@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spingap import kernels, verify
 from spingap.cli import EXIT_USAGE, main
 from spingap.kernels import MoveTable, beg_lumped, signed_lumped_chain, signed_move_table
 from spingap.models import beg, ising, warmup
@@ -178,3 +179,46 @@ def test_dense_signed_chain_guards_size_before_allocating(tmp_path, capsys):
                "--beta", "1", "--k", "1", "--kind", "naive", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert "dense materialization cap" in capsys.readouterr().err
+
+
+def test_warmup_gaps_and_audit_need_no_dense_chain(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense warm-up chain was built")
+
+    for name in ("metropolis_chain", "single_flip_proposal", "small_world_proposal"):
+        monkeypatch.setattr(kernels, name, dense)
+    monkeypatch.setattr(verify, "metropolis_chain", dense)
+    report = verify.verify_warmup(2.0, 0.3, range(10, 41, 2))
+    assert report.passed and len(report.records) == 16
+    for kind in ("naive", "small-world"):
+        rec = exact_gap_record(warmup(30, theta=2.0, epsilon=0.3), kind)
+        assert rec["dim"] == 61 and 0 <= rec["gap"] <= 1
+
+
+def test_warmup_n20000_gap_without_dense_matrix():
+    spec = warmup(20000, theta=2.0, epsilon=0.3)
+    tracemalloc.start()
+    try:
+        rec = exact_gap_record(spec, "small-world")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["dim"] == 40001
+    assert 0 < rec["gap"] < 1 and not rec["underflow"]
+    assert peak < 100e6  # the dense chain and its proposal would need 12.8 GB each
+
+
+def test_dense_warmup_chain_guards_size_before_allocating(tmp_path, capsys):
+    # 2N + 1 = 10001 states: the dense cap covers the warm-up like the
+    # other models
+    tracemalloc.start()
+    try:
+        rc = main(["export-kernel", "--model", "warmup", "--n", "5000", "--theta", "2",
+                   "--kind", "naive", "--space", "full", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_USAGE
+    assert "10001 states exceed the dense materialization cap 8192" in capsys.readouterr().err
+    assert not (tmp_path / "kernel.txt").exists()
+    assert peak < 100e6
