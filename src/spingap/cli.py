@@ -36,7 +36,7 @@ from .kernels import (
 )
 from .models import ModelSpec
 from .sampling import OBSERVABLES, RunConfig, run_estimate
-from .spectral import cheeger_interval, conductance_exact, interval_conductance
+from .spectral import GAP_RESOLUTION, cheeger_interval, conductance_exact, interval_conductance
 from .verify import exact_gap_record
 
 VERSION = "spingap 0.1.0"
@@ -73,6 +73,14 @@ def fmt_tag(x) -> str:
     return fmt(x)
 
 
+def _items(text: str) -> list[str]:
+    """The entries of a comma-separated list; an empty list would audit nothing."""
+    items = [v.strip() for v in str(text).split(",") if v.strip()]
+    if not items:
+        raise ConfigError("must list at least one value")
+    return items
+
+
 def parse_int_range(text: str) -> list[int]:
     """'10..60..2' (inclusive), '10..60' (step 1), or '10,20,30', or '12'."""
     text = text.strip()
@@ -87,25 +95,17 @@ def parse_int_range(text: str) -> list[int]:
         if step < 1 or stop < start:
             raise ConfigError(f"bad range {text!r}")
         return list(range(start, stop + 1, step))
-    if "," in text:
-        return [int(v) for v in text.split(",") if v.strip()]
-    return [int(text)]
+    return [int(v) for v in _items(text)]
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v.strip()]
+    return [float(v) for v in _items(text)]
 
 
 def parse_pair_list(text: str) -> list[tuple[float, float]]:
     """'3:5,1.5:2' -> [(3.0, 5.0), (1.5, 2.0)]."""
-    out = []
-    for item in str(text).split(","):
-        item = item.strip()
-        if not item:
-            continue
-        a, b = item.split(":")
-        out.append((float(a), float(b)))
-    return out
+    pairs = [item.split(":") for item in _items(text)]
+    return [(float(a), float(b)) for a, b in pairs]
 
 
 def parse_count(text: str) -> int:
@@ -261,13 +261,10 @@ def cmd_gap_scan(command: Command, o: argparse.Namespace) -> int:
             results = list(pool.map(exact_gap_record, specs, repeat(o.kind)))
     else:
         results = [exact_gap_record(spec, o.kind) for spec in specs]
-    header = ["model", "kind", "N", "beta", "K", "theta", "epsilon", "p1", "p2",
-              "gap", "one_minus_lambda1", "lambda1", "lambda_min", "underflow"]
-    rows = []
-    for spec, rec in zip(specs, results):
-        rows.append([spec.kind, o.kind, spec.N, spec.beta, spec.K, spec.theta, spec.epsilon,
-                     spec.p1, spec.p2, rec["gap"], rec["one_minus_lambda1"], rec["lambda1"],
-                     rec["lambda_min"], rec["underflow"]])
+    gap_keys = ["gap", "one_minus_lambda1", "lambda1", "lambda_min", "underflow"]
+    header = ["model", "kind", "N", "beta", "K", "theta", "epsilon", "p1", "p2", *gap_keys]
+    rows = [[spec.kind, o.kind, spec.N, spec.beta, spec.K, spec.theta, spec.epsilon, spec.p1,
+             spec.p2, *(rec[k] for k in gap_keys)] for spec, rec in zip(specs, results)]
     write_csv(o.out / "gaps.csv", header, rows)
     for beta in betas:
         for K in Ks:
@@ -298,10 +295,9 @@ def _flatten_report(outdir: Path, report) -> None:
         merged = {**rec.cell, **rec.values}
         rows.append([merged.get(k) for k in keys] + [rec.passed, rec.note])
     write_csv(outdir / "report.csv", header, rows)
-    fit_rows = [[label, f.slope, f.stderr, f.ci_lo, f.ci_hi, f.n_points]
-                for label, f in report.fits]
-    write_csv(outdir / "fits.csv",
-              ["label", "slope", "stderr", "ci_lo", "ci_hi", "n_points"], fit_rows)
+    fit_keys = ["slope", "stderr", "ci_lo", "ci_hi", "n_points"]
+    write_csv(outdir / "fits.csv", ["label", *fit_keys],
+              [[label, *(getattr(f, k) for k in fit_keys)] for label, f in report.fits])
     by_series = {}
     for rec in report.records:
         if "N" not in rec.cell or "gap" not in rec.values:
@@ -311,7 +307,7 @@ def _flatten_report(outdir: Path, report) -> None:
     for key, pts in by_series.items():
         tag = "_".join(f"{k}{fmt_tag(v)}" for k, v in key if k not in ("model", "kind"))
         name = f"gap_vs_N_{tag}.dat" if tag else "gap_vs_N.dat"
-        pts = [(n, g) for n, g in sorted(pts) if g >= verify_mod.UNDERFLOW]
+        pts = [(n, g) for n, g in sorted(pts) if g >= GAP_RESOLUTION]
         if pts:
             write_series(outdir / name, [p[0] for p in pts], [p[1] for p in pts])
     (outdir / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
@@ -355,16 +351,24 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
     cfg = RunConfig(steps=o.steps, seed=o.seed, burn_in=o.burn_in, thinning=o.thinning,
                     observable=o.observable)
     o.burn_in = cfg.effective_burn_in
-    trace_rows = []
-    sink = None
-    if o.trace:
-        sink = lambda t, label, v: trace_rows.append([t, format_label(label), v])
-    stats = run_estimate(spec, o.kind, cfg, trace_sink=sink)
+    trace = None
+
+    def sink(t, label, v):
+        # created with the first row: a run refused before it leaves no file
+        nonlocal trace
+        if trace is None:
+            trace = open(o.out / "trace.csv", "w")
+            trace.write("step,class,value\n")
+        trace.write(f"{t},{format_label(label)},{fmt(v)}\n")
+
+    try:
+        stats = run_estimate(spec, o.kind, cfg, trace_sink=sink if o.trace else None)
+    finally:
+        if trace is not None:
+            trace.close()
     payload = {"version": VERSION, "model": asdict(spec), "stats": stats.to_dict()}
     (o.out / "runstats.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=fmt) + "\n")
-    if o.trace:
-        write_csv(o.out / "trace.csv", ["step", "class", "value"], trace_rows)
     write_provenance(command, o)
     return EXIT_OK
 

@@ -26,9 +26,18 @@ from .models import EnergyClass, ModelSpec
 
 CHAIN_KINDS = ("naive", "equi-energy", "small-world")
 
+#: the one cap on every dense matrix: chains, proposals, projections and
+#: the dense eigensolver; _check_dense reads it at each call
 DEFAULT_MAX_STATES = 1 << 13
 
 _TINY = 1e-300
+
+
+def _check_dense(n: int, what: str, hint: str = "") -> None:
+    """Refuse an n x n dense matrix above DEFAULT_MAX_STATES, before allocating it."""
+    if n > DEFAULT_MAX_STATES:
+        raise ValueError(
+            f"{n} {what} exceed the dense materialization cap {DEFAULT_MAX_STATES}{hint}")
 
 
 class SupportError(ValueError):
@@ -217,20 +226,16 @@ def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> Finit
 # Full-space proposal chains.
 # ---------------------------------------------------------------------------
 
-def _guard_states(spec: ModelSpec, max_states: int) -> int:
+def _guard_states(spec: ModelSpec) -> int:
     if spec.kind == "warmup":
         n = 2 * spec.N + 1
     else:
         n = (2 if spec.kind == "ising" else 3) ** spec.N
-    if n > max_states:
-        raise ValueError(
-            f"{n} states exceed the dense materialization cap {max_states}; "
-            "use the class-space chains at this size"
-        )
+    _check_dense(n, "states", "; use the class-space chains at this size")
     return n
 
 
-def single_flip_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> FiniteKernel:
+def single_flip_proposal(spec: ModelSpec) -> FiniteKernel:
     """The local proposal on the full space.
 
     ising: flip one of N coordinates, weight 1/N each.
@@ -238,10 +243,10 @@ def single_flip_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) 
     weight 1/2N each.  warmup: the +-1 nearest-neighbor walk with
     holding 1/2 at the endpoints.
     """
-    n = _guard_states(spec, max_states)
+    n = _guard_states(spec)
     if spec.kind == "warmup":
         return _warmup_proposal(spec, None).to_kernel()
-    states = models.enumerate_states(spec, max_states=max_states)
+    states = models.enumerate_states(spec)
     labels = tuple(tuple(int(v) for v in x) for x in states)
     P = np.zeros((n, n))
     idx = np.arange(n)
@@ -269,7 +274,7 @@ def _negation_indices(spec: ModelSpec, n: int) -> np.ndarray:
     return ((2 - digits) * pow3).sum(axis=1)
 
 
-def equi_energy_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> FiniteKernel:
+def equi_energy_proposal(spec: ModelSpec) -> FiniteKernel:
     """Mixture proposal with orbit jumps (ising and beg).
 
     On zero-magnetization classes: p1 * local + (1-p1) * uniform on the
@@ -282,10 +287,10 @@ def equi_energy_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) 
     if spec.p1 is None or spec.p2 is None:
         raise ValueError("equi-energy proposal needs p1 and p2 in the model spec")
     p1, p2 = spec.p1, spec.p2
-    base = single_flip_proposal(spec, max_states=max_states)
+    base = single_flip_proposal(spec)
     n = base.n
     neg = _negation_indices(spec, n)
-    parts = partition_by(signed_class_keys(spec, max_states=max_states))
+    parts = partition_by(signed_class_keys(spec))
     P = p1 * base.P
     for key, g in zip(parts.labels, parts.blocks):
         s_val = key[0] if spec.kind == "beg" else key
@@ -297,13 +302,12 @@ def equi_energy_proposal(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) 
     return FiniteKernel(labels=base.labels, log_pi=np.zeros(n), P=P)
 
 
-def small_world_proposal(spec: ModelSpec, epsilon: Optional[float] = None,
-                         max_states: int = DEFAULT_MAX_STATES) -> FiniteKernel:
+def small_world_proposal(spec: ModelSpec, epsilon: Optional[float] = None) -> FiniteKernel:
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
     if spec.kind != "warmup":
         raise ValueError(f"small-world proposal is a warmup construction, not {spec.kind}")
     eps = _epsilon(spec, epsilon)
-    _guard_states(spec, max_states)
+    _guard_states(spec)
     return _warmup_proposal(spec, eps).to_kernel()
 
 
@@ -314,30 +318,22 @@ def _epsilon(spec: ModelSpec, epsilon: Optional[float] = None) -> float:
     return eps
 
 
-def metropolis_chain(spec: ModelSpec, kind: str,
-                     max_states: int = DEFAULT_MAX_STATES) -> FiniteKernel:
+def metropolis_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
     """Materialized Metropolis chain of the requested kind on the full space."""
     if kind not in CHAIN_KINDS:
         raise ValueError(f"unknown chain kind {kind!r}, expected one of {CHAIN_KINDS}")
     if kind == "naive":
-        proposal = single_flip_proposal(spec, max_states=max_states)
+        proposal = single_flip_proposal(spec)
     elif kind == "equi-energy":
-        proposal = equi_energy_proposal(spec, max_states=max_states)
+        proposal = equi_energy_proposal(spec)
     else:
-        proposal = small_world_proposal(spec, max_states=max_states)
+        proposal = small_world_proposal(spec)
     return metropolize(proposal, models.log_weights_all(spec))
 
 
 # ---------------------------------------------------------------------------
 # Projection, restriction, lumping.
 # ---------------------------------------------------------------------------
-
-def _check_blocks(m: int) -> None:
-    if m > DEFAULT_MAX_STATES:
-        raise ValueError(
-            f"{m} blocks exceed the dense materialization cap {DEFAULT_MAX_STATES}"
-        )
-
 
 def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> FiniteKernel:
     """Projection chain on the blocks, with the explicit 1/2 factor.
@@ -354,7 +350,7 @@ def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> Fini
     if sum(sizes) != chain.n:
         raise ValueError("partition does not cover the kernel's state set")
     m = parts.m
-    _check_blocks(m)
+    _check_dense(m, "blocks")
     block = np.empty(chain.n, dtype=np.intp)
     block[np.concatenate(parts.blocks)] = np.repeat(np.arange(m), sizes)
     top = np.full(m, -np.inf)
@@ -379,8 +375,7 @@ def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> Fini
     return FiniteKernel(labels=parts.labels, log_pi=log_pi_H, P=H)
 
 
-def restriction(kernel: FiniteKernel, block: Sequence[int],
-                label: Optional[tuple] = None) -> FiniteKernel:
+def restriction(kernel: FiniteKernel, block: Sequence[int]) -> FiniteKernel:
     """Chain restricted to a block; escaping mass is added to the diagonal."""
     b = np.asarray(block, dtype=np.intp)
     if b.size == 0:
@@ -388,13 +383,13 @@ def restriction(kernel: FiniteKernel, block: Sequence[int],
     sub = kernel.P[np.ix_(b, b)].copy()
     escape = kernel.P[b, :].sum(axis=1) - sub.sum(axis=1)
     sub[np.diag_indices(b.size)] += escape
-    labels = tuple(kernel.labels[int(i)] for i in b) if label is None else label
+    labels = tuple(kernel.labels[int(i)] for i in b)
     return FiniteKernel(labels=labels, log_pi=kernel.log_pi[b].copy(), P=sub)
 
 
-def signed_class_keys(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> list:
+def signed_class_keys(spec: ModelSpec) -> list:
     """Per-state signed orbit key (S, or (S, R)) in enumeration order."""
-    states = models.enumerate_states(spec, max_states=max_states)
+    states = models.enumerate_states(spec)
     if spec.kind == "warmup":
         return [int(x) for x in states]
     S = states.sum(axis=1, dtype=np.int64)
@@ -404,9 +399,9 @@ def signed_class_keys(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> 
     return list(zip(S.tolist(), R.tolist()))
 
 
-def unsigned_class_partition(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> Partition:
+def unsigned_class_partition(spec: ModelSpec) -> Partition:
     """Partition of the full space by unsigned orbit (the energy sets)."""
-    keys = signed_class_keys(spec, max_states=max_states)
+    keys = signed_class_keys(spec)
     if spec.kind == "beg":
         keys = [(abs(s), r) for s, r in keys]
         order = sorted(set(keys), key=lambda t: (t[1], t[0]))
@@ -460,11 +455,7 @@ class MoveTable:
 
     def to_kernel(self) -> FiniteKernel:
         """The dense transition matrix; the size is checked before allocating."""
-        if self.n > DEFAULT_MAX_STATES:
-            raise ValueError(
-                f"{self.n} states exceed the dense materialization cap {DEFAULT_MAX_STATES}; "
-                "exact gaps at this size come from exact_gap_record"
-            )
+        _check_dense(self.n, "states", "; exact gaps at this size come from exact_gap_record")
         P = np.zeros((self.n, self.n))
         np.add.at(P, (self.rows, self.cols), self.vals)
         np.fill_diagonal(P, np.diag(P) + 1.0 - P.sum(axis=1))
@@ -609,7 +600,7 @@ def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
         raise ValueError("unsigned projections exist for ising and beg")
     # the orbit count is known from N: refuse before building the table
     half = spec.N // 2 + 1
-    _check_blocks(half if spec.kind == "ising" else half * half)
+    _check_dense(half if spec.kind == "ising" else half * half, "blocks")
     table = signed_move_table(spec, kind)
     idx = np.arange(table.n)
     # within an orbit the table orders S ascending, so the S >= 0 member
@@ -739,7 +730,7 @@ class RateDiscrepancy:
     annotated: Optional[str]
 
 
-def beg_rate_discrepancies(spec: ModelSpec, tol: float = 1e-12) -> list[RateDiscrepancy]:
+def beg_rate_discrepancies(spec: ModelSpec) -> list[RateDiscrepancy]:
     """Off-diagonal entries where the tabulated rates deviate from direct lumping.
 
     Every discrepancy is matched against BEG_TABULATED_ERRATA; an entry
@@ -756,7 +747,7 @@ def beg_rate_discrepancies(spec: ModelSpec, tol: float = 1e-12) -> list[RateDisc
                 continue
             a, b = auth.labels[i], auth.labels[j]
             da, dt = auth.P[i, j], tab.P[i, j]
-            if abs(da - dt) <= tol * max(1.0, abs(da)):
+            if abs(da - dt) <= 1e-12 * max(1.0, abs(da)):
                 continue
             note = None
             for name, pred, desc in BEG_TABULATED_ERRATA:
@@ -767,11 +758,11 @@ def beg_rate_discrepancies(spec: ModelSpec, tol: float = 1e-12) -> list[RateDisc
     return out
 
 
-def unsigned_lumping_deviation(spec: ModelSpec, max_states: int = DEFAULT_MAX_STATES) -> float:
+def unsigned_lumping_deviation(spec: ModelSpec) -> float:
     """Max |derived - direct lumping| over the unsigned equi-energy projection."""
     derived = unsigned_lumped_chain(spec, "equi-energy")
-    full = metropolis_chain(spec, "equi-energy", max_states=max_states)
-    direct = lumped_projection(full, unsigned_class_partition(spec, max_states=max_states))
+    full = metropolis_chain(spec, "equi-energy")
+    direct = lumped_projection(full, unsigned_class_partition(spec))
     return float(np.abs(derived.P - direct.P).max())
 
 

@@ -31,6 +31,11 @@ KINDS = ("warmup", "ising", "beg")
 # exact integer binomials stay cheap up to here; lgamma beyond
 _EXACT_BINOM_LIMIT = 60
 
+#: most signed classes a class table holds, and most configurations that
+#: enumerate_states lists
+MAX_CLASSES = 2_000_000
+MAX_ENUMERATED_STATES = 1 << 16
+
 State = Union[int, Sequence[int], np.ndarray]
 
 
@@ -267,15 +272,15 @@ class ClassTable:
         return len(self.classes)
 
 
-def class_table(spec: ModelSpec, max_classes: int = 2_000_000) -> ClassTable:
+def class_table(spec: ModelSpec) -> ClassTable:
     """Build the exact signed-class table for spec.
 
     The limit is on the class count (ising has N/2+1 unsigned classes,
     beg O(N^2)), never on the 2^N or 3^N configuration count.
     """
     classes = signed_classes(spec)
-    if len(classes) > max_classes:
-        raise ValueError(f"{len(classes)} classes exceed the limit {max_classes}")
+    if len(classes) > MAX_CLASSES:
+        raise ValueError(f"{len(classes)} classes exceed the limit {MAX_CLASSES}")
     log_card = np.array([class_log_cardinality(spec, c) for c in classes])
     log_sw = np.array([class_log_state_weight(spec, c) for c in classes])
     log_cw = log_card + log_sw
@@ -293,7 +298,7 @@ def class_table(spec: ModelSpec, max_classes: int = 2_000_000) -> ClassTable:
 # Full configuration space enumeration (small N only).
 # ---------------------------------------------------------------------------
 
-def enumerate_states(spec: ModelSpec, max_states: int = 1 << 16) -> np.ndarray:
+def enumerate_states(spec: ModelSpec) -> np.ndarray:
     """All configurations in canonical index order.
 
     warmup: shape (2N+1,), values -N..N ascending.
@@ -304,8 +309,8 @@ def enumerate_states(spec: ModelSpec, max_states: int = 1 << 16) -> np.ndarray:
         return np.arange(-spec.N, spec.N + 1)
     base = 2 if spec.kind == "ising" else 3
     n_states = base ** spec.N
-    if n_states > max_states:
-        raise ValueError(f"{n_states} states exceed the enumeration limit {max_states}")
+    if n_states > MAX_ENUMERATED_STATES:
+        raise ValueError(f"{n_states} states exceed the enumeration limit {MAX_ENUMERATED_STATES}")
     idx = np.arange(n_states)
     digits = (idx[:, None] // base ** np.arange(spec.N)[None, :]) % base
     if spec.kind == "ising":

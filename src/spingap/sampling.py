@@ -15,7 +15,7 @@ spawning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,23 +80,7 @@ class RunStats:
     cost: CostCounters
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "N": self.N,
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
-            "seed": self.seed,
-            "observable": self.observable,
-            "n_samples": self.n_samples,
-            "estimate": self.estimate,
-            "batch_means_avar": self.batch_means_avar,
-            "batch_count": self.batch_count,
-            "batch_size": self.batch_size,
-            "acceptance": self.acceptance,
-            "cost": {f: getattr(self.cost, f) for f in self.cost.__dataclass_fields__},
-        }
-        return d
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +431,11 @@ def cost_profile(stats: RunStats) -> CostProfile:
 # Generic trajectory on a materialized kernel (testing aid).
 # ---------------------------------------------------------------------------
 
-def simulate_kernel(P: np.ndarray, steps: int, rng: np.random.Generator,
-                    x0: int = 0) -> np.ndarray:
-    """State-index trajectory of a row-stochastic matrix (small chains)."""
+def simulate_kernel(P: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """State-index trajectory of a row-stochastic matrix from state 0 (small chains)."""
     cum = np.cumsum(P, axis=1)
     out = np.empty(steps, dtype=np.int64)
-    x = x0
+    x = 0
     u = rng.random(steps)
     for t in range(steps):
         x = int(np.searchsorted(cum[x], u[t], side="right"))

@@ -26,6 +26,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .kernels import (
+    DEFAULT_MAX_STATES,
     BirthDeathChain,
     FiniteKernel,
     MoveTable,
@@ -39,7 +40,9 @@ from .kernels import (
 #: report must distinguish underflow from disconnection.
 GAP_RESOLUTION = 1e-12
 
-DEFAULT_MAX_DENSE = 8192
+#: largest relative detailed-balance (and flip-invariance) residual a chain
+#: may carry before its symmetrization is refused
+REVERSIBILITY_TOL = 1e-8
 
 #: flip sectors up to this many states that are not tridiagonal go to the
 #: dense solver; larger ones go to sparse Lanczos iteration.  On BEG
@@ -91,13 +94,19 @@ class SpectralSummary:
     conductance: Optional[float] = None
     cheeger_lower: Optional[float] = None
     cheeger_upper: Optional[float] = None
-    bounds: tuple = ()
 
 
 Chain = Union[FiniteKernel, BirthDeathChain]
 
 
+def _check_reversible(err: float) -> None:
+    if err > REVERSIBILITY_TOL:
+        raise NonReversibleError(f"detailed-balance residual {err} exceeds {REVERSIBILITY_TOL}")
+
+
 def _symmetrize(kernel: FiniteKernel) -> np.ndarray:
+    """D^{1/2} P D^{-1/2}, once detailed balance holds to REVERSIBILITY_TOL."""
+    _check_reversible(kernel.detailed_balance_error())
     lw = kernel.log_pi
     P = kernel.P
     mask = P > 0
@@ -107,12 +116,11 @@ def _symmetrize(kernel: FiniteKernel) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def spectrum(chain: Chain, max_dense: int = DEFAULT_MAX_DENSE,
-             reversibility_tol: float = 1e-8) -> Spectrum:
+def spectrum(chain: Chain, max_dense: int = DEFAULT_MAX_STATES) -> Spectrum:
     """All eigenvalues of a reversible chain, sorted descending.
 
     FiniteKernel inputs are checked for detailed balance first and
-    rejected beyond ``reversibility_tol``; birth--death chains go to the
+    rejected beyond ``REVERSIBILITY_TOL``; birth--death chains go to the
     symmetric-tridiagonal solver with off-diagonals
     sqrt(up_i * down_{i+1}).
     """
@@ -127,19 +135,12 @@ def spectrum(chain: Chain, max_dense: int = DEFAULT_MAX_DENSE,
         raise ValueError(f"{chain.n} states exceed the dense eigensolver cap {max_dense}")
     if chain.n == 1:
         return Spectrum(eigenvalues=np.array([1.0]), dim=1)
-    err = chain.detailed_balance_error()
-    if err > reversibility_tol:
-        raise NonReversibleError(f"detailed-balance residual {err} exceeds {reversibility_tol}")
     vals = scipy.linalg.eigvalsh(_symmetrize(chain))
     return Spectrum(eigenvalues=vals[::-1].copy(), dim=chain.n)
 
 
-def eigensystem(kernel: FiniteKernel,
-                reversibility_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(kernel: FiniteKernel) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues descending, orthonormal eigenvectors of the symmetrization)."""
-    err = kernel.detailed_balance_error()
-    if err > reversibility_tol:
-        raise NonReversibleError(f"detailed-balance residual {err} exceeds {reversibility_tol}")
     vals, vecs = scipy.linalg.eigh(_symmetrize(kernel))
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
@@ -154,8 +155,7 @@ def gap(s: Spectrum) -> float:
     return 1.0 - max(lam1, abs(lam_min))
 
 
-def spectral_summary(chain: Chain, with_conductance: bool = False,
-                     bounds: Sequence[BoundEvaluation] = ()) -> SpectralSummary:
+def spectral_summary(chain: Chain, with_conductance: bool = False) -> SpectralSummary:
     s = spectrum(chain)
     g = gap(s)
     lam1 = float(s.eigenvalues[1]) if s.dim > 1 else 1.0
@@ -170,7 +170,6 @@ def spectral_summary(chain: Chain, with_conductance: bool = False,
         gap=g, lambda1=lam1, lambda_min=lam_min, dim=s.dim,
         below_resolution=bool(g < GAP_RESOLUTION),
         conductance=h, cheeger_lower=lo, cheeger_upper=hi,
-        bounds=tuple(bounds),
     )
 
 
@@ -214,7 +213,7 @@ def _relative_mismatch(X, Y) -> float:
     return float(D.multiply(abs(X).maximum(abs(Y)).power(-1)).max())
 
 
-def _flip_sectors(table: MoveTable, reversibility_tol: float = 1e-8) -> tuple:
+def _flip_sectors(table: MoveTable) -> tuple:
     """(even, odd) sectors of the symmetrized chain, as sparse matrices.
 
     The symmetrization A = D^{1/2} P D^{-1/2} is built on the table's
@@ -236,15 +235,12 @@ def _flip_sectors(table: MoveTable, reversibility_tol: float = 1e-8) -> tuple:
     S = scipy.sparse.csr_array((vals * np.exp(0.5 * (lw[rows] - lw[cols])), (rows, cols)),
                                shape=(n, n))
     S.eliminate_zeros()
-    err = _relative_mismatch(S, S.T)
-    if err > reversibility_tol:
-        raise NonReversibleError(
-            f"detailed-balance residual {err} exceeds {reversibility_tol}")
+    _check_reversible(_relative_mismatch(S, S.T))
     A = ((S + S.T) * 0.5).tocsr()
     flip = table.flip
     err = _relative_mismatch(A, A[flip][:, flip])
-    if err > reversibility_tol:
-        raise SymmetryError(f"flip-invariance residual {err} exceeds {reversibility_tol}")
+    if err > REVERSIBILITY_TOL:
+        raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
 
     A = A.tocoo()
     i, j = A.row, A.col
@@ -317,13 +313,13 @@ def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
         hi = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
         lo = eigsh(M, k=1, which="SA", v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as e:
-        if m > DEFAULT_MAX_DENSE:
+        if m > DEFAULT_MAX_STATES:
             raise ValueError(f"Lanczos did not converge on a {m}-state sector") from e
         return _dense_extremes(M, m - 1 if u is None else m - 2)
     return float(hi[0]), float(lo[0])
 
 
-def sector_spectrum(table: MoveTable, reversibility_tol: float = 1e-8) -> SectorSpectrum:
+def sector_spectrum(table: MoveTable) -> SectorSpectrum:
     """lambda_1 and lambda_min of a flip-invariant chain from its two sectors.
 
     The even sector holds lambda_0 = 1, whose eigenvector sqrt(pi) is
@@ -332,7 +328,7 @@ def sector_spectrum(table: MoveTable, reversibility_tol: float = 1e-8) -> Sector
     the tridiagonal solver, small ones to the dense solver, the rest to
     Lanczos iteration on the sparse matrix.
     """
-    even, odd, root = _flip_sectors(table, reversibility_tol)
+    even, odd, root = _flip_sectors(table)
     even_top, even_min = _sector_extremes(even, root)
     odd_top, odd_min = _sector_extremes(odd)
     return SectorSpectrum(even_lambda1=even_top, odd_lambda1=odd_top,

@@ -12,7 +12,7 @@ resolution floor are excluded from fits and counted separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,9 +23,9 @@ from .kernels import (
     MoveTable,
     lumped_projection,
     metropolis_chain,
+    partition_by,
     signed_lumped_chain,
     signed_move_table,
-    warmup_block_partition,
 )
 from .models import ModelSpec, beg, ising, warmup
 from .spectral import (
@@ -36,8 +36,6 @@ from .spectral import (
     sector_spectrum,
     spectrum,
 )
-
-UNDERFLOW = GAP_RESOLUTION
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +52,7 @@ class FitResult:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope, "intercept": self.intercept, "stderr": self.stderr,
-            "ci_lo": self.ci_lo, "ci_hi": self.ci_hi, "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 def ols_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
@@ -92,8 +87,7 @@ class CellRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"cell": self.cell, "values": self.values,
-                "passed": self.passed, "note": self.note}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def _gap_record(s: SectorSpectrum) -> dict:
         "lambda1": s.lambda1,
         "lambda_min": s.lambda_min,
         "dim": s.dim,
-        "underflow": bool(s.gap < UNDERFLOW),
+        "underflow": bool(s.gap < GAP_RESOLUTION),
     }
 
 
@@ -159,9 +153,11 @@ def _slow_cell_values(spec: ModelSpec) -> dict:
     return vals
 
 
-def _fit_over(records, xkey: Callable, ykey: Callable, min_points: int = 6):
-    pts = [(xkey(r), ykey(r)) for r in records if not r.values["underflow"]]
-    if len(pts) < min_points:
+def _gap_fit(records, loglog: bool):
+    """OLS of log Gap on N (log N if loglog) over the resolvable gaps; None under 6."""
+    pts = [(math.log(r.cell["N"]) if loglog else r.cell["N"], math.log(r.values["gap"]))
+           for r in records if not r.values["underflow"]]
+    if len(pts) < 6:
         return None
     xs, ys = zip(*pts)
     return ols_fit(xs, ys)
@@ -201,16 +197,10 @@ def verify_ising_fast(betas: Sequence[float], Ns: Sequence[int],
                       "p1": p1, "p2": p2},
                 values=vals, passed=ok))
         # smallest N from which the bound holds through the grid maximum
-        n0 = None
-        for i in range(len(Ns)):
-            if all(r.passed for r in cell_records[i:]):
-                n0 = Ns[i]
-                break
-        n0s[beta] = n0
-        if n0 is None:
+        n0s[beta] = _first_onward(Ns, [r.passed for r in cell_records])
+        if n0s[beta] is None:
             failures.append(f"beta={beta}: no N0 in the grid satisfies the bound onward")
-        fit = _fit_over(cell_records, lambda r: math.log(r.cell["N"]),
-                        lambda r: math.log(r.values["gap"]))
+        fit = _gap_fit(cell_records, loglog=True)
         if fit is not None:
             fits.append((f"loglog-gap-beta={beta}", fit))
         records.extend(cell_records)
@@ -247,8 +237,7 @@ def verify_ising_slow(betas: Sequence[float], Ns: Sequence[int],
                           [r.values["log_2h_cut"] for r in cell_records])
         fits.append((f"semilog-2hcut-beta={beta}", cut_fit))
         if beta > 1:
-            fit = _fit_over(cell_records, lambda r: r.cell["N"],
-                            lambda r: math.log(r.values["gap"]))
+            fit = _gap_fit(cell_records, loglog=False)
             if fit is None:
                 failures.append(f"beta={beta}: too few resolvable gaps to fit")
                 continue
@@ -258,8 +247,7 @@ def verify_ising_slow(betas: Sequence[float], Ns: Sequence[int],
                     f"beta={beta}: slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
                     f"not entirely below {slope_threshold}")
         else:
-            fit = _fit_over(cell_records, lambda r: math.log(r.cell["N"]),
-                            lambda r: math.log(r.values["gap"]))
+            fit = _gap_fit(cell_records, loglog=True)
             if fit is not None:
                 fits.append((f"loglog-gap-beta={beta}", fit))
     return BoundReport(name="ising-slow", records=tuple(records), fits=tuple(fits),
@@ -276,7 +264,7 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     Asserts inf Gap(M_eps) N^2 > 0 with no decreasing trend over the last
     decade of N, and that the naive gap decays like theta^{-N} (slope of
     log Gap vs N below -log theta + 0.1).  Also cross-checks the
-    projection rates (1-eps)/4 during construction.
+    projection rate (1-eps)/4 out of the middle block for N >= 3.
     """
     records = []
     failures = []
@@ -284,10 +272,14 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     for N in Ns:
         spec = warmup(N, theta=theta, epsilon=epsilon)
         table = signed_move_table(spec, "small-world")
-        H = lumped_projection(table, warmup_block_partition(spec))
-        mid = N // 2
-        if not math.isclose(H.P[mid, mid + 1], (1 - epsilon) / 4, rel_tol=1e-12):
-            failures.append(f"N={N}: projection up-rate {H.P[mid, mid + 1]} != (1-eps)/4")
+        if N > 2:
+            mid = N // 2
+            # blocks A_{mid+1}, A_{mid+2} of warmup_block_partition, the rest
+            # lumped: the same members and moves, so the same rate bits
+            keys = np.clip(np.abs(table.labels), mid, mid + 3)
+            up = lumped_projection(table, partition_by(keys.tolist())).P[1, 2]
+            if not math.isclose(up, (1 - epsilon) / 4, rel_tol=1e-12):
+                failures.append(f"N={N}: projection up-rate {up} != (1-eps)/4")
         fast = _gap_record(sector_spectrum(table))
         vals = {k: fast[k] for k in ("gap", "lambda1", "lambda_min", "underflow")}
         vals["gap_times_N2"] = vals["gap"] * N * N
@@ -360,8 +352,7 @@ def verify_beg_slow(cells: Sequence[tuple], Ns: Sequence[int],
                 values=vals,
                 note="underflow" if vals["underflow"] else ""))
         records.extend(cell_records)
-        fit = _fit_over(cell_records, lambda r: r.cell["N"],
-                        lambda r: math.log(r.values["gap"]))
+        fit = _gap_fit(cell_records, loglog=False)
         cut_fit = ols_fit([r.cell["N"] for r in cell_records],
                           [r.values["log_2h_cut"] for r in cell_records])
         fits.append((f"semilog-2hcut-beta={beta}-K={K}", cut_fit))
@@ -437,8 +428,7 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
                       "K": K, "p1": p1, "p2": p2},
                 values=vals, passed=ok))
         records.extend(cell_records)
-        fit = _fit_over(cell_records, lambda r: math.log(r.cell["N"]),
-                        lambda r: math.log(r.values["gap"]))
+        fit = _gap_fit(cell_records, loglog=True)
         if fit is None:
             failures.append(f"(beta,K)=({beta},{K}): too few resolvable gaps")
             continue
@@ -458,18 +448,18 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
 # Unimodality scans.
 # ---------------------------------------------------------------------------
 
-def is_unimodal(log_values: Sequence[float], rel_tol: float = 1e-12) -> bool:
+def is_unimodal(log_values: Sequence[float]) -> bool:
     """Single-peak test: after the first definite descent, no definite rise.
 
-    Differences within rel_tol (of the weights, i.e. absolute on logs)
+    Differences within 1e-12 (of the weights, i.e. absolute on logs)
     count as plateau and constrain nothing.
     """
     lv = np.asarray(log_values, dtype=float)
     directions = []
     for d in np.diff(lv):
-        if d > rel_tol:
+        if d > 1e-12:
             directions.append(1)
-        elif d < -rel_tol:
+        elif d < -1e-12:
             directions.append(-1)
     seen_down = False
     for d in directions:
@@ -480,8 +470,8 @@ def is_unimodal(log_values: Sequence[float], rel_tol: float = 1e-12) -> bool:
     return True
 
 
-def is_monotone_decreasing(log_values: Sequence[float], rel_tol: float = 1e-12) -> bool:
-    return all(d <= rel_tol for d in np.diff(np.asarray(log_values, dtype=float)))
+def is_monotone_decreasing(log_values: Sequence[float]) -> bool:
+    return all(d <= 1e-12 for d in np.diff(np.asarray(log_values, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -493,9 +483,7 @@ class ProfileSeries:
     monotone_decreasing: bool
 
     def to_dict(self) -> dict:
-        return {"params": self.params, "x": list(self.x),
-                "log_values": list(self.log_values), "unimodal": self.unimodal,
-                "monotone_decreasing": self.monotone_decreasing}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -504,7 +492,7 @@ class UnimodalityReport:
     n0: dict   # per parameter cell: smallest N from which unimodality holds onward
 
     def to_dict(self) -> dict:
-        return {"series": [s.to_dict() for s in self.series], "n0": self.n0}
+        return asdict(self)
 
 
 def beg_unimodality_scan(pairs: Sequence[tuple], Ns: Sequence[int]) -> UnimodalityReport:
@@ -573,14 +561,14 @@ def _mgf_mean(t: float, beta: float) -> float:
     return (ep - em) / (1.0 + ep + em)
 
 
-def legendre_transform(z: float, beta: float, tol: float = 1e-12) -> float:
+def legendre_transform(z: float, beta: float) -> float:
     """J(z) = sup_t [ t z - log_mgf(t) ], by bisection on the tilted mean."""
     if abs(z) > 1:
         raise ValueError(f"z must lie in [-1, 1], got {z}")
     if abs(z) == 1.0:
         return beta + math.log1p(2.0 * math.exp(-beta))
     lo, hi = -80.0, 80.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if _mgf_mean(mid, beta) < z:
             lo = mid
@@ -594,14 +582,13 @@ def _tilted_free_energy(z: float, beta: float, K: float) -> float:
     return legendre_transform(z, beta) - beta * K * z * z
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12) -> float:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -613,13 +600,13 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def rate_function_argmin(beta: float, K: float, grid: int = 2000) -> tuple:
+def rate_function_argmin(beta: float, K: float) -> tuple:
     """Zero set of the rate function: {0} or {-z*, +z*} by symmetry."""
-    zs = np.linspace(0.0, 1.0, grid + 1)
+    zs = np.linspace(0.0, 1.0, 2001)
     vals = [_tilted_free_energy(z, beta, K) for z in zs]
     i = int(np.argmin(vals))
     lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, grid)]
+    hi = zs[min(i + 1, 2000)]
     zstar = _golden_min(lambda z: _tilted_free_energy(z, beta, K), lo, hi)
     if zstar < 1e-6:
         return (0.0,)
@@ -676,8 +663,8 @@ def scaled_params_consistent(a: float, N: int) -> ScaledParams:
 # Signed-lumping containment (spectrum subset) audit.
 # ---------------------------------------------------------------------------
 
-def signed_containment(spec: ModelSpec, kind: str, tol: float = 1e-8) -> dict:
-    """Check every lumped eigenvalue appears in the full spectrum.
+def signed_containment(spec: ModelSpec, kind: str) -> dict:
+    """Check every lumped eigenvalue appears in the full spectrum (to 1e-8).
 
     Returns the one-sided Hausdorff distance, both gaps, and whether the
     gaps agree to 1e-10 (recorded, not required).
@@ -692,7 +679,7 @@ def signed_containment(spec: ModelSpec, kind: str, tol: float = 1e-8) -> dict:
     gap_lump = gap(s_lump)
     return {
         "hausdorff_one_sided": dist,
-        "contained": dist <= tol,
+        "contained": dist <= 1e-8,
         "gap_full": gap_full,
         "gap_lumped": gap_lump,
         "gap_lumped_dominates": gap_lump >= gap_full - 1e-10,

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,82 @@ def test_gap_scan_matches_pinned_digest(tmp_path, command):
     assert main(command.split() + ["--out", str(tmp_path)]) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "gaps.csv").read_bytes()).hexdigest()
     assert digest == PINNED_GAP_DIGESTS[command]
+
+
+TRACED_RUN = ("simulate --model beg --n 30 --beta 1 --k 1 --p1 0.5 --p2 0.25 --steps 20000 "
+              "--seed 7 --observable quad --trace")
+
+#: sha256 of the artifacts written from dataclass records (report.json,
+#: runstats.json) and of a trace, recorded while the records were
+#: serialized field by field and the trace was held in memory until the end
+PINNED_ARTIFACT_DIGESTS = {
+    ("verify warmup --theta 2 --epsilon 0.3 --n 10..40..2", "report.json"):
+        "3e87feb93617b1c593ea242949fd9ca2e22fde6d67d092696cb6dd9abfa7aad0",
+    (TRACED_RUN, "runstats.json"):
+        "ab34bead3b628bfbc7cc12cd37aeef93d79a11cfd899d3d34378b1f78fe1968e",
+    (TRACED_RUN, "trace.csv"):
+        "eebc5c5d735b6b4b6bf983ff4185e6eedcfed4d9221dbe3a2fa0eb8e5a67f737",
+}
+
+
+@pytest.mark.parametrize("command,artifact", sorted(PINNED_ARTIFACT_DIGESTS))
+def test_artifact_matches_pinned_digest(tmp_path, command, artifact):
+    assert main(command.split() + ["--out", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+    assert digest == PINNED_ARTIFACT_DIGESTS[command, artifact]
+
+
+def test_trace_streams_to_disk(tmp_path):
+    argv = TRACED_RUN.replace("20000", "5e4").split() + ["--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + 45000
+    assert peak < 5e6  # the 45000 rows held in memory until the end took 16 MB
+
+
+def test_a_run_refused_before_its_first_step_writes_no_trace(tmp_path, capsys):
+    rc = main(["simulate", "--model", "ising", "--n", "8", "--beta", "1", "--observable",
+               "quad", "--trace", "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "undefined outside the beg model" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify ising-fast --n 10..12..2", "--beta", ""),
+    ("verify ising-slow --n 10..12..2", "--beta", ""),
+    ("verify beg-slow --n 6..8..2", "--beta-k", ""),
+    ("verify beg-fast --n 6..8..2", "--beta-k", ""),
+    ("verify beg-slow --n 6..10..2", "--deep", ""),
+    ("unimodality-scan --model beg --n 5", "--beta-k", ""),
+    ("gap-scan --model ising", "--n", ","),
+    ("gap-scan --model ising", "--n", ""),
+])
+def test_an_empty_grid_list_exits_2(tmp_path, capsys, command, flag, value):
+    # an empty list used to run zero cells and pass (or, for --deep, to mean all cells)
+    rc = main([*command.split(), flag, value, "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} must list at least one value\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_an_empty_ini_grid_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text("[grid]\nbeta =\n")
+    rc = main(["verify", "ising-fast", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: [grid] beta must list at least one value\n"
+
+
+def test_verify_warmup_runs_down_to_n_1(tmp_path):
+    # N <= 2 has no block A_{mid+2}, so the projection check skips it
+    assert main(["verify", "warmup", "--n", "1..10", "--out", str(tmp_path)]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "report.csv").open()))
+    assert [int(r["N"]) for r in rows] == list(range(1, 11))
 
 
 def test_warmup_kind_defaults_to_small_world(tmp_path, capsys):

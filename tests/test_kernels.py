@@ -896,3 +896,18 @@ def test_unsigned_lumped_chain_counts_classes_before_building_the_table(monkeypa
         with pytest.raises(ValueError,
                            match=f"{classes} blocks exceed the dense materialization cap 8192"):
             unsigned_lumped_chain(spec, "equi-energy")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: single_flip_proposal(ising(8, beta=1.0)),
+    lambda: equi_energy_proposal(ising(8, beta=1.0, p1=0.5, p2=0.25)),
+    lambda: metropolis_chain(beg(6, beta=1.0, K=1.0), "naive"),
+    lambda: signed_lumped_chain(ising(200, beta=1.0), "naive"),
+    lambda: unsigned_lumped_chain(beg(20, beta=1.0, K=1.0), "naive"),
+], ids=["single-flip", "equi-energy", "metropolis", "signed", "unsigned"])
+def test_every_dense_guard_reads_the_one_cap(monkeypatch, build):
+    # full-space proposals and chains, dense move tables and projections all
+    # refuse by the same constant, read when they are called
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_STATES", 100)
+    with pytest.raises(ValueError, match="exceed the dense materialization cap 100"):
+        build()

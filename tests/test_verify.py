@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,3 +331,17 @@ def test_report_serialization_roundtrip():
     assert d["name"] == "ising-fast"
     assert isinstance(d["fits"], dict)
     assert all("cell" in r and "values" in r for r in d["records"])
+
+
+def test_warmup_projection_check_needs_no_dense_block_chain():
+    # the (1-eps)/4 rate is read off a 4-block projection, not the N x N one
+    verify.verify_warmup(2.0, 0.3, [10, 12, 14])
+    tracemalloc.start()
+    try:
+        report = verify.verify_warmup(2.0, 0.3, [4998, 5000, 5002])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 3
+    assert not any("projection up-rate" in f for f in report.failures)
+    assert peak < 50e6

@@ -1,0 +1,77 @@
+"""Byte check: hash everything a fixed list of CLI commands leaves behind.
+
+    python tools/bytecheck.py OUTDIR
+
+Runs each command with ``python -m spingap.cli``, importing the sources
+under ``src/`` next to this script, in a fresh directory ``OUTDIR/NN``,
+and prints one ``sha256  path`` line for each file it wrote, its stdout,
+its stderr and its exit code (paths relative to OUTDIR).  The commands
+are the README's ``spingap`` lines, the grids and gap-scans whose digests
+``tests/test_cli.py`` pins, a longer ising-slow grid, and three exports
+refused by the dense cap.
+
+To compare two source trees, run a copy of this script from each tree
+and diff the two manifests: every line that differs names an artifact,
+stream or exit code that changed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXTRA_COMMANDS = (
+    "verify warmup --theta 2 --epsilon 0.3 --n 10..40..2",
+    "verify ising-slow --beta 2 --n 10..60..2",
+    "verify beg-slow --beta-k 3:5,1.5:2 --deep 3:5,1.5:2 --n 6..16..2",
+    "gap-scan --model warmup --kind small-world --theta 2 --epsilon 0.3 --n 10..400..10",
+    "gap-scan --model warmup --kind naive --theta 1.5 --n 10..60..10",
+    "verify ising-slow --beta 2 --n 10..200..2",
+    "export-kernel --model warmup --n 5000 --theta 2 --kind naive --space full",
+    "export-kernel --space unsigned --model beg --n 400 --beta 1 --k 1",
+    "export-kernel --space signed --model beg --n 200 --beta 1 --k 1 --kind naive",
+)
+
+
+def readme_commands() -> list[list[str]]:
+    """The README's fenced ``spingap`` block, one argv per (joined) line."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```\n(spingap .*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/bytecheck.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    env = {k: v for k, v in os.environ.items() if k != "SPINGAP_OUTDIR"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    commands = readme_commands() + [line.split() for line in EXTRA_COMMANDS]
+    for i, args in enumerate(commands, start=1):
+        run_dir = outdir / f"{i:02d}"
+        run_dir.mkdir(parents=True)  # refuses a directory left by an earlier run
+        proc = subprocess.run([sys.executable, "-m", "spingap.cli", *args], cwd=run_dir,
+                              env=env, capture_output=True)
+        (run_dir / "command").write_text(shlex.join(args) + "\n")
+        (run_dir / "stdout").write_bytes(proc.stdout)
+        (run_dir / "stderr").write_bytes(proc.stderr)
+        (run_dir / "exit").write_text(f"{proc.returncode}\n")
+        for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+            print(f"{sha256(path)}  {path.relative_to(outdir)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
