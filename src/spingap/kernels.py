@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import models
-from .models import EnergyClass, ModelSpec
+from .models import EnergyClass, ModelSpec, logsumexp
 
 CHAIN_KINDS = ("naive", "equi-energy", "small-world")
 

@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 KINDS = ("warmup", "ising", "beg")
 
@@ -185,6 +184,30 @@ def class_log_state_weight(spec: ModelSpec, c: EnergyClass) -> float:
     if spec.kind == "ising":
         return spec.beta * c.s * c.s / (2 * spec.N)
     return -spec.beta * c.r + spec.K * spec.beta * c.s * c.s / spec.N
+
+
+def logsumexp(a) -> np.float64:
+    """log(sum(exp(a))) over a 1-D real array, as scipy.special.logsumexp.
+
+    The same steps as scipy 1.17, so the same bits: the maxima (m of
+    them) are set to -inf, not removed, which would regroup numpy's
+    pairwise sum; the array is shifted by the maximum, exponentiated and
+    summed, and the result is log1p(sum / m) + log(m) + max.  A
+    non-finite result falls back to log(sum(exp(a))).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if not a.size:
+        return np.float64(-np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, keepdims=True)
+        top = a == a_max
+        m = np.sum(top.astype(float), keepdims=True)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return out[0]
 
 
 def log_binom(n: int, k: int) -> float:

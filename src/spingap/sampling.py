@@ -354,15 +354,17 @@ def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,
     # probe observable validity before spending any steps
     sampler.observable(cfg.observable)
     burn = cfg.effective_burn_in
-    values = []
+    # the retained steps are burn, burn + thinning, ... below steps
+    trace = np.empty(len(range(burn, cfg.steps, cfg.thinning)))
+    k = 0
     for t in range(cfg.steps):
         sampler.step()
         if t >= burn and (t - burn) % cfg.thinning == 0:
             v = sampler.observable(cfg.observable)
-            values.append(v)
+            trace[k] = v
+            k += 1
             if trace_sink is not None:
                 trace_sink(t, sampler.class_label(), v)
-    trace = np.asarray(values)
     estimate = float(trace.mean())
     avar = bcount = bsize = None
     if len(trace) >= 1000:

@@ -5,7 +5,18 @@ diagonal of stationary weights), computed with a dense symmetric solver;
 birth--death chains route to the symmetric-tridiagonal solver.  Exact
 gaps of the signed class chains come from ``sector_spectrum``, which
 splits the chain into the even and odd sectors of the global flip and
-solves each on its nonzeros; the dense routes are its oracles.  On top
+solves each on its nonzeros; the dense routes are its oracles.
+
+The sectors are assembled with numpy index arithmetic on the move
+table's triplets.  Entries are keyed row * n + col and coalesced in
+row-major order by a stable sort, repeated entries summed left to right
+in table order (np.bincount).  Detailed balance and flip invariance are
+checked by pairing each entry with its reverse and its mirror through a
+binary search on those keys, so no transposed or permuted matrix is
+built.  The entries are then mapped to even and odd orbit coordinates
+and coalesced again: a tridiagonal sector (Ising, warm-up) comes out as
+its (diagonal, superdiagonal) arrays for the tridiagonal solver, any
+other (BEG) as one CSR matrix for the dense solver or Lanczos.  On top
 of the spectrum: spectral gap, exhaustive conductance with the Cheeger
 sandwich, the chain-decomposition lower bound, the birth--death path
 bound, the Gershgorin bound, asymptotic variance, and the total
@@ -34,6 +45,7 @@ from .kernels import (
     lumped_projection,
     restriction,
 )
+from .models import logsumexp
 
 #: gaps below this are reported as "below resolution" rather than zero:
 #: slow chains at large beta*N sit under the floating-point floor and the
@@ -201,88 +213,150 @@ class SectorSpectrum:
         return 1.0 - max(self.lambda1, abs(self.lambda_min))
 
 
-def _relative_mismatch(X, Y) -> float:
-    """Largest |X - Y| / max(|X|, |Y|) over entries where X or Y is nonzero.
+def _coalesce(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, sums) of an n x n triplet list in canonical row-major order.
 
-    Both arguments must hold no explicit zeros.
+    keys = row * n + col, ascending.  The stable sort keeps repeated
+    entries in the given order and np.bincount adds them strictly left
+    to right; entries that sum to exactly zero are dropped.
     """
-    D = abs(X - Y)
-    D.eliminate_zeros()
-    if D.nnz == 0:
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    sums = np.bincount(np.cumsum(start) - 1, weights=vals[order])
+    keep = sums != 0
+    return keys[start][keep], sums[keep]
+
+
+def _at(keys: np.ndarray, vals: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The value stored under each key in ``want``, 0 where there is none."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, vals[pos], 0.0)
+
+
+def _mismatch(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the pairs that differ, 0 if none."""
+    d = np.abs(x - y)
+    differ = d != 0
+    if not differ.any():
         return 0.0
-    return float(D.multiply(abs(X).maximum(abs(Y)).power(-1)).max())
+    x, y = x[differ], y[differ]
+    return float(np.max(d[differ] * (1.0 / np.maximum(np.abs(x), np.abs(y)))))
 
 
-def _flip_sectors(table: MoveTable) -> tuple:
-    """(even, odd) sectors of the symmetrized chain, as sparse matrices.
+def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int):
+    """(M + M^T)/2 for the m x m sector M the triplets add up to.
 
-    The symmetrization A = D^{1/2} P D^{-1/2} is built on the table's
-    nonzeros and checked for detailed balance (NonReversibleError) and
-    for invariance under the flip (SymmetryError) in O(nnz).  The even
-    basis has (e_i + e_Ji)/sqrt(2) per mirror pair and e_i per fixed
-    state, the odd basis (e_i - e_Ji)/sqrt(2) per pair; the sectors are
-    A in these bases, orbits ordered by their lower state index.  Also
-    returns sqrt(pi) in the even basis, the unit eigenvector of
-    lambda_0 = 1.
+    A tridiagonal sector comes back as its (diagonal, superdiagonal)
+    arrays, any other as one CSR matrix.
+    """
+    keys, vals = _coalesce(rows, cols, vals, m)
+    rows, cols = np.divmod(keys, m)
+    keys, vals = _coalesce(np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                           np.concatenate([vals, vals]), m)
+    vals = vals * 0.5
+    rows, cols = np.divmod(keys, m)
+    if np.all(np.abs(rows - cols) <= 1):
+        d, e = np.zeros(m), np.zeros(max(m - 1, 0))
+        on, above = rows == cols, cols == rows + 1
+        d[rows[on]] = vals[on]
+        e[rows[above]] = vals[above]
+        return d, e
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    return scipy.sparse.csr_array((vals, cols, indptr), shape=(m, m))
+
+
+def _symmetrization(table: MoveTable) -> tuple:
+    """(rows, cols, vals) of A = D^{1/2} P D^{-1/2} in row-major order.
+
+    A is assembled from the table's triplets and checked for detailed
+    balance (NonReversibleError) and for invariance under the flip
+    (SymmetryError) in O(nnz log nnz): each entry is paired with its
+    reverse and its mirror by binary search on the sorted keys.
     """
     n = table.n
     idx = np.arange(n)
     rows = np.concatenate([table.rows, idx])
     cols = np.concatenate([table.cols, idx])
     hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
-    vals = np.concatenate([table.vals, hold])
     lw = table.log_pi
-    S = scipy.sparse.csr_array((vals * np.exp(0.5 * (lw[rows] - lw[cols])), (rows, cols)),
-                               shape=(n, n))
-    S.eliminate_zeros()
-    _check_reversible(_relative_mismatch(S, S.T))
-    A = ((S + S.T) * 0.5).tocsr()
+    vals = np.concatenate([table.vals, hold]) * np.exp(0.5 * (lw[rows] - lw[cols]))
+    keys, s = _coalesce(rows, cols, vals, n)
+    rows, cols = np.divmod(keys, n)
+    s_rev = _at(keys, s, cols * n + rows)
+    _check_reversible(_mismatch(s, s_rev))
+    # past the check every entry has its reverse (a missing one counts as 1),
+    # so A = (S + S^T)/2 lives on the keys of S
+    a = s + s_rev
+    keep = a != 0
+    keys, rows, cols, a = keys[keep], rows[keep], cols[keep], 0.5 * a[keep]
     flip = table.flip
-    err = _relative_mismatch(A, A[flip][:, flip])
+    mirror = _at(keys, a, flip[rows] * n + flip[cols])
+    # a holding mass is 1 - (row sum), exact only to the rounding of that sum,
+    # at most one ulp of 1 per move: two that differ by less match, so a
+    # mass that is zero in exact arithmetic compares as zero
+    moves = np.bincount(table.rows, minlength=n)
+    slack = np.finfo(float).eps * np.maximum(moves[rows], moves[flip[rows]])
+    same = (rows == cols) & (np.abs(a - mirror) <= slack)
+    err = _mismatch(a[~same], mirror[~same])
     if err > REVERSIBILITY_TOL:
         raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
+    return rows, cols, a
 
-    A = A.tocoo()
-    i, j = A.row, A.col
+
+def _flip_sectors(table: MoveTable) -> tuple:
+    """(even, odd) sectors of the symmetrized chain, plus sqrt(pi) in the even basis.
+
+    The even basis has (e_i + e_Ji)/sqrt(2) per mirror pair and e_i per
+    fixed state, the odd basis (e_i - e_Ji)/sqrt(2) per pair; the sectors
+    are ``_symmetrization`` in these bases, orbits ordered by their lower
+    state index, each as ``_sector`` returns it.  sqrt(pi) is the unit
+    eigenvector of lambda_0 = 1.
+    """
+    i, j, a = _symmetrization(table)
+    idx = np.arange(table.n)
+    flip = table.flip
     fixed = flip == idx
     lower = np.minimum(idx, flip)
-    orbit = np.unique(lower, return_inverse=True)[1]
+    # orbits are numbered by their lower state: the even sector has one per
+    # state i <= Ji, the odd sector one per state i < Ji
+    first, first_pair = idx <= flip, idx < flip
+    orbit = (np.cumsum(first) - 1)[lower]
     # <even_k, A even_l>: 1/sqrt(2) from each state of a mirror pair
     w = np.where(fixed[i] & fixed[j], 1.0,
                  np.where(fixed[i] | fixed[j], math.sqrt(0.5), 0.5))
-    m = int(orbit.max()) + 1
-    even = scipy.sparse.coo_array((w * A.data, (orbit[i], orbit[j])), shape=(m, m))
+    even = _sector(orbit[i], orbit[j], w * a, int(first.sum()))
     # <odd_k, A odd_l>: +-1/sqrt(2), minus on the higher state of a pair
     pair = ~fixed[i] & ~fixed[j]
-    odd_orbit = np.full(n, -1)
-    odd_orbit[~fixed] = np.unique(lower[~fixed], return_inverse=True)[1]
+    odd_orbit = (np.cumsum(first_pair) - 1)[lower]
     sign = np.where(idx == lower, 1.0, -1.0)
     i, j = i[pair], j[pair]
-    m = int((~fixed).sum()) // 2
-    odd = scipy.sparse.coo_array((0.5 * sign[i] * sign[j] * A.data[pair],
-                                  (odd_orbit[i], odd_orbit[j])), shape=(m, m))
+    odd = _sector(odd_orbit[i], odd_orbit[j], 0.5 * sign[i] * sign[j] * a[pair],
+                  int(first_pair.sum()))
     # sqrt(pi) projected on the even basis: orbit sums over sqrt(orbit size)
+    lw = table.log_pi
     root = np.bincount(orbit, weights=np.exp(0.5 * (lw - lw.max())))
     root /= np.sqrt(np.bincount(orbit))
-    even, odd = (((M + M.T) * 0.5).tocsr() for M in (even.tocsr(), odd.tocsr()))
     return even, odd, root / np.linalg.norm(root)
 
 
 def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
-    """(largest, smallest) eigenvalue of a sector.
+    """(largest, smallest) eigenvalue of a sector from ``_sector``.
 
     With ``u``, the unit eigenvector of the eigenvalue 1, the largest is
     taken over the rest of the spectrum (-inf if nothing is left).
     """
-    m = M.shape[0]
+    tridiagonal = isinstance(M, tuple)
+    m = len(M[0]) if tridiagonal else M.shape[0]
     top = m - 1 if u is None else m - 2
     if top < 0:
         return -math.inf, 1.0
-    coo = M.tocoo()
-    if np.all(np.abs(coo.row - coo.col) <= 1):
+    if tridiagonal:
         # bisection for the wanted eigenvalues only: O(m) each
-        d, e = M.diagonal(), M.diagonal(1)
-        return tuple(float(scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+        return tuple(float(scipy.linalg.eigh_tridiagonal(*M, eigvals_only=True, select="i",
                                                          select_range=(k, k))[0])
                      for k in (top, 0))
     if m <= DENSE_SECTOR_MAX:
@@ -428,8 +502,6 @@ def cut_bottleneck_log(chain: Union[FiniteKernel, MoveTable], subset: Sequence[i
     order, as in ``MoveTable.to_kernel``, and the terms are summed in
     row-major order, so both forms of a chain give the same bits.
     """
-    from scipy.special import logsumexp
-
     n = chain.n
     inA = np.zeros(n, dtype=bool)
     inA[np.asarray(list(subset), dtype=np.intp)] = True

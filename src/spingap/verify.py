@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, stdtrit
 
 from . import models
 from .kernels import (
@@ -27,7 +26,7 @@ from .kernels import (
     signed_lumped_chain,
     signed_move_table,
 )
-from .models import ModelSpec, beg, ising, warmup
+from .models import ModelSpec, beg, ising, logsumexp, warmup
 from .spectral import (
     GAP_RESOLUTION,
     SectorSpectrum,
@@ -57,6 +56,8 @@ class FitResult:
 
 def ols_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Ordinary least squares with a 95% t-interval on the slope."""
+    from scipy.special import stdtrit
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from spingap import models
@@ -235,3 +241,34 @@ def test_log_binom_exact_and_lgamma_agree():
             exact = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
             assert models.log_binom(n, k) == pytest.approx(exact, rel=1e-12, abs=1e-12)
     assert models.log_binom(5, 7) == -math.inf
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=300),
+       st.integers(0, 4), st.booleans())
+def test_logsumexp_matches_scipy_bit_for_bit(values, ties, with_neg_inf):
+    a = np.array(values)
+    a[: min(ties, len(a))] = a.max()  # several maxima: they are set aside together
+    if with_neg_inf:
+        a[-1] = -np.inf
+    got = models.logsumexp(a)
+    assert isinstance(got, np.float64)
+    assert _bits(got) == _bits(logsumexp(a))
+
+
+@pytest.mark.parametrize("a", [[], [-np.inf], [-np.inf, -np.inf], [np.inf, 1.0], [5.0],
+                               [0.0, -2.0, -3.0], [1e300, 1e300], [-745.0, -746.0]])
+def test_logsumexp_edge_cases_match_scipy(a):
+    assert _bits(models.logsumexp(a)) == _bits(logsumexp(a))
+
+
+def test_cli_import_skips_scipy_special():
+    code = "import sys, spingap.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(models.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -260,6 +261,23 @@ def test_run_estimate_deterministic():
     s2 = run_estimate(spec, "equi-energy", cfg)
     assert s1 == s2  # dataclass equality: bit-for-bit identical fields
     assert s1.to_dict() == s2.to_dict()
+
+
+def test_untraced_run_keeps_one_float_per_retained_sample():
+    spec = ising(20, beta=0.5, p1=0.5, p2=0.25)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            stats = run_estimate(spec, "equi-energy", RunConfig(steps=steps, seed=3))
+            return stats.n_samples, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (n_small, small), (n_large, large) = peak(10_000), peak(50_000)
+    assert n_large - n_small == 36_000
+    # 8 bytes per sample in a preallocated array; a list of floats takes 32
+    assert large - small < 12 * 36_000
 
 
 def test_run_estimate_rejects_bad_observable():

@@ -1,9 +1,11 @@
 """The flip-sector route to exact gaps against the dense oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,10 @@ from spingap.kernels import MoveTable, beg_lumped, signed_lumped_chain, signed_m
 from spingap.models import beg, ising, warmup
 from spingap.spectral import (
     DENSE_SECTOR_MAX,
+    REVERSIBILITY_TOL,
     NonReversibleError,
     SymmetryError,
+    _check_reversible,
     _flip_sectors,
     gap,
     sector_spectrum,
@@ -221,4 +225,263 @@ def test_dense_warmup_chain_guards_size_before_allocating(tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert "10001 states exceed the dense materialization cap 8192" in capsys.readouterr().err
     assert not (tmp_path / "kernel.txt").exists()
+    assert peak < 100e6
+
+
+# ---------------------------------------------------------------------------
+# Sector assembly on the triplets against the scipy.sparse assembly it replaced.
+# ---------------------------------------------------------------------------
+
+def _reference_mismatch(X, Y) -> float:
+    D = abs(X - Y)
+    D.eliminate_zeros()
+    if D.nnz == 0:
+        return 0.0
+    return float(D.multiply(abs(X).maximum(abs(Y)).power(-1)).max())
+
+
+def reference_flip_sectors(table):
+    """The sectors as scipy.sparse matrices: the assembly the triplet route must match."""
+    n = table.n
+    idx = np.arange(n)
+    rows = np.concatenate([table.rows, idx])
+    cols = np.concatenate([table.cols, idx])
+    hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
+    vals = np.concatenate([table.vals, hold])
+    lw = table.log_pi
+    S = scipy.sparse.csr_array((vals * np.exp(0.5 * (lw[rows] - lw[cols])), (rows, cols)),
+                               shape=(n, n))
+    S.eliminate_zeros()
+    _check_reversible(_reference_mismatch(S, S.T))
+    A = ((S + S.T) * 0.5).tocsr()
+    flip = table.flip
+    err = _reference_mismatch(A, A[flip][:, flip])
+    if err > REVERSIBILITY_TOL:
+        raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
+    A = A.tocoo()
+    i, j = A.row, A.col
+    fixed = flip == idx
+    lower = np.minimum(idx, flip)
+    orbit = np.unique(lower, return_inverse=True)[1]
+    w = np.where(fixed[i] & fixed[j], 1.0,
+                 np.where(fixed[i] | fixed[j], math.sqrt(0.5), 0.5))
+    m = int(orbit.max()) + 1
+    even = scipy.sparse.coo_array((w * A.data, (orbit[i], orbit[j])), shape=(m, m))
+    pair = ~fixed[i] & ~fixed[j]
+    odd_orbit = np.full(n, -1)
+    odd_orbit[~fixed] = np.unique(lower[~fixed], return_inverse=True)[1]
+    sign = np.where(idx == lower, 1.0, -1.0)
+    i, j = i[pair], j[pair]
+    m = int((~fixed).sum()) // 2
+    odd = scipy.sparse.coo_array((0.5 * sign[i] * sign[j] * A.data[pair],
+                                  (odd_orbit[i], odd_orbit[j])), shape=(m, m))
+    root = np.bincount(orbit, weights=np.exp(0.5 * (lw - lw.max())))
+    root /= np.sqrt(np.bincount(orbit))
+    even, odd = (((M + M.T) * 0.5).tocsr() for M in (even.tocsr(), odd.tocsr()))
+    return even, odd, root / np.linalg.norm(root)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_sector(ref, got):
+    coo = ref.tocoo()
+    tridiagonal = bool(np.all(np.abs(coo.row - coo.col) <= 1))
+    assert isinstance(got, tuple) == tridiagonal
+    m = ref.shape[0]
+    if tridiagonal:
+        d, e = got
+        assert len(d) == m and len(e) == max(m - 1, 0)
+        if m:
+            assert np.array_equal(bits(d), bits(ref.diagonal()))
+            assert np.array_equal(bits(e), bits(ref.diagonal(1)))
+        return
+    assert isinstance(got, scipy.sparse.csr_array) and got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(bits(got.data), bits(ref.data))
+
+
+def assert_same_assembly(table):
+    """Both assemblies give the same sectors bit for bit, or the same refusal."""
+    try:
+        ref = reference_flip_sectors(table)
+    except ValueError as err:
+        with pytest.raises(type(err)) as got:
+            _flip_sectors(table)
+        assert str(got.value) == str(err)
+        return
+    even, odd, root = _flip_sectors(table)
+    assert_same_sector(ref[0], even)
+    assert_same_sector(ref[1], odd)
+    assert np.array_equal(bits(root), bits(ref[2]))
+
+
+MODEL_TABLES = (
+    [(ising(N, beta=b, p1=0.5, p2=0.25), kind)
+     for N in (2, 4, 10, 80, 200) for b in (0.5, 1.0, 2.0, 4.0)
+     for kind in ("naive", "equi-energy")]
+    + [(beg(N, **cell), kind) for N in (2, 4, 10, 30)
+       for cell in (dict(beta=1.0, K=1.0, p1=0.5, p2=0.25), dict(beta=1.5, K=2.0, p1=0.3, p2=0.6),
+                    THREE_PHASE)
+       for kind in ("naive", "equi-energy")]
+    + [(warmup(N, theta=t, epsilon=e), kind) for N in (1, 2, 7, 40, 199)
+       for t, e in ((1.05, 0.01), (2.0, 0.3), (3.3, 0.77))
+       for kind in ("naive", "small-world")]
+)
+
+
+@pytest.mark.parametrize("spec,kind", MODEL_TABLES,
+                         ids=[f"{s.kind}-N{s.N}-{k}-{i}" for i, (s, k) in enumerate(MODEL_TABLES)])
+def test_triplet_sectors_match_the_sparse_assembly_bit_for_bit(spec, kind):
+    assert_same_assembly(signed_move_table(spec, kind))
+
+
+@pytest.mark.parametrize("kind", ["naive", "equi-energy"])
+def test_triplet_sectors_match_on_lanczos_sectors(kind):
+    table = signed_move_table(beg(60, **THREE_PHASE), kind)
+    even, odd, _ = _flip_sectors(table)
+    assert min(even.shape[0], odd.shape[0]) > DENSE_SECTOR_MAX
+    assert_same_assembly(table)
+
+
+def test_ising_n2_odd_sector_without_entries():
+    # states S = -2, 0, 2 at beta = 0: both end states move to 0 with
+    # probability 1, so the odd sector (e_-2 - e_2)/sqrt(2) holds no entry
+    table = signed_move_table(ising(2, beta=0.0, p1=0.5, p2=0.25), "naive")
+    even, odd, _ = _flip_sectors(table)
+    assert len(even[0]) == 2
+    assert np.array_equal(odd[0], [0.0]) and len(odd[1]) == 0
+    assert_same_assembly(table)
+    assert sector_spectrum(table).gap == pytest.approx(gap(spectrum(table.to_kernel())),
+                                                       abs=1e-15)
+
+
+def test_tridiagonal_sectors_build_no_sparse_matrix_and_beg_one_csr_each(monkeypatch):
+    built = []
+    for name in ("csr_array", "csc_array", "coo_array", "csr_matrix", "csc_matrix",
+                 "coo_matrix"):
+        cls = getattr(scipy.sparse, name)
+
+        def counted(*args, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, name, counted)
+    for spec, kind in ((ising(200, beta=2.0, p1=0.5, p2=0.25), "equi-energy"),
+                       (warmup(300, theta=2.0, epsilon=0.3), "small-world")):
+        even, odd, _ = _flip_sectors(signed_move_table(spec, kind))
+        assert isinstance(even, tuple) and isinstance(odd, tuple)
+    assert built == []
+    even, odd, _ = _flip_sectors(signed_move_table(beg(30, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                                   "equi-energy"))
+    assert built == ["csr_array", "csr_array"]
+
+
+@st.composite
+def flip_symmetric_tables(draw):
+    """A reversible chain on n states that commutes with i -> n-1-i, as a move
+    table whose moves are shuffled and split into repeated triplets."""
+    n = draw(st.integers(1, 8))
+    idx = np.arange(n)
+    flip = idx[::-1].copy()
+    half = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    lw = np.array(half)[np.minimum(idx, flip)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # a symmetric flow, then made flip-invariant: Q(i, j) = Q(j, i) = Q(Ji, Jj)
+    Q = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+    Q = 0.5 * (Q + Q.T)
+    Q = 0.5 * (Q + Q[flip][:, flip])
+    np.fill_diagonal(Q, 0.0)
+    P = Q / np.exp(lw)[:, None]
+    rowsum = P.sum(axis=1).max()
+    if rowsum > 0:
+        P *= draw(st.floats(0.3, 0.95)) / rowsum
+    rows, cols = np.nonzero(P)
+    moves = list(zip(rows.tolist(), cols.tolist()))
+    # one move comes in three to five pieces of very different sizes, so the
+    # order they are added in shows in the last bits; the others in one
+    # piece, or up to three on five states or fewer (a row keeps at most 15
+    # triplets)
+    split = draw(st.integers(0, max(len(moves) - 1, 0)))
+    triplets = []
+    for k, (r, c) in enumerate(moves):
+        if k == split:
+            pieces = 10.0 ** -np.arange(draw(st.integers(3, 5)))
+        else:
+            pieces = rng.uniform(0.1, 1.0, int(rng.integers(1, 2 if n > 5 else 4)))
+        triplets += [(r, c, P[r, c] * x / pieces.sum()) for x in pieces]
+    order = draw(st.permutations(range(len(triplets))))
+    triplets = [triplets[k] for k in order]
+    rows = np.array([t[0] for t in triplets], dtype=np.intp)
+    cols = np.array([t[1] for t in triplets], dtype=np.intp)
+    vals = np.array([t[2] for t in triplets], dtype=float)
+    return MoveTable(labels=tuple(range(n)), log_pi=lw, rows=rows, cols=cols, vals=vals,
+                     flip=flip)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(flip_symmetric_tables())
+def test_triplet_sectors_match_on_random_tables_with_repeated_moves(table):
+    assert_same_assembly(table)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=flip_symmetric_tables(), k=st.integers(0, 10**6),
+       factor=st.sampled_from([1.0 + 3e-9, 1.0 + 2e-8, 1.3, 0.0]))
+def test_refusals_carry_the_reference_residual(table, k, factor):
+    # scale the triplets of one move: alone it breaks detailed balance, with
+    # its reverse ("pair") the flip symmetry, with the mirrors of both
+    # ("orbit") neither
+    if not len(table.vals):
+        return
+    scope = ("move", "pair", "orbit")[k % 3]
+    k %= len(table.vals)
+    r, c = int(table.rows[k]), int(table.cols[k])
+    moves = {(r, c)} if scope == "move" else {(r, c), (c, r)}
+    if scope == "orbit":
+        moves |= {(int(table.flip[x]), int(table.flip[y])) for x, y in moves}
+    hit = np.array([m in moves for m in zip(table.rows.tolist(), table.cols.tolist())])
+    vals = np.where(hit, table.vals * factor, table.vals)
+    assert_same_assembly(MoveTable(labels=table.labels, log_pi=table.log_pi, rows=table.rows,
+                                   cols=table.cols, vals=vals, flip=table.flip))
+
+
+def test_a_move_without_its_reverse_is_refused():
+    table = three_state_table([(0, 1, 0.3), (1, 0, 0.3), (1, 2, 0.3)])
+    with pytest.raises(NonReversibleError, match="detailed-balance residual 1.0 exceeds 1e-08"):
+        _flip_sectors(table)
+    assert_same_assembly(table)
+    asym = three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, 0.3), (2, 1, 0.3)])
+    with pytest.raises(SymmetryError) as err:
+        _flip_sectors(asym)
+    with pytest.raises(SymmetryError, match=str(err.value)):
+        reference_flip_sectors(asym)
+
+
+@pytest.mark.parametrize("N", [6, 10, 40])
+def test_holding_masses_zero_up_to_rounding_match_their_mirrors(N):
+    # naive BEG at beta = 0 moves with probability 1: the holding mass
+    # 1 - (row sum) is 0 at (s, r) and 1.1e-16 at (-s, r) for some classes,
+    # since the two rows add the same moves in different orders.  The
+    # sparse assembly refused this flip-invariant chain (residual 1.0).
+    spec = beg(N, beta=0.0, K=1.0, p1=0.5, p2=0.25)
+    table = signed_move_table(spec, "naive")
+    with pytest.raises(SymmetryError, match="residual 1.0 exceeds"):
+        reference_flip_sectors(table)
+    assert_matches_dense(spec, "naive")
+
+
+def test_warmup_n100000_sectors_stay_small():
+    # the sparse assembly peaked at 155 MB here; the triplet route at 84 MB
+    table = signed_move_table(warmup(100000, theta=2.0, epsilon=0.3), "small-world")
+    tracemalloc.start()
+    try:
+        s = sector_spectrum(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.dim == 200001 and 0 < s.gap < 1
     assert peak < 100e6

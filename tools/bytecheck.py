@@ -7,8 +7,9 @@ under ``src/`` next to this script, in a fresh directory ``OUTDIR/NN``,
 and prints one ``sha256  path`` line for each file it wrote, its stdout,
 its stderr and its exit code (paths relative to OUTDIR).  The commands
 are the README's ``spingap`` lines, the grids and gap-scans whose digests
-``tests/test_cli.py`` pins, a longer ising-slow grid, and three exports
-refused by the dense cap.
+``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
+refused by the dense cap, and two BEG grids whose sectors outgrow
+``DENSE_SECTOR_MAX`` and go to Lanczos iteration.
 
 To compare two source trees, run a copy of this script from each tree
 and diff the two manifests: every line that differs names an artifact,
@@ -37,6 +38,8 @@ EXTRA_COMMANDS = (
     "export-kernel --model warmup --n 5000 --theta 2 --kind naive --space full",
     "export-kernel --space unsigned --model beg --n 400 --beta 1 --k 1",
     "export-kernel --space signed --model beg --n 200 --beta 1 --k 1 --kind naive",
+    "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
+    "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
 )
 
 
