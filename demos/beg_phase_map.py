@@ -65,7 +65,7 @@ for beta, K in ((1.0, 1.0), (1.5, 2.0)):
 print("\ndeep cell (beta,K)=(3,5): log10 of the cut bound on the naive gap")
 for N in (6, 12, 18, 24):
     spec = beg(N, beta=3.0, K=5.0)
-    log2h = _negative_side_cut_log(spec, signed_move_table(spec, "naive"))
+    log2h = _negative_side_cut_log(signed_move_table(spec, "naive"))
     print(f"  N={N}: gap <= 10^{log2h / math.log(10):.1f}")
 
 # the projection onto unsigned classes drives the fast-mixing estimate

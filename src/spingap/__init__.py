@@ -54,7 +54,6 @@ from .spectral import (
     BoundEvaluation,
     SectorSpectrum,
     Spectrum,
-    SpectralSummary,
     avar_spectral,
     bd_path_bound,
     cheeger_interval,
@@ -66,7 +65,6 @@ from .spectral import (
     interval_conductance,
     lazy_mixture_bound,
     sector_spectrum,
-    spectral_summary,
     spectrum,
     tv_bound,
 )

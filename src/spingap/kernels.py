@@ -39,6 +39,27 @@ def _check_dense(n: int, what: str, hint: str = "") -> None:
             f"{n} {what} exceed the dense materialization cap {DEFAULT_MAX_STATES}{hint}")
 
 
+def check_chain(spec: ModelSpec, kind: str) -> None:
+    """Refuse a chain kind the model lacks, or one missing its parameters.
+
+    Every model has the naive chain; equi-energy (ising, beg) needs p1
+    and p2, small-world (warmup) needs epsilon.  The model is checked
+    first; ModelSpec validates the parameters' values.
+    """
+    if kind not in CHAIN_KINDS:
+        raise ValueError(f"unknown chain kind {kind!r}, expected one of {CHAIN_KINDS}")
+    if kind == "equi-energy":
+        if spec.kind == "warmup":
+            raise ValueError("equi-energy proposal is defined for ising/beg, not warmup")
+        if spec.p1 is None or spec.p2 is None:
+            raise ValueError("equi-energy chain needs p1 and p2")
+    elif kind == "small-world":
+        if spec.kind != "warmup":
+            raise ValueError(f"small-world proposal is a warmup construction, not {spec.kind}")
+        if spec.epsilon is None:
+            raise ValueError("small-world chain needs epsilon")
+
+
 class SupportError(ValueError):
     """Proposal mass K(x,y) > 0 with K(y,x) = 0: Metropolis ratio undefined."""
 
@@ -61,9 +82,6 @@ class FiniteKernel:
 
     def stationary(self) -> np.ndarray:
         return np.exp(self.log_pi - logsumexp(self.log_pi))
-
-    def index(self, label) -> int:
-        return self.labels.index(label)
 
     def row_sum_error(self) -> float:
         return float(np.abs(self.P.sum(axis=1) - 1.0).max())
@@ -281,10 +299,7 @@ def equi_energy_proposal(spec: ModelSpec) -> FiniteKernel:
     uniform on the signed class.  The uniform component includes the
     current state.
     """
-    if spec.kind not in ("ising", "beg"):
-        raise ValueError(f"equi-energy proposal is defined for ising/beg, not {spec.kind}")
-    if spec.p1 is None or spec.p2 is None:
-        raise ValueError("equi-energy proposal needs p1 and p2 in the model spec")
+    check_chain(spec, "equi-energy")
     p1, p2 = spec.p1, spec.p2
     base = single_flip_proposal(spec)
     n = base.n
@@ -301,26 +316,16 @@ def equi_energy_proposal(spec: ModelSpec) -> FiniteKernel:
     return FiniteKernel(labels=base.labels, log_pi=np.zeros(n), P=P)
 
 
-def small_world_proposal(spec: ModelSpec, epsilon: Optional[float] = None) -> FiniteKernel:
+def small_world_proposal(spec: ModelSpec) -> FiniteKernel:
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
-    if spec.kind != "warmup":
-        raise ValueError(f"small-world proposal is a warmup construction, not {spec.kind}")
-    eps = _epsilon(spec, epsilon)
+    check_chain(spec, "small-world")
     _guard_states(spec)
-    return _warmup_proposal(spec, eps).to_kernel()
-
-
-def _epsilon(spec: ModelSpec, epsilon: Optional[float] = None) -> float:
-    eps = spec.epsilon if epsilon is None else epsilon
-    if eps is None or not (0 < eps < 1):
-        raise ValueError(f"epsilon must lie in (0,1), got {eps}")
-    return eps
+    return _warmup_proposal(spec, spec.epsilon).to_kernel()
 
 
 def metropolis_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
     """Materialized Metropolis chain of the requested kind on the full space."""
-    if kind not in CHAIN_KINDS:
-        raise ValueError(f"unknown chain kind {kind!r}, expected one of {CHAIN_KINDS}")
+    check_chain(spec, kind)
     if kind == "naive":
         proposal = single_flip_proposal(spec)
     elif kind == "equi-energy":
@@ -423,14 +428,6 @@ def warmup_block_partition(spec: ModelSpec) -> Partition:
 # Closed-form class chains (the large-N route).
 # ---------------------------------------------------------------------------
 
-def _require_mixture_params(spec: ModelSpec, kind: str) -> tuple[float, float]:
-    if kind == "equi-energy":
-        if spec.p1 is None or spec.p2 is None:
-            raise ValueError("equi-energy chain needs p1 and p2")
-        return spec.p1, spec.p2
-    return 1.0, 0.0
-
-
 @dataclass(frozen=True)
 class MoveTable:
     """A chain on signed classes as triplets: P(rows[k], cols[k]) += vals[k].
@@ -474,7 +471,7 @@ def _move_table(labels, log_pi, flip, moves) -> MoveTable:
 
 
 def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    p1, p2 = _require_mixture_params(spec, kind)
+    p1, p2 = (spec.p1, spec.p2) if kind == "equi-energy" else (1.0, 0.0)
     N, beta = spec.N, spec.beta
     S = np.arange(-N, N + 1, 2)
     idx = np.arange(len(S))
@@ -499,7 +496,7 @@ def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
 
 
 def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    p1, p2 = _require_mixture_params(spec, kind)
+    p1, p2 = (spec.p1, spec.p2) if kind == "equi-energy" else (1.0, 0.0)
     N, beta, K = spec.N, spec.beta, spec.K
     # classes (s, r) ordered by r, then s: (s, r) sits at r(r+1)/2 + (s+r)/2
     r = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
@@ -551,11 +548,7 @@ def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:
 
 
 def _warmup_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    if kind == "equi-energy":
-        raise ValueError("equi-energy proposal is defined for ising/beg, not warmup")
-    if kind not in CHAIN_KINDS:
-        raise ValueError(f"unknown chain kind {kind!r}, expected one of {CHAIN_KINDS}")
-    proposal = _warmup_proposal(spec, _epsilon(spec) if kind == "small-world" else None)
+    proposal = _warmup_proposal(spec, spec.epsilon if kind == "small-world" else None)
     lw = models.log_weights_all(spec)
     # the proposal is symmetric: each move's reverse has the same mass
     vals = _accepted(lw, proposal.rows, proposal.cols, proposal.vals, proposal.vals)
@@ -572,10 +565,9 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     ordered by magnetization S ascending; beg states by (r, S) with r
     ascending.
     """
+    check_chain(spec, kind)
     if spec.kind == "warmup":
         return _warmup_moves(spec, kind)
-    if kind not in ("naive", "equi-energy"):
-        raise ValueError(f"signed lumping applies to naive/equi-energy, not {kind!r}")
     if spec.kind == "ising":
         return _ising_moves(spec, kind)
     return _beg_moves(spec, kind)
@@ -597,6 +589,7 @@ def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
     """
     if spec.kind == "warmup":
         raise ValueError("unsigned projections exist for ising and beg")
+    check_chain(spec, kind)
     # the orbit count is known from N: refuse before building the table
     half = spec.N // 2 + 1
     _check_dense(half if spec.kind == "ising" else half * half, "blocks")

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .kernels import check_chain
 from .models import EnergyClass, ModelSpec
 
 OBSERVABLES = ("mag", "abs_mag", "quad", "const")
@@ -161,18 +162,7 @@ class Sampler:
 
     def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator,
                  x0=None, orbit_method: str = "direct"):
-        if kind not in ("naive", "equi-energy", "small-world"):
-            raise ValueError(f"unknown chain kind {kind!r}")
-        if kind == "equi-energy":
-            if spec.kind not in ("ising", "beg"):
-                raise ValueError("equi-energy stepping needs the ising or beg model")
-            if spec.p1 is None or spec.p2 is None:
-                raise ValueError("equi-energy stepping needs p1 and p2")
-        if kind == "small-world":
-            if spec.kind != "warmup":
-                raise ValueError("small-world stepping is the warmup chain")
-            if spec.epsilon is None:
-                raise ValueError("small-world stepping needs epsilon")
+        check_chain(spec, kind)
         self.spec = spec
         self.kind = kind
         self.rng = rng

@@ -42,6 +42,7 @@ from .kernels import (
     FiniteKernel,
     MoveTable,
     Partition,
+    _check_dense,
     lumped_projection,
     restriction,
 )
@@ -60,6 +61,9 @@ REVERSIBILITY_TOL = 1e-8
 #: dense solver; larger ones go to sparse Lanczos iteration.  On BEG
 #: sectors dense eigvalsh wins below about 340 states, Lanczos above 380.
 DENSE_SECTOR_MAX = 360
+
+#: exhaustive conductance visits all 2^n subsets: the cap on its state count
+CONDUCTANCE_MAX_STATES = 24
 
 
 class NonReversibleError(ValueError):
@@ -96,18 +100,6 @@ class BoundEvaluation:
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    gap: float
-    lambda1: float
-    lambda_min: float
-    dim: int
-    below_resolution: bool
-    conductance: Optional[float] = None
-    cheeger_lower: Optional[float] = None
-    cheeger_upper: Optional[float] = None
-
-
 Chain = Union[FiniteKernel, BirthDeathChain]
 
 
@@ -128,7 +120,7 @@ def _symmetrize(kernel: FiniteKernel) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def spectrum(chain: Chain, max_dense: int = DEFAULT_MAX_STATES) -> Spectrum:
+def spectrum(chain: Chain) -> Spectrum:
     """All eigenvalues of a reversible chain, sorted descending.
 
     FiniteKernel inputs are checked for detailed balance first and
@@ -143,8 +135,7 @@ def spectrum(chain: Chain, max_dense: int = DEFAULT_MAX_STATES) -> Spectrum:
         e = np.sqrt(chain.up[:-1] * chain.down[1:])
         vals = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
         return Spectrum(eigenvalues=vals[::-1].copy(), dim=chain.n)
-    if chain.n > max_dense:
-        raise ValueError(f"{chain.n} states exceed the dense eigensolver cap {max_dense}")
+    _check_dense(chain.n, "states")
     if chain.n == 1:
         return Spectrum(eigenvalues=np.array([1.0]), dim=1)
     vals = scipy.linalg.eigvalsh(_symmetrize(chain))
@@ -165,24 +156,6 @@ def gap(s: Spectrum) -> float:
     lam1 = float(s.eigenvalues[1])
     lam_min = float(s.eigenvalues[-1])
     return 1.0 - max(lam1, abs(lam_min))
-
-
-def spectral_summary(chain: Chain, with_conductance: bool = False) -> SpectralSummary:
-    s = spectrum(chain)
-    g = gap(s)
-    lam1 = float(s.eigenvalues[1]) if s.dim > 1 else 1.0
-    lam_min = float(s.eigenvalues[-1])
-    h = lo = hi = None
-    if with_conductance:
-        if isinstance(chain, BirthDeathChain):
-            chain = chain.to_kernel()
-        h, _ = conductance_exact(chain)
-        lo, hi = cheeger_interval(h)
-    return SpectralSummary(
-        gap=g, lambda1=lam1, lambda_min=lam_min, dim=s.dim,
-        below_resolution=bool(g < GAP_RESOLUTION),
-        conductance=h, cheeger_lower=lo, cheeger_upper=hi,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +386,17 @@ def sector_spectrum(table: MoveTable) -> SectorSpectrum:
 # Conductance.
 # ---------------------------------------------------------------------------
 
-def conductance_exact(kernel: FiniteKernel,
-                      max_states: int = 24) -> tuple[float, tuple]:
+def conductance_exact(kernel: FiniteKernel) -> tuple[float, tuple]:
     """Exact conductance h = min_{0 < p(A) <= 1/2} Q(A, A^c)/p(A).
 
     Exhaustive over all 2^n subsets via a bitmask subset-sum sweep, so
-    the state count is capped (default 24).  Returns (h, minimizing set
-    of state indices).
+    the state count is capped at CONDUCTANCE_MAX_STATES.  Returns (h,
+    minimizing set of state indices).
     """
     n = kernel.n
-    if n > max_states:
-        raise ValueError(f"exhaustive conductance is capped at {max_states} states, got {n}")
+    if n > CONDUCTANCE_MAX_STATES:
+        raise ValueError(f"exhaustive conductance is capped at {CONDUCTANCE_MAX_STATES} "
+                         f"states, got {n}")
     if n < 2:
         raise ValueError("conductance needs at least two states")
     pi = kernel.stationary()
@@ -520,9 +493,7 @@ def cut_bottleneck_log(chain: Union[FiniteKernel, MoveTable], subset: Sequence[i
         rows, cols = np.nonzero(chain.P)
         vals = chain.P[rows, cols]
     cross = inA[rows] & ~inA[cols]
-    keys, slot = np.unique(rows[cross] * n + cols[cross], return_inverse=True)
-    flow = np.bincount(slot, weights=vals[cross], minlength=len(keys))
-    keys, flow = keys[flow > 0], flow[flow > 0]
+    keys, flow = _coalesce(rows[cross], cols[cross], vals[cross], n)
     if not keys.size:
         return -math.inf
     # math.log, not np.log: the SIMD log differs in the last bit on some values

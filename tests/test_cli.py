@@ -339,6 +339,23 @@ def test_warmup_kind_defaults_to_small_world(tmp_path, capsys):
         "error: equi-energy proposal is defined for ising/beg, not warmup\n")
 
 
+@pytest.mark.parametrize("command", ["gap-scan", "simulate --steps 10",
+                                     "export-kernel --space full",
+                                     "export-kernel --space signed"])
+@pytest.mark.parametrize("chain,message", [
+    ("--model ising --beta 1 --kind small-world",
+     "small-world proposal is a warmup construction, not ising"),
+    ("--model warmup --theta 2 --kind equi-energy",
+     "equi-energy proposal is defined for ising/beg, not warmup"),
+    ("--model warmup --theta 2 --kind small-world", "small-world chain needs epsilon"),
+])
+def test_a_chain_the_model_lacks_is_refused_alike_by_every_command(tmp_path, capsys, command,
+                                                                   chain, message):
+    args = f"{command} {chain} --n 4".split() + ["--out", str(tmp_path)]
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_flag_is_reported_with_the_command_usage(tmp_path, capsys):
     assert main(["verify", "beg-slow", "--beta", "2", "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err

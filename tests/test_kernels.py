@@ -172,8 +172,8 @@ def test_small_world_proposal_masses():
     assert K.P[x, K.labels.index(4)] == pytest.approx(0.4)
     zero = K.labels.index(0)
     assert K.P[zero, zero] == pytest.approx(0.2)  # reflection folds into holding
-    with pytest.raises(ValueError):
-        small_world_proposal(spec, epsilon=1.0)
+    with pytest.raises(ValueError, match="^small-world chain needs epsilon$"):
+        small_world_proposal(warmup(5, theta=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -911,3 +911,35 @@ def test_every_dense_guard_reads_the_one_cap(monkeypatch, build):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_STATES", 100)
     with pytest.raises(ValueError, match="exceed the dense materialization cap 100"):
         build()
+
+
+@pytest.mark.parametrize("spec,kind,message", [
+    (ising(4, beta=1.0), "glauber",
+     "unknown chain kind 'glauber', expected one of ('naive', 'equi-energy', 'small-world')"),
+    (ising(4, beta=1.0), "small-world", "small-world proposal is a warmup construction, not ising"),
+    (beg(2, beta=1.0, K=1.0), "small-world", "small-world proposal is a warmup construction, not beg"),
+    # the model is checked before the parameters: this spec has no p1, p2 either
+    (warmup(4, theta=2.0), "equi-energy", "equi-energy proposal is defined for ising/beg, not warmup"),
+    (ising(4, beta=1.0), "equi-energy", "equi-energy chain needs p1 and p2"),
+    (beg(2, beta=1.0, K=1.0), "equi-energy", "equi-energy chain needs p1 and p2"),
+    (warmup(4, theta=2.0), "small-world", "small-world chain needs epsilon"),
+])
+def test_every_chain_builder_refuses_with_the_check_chain_message(spec, kind, message):
+    from spingap.sampling import Sampler
+
+    builders = [kernels.check_chain, metropolis_chain, signed_move_table,
+                lambda s, k: Sampler(s, k, np.random.default_rng(0))]
+    proposal = {"equi-energy": equi_energy_proposal, "small-world": small_world_proposal}
+    if kind in proposal:
+        builders.append(lambda s, k: proposal[k](s))
+    for build in builders:
+        with pytest.raises(ValueError) as refused:
+            build(spec, kind)
+        assert str(refused.value) == message
+
+
+def test_unsigned_projection_refuses_the_chain_before_the_dense_cap():
+    # 10001 orbits would also exceed the cap; the missing chain is named first
+    with pytest.raises(ValueError) as refused:
+        unsigned_lumped_chain(ising(20000, beta=1.0), "small-world")
+    assert str(refused.value) == "small-world proposal is a warmup construction, not ising"

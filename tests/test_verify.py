@@ -10,7 +10,7 @@ from scipy.special import stdtrit
 
 from spingap import models
 from spingap.kernels import FiniteKernel, signed_lumped_chain, signed_move_table
-from spingap.models import beg, class_table, ising
+from spingap.models import beg, class_table, ising, warmup
 from spingap.spectral import cut_bottleneck_log
 from spingap import verify
 from spingap.verify import (
@@ -227,7 +227,7 @@ def test_mirror_cut_is_accepted_when_log_masses_round_the_wrong_way():
     chain = signed_lumped_chain(spec, "naive")
     subset = [i for i, s in enumerate(chain.labels) if s < 0]
     assert math.isfinite(cut_bottleneck_log(chain, subset))
-    assert math.isfinite(_negative_side_cut_log(spec, signed_move_table(spec, "naive")))
+    assert math.isfinite(_negative_side_cut_log(signed_move_table(spec, "naive")))
 
 
 def reference_cut_log(chain, subset):
@@ -260,7 +260,7 @@ def test_move_table_cut_matches_dense_cut_bit_for_bit(spec, kind):
     dense = cut_bottleneck_log(chain, subset)
     assert cut_bottleneck_log(table, subset) == dense
     assert reference_cut_log(chain, subset) == dense
-    assert _negative_side_cut_log(spec, table) == math.log(2.0) + dense
+    assert _negative_side_cut_log(table) == math.log(2.0) + dense
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -345,3 +345,30 @@ def test_warmup_projection_check_needs_no_dense_block_chain():
     assert len(report.records) == 3
     assert not any("projection up-rate" in f for f in report.failures)
     assert peak < 50e6
+
+
+def test_warmup_audits_the_cut_when_every_naive_gap_underflows():
+    report = verify.verify_warmup(2.0, 0.3, [8200, 8300, 8400])
+    assert report.passed, report.failures
+    assert all(r.values["naive_underflow"] for r in report.records)
+    assert [label for label, _ in report.fits] == ["loglog-gapN2-tail", "semilog-naive-2hcut"]
+    cut = dict(report.fits)["semilog-naive-2hcut"]
+    assert cut.n_points == 3
+    assert cut.ci_hi <= -math.log(2.0) + 0.1
+    assert cut.slope == pytest.approx(-math.log(2.0), rel=1e-9)
+    for r in report.records:
+        table = signed_move_table(warmup(r.cell["N"], theta=2.0), "naive")
+        assert r.values["naive_log_2h_cut"] == _negative_side_cut_log(table)
+
+
+@pytest.mark.parametrize("Ns,fits,failures", [
+    # 6 or more resolvable naive gaps: the gap fit, and no cut field
+    (range(10, 41, 2), ["loglog-gapN2-tail", "semilog-naive-gap"], ()),
+    # some resolve, too few to fit: the cut route does not run
+    (range(30, 51, 2), ["loglog-gapN2-tail"], ("fewer than 6 resolvable naive gaps",)),
+])
+def test_warmup_cut_route_runs_only_when_every_naive_gap_underflows(Ns, fits, failures):
+    report = verify.verify_warmup(2.0, 0.3, Ns)
+    assert [label for label, _ in report.fits] == fits
+    assert report.failures == failures
+    assert not any("naive_log_2h_cut" in r.values for r in report.records)

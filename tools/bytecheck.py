@@ -8,8 +8,10 @@ and prints one ``sha256  path`` line for each file it wrote, its stdout,
 its stderr and its exit code (paths relative to OUTDIR).  The commands
 are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
-refused by the dense cap, and two BEG grids whose sectors outgrow
-``DENSE_SECTOR_MAX`` and go to Lanczos iteration.
+refused by the dense cap, two BEG grids whose sectors outgrow
+``DENSE_SECTOR_MAX`` and go to Lanczos iteration, three chains that their
+model does not have or cannot build, and a warm-up grid in which every
+naive gap underflows.
 
 To compare two source trees, run a copy of this script from each tree
 and diff the two manifests: every line that differs names an artifact,
@@ -40,6 +42,10 @@ EXTRA_COMMANDS = (
     "export-kernel --space signed --model beg --n 200 --beta 1 --k 1 --kind naive",
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
+    "gap-scan --model ising --kind small-world --beta 1 --n 4",
+    "simulate --model warmup --kind equi-energy --theta 2 --n 4 --steps 10",
+    "gap-scan --model warmup --kind small-world --theta 2 --n 4",
+    "verify warmup --theta 2 --epsilon 0.3 --n 8200,8300,8400",
 )
 
 
