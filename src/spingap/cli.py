@@ -352,6 +352,7 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
                     observable=o.observable)
     o.burn_in = cfg.effective_burn_in
     trace = None
+    tails = {}  # class label -> its row's ",class,value" text; the value is a function of it
 
     def sink(t, label, v):
         # created with the first row: a run refused before it leaves no file
@@ -359,7 +360,10 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
         if trace is None:
             trace = open(o.out / "trace.csv", "w")
             trace.write("step,class,value\n")
-        trace.write(f"{t},{format_label(label)},{fmt(v)}\n")
+        tail = tails.get(label)
+        if tail is None:
+            tail = tails[label] = f",{format_label(label)},{fmt(v)}\n"
+        trace.write(f"{t}{tail}")
 
     try:
         stats = run_estimate(spec, o.kind, cfg, trace_sink=sink if o.trace else None)

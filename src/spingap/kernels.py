@@ -489,9 +489,7 @@ def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
     if kind == "equi-energy":
         signed = S != 0
         moves.append((idx[signed], flip[signed], np.full(int(signed.sum()), p2)))
-    log_pi = np.array(
-        [models.log_binom(N, (N + s) // 2) + beta * s * s / (2 * N) for s in S.tolist()]
-    )
+    log_pi = models.log_binom_array(N, (N + S) // 2) + beta * S * S / (2 * N)
     return _move_table(tuple(S.tolist()), log_pi, flip, moves)
 
 
@@ -518,11 +516,8 @@ def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
     if kind == "equi-energy":
         signed = np.flatnonzero(s)
         moves.append((signed, flip[signed], np.full(len(signed), p2)))
-    log_pi = np.array([
-        models.log_binom(N, ri) + models.log_binom(ri, (ri - si) // 2)
-        - beta * ri + K * beta * si * si / N
-        for si, ri in zip(s.tolist(), r.tolist())
-    ])
+    log_pi = (models.log_binom_array(N, r) + models.log_binom_array(r, (r - s) // 2)
+              - beta * r + K * beta * s * s / N)
     return _move_table(tuple(zip(s.tolist(), r.tolist())), log_pi, flip, moves)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -136,7 +136,8 @@ def validate_state(spec: ModelSpec, x: State) -> None:
         return
     arr = _as_spins(spec, x)
     allowed = (-1, 1) if spec.kind == "ising" else (-1, 0, 1)
-    if not np.isin(arr, allowed).all():
+    # the set of values, compared with ==: a tenth of np.isin's cost on a few spins
+    if not set(arr.tolist()) <= set(allowed):
         raise AlphabetError(f"spins must lie in {allowed}")
 
 
@@ -217,6 +218,33 @@ def log_binom(n: int, k: int) -> float:
     if n <= _EXACT_BINOM_LIMIT:
         return math.log(math.comb(n, k))
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+@cache
+def _exact_log_binoms() -> np.ndarray:
+    """log C(n, k) for n, k <= _EXACT_BINOM_LIMIT from exact integers (-inf for k > n)."""
+    size = _EXACT_BINOM_LIMIT + 1
+    return np.array([[math.log(math.comb(n, k)) if k <= n else -math.inf for k in range(size)]
+                     for n in range(size)])
+
+
+def log_binom_array(n, k) -> np.ndarray:
+    """``log_binom`` elementwise over integer arrays, bit for bit.
+
+    n <= _EXACT_BINOM_LIMIT reads the exact-integer values; larger n
+    subtract entries of one lgamma table in log_binom's order.
+    """
+    n, k = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(k, dtype=np.int64))
+    out = np.full(n.shape, -math.inf)
+    valid = (k >= 0) & (k <= n)
+    small = valid & (n <= _EXACT_BINOM_LIMIT)
+    out[small] = _exact_log_binoms()[n[small], k[small]]
+    large = valid & ~small
+    if large.any():
+        n, k = n[large], k[large]
+        lgamma = np.array([math.lgamma(i + 1) for i in range(int(n.max()) + 1)])
+        out[large] = lgamma[n] - lgamma[k] - lgamma[n - k]
+    return out
 
 
 def class_log_cardinality(spec: ModelSpec, c: EnergyClass) -> float:

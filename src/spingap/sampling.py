@@ -14,6 +14,7 @@ spawning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import check_chain
-from .models import EnergyClass, ModelSpec
+from .models import EnergyClass, ModelSpec, validate_state
 
 OBSERVABLES = ("mag", "abs_mag", "quad", "const")
 
@@ -153,12 +154,36 @@ def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generat
     return x
 
 
+def _class_label(S: int, R: Optional[int]) -> EnergyClass:
+    return EnergyClass(abs(S), R, (S > 0) - (S < 0))
+
+
+def _observable(spec: ModelSpec, tag: str) -> Callable[[int, Optional[int]], float]:
+    """The observable ``tag`` as a function of the statistics (S, R)."""
+    N = spec.N
+    if tag == "mag":
+        return lambda S, R: S / N
+    if tag == "abs_mag":
+        return lambda S, R: abs(S) / N
+    if tag == "quad":
+        if spec.kind != "beg":
+            raise ValueError("observable 'quad' is undefined outside the beg model")
+        return lambda S, R: R / N
+    if tag == "const":
+        return lambda S, R: 1.0
+    raise ValueError(f"unknown observable {tag!r}")
+
+
 # ---------------------------------------------------------------------------
 # The samplers.
 # ---------------------------------------------------------------------------
 
 class Sampler:
-    """Mutable trajectory state with O(1)-statistics Metropolis stepping."""
+    """Mutable trajectory state with O(1)-statistics Metropolis stepping.
+
+    x is the configuration (an int8 spin array, or the warmup coordinate),
+    S its magnetization and R its count of nonzero spins (beg only).
+    """
 
     def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator,
                  x0=None, orbit_method: str = "direct"):
@@ -169,6 +194,8 @@ class Sampler:
         self.orbit_method = orbit_method
         self.cost = CostCounters()
         N = spec.N
+        if x0 is not None:
+            validate_state(spec, x0)
         if spec.kind == "warmup":
             self.x = int(x0) if x0 is not None else 0
             self.S = self.x
@@ -180,147 +207,123 @@ class Sampler:
                 else:
                     self.x = (np.floor(rng.random(N) * 3).astype(np.int8) - 1)
             else:
-                self.x = np.asarray(x0, dtype=np.int8).copy()
+                self.x = np.array(x0, dtype=np.int8)
             self.S = int(self.x.sum())
             self.R = int(np.count_nonzero(self.x)) if spec.kind == "beg" else None
 
-    # -- observables --------------------------------------------------------
-
-    def observable(self, tag: str) -> float:
-        N = self.spec.N
-        if tag == "mag":
-            return self.S / N
-        if tag == "abs_mag":
-            return abs(self.S) / N
-        if tag == "quad":
-            if self.spec.kind != "beg":
-                raise ValueError("observable 'quad' is undefined outside the beg model")
-            return self.R / N
-        if tag == "const":
-            return 1.0
-        raise ValueError(f"unknown observable {tag!r}")
-
     def class_label(self) -> EnergyClass:
-        s = abs(self.S)
-        sign = 0 if s == 0 else (1 if self.S > 0 else -1)
-        if self.spec.kind == "beg":
-            return EnergyClass(s, self.R, sign)
-        return EnergyClass(s, None, sign)
-
-    # -- stepping ------------------------------------------------------------
-
-    def _accept(self, delta_log: float) -> bool:
-        return delta_log >= 0.0 or self.rng.random() < math.exp(delta_log)
-
-    def _step_warmup(self) -> str:
-        spec, rng, cost = self.spec, self.rng, self.cost
-        eps = spec.epsilon if self.kind == "small-world" else 0.0
-        cost.ops += 1
-        cost.ops_sequential += 1
-        if self.kind == "small-world" and rng.random() < eps:
-            # reflection proposal: equal weight, always accepted
-            self.x = -self.x
-            self.S = self.x
-            cost.global_proposed += 1
-            cost.global_accepted += 1
-            return "global"
-        dx = 1 if rng.random() < 0.5 else -1
-        y = self.x + dx
-        accepted = False
-        if -spec.N <= y <= spec.N:
-            delta = (abs(y) - abs(self.x)) * math.log(spec.theta)
-            if self._accept(delta):
-                self.x = y
-                self.S = y
-                accepted = True
-        cost.flip_proposed += 1
-        cost.flip_accepted += accepted
-        return "flip"
-
-    def _flip_ising(self) -> str:
-        spec, rng = self.spec, self.rng
-        N = spec.N
-        j = int(rng.random() * N)
-        ds = -2 * int(self.x[j])
-        s_new = self.S + ds
-        delta = spec.beta * (s_new * s_new - self.S * self.S) / (2 * N)
-        accepted = self._accept(delta)
-        if accepted:
-            self.x[j] = -self.x[j]
-            self.S = s_new
-        self._bill_flip(accepted)
-        return "flip"
-
-    def _flip_beg(self) -> str:
-        spec, rng = self.spec, self.rng
-        N = spec.N
-        j = int(rng.random() * N)
-        move = 1 if rng.random() < 0.5 else -1
-        old = int(self.x[j])
-        new = old + move
-        if new == 2:
-            new = -1
-        elif new == -2:
-            new = 1
-        s_new = self.S + new - old
-        r_new = self.R + (new != 0) - (old != 0)
-        delta = (-spec.beta * (r_new - self.R)
-                 + spec.K * spec.beta * (s_new * s_new - self.S * self.S) / N)
-        accepted = self._accept(delta)
-        if accepted:
-            self.x[j] = new
-            self.S = s_new
-            self.R = r_new
-        self._bill_flip(accepted)
-        return "flip"
-
-    def _bill_flip(self, accepted: bool) -> None:
-        cost, N = self.cost, self.spec.N
-        cost.flip_proposed += 1
-        cost.flip_accepted += accepted
-        cost.ops += N
-        cost.ops_sequential += N
-
-    def _orbit_jump(self) -> str:
-        spec = self.spec
-        N = spec.N
-        label = self.class_label()
-        self.x = sample_uniform_class(spec, label, self.rng, method=self.orbit_method)
-        # statistics are invariant on the orbit; nothing to update
-        self.cost.orbit_proposed += 1
-        self.cost.orbit_accepted += 1
-        if spec.kind == "ising":
-            n_balls = (N + abs(self.S)) // 2
-            seq = n_balls * (N - n_balls + 1)
-        else:
-            seq = N
-        self.cost.ops += seq if self.orbit_method == "sequential" else N
-        self.cost.ops_sequential += seq
-        return "orbit"
-
-    def _global_flip(self) -> str:
-        np.negative(self.x, out=self.x)
-        self.S = -self.S
-        cost, N = self.cost, self.spec.N
-        cost.global_proposed += 1
-        cost.global_accepted += 1
-        cost.ops += N
-        cost.ops_sequential += N
-        return "global"
+        return _class_label(self.S, self.R)
 
     def step(self) -> str:
         """One transition; returns the move component: flip, global or orbit."""
-        spec = self.spec
-        if spec.kind == "warmup":
-            return self._step_warmup()
-        if self.kind == "naive":
-            return self._flip_ising() if spec.kind == "ising" else self._flip_beg()
-        u = self.rng.random()
-        if u < spec.p1:
-            return self._flip_ising() if spec.kind == "ising" else self._flip_beg()
-        if self.S != 0 and u < spec.p1 + spec.p2:
-            return self._global_flip()
-        return self._orbit_jump()
+        return self.run(1)
+
+    def run(self, steps: int, keep: Optional[Callable[[int, int, Optional[int]], None]] = None,
+            first: int = 0, every: int = 1) -> Optional[str]:
+        """Take ``steps`` transitions; returns the move component of the last.
+
+        keep(t, S, R), when given, is called after steps t = first,
+        first + every, ... (t counted from 0 in this call).  Each step
+        makes the generator calls of the chain's kernel, in its order:
+        mixture uniform (equi-energy), then site, direction (beg) and
+        acceptance uniform for a flip, or the orbit draw.
+        """
+        spec, rng, N = self.spec, self.rng, self.spec.N
+        random, exp = rng.random, math.exp
+        warm, beg = spec.kind == "warmup", spec.kind == "beg"
+        small_world = self.kind == "small-world"
+        mixture = self.kind == "equi-energy"
+        sequential = self.orbit_method == "sequential"
+        eps = spec.epsilon if small_world else 0.0
+        log_theta = math.log(spec.theta) if warm else 0.0
+        beta, two_n = spec.beta, 2 * N
+        neg_beta, k_beta = (-beta, spec.K * beta) if beg else (0.0, 0.0)
+        p1, p12 = (spec.p1, spec.p1 + spec.p2) if mixture else (1.0, 1.0)
+        u = 0.0  # stays below p1 = 1 without a mixture: every move is a flip
+        x, S, R = self.x, self.S, self.R
+        spins = None if warm else memoryview(x)
+        next_keep = first if keep is not None else -1
+        flips = flips_accepted = globals_ = orbits = orbit_ops = orbit_seq = 0
+        component = None
+        try:
+            for t in range(steps):
+                if warm:
+                    if small_world and random() < eps:
+                        # reflection proposal: equal weight, always accepted
+                        S = -S
+                        globals_ += 1
+                        component = "global"
+                    else:
+                        y = S + (1 if random() < 0.5 else -1)
+                        if -N <= y <= N:
+                            delta = (abs(y) - abs(S)) * log_theta
+                            if delta >= 0.0 or random() < exp(delta):
+                                S = y
+                                flips_accepted += 1
+                        flips += 1
+                        component = "flip"
+                else:
+                    if mixture:
+                        u = random()
+                    if u < p1:
+                        j = int(random() * N)
+                        old = spins[j]
+                        if beg:
+                            new = old + (1 if random() < 0.5 else -1)
+                            if new == 2:
+                                new = -1
+                            elif new == -2:
+                                new = 1
+                            s_new = S + new - old
+                            r_new = R + (new != 0) - (old != 0)
+                            delta = (neg_beta * (r_new - R)
+                                     + k_beta * (s_new * s_new - S * S) / N)
+                        else:
+                            new, s_new, r_new = -old, S - 2 * old, R
+                            delta = beta * (s_new * s_new - S * S) / two_n
+                        if delta >= 0.0 or random() < exp(delta):
+                            spins[j] = new
+                            S, R = s_new, r_new
+                            flips_accepted += 1
+                        flips += 1
+                        component = "flip"
+                    elif S != 0 and u < p12:
+                        np.negative(x, out=x)
+                        S = -S
+                        globals_ += 1
+                        component = "global"
+                    else:
+                        # statistics are invariant on the orbit; nothing to update
+                        x = sample_uniform_class(spec, _class_label(S, R), rng,
+                                                 self.orbit_method)
+                        spins = memoryview(x)
+                        if beg:
+                            seq = N
+                        else:
+                            n_balls = (N + abs(S)) // 2
+                            seq = n_balls * (N - n_balls + 1)
+                        orbits += 1
+                        orbit_ops += seq if sequential else N
+                        orbit_seq += seq
+                        component = "orbit"
+                if t == next_keep:
+                    next_keep += every
+                    keep(t, S, R)
+        finally:
+            self.x, self.S, self.R = (S if warm else x), S, R
+            cost = self.cost
+            cost.flip_proposed += flips
+            cost.flip_accepted += flips_accepted
+            cost.global_proposed += globals_
+            cost.global_accepted += globals_
+            cost.orbit_proposed += orbits
+            cost.orbit_accepted += orbits
+            # a warmup step costs 1; a flip or a global flip N; an orbit draw
+            # N direct or n k sequential
+            moved = flips + globals_ if warm else N * (flips + globals_)
+            cost.ops += moved + orbit_ops
+            cost.ops_sequential += moved + orbit_seq
+        return component
 
 
 def step(spec: ModelSpec, kind: str, x, rng: np.random.Generator):
@@ -342,19 +345,19 @@ def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,
     rng = np.random.default_rng(cfg.seed)
     sampler = Sampler(spec, kind, rng, orbit_method=orbit_method)
     # probe observable validity before spending any steps
-    sampler.observable(cfg.observable)
+    value = _observable(spec, cfg.observable)
     burn = cfg.effective_burn_in
     # the retained steps are burn, burn + thinning, ... below steps
     trace = np.empty(len(range(burn, cfg.steps, cfg.thinning)))
-    k = 0
-    for t in range(cfg.steps):
-        sampler.step()
-        if t >= burn and (t - burn) % cfg.thinning == 0:
-            v = sampler.observable(cfg.observable)
-            trace[k] = v
-            k += 1
-            if trace_sink is not None:
-                trace_sink(t, sampler.class_label(), v)
+    slot = itertools.count()
+    if trace_sink is None:
+        def keep(t, S, R):
+            trace[next(slot)] = value(S, R)
+    else:
+        def keep(t, S, R):
+            v = trace[next(slot)] = value(S, R)
+            trace_sink(t, _class_label(S, R), v)
+    sampler.run(cfg.steps, keep, burn, cfg.thinning)
     estimate = float(trace.mean())
     avar = bcount = bsize = None
     if len(trace) >= 1000:

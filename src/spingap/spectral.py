@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .kernels import (
     DEFAULT_MAX_STATES,
@@ -128,6 +126,8 @@ def spectrum(chain: Chain) -> Spectrum:
     symmetric-tridiagonal solver with off-diagonals
     sqrt(up_i * down_{i+1}).
     """
+    import scipy.linalg
+
     if isinstance(chain, BirthDeathChain):
         if chain.n == 1:
             return Spectrum(eigenvalues=np.array([1.0]), dim=1)
@@ -144,6 +144,8 @@ def spectrum(chain: Chain) -> Spectrum:
 
 def eigensystem(kernel: FiniteKernel) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues descending, orthonormal eigenvectors of the symmetrization)."""
+    import scipy.linalg
+
     vals, vecs = scipy.linalg.eigh(_symmetrize(kernel))
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
@@ -238,6 +240,8 @@ def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int):
         d[rows[on]] = vals[on]
         e[rows[above]] = vals[above]
         return d, e
+    import scipy.sparse
+
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
     return scipy.sparse.csr_array((vals, cols, indptr), shape=(m, m))
 
@@ -328,16 +332,30 @@ def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
     if top < 0:
         return -math.inf, 1.0
     if tridiagonal:
-        # bisection for the wanted eigenvalues only: O(m) each
-        return tuple(float(scipy.linalg.eigh_tridiagonal(*M, eigvals_only=True, select="i",
-                                                         select_range=(k, k))[0])
-                     for k in (top, 0))
+        # bisection for the wanted eigenvalues only: O(m) each, straight to
+        # LAPACK (what eigh_tridiagonal(select="i") calls, without its wrapper)
+        from scipy.linalg.lapack import dstebz
+
+        d, e = M
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        if m == 1:  # dstebz refuses an empty e
+            return float(d[0]), float(d[0])
+        out = []
+        for k in (top, 0):
+            found, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "E")
+            if info or found != 1:
+                raise np.linalg.LinAlgError(f"dstebz returned info={info} for eigenvalue {k}")
+            out.append(float(w[0]))
+        return tuple(out)
     if m <= DENSE_SECTOR_MAX:
         return _dense_extremes(M, top)
     return _lanczos_extremes(M, u)
 
 
 def _dense_extremes(M, top: int) -> tuple:
+    import scipy.linalg
+
     vals = scipy.linalg.eigvalsh(M.toarray())
     return float(vals[top]), float(vals[0])
 

@@ -266,9 +266,38 @@ def test_logsumexp_edge_cases_match_scipy(a):
     assert _bits(models.logsumexp(a)) == _bits(logsumexp(a))
 
 
-def test_cli_import_skips_scipy_special():
-    code = "import sys, spingap.cli; print('scipy.special' in sys.modules)"
+def test_cli_import_skips_scipy_special(tmp_path):
+    # the solvers import scipy when they first run: importing the CLI and
+    # sampling through it loads none of scipy.special, .linalg or .sparse
+    code = (
+        "import sys, spingap.cli\n"
+        "wanted = ('scipy.special', 'scipy.linalg', 'scipy.sparse')\n"
+        "print([m for m in wanted if m in sys.modules])\n"
+        "for argv in (['--model', 'beg', '--n', '10', '--beta', '1', '--k', '1', '--trace'],\n"
+        "             ['--model', 'ising', '--kind', 'naive', '--n', '10', '--beta', '1'],\n"
+        "             ['--model', 'warmup', '--n', '10', '--theta', '2', '--epsilon', '0.3']):\n"
+        "    assert spingap.cli.main(['simulate', *argv, '--steps', '2000', '--out', sys.argv[1]]) == 0\n"
+        "print([m for m in wanted if m in sys.modules])\n"
+    )
     src = str(Path(models.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert (tmp_path / "trace.csv").is_file()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 1100), st.integers(-3, 1100)), min_size=1,
+                max_size=40))
+def test_log_binom_array_matches_scalar_bit_for_bit(pairs):
+    n, k = np.array(pairs).T
+    want = [models.log_binom(a, b) for a, b in pairs]
+    assert models.log_binom_array(n, k).tolist() == want
+
+
+def test_log_binom_array_rows_match_scalar_bit_for_bit():
+    # whole rows, as the move tables use them: scalar n against every k
+    for N in (*range(0, 130), 199, 1000, 4001):
+        k = np.arange(-1, N + 2)
+        got = models.log_binom_array(N, k)
+        assert got.tolist() == [models.log_binom(N, int(b)) for b in k]

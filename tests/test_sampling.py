@@ -7,10 +7,22 @@ import pytest
 from scipy import stats as sps
 
 from spingap.kernels import metropolis_chain
-from spingap.models import EnergyClass, beg, class_table, ising, state_index, warmup
+from spingap.models import (
+    AlphabetError,
+    EnergyClass,
+    beg,
+    class_table,
+    ising,
+    state_index,
+    warmup,
+)
 from spingap.sampling import (
+    OBSERVABLES,
+    CostCounters,
     RunConfig,
+    RunStats,
     Sampler,
+    _batch_means,
     batch_means_avar,
     bose_einstein_sample,
     cost_profile,
@@ -369,3 +381,277 @@ def test_sequential_orbit_draw_costs_quadratically():
     # draws happen: n (N - n + 1) > N for 1 < n < N
     assert prof.mean_ops_sequential_per_step > prof.mean_ops_per_step
     assert prof.mean_ops_per_step <= spec.N
+
+
+# ---------------------------------------------------------------------------
+# The one-frame loop against the per-method sampler it replaced
+# ---------------------------------------------------------------------------
+
+class ReferenceSampler:
+    """The sampler as it stepped before ``Sampler.run``: one method per move
+    component, the statistics and cost counters on the instance."""
+
+    def __init__(self, spec, kind, rng, x0=None, orbit_method="direct"):
+        self.spec, self.kind, self.rng = spec, kind, rng
+        self.orbit_method = orbit_method
+        self.cost = CostCounters()
+        N = spec.N
+        if spec.kind == "warmup":
+            self.x = int(x0) if x0 is not None else 0
+            self.S = self.x
+            self.R = None
+        else:
+            if x0 is None:
+                if spec.kind == "ising":
+                    self.x = np.where(rng.random(N) < 0.5, -1, 1).astype(np.int8)
+                else:
+                    self.x = (np.floor(rng.random(N) * 3).astype(np.int8) - 1)
+            else:
+                self.x = np.asarray(x0, dtype=np.int8).copy()
+            self.S = int(self.x.sum())
+            self.R = int(np.count_nonzero(self.x)) if spec.kind == "beg" else None
+
+    def observable(self, tag):
+        N = self.spec.N
+        if tag == "mag":
+            return self.S / N
+        if tag == "abs_mag":
+            return abs(self.S) / N
+        if tag == "quad":
+            if self.spec.kind != "beg":
+                raise ValueError("observable 'quad' is undefined outside the beg model")
+            return self.R / N
+        if tag == "const":
+            return 1.0
+        raise ValueError(f"unknown observable {tag!r}")
+
+    def class_label(self):
+        s = abs(self.S)
+        sign = 0 if s == 0 else (1 if self.S > 0 else -1)
+        if self.spec.kind == "beg":
+            return EnergyClass(s, self.R, sign)
+        return EnergyClass(s, None, sign)
+
+    def _accept(self, delta_log):
+        return delta_log >= 0.0 or self.rng.random() < math.exp(delta_log)
+
+    def _step_warmup(self):
+        spec, rng, cost = self.spec, self.rng, self.cost
+        eps = spec.epsilon if self.kind == "small-world" else 0.0
+        cost.ops += 1
+        cost.ops_sequential += 1
+        if self.kind == "small-world" and rng.random() < eps:
+            self.x = -self.x
+            self.S = self.x
+            cost.global_proposed += 1
+            cost.global_accepted += 1
+            return "global"
+        dx = 1 if rng.random() < 0.5 else -1
+        y = self.x + dx
+        accepted = False
+        if -spec.N <= y <= spec.N:
+            delta = (abs(y) - abs(self.x)) * math.log(spec.theta)
+            if self._accept(delta):
+                self.x = y
+                self.S = y
+                accepted = True
+        cost.flip_proposed += 1
+        cost.flip_accepted += accepted
+        return "flip"
+
+    def _flip_ising(self):
+        spec, rng = self.spec, self.rng
+        N = spec.N
+        j = int(rng.random() * N)
+        ds = -2 * int(self.x[j])
+        s_new = self.S + ds
+        delta = spec.beta * (s_new * s_new - self.S * self.S) / (2 * N)
+        accepted = self._accept(delta)
+        if accepted:
+            self.x[j] = -self.x[j]
+            self.S = s_new
+        self._bill_flip(accepted)
+        return "flip"
+
+    def _flip_beg(self):
+        spec, rng = self.spec, self.rng
+        N = spec.N
+        j = int(rng.random() * N)
+        move = 1 if rng.random() < 0.5 else -1
+        old = int(self.x[j])
+        new = old + move
+        if new == 2:
+            new = -1
+        elif new == -2:
+            new = 1
+        s_new = self.S + new - old
+        r_new = self.R + (new != 0) - (old != 0)
+        delta = (-spec.beta * (r_new - self.R)
+                 + spec.K * spec.beta * (s_new * s_new - self.S * self.S) / N)
+        accepted = self._accept(delta)
+        if accepted:
+            self.x[j] = new
+            self.S = s_new
+            self.R = r_new
+        self._bill_flip(accepted)
+        return "flip"
+
+    def _bill_flip(self, accepted):
+        cost, N = self.cost, self.spec.N
+        cost.flip_proposed += 1
+        cost.flip_accepted += accepted
+        cost.ops += N
+        cost.ops_sequential += N
+
+    def _orbit_jump(self):
+        spec = self.spec
+        N = spec.N
+        self.x = sample_uniform_class(spec, self.class_label(), self.rng,
+                                      method=self.orbit_method)
+        self.cost.orbit_proposed += 1
+        self.cost.orbit_accepted += 1
+        if spec.kind == "ising":
+            n_balls = (N + abs(self.S)) // 2
+            seq = n_balls * (N - n_balls + 1)
+        else:
+            seq = N
+        self.cost.ops += seq if self.orbit_method == "sequential" else N
+        self.cost.ops_sequential += seq
+        return "orbit"
+
+    def _global_flip(self):
+        np.negative(self.x, out=self.x)
+        self.S = -self.S
+        cost, N = self.cost, self.spec.N
+        cost.global_proposed += 1
+        cost.global_accepted += 1
+        cost.ops += N
+        cost.ops_sequential += N
+        return "global"
+
+    def step(self):
+        spec = self.spec
+        if spec.kind == "warmup":
+            return self._step_warmup()
+        if self.kind == "naive":
+            return self._flip_ising() if spec.kind == "ising" else self._flip_beg()
+        u = self.rng.random()
+        if u < spec.p1:
+            return self._flip_ising() if spec.kind == "ising" else self._flip_beg()
+        if self.S != 0 and u < spec.p1 + spec.p2:
+            return self._global_flip()
+        return self._orbit_jump()
+
+
+def reference_run_estimate(spec, kind, cfg, orbit_method="direct", trace_sink=None):
+    """run_estimate as it drove ReferenceSampler, one step() call per step."""
+    rng = np.random.default_rng(cfg.seed)
+    sampler = ReferenceSampler(spec, kind, rng, orbit_method=orbit_method)
+    sampler.observable(cfg.observable)
+    burn = cfg.effective_burn_in
+    trace = np.empty(len(range(burn, cfg.steps, cfg.thinning)))
+    k = 0
+    for t in range(cfg.steps):
+        sampler.step()
+        if t >= burn and (t - burn) % cfg.thinning == 0:
+            v = sampler.observable(cfg.observable)
+            trace[k] = v
+            k += 1
+            if trace_sink is not None:
+                trace_sink(t, sampler.class_label(), v)
+    estimate = float(trace.mean())
+    avar = bcount = bsize = None
+    if len(trace) >= 1000:
+        avar, bcount, bsize = _batch_means(trace)
+    acc = {}
+    for comp in ("flip", "global", "orbit"):
+        proposed = getattr(sampler.cost, f"{comp}_proposed")
+        accepted = getattr(sampler.cost, f"{comp}_accepted")
+        acc[comp] = {"proposed": proposed, "accepted": accepted,
+                     "rate": accepted / proposed if proposed else None}
+    return RunStats(
+        kind=kind, N=spec.N, steps=cfg.steps, burn_in=burn, thinning=cfg.thinning,
+        seed=cfg.seed, observable=cfg.observable, n_samples=len(trace),
+        estimate=estimate, batch_means_avar=avar, batch_count=bcount,
+        batch_size=bsize, acceptance=acc, cost=sampler.cost,
+    )
+
+
+#: (spec, kind) for every chain a sampler runs; small N so that S = 0 (where
+#: the global flip turns into an orbit jump) and both ends of warm-up occur
+SAMPLER_CHAINS = [
+    (ising(8, beta=1.3, p1=0.4, p2=0.3), "naive"),
+    (ising(8, beta=1.3, p1=0.4, p2=0.3), "equi-energy"),
+    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "naive"),
+    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "equi-energy"),
+    (warmup(5, theta=1.7, epsilon=0.2), "naive"),
+    (warmup(5, theta=1.7, epsilon=0.2), "small-world"),
+]
+
+
+def _recorded(run, spec, kind, cfg, orbit_method):
+    """(RunStats or the raised error, the trace-sink calls) of one run."""
+    calls = []
+    try:
+        stats = run(spec, kind, cfg, orbit_method=orbit_method,
+                    trace_sink=lambda *a: calls.append(a))
+    except ValueError as e:
+        stats = (type(e), str(e))
+    return stats, calls
+
+
+@pytest.mark.parametrize("spec,kind", SAMPLER_CHAINS,
+                         ids=[f"{s.kind}-{k}" for s, k in SAMPLER_CHAINS])
+def test_run_estimate_matches_per_method_reference(spec, kind):
+    observables = [o for o in OBSERVABLES if o != "quad" or spec.kind == "beg"]
+    for observable in observables:
+        for burn_in in (0, None):
+            for thinning in (1, 7):
+                for orbit_method in ("direct", "sequential"):
+                    cfg = RunConfig(steps=1500, seed=len(observable) + thinning,
+                                    burn_in=burn_in, thinning=thinning, observable=observable)
+                    got = _recorded(run_estimate, spec, kind, cfg, orbit_method)
+                    want = _recorded(reference_run_estimate, spec, kind, cfg, orbit_method)
+                    assert got == want, (observable, burn_in, thinning, orbit_method)
+                    # the sink calls carry plain ints and floats, as before
+                    assert [tuple(map(type, c[1])) for c in got[1]] == \
+                        [tuple(map(type, c[1])) for c in want[1]]
+    # and without a sink: the same statistics
+    cfg = RunConfig(steps=1500, seed=5, observable="mag")
+    assert run_estimate(spec, kind, cfg) == reference_run_estimate(spec, kind, cfg)
+
+
+@pytest.mark.parametrize("spec,kind", SAMPLER_CHAINS,
+                         ids=[f"{s.kind}-{k}" for s, k in SAMPLER_CHAINS])
+def test_step_matches_per_method_reference(spec, kind):
+    method = "direct" if spec.kind == "beg" else "sequential"
+    for seed in (1, 2):
+        sampler = Sampler(spec, kind, np.random.default_rng(seed), orbit_method=method)
+        reference = ReferenceSampler(spec, kind, np.random.default_rng(seed),
+                                     orbit_method=method)
+        for _ in range(600):
+            assert sampler.step() == reference.step()
+            assert (sampler.S, sampler.R) == (reference.S, reference.R)
+        assert np.array_equal(sampler.x, reference.x)
+        assert sampler.cost == reference.cost
+    # the module-level step, one fresh sampler per call on one generator each
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    x = ref_x = Sampler(spec, kind, np.random.default_rng(4)).x
+    for _ in range(300):
+        x, component = step(spec, kind, x, rng)
+        ref = ReferenceSampler(spec, kind, ref_rng, x0=ref_x)
+        assert component == ref.step()
+        ref_x = ref.x
+        assert np.array_equal(x, ref_x)
+
+
+@pytest.mark.parametrize("spec,x0", [
+    (ising(4, beta=1.0), [1, 0, 1, 1]),
+    (beg(4, beta=1.0, K=1.0), [1, 2, 1]),
+    (warmup(3, theta=2.0), 7),
+])
+def test_sampler_refuses_an_invalid_start(spec, x0):
+    with pytest.raises(AlphabetError):
+        Sampler(spec, "naive", np.random.default_rng(0), x0=x0)
+    with pytest.raises(AlphabetError):
+        step(spec, "naive", x0, np.random.default_rng(0))

@@ -21,6 +21,7 @@ from spingap.spectral import (
     SymmetryError,
     _check_reversible,
     _flip_sectors,
+    _sector_extremes,
     gap,
     sector_spectrum,
     spectrum,
@@ -485,3 +486,27 @@ def test_warmup_n100000_sectors_stay_small():
         tracemalloc.stop()
     assert s.dim == 200001 and 0 < s.gap < 1
     assert peak < 100e6
+
+
+def test_tridiagonal_extremes_match_eigh_tridiagonal_bit_for_bit():
+    """dstebz called directly gives the bits of eigh_tridiagonal(select="i")."""
+    import scipy.linalg
+
+    def extremes(d, e, top):
+        return tuple(float(scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                                         select_range=(k, k))[0])
+                     for k in (top, 0))
+
+    rng = np.random.default_rng(7)
+    for m in range(1, 220, 3):
+        for scale in (1.0, 1e-3, 1e-12):
+            d = rng.uniform(-1.0, 1.0, m)
+            e = rng.uniform(-1.0, 1.0, m - 1) * scale
+            assert _sector_extremes((d, e)) == extremes(d, e, m - 1)
+            if m > 1:
+                u = np.zeros(m)  # only its presence matters on this route
+                assert _sector_extremes((d, e), u) == extremes(d, e, m - 2)
+    assert _sector_extremes((np.array([0.25]), np.zeros(0))) == (0.25, 0.25)
+    assert _sector_extremes((np.array([0.25]), np.zeros(0)), np.ones(1)) == (-math.inf, 1.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _sector_extremes((np.array([0.5, np.nan]), np.array([0.1])))

@@ -10,8 +10,9 @@ are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
 refused by the dense cap, two BEG grids whose sectors outgrow
 ``DENSE_SECTOR_MAX`` and go to Lanczos iteration, three chains that their
-model does not have or cannot build, and a warm-up grid in which every
-naive gap underflows.
+model does not have or cannot build, a warm-up grid in which every
+naive gap underflows, and short ``simulate`` runs of every (model,
+kind) with default, thinned and burn-in settings, most with a trace.
 
 To compare two source trees, run a copy of this script from each tree
 and diff the two manifests: every line that differs names an artifact,
@@ -46,6 +47,17 @@ EXTRA_COMMANDS = (
     "simulate --model warmup --kind equi-energy --theta 2 --n 4 --steps 10",
     "gap-scan --model warmup --kind small-world --theta 2 --n 4",
     "verify warmup --theta 2 --epsilon 0.3 --n 8200,8300,8400",
+    *(f"simulate {chain} --steps 20000 {variant}"
+      for chain, observable in (
+          ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
+          ("--model ising --kind equi-energy --n 20 --beta 1.2 --p1 0.4 --p2 0.3", "abs_mag"),
+          ("--model beg --kind naive --n 12 --beta 1 --k 1.5", "quad"),
+          ("--model beg --kind equi-energy --n 12 --beta 1 --k 1.5", "quad"),
+          ("--model warmup --kind naive --n 8 --theta 1.7", "abs_mag"),
+          ("--model warmup --kind small-world --n 8 --theta 1.7 --epsilon 0.2", "abs_mag"))
+      for variant in ("--seed 3",
+                      "--seed 4 --thin 7 --burn-in 0 --trace",
+                      f"--seed 5 --burn-in 1234 --observable {observable} --trace")),
 )
 
 
