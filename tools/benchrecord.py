@@ -59,7 +59,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def spread(values: list) -> dict:
-    q1, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 2
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
