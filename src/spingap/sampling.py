@@ -225,8 +225,10 @@ class Sampler:
         keep(t, S, R), when given, is called after steps t = first,
         first + every, ... (t counted from 0 in this call).  Each step
         makes the generator calls of the chain's kernel, in its order:
-        mixture uniform (equi-energy), then site, direction (beg) and
-        acceptance uniform for a flip, or the orbit draw.
+        the mixture uniform (equi-energy) or the reflection uniform
+        (small-world); then, for a flip, the site (ising, beg), the
+        direction (beg, warmup) and the acceptance uniform when the move
+        lowers the weight; or the orbit draw.
         """
         spec, rng, N = self.spec, self.rng, self.spec.N
         random, exp = rng.random, math.exp
