@@ -41,6 +41,7 @@ from .verify import exact_gap_record
 
 VERSION = "spingap 0.1.0"
 OUTPUT_ENV = "SPINGAP_OUTDIR"
+TRACE_TAILS_CAP = 4096   # formatted trace tails a simulate run keeps at once
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -352,7 +353,9 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
                     observable=o.observable)
     o.burn_in = cfg.effective_burn_in
     trace = None
-    tails = {}  # class label -> its row's ",class,value" text; the value is a function of it
+    # class label -> its row's ",class,value" text (the value is a function of
+    # the class); emptied when full, so a long run holds at most the cap
+    tails = {}
 
     def sink(t, label, v):
         # created with the first row: a run refused before it leaves no file
@@ -362,6 +365,8 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
             trace.write("step,class,value\n")
         tail = tails.get(label)
         if tail is None:
+            if len(tails) >= TRACE_TAILS_CAP:
+                tails.clear()
             tail = tails[label] = f",{format_label(label)},{fmt(v)}\n"
         trace.write(f"{t}{tail}")
 

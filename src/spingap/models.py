@@ -404,8 +404,7 @@ def ising_magnetization_log_profile(N: int, beta: float) -> tuple[np.ndarray, np
     if N % 2 != 0:
         raise OddSizeError(f"even N required, got {N}")
     i = np.arange(0, N + 1, 2)
-    logq = np.array([log_binom(N, (N - ii) // 2) + beta * ii * ii / (2 * N) for ii in i])
-    return i, logq
+    return i, log_binom_array(N, (N - i) // 2) + beta * i * i / (2 * N)
 
 
 def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:

@@ -270,6 +270,13 @@ def test_artifact_matches_pinned_digest(tmp_path, command, artifact):
     assert digest == PINNED_ARTIFACT_DIGESTS[command, artifact]
 
 
+def test_a_full_trace_tail_cache_is_emptied_without_moving_a_byte(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "TRACE_TAILS_CAP", 2)
+    assert main(TRACED_RUN.split() + ["--out", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_ARTIFACT_DIGESTS[TRACED_RUN, "trace.csv"]
+
+
 def test_trace_streams_to_disk(tmp_path):
     argv = TRACED_RUN.replace("20000", "5e4").split() + ["--out", str(tmp_path)]
     tracemalloc.start()

@@ -7,10 +7,11 @@
 Exports both commits with ``git archive`` into a temporary directory (an
 export registers nothing in ``.git``, so an interrupted run leaves no
 stale worktree behind) and runs ``perfbench/run.py`` from each export,
-as the benchmark runs it.  Every pair runs the same workload with the
-same ``--seed`` on both sides, one side right after the other; which
-side goes first alternates from pair to pair, and the workloads take
-turns, so a slow spell on the host lands on both sides.
+as the benchmark runs it, for ``BENCHMARK.json``'s ``run_seconds``.
+Pair i (from 1) runs the workload with ``--seed i`` on both sides, one
+side right after the other; which side goes first alternates from pair
+to pair, and the workloads take turns, so a slow spell on the host
+lands on both sides.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the
 output holds both sides' median and quartiles, the pair count, the
@@ -98,12 +99,10 @@ def main(argv: list) -> int:
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
     ap.add_argument("--trace-pairs", action="append", default=[], metavar="WORKLOAD=N")
-    ap.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json)")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     per_layer = {m["name"]: m for m in bench["per_layer"]}
     plan = [(0, w, n) for w, n in parse_counts(args.pairs).items()]
@@ -121,7 +120,7 @@ def main(argv: list) -> int:
             for trace, workload, n in plan:
                 if i >= n:
                     continue
-                seed = args.seed + i
+                seed = 1 + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 result = {}
                 for side in order:
