@@ -15,14 +15,10 @@ from .models import (
     OddSizeError,
     beg,
     beg_row_log_profile,
-    class_of,
     class_table,
     enumerate_beg_classes,
     enumerate_states,
     ising,
-    log_weight,
-    magnetization,
-    quadrupole,
     warmup,
 )
 from .kernels import (
@@ -31,8 +27,6 @@ from .kernels import (
     MoveTable,
     Partition,
     beg_lumped,
-    beg_lumped_tabulated,
-    beg_rate_discrepancies,
     equi_energy_proposal,
     export_kernel_text,
     ising_lumped_bd,
@@ -45,7 +39,6 @@ from .kernels import (
     signed_move_table,
     single_flip_proposal,
     small_world_proposal,
-    unsigned_class_partition,
     unsigned_lumped_chain,
     warmup_block_partition,
 )
@@ -63,10 +56,8 @@ from .spectral import (
     gap,
     gershgorin_bound,
     interval_conductance,
-    lazy_mixture_bound,
     sector_spectrum,
     spectrum,
-    tv_bound,
 )
 from .sampling import (
     RunConfig,
@@ -77,7 +68,6 @@ from .sampling import (
     cost_profile,
     run_estimate,
     sample_uniform_class,
-    step,
 )
 from .verify import (
     BoundReport,
@@ -91,7 +81,6 @@ from .verify import (
     rate_function_argmin,
     scaled_params,
     scaled_params_consistent,
-    signed_containment,
     verify_beg_fast,
     verify_beg_slow,
     verify_ising_fast,

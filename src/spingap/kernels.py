@@ -403,18 +403,6 @@ def signed_class_keys(spec: ModelSpec) -> list:
     return list(zip(S.tolist(), R.tolist()))
 
 
-def unsigned_class_partition(spec: ModelSpec) -> Partition:
-    """Partition of the full space by unsigned orbit (the energy sets)."""
-    keys = signed_class_keys(spec)
-    if spec.kind == "beg":
-        keys = [(abs(s), r) for s, r in keys]
-        order = sorted(set(keys), key=lambda t: (t[1], t[0]))
-    else:
-        keys = [abs(k) for k in keys]
-        order = sorted(set(keys))
-    return partition_by(keys, order=order)
-
-
 def warmup_block_partition(spec: ModelSpec) -> Partition:
     """The warmup decomposition: A_1 = {-1,0,1}, A_i = {-i,+i} for i > 1."""
     if spec.kind != "warmup":
@@ -621,136 +609,12 @@ def beg_lumped(spec: ModelSpec) -> FiniteKernel:
 
     This is ``unsigned_lumped_chain``, the authoritative chain: by strong
     lumpability it coincides with direct lumping of the materialized
-    chain.  A hand-tabulated per-entry rate table is kept in
-    beg_lumped_tabulated for cross-checking.
+    chain.  The tests compare it with a hand-tabulated per-entry rate
+    table and that table's errata (``tests/oracles.py``).
     """
     if spec.kind != "beg":
         raise ValueError("beg only")
     return unsigned_lumped_chain(spec, "equi-energy")
-
-
-#: Entries of the hand-tabulated beg rate table known to deviate from the
-#: authoritative direct-lumping values.  Each item: (name, predicate on
-#: ((s,r), (s2,r2), N), description of the defect).  The r = N boundary
-#: entries of the first three families are tabulated separately and are
-#: correct, hence the r <= N-2 guards.
-BEG_TABULATED_ERRATA = (
-    (
-        "zero-mag sideways",
-        lambda a, b, N: a[0] == 0 and 2 <= a[1] <= N - 2 and b == (2, a[1]),
-        "listed as p1/(4N); the factor r is missing (correct: p1 r/(4N))",
-    ),
-    (
-        "zero-mag shrink",
-        lambda a, b, N: a[0] == 0 and 2 <= a[1] <= N - 2 and b == (1, a[1] - 1),
-        "listed as p1/(4N); the factor r is missing (correct: p1 r/(4N))",
-    ),
-    (
-        "zero-mag grow",
-        lambda a, b, N: a[0] == 0 and 2 <= a[1] <= N - 2 and b == (1, a[1] + 1),
-        "listed as p1/(2N) min(1, e^{K beta/N - beta}); the factor N-r is missing",
-    ),
-    (
-        "shrink-diagonal acceptance",
-        lambda a, b, N: a[0] >= 1 and b == (a[0] - 1, a[1] - 1),
-        "acceptance exponent must be beta + (K beta/N)(1-2s), "
-        "not (K beta/N)(2s+1) - beta (detailed balance fails as listed)",
-    ),
-)
-
-
-def beg_lumped_tabulated(spec: ModelSpec) -> FiniteKernel:
-    """Literal transcription of the hand-tabulated beg projection rates.
-
-    Kept verbatim as a cross-check fixture: four entry families are
-    defective (BEG_TABULATED_ERRATA) and detailed balance fails there.
-    Ranges addressing labels outside the class set are skipped.  Use
-    beg_lumped for the authoritative chain.
-    """
-    if spec.kind != "beg":
-        raise ValueError("beg only")
-    N, beta, K, p1 = spec.N, spec.beta, spec.K, spec.p1
-    auth = beg_lumped(spec)
-    classes = list(auth.labels)
-    index = {sr: i for i, sr in enumerate(classes)}
-    n = len(classes)
-    P = np.zeros((n, n))
-
-    def put(a, b, value):
-        P[index[a], index[b]] = value
-
-    accept0 = min(1.0, math.exp(K * beta / N - beta))
-    put((0, 0), (1, 1), p1 / 2 * accept0)
-    put((0, N), (1, N - 1), p1 / 4)
-    put((0, N), (2, N), p1 / 4)
-    for r in range(2, N - 1, 2):
-        put((0, r), (2, r), p1 / (4 * N))
-        put((0, r), (1, r - 1), p1 / (4 * N))
-        put((0, r), (1, r + 1), p1 / (2 * N) * accept0)
-    for s, r in classes:
-        if s == 0:
-            continue
-        if s + 2 <= r:
-            put((s, r), (s + 2, r), p1 / (8 * N) * (r - s))
-        if s >= 2:
-            put((s, r), (s - 2, r), p1 / (8 * N) * (r + s) * math.exp(4 * K * beta * (1 - s) / N))
-        if r <= N - 1:
-            put((s, r), (s + 1, r + 1),
-                p1 / (4 * N) * (N - r) * min(1.0, math.exp(K * beta * (2 * s + 1) / N - beta)))
-            put((s, r), (s - 1, r + 1),
-                p1 / (4 * N) * (N - r) * math.exp(K * beta * (1 - 2 * s) / N - beta))
-        if s + 1 <= r - 1:
-            put((s, r), (s + 1, r - 1), p1 / (8 * N) * (r - s))
-        if s - 1 <= r - 1 and r >= 1:
-            put((s, r), (s - 1, r - 1),
-                p1 / (8 * N) * (r + s) * min(1.0, math.exp(K * beta * (2 * s + 1) / N - beta)))
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return FiniteKernel(labels=auth.labels, log_pi=auth.log_pi.copy(), P=P)
-
-
-@dataclass(frozen=True)
-class RateDiscrepancy:
-    source: tuple
-    target: tuple
-    tabulated: float
-    direct: float
-    annotated: Optional[str]
-
-
-def beg_rate_discrepancies(spec: ModelSpec) -> list[RateDiscrepancy]:
-    """Off-diagonal entries where the tabulated rates deviate from direct lumping.
-
-    Every discrepancy is matched against BEG_TABULATED_ERRATA; an entry
-    with annotated=None is an unexplained defect and should fail any
-    audit that sees it.
-    """
-    auth = beg_lumped(spec)
-    tab = beg_lumped_tabulated(spec)
-    out = []
-    n = auth.n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = auth.labels[i], auth.labels[j]
-            da, dt = auth.P[i, j], tab.P[i, j]
-            if abs(da - dt) <= 1e-12 * max(1.0, abs(da)):
-                continue
-            note = None
-            for name, pred, desc in BEG_TABULATED_ERRATA:
-                if pred(a, b, spec.N):
-                    note = f"{name}: {desc}"
-                    break
-            out.append(RateDiscrepancy(a, b, float(dt), float(da), note))
-    return out
-
-
-def unsigned_lumping_deviation(spec: ModelSpec) -> float:
-    """Max |derived - direct lumping| over the unsigned equi-energy projection."""
-    derived = unsigned_lumped_chain(spec, "equi-energy")
-    full = metropolis_chain(spec, "equi-energy")
-    direct = lumped_projection(full, unsigned_class_partition(spec))
-    return float(np.abs(derived.P - direct.P).max())
 
 
 # ---------------------------------------------------------------------------

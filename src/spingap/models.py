@@ -130,7 +130,10 @@ def _as_spins(spec: ModelSpec, x: State) -> np.ndarray:
 def validate_state(spec: ModelSpec, x: State) -> None:
     """Raise AlphabetError unless x is a valid configuration for spec."""
     if spec.kind == "warmup":
-        xi = int(np.asarray(x))
+        value = np.asarray(x)
+        if value.ndim or not float(value).is_integer():
+            raise AlphabetError(f"warmup state {value} is not an integer")
+        xi = int(value)
         if not -spec.N <= xi <= spec.N:
             raise AlphabetError(f"warmup state {xi} outside [-{spec.N}, {spec.N}]")
         return
@@ -139,43 +142,6 @@ def validate_state(spec: ModelSpec, x: State) -> None:
     # the set of values, compared with ==: a tenth of np.isin's cost on a few spins
     if not set(arr.tolist()) <= set(allowed):
         raise AlphabetError(f"spins must lie in {allowed}")
-
-
-def magnetization(x: State) -> int:
-    """Total magnetization S = sum of spins (warmup: the coordinate itself)."""
-    arr = np.asarray(x)
-    if arr.ndim == 0:
-        return int(arr)
-    return int(arr.sum())
-
-
-def quadrupole(spec: ModelSpec, x: State) -> int:
-    """Number of nonzero spins R = sum of x_i^2; beg only."""
-    if spec.kind != "beg":
-        raise ValueError(f"quadrupole is defined for the beg model, not {spec.kind}")
-    return int(np.count_nonzero(_as_spins(spec, x)))
-
-
-def log_weight(spec: ModelSpec, x: State) -> float:
-    """Unnormalized log stationary weight of configuration x."""
-    validate_state(spec, x)
-    if spec.kind == "warmup":
-        return abs(int(np.asarray(x))) * math.log(spec.theta)
-    s = magnetization(x)
-    if spec.kind == "ising":
-        return spec.beta * s * s / (2 * spec.N)
-    r = quadrupole(spec, x)
-    return -spec.beta * r + spec.K * spec.beta * s * s / spec.N
-
-
-def class_of(spec: ModelSpec, x: State) -> EnergyClass:
-    """Orbit label of x under coordinate permutations and the global flip."""
-    validate_state(spec, x)
-    s = magnetization(x)
-    sign = 0 if s == 0 else (1 if s > 0 else -1)
-    if spec.kind == "beg":
-        return EnergyClass(abs(s), quadrupole(spec, x), sign)
-    return EnergyClass(abs(s), None, sign)
 
 
 def class_log_state_weight(spec: ModelSpec, c: EnergyClass) -> float:
@@ -369,16 +335,6 @@ def enumerate_states(spec: ModelSpec) -> np.ndarray:
     return (digits - 1).astype(np.int8)
 
 
-def state_index(spec: ModelSpec, x: State) -> int:
-    """Inverse of enumerate_states ordering."""
-    if spec.kind == "warmup":
-        return int(np.asarray(x)) + spec.N
-    arr = _as_spins(spec, x)
-    base = 2 if spec.kind == "ising" else 3
-    digits = (arr + 1) // 2 if spec.kind == "ising" else arr + 1
-    return int((digits * base ** np.arange(spec.N)).sum())
-
-
 def log_weights_all(spec: ModelSpec) -> np.ndarray:
     """Unnormalized log weights of every enumerated configuration."""
     states = enumerate_states(spec)
@@ -425,17 +381,4 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
                 t += math.log(2.0)
             terms.append(t)
         out[r] = log_binom(N, r) - beta * r + logsumexp(terms)
-    return out
-
-
-def beg_row_log_weights(table: ClassTable) -> np.ndarray:
-    """log q(r) reconstructed by summing the signed class table at fixed r."""
-    spec = table.spec
-    if spec.kind != "beg":
-        raise ValueError("row weights are a beg concept")
-    out = np.full(spec.N + 1, -np.inf)
-    for r in range(spec.N + 1):
-        sel = [i for i, c in enumerate(table.classes) if c.r == r]
-        if sel:
-            out[r] = logsumexp(table.log_class_weight[sel])
     return out

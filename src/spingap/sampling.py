@@ -188,6 +188,11 @@ class Sampler:
     def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator,
                  x0=None, orbit_method: str = "direct"):
         check_chain(spec, kind)
+        # refused before the generator is touched: a refused run spends no steps
+        if orbit_method not in ("direct", "sequential"):
+            raise ValueError(f"unknown method {orbit_method!r}")
+        if orbit_method == "sequential" and spec.kind == "beg":
+            raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
         self.spec = spec
         self.kind = kind
         self.rng = rng
@@ -326,13 +331,6 @@ class Sampler:
             cost.ops += moved + orbit_ops
             cost.ops_sequential += moved + orbit_seq
         return component
-
-
-def step(spec: ModelSpec, kind: str, x, rng: np.random.Generator):
-    """One Metropolis transition from x; returns (new state, move component)."""
-    sampler = Sampler(spec, kind, rng, x0=x)
-    component = sampler.step()
-    return sampler.x, component
 
 
 def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,

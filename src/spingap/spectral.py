@@ -19,8 +19,7 @@ its (diagonal, superdiagonal) arrays for the tridiagonal solver, any
 other (BEG) as one CSR matrix for the dense solver or Lanczos.  On top
 of the spectrum: spectral gap, exhaustive conductance with the Cheeger
 sandwich, the chain-decomposition lower bound, the birth--death path
-bound, the Gershgorin bound, asymptotic variance, and the total
-variation convergence bound.
+bound, the Gershgorin bound, and the asymptotic variance.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -140,15 +139,6 @@ def spectrum(chain: Chain) -> Spectrum:
         return Spectrum(eigenvalues=np.array([1.0]), dim=1)
     vals = scipy.linalg.eigvalsh(_symmetrize(chain))
     return Spectrum(eigenvalues=vals[::-1].copy(), dim=chain.n)
-
-
-def eigensystem(kernel: FiniteKernel) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues descending, orthonormal eigenvectors of the symmetrization)."""
-    import scipy.linalg
-
-    vals, vecs = scipy.linalg.eigh(_symmetrize(kernel))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
 
 
 def gap(s: Spectrum) -> float:
@@ -557,11 +547,6 @@ def decomposition_bound(kernel: FiniteKernel, parts: Partition) -> Decomposition
     )
 
 
-def log_profile_peak(log_pi: np.ndarray) -> int:
-    """Index of the maximal stationary weight (first one on ties)."""
-    return int(np.argmax(log_pi))
-
-
 def bd_path_bound(chain: BirthDeathChain, A: float, q: float, B: float, k: int,
                   strict: bool = True) -> BoundEvaluation:
     """Path bound lambda_1 <= 1 - (A/B) n^{-(q+2)} for a birth--death chain.
@@ -619,15 +604,8 @@ def gershgorin_bound(chain: Chain) -> float:
     return -1.0 + 2.0 * float(diag.min())
 
 
-def lazy_mixture_bound(gap_of_p: float, epsilon: float) -> float:
-    """Gap((1-eps) P + eps I) >= (1-eps) Gap(P)."""
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must lie in [0,1], got {epsilon}")
-    return (1.0 - epsilon) * gap_of_p
-
-
 # ---------------------------------------------------------------------------
-# Asymptotic variance and convergence.
+# Asymptotic variance.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -654,7 +632,12 @@ def avar_spectral(kernel: FiniteKernel, f: Sequence[float]) -> AsymptoticVarianc
     var = float(pi @ (f - mu) ** 2)
     if var < 1e-28:
         return AsymptoticVariance(avar=0.0, gap_bound=0.0, variance=0.0, degenerate=True)
-    vals, vecs = eigensystem(kernel)
+    import scipy.linalg
+
+    # eigenpairs of the symmetrization, eigenvalues descending
+    vals, vecs = scipy.linalg.eigh(_symmetrize(kernel))
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
     if vals[1] > 1 - 1e-12:
         raise ReducibleChainError(f"second eigenvalue {vals[1]} is numerically 1")
     coeff = vecs.T @ (f * np.sqrt(pi))
@@ -665,20 +648,3 @@ def avar_spectral(kernel: FiniteKernel, f: Sequence[float]) -> AsymptoticVarianc
     if avar > bound * (1 + 1e-10) + 1e-12:
         raise AssertionError(f"spectral AVar {avar} exceeds its gap bound {bound}")
     return AsymptoticVariance(avar=avar, gap_bound=bound, variance=var)
-
-
-def tv_bound(kernel: FiniteKernel, x: int, k: int) -> float:
-    """Total-variation convergence bound from state index x after k steps.
-
-    sqrt((1 - p(x)) / (4 p(x))) * max(lambda_1, |lambda_min|)^k.
-    """
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    pi = kernel.stationary()
-    px = float(pi[x])
-    if px <= 0.0:
-        raise ValueError(f"state {x} has zero stationary mass")
-    s = spectrum(kernel)
-    rho = max(float(s.eigenvalues[1]), abs(float(s.eigenvalues[-1]))) if s.dim > 1 else 0.0
-    rho = max(rho, 0.0)
-    return math.sqrt((1.0 - px) / (4.0 * px)) * rho ** k

@@ -21,7 +21,6 @@ from . import models
 from .kernels import (
     MoveTable,
     lumped_projection,
-    metropolis_chain,
     partition_by,
     signed_lumped_chain,
     signed_move_table,
@@ -31,9 +30,7 @@ from .spectral import (
     GAP_RESOLUTION,
     SectorSpectrum,
     cut_bottleneck_log,
-    gap,
     sector_spectrum,
-    spectrum,
 )
 
 
@@ -670,31 +667,3 @@ def scaled_params_consistent(a: float, N: int) -> ScaledParams:
     if a <= 0:
         raise ValueError("a must be positive")
     return ScaledParams(p1=1.0 - a / N, p2=a / (2.0 * N), valid=True)
-
-
-# ---------------------------------------------------------------------------
-# Signed-lumping containment (spectrum subset) audit.
-# ---------------------------------------------------------------------------
-
-def signed_containment(spec: ModelSpec, kind: str) -> dict:
-    """Check every lumped eigenvalue appears in the full spectrum (to 1e-8).
-
-    Returns the one-sided Hausdorff distance, both gaps, and whether the
-    gaps agree to 1e-10 (recorded, not required).
-    """
-    full = metropolis_chain(spec, kind)
-    lump = signed_lumped_chain(spec, kind)
-    s_full = spectrum(full)
-    s_lump = spectrum(lump)
-    ev_full, ev_lump = s_full.eigenvalues, s_lump.eigenvalues
-    dist = float(max(np.abs(ev_full[None, :] - ev_lump[:, None]).min(axis=1).max(), 0.0))
-    gap_full = gap(s_full)
-    gap_lump = gap(s_lump)
-    return {
-        "hausdorff_one_sided": dist,
-        "contained": dist <= 1e-8,
-        "gap_full": gap_full,
-        "gap_lumped": gap_lump,
-        "gap_lumped_dominates": gap_lump >= gap_full - 1e-10,
-        "gaps_agree": abs(gap_full - gap_lump) <= 1e-10,
-    }

@@ -15,14 +15,12 @@ from spingap import kernels, models, verify
 from spingap.cli import main as cli_main
 from spingap.kernels import (
     beg_lumped,
-    beg_rate_discrepancies,
     ising_lumped_bd,
     metropolis_chain,
     partition_by,
     restriction,
     signed_lumped_chain,
     equi_energy_proposal,
-    unsigned_class_partition,
     warmup_block_partition,
 )
 from spingap.models import EnergyClass, beg, ising, warmup
@@ -35,6 +33,9 @@ from spingap.spectral import (
     gap,
     spectrum,
 )
+
+import oracles
+from oracles import beg_rate_discrepancies, unsigned_class_partition
 
 
 def _report(num, name):
@@ -72,10 +73,10 @@ def test_criterion_02_lumping_oracle_equivalence():
     # entries annotated as documented errata (direct values adopted)
     for N in (2, 4, 6, 8, 10, 12):
         spec = ising(N, beta=2.0, p1=0.5, p2=0.25)
-        assert kernels.unsigned_lumping_deviation(spec) < 1e-12
+        assert oracles.unsigned_lumping_deviation(spec) < 1e-12
     for N in (2, 4, 6, 8):
         spec = beg(N, beta=1.5, K=3.0, p1=0.5, p2=0.25)
-        assert kernels.unsigned_lumping_deviation(spec) < 1e-12
+        assert oracles.unsigned_lumping_deviation(spec) < 1e-12
         disc = beg_rate_discrepancies(spec)
         unexplained = [d for d in disc if d.annotated is None]
         assert unexplained == [], f"unannotated rate mismatches: {unexplained}"
@@ -89,19 +90,19 @@ def test_criterion_03_signed_lumping_containment():
     # Gap(lumped) >= Gap(full) - 1e-10; agreement recorded per cell
     agreements = {}
     for N in (2, 4, 6, 8, 10, 12):
-        rec = verify.signed_containment(ising(N, beta=2.0, p1=0.5, p2=0.25),
-                                        "equi-energy")
+        rec = oracles.signed_containment(ising(N, beta=2.0, p1=0.5, p2=0.25),
+                                         "equi-energy")
         assert rec["hausdorff_one_sided"] <= 1e-8
         assert rec["gap_lumped_dominates"]
         agreements[("ising", "equi-energy", N)] = rec["gaps_agree"]
     for N in (2, 4, 6, 8, 10):
-        rec = verify.signed_containment(ising(N, beta=1.5), "naive")
+        rec = oracles.signed_containment(ising(N, beta=1.5), "naive")
         assert rec["hausdorff_one_sided"] <= 1e-8
         assert rec["gap_lumped_dominates"]
         agreements[("ising", "naive", N)] = rec["gaps_agree"]
     for N in (2, 4, 6):
         for kind in ("naive", "equi-energy"):
-            rec = verify.signed_containment(
+            rec = oracles.signed_containment(
                 beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25), kind)
             assert rec["hausdorff_one_sided"] <= 1e-8
             assert rec["gap_lumped_dominates"]

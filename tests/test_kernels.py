@@ -14,8 +14,6 @@ from spingap.kernels import (
     Partition,
     SupportError,
     beg_lumped,
-    beg_lumped_tabulated,
-    beg_rate_discrepancies,
     equi_energy_proposal,
     export_kernel_text,
     ising_lumped_bd,
@@ -28,12 +26,17 @@ from spingap.kernels import (
     signed_move_table,
     single_flip_proposal,
     small_world_proposal,
-    unsigned_class_partition,
     unsigned_lumped_chain,
-    unsigned_lumping_deviation,
     warmup_block_partition,
 )
 from spingap.models import beg, ising, warmup
+
+from oracles import (
+    beg_lumped_tabulated,
+    beg_rate_discrepancies,
+    unsigned_class_partition,
+    unsigned_lumping_deviation,
+)
 
 
 def two_state(pi0, q01, q10):

@@ -13,7 +13,6 @@ from spingap.models import (
     beg,
     class_table,
     ising,
-    state_index,
     warmup,
 )
 from spingap.sampling import (
@@ -29,8 +28,9 @@ from spingap.sampling import (
     run_estimate,
     sample_uniform_class,
     simulate_kernel,
-    step,
 )
+
+from oracles import state_index, step
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +389,14 @@ def test_sequential_orbit_draw_costs_quadratically():
 
 class ReferenceSampler:
     """The sampler as it stepped before ``Sampler.run``: one method per move
-    component, the statistics and cost counters on the instance."""
+    component, the statistics and cost counters on the instance.  Like
+    ``Sampler`` it refuses an orbit method the model lacks on construction."""
 
     def __init__(self, spec, kind, rng, x0=None, orbit_method="direct"):
+        if orbit_method not in ("direct", "sequential"):
+            raise ValueError(f"unknown method {orbit_method!r}")
+        if orbit_method == "sequential" and spec.kind == "beg":
+            raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
         self.spec, self.kind, self.rng = spec, kind, rng
         self.orbit_method = orbit_method
         self.cost = CostCounters()
@@ -649,9 +654,50 @@ def test_step_matches_per_method_reference(spec, kind):
     (ising(4, beta=1.0), [1, 0, 1, 1]),
     (beg(4, beta=1.0, K=1.0), [1, 2, 1]),
     (warmup(3, theta=2.0), 7),
+    # a non-integer warm-up start is refused, not truncated to an integer
+    (warmup(3, theta=2.0), 2.5),
+    (warmup(3, theta=2.0), -0.5),
+    (warmup(3, theta=2.0), np.float64(1.25)),
+    (warmup(3, theta=2.0), float("nan")),
 ])
 def test_sampler_refuses_an_invalid_start(spec, x0):
     with pytest.raises(AlphabetError):
         Sampler(spec, "naive", np.random.default_rng(0), x0=x0)
     with pytest.raises(AlphabetError):
         step(spec, "naive", x0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("x0", [2, np.int64(2), 2.0, np.array(2)])
+def test_sampler_takes_an_integer_warmup_start(x0):
+    sampler = Sampler(warmup(3, theta=2.0), "naive", np.random.default_rng(0), x0=x0)
+    assert sampler.x == sampler.S == 2
+    assert type(sampler.x) is int
+
+
+REFUSED_ORBIT_METHODS = [
+    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "equi-energy", "sequential",
+     "two-letter alphabet only"),
+    (beg(6, beta=1.0, K=1.5), "naive", "sequential", "two-letter alphabet only"),
+    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "equi-energy", "Direct", "unknown method"),
+    (ising(6, beta=1.2, p1=0.4, p2=0.3), "equi-energy", "uniform", "unknown method"),
+    (ising(6, beta=1.2), "naive", "uniform", "unknown method"),
+    (warmup(5, theta=1.7, epsilon=0.2), "small-world", "uniform", "unknown method"),
+    (warmup(5, theta=1.7), "naive", "", "unknown method"),
+]
+
+
+@pytest.mark.parametrize("spec,kind,method,message", REFUSED_ORBIT_METHODS,
+                         ids=[f"{s.kind}-{k}-{m or 'empty'}"
+                              for s, k, m, _ in REFUSED_ORBIT_METHODS])
+def test_an_orbit_method_is_refused_before_any_draw(spec, kind, method, message):
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        Sampler(spec, kind, rng, orbit_method=method)
+    assert rng.bit_generator.state == before
+    # run_estimate refuses before its first step: the sink never hears of one
+    calls = []
+    with pytest.raises(ValueError, match=message):
+        run_estimate(spec, kind, RunConfig(steps=2000, seed=8), orbit_method=method,
+                     trace_sink=lambda *a: calls.append(a))
+    assert calls == []

@@ -15,7 +15,6 @@ from spingap.kernels import (
     metropolis_chain,
     partition_by,
     restriction,
-    unsigned_class_partition,
     warmup_block_partition,
 )
 from spingap.models import ising, warmup
@@ -32,11 +31,10 @@ from spingap.spectral import (
     gap,
     gershgorin_bound,
     interval_conductance,
-    lazy_mixture_bound,
-    log_profile_peak,
     spectrum,
-    tv_bound,
 )
+
+from oracles import unsigned_class_partition
 
 
 def two_state(q, pi0=0.5):
@@ -317,7 +315,7 @@ def test_decomposition_ising_energy_partition():
 
 
 # ---------------------------------------------------------------------------
-# birth-death path bound, Gershgorin, lazy mixture
+# birth-death path bound, Gershgorin
 # ---------------------------------------------------------------------------
 
 def test_bd_path_bound_symmetric_walk():
@@ -357,7 +355,7 @@ def test_bd_path_bound_ising_projection_strong_beta():
     # still the substituted 1 - (p1/16)(N/2+1)^{-3}
     spec = ising(4, beta=2.0, p1=0.5, p2=0.25)
     bd = ising_lumped_bd(spec)
-    k = log_profile_peak(bd.log_pi)
+    k = int(np.argmax(bd.log_pi))
     ev = bd_path_bound(bd, A=spec.p1 / 8, q=1.0, B=2.0, k=k, strict=False)
     assert ev.value == pytest.approx(1 - 0.5 / 16 / 27, rel=1e-12)
     assert not ev.hypotheses_ok
@@ -368,7 +366,7 @@ def test_bd_path_bound_ising_projection_strong_beta():
 def test_bd_path_bound_ising_projection_mild_beta():
     spec = ising(10, beta=0.5, p1=0.5, p2=0.25)
     bd = ising_lumped_bd(spec)
-    k = log_profile_peak(bd.log_pi)
+    k = int(np.argmax(bd.log_pi))
     ev = bd_path_bound(bd, A=spec.p1 / 8, q=1.0, B=2.0, k=k)
     assert ev.hypotheses_ok
     lam1 = spectrum(bd).eigenvalues[1]
@@ -389,26 +387,8 @@ def test_gershgorin_cases():
     assert lam_min >= b - 1e-10
 
 
-def test_lazy_mixture_bound():
-    assert lazy_mixture_bound(0.4, 0.0) == pytest.approx(0.4)
-    assert lazy_mixture_bound(0.4, 1.0) == 0.0
-    # 2-state q=0.5 mixed with eps=0.5 identity: exact gap equals bound
-    K = symmetric_two_state(0.5)
-    eps = 0.5
-    mixed = FiniteKernel(labels=K.labels, log_pi=K.log_pi,
-                         P=(1 - eps) * K.P + eps * np.eye(2))
-    exact = gap(spectrum(mixed))
-    assert exact == pytest.approx(lazy_mixture_bound(gap(spectrum(K)), eps), abs=1e-12)
-    # dominance on a generic chain
-    K = random_reversible(7, seed=9)
-    for eps in (0.1, 0.7):
-        mixed = FiniteKernel(labels=K.labels, log_pi=K.log_pi,
-                             P=(1 - eps) * K.P + eps * np.eye(7))
-        assert gap(spectrum(mixed)) >= lazy_mixture_bound(gap(spectrum(K)), eps) - 1e-12
-
-
 # ---------------------------------------------------------------------------
-# asymptotic variance, TV bound
+# asymptotic variance
 # ---------------------------------------------------------------------------
 
 def test_avar_two_state_closed_form():
@@ -438,16 +418,3 @@ def test_avar_gap_bound_holds_on_grid():
         f = rng.standard_normal(8)
         res = avar_spectral(K, f)
         assert res.avar <= res.gap_bound * (1 + 1e-10)
-
-
-def test_tv_bound_cases():
-    K = symmetric_two_state(0.3)
-    assert tv_bound(K, 0, 0) == pytest.approx(0.5)
-    # strictly aperiodic: geometric decay to zero, monotone
-    vals = [tv_bound(K, 0, k) for k in range(6)]
-    assert all(vals[i] >= vals[i + 1] for i in range(5))
-    # q = 0.5: rho = 0, bound 0 at k=1
-    K5 = symmetric_two_state(0.5)
-    assert tv_bound(K5, 0, 1) == 0.0
-    with pytest.raises(ValueError):
-        tv_bound(K, 0, -1)

@@ -27,10 +27,11 @@ from spingap.verify import (
     rate_function_argmin,
     scaled_params,
     scaled_params_consistent,
-    signed_containment,
     verify_beg_fast,
     verify_ising_fast,
 )
+
+from oracles import signed_containment
 
 
 # ---------------------------------------------------------------------------

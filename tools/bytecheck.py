@@ -13,6 +13,9 @@ refused by the dense cap, two BEG grids whose sectors outgrow
 model does not have or cannot build, a warm-up grid in which every
 naive gap underflows, and short ``simulate`` runs of every (model,
 kind) with default, thinned and burn-in settings, most with a trace.
+After them it runs each script under ``demos/``, copied into its own
+directory so that the ``out/`` it writes lands under OUTDIR; the copy
+itself is not hashed.
 
 To compare two source trees, run a copy of this script from each tree
 and diff the two manifests: every line that differs names an artifact,
@@ -25,6 +28,7 @@ import hashlib
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,13 +83,21 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0]).resolve()
     env = {k: v for k, v in os.environ.items() if k != "SPINGAP_OUTDIR"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    commands = readme_commands() + [line.split() for line in EXTRA_COMMANDS]
-    for i, args in enumerate(commands, start=1):
+    # (command file text, interpreter arguments, demo script to copy or None)
+    jobs = [(shlex.join(args), ["-m", "spingap.cli", *args], None)
+            for args in readme_commands() + [line.split() for line in EXTRA_COMMANDS]]
+    jobs += [(f"demos/{script.name}", [script.name], script)
+             for script in sorted((ROOT / "demos").glob("*.py"))]
+    for i, (label, args, script) in enumerate(jobs, start=1):
         run_dir = outdir / f"{i:02d}"
         run_dir.mkdir(parents=True)  # refuses a directory left by an earlier run
-        proc = subprocess.run([sys.executable, "-m", "spingap.cli", *args], cwd=run_dir,
-                              env=env, capture_output=True)
-        (run_dir / "command").write_text(shlex.join(args) + "\n")
+        if script:
+            shutil.copy(script, run_dir)
+        proc = subprocess.run([sys.executable, *args], cwd=run_dir, env=env,
+                              capture_output=True)
+        if script:
+            (run_dir / script.name).unlink()
+        (run_dir / "command").write_text(label + "\n")
         (run_dir / "stdout").write_bytes(proc.stdout)
         (run_dir / "stderr").write_bytes(proc.stderr)
         (run_dir / "exit").write_text(f"{proc.returncode}\n")
