@@ -67,7 +67,6 @@ from .sampling import (
     bose_einstein_sample,
     cost_profile,
     run_estimate,
-    sample_uniform_class,
 )
 from .verify import (
     BoundReport,

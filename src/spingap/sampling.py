@@ -120,14 +120,30 @@ def _ising_config_from_occupancy(N: int, occ: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_orbit_method(spec: ModelSpec, method: str) -> None:
+    """Refuse an orbit draw ``method`` that ``spec`` does not have."""
+    if method not in ("direct", "sequential"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "sequential" and spec.kind == "beg":
+        raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
+
+
 def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generator,
                          method: str = "direct"):
     """A configuration uniform over the signed class c.
 
     method="direct" samples positions in O(N); method="sequential" runs
     the literal ball-placement scheme (warmup/ising only) and exists to
-    keep that construction tested at its own cost.
+    keep that construction tested at its own cost.  A method ``spec``
+    does not have is refused before the generator is touched.
     """
+    _check_orbit_method(spec, method)
+    return _draw_uniform_class(spec, c, rng, method)
+
+
+def _draw_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generator,
+                        method: str):
+    """`sample_uniform_class` for a ``method`` already checked."""
     N = spec.N
     if spec.kind == "warmup":
         return int(c.sign * c.s)
@@ -137,15 +153,11 @@ def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generat
         if method == "sequential":
             occ = bose_einstein_sample(n_plus, N - n_plus + 1, rng)
             return _ising_config_from_occupancy(N, occ)
-        if method != "direct":
-            raise ValueError(f"unknown method {method!r}")
         x = np.full(N, -1, dtype=np.int8)
         x[rng.permutation(N)[:n_plus]] = 1
         return x
     if c.r is None:
         raise ValueError("beg class label must carry r")
-    if method != "direct":
-        raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
     n_minus = (c.r - signed_s) // 2
     x = np.zeros(N, dtype=np.int8)
     nonzero = rng.permutation(N)[:c.r]
@@ -189,10 +201,7 @@ class Sampler:
                  x0=None, orbit_method: str = "direct"):
         check_chain(spec, kind)
         # refused before the generator is touched: a refused run spends no steps
-        if orbit_method not in ("direct", "sequential"):
-            raise ValueError(f"unknown method {orbit_method!r}")
-        if orbit_method == "sequential" and spec.kind == "beg":
-            raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
+        _check_orbit_method(spec, orbit_method)
         self.spec = spec
         self.kind = kind
         self.rng = rng
@@ -301,8 +310,8 @@ class Sampler:
                         component = "global"
                     else:
                         # statistics are invariant on the orbit; nothing to update
-                        x = sample_uniform_class(spec, _class_label(S, R), rng,
-                                                 self.orbit_method)
+                        x = _draw_uniform_class(spec, _class_label(S, R), rng,
+                                                self.orbit_method)
                         spins = memoryview(x)
                         if beg:
                             seq = N

@@ -150,14 +150,70 @@ def _slow_cell_values(spec: ModelSpec) -> dict:
     return vals
 
 
-def _gap_fit(records, loglog: bool):
-    """OLS of log Gap on N (log N if loglog) over the resolvable gaps; None under 6."""
-    pts = [(math.log(r.cell["N"]) if loglog else r.cell["N"], math.log(r.values["gap"]))
+def _gap_fit(records):
+    """OLS of log Gap on log N over the resolvable gaps; None under 6."""
+    pts = [(math.log(r.cell["N"]), math.log(r.values["gap"]))
            for r in records if not r.values["underflow"]]
-    if len(pts) < 6:
-        return None
-    xs, ys = zip(*pts)
-    return ols_fit(xs, ys)
+    return ols_fit(*zip(*pts)) if len(pts) >= 6 else None
+
+
+def _collapse_fit(Ns: Sequence[int], gaps: Sequence[float],
+                  cut_fit: Callable[[], FitResult]) -> Optional[tuple]:
+    """The slow-mixing verdict rule: the ``(route, fit)`` to judge, or None.
+
+    Six or more resolvable gaps: ("gap", OLS of log Gap on N).  No
+    resolvable gap: ("2hcut", ``cut_fit()``), the OLS of log(2h) at the
+    negative-side cut on N, which bounds log Gap from above at any depth.
+    One to five resolvable gaps: no verdict.
+    """
+    pts = [(N, math.log(g)) for N, g in zip(Ns, gaps) if not g < GAP_RESOLUTION]
+    if len(pts) >= 6:
+        return "gap", ols_fit(*zip(*pts))
+    return None if pts else ("2hcut", cut_fit())
+
+
+def _naive_decay(model: Callable[..., ModelSpec], param_names: tuple, cells: Sequence[tuple],
+                 Ns: Sequence[int], deep: Sequence[tuple], slope_threshold: float) -> tuple:
+    """The cell loop of the slow audits: (records, fits, failures, slopes).
+
+    Each cell, a tuple of ``model``'s ``param_names`` values, gets one
+    naive move table per N, the fit ``semilog-2hcut-…`` and, with six or
+    more resolvable gaps, ``semilog-gap-…``; its slope is the gap fit's,
+    else the cut fit's.  A cell in ``deep`` fails unless its
+    `_collapse_fit` slope CI lies entirely below ``slope_threshold``.
+    """
+    missing = [c for c in deep if c not in cells]
+    if missing:
+        raise ValueError("deep cells outside the grid: "
+                         + ", ".join(":".join(map(str, c)) for c in missing))
+    records, fits, failures, slopes = [], [], [], {}
+    for params in cells:
+        named = dict(zip(param_names, params))
+        cell_records = []
+        for N in Ns:
+            spec = model(N, **named)
+            vals = _slow_cell_values(spec)
+            cell_records.append(CellRecord(
+                cell={"model": spec.kind, "kind": "naive", "N": N, **named},
+                values=vals, note="underflow" if vals["underflow"] else ""))
+        records.extend(cell_records)
+        tag = "-".join(f"{k}={v}" for k, v in named.items())
+        # the cut route decays like the class-weight ratio at the S=0
+        # bottleneck and stays finite under the resolution floor
+        cut_fit = ols_fit(Ns, [r.values["log_2h_cut"] for r in cell_records])
+        fits.append((f"semilog-2hcut-{tag}", cut_fit))
+        route, fit = _collapse_fit(Ns, [r.values["gap"] for r in cell_records],
+                                   lambda: cut_fit) or (None, cut_fit)
+        if route == "gap":
+            fits.append((f"semilog-gap-{tag}", fit))
+        slopes[",".join(map(str, params))] = fit.slope
+        where = ",".join(f"{k}={v}" for k, v in named.items())
+        if params in deep and route is None:
+            failures.append(f"{where}: too few resolvable gaps to fit")
+        elif params in deep and not fit.ci_hi < slope_threshold:
+            failures.append(f"{where}: slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
+                            f"not entirely below {slope_threshold}")
+    return tuple(records), tuple(fits), tuple(failures), slopes
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +253,7 @@ def verify_ising_fast(betas: Sequence[float], Ns: Sequence[int],
         n0s[beta] = _first_onward(Ns, [r.passed for r in cell_records])
         if n0s[beta] is None:
             failures.append(f"beta={beta}: no N0 in the grid satisfies the bound onward")
-        fit = _gap_fit(cell_records, loglog=True)
+        fit = _gap_fit(cell_records)
         if fit is not None:
             fits.append((f"loglog-gap-beta={beta}", fit))
         records.extend(cell_records)
@@ -211,44 +267,16 @@ def verify_ising_slow(betas: Sequence[float], Ns: Sequence[int],
     """Exponential slow-mixing shape of the naive chain for beta > 1.
 
     Constants are not reproducible from the statement, so acceptance is
-    shape-only: the 95% interval of the slope of log Gap vs N must lie
-    entirely below the threshold.  Cells with beta < 1 are recorded with
-    a log-log fit for reference, nothing asserted.
+    shape-only: the 95% interval of the slope of the `_collapse_fit`
+    route (log Gap vs N, or log(2h) at the negative-side cut when every
+    gap underflows) must lie entirely below the threshold.  Cells with
+    beta <= 1 are recorded with the same fits, nothing asserted.
     """
-    records = []
-    fits = []
-    failures = []
-    for beta in betas:
-        cell_records = []
-        for N in Ns:
-            spec = ising(N, beta=beta)
-            vals = _slow_cell_values(spec)
-            cell_records.append(CellRecord(
-                cell={"model": "ising", "kind": "naive", "N": N, "beta": beta},
-                values=vals,
-                note="underflow" if vals["underflow"] else ""))
-        records.extend(cell_records)
-        # the cut route decays like the class-weight ratio at the S=0
-        # bottleneck and stays finite under the resolution floor
-        cut_fit = ols_fit([r.cell["N"] for r in cell_records],
-                          [r.values["log_2h_cut"] for r in cell_records])
-        fits.append((f"semilog-2hcut-beta={beta}", cut_fit))
-        if beta > 1:
-            fit = _gap_fit(cell_records, loglog=False)
-            if fit is None:
-                failures.append(f"beta={beta}: too few resolvable gaps to fit")
-                continue
-            fits.append((f"semilog-gap-beta={beta}", fit))
-            if not fit.ci_hi < slope_threshold:
-                failures.append(
-                    f"beta={beta}: slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
-                    f"not entirely below {slope_threshold}")
-        else:
-            fit = _gap_fit(cell_records, loglog=True)
-            if fit is not None:
-                fits.append((f"loglog-gap-beta={beta}", fit))
-    return BoundReport(name="ising-slow", records=tuple(records), fits=tuple(fits),
-                       passed=not failures, failures=tuple(failures))
+    cells = [(beta,) for beta in betas]
+    records, fits, failures, _ = _naive_decay(
+        ising, ("beta",), cells, Ns, [c for c in cells if c[0] > 1], slope_threshold)
+    return BoundReport(name="ising-slow", records=records, fits=fits,
+                       passed=not failures, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +331,24 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
         failures.append(
             f"Gap*N^2 trend slope CI [{fit_tail.ci_lo:.4g}, {fit_tail.ci_hi:.4g}] "
             "dips below -0.1")
-    naive_pts = [(r.cell["N"], r.values["naive_gap"]) for r in records
-                 if not r.values["naive_underflow"]]
-    fit_naive = None
-    if len(naive_pts) >= 6:
-        fit_naive = ols_fit([p[0] for p in naive_pts],
-                            [math.log(p[1]) for p in naive_pts])
-        fits.append(("semilog-naive-gap", fit_naive))
-    elif not naive_pts:
-        # every naive gap underflows: fit the cut bound instead, as
-        # verify_beg_slow does; no other grid builds the cut
+
+    def naive_cut_fit():
+        # every naive gap underflows: only then are the naive tables rebuilt
         for r in records:
             table = signed_move_table(warmup(r.cell["N"], theta=theta), "naive")
             r.values["naive_log_2h_cut"] = _negative_side_cut_log(table)
-        fit_naive = ols_fit([r.cell["N"] for r in records],
-                            [r.values["naive_log_2h_cut"] for r in records])
-        fits.append(("semilog-naive-2hcut", fit_naive))
-    else:
+        return ols_fit(Ns, [r.values["naive_log_2h_cut"] for r in records])
+
+    route, fit_naive = _collapse_fit(
+        Ns, [r.values["naive_gap"] for r in records], naive_cut_fit) or (None, None)
+    if route is None:
         failures.append("fewer than 6 resolvable naive gaps")
-    if fit_naive is not None and not fit_naive.ci_hi <= -math.log(theta) + 0.1:
-        failures.append(
-            f"naive slope CI [{fit_naive.ci_lo:.4g}, {fit_naive.ci_hi:.4g}] "
-            f"exceeds -log(theta)+0.1 = {-math.log(theta) + 0.1:.4g}")
+    else:
+        fits.append((f"semilog-naive-{route}", fit_naive))
+        if not fit_naive.ci_hi <= -math.log(theta) + 0.1:
+            failures.append(
+                f"naive slope CI [{fit_naive.ci_lo:.4g}, {fit_naive.ci_hi:.4g}] "
+                f"exceeds -log(theta)+0.1 = {-math.log(theta) + 0.1:.4g}")
     return BoundReport(name="warmup", records=tuple(records), fits=tuple(fits),
                        passed=not failures, failures=tuple(failures),
                        summary={"inf_gap_N2": inf_scaled})
@@ -339,53 +363,18 @@ def verify_beg_slow(cells: Sequence[tuple], Ns: Sequence[int],
                     slope_threshold: float = -0.05) -> BoundReport:
     """Naive-chain decay map over (beta, K) cells.
 
-    Cells listed in ``deep`` (default: all) must show the exponential
-    shape.  Primary route: slope CI of log Gap vs N entirely below the
-    threshold, fitted over the resolvable gaps.  Cells so deep that every
-    gap underflows switch to the rigorous cut route: gap <= 2h at the
-    negative-magnetization cut, evaluated in log space, whose slope must
-    clear the same threshold (the underflow itself corroborates the
-    collapse).  All cells contribute to the empirical phase map.
+    Cells listed in ``deep`` (default: all; a deep cell outside ``cells``
+    raises ValueError) must show the exponential shape: the slope CI of
+    the `_collapse_fit` route entirely below the threshold.  That route
+    fits log Gap vs N over six or more resolvable gaps or, in a cell so
+    deep that every gap underflows, log(2h) at the negative-magnetization
+    cut, evaluated in log space.  All cells contribute to the empirical
+    phase map, ``summary.slopes``.
     """
-    deep = list(cells) if deep is None else list(deep)
-    records = []
-    fits = []
-    failures = []
-    slopes = {}
-    for beta, K in cells:
-        cell_records = []
-        for N in Ns:
-            spec = beg(N, beta=beta, K=K)
-            vals = _slow_cell_values(spec)
-            cell_records.append(CellRecord(
-                cell={"model": "beg", "kind": "naive", "N": N, "beta": beta, "K": K},
-                values=vals,
-                note="underflow" if vals["underflow"] else ""))
-        records.extend(cell_records)
-        fit = _gap_fit(cell_records, loglog=False)
-        cut_fit = ols_fit([r.cell["N"] for r in cell_records],
-                          [r.values["log_2h_cut"] for r in cell_records])
-        fits.append((f"semilog-2hcut-beta={beta}-K={K}", cut_fit))
-        if fit is not None:
-            fits.append((f"semilog-gap-beta={beta}-K={K}", fit))
-            slopes[f"{beta},{K}"] = fit.slope
-        else:
-            slopes[f"{beta},{K}"] = cut_fit.slope
-        if (beta, K) in deep:
-            if fit is not None:
-                if not fit.ci_hi < slope_threshold:
-                    failures.append(
-                        f"(beta,K)=({beta},{K}): slope CI [{fit.ci_lo:.4g}, "
-                        f"{fit.ci_hi:.4g}] not entirely below {slope_threshold}")
-            else:
-                all_underflow = all(r.values["underflow"] for r in cell_records)
-                if not (all_underflow and cut_fit.ci_hi < slope_threshold):
-                    failures.append(
-                        f"(beta,K)=({beta},{K}): no resolvable gaps and the cut-bound "
-                        f"slope CI [{cut_fit.ci_lo:.4g}, {cut_fit.ci_hi:.4g}] does not "
-                        f"certify collapse below {slope_threshold}")
-    return BoundReport(name="beg-slow", records=tuple(records), fits=tuple(fits),
-                       passed=not failures, failures=tuple(failures),
+    records, fits, failures, slopes = _naive_decay(
+        beg, ("beta", "K"), cells, Ns, cells if deep is None else deep, slope_threshold)
+    return BoundReport(name="beg-slow", records=records, fits=fits,
+                       passed=not failures, failures=failures,
                        summary={"slopes": slopes})
 
 
@@ -438,7 +427,7 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
                       "K": K, "p1": p1, "p2": p2},
                 values=vals, passed=ok))
         records.extend(cell_records)
-        fit = _gap_fit(cell_records, loglog=True)
+        fit = _gap_fit(cell_records)
         if fit is None:
             failures.append(f"(beta,K)=({beta},{K}): too few resolvable gaps")
             continue
@@ -492,17 +481,11 @@ class ProfileSeries:
     unimodal: bool
     monotone_decreasing: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class UnimodalityReport:
     series: tuple
     n0: dict   # per parameter cell: smallest N from which unimodality holds onward
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def beg_unimodality_scan(pairs: Sequence[tuple], Ns: Sequence[int]) -> UnimodalityReport:

@@ -206,6 +206,39 @@ def test_beg_slow_runs_past_the_dense_cap(tmp_path):
     assert all(math.isfinite(float(r["log_2h_cut"])) for r in rows)
 
 
+@pytest.mark.parametrize("command,rc,message,fits", [
+    # every gap underflows: the audit takes its cut route and passes
+    ("verify ising-slow --beta 2 --n 100..200..10", EXIT_OK, "", ["semilog-2hcut-beta=2.0"]),
+    ("verify beg-slow --beta-k 3:5 --n 6..16..2", EXIT_OK, "",
+     ["semilog-2hcut-beta=3.0-K=5.0"]),
+    ("verify warmup --n 8200,8300,8400", EXIT_OK, "",
+     ["loglog-gapN2-tail", "semilog-naive-2hcut"]),
+    # some gaps resolve, fewer than six: no verdict, so the audit fails
+    ("verify ising-slow --beta 2 --n 60..100..10", EXIT_AUDIT_FAILED,
+     "AUDIT FAILURE: beta=2.0: too few resolvable gaps to fit\n", ["semilog-2hcut-beta=2.0"]),
+    ("verify beg-slow --beta-k 1.5:2 --n 20..44..4", EXIT_AUDIT_FAILED,
+     "AUDIT FAILURE: beta=1.5,K=2.0: too few resolvable gaps to fit\n",
+     ["semilog-2hcut-beta=1.5-K=2.0"]),
+    ("verify warmup --n 30..50..2", EXIT_AUDIT_FAILED,
+     "AUDIT FAILURE: fewer than 6 resolvable naive gaps\n", ["loglog-gapN2-tail"]),
+])
+def test_slow_audits_fall_back_to_the_cut_only_when_every_gap_underflows(
+        tmp_path, capsys, command, rc, message, fits):
+    assert main(command.split() + ["--out", str(tmp_path)]) == rc
+    assert capsys.readouterr().err == message
+    rows = csv.DictReader((tmp_path / "fits.csv").open())
+    assert [row["label"] for row in rows] == fits
+
+
+def test_a_deep_cell_outside_the_grid_exits_2(tmp_path, capsys):
+    # it asserted nothing and passed
+    rc = main(["verify", "beg-slow", "--beta-k", "3:5", "--deep", "1:1", "--n", "6..10..2",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: deep cells outside the grid: 1.0:1.0\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 #: sha256 of report.csv and fits.csv for small README-style grids, recorded
 #: before the kernel layer lost its per-element loops (numpy 2.4, scipy 1.17,
 #: x86-64); a refactor that moves one bit of a reported number changes them

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from spingap import sampling
 from spingap.kernels import metropolis_chain
 from spingap.models import (
     AlphabetError,
@@ -700,4 +701,39 @@ def test_an_orbit_method_is_refused_before_any_draw(spec, kind, method, message)
     with pytest.raises(ValueError, match=message):
         run_estimate(spec, kind, RunConfig(steps=2000, seed=8), orbit_method=method,
                      trace_sink=lambda *a: calls.append(a))
+    assert calls == []
+
+
+#: one valid signed class per model of REFUSED_ORBIT_METHODS
+ORBIT_CLASSES = {"ising": EnergyClass(2, None, 1), "beg": EnergyClass(1, 3, -1),
+                 "warmup": EnergyClass(3, None, -1)}
+
+
+@pytest.mark.parametrize("spec,kind,method,message", REFUSED_ORBIT_METHODS,
+                         ids=[f"{s.kind}-{k}-{m or 'empty'}"
+                              for s, k, m, _ in REFUSED_ORBIT_METHODS])
+def test_an_orbit_draw_refuses_what_the_sampler_refuses(spec, kind, method, message):
+    # one check for both: an unknown method on every model, "sequential" on
+    # beg, with the same message and before any generator call
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message) as draw:
+        sample_uniform_class(spec, ORBIT_CLASSES[spec.kind], rng, method=method)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError) as sampler:
+        Sampler(spec, kind, rng, orbit_method=method)
+    assert str(draw.value) == str(sampler.value)
+
+
+@pytest.mark.parametrize("spec,method", [
+    (ising(8, beta=1.2, p1=0.4, p2=0.3), "direct"),
+    (ising(8, beta=1.2, p1=0.4, p2=0.3), "sequential"),
+    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "direct"),
+])
+def test_sampler_checks_the_orbit_method_once_not_per_jump(monkeypatch, spec, method):
+    sampler = Sampler(spec, "equi-energy", np.random.default_rng(3), orbit_method=method)
+    calls = []
+    monkeypatch.setattr(sampling, "_check_orbit_method", lambda *a: calls.append(a))
+    sampler.run(2000)
+    assert sampler.cost.orbit_proposed > 0
     assert calls == []

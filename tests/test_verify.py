@@ -308,6 +308,54 @@ def test_slow_verifiers_build_each_chain_once(monkeypatch):
         [("beg", N, "naive") for N in (6, 8, 10)]
 
 
+def test_collapse_fit_states_the_verdict_rule_once():
+    Ns = list(range(10, 24, 2))
+    resolvable = [math.exp(-0.3 * N) for N in Ns]
+    calls = []
+
+    def cut_fit():
+        calls.append(1)
+        return "cut"
+
+    # six or more resolvable gaps: the log-gap fit, and no cut is built
+    route, fit = verify._collapse_fit(Ns, resolvable, cut_fit)
+    assert route == "gap" and fit.n_points == 7
+    assert fit.slope == pytest.approx(-0.3, rel=1e-12)
+    # one to five resolvable gaps: no verdict
+    assert verify._collapse_fit(Ns, resolvable[:5] + [1e-13, 1e-14], cut_fit) is None
+    assert calls == []
+    # no resolvable gap: the cut fit
+    assert verify._collapse_fit(Ns, [1e-13] * 7, cut_fit) == ("2hcut", "cut")
+    assert calls == [1]
+
+
+def test_ising_slow_records_the_same_fits_at_every_beta():
+    report = verify.verify_ising_slow([0.5, 2.0], range(10, 31, 2))
+    assert report.passed, report.failures
+    assert [label for label, _ in report.fits] == [
+        "semilog-2hcut-beta=0.5", "semilog-gap-beta=0.5",
+        "semilog-2hcut-beta=2.0", "semilog-gap-beta=2.0"]
+    assert report.summary == {}
+
+
+def test_beg_slow_refuses_a_deep_cell_outside_the_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no chain is built for a refused grid")
+
+    monkeypatch.setattr(verify, "signed_move_table", refuse)
+    with pytest.raises(ValueError, match=r"^deep cells outside the grid: 1\.0:1\.0, 2:3$"):
+        verify.verify_beg_slow([(3.0, 5.0)], [6, 8, 10], deep=[(1.0, 1.0), (3.0, 5.0), (2, 3)])
+
+
+def test_beg_slow_keeps_the_phase_map_slopes():
+    report = verify.verify_beg_slow([(3.0, 5.0), (1.5, 2.0)], range(6, 17, 2))
+    assert report.passed, report.failures
+    fits = dict(report.fits)
+    assert report.summary == {"slopes": {
+        "3.0,5.0": fits["semilog-2hcut-beta=3.0-K=5.0"].slope,
+        "1.5,2.0": fits["semilog-gap-beta=1.5-K=2.0"].slope}}
+
+
 def test_signed_containment_small():
     rec = signed_containment(ising(6, beta=1.5, p1=0.5, p2=0.25), "equi-energy")
     assert rec["contained"]

@@ -10,8 +10,9 @@ are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
 refused by the dense cap, two BEG grids whose sectors outgrow
 ``DENSE_SECTOR_MAX`` and go to Lanczos iteration, three chains that their
-model does not have or cannot build, a warm-up grid in which every
-naive gap underflows, and short ``simulate`` runs of every (model,
+model does not have or cannot build, a warm-up and an ising-slow grid
+in which every naive gap underflows, a beg-slow grid with too few
+resolvable gaps to fit, a ``--deep`` cell outside its grid, and short ``simulate`` runs of every (model,
 kind) with default, thinned and burn-in settings, most with a trace.
 After them it runs each script under ``demos/``, copied into its own
 directory so that the ``out/`` it writes lands under OUTDIR; the copy
@@ -51,6 +52,9 @@ EXTRA_COMMANDS = (
     "simulate --model warmup --kind equi-energy --theta 2 --n 4 --steps 10",
     "gap-scan --model warmup --kind small-world --theta 2 --n 4",
     "verify warmup --theta 2 --epsilon 0.3 --n 8200,8300,8400",
+    "verify ising-slow --beta 2 --n 100..200..10",
+    "verify beg-slow --beta-k 1.5:2 --n 20..44..4",
+    "verify beg-slow --beta-k 3:5 --deep 1:1 --n 6..10..2",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
