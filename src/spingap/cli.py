@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -110,8 +111,11 @@ def parse_pair_list(text: str) -> list[tuple[float, float]]:
 
 
 def parse_count(text: str) -> int:
-    """A step count, float notation allowed: '1e6' -> 1000000."""
-    return int(float(text))
+    """A finite step count, float notation allowed: '1e6' -> 1000000."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite count, not {text!r}")
+    return int(value)
 
 
 def parse_bool(text: str) -> bool:

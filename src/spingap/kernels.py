@@ -549,6 +549,7 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     ascending.
     """
     check_chain(spec, kind)
+    models.check_class_count(spec)
     if spec.kind == "warmup":
         return _warmup_moves(spec, kind)
     if spec.kind == "ising":

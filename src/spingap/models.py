@@ -144,15 +144,6 @@ def validate_state(spec: ModelSpec, x: State) -> None:
         raise AlphabetError(f"spins must lie in {allowed}")
 
 
-def class_log_state_weight(spec: ModelSpec, c: EnergyClass) -> float:
-    """Log weight shared by every configuration in class c."""
-    if spec.kind == "warmup":
-        return c.s * math.log(spec.theta)
-    if spec.kind == "ising":
-        return spec.beta * c.s * c.s / (2 * spec.N)
-    return -spec.beta * c.r + spec.K * spec.beta * c.s * c.s / spec.N
-
-
 def logsumexp(a) -> np.float64:
     """log(sum(exp(a))) over a 1-D real array, as scipy.special.logsumexp.
 
@@ -213,13 +204,12 @@ def log_binom_array(n, k) -> np.ndarray:
     return out
 
 
-def class_log_cardinality(spec: ModelSpec, c: EnergyClass) -> float:
-    """Log size of the signed class c (sign 0 means the full orbit)."""
-    if spec.kind == "warmup":
-        return 0.0
-    if spec.kind == "ising":
-        return log_binom(spec.N, (spec.N - c.s) // 2)
-    return log_binom(spec.N, c.r) + log_binom(c.r, (c.r - c.s) // 2)
+def check_class_count(spec: ModelSpec) -> None:
+    """Refuse more than MAX_CLASSES signed classes, counted from N before any is built."""
+    N = spec.N
+    n = {"warmup": 2 * N + 1, "ising": N + 1, "beg": (N + 1) * (N + 2) // 2}[spec.kind]
+    if n > MAX_CLASSES:
+        raise ValueError(f"{n} classes exceed the limit {MAX_CLASSES}")
 
 
 def enumerate_beg_classes(N: int) -> list[tuple[int, int]]:
@@ -295,11 +285,18 @@ def class_table(spec: ModelSpec) -> ClassTable:
     The limit is on the class count (ising has N/2+1 unsigned classes,
     beg O(N^2)), never on the 2^N or 3^N configuration count.
     """
+    check_class_count(spec)
     classes = signed_classes(spec)
-    if len(classes) > MAX_CLASSES:
-        raise ValueError(f"{len(classes)} classes exceed the limit {MAX_CLASSES}")
-    log_card = np.array([class_log_cardinality(spec, c) for c in classes])
-    log_sw = np.array([class_log_state_weight(spec, c) for c in classes])
+    s = np.array([c.s for c in classes])
+    if spec.kind == "warmup":
+        log_card, log_sw = np.zeros(len(classes)), s * math.log(spec.theta)
+    elif spec.kind == "ising":
+        log_card = log_binom_array(spec.N, (spec.N - s) // 2)
+        log_sw = spec.beta * s * s / (2 * spec.N)
+    else:
+        r = np.array([c.r for c in classes])
+        log_card = log_binom_array(spec.N, r) + log_binom_array(r, (r - s) // 2)
+        log_sw = -spec.beta * r + spec.K * spec.beta * s * s / spec.N
     log_cw = log_card + log_sw
     return ClassTable(
         spec=spec,
@@ -357,6 +354,8 @@ def ising_magnetization_log_profile(N: int, beta: float) -> tuple[np.ndarray, np
     q is the per-orbit weight before the factor 2 that the two signed
     halves contribute for i != 0.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     if N % 2 != 0:
         raise OddSizeError(f"even N required, got {N}")
     i = np.arange(0, N + 1, 2)
@@ -371,6 +370,8 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
     Valid for every N >= 1 (odd N included); the class-table route only
     exists for even N and must agree with this closed form there.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     out = np.empty(N + 1)
     for r in range(N + 1):
         start = 0 if r % 2 == 0 else 1

@@ -8,8 +8,6 @@ which is kept, tested, and billed at its own O(n k) cost.
 
 Reproducibility: every run owns a numpy Generator (PCG64) seeded from
 its RunConfig; identical (seed, config) gives bit-identical RunStats.
-Grid drivers derive independent streams with numpy SeedSequence
-spawning.
 """
 
 from __future__ import annotations
@@ -25,6 +23,9 @@ from .kernels import check_chain
 from .models import EnergyClass, ModelSpec, validate_state
 
 OBSERVABLES = ("mag", "abs_mag", "quad", "const")
+
+#: most samples a run retains in memory: 2 GiB of float64
+MAX_RETAINED_SAMPLES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class RunConfig:
         burn = self.effective_burn_in
         if not 0 <= burn < self.steps:
             raise ValueError(f"burn-in {burn} must satisfy 0 <= burn-in < steps")
+        if self.retained > MAX_RETAINED_SAMPLES:
+            raise ValueError(f"{self.retained} retained samples exceed the limit "
+                             f"{MAX_RETAINED_SAMPLES}; thin the run with --thin")
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}, expected {OBSERVABLES}")
 
@@ -50,6 +54,11 @@ class RunConfig:
     def effective_burn_in(self) -> int:
         # default burn-in: 10% of the run
         return self.steps // 10 if self.burn_in is None else self.burn_in
+
+    @property
+    def retained(self) -> int:
+        """Samples kept: the steps burn, burn + thinning, ... below steps."""
+        return -((self.effective_burn_in - self.steps) // self.thinning)
 
 
 @dataclass
@@ -356,8 +365,7 @@ def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,
     # probe observable validity before spending any steps
     value = _observable(spec, cfg.observable)
     burn = cfg.effective_burn_in
-    # the retained steps are burn, burn + thinning, ... below steps
-    trace = np.empty(len(range(burn, cfg.steps, cfg.thinning)))
+    trace = np.empty(cfg.retained)
     slot = itertools.count()
     if trace_sink is None:
         def keep(t, S, R):

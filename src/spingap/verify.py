@@ -47,9 +47,6 @@ class FitResult:
     ci_hi: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def ols_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Ordinary least squares with a 95% t-interval on the slope."""
@@ -84,28 +81,22 @@ class CellRecord:
     passed: Optional[bool] = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BoundReport:
     name: str
     records: tuple
     fits: tuple            # pairs (label, FitResult)
-    passed: bool
     failures: tuple
     summary: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "summary": self.summary,
-            "fits": {label: fit.to_dict() for label, fit in self.fits},
-            "records": [r.to_dict() for r in self.records],
-        }
+        d = asdict(self)
+        return {**d, "passed": self.passed, "fits": dict(d["fits"])}
 
 
 def chain_for(spec: ModelSpec, kind: str):
@@ -142,12 +133,30 @@ def _negative_side_cut_log(table: MoveTable) -> float:
     return math.log(2.0) + cut_bottleneck_log(table, subset)
 
 
-def _slow_cell_values(spec: ModelSpec) -> dict:
-    """Gap record and negative-side cut of the naive chain, from one move table."""
+def _sweep(model: Callable[..., ModelSpec], kind: str, Ns: Sequence[int],
+           values: Callable[[ModelSpec], tuple], **params) -> list[CellRecord]:
+    """The (cell, N) loop of the audits: one record per N of one cell.
+
+    ``values(spec)`` gives each record's ``(values, passed)``; the cell
+    reads {"model", "kind", "N", **params}, and a record whose gap lies
+    under the resolution floor carries the note "underflow".
+    """
+    records = []
+    for N in Ns:
+        spec = model(N, **params)
+        vals, passed = values(spec)
+        records.append(CellRecord(cell={"model": spec.kind, "kind": kind, "N": N, **params},
+                                  values=vals, passed=passed,
+                                  note="underflow" if vals["underflow"] else ""))
+    return records
+
+
+def _slow_cell_values(spec: ModelSpec) -> tuple:
+    """Naive-chain gap record and negative-side cut, from one move table; no pass flag."""
     table = signed_move_table(spec, "naive")
     vals = _gap_record(sector_spectrum(table))
     vals["log_2h_cut"] = _negative_side_cut_log(table)
-    return vals
+    return vals, None
 
 
 def _gap_fit(records):
@@ -189,13 +198,7 @@ def _naive_decay(model: Callable[..., ModelSpec], param_names: tuple, cells: Seq
     records, fits, failures, slopes = [], [], [], {}
     for params in cells:
         named = dict(zip(param_names, params))
-        cell_records = []
-        for N in Ns:
-            spec = model(N, **named)
-            vals = _slow_cell_values(spec)
-            cell_records.append(CellRecord(
-                cell={"model": spec.kind, "kind": "naive", "N": N, **named},
-                values=vals, note="underflow" if vals["underflow"] else ""))
+        cell_records = _sweep(model, "naive", Ns, _slow_cell_values, **named)
         records.extend(cell_records)
         tag = "-".join(f"{k}={v}" for k, v in named.items())
         # the cut route decays like the class-weight ratio at the S=0
@@ -234,32 +237,24 @@ def verify_ising_fast(betas: Sequence[float], Ns: Sequence[int],
     N from which the inequality holds through the grid maximum, and the
     audit fails only when no such N0 exists.
     """
-    records = []
-    fits = []
-    failures = []
-    n0s = {}
+    def values(spec):
+        vals = exact_gap_record(spec, "equi-energy")
+        vals["bound"] = ising_fast_bound(spec.N, p1, p2)
+        return vals, vals["gap"] >= vals["bound"]
+
+    records, fits, failures, n0s = [], [], [], {}
     for beta in betas:
-        cell_records = []
-        for N in Ns:
-            spec = ising(N, beta=beta, p1=p1, p2=p2)
-            vals = exact_gap_record(spec, "equi-energy")
-            vals["bound"] = ising_fast_bound(N, p1, p2)
-            ok = vals["gap"] >= vals["bound"]
-            cell_records.append(CellRecord(
-                cell={"model": "ising", "kind": "equi-energy", "N": N, "beta": beta,
-                      "p1": p1, "p2": p2},
-                values=vals, passed=ok))
+        cell_records = _sweep(ising, "equi-energy", Ns, values, beta=beta, p1=p1, p2=p2)
+        records.extend(cell_records)
         # smallest N from which the bound holds through the grid maximum
-        n0s[beta] = _first_onward(Ns, [r.passed for r in cell_records])
-        if n0s[beta] is None:
+        n0 = n0s[str(beta)] = _first_onward(Ns, [r.passed for r in cell_records])
+        if n0 is None:
             failures.append(f"beta={beta}: no N0 in the grid satisfies the bound onward")
         fit = _gap_fit(cell_records)
         if fit is not None:
             fits.append((f"loglog-gap-beta={beta}", fit))
-        records.extend(cell_records)
     return BoundReport(name="ising-fast", records=tuple(records), fits=tuple(fits),
-                       passed=not failures, failures=tuple(failures),
-                       summary={"N0": {str(b): n0s[b] for b in betas}})
+                       failures=tuple(failures), summary={"N0": n0s})
 
 
 def verify_ising_slow(betas: Sequence[float], Ns: Sequence[int],
@@ -275,8 +270,7 @@ def verify_ising_slow(betas: Sequence[float], Ns: Sequence[int],
     cells = [(beta,) for beta in betas]
     records, fits, failures, _ = _naive_decay(
         ising, ("beta",), cells, Ns, [c for c in cells if c[0] > 1], slope_threshold)
-    return BoundReport(name="ising-slow", records=records, fits=fits,
-                       passed=not failures, failures=failures)
+    return BoundReport(name="ising-slow", records=records, fits=fits, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +291,7 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     records = []
     failures = []
     fits = []
+    # its own loop, not `_sweep`: one record holds both chains and no kind
     for N in Ns:
         spec = warmup(N, theta=theta, epsilon=epsilon)
         table = signed_move_table(spec, "small-world")
@@ -350,7 +345,7 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
                 f"naive slope CI [{fit_naive.ci_lo:.4g}, {fit_naive.ci_hi:.4g}] "
                 f"exceeds -log(theta)+0.1 = {-math.log(theta) + 0.1:.4g}")
     return BoundReport(name="warmup", records=tuple(records), fits=tuple(fits),
-                       passed=not failures, failures=tuple(failures),
+                       failures=tuple(failures),
                        summary={"inf_gap_N2": inf_scaled})
 
 
@@ -373,8 +368,7 @@ def verify_beg_slow(cells: Sequence[tuple], Ns: Sequence[int],
     """
     records, fits, failures, slopes = _naive_decay(
         beg, ("beta", "K"), cells, Ns, cells if deep is None else deep, slope_threshold)
-    return BoundReport(name="beg-slow", records=records, fits=fits,
-                       passed=not failures, failures=failures,
+    return BoundReport(name="beg-slow", records=records, fits=fits, failures=failures,
                        summary={"slopes": slopes})
 
 
@@ -394,53 +388,42 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
     the decomposition inequality Gap(M) >= Gap(P_bar) (p2/2) min[...] is
     audited per cell as a hard inequality.
     """
-    records = []
-    fits = []
-    failures = []
-    constants = {}
+    floor = beg_decomposition_floor(p1, p2)
+
+    def values(spec):
+        sectors = sector_spectrum(signed_move_table(spec, "equi-energy"))
+        vals = _gap_record(sectors)
+        # P_bar = (I + E)/2, E the even sector as a chain on unsigned classes
+        vals["gap_pbar"] = 0.5 * (1.0 - sectors.even_lambda1)
+        vals["decomposition_floor"] = vals["gap_pbar"] * floor
+        return vals, vals["gap"] >= vals["decomposition_floor"] - 1e-12
+
+    records, fits, failures, constants = [], [], [], {}
     for beta, K in cells:
-        unimodal_all = all(
-            is_unimodal(models.beg_row_log_profile(N, beta, K)) for N in Ns
-        )
-        if not unimodal_all:
+        if not all(s.unimodal for s in beg_unimodality_scan([(beta, K)], Ns).series):
             records.append(CellRecord(
                 cell={"model": "beg", "kind": "equi-energy", "beta": beta, "K": K},
                 values={"skipped": True, "underflow": False},
                 note="row-weight profile not unimodal over the grid; cell skipped"))
             continue
-        cell_records = []
-        floor = beg_decomposition_floor(p1, p2)
-        for N in Ns:
-            spec = beg(N, beta=beta, K=K, p1=p1, p2=p2)
-            sectors = sector_spectrum(signed_move_table(spec, "equi-energy"))
-            vals = _gap_record(sectors)
-            # P_bar = (I + E)/2, E the even sector as a chain on unsigned classes
-            vals["gap_pbar"] = 0.5 * (1.0 - sectors.even_lambda1)
-            vals["decomposition_floor"] = vals["gap_pbar"] * floor
-            ok = vals["gap"] >= vals["decomposition_floor"] - 1e-12
-            if not ok:
-                failures.append(
-                    f"(beta,K,N)=({beta},{K},{N}): Gap(M)={vals['gap']:.6g} below the "
-                    f"decomposition floor {vals['decomposition_floor']:.6g}")
-            cell_records.append(CellRecord(
-                cell={"model": "beg", "kind": "equi-energy", "N": N, "beta": beta,
-                      "K": K, "p1": p1, "p2": p2},
-                values=vals, passed=ok))
+        cell_records = _sweep(beg, "equi-energy", Ns, values, beta=beta, K=K, p1=p1, p2=p2)
         records.extend(cell_records)
+        where = f"beta={beta},K={K}"
+        failures.extend(f"{where},N={r.cell['N']}: Gap(M)={r.values['gap']:.6g} below the "
+                        f"decomposition floor {r.values['decomposition_floor']:.6g}"
+                        for r in cell_records if not r.passed)
         fit = _gap_fit(cell_records)
         if fit is None:
-            failures.append(f"(beta,K)=({beta},{K}): too few resolvable gaps")
+            failures.append(f"{where}: too few resolvable gaps to fit")
             continue
         fits.append((f"loglog-gap-beta={beta}-K={K}", fit))
         if not fit.ci_lo >= slope_floor:
-            failures.append(
-                f"(beta,K)=({beta},{K}): slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
-                f"dips below {slope_floor}")
+            failures.append(f"{where}: slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
+                            f"dips below {slope_floor}")
         constants[f"{beta},{K}"] = min(
             r.values["gap"] * r.cell["N"] ** 6 / p1 ** 2 for r in cell_records)
     return BoundReport(name="beg-fast", records=tuple(records), fits=tuple(fits),
-                       passed=not failures, failures=tuple(failures),
-                       summary={"inf_gap_N6_over_p1sq": constants})
+                       failures=tuple(failures), summary={"inf_gap_N6_over_p1sq": constants})
 
 
 # ---------------------------------------------------------------------------
@@ -488,46 +471,48 @@ class UnimodalityReport:
     n0: dict   # per parameter cell: smallest N from which unimodality holds onward
 
 
+def _profile_scan(model: str, names: tuple, cells: Sequence[tuple], Ns: Sequence[int],
+                  profile: Callable[..., tuple], settled: Callable[..., bool]
+                  ) -> UnimodalityReport:
+    """The (cell, N) loop of the profile scans.
+
+    ``profile(N, *cell)`` gives the profile's ``(x, log_values)``;
+    ``settled(series, *cell)`` says whether a series has the cell's
+    shape, and the cell's N0 is the smallest N from which every series
+    has it.
+    """
+    series, n0 = [], {}
+    for cell in cells:
+        cell_series = []
+        for N in Ns:
+            x, prof = profile(N, *cell)
+            cell_series.append(ProfileSeries(
+                params={"model": model, **dict(zip(names, cell)), "N": N},
+                x=tuple(int(i) for i in x), log_values=tuple(float(v) for v in prof),
+                unimodal=is_unimodal(prof), monotone_decreasing=is_monotone_decreasing(prof)))
+        series.extend(cell_series)
+        n0[",".join(map(str, cell))] = _first_onward(
+            Ns, [settled(s, *cell) for s in cell_series])
+    return UnimodalityReport(series=tuple(series), n0=n0)
+
+
 def beg_unimodality_scan(pairs: Sequence[tuple], Ns: Sequence[int]) -> UnimodalityReport:
     """Row-weight profiles q(r) for a (beta, K) grid, with per-cell N0."""
-    series = []
-    n0 = {}
-    for beta, K in pairs:
-        flags = []
-        for N in Ns:
-            prof = models.beg_row_log_profile(N, beta, K)
-            uni = is_unimodal(prof)
-            flags.append(uni)
-            series.append(ProfileSeries(
-                params={"model": "beg", "beta": beta, "K": K, "N": N},
-                x=tuple(range(N + 1)), log_values=tuple(float(v) for v in prof),
-                unimodal=uni, monotone_decreasing=is_monotone_decreasing(prof)))
-        n0[f"{beta},{K}"] = _first_onward(Ns, flags)
-    return UnimodalityReport(series=tuple(series), n0=n0)
+    return _profile_scan(
+        "beg", ("beta", "K"), pairs, Ns,
+        lambda N, beta, K: (range(N + 1), models.beg_row_log_profile(N, beta, K)),
+        lambda s, beta, K: s.unimodal)
 
 
 def ising_profile_scan(betas: Sequence[float], Ns: Sequence[int]) -> UnimodalityReport:
-    """Orbit-weight profiles q(i) over magnetization for an ising beta grid."""
-    series = []
-    n0 = {}
-    for beta in betas:
-        uni_flags = []
-        mono_flags = []
-        for N in Ns:
-            i_vals, prof = models.ising_magnetization_log_profile(N, beta)
-            uni = is_unimodal(prof)
-            mono = is_monotone_decreasing(prof)
-            uni_flags.append(uni)
-            mono_flags.append(mono)
-            series.append(ProfileSeries(
-                params={"model": "ising", "beta": beta, "N": N},
-                x=tuple(int(i) for i in i_vals),
-                log_values=tuple(float(v) for v in prof),
-                unimodal=uni, monotone_decreasing=mono))
-        key = f"{beta}"
-        flags = mono_flags if beta < 1 else uni_flags
-        n0[key] = _first_onward(Ns, flags)
-    return UnimodalityReport(series=tuple(series), n0=n0)
+    """Orbit-weight profiles q(i) over magnetization for an ising beta grid.
+
+    N0 asks for a decreasing profile when beta < 1, a unimodal one beyond.
+    """
+    return _profile_scan(
+        "ising", ("beta",), [(beta,) for beta in betas], Ns,
+        models.ising_magnetization_log_profile,
+        lambda s, beta: s.monotone_decreasing if beta < 1 else s.unimodal)
 
 
 def _first_onward(Ns: Sequence[int], flags: Sequence[bool]) -> Optional[int]:

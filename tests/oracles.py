@@ -1,7 +1,7 @@
 """Reference code that tests compare the library against.
 
 Nothing under ``src/`` reaches these: they are per-configuration
-helpers, a one-step sampler call, direct-lumping and containment
+helpers, the per-class weight formulas, a one-step sampler call, direct-lumping and containment
 checks, and the literal transcription of a hand-tabulated BEG rate
 table together with its errata.  They stay as code because other tests
 measure the library's results against them.
@@ -81,6 +81,24 @@ def state_index(spec: ModelSpec, x: State) -> int:
     base = 2 if spec.kind == "ising" else 3
     digits = (arr + 1) // 2 if spec.kind == "ising" else arr + 1
     return int((digits * base ** np.arange(spec.N)).sum())
+
+
+def class_log_cardinality(spec: ModelSpec, c: EnergyClass) -> float:
+    """Log size of the signed class c (sign 0 means the full orbit)."""
+    if spec.kind == "warmup":
+        return 0.0
+    if spec.kind == "ising":
+        return models.log_binom(spec.N, (spec.N - c.s) // 2)
+    return models.log_binom(spec.N, c.r) + models.log_binom(c.r, (c.r - c.s) // 2)
+
+
+def class_log_state_weight(spec: ModelSpec, c: EnergyClass) -> float:
+    """Log weight shared by every configuration in class c."""
+    if spec.kind == "warmup":
+        return c.s * math.log(spec.theta)
+    if spec.kind == "ising":
+        return spec.beta * c.s * c.s / (2 * spec.N)
+    return -spec.beta * c.r + spec.K * spec.beta * c.s * c.s / spec.N
 
 
 def beg_row_log_weights(table: models.ClassTable) -> np.ndarray:

@@ -230,6 +230,47 @@ def test_slow_audits_fall_back_to_the_cut_only_when_every_gap_underflows(
     assert [row["label"] for row in rows] == fits
 
 
+@pytest.mark.parametrize("command,message", [
+    ("verify beg-fast --beta-k 1:1 --n 6..16..2 --slope-floor 0",
+     "AUDIT FAILURE: beta=1.0,K=1.0: slope CI [-1.219, -1.202] dips below 0.0\n"),
+    ("verify beg-fast --beta-k 1:1 --n 2..4..2",
+     "AUDIT FAILURE: beta=1.0,K=1.0: too few resolvable gaps to fit\n"),
+])
+def test_beg_fast_fails_in_the_format_of_every_audit(tmp_path, capsys, command, message):
+    # it wrote (beta,K)=(1.0,1.0): … and "too few resolvable gaps"
+    assert main(command.split() + ["--out", str(tmp_path)]) == EXIT_AUDIT_FAILED
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("command,N", [
+    ("unimodality-scan --model ising --beta 2 --n 0", 0),
+    ("unimodality-scan --model ising --beta 2 --n -2", -2),
+    ("unimodality-scan --model beg --beta-k 1:1 --n 0", 0),
+    ("verify beg-fast --beta-k 1:1 --n 0,2,4", 0),
+])
+def test_a_profile_below_n_1_exits_2(tmp_path, capsys, command, N):
+    # the ising scans reported an N=0 profile as unimodal; the beg ones
+    # divided by zero
+    assert main(command.split() + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: N must be positive, got {N}\n"
+
+
+@pytest.mark.parametrize("steps,message", [
+    ("1e15", "900000000000000 retained samples exceed the limit 268435456; "
+             "thin the run with --thin"),
+    ("1e20", "90000000000000000000 retained samples exceed the limit 268435456; "
+             "thin the run with --thin"),
+    ("1e400", "--steps must be a finite count, not '1e400'"),
+])
+def test_simulate_refuses_a_step_count_it_cannot_hold(tmp_path, capsys, steps, message):
+    # 1e15 asked numpy for 6.39 PiB; 1e20 and 1e400 overflowed
+    rc = main(["simulate", "--model", "ising", "--n", "4", "--beta", "1", "--steps", steps,
+               "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runstats.json").exists()
+
+
 def test_a_deep_cell_outside_the_grid_exits_2(tmp_path, capsys):
     # it asserted nothing and passed
     rc = main(["verify", "beg-slow", "--beta-k", "3:5", "--deep", "1:1", "--n", "6..10..2",
@@ -241,8 +282,17 @@ def test_a_deep_cell_outside_the_grid_exits_2(tmp_path, capsys):
 
 #: sha256 of report.csv and fits.csv for small README-style grids, recorded
 #: before the kernel layer lost its per-element loops (numpy 2.4, scipy 1.17,
-#: x86-64); a refactor that moves one bit of a reported number changes them
+#: x86-64); a refactor that moves one bit of a reported number changes them.
+#: The ising-fast and beg-fast grids were recorded while each audit still
+#: ran its own (cell, N) loop; the second beg-fast cell is skipped as
+#: double-peaked
 PINNED_DIGESTS = {
+    "verify ising-fast --beta 0.5,2 --n 10..30..2 --p1 0.5 --p2 0.25": (
+        "045549463545805c317c7747986cad08006ccad1cc487c81e70e00afe0fbd38d",
+        "63324420e1f64393a166945aeb5d196cecb1e6be977e6b293322c44c3ef4c829"),
+    "verify beg-fast --beta-k 1:1,2.5:1.082 --n 6..16..2 --p1 0.5 --p2 0.25": (
+        "902321c8596d26148ee8a34c2a011e4fe854fa906c47d36ef3bbb6510c7c0236",
+        "f81c31fa4d844b11782b84bfe447849200fadad3689709a3afb231b153220b6f"),
     "verify warmup --theta 2 --epsilon 0.3 --n 10..40..2": (
         "29f110bdbce3ca7a1575cef6b468fb635c2cedff8e0026764ee6e49f18e79f0d",
         "0c269f23ee4ed64301ccca3552c2d32e96442f9b2b1ca0085a177755f3f36896"),
@@ -285,8 +335,22 @@ TRACED_RUN = ("simulate --model beg --n 30 --beta 1 --k 1 --p1 0.5 --p2 0.25 --s
 
 #: sha256 of the artifacts written from dataclass records (report.json,
 #: runstats.json) and of a trace, recorded while the records were
-#: serialized field by field and the trace was held in memory until the end
+#: serialized field by field and the trace was held in memory until the end;
+#: the fast audits' reports and the profile scans' tables were recorded while
+#: each ran its own (cell, N) loop
 PINNED_ARTIFACT_DIGESTS = {
+    ("verify ising-fast --beta 0.5,2 --n 10..30..2 --p1 0.5 --p2 0.25", "report.json"):
+        "4e38af24be175de368231b7d72807bf64185d9375b44249b71ae4f8ed934ebb4",
+    ("verify beg-fast --beta-k 1:1,2.5:1.082 --n 6..16..2 --p1 0.5 --p2 0.25", "report.json"):
+        "ee8ac596a1b6a7cdb63b212c605189e378dd065cc5c4db385d15836227af9d43",
+    ("unimodality-scan --model beg --beta-k 1:1,2.5:1.082 --n 15", "unimodality.csv"):
+        "7c86637a5723554aa018ead594c7d28f1122bb9fafc1e6016397663c2502e8b8",
+    ("unimodality-scan --model beg --beta-k 1:1,2.5:1.082 --n 15", "n0.json"):
+        "f9f356026882f8b1319710916d38e4fd2776b618f8af7ff5d195242b759cf8d9",
+    ("unimodality-scan --model ising --beta 0.5,2 --n 4..20..2", "unimodality.csv"):
+        "c220141513daf2da5a6485aa2d63d53f52311c4622de508f76cf0d7a29c39c97",
+    ("unimodality-scan --model ising --beta 0.5,2 --n 4..20..2", "n0.json"):
+        "a96791279a4407118436fd03a507bd43e54ffe8af19107a058b2817a22968bd4",
     ("verify warmup --theta 2 --epsilon 0.3 --n 10..40..2", "report.json"):
         "3e87feb93617b1c593ea242949fd9ca2e22fde6d67d092696cb6dd9abfa7aad0",
     (TRACED_RUN, "runstats.json"):

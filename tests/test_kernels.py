@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -914,6 +915,28 @@ def test_every_dense_guard_reads_the_one_cap(monkeypatch, build):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_STATES", 100)
     with pytest.raises(ValueError, match="exceed the dense materialization cap 100"):
         build()
+
+
+@pytest.mark.parametrize("spec,classes", [
+    (beg(20, beta=1.0, K=1.0), 231),
+    (ising(1_000_000, beta=1.0), 1_000_001),
+    (warmup(1_000_000, theta=2.0), 2_000_001),
+], ids=["beg", "ising", "warmup"])
+@pytest.mark.parametrize("build", [lambda s: signed_move_table(s, "naive"), models.class_table],
+                         ids=["move-table", "class-table"])
+def test_every_class_space_object_reads_the_one_class_cap(monkeypatch, spec, classes, build):
+    # the count comes from N, so the refusal allocates nothing of the size
+    # it refuses; move tables built their O(N) or O(N^2) arrays unchecked
+    monkeypatch.setattr(models, "MAX_CLASSES", 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"{classes} classes exceed the limit 100"
+    assert peak < 50_000
 
 
 @pytest.mark.parametrize("spec,kind,message", [

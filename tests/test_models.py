@@ -26,6 +26,8 @@ from spingap.models import (
 
 from oracles import (
     beg_row_log_weights,
+    class_log_cardinality,
+    class_log_state_weight,
     class_of,
     log_weight,
     magnetization,
@@ -191,6 +193,43 @@ def test_class_table_normalization_and_partition():
         probs = table.probabilities()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(table.log_class_weight == table.log_cardinality + table.log_state_weight)
+
+
+@pytest.mark.parametrize("spec", [
+    *(warmup(N, theta=theta) for N in (1, 7, 500) for theta in (1.5, 2.0, 3.7)),
+    *(ising(N, beta=beta) for N in (2, 10, 60, 62, 1000) for beta in (0.3, 1.0, 2.7)),
+    *(beg(N, beta=beta, K=K) for N in (2, 8, 58, 64, 150)
+      for beta, K in ((0.3, 0.7), (1.0, 1.0), (2.5, 1.082))),
+])
+def test_class_table_matches_the_per_class_formulas_bit_for_bit(spec):
+    table = class_table(spec)
+    assert table.log_cardinality.tolist() == [
+        class_log_cardinality(spec, c) for c in table.classes]
+    assert table.log_state_weight.tolist() == [
+        class_log_state_weight(spec, c) for c in table.classes]
+
+
+@pytest.mark.parametrize("spec", [warmup(7, theta=2.0), ising(12, beta=1.0),
+                                  beg(12, beta=1.0, K=1.0)])
+def test_the_class_count_is_the_class_table_length(monkeypatch, spec):
+    n = len(models.signed_classes(spec))
+    monkeypatch.setattr(models, "MAX_CLASSES", n)
+    assert len(class_table(spec)) == n
+    monkeypatch.setattr(models, "MAX_CLASSES", n - 1)
+    with pytest.raises(ValueError) as refused:
+        models.check_class_count(spec)
+    assert str(refused.value) == f"{n} classes exceed the limit {n - 1}"
+
+
+@pytest.mark.parametrize("profile", [
+    lambda N: models.ising_magnetization_log_profile(N, 1.0),
+    lambda N: models.beg_row_log_profile(N, 1.0, 1.0),
+], ids=["ising", "beg"])
+@pytest.mark.parametrize("N", [0, -2, -3])
+def test_profiles_refuse_n_below_1(profile, N):
+    with pytest.raises(ValueError) as refused:
+        profile(N)
+    assert str(refused.value) == f"N must be positive, got {N}"
 
 
 def test_class_table_matches_brute_force_partition():

@@ -240,6 +240,13 @@ def test_empirical_class_histogram_matches_table():
 # run_estimate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("steps,burn_in,thinning", [
+    (1, None, 1), (10, 9, 1), (10, 3, 4), (10, 2, 4), (1000, None, 7), (12345, 0, 100)])
+def test_retained_samples_are_counted_without_a_range(steps, burn_in, thinning):
+    cfg = RunConfig(steps=steps, seed=0, burn_in=burn_in, thinning=thinning)
+    assert cfg.retained == len(range(cfg.effective_burn_in, steps, thinning))
+
+
 def test_run_estimate_constant_observable():
     spec = ising(8, beta=1.0, p1=0.5, p2=0.25)
     cfg = RunConfig(steps=5000, seed=1, observable="const")

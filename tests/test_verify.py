@@ -374,6 +374,24 @@ def test_verify_beg_fast_skips_non_member_cells():
     assert "skipped" in rep.records[0].note
 
 
+def test_a_fast_audit_notes_underflow_like_the_slow_ones(monkeypatch):
+    # every audit's records carry "underflow" where the gap is under the floor
+    monkeypatch.setattr(verify, "exact_gap_record",
+                        lambda spec, kind: {"gap": 1e-13, "underflow": True})
+    rep = verify_ising_fast([2.0], [10, 12], 0.5, 0.25)
+    assert [r.note for r in rep.records] == ["underflow", "underflow"]
+    assert not rep.passed and rep.to_dict()["passed"] is False
+
+
+def test_beg_fast_names_each_n_below_the_decomposition_floor(monkeypatch):
+    monkeypatch.setattr(verify, "beg_decomposition_floor", lambda p1, p2: 1e6)
+    rep = verify_beg_fast([(1.0, 1.0)], [2, 4], 0.5, 0.25)
+    assert [f.split(": ")[0] for f in rep.failures] == [
+        "beta=1.0,K=1.0,N=2", "beta=1.0,K=1.0,N=4", "beta=1.0,K=1.0"]
+    assert rep.failures[1].startswith("beta=1.0,K=1.0,N=4: Gap(M)=")
+    assert rep.failures[2] == "beta=1.0,K=1.0: too few resolvable gaps to fit"
+
+
 def test_report_serialization_roundtrip():
     rep = verify_ising_fast([1.0], [10, 12, 14, 16, 18, 20], 0.5, 0.25)
     d = rep.to_dict()

@@ -12,8 +12,11 @@ refused by the dense cap, two BEG grids whose sectors outgrow
 ``DENSE_SECTOR_MAX`` and go to Lanczos iteration, three chains that their
 model does not have or cannot build, a warm-up and an ising-slow grid
 in which every naive gap underflows, a beg-slow grid with too few
-resolvable gaps to fit, a ``--deep`` cell outside its grid, and short ``simulate`` runs of every (model,
-kind) with default, thinned and burn-in settings, most with a trace.
+resolvable gaps to fit, a ``--deep`` cell outside its grid, two
+failing beg-fast grids, four profile scans and audits at N < 1, three
+``simulate`` step counts too large to hold, and short ``simulate`` runs
+of every (model, kind) with default, thinned and burn-in settings, most
+with a trace.
 After them it runs each script under ``demos/``, copied into its own
 directory so that the ``out/`` it writes lands under OUTDIR; the copy
 itself is not hashed.
@@ -55,6 +58,14 @@ EXTRA_COMMANDS = (
     "verify ising-slow --beta 2 --n 100..200..10",
     "verify beg-slow --beta-k 1.5:2 --n 20..44..4",
     "verify beg-slow --beta-k 3:5 --deep 1:1 --n 6..10..2",
+    "verify beg-fast --beta-k 1:1 --n 6..16..2 --slope-floor 0",
+    "verify beg-fast --beta-k 1:1 --n 2..4..2",
+    "unimodality-scan --model ising --beta 2 --n 0",
+    "unimodality-scan --model ising --beta 2 --n -2",
+    "unimodality-scan --model beg --beta-k 1:1 --n 0",
+    "verify beg-fast --beta-k 1:1 --n 0,2,4",
+    *(f"simulate --model ising --n 4 --beta 1 --steps {steps}"
+      for steps in ("1e15", "1e20", "1e400")),
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
