@@ -107,14 +107,19 @@ def parse_float_list(text: str) -> list[float]:
 def parse_pair_list(text: str) -> list[tuple[float, float]]:
     """'3:5,1.5:2' -> [(3.0, 5.0), (1.5, 2.0)]."""
     pairs = [item.split(":") for item in _items(text)]
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ConfigError(f"must list beta:K pairs, not {':'.join(pair)!r}")
     return [(float(a), float(b)) for a, b in pairs]
 
 
 def parse_count(text: str) -> int:
-    """A finite step count, float notation allowed: '1e6' -> 1000000."""
+    """A finite whole count, float notation allowed: '1e6' -> 1000000."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"must be a finite count, not {text!r}")
+    if not value.is_integer():
+        raise ValueError(f"must be a whole count, not {text!r}")
     return int(value)
 
 
@@ -192,6 +197,10 @@ _LIST_TEXT = {
 }
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=fmt) + "\n")
+
+
 def write_provenance(command: Command, values: argparse.Namespace) -> None:
     """provenance.json and effective_config.ini: the value of each recorded option."""
     effective = {}
@@ -207,8 +216,7 @@ def write_provenance(command: Command, values: argparse.Namespace) -> None:
     if target:
         effective["target"] = target
     record = {"version": VERSION, "subcommand": command.name, "config": effective}
-    (values.out / "provenance.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True, default=fmt) + "\n")
+    _write_json(values.out / "provenance.json", record)
     cp = configparser.ConfigParser()
     cp["effective"] = {k: fmt(v) for k, v in sorted(effective.items())}
     with open(values.out / "effective_config.ini", "w") as fh:
@@ -282,13 +290,11 @@ def cmd_gap_scan(command: Command, o: argparse.Namespace) -> int:
                 write_series(o.out / f"gap_vs_N_{tag}.dat",
                              [spec.N for spec, _ in sel], [r["gap"] for _, r in sel])
     (o.out / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
-    write_provenance(command, o)
     return EXIT_OK
 
 
 def _flatten_report(outdir: Path, report) -> None:
-    (outdir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True, default=fmt) + "\n")
+    _write_json(outdir / "report.json", report.to_dict())
     keys = []
     for rec in report.records:
         for k in list(rec.cell) + list(rec.values):
@@ -321,7 +327,6 @@ def _flatten_report(outdir: Path, report) -> None:
 def cmd_verify(command: Command, o: argparse.Namespace) -> int:
     report = command.audit(o)
     _flatten_report(o.out, report)
-    write_provenance(command, o)
     if not report.passed:
         for failure in report.failures:
             print(f"AUDIT FAILURE: {failure}", file=sys.stderr)
@@ -344,10 +349,8 @@ def cmd_unimodality_scan(command: Command, o: argparse.Namespace) -> int:
                      s.unimodal, s.monotone_decreasing])
     write_csv(o.out / "unimodality.csv",
               ["model", "beta", "K", "N", "unimodal", "monotone_decreasing"], rows)
-    (o.out / "n0.json").write_text(
-        json.dumps(report.n0, indent=2, sort_keys=True, default=fmt) + "\n")
+    _write_json(o.out / "n0.json", report.n0)
     (o.out / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
-    write_provenance(command, o)
     return EXIT_OK
 
 
@@ -380,9 +383,7 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
         if trace is not None:
             trace.close()
     payload = {"version": VERSION, "model": asdict(spec), "stats": stats.to_dict()}
-    (o.out / "runstats.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=fmt) + "\n")
-    write_provenance(command, o)
+    _write_json(o.out / "runstats.json", payload)
     return EXIT_OK
 
 
@@ -411,16 +412,13 @@ def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
         payload["argmin_set"] = [format_label(kernel.labels[i]) for i in members]
         payload["cheeger_lower_lambda1"] = lo
         payload["cheeger_upper_lambda1"] = hi
-    (o.out / "conductance.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=fmt) + "\n")
-    write_provenance(command, o)
+    _write_json(o.out / "conductance.json", payload)
     return EXIT_OK
 
 
 def cmd_export_kernel(command: Command, o: argparse.Namespace) -> int:
     _, kernel = _chain(o)
     (o.out / "kernel.txt").write_text(export_kernel_text(kernel))
-    write_provenance(command, o)
     return EXIT_OK
 
 
@@ -546,7 +544,7 @@ COMMANDS = (
         *SPEC, *SPEC_PARAMS,
         Option("steps", "--steps", "run.steps", parse_count, 100000),
         Option("burn_in", "--burn-in", "run.burn_in", parse_count),
-        Option("thinning", "--thin", "run.thinning", int, 1),
+        Option("thinning", "--thin", "run.thinning", parse_count, 1),
         Option("seed", "--seed", "run.seed", int, 0),
         Option("observable", "--observable", "run.observable", default="mag",
                choices=OBSERVABLES),
@@ -602,7 +600,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config) if args.config else {}
         values = resolve(args.command, args, config)
         values.out.mkdir(parents=True, exist_ok=True)
-        return args.command.run(args.command, values)
+        code = args.command.run(args.command, values)
+        # every command returns 0 or 3; one that raises leaves no provenance
+        write_provenance(args.command, values)
+        return code
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,11 @@
 """On-the-fly samplers for scales where matrices cannot be materialized.
 
 One Metropolis step needs only the running statistics (S, and R for the
-three-letter alphabet), so trajectories run at any N.  Orbit jumps draw
-a uniform member of the current signed class either by direct position
-sampling (O(N)) or by the literal sequential ball-placement scheme,
-which is kept, tested, and billed at its own O(n k) cost.
+three-letter alphabet), so trajectories run at any N.  An orbit jump
+draws a uniform member of the current signed class (S, R) by direct
+position sampling in O(N).  Every run bills two costs: ``ops`` at those
+direct draws, and ``ops_sequential`` as if each Ising draw ran the
+sequential ball-placement scheme (``bose_einstein_sample``) at O(n k).
 
 Reproducibility: every run owns a numpy Generator (PCG64) seeded from
 its RunConfig; identical (seed, config) gives bit-identical RunStats.
@@ -39,6 +40,8 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
         burn = self.effective_burn_in
@@ -116,62 +119,20 @@ def bose_einstein_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray
     return occ
 
 
-def _ising_config_from_occupancy(N: int, occ: np.ndarray) -> np.ndarray:
-    """Occupancy gaps -> spin pattern: occ[j] plus-spins before the j-th minus."""
-    x = np.empty(N, dtype=np.int8)
-    pos = 0
-    for j, gap in enumerate(occ):
-        x[pos:pos + gap] = 1
-        pos += gap
-        if j < len(occ) - 1:
-            x[pos] = -1
-            pos += 1
-    return x
+def _orbit_draw(N: int, S: int, R: Optional[int], rng: np.random.Generator) -> np.ndarray:
+    """A configuration uniform over the signed class (S, R) of N spins, in O(N).
 
-
-def _check_orbit_method(spec: ModelSpec, method: str) -> None:
-    """Refuse an orbit draw ``method`` that ``spec`` does not have."""
-    if method not in ("direct", "sequential"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "sequential" and spec.kind == "beg":
-        raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
-
-
-def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generator,
-                         method: str = "direct"):
-    """A configuration uniform over the signed class c.
-
-    method="direct" samples positions in O(N); method="sequential" runs
-    the literal ball-placement scheme (warmup/ising only) and exists to
-    keep that construction tested at its own cost.  A method ``spec``
-    does not have is refused before the generator is touched.
+    Ising (R None): (N + S)/2 plus-spins at uniform positions.  BEG: R
+    nonzero spins at uniform positions, the first (R - S)/2 of them minus.
     """
-    _check_orbit_method(spec, method)
-    return _draw_uniform_class(spec, c, rng, method)
-
-
-def _draw_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generator,
-                        method: str):
-    """`sample_uniform_class` for a ``method`` already checked."""
-    N = spec.N
-    if spec.kind == "warmup":
-        return int(c.sign * c.s)
-    signed_s = c.sign * c.s
-    if spec.kind == "ising":
-        n_plus = (N + signed_s) // 2
-        if method == "sequential":
-            occ = bose_einstein_sample(n_plus, N - n_plus + 1, rng)
-            return _ising_config_from_occupancy(N, occ)
+    if R is None:
         x = np.full(N, -1, dtype=np.int8)
-        x[rng.permutation(N)[:n_plus]] = 1
+        x[rng.permutation(N)[:(N + S) // 2]] = 1
         return x
-    if c.r is None:
-        raise ValueError("beg class label must carry r")
-    n_minus = (c.r - signed_s) // 2
     x = np.zeros(N, dtype=np.int8)
-    nonzero = rng.permutation(N)[:c.r]
+    nonzero = rng.permutation(N)[:R]
     x[nonzero] = 1
-    x[nonzero[:n_minus]] = -1
+    x[nonzero[:(R - S) // 2]] = -1
     return x
 
 
@@ -206,15 +167,11 @@ class Sampler:
     S its magnetization and R its count of nonzero spins (beg only).
     """
 
-    def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator,
-                 x0=None, orbit_method: str = "direct"):
+    def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator, x0=None):
         check_chain(spec, kind)
-        # refused before the generator is touched: a refused run spends no steps
-        _check_orbit_method(spec, orbit_method)
         self.spec = spec
         self.kind = kind
         self.rng = rng
-        self.orbit_method = orbit_method
         self.cost = CostCounters()
         N = spec.N
         if x0 is not None:
@@ -234,13 +191,6 @@ class Sampler:
             self.S = int(self.x.sum())
             self.R = int(np.count_nonzero(self.x)) if spec.kind == "beg" else None
 
-    def class_label(self) -> EnergyClass:
-        return _class_label(self.S, self.R)
-
-    def step(self) -> str:
-        """One transition; returns the move component: flip, global or orbit."""
-        return self.run(1)
-
     def run(self, steps: int, keep: Optional[Callable[[int, int, Optional[int]], None]] = None,
             first: int = 0, every: int = 1) -> Optional[str]:
         """Take ``steps`` transitions; returns the move component of the last.
@@ -258,7 +208,6 @@ class Sampler:
         warm, beg = spec.kind == "warmup", spec.kind == "beg"
         small_world = self.kind == "small-world"
         mixture = self.kind == "equi-energy"
-        sequential = self.orbit_method == "sequential"
         eps = spec.epsilon if small_world else 0.0
         log_theta = math.log(spec.theta) if warm else 0.0
         beta, two_n = spec.beta, 2 * N
@@ -268,7 +217,7 @@ class Sampler:
         x, S, R = self.x, self.S, self.R
         spins = None if warm else memoryview(x)
         next_keep = first if keep is not None else -1
-        flips = flips_accepted = globals_ = orbits = orbit_ops = orbit_seq = 0
+        flips = flips_accepted = globals_ = orbits = orbit_seq = 0
         component = None
         try:
             for t in range(steps):
@@ -319,17 +268,14 @@ class Sampler:
                         component = "global"
                     else:
                         # statistics are invariant on the orbit; nothing to update
-                        x = _draw_uniform_class(spec, _class_label(S, R), rng,
-                                                self.orbit_method)
+                        x = _orbit_draw(N, S, R, rng)
                         spins = memoryview(x)
                         if beg:
-                            seq = N
+                            orbit_seq += N
                         else:
                             n_balls = (N + abs(S)) // 2
-                            seq = n_balls * (N - n_balls + 1)
+                            orbit_seq += n_balls * (N - n_balls + 1)
                         orbits += 1
-                        orbit_ops += seq if sequential else N
-                        orbit_seq += seq
                         component = "orbit"
                 if t == next_keep:
                     next_keep += every
@@ -344,15 +290,14 @@ class Sampler:
             cost.orbit_proposed += orbits
             cost.orbit_accepted += orbits
             # a warmup step costs 1; a flip or a global flip N; an orbit draw
-            # N direct or n k sequential
+            # N, or n k billed as the sequential ball placement
             moved = flips + globals_ if warm else N * (flips + globals_)
-            cost.ops += moved + orbit_ops
+            cost.ops += moved + N * orbits
             cost.ops_sequential += moved + orbit_seq
         return component
 
 
 def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,
-                 orbit_method: str = "direct",
                  trace_sink: Optional[Callable[[int, EnergyClass, float], None]] = None) -> RunStats:
     """Trajectory average of the configured observable.
 
@@ -361,7 +306,7 @@ def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,
     observable value) for every retained sample.
     """
     rng = np.random.default_rng(cfg.seed)
-    sampler = Sampler(spec, kind, rng, orbit_method=orbit_method)
+    sampler = Sampler(spec, kind, rng)
     # probe observable validity before spending any steps
     value = _observable(spec, cfg.observable)
     burn = cfg.effective_burn_in

@@ -1,7 +1,8 @@
 """Reference code that tests compare the library against.
 
 Nothing under ``src/`` reaches these: they are per-configuration
-helpers, the per-class weight formulas, a one-step sampler call, direct-lumping and containment
+helpers, the per-class weight formulas, a one-step sampler call, the
+sequential ball-placement orbit draw, direct-lumping and containment
 checks, and the literal transcription of a hand-tabulated BEG rate
 table together with its errata.  They stay as code because other tests
 measure the library's results against them.
@@ -28,7 +29,7 @@ from spingap.kernels import (
     unsigned_lumped_chain,
 )
 from spingap.models import EnergyClass, ModelSpec, State, _as_spins, logsumexp, validate_state
-from spingap.sampling import Sampler
+from spingap.sampling import Sampler, _orbit_draw, bose_einstein_sample
 from spingap.spectral import gap, spectrum
 
 
@@ -117,8 +118,43 @@ def beg_row_log_weights(table: models.ClassTable) -> np.ndarray:
 def step(spec: ModelSpec, kind: str, x, rng: np.random.Generator):
     """One Metropolis transition from x; returns (new state, move component)."""
     sampler = Sampler(spec, kind, rng, x0=x)
-    component = sampler.step()
+    component = sampler.run(1)
     return sampler.x, component
+
+
+def _ising_config_from_occupancy(N: int, occ: np.ndarray) -> np.ndarray:
+    """Occupancy gaps -> spin pattern: occ[j] plus-spins before the j-th minus."""
+    x = np.empty(N, dtype=np.int8)
+    pos = 0
+    for j, gap in enumerate(occ):
+        x[pos:pos + gap] = 1
+        pos += gap
+        if j < len(occ) - 1:
+            x[pos] = -1
+            pos += 1
+    return x
+
+
+def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generator,
+                         method: str = "direct"):
+    """A configuration uniform over the signed class c.
+
+    method="direct" is the sampler's O(N) orbit draw; method="sequential"
+    runs the literal ball-placement scheme (warmup/ising only).  A
+    warm-up class is its one coordinate.
+    """
+    if method not in ("direct", "sequential"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "sequential" and spec.kind == "beg":
+        raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
+    S = c.sign * c.s
+    if spec.kind == "warmup":
+        return int(S)
+    if method == "sequential":
+        n_plus = (spec.N + S) // 2
+        occ = bose_einstein_sample(n_plus, spec.N - n_plus + 1, rng)
+        return _ising_config_from_occupancy(spec.N, occ)
+    return _orbit_draw(spec.N, S, c.r, rng)
 
 
 # ---------------------------------------------------------------------------

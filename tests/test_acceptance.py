@@ -24,7 +24,7 @@ from spingap.kernels import (
     warmup_block_partition,
 )
 from spingap.models import EnergyClass, beg, ising, warmup
-from spingap.sampling import batch_means_avar, sample_uniform_class, simulate_kernel
+from spingap.sampling import batch_means_avar, simulate_kernel
 from spingap.spectral import (
     avar_spectral,
     cheeger_interval,
@@ -35,7 +35,7 @@ from spingap.spectral import (
 )
 
 import oracles
-from oracles import beg_rate_discrepancies, unsigned_class_partition
+from oracles import beg_rate_discrepancies, sample_uniform_class, unsigned_class_partition
 
 
 def _report(num, name):

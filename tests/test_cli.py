@@ -271,6 +271,67 @@ def test_simulate_refuses_a_step_count_it_cannot_hold(tmp_path, capsys, steps, m
     assert not (tmp_path / "runstats.json").exists()
 
 
+def test_thin_takes_the_count_notation_of_steps(tmp_path):
+    # --thin was parsed with int() and refused '1e2'
+    run = ["simulate", "--model", "ising", "--n", "4", "--beta", "1", "--steps", "1e5"]
+    assert main([*run, "--thin", "1e2", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main([*run, "--thin", "100", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+    stats = json.loads((tmp_path / "a" / "runstats.json").read_text())["stats"]
+    assert stats["thinning"] == 100 and stats["n_samples"] == 900
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--steps", "1.7"], "--steps must be a whole count, not '1.7'"),
+    (["--burn-in", "0.5"], "--burn-in must be a whole count, not '0.5'"),
+    (["--thin", "2.5"], "--thin must be a whole count, not '2.5'"),
+    (["--config", "run.ini"], "[run] steps must be a whole count, not '12.5'"),
+])
+def test_a_fractional_count_exits_2(tmp_path, capsys, monkeypatch, args, message):
+    # --steps 1.7 ran one step and --burn-in 0.5 none
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[run]\nsteps = 12.5\n")
+    rc = main(["simulate", "--model", "ising", "--n", "4", "--beta", "1", *args,
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "runstats.json").exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    # numpy's "expected non-negative integer" and a bare unpacking error
+    ("simulate --model ising --n 4 --beta 1 --seed -1", "seed must be nonnegative, not -1"),
+    ("verify beg-slow --beta-k 3", "--beta-k must list beta:K pairs, not '3'"),
+    ("verify beg-slow --beta-k 3:5 --deep 3:5:1", "--deep must list beta:K pairs, not '3:5:1'"),
+])
+def test_a_refusal_names_its_input(tmp_path, capsys, command, message):
+    assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # a command refused before or while it runs leaves no provenance
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,code", [
+    ("gap-scan --model ising --beta 1 --n 6..8..2", EXIT_OK),
+    ("verify warmup --theta 2 --epsilon 0.3 --n 10..40..2", EXIT_OK),
+    ("verify ising-slow --beta 2 --n 10..14..2 --slope-threshold -10", EXIT_AUDIT_FAILED),
+    ("unimodality-scan --model beg --beta-k 1:1 --n 9", EXIT_OK),
+    ("simulate --model ising --n 4 --beta 1 --steps 2000", EXIT_OK),
+    ("conductance --model warmup --n 5 --theta 2 --epsilon 0.3", EXIT_OK),
+    ("export-kernel --model ising --n 4 --beta 1", EXIT_OK),
+])
+def test_every_command_leaves_provenance_and_one_json_layout(tmp_path, command, code):
+    # main writes provenance after a command returns 0 or 3, and every JSON
+    # artifact is indented by 2 with sorted keys and a trailing newline
+    assert main([*command.split(), "--out", str(tmp_path)]) == code
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert command.startswith(prov["subcommand"])
+    assert (tmp_path / "effective_config.ini").exists()
+    for path in tmp_path.glob("*.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
 def test_a_deep_cell_outside_the_grid_exits_2(tmp_path, capsys):
     # it asserted nothing and passed
     rc = main(["verify", "beg-slow", "--beta-k", "3:5", "--deep", "1:1", "--n", "6..10..2",

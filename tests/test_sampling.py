@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from spingap import sampling
 from spingap.kernels import metropolis_chain
 from spingap.models import (
     AlphabetError,
@@ -23,15 +22,15 @@ from spingap.sampling import (
     RunStats,
     Sampler,
     _batch_means,
+    _orbit_draw,
     batch_means_avar,
     bose_einstein_sample,
     cost_profile,
     run_estimate,
-    sample_uniform_class,
     simulate_kernel,
 )
 
-from oracles import state_index, step
+from oracles import class_of, sample_uniform_class, state_index, step
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +142,21 @@ def test_sample_uniform_class_beg_uniformity():
         sample_uniform_class(spec, c, rng, method="sequential")
 
 
+@pytest.mark.parametrize("N,S,R", [
+    (7, 7, None), (7, -7, None), (7, 1, None), (8, 0, None),
+    (6, 0, 0), (6, 6, 6), (6, -6, 6), (6, 1, 3), (6, 0, 4),
+], ids=lambda v: "ising" if v is None else str(v))
+def test_orbit_draw_lands_in_its_class(N, S, R):
+    # the edge classes too: all plus, all minus, all zero, no zero
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        x = _orbit_draw(N, S, R, rng)
+        assert x.dtype == np.int8 and x.shape == (N,)
+        assert int(x.sum()) == S
+        assert np.count_nonzero(x) == (N if R is None else R)
+        assert set(x.tolist()) <= ({-1, 1} if R is None else {-1, 0, 1})
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -152,7 +166,7 @@ def test_step_beta_zero_accepts_everything():
     rng = np.random.default_rng(3)
     sampler = Sampler(spec, "naive", rng)
     for _ in range(500):
-        sampler.step()
+        sampler.run(1)
     assert sampler.cost.flip_accepted == sampler.cost.flip_proposed == 500
 
 
@@ -161,7 +175,7 @@ def test_equi_energy_components_never_rejected():
     rng = np.random.default_rng(4)
     sampler = Sampler(spec, "equi-energy", rng)
     for _ in range(3000):
-        sampler.step()
+        sampler.run(1)
     c = sampler.cost
     assert c.orbit_accepted == c.orbit_proposed > 0
     assert c.global_accepted == c.global_proposed > 0
@@ -173,9 +187,9 @@ def test_orbit_jump_stays_in_class():
     rng = np.random.default_rng(5)
     sampler = Sampler(spec, "equi-energy", rng)
     for _ in range(2000):
-        before = sampler.class_label()
-        if sampler.step() == "orbit":
-            assert sampler.class_label() == before
+        before = (sampler.S, sampler.R)
+        if sampler.run(1) == "orbit":
+            assert (sampler.S, sampler.R) == before
         # statistics stay consistent with the configuration
     assert sampler.S == int(sampler.x.sum())
     assert sampler.R == int(np.count_nonzero(sampler.x))
@@ -206,7 +220,7 @@ def test_warmup_small_world_stationarity():
     T, thin = 300_000, 10  # thin to keep the chi-square calibration honest
     counts = Counter()
     for t in range(T):
-        sampler.step()
+        sampler.run(1)
         if t % thin == 0:
             counts[sampler.x] += 1
     kept = sum(counts.values())
@@ -225,9 +239,9 @@ def test_empirical_class_histogram_matches_table():
     T, thin, burn = 400_000, 10, 20_000
     counts = Counter()
     for t in range(T):
-        sampler.step()
+        sampler.run(1)
         if t >= burn and t % thin == 0:
-            counts[sampler.class_label()] += 1
+            counts[class_of(spec, sampler.x)] += 1
     n_kept = sum(counts.values())
     probs = table.probabilities()
     obs = np.array([counts.get(c, 0) for c in table.classes])
@@ -367,7 +381,7 @@ def test_cost_profile_naive_is_linear_in_N():
 def test_scaled_parameters_keep_cost_linear():
     # with p1 = 1 - a/N and p2 = a/(2N) the mean per-step cost stays O(N):
     # the cost/(N * step) ratio varies by <= 25% across N even under the
-    # sequential (quadratic per orbit draw) billing
+    # sequential (quadratic per orbit draw) billing of the direct draws
     from spingap.verify import scaled_params_consistent
 
     ratios = []
@@ -375,7 +389,7 @@ def test_scaled_parameters_keep_cost_linear():
         sp = scaled_params_consistent(1.0, N)
         spec = ising(N, beta=1.0, p1=sp.p1, p2=sp.p2)
         cfg = RunConfig(steps=40_000, seed=18, observable="mag")
-        stats = run_estimate(spec, "equi-energy", cfg, orbit_method="sequential")
+        stats = run_estimate(spec, "equi-energy", cfg)
         ratios.append(stats.cost.ops_sequential / cfg.steps / N)
     assert max(ratios) / min(ratios) <= 1.25
 
@@ -397,16 +411,10 @@ def test_sequential_orbit_draw_costs_quadratically():
 
 class ReferenceSampler:
     """The sampler as it stepped before ``Sampler.run``: one method per move
-    component, the statistics and cost counters on the instance.  Like
-    ``Sampler`` it refuses an orbit method the model lacks on construction."""
+    component, the statistics and cost counters on the instance."""
 
-    def __init__(self, spec, kind, rng, x0=None, orbit_method="direct"):
-        if orbit_method not in ("direct", "sequential"):
-            raise ValueError(f"unknown method {orbit_method!r}")
-        if orbit_method == "sequential" and spec.kind == "beg":
-            raise ValueError("the sequential scheme is defined for the two-letter alphabet only")
+    def __init__(self, spec, kind, rng, x0=None):
         self.spec, self.kind, self.rng = spec, kind, rng
-        self.orbit_method = orbit_method
         self.cost = CostCounters()
         N = spec.N
         if spec.kind == "warmup":
@@ -519,8 +527,7 @@ class ReferenceSampler:
     def _orbit_jump(self):
         spec = self.spec
         N = spec.N
-        self.x = sample_uniform_class(spec, self.class_label(), self.rng,
-                                      method=self.orbit_method)
+        self.x = sample_uniform_class(spec, self.class_label(), self.rng)
         self.cost.orbit_proposed += 1
         self.cost.orbit_accepted += 1
         if spec.kind == "ising":
@@ -528,7 +535,7 @@ class ReferenceSampler:
             seq = n_balls * (N - n_balls + 1)
         else:
             seq = N
-        self.cost.ops += seq if self.orbit_method == "sequential" else N
+        self.cost.ops += N
         self.cost.ops_sequential += seq
         return "orbit"
 
@@ -556,10 +563,10 @@ class ReferenceSampler:
         return self._orbit_jump()
 
 
-def reference_run_estimate(spec, kind, cfg, orbit_method="direct", trace_sink=None):
+def reference_run_estimate(spec, kind, cfg, trace_sink=None):
     """run_estimate as it drove ReferenceSampler, one step() call per step."""
     rng = np.random.default_rng(cfg.seed)
-    sampler = ReferenceSampler(spec, kind, rng, orbit_method=orbit_method)
+    sampler = ReferenceSampler(spec, kind, rng)
     sampler.observable(cfg.observable)
     burn = cfg.effective_burn_in
     trace = np.empty(len(range(burn, cfg.steps, cfg.thinning)))
@@ -602,12 +609,11 @@ SAMPLER_CHAINS = [
 ]
 
 
-def _recorded(run, spec, kind, cfg, orbit_method):
+def _recorded(run, spec, kind, cfg):
     """(RunStats or the raised error, the trace-sink calls) of one run."""
     calls = []
     try:
-        stats = run(spec, kind, cfg, orbit_method=orbit_method,
-                    trace_sink=lambda *a: calls.append(a))
+        stats = run(spec, kind, cfg, trace_sink=lambda *a: calls.append(a))
     except ValueError as e:
         stats = (type(e), str(e))
     return stats, calls
@@ -620,15 +626,14 @@ def test_run_estimate_matches_per_method_reference(spec, kind):
     for observable in observables:
         for burn_in in (0, None):
             for thinning in (1, 7):
-                for orbit_method in ("direct", "sequential"):
-                    cfg = RunConfig(steps=1500, seed=len(observable) + thinning,
-                                    burn_in=burn_in, thinning=thinning, observable=observable)
-                    got = _recorded(run_estimate, spec, kind, cfg, orbit_method)
-                    want = _recorded(reference_run_estimate, spec, kind, cfg, orbit_method)
-                    assert got == want, (observable, burn_in, thinning, orbit_method)
-                    # the sink calls carry plain ints and floats, as before
-                    assert [tuple(map(type, c[1])) for c in got[1]] == \
-                        [tuple(map(type, c[1])) for c in want[1]]
+                cfg = RunConfig(steps=1500, seed=len(observable) + thinning,
+                                burn_in=burn_in, thinning=thinning, observable=observable)
+                got = _recorded(run_estimate, spec, kind, cfg)
+                want = _recorded(reference_run_estimate, spec, kind, cfg)
+                assert got == want, (observable, burn_in, thinning)
+                # the sink calls carry plain ints and floats, as before
+                assert [tuple(map(type, c[1])) for c in got[1]] == \
+                    [tuple(map(type, c[1])) for c in want[1]]
     # and without a sink: the same statistics
     cfg = RunConfig(steps=1500, seed=5, observable="mag")
     assert run_estimate(spec, kind, cfg) == reference_run_estimate(spec, kind, cfg)
@@ -637,13 +642,11 @@ def test_run_estimate_matches_per_method_reference(spec, kind):
 @pytest.mark.parametrize("spec,kind", SAMPLER_CHAINS,
                          ids=[f"{s.kind}-{k}" for s, k in SAMPLER_CHAINS])
 def test_step_matches_per_method_reference(spec, kind):
-    method = "direct" if spec.kind == "beg" else "sequential"
     for seed in (1, 2):
-        sampler = Sampler(spec, kind, np.random.default_rng(seed), orbit_method=method)
-        reference = ReferenceSampler(spec, kind, np.random.default_rng(seed),
-                                     orbit_method=method)
+        sampler = Sampler(spec, kind, np.random.default_rng(seed))
+        reference = ReferenceSampler(spec, kind, np.random.default_rng(seed))
         for _ in range(600):
-            assert sampler.step() == reference.step()
+            assert sampler.run(1) == reference.step()
             assert (sampler.S, sampler.R) == (reference.S, reference.R)
         assert np.array_equal(sampler.x, reference.x)
         assert sampler.cost == reference.cost
@@ -680,67 +683,3 @@ def test_sampler_takes_an_integer_warmup_start(x0):
     sampler = Sampler(warmup(3, theta=2.0), "naive", np.random.default_rng(0), x0=x0)
     assert sampler.x == sampler.S == 2
     assert type(sampler.x) is int
-
-
-REFUSED_ORBIT_METHODS = [
-    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "equi-energy", "sequential",
-     "two-letter alphabet only"),
-    (beg(6, beta=1.0, K=1.5), "naive", "sequential", "two-letter alphabet only"),
-    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "equi-energy", "Direct", "unknown method"),
-    (ising(6, beta=1.2, p1=0.4, p2=0.3), "equi-energy", "uniform", "unknown method"),
-    (ising(6, beta=1.2), "naive", "uniform", "unknown method"),
-    (warmup(5, theta=1.7, epsilon=0.2), "small-world", "uniform", "unknown method"),
-    (warmup(5, theta=1.7), "naive", "", "unknown method"),
-]
-
-
-@pytest.mark.parametrize("spec,kind,method,message", REFUSED_ORBIT_METHODS,
-                         ids=[f"{s.kind}-{k}-{m or 'empty'}"
-                              for s, k, m, _ in REFUSED_ORBIT_METHODS])
-def test_an_orbit_method_is_refused_before_any_draw(spec, kind, method, message):
-    rng = np.random.default_rng(8)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=message):
-        Sampler(spec, kind, rng, orbit_method=method)
-    assert rng.bit_generator.state == before
-    # run_estimate refuses before its first step: the sink never hears of one
-    calls = []
-    with pytest.raises(ValueError, match=message):
-        run_estimate(spec, kind, RunConfig(steps=2000, seed=8), orbit_method=method,
-                     trace_sink=lambda *a: calls.append(a))
-    assert calls == []
-
-
-#: one valid signed class per model of REFUSED_ORBIT_METHODS
-ORBIT_CLASSES = {"ising": EnergyClass(2, None, 1), "beg": EnergyClass(1, 3, -1),
-                 "warmup": EnergyClass(3, None, -1)}
-
-
-@pytest.mark.parametrize("spec,kind,method,message", REFUSED_ORBIT_METHODS,
-                         ids=[f"{s.kind}-{k}-{m or 'empty'}"
-                              for s, k, m, _ in REFUSED_ORBIT_METHODS])
-def test_an_orbit_draw_refuses_what_the_sampler_refuses(spec, kind, method, message):
-    # one check for both: an unknown method on every model, "sequential" on
-    # beg, with the same message and before any generator call
-    rng = np.random.default_rng(8)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=message) as draw:
-        sample_uniform_class(spec, ORBIT_CLASSES[spec.kind], rng, method=method)
-    assert rng.bit_generator.state == before
-    with pytest.raises(ValueError) as sampler:
-        Sampler(spec, kind, rng, orbit_method=method)
-    assert str(draw.value) == str(sampler.value)
-
-
-@pytest.mark.parametrize("spec,method", [
-    (ising(8, beta=1.2, p1=0.4, p2=0.3), "direct"),
-    (ising(8, beta=1.2, p1=0.4, p2=0.3), "sequential"),
-    (beg(6, beta=1.0, K=1.5, p1=0.5, p2=0.25), "direct"),
-])
-def test_sampler_checks_the_orbit_method_once_not_per_jump(monkeypatch, spec, method):
-    sampler = Sampler(spec, "equi-energy", np.random.default_rng(3), orbit_method=method)
-    calls = []
-    monkeypatch.setattr(sampling, "_check_orbit_method", lambda *a: calls.append(a))
-    sampler.run(2000)
-    assert sampler.cost.orbit_proposed > 0
-    assert calls == []

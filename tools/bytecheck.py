@@ -14,7 +14,9 @@ model does not have or cannot build, a warm-up and an ising-slow grid
 in which every naive gap underflows, a beg-slow grid with too few
 resolvable gaps to fit, a ``--deep`` cell outside its grid, two
 failing beg-fast grids, four profile scans and audits at N < 1, three
-``simulate`` step counts too large to hold, and short ``simulate`` runs
+``simulate`` step counts too large to hold, a fractional ``--steps`` and
+``--burn-in``, a ``--thin`` in float notation, a negative ``--seed``, a
+``--beta-k`` item without its ``:K``, and short ``simulate`` runs
 of every (model, kind) with default, thinned and burn-in settings, most
 with a trace.
 After them it runs each script under ``demos/``, copied into its own
@@ -66,6 +68,9 @@ EXTRA_COMMANDS = (
     "verify beg-fast --beta-k 1:1 --n 0,2,4",
     *(f"simulate --model ising --n 4 --beta 1 --steps {steps}"
       for steps in ("1e15", "1e20", "1e400")),
+    *(f"simulate --model ising --n 4 --beta 1 {count}"
+      for count in ("--steps 1.7", "--burn-in 0.5", "--steps 1e5 --thin 1e2", "--seed -1")),
+    "verify beg-slow --beta-k 3",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
