@@ -57,6 +57,7 @@ from .spectral import (
     gershgorin_bound,
     interval_conductance,
     sector_spectrum,
+    sector_spectrum_batch,
     spectrum,
 )
 from .sampling import (

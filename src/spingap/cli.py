@@ -38,7 +38,7 @@ from .kernels import (
 from .models import ModelSpec
 from .sampling import OBSERVABLES, RunConfig, run_estimate
 from .spectral import GAP_RESOLUTION, cheeger_interval, conductance_exact, interval_conductance
-from .verify import exact_gap_record
+from .verify import exact_gap_record, exact_gap_records
 
 VERSION = "spingap 0.1.0"
 OUTPUT_ENV = "SPINGAP_OUTDIR"
@@ -83,34 +83,46 @@ def _items(text: str) -> list[str]:
     return items
 
 
+def _convert(convert: Callable[[str], Any], item: str, what: str):
+    """``convert(item)``, refused with a message that names the item and the form wanted."""
+    try:
+        return convert(item)
+    except ValueError:
+        raise ConfigError(f"must list {what}, not {item!r}") from None
+
+
+def _range(text: str) -> list[int]:
+    """START..STOP[..STEP], inclusive; ValueError unless STEP >= 1 and STOP >= START."""
+    start, stop, step = (text + "..1" if text.count("..") == 1 else text).split("..")
+    start, stop, step = int(start), int(stop), int(step)
+    if step < 1 or stop < start:
+        raise ValueError(f"bad range {text!r}")
+    return list(range(start, stop + 1, step))
+
+
 def parse_int_range(text: str) -> list[int]:
     """'10..60..2' (inclusive), '10..60' (step 1), or '10,20,30', or '12'."""
     text = text.strip()
     if ".." in text:
-        parts = text.split("..")
-        if len(parts) == 2:
-            start, stop, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
-        else:
-            raise ConfigError(f"bad range {text!r}")
-        if step < 1 or stop < start:
-            raise ConfigError(f"bad range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in _items(text)]
+        try:
+            return _range(text)
+        except ValueError:
+            raise ConfigError(f"bad range {text!r}") from None
+    return [_convert(int, v, "whole numbers") for v in _items(text)]
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in _items(text)]
+    return [_convert(float, v, "numbers") for v in _items(text)]
+
+
+def _pair(item: str) -> tuple[float, float]:
+    beta, K = item.split(":")
+    return float(beta), float(K)
 
 
 def parse_pair_list(text: str) -> list[tuple[float, float]]:
     """'3:5,1.5:2' -> [(3.0, 5.0), (1.5, 2.0)]."""
-    pairs = [item.split(":") for item in _items(text)]
-    for pair in pairs:
-        if len(pair) != 2:
-            raise ConfigError(f"must list beta:K pairs, not {':'.join(pair)!r}")
-    return [(float(a), float(b)) for a, b in pairs]
+    return [_convert(_pair, item, "beta:K pairs") for item in _items(text)]
 
 
 def parse_count(text: str) -> int:
@@ -273,7 +285,7 @@ def cmd_gap_scan(command: Command, o: argparse.Namespace) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(exact_gap_record, specs, repeat(o.kind)))
     else:
-        results = [exact_gap_record(spec, o.kind) for spec in specs]
+        results = exact_gap_records(specs, o.kind)
     gap_keys = ["gap", "one_minus_lambda1", "lambda1", "lambda_min", "underflow"]
     header = ["model", "kind", "N", "beta", "K", "theta", "epsilon", "p1", "p2", *gap_keys]
     rows = [[spec.kind, o.kind, spec.N, spec.beta, spec.K, spec.theta, spec.epsilon, spec.p1,

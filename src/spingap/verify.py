@@ -31,6 +31,7 @@ from .spectral import (
     SectorSpectrum,
     cut_bottleneck_log,
     sector_spectrum,
+    sector_spectrum_batch,
 )
 
 
@@ -115,6 +116,17 @@ def _gap_record(s: SectorSpectrum) -> dict:
     }
 
 
+def exact_gap_records(specs: Sequence[ModelSpec], kind: str) -> list[dict]:
+    """Gap of each signed class chain, solved on its two flip sectors.
+
+    The move tables are built and solved a stack at a time
+    (``sector_spectrum_batch``); the records are those of the cells
+    solved one by one.
+    """
+    solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs)
+    return [_gap_record(next(solved)[1]) for _ in specs]
+
+
 def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
     """Gap of the signed class chain, solved on its two flip sectors."""
     return _gap_record(sector_spectrum(signed_move_table(spec, kind)))
@@ -134,27 +146,32 @@ def _negative_side_cut_log(table: MoveTable) -> float:
 
 
 def _sweep(model: Callable[..., ModelSpec], kind: str, Ns: Sequence[int],
-           values: Callable[[ModelSpec], tuple], **params) -> list[CellRecord]:
+           values: Callable[[ModelSpec, MoveTable, SectorSpectrum], tuple],
+           **params) -> list[CellRecord]:
     """The (cell, N) loop of the audits: one record per N of one cell.
 
-    ``values(spec)`` gives each record's ``(values, passed)``; the cell
-    reads {"model", "kind", "N", **params}, and a record whose gap lies
-    under the resolution floor carries the note "underflow".
+    The signed move tables are built and solved in N order, a stack at a
+    time (``sector_spectrum_batch``).  ``values(spec, table, sectors)``
+    gives each record's ``(values, passed)`` from its model, move table
+    and flip-sector spectrum; the cell reads {"model", "kind", "N",
+    **params}, and a record whose gap lies under the resolution floor
+    carries the note "underflow".
     """
+    specs = [model(N, **params) for N in Ns]
+    solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs)
     records = []
-    for N in Ns:
-        spec = model(N, **params)
-        vals, passed = values(spec)
+    for N, spec in zip(Ns, specs):
+        # no name keeps the (table, sectors) pair, so each table is freed in turn
+        vals, passed = values(spec, *next(solved))
         records.append(CellRecord(cell={"model": spec.kind, "kind": kind, "N": N, **params},
                                   values=vals, passed=passed,
                                   note="underflow" if vals["underflow"] else ""))
     return records
 
 
-def _slow_cell_values(spec: ModelSpec) -> tuple:
+def _slow_cell_values(spec: ModelSpec, table: MoveTable, sectors: SectorSpectrum) -> tuple:
     """Naive-chain gap record and negative-side cut, from one move table; no pass flag."""
-    table = signed_move_table(spec, "naive")
-    vals = _gap_record(sector_spectrum(table))
+    vals = _gap_record(sectors)
     vals["log_2h_cut"] = _negative_side_cut_log(table)
     return vals, None
 
@@ -237,8 +254,8 @@ def verify_ising_fast(betas: Sequence[float], Ns: Sequence[int],
     N from which the inequality holds through the grid maximum, and the
     audit fails only when no such N0 exists.
     """
-    def values(spec):
-        vals = exact_gap_record(spec, "equi-energy")
+    def values(spec, table, sectors):
+        vals = _gap_record(sectors)
         vals["bound"] = ising_fast_bound(spec.N, p1, p2)
         return vals, vals["gap"] >= vals["bound"]
 
@@ -292,9 +309,11 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     failures = []
     fits = []
     # its own loop, not `_sweep`: one record holds both chains and no kind
-    for N in Ns:
-        spec = warmup(N, theta=theta, epsilon=epsilon)
-        table = signed_move_table(spec, "small-world")
+    specs = [warmup(N, theta=theta, epsilon=epsilon) for N in Ns]
+    solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs
+                                   for kind in ("small-world", "naive"))
+    # two tables per N, small-world first: each zip step takes both
+    for N, (table, fast), (_, naive) in zip(Ns, solved, solved):
         if N > 2:
             mid = N // 2
             # blocks A_{mid+1}, A_{mid+2} of warmup_block_partition, the rest
@@ -303,10 +322,9 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
             up = lumped_projection(table, partition_by(keys.tolist())).P[1, 2]
             if not math.isclose(up, (1 - epsilon) / 4, rel_tol=1e-12):
                 failures.append(f"N={N}: projection up-rate {up} != (1-eps)/4")
-        fast = _gap_record(sector_spectrum(table))
+        fast, naive = _gap_record(fast), _gap_record(naive)
         vals = {k: fast[k] for k in ("gap", "lambda1", "lambda_min", "underflow")}
         vals["gap_times_N2"] = vals["gap"] * N * N
-        naive = exact_gap_record(spec, "naive")
         vals["naive_gap"] = naive["gap"]
         vals["naive_underflow"] = naive["underflow"]
         records.append(CellRecord(
@@ -390,8 +408,7 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
     """
     floor = beg_decomposition_floor(p1, p2)
 
-    def values(spec):
-        sectors = sector_spectrum(signed_move_table(spec, "equi-energy"))
+    def values(spec, table, sectors):
         vals = _gap_record(sectors)
         # P_bar = (I + E)/2, E the even sector as a chain on unsigned classes
         vals["gap_pbar"] = 0.5 * (1.0 - sectors.even_lambda1)

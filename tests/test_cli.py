@@ -303,6 +303,12 @@ def test_a_fractional_count_exits_2(tmp_path, capsys, monkeypatch, args, message
     ("simulate --model ising --n 4 --beta 1 --seed -1", "seed must be nonnegative, not -1"),
     ("verify beg-slow --beta-k 3", "--beta-k must list beta:K pairs, not '3'"),
     ("verify beg-slow --beta-k 3:5 --deep 3:5:1", "--deep must list beta:K pairs, not '3:5:1'"),
+    # float's and int's bare "could not convert string to float: ''" and the like
+    ("verify beg-slow --beta-k 3:", "--beta-k must list beta:K pairs, not '3:'"),
+    ("verify beg-slow --beta-k 3:5,3:x", "--beta-k must list beta:K pairs, not '3:x'"),
+    ("verify ising-slow --beta 0.5,x", "--beta must list numbers, not 'x'"),
+    ("verify ising-slow --beta 2 --n 10,x", "--n must list whole numbers, not 'x'"),
+    ("verify ising-slow --beta 2 --n 10..x", "--n bad range '10..x'"),
 ])
 def test_a_refusal_names_its_input(tmp_path, capsys, command, message):
     assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_USAGE

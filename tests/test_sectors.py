@@ -10,20 +10,23 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spingap import kernels, verify
+from spingap import kernels, spectral, verify
 from spingap.cli import EXIT_USAGE, main
 from spingap.kernels import MoveTable, beg_lumped, signed_lumped_chain, signed_move_table
 from spingap.models import beg, ising, warmup
 from spingap.spectral import (
     DENSE_SECTOR_MAX,
     REVERSIBILITY_TOL,
+    STACK_STATES,
     NonReversibleError,
     SymmetryError,
     _check_reversible,
     _flip_sectors,
     _sector_extremes,
+    _stacks,
     gap,
     sector_spectrum,
+    sector_spectrum_batch,
     spectrum,
 )
 from spingap.verify import exact_gap_record, verify_beg_fast
@@ -86,7 +89,7 @@ def test_sector_route_matches_dense_at_three_phase_coexistence(kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_lanczos_matches_dense_sector_solve_at_three_phase_coexistence(kind):
     table = signed_move_table(beg(80, **THREE_PHASE), kind)
-    even, odd, _ = _flip_sectors(table)
+    ((even, odd, _),) = _flip_sectors([table])
     assert min(even.shape[0], odd.shape[0]) > DENSE_SECTOR_MAX
     ev_even = np.linalg.eigvalsh(even.toarray())
     ev_odd = np.linalg.eigvalsh(odd.toarray())
@@ -311,10 +314,10 @@ def assert_same_assembly(table):
         ref = reference_flip_sectors(table)
     except ValueError as err:
         with pytest.raises(type(err)) as got:
-            _flip_sectors(table)
+            _flip_sectors([table])
         assert str(got.value) == str(err)
         return
-    even, odd, root = _flip_sectors(table)
+    ((even, odd, root),) = _flip_sectors([table])
     assert_same_sector(ref[0], even)
     assert_same_sector(ref[1], odd)
     assert np.array_equal(bits(root), bits(ref[2]))
@@ -343,7 +346,7 @@ def test_triplet_sectors_match_the_sparse_assembly_bit_for_bit(spec, kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_triplet_sectors_match_on_lanczos_sectors(kind):
     table = signed_move_table(beg(60, **THREE_PHASE), kind)
-    even, odd, _ = _flip_sectors(table)
+    ((even, odd, _),) = _flip_sectors([table])
     assert min(even.shape[0], odd.shape[0]) > DENSE_SECTOR_MAX
     assert_same_assembly(table)
 
@@ -352,7 +355,7 @@ def test_ising_n2_odd_sector_without_entries():
     # states S = -2, 0, 2 at beta = 0: both end states move to 0 with
     # probability 1, so the odd sector (e_-2 - e_2)/sqrt(2) holds no entry
     table = signed_move_table(ising(2, beta=0.0, p1=0.5, p2=0.25), "naive")
-    even, odd, _ = _flip_sectors(table)
+    ((even, odd, _),) = _flip_sectors([table])
     assert len(even[0]) == 2
     assert np.array_equal(odd[0], [0.0]) and len(odd[1]) == 0
     assert_same_assembly(table)
@@ -373,11 +376,11 @@ def test_tridiagonal_sectors_build_no_sparse_matrix_and_beg_one_csr_each(monkeyp
         monkeypatch.setattr(scipy.sparse, name, counted)
     for spec, kind in ((ising(200, beta=2.0, p1=0.5, p2=0.25), "equi-energy"),
                        (warmup(300, theta=2.0, epsilon=0.3), "small-world")):
-        even, odd, _ = _flip_sectors(signed_move_table(spec, kind))
+        ((even, odd, _),) = _flip_sectors([signed_move_table(spec, kind)])
         assert isinstance(even, tuple) and isinstance(odd, tuple)
     assert built == []
-    even, odd, _ = _flip_sectors(signed_move_table(beg(30, beta=1.0, K=1.0, p1=0.5, p2=0.25),
-                                                   "equi-energy"))
+    ((even, odd, _),) = _flip_sectors([signed_move_table(
+        beg(30, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")])
     assert built == ["csr_array", "csr_array"]
 
 
@@ -454,11 +457,11 @@ def test_refusals_carry_the_reference_residual(table, k, factor):
 def test_a_move_without_its_reverse_is_refused():
     table = three_state_table([(0, 1, 0.3), (1, 0, 0.3), (1, 2, 0.3)])
     with pytest.raises(NonReversibleError, match="detailed-balance residual 1.0 exceeds 1e-08"):
-        _flip_sectors(table)
+        _flip_sectors([table])
     assert_same_assembly(table)
     asym = three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, 0.3), (2, 1, 0.3)])
     with pytest.raises(SymmetryError) as err:
-        _flip_sectors(asym)
+        _flip_sectors([asym])
     with pytest.raises(SymmetryError, match=str(err.value)):
         reference_flip_sectors(asym)
 
@@ -511,3 +514,201 @@ def test_tridiagonal_extremes_match_eigh_tridiagonal_bit_for_bit():
     assert _sector_extremes((np.array([0.25]), np.zeros(0)), np.ones(1)) == (-math.inf, 1.0)
     with pytest.raises(ValueError, match="infs or NaNs"):
         _sector_extremes((np.array([0.5, np.nan]), np.array([0.1])))
+
+
+# ---------------------------------------------------------------------------
+# Stacked assembly: consecutive small tables share one pass.
+# ---------------------------------------------------------------------------
+
+def batched(tables):
+    return [s for _, s in sector_spectrum_batch(tables)]
+
+
+def one_by_one(tables):
+    return [sector_spectrum(t) for t in tables]
+
+
+def outcome(solve, tables):
+    """solve(tables), or the exact type and message of what it raised."""
+    try:
+        return solve(tables)
+    except Exception as err:
+        return type(err), str(err)
+
+
+BEG_CELL = dict(beta=1.0, K=1.0, p1=0.5, p2=0.25)
+
+# Ising, warm-up, BEG with dense sectors (N = 20: 231 states) and with
+# Lanczos sectors (N = 40: 861 states, both sectors past DENSE_SECTOR_MAX),
+# in an order whose running total crosses STACK_STATES several times
+STRADDLING = (
+    [(ising(N, beta=b, p1=0.5, p2=0.25), k) for N in (2, 10, 100) for b in (0.5, 2.0)
+     for k in ("naive", "equi-energy")]
+    + [(warmup(N, theta=2.0, epsilon=0.3), k) for N in (1, 20, 300)
+       for k in ("small-world", "naive")]
+    + [(beg(20, **BEG_CELL), "equi-energy"), (beg(40, **THREE_PHASE), "naive"),
+       (ising(50, beta=1.0, p1=0.5, p2=0.25), "equi-energy"), (beg(6, **BEG_CELL), "naive"),
+       (beg(40, **BEG_CELL), "equi-energy"), (beg(20, **THREE_PHASE), "naive"),
+       (warmup(5, theta=1.5, epsilon=0.5), "small-world")]
+)
+
+
+def straddling_tables():
+    return [signed_move_table(spec, kind) for spec, kind in STRADDLING]
+
+
+def test_the_straddling_tables_stack_past_the_budget_and_hold_every_sector_route():
+    tables = straddling_tables()
+    stacks = list(_stacks(tables))
+    assert [t for stack in stacks for t in stack] == tables
+    assert all(sum(t.n for t in stack) <= STACK_STATES for stack in stacks)
+    assert sum(len(stack) > 1 for stack in stacks) >= 3
+    routes, mixed = set(), False
+    for stack in stacks:
+        here = {"tridiagonal" if isinstance(M, tuple)
+                else "dense" if M.shape[0] <= DENSE_SECTOR_MAX else "lanczos"
+                for sectors in _flip_sectors(stack) for M in sectors[:2]}
+        routes |= here
+        mixed |= len(stack) > 1 and {"tridiagonal", "lanczos"} <= here
+    assert routes == {"tridiagonal", "dense", "lanczos"}
+    # a stack with a Lanczos BEG table beside tridiagonal ones
+    assert mixed
+
+
+def test_a_batch_equals_its_tables_solved_one_by_one():
+    tables = straddling_tables()
+    pairs = list(sector_spectrum_batch(iter(tables)))
+    assert [t for t, _ in pairs] == tables
+    assert [s for _, s in pairs] == one_by_one(tables)
+
+
+def test_stacked_sectors_have_the_bits_dtypes_and_order_of_sectors_assembled_alone():
+    for stack in _stacks(straddling_tables()):
+        for table, (even, odd, root) in zip(stack, _flip_sectors(stack)):
+            ((even1, odd1, root1),) = _flip_sectors([table])
+            for got, want in ((even, even1), (odd, odd1)):
+                assert isinstance(got, tuple) == isinstance(want, tuple)
+                arrays = (lambda M: M if isinstance(M, tuple)
+                          else (M.indptr, M.indices, M.data))
+                for x, y in zip(arrays(got), arrays(want), strict=True):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert np.array_equal(bits(root), bits(root1))
+
+
+@st.composite
+def table_lists(draw):
+    """A few random flip-symmetric tables and model tables, in any order."""
+    tables = draw(st.lists(flip_symmetric_tables(), min_size=1, max_size=4))
+    models = draw(st.lists(st.sampled_from(range(len(STRADDLING))), max_size=4))
+    tables += [signed_move_table(*STRADDLING[k]) for k in models]
+    return draw(st.permutations(tables))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(table_lists())
+def test_a_batch_of_random_tables_equals_them_solved_one_by_one(tables):
+    assert outcome(batched, tables) == outcome(one_by_one, tables)
+
+
+def test_with_a_budget_of_one_state_every_audit_writes_the_same_bytes(tmp_path, monkeypatch):
+    commands = [
+        "verify ising-fast --beta 0.5,2 --n 10..40..2 --p1 0.5 --p2 0.25",
+        "verify ising-slow --beta 2 --n 10..60..2",
+        "verify warmup --theta 2 --epsilon 0.3 --n 10..60..2",
+        "verify beg-slow --beta-k 3:5,1.5:2 --deep 3:5,1.5:2 --n 6..24..2",
+        "verify beg-fast --beta-k 1:1 --n 6..30..2 --p1 0.5 --p2 0.25",
+        "gap-scan --model ising --kind equi-energy --beta 2 --n 10..60..2 --p1 0.5 --p2 0.25",
+        "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 4..40..6",
+    ]
+    widths = []
+    stack = spectral._flip_sectors
+    monkeypatch.setattr(spectral, "_flip_sectors",
+                        lambda tables: widths.append(len(tables)) or stack(tables))
+
+    def run(tag):
+        out = {}
+        for i, command in enumerate(commands):
+            d = tmp_path / tag / str(i)
+            assert main([*command.split(), "--out", str(d)]) == 0
+            out.update({p.relative_to(tmp_path / tag): p.read_bytes()
+                        for p in sorted(d.rglob("*")) if p.is_file()})
+        return out
+
+    stacked = run("stacked")
+    assert max(widths) > 1
+    widths.clear()
+    monkeypatch.setattr(spectral, "STACK_STATES", 1)
+    alone = run("alone")
+    assert set(widths) == {1}
+    assert alone.keys() == stacked.keys() and len(alone) > 20
+    assert [k for k in alone if alone[k] != stacked[k]] == []
+
+
+GOOD = [signed_move_table(ising(10, beta=1.0, p1=0.5, p2=0.25), "equi-energy"),
+        signed_move_table(warmup(5, theta=2.0, epsilon=0.3), "small-world"),
+        signed_move_table(beg(6, **BEG_CELL), "naive")]
+NONREVERSIBLE = three_state_table([(0, 1, 0.3), (1, 0, 0.1), (1, 2, 0.1), (2, 1, 0.3)])
+
+
+def one_state_table(target):
+    return MoveTable(labels=(0,), log_pi=np.zeros(1), rows=np.array([0]),
+                     cols=np.array([target]), vals=np.array([0.5]), flip=np.array([0]))
+
+
+# runs of tables that fail, or would pass, only alone
+MALFORMED = {
+    "nonreversible": [NONREVERSIBLE],
+    "not-flip-symmetric": [three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, 0.3),
+                                              (2, 1, 0.3)])],
+    # a NaN residual passes the tolerance test, so in a stack it would hide
+    # the residual of another table
+    "nan-rate": [three_state_table([(0, 1, math.nan), (1, 0, math.nan), (1, 2, 0.2),
+                                    (2, 1, 0.2)])],
+    "move-past-the-end": [three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 3, 0.2),
+                                             (2, 1, 0.2)])],
+    # alone, -1 wraps to the last state; shifted in a stack it would not
+    "negative-index": [three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, -1, 0.2),
+                                          (2, 1, 0.2)])],
+    # alone each indexes past its one state; stacked, they would make one
+    # reversible, flip-invariant chain across the two tables
+    "moves-into-the-neighbour": [one_state_table(1), one_state_table(-1)],
+    "empty": [MoveTable(labels=(), log_pi=np.zeros(0), rows=np.zeros(0, dtype=np.intp),
+                        cols=np.zeros(0, dtype=np.intp), vals=np.zeros(0),
+                        flip=np.zeros(0, dtype=np.intp))],
+    # reversible to 1e-8 in float32 arithmetic alone, and other bits in float64
+    "log-weights-in-float32": [MoveTable(
+        labels=(-1, 0, 1), log_pi=np.array([0.25, 0.0, 0.25], dtype=np.float32),
+        rows=np.array([0, 1, 1, 2]), cols=np.array([1, 0, 2, 1]),
+        vals=np.array([0.2 * math.exp(-0.25), 0.2, 0.2, 0.2 * math.exp(-0.25)]),
+        flip=np.array([2, 1, 0]))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("where", [0, 1, 3])
+@pytest.mark.parametrize("nonreversible_first", [False, True])
+def test_a_malformed_table_in_a_batch_fails_as_it_fails_alone(name, where,
+                                                              nonreversible_first):
+    tables = GOOD[:where] + MALFORMED[name] + GOOD[where:]
+    tables = [NONREVERSIBLE] + tables if nonreversible_first else tables + [NONREVERSIBLE]
+    assert sum(t.n for t in tables) <= STACK_STATES
+    want = outcome(one_by_one, tables)
+    # the first table that fails alone is the one that fails the batch
+    assert want[0] in (NonReversibleError, SymmetryError, ValueError, IndexError)
+    assert outcome(batched, tables) == want
+    # and with no other table refused, the same spectra or the same refusal
+    tables = GOOD + MALFORMED[name] + GOOD
+    assert outcome(batched, tables) == outcome(one_by_one, tables)
+
+
+def test_the_first_malformed_table_in_order_fails_the_batch():
+    (asym,) = MALFORMED["not-flip-symmetric"]
+    with pytest.raises(SymmetryError) as alone:
+        sector_spectrum(asym)
+    with pytest.raises(NonReversibleError) as nonrev:
+        sector_spectrum(NONREVERSIBLE)
+    for tables, err in (([*GOOD, asym, NONREVERSIBLE], alone.value),
+                        ([*GOOD, NONREVERSIBLE, asym], nonrev.value)):
+        with pytest.raises(type(err)) as got:
+            batched(tables)
+        assert type(got.value) is type(err) and str(got.value) == str(err)

@@ -11,7 +11,7 @@ from scipy.special import stdtrit
 from spingap import models
 from spingap.kernels import FiniteKernel, signed_lumped_chain, signed_move_table
 from spingap.models import beg, class_table, ising, warmup
-from spingap.spectral import cut_bottleneck_log
+from spingap.spectral import SectorSpectrum, cut_bottleneck_log
 from spingap import verify
 from spingap.verify import (
     _negative_side_cut_log,
@@ -376,8 +376,9 @@ def test_verify_beg_fast_skips_non_member_cells():
 
 def test_a_fast_audit_notes_underflow_like_the_slow_ones(monkeypatch):
     # every audit's records carry "underflow" where the gap is under the floor
-    monkeypatch.setattr(verify, "exact_gap_record",
-                        lambda spec, kind: {"gap": 1e-13, "underflow": True})
+    below = SectorSpectrum(even_lambda1=1 - 1e-13, odd_lambda1=0.5, lambda_min=0.0, dim=3)
+    monkeypatch.setattr(verify, "sector_spectrum_batch",
+                        lambda tables: ((t, below) for t in tables))
     rep = verify_ising_fast([2.0], [10, 12], 0.5, 0.25)
     assert [r.note for r in rep.records] == ["underflow", "underflow"]
     assert not rep.passed and rep.to_dict()["passed"] is False

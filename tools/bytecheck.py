@@ -16,12 +16,14 @@ resolvable gaps to fit, a ``--deep`` cell outside its grid, two
 failing beg-fast grids, four profile scans and audits at N < 1, three
 ``simulate`` step counts too large to hold, a fractional ``--steps`` and
 ``--burn-in``, a ``--thin`` in float notation, a negative ``--seed``, a
-``--beta-k`` item without its ``:K``, and short ``simulate`` runs
+``--beta-k`` item without its ``:K`` or with an empty ``K``, a ``--beta``
+item that is not a number, and short ``simulate`` runs
 of every (model, kind) with default, thinned and burn-in settings, most
 with a trace.
 After them it runs each script under ``demos/``, copied into its own
 directory so that the ``out/`` it writes lands under OUTDIR; the copy
-itself is not hashed.
+itself is not hashed.  Every command runs with one BLAS and OpenMP
+thread, since byte identity holds only at a fixed BLAS thread count.
 
 To compare two source trees, run a copy of this script from each tree
 and diff the two manifests: every line that differs names an artifact,
@@ -71,6 +73,8 @@ EXTRA_COMMANDS = (
     *(f"simulate --model ising --n 4 --beta 1 {count}"
       for count in ("--steps 1.7", "--burn-in 0.5", "--steps 1e5 --thin 1e2", "--seed -1")),
     "verify beg-slow --beta-k 3",
+    "verify beg-slow --beta-k 3:",
+    "verify ising-slow --beta 0.5,x",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
@@ -103,6 +107,9 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0]).resolve()
     env = {k: v for k, v in os.environ.items() if k != "SPINGAP_OUTDIR"}
     env["PYTHONPATH"] = str(ROOT / "src")
+    # a threaded BLAS may sum a dense eigensolve's blocks in another order:
+    # BEG sectors of about 240-256 states then differ in the last bits
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     # (command file text, interpreter arguments, demo script to copy or None)
     jobs = [(shlex.join(args), ["-m", "spingap.cli", *args], None)
             for args in readme_commands() + [line.split() for line in EXTRA_COMMANDS]]
