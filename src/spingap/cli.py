@@ -38,7 +38,7 @@ from .kernels import (
 from .models import ModelSpec
 from .sampling import OBSERVABLES, RunConfig, run_estimate
 from .spectral import GAP_RESOLUTION, cheeger_interval, conductance_exact, interval_conductance
-from .verify import exact_gap_record, exact_gap_records
+from .verify import exact_gap_records
 
 VERSION = "spingap 0.1.0"
 OUTPUT_ENV = "SPINGAP_OUTDIR"
@@ -282,8 +282,12 @@ def cmd_gap_scan(command: Command, o: argparse.Namespace) -> int:
     # there are cells or processors
     workers = min(o.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        # each worker solves a round-robin share in batches; cell i is
+        # record i // workers of share i % workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(exact_gap_record, specs, repeat(o.kind)))
+            shares = list(pool.map(exact_gap_records, [specs[w::workers] for w in range(workers)],
+                                   repeat(o.kind)))
+        results = [shares[i % workers][i // workers] for i in range(len(specs))]
     else:
         results = exact_gap_records(specs, o.kind)
     gap_keys = ["gap", "one_minus_lambda1", "lambda1", "lambda_min", "underflow"]

@@ -83,9 +83,6 @@ class FiniteKernel:
     def stationary(self) -> np.ndarray:
         return np.exp(self.log_pi - logsumexp(self.log_pi))
 
-    def row_sum_error(self) -> float:
-        return float(np.abs(self.P.sum(axis=1) - 1.0).max())
-
     def detailed_balance_error(self) -> float:
         """Largest relative asymmetry of the stationary flow pi(x)P(x,y)."""
         pi = self.stationary()
@@ -94,18 +91,6 @@ class FiniteKernel:
         rel = np.abs(Q - Q.T) / denom
         rel[(Q == 0) & (Q.T == 0)] = 0.0
         return float(rel.max())
-
-    def check(self, tol: float = 1e-12) -> None:
-        if self.P.shape != (self.n, self.n):
-            raise ValueError("matrix shape does not match the label count")
-        if self.P.min() < -tol:
-            raise ValueError(f"negative transition probability {self.P.min()}")
-        err = self.row_sum_error()
-        if err > tol:
-            raise ValueError(f"row sums deviate from 1 by {err}")
-        db = self.detailed_balance_error()
-        if db > tol:
-            raise ValueError(f"detailed balance violated, relative residual {db}")
 
 
 @dataclass(frozen=True)
@@ -177,27 +162,6 @@ class BirthDeathChain:
     @property
     def hold(self) -> np.ndarray:
         return 1.0 - self.up - self.down
-
-    def detailed_balance_error(self) -> float:
-        """Relative mismatch of log(pi_i up_i) vs log(pi_{i+1} down_{i+1})."""
-        worst = 0.0
-        for i in range(self.n - 1):
-            u, d = self.up[i], self.down[i + 1]
-            if u == 0.0 and d == 0.0:
-                continue
-            if u == 0.0 or d == 0.0:
-                return math.inf
-            lhs = self.log_pi[i] + math.log(u)
-            rhs = self.log_pi[i + 1] + math.log(d)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-        return worst
-
-    def to_kernel(self) -> FiniteKernel:
-        P = np.diag(self.hold)
-        for i in range(self.n - 1):
-            P[i, i + 1] = self.up[i]
-            P[i + 1, i] = self.down[i + 1]
-        return FiniteKernel(labels=self.labels, log_pi=self.log_pi.copy(), P=P)
 
 
 # ---------------------------------------------------------------------------

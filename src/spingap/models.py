@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -264,13 +264,6 @@ class ClassTable:
     log_state_weight: np.ndarray
     log_class_weight: np.ndarray
     log_partition: float
-
-    @cached_property
-    def _index(self) -> dict:
-        return {c: i for i, c in enumerate(self.classes)}
-
-    def index(self, c: EnergyClass) -> int:
-        return self._index[c]
 
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_class_weight - self.log_partition)

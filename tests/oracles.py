@@ -2,9 +2,11 @@
 
 Nothing under ``src/`` reaches these: they are per-configuration
 helpers, the per-class weight formulas, a one-step sampler call, the
-sequential ball-placement orbit draw, direct-lumping and containment
-checks, and the literal transcription of a hand-tabulated BEG rate
-table together with its errata.  They stay as code because other tests
+sequential ball-placement orbit draw, the validity checks of a dense
+chain, the dense form of a birth-death chain and its detailed-balance
+check, direct-lumping and containment checks, and the literal
+transcription of a hand-tabulated BEG rate table together with its
+errata.  They stay as code because other tests
 measure the library's results against them.
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from spingap import models
 from spingap.kernels import (
+    BirthDeathChain,
     FiniteKernel,
     Partition,
     beg_lumped,
@@ -155,6 +158,53 @@ def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generat
         occ = bose_einstein_sample(n_plus, spec.N - n_plus + 1, rng)
         return _ising_config_from_occupancy(spec.N, occ)
     return _orbit_draw(spec.N, S, c.r, rng)
+
+
+# ---------------------------------------------------------------------------
+# Dense chain checks and the dense form of a birth-death chain.
+# ---------------------------------------------------------------------------
+
+def row_sum_error(kernel: FiniteKernel) -> float:
+    """Largest deviation of a row sum of P from 1."""
+    return float(np.abs(kernel.P.sum(axis=1) - 1.0).max())
+
+
+def check_kernel(kernel: FiniteKernel, tol: float = 1e-12) -> None:
+    """Refuse a wrong shape, a negative entry, a row sum off 1 or a detailed-balance break."""
+    if kernel.P.shape != (kernel.n, kernel.n):
+        raise ValueError("matrix shape does not match the label count")
+    if kernel.P.min() < -tol:
+        raise ValueError(f"negative transition probability {kernel.P.min()}")
+    err = row_sum_error(kernel)
+    if err > tol:
+        raise ValueError(f"row sums deviate from 1 by {err}")
+    db = kernel.detailed_balance_error()
+    if db > tol:
+        raise ValueError(f"detailed balance violated, relative residual {db}")
+
+
+def bd_detailed_balance_error(chain: BirthDeathChain) -> float:
+    """Relative mismatch of log(pi_i up_i) vs log(pi_{i+1} down_{i+1})."""
+    worst = 0.0
+    for i in range(chain.n - 1):
+        u, d = chain.up[i], chain.down[i + 1]
+        if u == 0.0 and d == 0.0:
+            continue
+        if u == 0.0 or d == 0.0:
+            return math.inf
+        lhs = chain.log_pi[i] + math.log(u)
+        rhs = chain.log_pi[i + 1] + math.log(d)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return worst
+
+
+def bd_kernel(chain: BirthDeathChain) -> FiniteKernel:
+    """The dense tridiagonal matrix of a birth-death chain."""
+    P = np.diag(chain.hold)
+    for i in range(chain.n - 1):
+        P[i, i + 1] = chain.up[i]
+        P[i + 1, i] = chain.down[i + 1]
+    return FiniteKernel(labels=chain.labels, log_pi=chain.log_pi.copy(), P=P)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spingap.cli as cli
+from spingap import spectral, verify
 from spingap.cli import (
     EXIT_AUDIT_FAILED,
     EXIT_OK,
@@ -25,6 +26,8 @@ from spingap.cli import (
 )
 from spingap.kernels import ising_lumped_bd
 from spingap.models import ising
+
+from oracles import bd_kernel
 
 
 def read_all(outdir: Path) -> dict:
@@ -142,14 +145,39 @@ def test_documented_invocations_work(tmp_path):
     assert float(stats["model"]["p2"]) == 0.25
 
 
-def test_gap_scan_parallel_matches_serial(tmp_path):
-    base = ["gap-scan", "--model", "ising", "--kind", "naive", "--beta", "0.5,2",
-            "--n", "8..16..4"]
+@pytest.mark.parametrize("grid", [
+    "--model ising --kind naive --beta 0.5,2 --n 8..16..4",
+    # BEG sectors on both sides of DENSE_SECTOR_MAX: dense and Lanczos solves
+    "--model beg --kind naive --beta 1.5 --k 2 --n 30..70..10",
+    # nine cells: the two shares differ in length
+    "--model ising --kind equi-energy --beta 0.5,1,2 --n 8..16..4",
+])
+def test_gap_scan_parallel_matches_serial(tmp_path, monkeypatch, grid):
+    base = ["gap-scan", *grid.split()]
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
     assert main(base + ["--out", str(out1)]) == EXIT_OK
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of two on any host
     assert main(base + ["--jobs", "2", "--out", str(out2)]) == EXIT_OK
     assert (out1 / "gaps.csv").read_bytes() == (out2 / "gaps.csv").read_bytes()
+
+
+def _one_cell_solve(*args):
+    raise AssertionError("a gap-scan worker solved one cell alone")
+
+
+def test_gap_scan_pool_solves_its_shares_in_batches(tmp_path, monkeypatch):
+    # patched before the pool forks, so every worker inherits the refusals
+    base = ["gap-scan", "--model", "ising", "--kind", "naive", "--beta", "0.5,1,2",
+            "--n", "8..16..4"]
+    assert main(base + ["--out", str(tmp_path / "serial")]) == EXIT_OK
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for module, name in ((verify, "exact_gap_record"), (verify, "sector_spectrum"),
+                         (spectral, "sector_spectrum")):
+        monkeypatch.setattr(module, name, _one_cell_solve)
+    assert main(base + ["--jobs", "2", "--out", str(tmp_path / "pool")]) == EXIT_OK
+    assert ((tmp_path / "serial" / "gaps.csv").read_bytes()
+            == (tmp_path / "pool" / "gaps.csv").read_bytes())
 
 
 def test_config_file_strict_and_overrides(tmp_path):
@@ -558,7 +586,7 @@ def test_unsigned_export_follows_the_chain_kind(tmp_path):
 
     assert main(base + ["--kind", "equi-energy", "--out", str(tmp_path / "eq")]) == EXIT_OK
     got = read_kernel_text(tmp_path / "eq" / "kernel.txt")
-    bd = ising_lumped_bd(ising(4, beta=1.0, p1=0.5, p2=0.25)).to_kernel()
+    bd = bd_kernel(ising_lumped_bd(ising(4, beta=1.0, p1=0.5, p2=0.25)))
     want = np.array([[got.get((str(a), str(b)), 0.0) for b in bd.labels] for a in bd.labels])
     assert np.abs(want - bd.P).max() <= 1e-14
 

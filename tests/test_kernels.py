@@ -33,8 +33,12 @@ from spingap.kernels import (
 from spingap.models import beg, ising, warmup
 
 from oracles import (
+    bd_detailed_balance_error,
+    bd_kernel,
     beg_lumped_tabulated,
     beg_rate_discrepancies,
+    check_kernel,
+    row_sum_error,
     unsigned_class_partition,
     unsigned_lumping_deviation,
 )
@@ -56,7 +60,7 @@ def test_metropolize_uniform_target_keeps_symmetric_proposal():
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, 1 - A.sum(axis=1))
     prop = FiniteKernel(labels=tuple(range(5)), log_pi=np.zeros(5), P=A)
-    prop.check(1e-12)
+    check_kernel(prop, 1e-12)
     M = metropolize(prop, np.zeros(5))
     assert np.allclose(M.P, A, atol=1e-15)
 
@@ -68,7 +72,7 @@ def test_metropolize_two_state_hand_value():
     M = metropolize(prop, np.log([2 / 3, 1 / 3]))
     assert M.P[0, 1] == pytest.approx(0.5, abs=1e-15)
     assert M.P[1, 0] == pytest.approx(1.0, abs=1e-15)
-    M.check(1e-12)
+    check_kernel(M, 1e-12)
 
 
 def test_metropolize_beta_zero_is_plain_walk():
@@ -189,7 +193,7 @@ def test_small_world_proposal_masses():
 def test_ising_kernels_valid(N, kind):
     spec = ising(N, beta=1.5, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, kind)
-    M.check(1e-12)
+    check_kernel(M, 1e-12)
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
@@ -197,14 +201,14 @@ def test_ising_kernels_valid(N, kind):
 def test_beg_kernels_valid(N, kind):
     spec = beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, kind)
-    M.check(1e-12)
+    check_kernel(M, 1e-12)
 
 
 @pytest.mark.parametrize("kind", ["naive", "small-world"])
 def test_warmup_kernels_valid(kind):
     spec = warmup(8, theta=2.0, epsilon=0.3)
     M = metropolis_chain(spec, kind)
-    M.check(1e-12)
+    check_kernel(M, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def test_lumped_projection_preserves_measure_and_reversibility():
     M = metropolis_chain(spec, "equi-energy")
     parts = unsigned_class_partition(spec)
     H = lumped_projection(M, parts)
-    H.check(1e-12)
+    check_kernel(H, 1e-12)
     pi = M.stationary()
     pushforward = np.array([pi[b].sum() for b in parts.blocks])
     assert np.allclose(H.stationary(), pushforward, atol=1e-12)
@@ -305,7 +309,7 @@ def test_ising_lumped_bd_hand_values():
     assert bd.up[0] == pytest.approx(0.25, abs=1e-15)           # p1/2
     assert bd.up[1] == pytest.approx(0.0625, abs=1e-15)         # (p1/4)(N-2)/N
     assert bd.down[1] == pytest.approx((0.5 / 4) * (6 / 4) * math.exp(-0.5), rel=1e-12)
-    assert bd.detailed_balance_error() < 1e-12
+    assert bd_detailed_balance_error(bd) < 1e-12
 
 
 @pytest.mark.parametrize("N,beta", [(4, 1.0), (6, 0.5), (8, 2.0), (10, 1.0), (12, 3.0)])
@@ -324,7 +328,7 @@ def test_beg_lumped_hand_values():
     i2N = L.labels.index((2, 4))
     assert L.P[i0N, i2N] == pytest.approx(spec.p1 / 4, abs=1e-15)
     assert np.abs(L.P.sum(axis=1) - 1).max() < 1e-12
-    L.check(1e-12)
+    check_kernel(L, 1e-12)
 
 
 @pytest.mark.parametrize("N,beta,K", [(2, 1.0, 1.0), (4, 1.0, 1.0), (6, 0.7, 2.0), (8, 1.5, 3.0)])
@@ -342,7 +346,7 @@ def test_beg_tabulated_rates_deviate_only_at_annotated_entries():
     # the defective table breaks detailed balance; the corrected one passes
     tab = beg_lumped_tabulated(spec)
     assert tab.detailed_balance_error() > 1e-6
-    beg_lumped(spec).check(1e-12)
+    check_kernel(beg_lumped(spec), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +414,12 @@ def test_signed_lumped_chain_shape_and_validity():
     spec = ising(4, beta=2.0, p1=0.5, p2=0.25)
     chain = signed_lumped_chain(spec, "equi-energy")
     assert chain.labels == (-4, -2, 0, 2, 4)
-    chain.check(1e-12)
+    check_kernel(chain, 1e-12)
     bspec = beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25)
     bchain = signed_lumped_chain(bspec, "equi-energy")
-    bchain.check(1e-12)
+    check_kernel(bchain, 1e-12)
     nchain = signed_lumped_chain(bspec, "naive")
-    nchain.check(1e-12)
+    check_kernel(nchain, 1e-12)
 
 
 def scalar_signed_chain(spec, kind):
@@ -539,7 +543,7 @@ def test_unsigned_projection_of_signed_chain_matches_closed_forms():
     chain = signed_lumped_chain(spec, "equi-energy")
     parts = partition_by([abs(s) for s in chain.labels])
     H = lumped_projection(chain, parts)
-    assert np.allclose(H.P, reference_ising_lumped_bd(spec).to_kernel().P, atol=1e-14)
+    assert np.allclose(H.P, bd_kernel(reference_ising_lumped_bd(spec)).P, atol=1e-14)
 
     bspec = beg(8, beta=1.5, K=3.0, p1=0.5, p2=0.25)
     bchain = signed_lumped_chain(bspec, "equi-energy")
@@ -560,7 +564,7 @@ def test_birth_death_validation():
                         log_pi=np.zeros(2), labels=(0, 1))
     bd = BirthDeathChain(up=np.array([0.5, 0.0]), down=np.array([0.0, 0.5]),
                          log_pi=np.zeros(2), labels=(0, 1))
-    K = bd.to_kernel()
+    K = bd_kernel(bd)
     assert np.allclose(K.P, np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
@@ -716,7 +720,7 @@ def test_lumped_projection_matches_reference(seed, n, m, density):
     assert got.labels == want.labels
     assert np.allclose(got.log_pi, want.log_pi, rtol=1e-15, atol=1e-14)
     assert np.allclose(got.P, want.P, rtol=0.0, atol=1e-15)
-    assert got.row_sum_error() <= 1e-15
+    assert row_sum_error(got) <= 1e-15
     assert got.detailed_balance_error() <= 1e-12
 
 
@@ -792,7 +796,7 @@ def assert_matches_reference(spec):
         got, want = ising_lumped_bd(spec), reference_ising_lumped_bd(spec)
         assert np.abs(got.up - want.up).max() <= 1e-14
         assert np.abs(got.down - want.down).max() <= 1e-14
-        got, want = got.to_kernel(), want.to_kernel()
+        got, want = bd_kernel(got), bd_kernel(want)
     else:
         got, want = beg_lumped(spec), reference_beg_lumped(spec)
     assert got.labels == want.labels

@@ -173,7 +173,8 @@ def test_ising_cardinalities_vs_enumeration(N):
         assert math.exp(logcard) == pytest.approx(counts[c], rel=1e-12)
     # spot check the printed binomial: |X_2^+| = C(4,1) = 4
     t4 = class_table(ising(4, beta=1.0))
-    assert math.exp(t4.log_cardinality[t4.index(EnergyClass(2, None, 1))]) == pytest.approx(4.0)
+    i2 = t4.classes.index(EnergyClass(2, None, 1))
+    assert math.exp(t4.log_cardinality[i2]) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
@@ -239,7 +240,7 @@ def test_class_table_matches_brute_force_partition():
     lws = models.log_weights_all(spec)
     assert table.log_partition == pytest.approx(logsumexp(lws), abs=1e-12)
     # class X_0 has 6 states of weight 1 -> class weight 6
-    i0 = table.index(EnergyClass(0, None, 0))
+    i0 = table.classes.index(EnergyClass(0, None, 0))
     assert math.exp(table.log_class_weight[i0]) == pytest.approx(6.0, rel=1e-12)
 
 
@@ -250,7 +251,7 @@ def test_warmup_table_and_states():
     states = enumerate_states(spec)
     assert states[0] == -6 and states[-1] == 6
     # singleton classes: exact geometric weights
-    iplus = table.index(EnergyClass(4, None, 1))
+    iplus = table.classes.index(EnergyClass(4, None, 1))
     assert table.log_class_weight[iplus] == pytest.approx(4 * math.log(2.0), abs=1e-14)
 
 

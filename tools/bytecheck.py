@@ -9,8 +9,10 @@ its stderr and its exit code (paths relative to OUTDIR).  The commands
 are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
 refused by the dense cap, two BEG grids whose sectors outgrow
-``DENSE_SECTOR_MAX`` and go to Lanczos iteration, three chains that their
-model does not have or cannot build, a warm-up and an ising-slow grid
+``DENSE_SECTOR_MAX`` and go to Lanczos iteration, ``--jobs 2`` twins of
+the README gap-scan and of the BEG naive gap-scan (the worker-pool
+route), three chains that their model does not have or cannot build,
+a warm-up and an ising-slow grid
 in which every naive gap underflows, a beg-slow grid with too few
 resolvable gaps to fit, a ``--deep`` cell outside its grid, two
 failing beg-fast grids, four profile scans and audits at N < 1, three
@@ -55,6 +57,9 @@ EXTRA_COMMANDS = (
     "export-kernel --space signed --model beg --n 200 --beta 1 --k 1 --kind naive",
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
+    "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 2",
+    "gap-scan --model ising --kind equi-energy --beta 2 --n 10..60..2 --p1 0.5 --p2 0.25 "
+    "--out out/scan --jobs 2",
     "gap-scan --model ising --kind small-world --beta 1 --n 4",
     "simulate --model warmup --kind equi-energy --theta 2 --n 4 --steps 10",
     "gap-scan --model warmup --kind small-world --theta 2 --n 4",
