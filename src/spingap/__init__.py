@@ -8,7 +8,6 @@ confront the mixing theorems with exact computation.
 """
 
 from .models import (
-    AlphabetError,
     ClassTable,
     EnergyClass,
     ModelSpec,

@@ -26,9 +26,10 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from . import models, verify as verify_mod
+from . import models, spectral, verify as verify_mod
 from .kernels import (
     CHAIN_KINDS,
+    check_space,
     export_kernel_text,
     metropolis_chain,
     signed_lumped_chain,
@@ -413,6 +414,10 @@ def _chain(o: argparse.Namespace):
 
 
 def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
+    if not o.interval:
+        # the exhaustive route is capped by a count: refuse before building
+        n = check_space(_spec(o, o.n, o.beta, o.k), o.kind, o.space)
+        spectral.check_conductance_states(n)
     spec, kernel = _chain(o)
     payload = {"version": VERSION, "model": asdict(spec), "kind": o.kind,
                "space": o.space, "states": kernel.n}

@@ -207,15 +207,6 @@ def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> Finit
 # Full-space proposal chains.
 # ---------------------------------------------------------------------------
 
-def _guard_states(spec: ModelSpec) -> int:
-    if spec.kind == "warmup":
-        n = 2 * spec.N + 1
-    else:
-        n = (2 if spec.kind == "ising" else 3) ** spec.N
-    _check_dense(n, "states", "; use the class-space chains at this size")
-    return n
-
-
 def single_flip_proposal(spec: ModelSpec) -> FiniteKernel:
     """The local proposal on the full space.
 
@@ -224,7 +215,7 @@ def single_flip_proposal(spec: ModelSpec) -> FiniteKernel:
     weight 1/2N each.  warmup: the +-1 nearest-neighbor walk with
     holding 1/2 at the endpoints.
     """
-    n = _guard_states(spec)
+    n = check_space(spec, "naive", "full")
     if spec.kind == "warmup":
         return _warmup_proposal(spec, None).to_kernel()
     states = models.enumerate_states(spec)
@@ -282,8 +273,7 @@ def equi_energy_proposal(spec: ModelSpec) -> FiniteKernel:
 
 def small_world_proposal(spec: ModelSpec) -> FiniteKernel:
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
-    check_chain(spec, "small-world")
-    _guard_states(spec)
+    check_space(spec, "small-world", "full")
     return _warmup_proposal(spec, spec.epsilon).to_kernel()
 
 
@@ -297,6 +287,25 @@ def metropolis_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
     else:
         proposal = small_world_proposal(spec)
     return metropolize(proposal, models.log_weights_all(spec))
+
+
+def check_space(spec: ModelSpec, kind: str, space: str) -> int:
+    """``models.state_count`` of the chain, after the refusals its build makes before allocating.
+
+    In the build's order: an unsigned warm-up, a chain the model lacks,
+    then the cap of the space (MAX_CLASSES on signed classes, else dense).
+    """
+    if space == "unsigned" and spec.kind == "warmup":
+        raise ValueError("unsigned projections exist for ising and beg")
+    check_chain(spec, kind)
+    if space == "signed":
+        return models.check_class_count(spec)
+    n = models.state_count(spec, space)
+    if space == "full":
+        _check_dense(n, "states", "; use the class-space chains at this size")
+    else:
+        _check_dense(n, "blocks")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +412,7 @@ class MoveTable:
 
     def to_kernel(self) -> FiniteKernel:
         """The dense transition matrix; the size is checked before allocating."""
-        _check_dense(self.n, "states", "; exact gaps at this size come from exact_gap_record")
+        _check_dense(self.n, "states", "; exact gaps at this size come from gap-scan")
         P = np.zeros((self.n, self.n))
         np.add.at(P, (self.rows, self.cols), self.vals)
         np.fill_diagonal(P, np.diag(P) + 1.0 - P.sum(axis=1))
@@ -512,8 +521,7 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     ordered by magnetization S ascending; beg states by (r, S) with r
     ascending.
     """
-    check_chain(spec, kind)
-    models.check_class_count(spec)
+    check_space(spec, kind, "signed")
     if spec.kind == "warmup":
         return _warmup_moves(spec, kind)
     if spec.kind == "ising":
@@ -535,12 +543,7 @@ def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
     factor of ``lumped_projection``; it is an exact lumping because
     every chain here commutes with the global flip.
     """
-    if spec.kind == "warmup":
-        raise ValueError("unsigned projections exist for ising and beg")
-    check_chain(spec, kind)
-    # the orbit count is known from N: refuse before building the table
-    half = spec.N // 2 + 1
-    _check_dense(half if spec.kind == "ising" else half * half, "blocks")
+    check_space(spec, kind, "unsigned")
     table = signed_move_table(spec, kind)
     idx = np.arange(table.n)
     # within an orbit the table orders S ascending, so the S >= 0 member

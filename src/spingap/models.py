@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,15 +35,9 @@ _EXACT_BINOM_LIMIT = 60
 MAX_CLASSES = 2_000_000
 MAX_ENUMERATED_STATES = 1 << 16
 
-State = Union[int, Sequence[int], np.ndarray]
-
 
 class OddSizeError(ValueError):
     """The ising and beg models are defined for even N only."""
-
-
-class AlphabetError(ValueError):
-    """A configuration entry lies outside the model alphabet."""
 
 
 @dataclass(frozen=True)
@@ -120,30 +114,6 @@ class EnergyClass(NamedTuple):
     sign: int
 
 
-def _as_spins(spec: ModelSpec, x: State) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.shape != (spec.N,):
-        raise AlphabetError(f"expected {spec.N} spins, got shape {arr.shape}")
-    return arr
-
-
-def validate_state(spec: ModelSpec, x: State) -> None:
-    """Raise AlphabetError unless x is a valid configuration for spec."""
-    if spec.kind == "warmup":
-        value = np.asarray(x)
-        if value.ndim or not float(value).is_integer():
-            raise AlphabetError(f"warmup state {value} is not an integer")
-        xi = int(value)
-        if not -spec.N <= xi <= spec.N:
-            raise AlphabetError(f"warmup state {xi} outside [-{spec.N}, {spec.N}]")
-        return
-    arr = _as_spins(spec, x)
-    allowed = (-1, 1) if spec.kind == "ising" else (-1, 0, 1)
-    # the set of values, compared with ==: a tenth of np.isin's cost on a few spins
-    if not set(arr.tolist()) <= set(allowed):
-        raise AlphabetError(f"spins must lie in {allowed}")
-
-
 def logsumexp(a) -> np.float64:
     """log(sum(exp(a))) over a 1-D real array, as scipy.special.logsumexp.
 
@@ -204,12 +174,23 @@ def log_binom_array(n, k) -> np.ndarray:
     return out
 
 
-def check_class_count(spec: ModelSpec) -> None:
-    """Refuse more than MAX_CLASSES signed classes, counted from N before any is built."""
+def state_count(spec: ModelSpec, space: str) -> int:
+    """From N: the "full" configurations, "signed" classes or "unsigned" orbits {c, -c}."""
     N = spec.N
-    n = {"warmup": 2 * N + 1, "ising": N + 1, "beg": (N + 1) * (N + 2) // 2}[spec.kind]
+    if space == "full":
+        return 2 * N + 1 if spec.kind == "warmup" else (2 if spec.kind == "ising" else 3) ** N
+    if space == "signed":
+        return {"warmup": 2 * N + 1, "ising": N + 1, "beg": (N + 1) * (N + 2) // 2}[spec.kind]
+    half = N // 2 + 1
+    return {"warmup": N + 1, "ising": half, "beg": half * half}[spec.kind]
+
+
+def check_class_count(spec: ModelSpec) -> int:
+    """Refuse more than MAX_CLASSES signed classes before any is built; their count."""
+    n = state_count(spec, "signed")
     if n > MAX_CLASSES:
         raise ValueError(f"{n} classes exceed the limit {MAX_CLASSES}")
+    return n
 
 
 def enumerate_beg_classes(N: int) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ draws a uniform member of the current signed class (S, R) by direct
 position sampling in O(N).  Every run bills two costs: ``ops`` at those
 direct draws, and ``ops_sequential`` as if each Ising draw ran the
 sequential ball-placement scheme (``bose_einstein_sample``) at O(n k).
+The same counters record each move component's proposals and acceptances.
 
 Reproducibility: every run owns a numpy Generator (PCG64) seeded from
 its RunConfig; identical (seed, config) gives bit-identical RunStats.
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import check_chain
-from .models import EnergyClass, ModelSpec, validate_state
+from .models import EnergyClass, ModelSpec
 
 OBSERVABLES = ("mag", "abs_mag", "quad", "const")
 
@@ -164,36 +165,30 @@ class Sampler:
     """Mutable trajectory state with O(1)-statistics Metropolis stepping.
 
     x is the configuration (an int8 spin array, or the warmup coordinate),
-    S its magnetization and R its count of nonzero spins (beg only).
+    S its magnetization and R its count of nonzero spins (beg only).  It
+    starts from uniform spins drawn from ``rng`` (warmup: from x = 0).
     """
 
-    def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator, x0=None):
+    def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator):
         check_chain(spec, kind)
         self.spec = spec
         self.kind = kind
         self.rng = rng
         self.cost = CostCounters()
         N = spec.N
-        if x0 is not None:
-            validate_state(spec, x0)
         if spec.kind == "warmup":
-            self.x = int(x0) if x0 is not None else 0
-            self.S = self.x
-            self.R = None
+            self.x, self.S, self.R = 0, 0, None
+            return
+        if spec.kind == "ising":
+            self.x = np.where(rng.random(N) < 0.5, -1, 1).astype(np.int8)
         else:
-            if x0 is None:
-                if spec.kind == "ising":
-                    self.x = np.where(rng.random(N) < 0.5, -1, 1).astype(np.int8)
-                else:
-                    self.x = (np.floor(rng.random(N) * 3).astype(np.int8) - 1)
-            else:
-                self.x = np.array(x0, dtype=np.int8)
-            self.S = int(self.x.sum())
-            self.R = int(np.count_nonzero(self.x)) if spec.kind == "beg" else None
+            self.x = np.floor(rng.random(N) * 3).astype(np.int8) - 1
+        self.S = int(self.x.sum())
+        self.R = int(np.count_nonzero(self.x)) if spec.kind == "beg" else None
 
     def run(self, steps: int, keep: Optional[Callable[[int, int, Optional[int]], None]] = None,
-            first: int = 0, every: int = 1) -> Optional[str]:
-        """Take ``steps`` transitions; returns the move component of the last.
+            first: int = 0, every: int = 1) -> None:
+        """Take ``steps`` transitions, each billed to its move component in ``cost``.
 
         keep(t, S, R), when given, is called after steps t = first,
         first + every, ... (t counted from 0 in this call).  Each step
@@ -218,7 +213,6 @@ class Sampler:
         spins = None if warm else memoryview(x)
         next_keep = first if keep is not None else -1
         flips = flips_accepted = globals_ = orbits = orbit_seq = 0
-        component = None
         try:
             for t in range(steps):
                 if warm:
@@ -226,7 +220,6 @@ class Sampler:
                         # reflection proposal: equal weight, always accepted
                         S = -S
                         globals_ += 1
-                        component = "global"
                     else:
                         y = S + (1 if random() < 0.5 else -1)
                         if -N <= y <= N:
@@ -235,7 +228,6 @@ class Sampler:
                                 S = y
                                 flips_accepted += 1
                         flips += 1
-                        component = "flip"
                 else:
                     if mixture:
                         u = random()
@@ -260,12 +252,10 @@ class Sampler:
                             S, R = s_new, r_new
                             flips_accepted += 1
                         flips += 1
-                        component = "flip"
                     elif S != 0 and u < p12:
                         np.negative(x, out=x)
                         S = -S
                         globals_ += 1
-                        component = "global"
                     else:
                         # statistics are invariant on the orbit; nothing to update
                         x = _orbit_draw(N, S, R, rng)
@@ -276,7 +266,6 @@ class Sampler:
                             n_balls = (N + abs(S)) // 2
                             orbit_seq += n_balls * (N - n_balls + 1)
                         orbits += 1
-                        component = "orbit"
                 if t == next_keep:
                     next_keep += every
                     keep(t, S, R)
@@ -294,7 +283,6 @@ class Sampler:
             moved = flips + globals_ if warm else N * (flips + globals_)
             cost.ops += moved + N * orbits
             cost.ops_sequential += moved + orbit_seq
-        return component
 
 
 def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,

@@ -33,7 +33,8 @@ alone.
 
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
-path bound, the Gershgorin bound, and the asymptotic variance.
+path bound, the Gershgorin bound, and the asymptotic variance.  The
+log-space cut takes a move table, the Gershgorin bound a birth--death chain.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -521,6 +522,13 @@ def sector_spectrum(table: MoveTable) -> SectorSpectrum:
 # Conductance.
 # ---------------------------------------------------------------------------
 
+def check_conductance_states(n: int) -> None:
+    """Refuse exhaustive conductance on more than CONDUCTANCE_MAX_STATES states."""
+    if n > CONDUCTANCE_MAX_STATES:
+        raise ValueError(f"exhaustive conductance is capped at {CONDUCTANCE_MAX_STATES} "
+                         f"states, got {n}")
+
+
 def conductance_exact(kernel: FiniteKernel) -> tuple[float, tuple]:
     """Exact conductance h = min_{0 < p(A) <= 1/2} Q(A, A^c)/p(A).
 
@@ -529,9 +537,7 @@ def conductance_exact(kernel: FiniteKernel) -> tuple[float, tuple]:
     minimizing set of state indices).
     """
     n = kernel.n
-    if n > CONDUCTANCE_MAX_STATES:
-        raise ValueError(f"exhaustive conductance is capped at {CONDUCTANCE_MAX_STATES} "
-                         f"states, got {n}")
+    check_conductance_states(n)
     if n < 2:
         raise ValueError("conductance needs at least two states")
     pi = kernel.stationary()
@@ -598,37 +604,32 @@ def interval_conductance(kernel: FiniteKernel) -> tuple[float, int]:
     return max(best, 0.0), best_k
 
 
-def cut_bottleneck_log(chain: Union[FiniteKernel, MoveTable], subset: Sequence[int]) -> float:
+def cut_bottleneck_log(table: MoveTable, subset: Sequence[int]) -> float:
     """log of Q(A, A^c)/p(A) for one cut, computed entirely in log space.
 
     The value upper-bounds log h whenever p(A) <= 1/2 (checked exactly by
     comparing log masses), and log(2) more upper-bounds log(1 - lambda_1)
     through the Cheeger inequality.  Stays finite far below the floating
     floor, which is what makes the deep slow-mixing cells auditable.
-    Only the moves that cross the cut are visited, so a move table is cut
-    without ever being made dense; its repeated moves add up in table
-    order, as in ``MoveTable.to_kernel``, and the terms are summed in
-    row-major order, so both forms of a chain give the same bits.
+    Only the moves of the table that cross the cut are visited, so the
+    chain is never made dense; repeated moves add up in table order, as
+    in ``MoveTable.to_kernel``, and the terms are summed in row-major
+    order.
     """
-    n = chain.n
+    n = table.n
     inA = np.zeros(n, dtype=bool)
     inA[np.asarray(list(subset), dtype=np.intp)] = True
     if not inA.any() or inA.all():
         raise ValueError("cut must be a proper nonempty subset")
-    lw = chain.log_pi
+    lw = table.log_pi
     log_mass = logsumexp(lw[inA])
     log_comp = logsumexp(lw[~inA])
     # a mirror cut has p(A) just under 1/2; rounding may put its log mass
     # an ulp or so above the complement's, so an excess that small is a tie
     if log_mass - log_comp > 4 * math.ulp(max(abs(log_mass), abs(log_comp))):
         raise ValueError("subset carries more than half the stationary mass")
-    if isinstance(chain, MoveTable):
-        rows, cols, vals = chain.rows, chain.cols, chain.vals
-    else:
-        rows, cols = np.nonzero(chain.P)
-        vals = chain.P[rows, cols]
-    cross = inA[rows] & ~inA[cols]
-    keys, flow = _coalesce(rows[cross], cols[cross], vals[cross], n)
+    cross = inA[table.rows] & ~inA[table.cols]
+    keys, flow = _coalesce(table.rows[cross], table.cols[cross], table.vals[cross], n)
     if not keys.size:
         return -math.inf
     # math.log, not np.log: the SIMD log differs in the last bit on some values
@@ -725,10 +726,9 @@ def bd_path_bound(chain: BirthDeathChain, A: float, q: float, B: float, k: int,
                            hypotheses_ok=violation is None, detail=violation)
 
 
-def gershgorin_bound(chain: Chain) -> float:
-    """lambda_min >= -1 + 2 min_i P(i,i)."""
-    diag = chain.hold if isinstance(chain, BirthDeathChain) else np.diag(chain.P)
-    return -1.0 + 2.0 * float(diag.min())
+def gershgorin_bound(chain: BirthDeathChain) -> float:
+    """lambda_min >= -1 + 2 min_i P(i,i), read off the holding rates."""
+    return -1.0 + 2.0 * float(chain.hold.min())
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import models
-from .kernels import (
-    MoveTable,
-    lumped_projection,
-    partition_by,
-    signed_lumped_chain,
-    signed_move_table,
-)
+from .kernels import MoveTable, signed_lumped_chain, signed_move_table
 from .models import ModelSpec, beg, ising, logsumexp, warmup
 from .spectral import (
     GAP_RESOLUTION,
@@ -325,10 +319,14 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     for N, (table, fast), (_, naive) in zip(Ns, solved, solved):
         if N > 2:
             mid = N // 2
-            # blocks A_{mid+1}, A_{mid+2} of warmup_block_partition, the rest
-            # lumped: the same members and moves, so the same rate bits
-            keys = np.clip(np.abs(table.labels), mid, mid + 3)
-            up = lumped_projection(table, partition_by(keys.tolist())).P[1, 2]
+            # projection rate from A_{mid+1} = {±(mid+1)} to A_{mid+2}: half
+            # the mass of the moves between them, each weighted p(x)/p(A_{mid+1})
+            level = np.abs(table.labels)
+            inside = level == mid + 1
+            out = inside[table.rows] & (level[table.cols] == mid + 2)
+            lw = table.log_pi
+            share = np.exp(lw[table.rows[out]] - logsumexp(lw[inside]))
+            up = 0.5 * float(np.sum(share * table.vals[out]))
             if not math.isclose(up, (1 - epsilon) / 4, rel_tol=1e-12):
                 failures.append(f"N={N}: projection up-rate {up} != (1-eps)/4")
         fast, naive = _gap_record(fast), _gap_record(naive)

@@ -1,20 +1,21 @@
 """Reference code that tests compare the library against.
 
-Nothing under ``src/`` reaches these: they are per-configuration
-helpers, the per-class weight formulas, a one-step sampler call, the
-sequential ball-placement orbit draw, the validity checks of a dense
-chain, the dense form of a birth-death chain and its detailed-balance
-check, direct-lumping and containment checks, and the literal
-transcription of a hand-tabulated BEG rate table together with its
-errata.  They stay as code because other tests
-measure the library's results against them.
+Nothing under ``src/`` reaches these: they are the configuration check
+and per-configuration helpers, the per-class weight formulas, a
+one-step sampler call from a given state and the move component a step
+took, the sequential ball-placement orbit draw, the validity checks of
+a dense chain, a dense chain as a move table, the dense form of a
+birth-death chain and its detailed-balance check, direct-lumping and
+containment checks, and the literal transcription of a hand-tabulated
+BEG rate table together with its errata.  They stay as code because
+other tests measure the library's results against them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from spingap import models
 from spingap.kernels import (
     BirthDeathChain,
     FiniteKernel,
+    MoveTable,
     Partition,
     beg_lumped,
     lumped_projection,
@@ -31,14 +33,44 @@ from spingap.kernels import (
     signed_lumped_chain,
     unsigned_lumped_chain,
 )
-from spingap.models import EnergyClass, ModelSpec, State, _as_spins, logsumexp, validate_state
+from spingap.models import EnergyClass, ModelSpec, logsumexp
 from spingap.sampling import Sampler, _orbit_draw, bose_einstein_sample
 from spingap.spectral import gap, spectrum
+
+State = Union[int, Sequence[int], np.ndarray]
+
+
+class AlphabetError(ValueError):
+    """A configuration entry lies outside the model alphabet."""
 
 
 # ---------------------------------------------------------------------------
 # Per-configuration statistics.
 # ---------------------------------------------------------------------------
+
+def _as_spins(spec: ModelSpec, x: State) -> np.ndarray:
+    arr = np.asarray(x)
+    if arr.shape != (spec.N,):
+        raise AlphabetError(f"expected {spec.N} spins, got shape {arr.shape}")
+    return arr
+
+
+def validate_state(spec: ModelSpec, x: State) -> None:
+    """Raise AlphabetError unless x is a valid configuration for spec."""
+    if spec.kind == "warmup":
+        value = np.asarray(x)
+        if value.ndim or not float(value).is_integer():
+            raise AlphabetError(f"warmup state {value} is not an integer")
+        xi = int(value)
+        if not -spec.N <= xi <= spec.N:
+            raise AlphabetError(f"warmup state {xi} outside [-{spec.N}, {spec.N}]")
+        return
+    arr = _as_spins(spec, x)
+    allowed = (-1, 1) if spec.kind == "ising" else (-1, 0, 1)
+    # the set of values, compared with ==: a tenth of np.isin's cost on a few spins
+    if not set(arr.tolist()) <= set(allowed):
+        raise AlphabetError(f"spins must lie in {allowed}")
+
 
 def magnetization(x: State) -> int:
     """Total magnetization S = sum of spins (warmup: the coordinate itself)."""
@@ -118,10 +150,30 @@ def beg_row_log_weights(table: models.ClassTable) -> np.ndarray:
     return out
 
 
+def run_one(sampler: Sampler) -> str:
+    """Take one step of sampler; returns its move component, read off the counters."""
+    before = replace(sampler.cost)
+    sampler.run(1)
+    return next(c for c in ("flip", "global", "orbit")
+                if getattr(sampler.cost, f"{c}_proposed") > getattr(before, f"{c}_proposed"))
+
+
 def step(spec: ModelSpec, kind: str, x, rng: np.random.Generator):
-    """One Metropolis transition from x; returns (new state, move component)."""
-    sampler = Sampler(spec, kind, rng, x0=x)
-    component = sampler.run(1)
+    """One Metropolis transition from x; returns (new state, move component).
+
+    The sampler is built on a throwaway generator and then set to x, so
+    rng serves the step's draws only.
+    """
+    sampler = Sampler(spec, kind, np.random.default_rng(0))
+    validate_state(spec, x)
+    if spec.kind == "warmup":
+        sampler.x = sampler.S = int(x)
+    else:
+        sampler.x = np.array(x, dtype=np.int8)
+        sampler.S = int(sampler.x.sum())
+        sampler.R = int(np.count_nonzero(sampler.x)) if spec.kind == "beg" else None
+    sampler.rng = rng
+    component = run_one(sampler)
     return sampler.x, component
 
 
@@ -161,7 +213,8 @@ def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generat
 
 
 # ---------------------------------------------------------------------------
-# Dense chain checks and the dense form of a birth-death chain.
+# Dense chain checks, a dense chain as a move table, and the dense form of
+# a birth-death chain.
 # ---------------------------------------------------------------------------
 
 def row_sum_error(kernel: FiniteKernel) -> float:
@@ -196,6 +249,13 @@ def bd_detailed_balance_error(chain: BirthDeathChain) -> float:
         rhs = chain.log_pi[i + 1] + math.log(d)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     return worst
+
+
+def kernel_table(kernel: FiniteKernel) -> MoveTable:
+    """A dense chain as a move table: its nonzeros as triplets, the flip the identity."""
+    rows, cols = np.nonzero(kernel.P)
+    return MoveTable(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
+                     vals=kernel.P[rows, cols], flip=np.arange(kernel.n))
 
 
 def bd_kernel(chain: BirthDeathChain) -> FiniteKernel:

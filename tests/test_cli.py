@@ -602,6 +602,47 @@ def test_unsigned_export_refuses_oversized_projection(tmp_path, capsys):
     assert not (tmp_path / "big" / "kernel.txt").exists()
 
 
+def test_signed_export_refusal_names_a_command(tmp_path, capsys):
+    rc = main(["export-kernel", "--space", "signed", "--model", "beg", "--n", "200", "--beta", "1",
+               "--k", "1", "--kind", "naive", "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: 20301 states exceed the dense materialization cap "
+                                       "8192; exact gaps at this size come from gap-scan\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    ("--model ising --n 12 --beta 1 --kind naive",
+     "exhaustive conductance is capped at 24 states, got 4096"),
+    ("--model beg --n 8 --beta 1 --k 1", "exhaustive conductance is capped at 24 states, got 6561"),
+    ("--model beg --n 200 --beta 1 --k 1 --space signed",
+     "exhaustive conductance is capped at 24 states, got 20301"),
+    ("--model ising --n 50 --beta 1 --space unsigned",
+     "exhaustive conductance is capped at 24 states, got 26"),
+    # the refusals the builds make first keep their order and their text
+    ("--model ising --n 40 --beta 1 --kind small-world",
+     "small-world proposal is a warmup construction, not ising"),
+    ("--model warmup --n 40 --theta 2 --space unsigned --kind equi-energy",
+     "unsigned projections exist for ising and beg"),
+    ("--model beg --n 4000 --beta 1 --k 1 --space signed",
+     "8006001 classes exceed the limit 2000000"),
+    ("--model ising --n 14 --beta 1 --kind naive",
+     "16384 states exceed the dense materialization cap 8192; use the class-space chains at this "
+     "size"),
+    ("--model beg --n 400 --beta 1 --k 1 --space unsigned",
+     "40401 blocks exceed the dense materialization cap 8192"),
+])
+def test_exhaustive_conductance_refuses_before_building(monkeypatch, tmp_path, capsys, args,
+                                                        message):
+    def build(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    for name in ("metropolis_chain", "signed_lumped_chain", "unsigned_lumped_chain"):
+        monkeypatch.setattr(cli, name, build)
+    rc = main(["conductance", *args.split(), "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value,rc,traced", [("false", EXIT_OK, False), ("true", EXIT_OK, True),
                                              ("maybe", EXIT_USAGE, False)])
 def test_config_trace_is_a_boolean(tmp_path, capsys, value, rc, traced):

@@ -13,7 +13,6 @@ from scipy.special import logsumexp
 
 from spingap import models
 from spingap.models import (
-    AlphabetError,
     EnergyClass,
     OddSizeError,
     beg,
@@ -25,6 +24,7 @@ from spingap.models import (
 )
 
 from oracles import (
+    AlphabetError,
     beg_row_log_weights,
     class_log_cardinality,
     class_log_state_weight,

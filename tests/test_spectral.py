@@ -374,10 +374,10 @@ def test_bd_path_bound_ising_projection_mild_beta():
 
 
 def test_gershgorin_cases():
-    ident = FiniteKernel(labels=(0, 1), log_pi=np.zeros(2), P=np.eye(2))
+    ident = BirthDeathChain(up=np.zeros(2), down=np.zeros(2), log_pi=np.zeros(2), labels=(0, 1))
     assert gershgorin_bound(ident) == pytest.approx(1.0)
-    flip = FiniteKernel(labels=(0, 1), log_pi=np.zeros(2),
-                        P=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    flip = BirthDeathChain(up=np.array([1.0, 0.0]), down=np.array([0.0, 1.0]),
+                           log_pi=np.zeros(2), labels=(0, 1))
     assert gershgorin_bound(flip) == pytest.approx(-1.0)
     spec = ising(8, beta=1.0, p1=0.5, p2=0.25)
     bd = ising_lumped_bd(spec)

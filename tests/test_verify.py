@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy import stats
 from scipy.special import stdtrit
 
 from spingap import models
-from spingap.kernels import FiniteKernel, signed_lumped_chain, signed_move_table
+from spingap.kernels import FiniteKernel, signed_move_table
 from spingap.models import beg, class_table, ising, warmup
 from spingap.spectral import SectorSpectrum, cut_bottleneck_log
 from spingap import verify
@@ -31,7 +33,7 @@ from spingap.verify import (
     verify_ising_fast,
 )
 
-from oracles import signed_containment
+from oracles import kernel_table, signed_containment
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +208,29 @@ def test_cut_bound_dominates_gap_where_resolvable():
     # gap <= 1 - lambda_1 <= 2h(cut): the log-space route must dominate
     for N in (8, 12, 16):
         spec = ising(N, beta=2.0)
-        chain = signed_lumped_chain(spec, "naive")
-        subset = [i for i, s in enumerate(chain.labels) if s < 0]
-        log2h = math.log(2.0) + cut_bottleneck_log(chain, subset)
+        table = signed_move_table(spec, "naive")
+        subset = [i for i, s in enumerate(table.labels) if s < 0]
+        log2h = math.log(2.0) + cut_bottleneck_log(table, subset)
         one_minus_lam1 = exact_gap_record(spec, "naive")["one_minus_lambda1"]
         assert math.log(one_minus_lam1) <= log2h + 1e-9
 
 
 def test_cut_bound_rejects_heavy_subset():
     spec = ising(8, beta=2.0)
-    chain = signed_lumped_chain(spec, "naive")
-    heavy = [i for i, s in enumerate(chain.labels) if s <= 0]  # more than half
+    table = signed_move_table(spec, "naive")
+    heavy = [i for i, s in enumerate(table.labels) if s <= 0]  # more than half
     with pytest.raises(ValueError):
-        cut_bottleneck_log(chain, heavy)
+        cut_bottleneck_log(table, heavy)
 
 
 def test_mirror_cut_is_accepted_when_log_masses_round_the_wrong_way():
     # at N=148 p(S=0) ~ e^-51, so the two halves' log masses (about 151)
     # are one ulp apart, in the wrong order
     spec = ising(148, beta=2.0)
-    chain = signed_lumped_chain(spec, "naive")
-    subset = [i for i, s in enumerate(chain.labels) if s < 0]
-    assert math.isfinite(cut_bottleneck_log(chain, subset))
-    assert math.isfinite(_negative_side_cut_log(signed_move_table(spec, "naive")))
+    table = signed_move_table(spec, "naive")
+    subset = [i for i, s in enumerate(table.labels) if s < 0]
+    assert math.isfinite(cut_bottleneck_log(table, subset))
+    assert math.isfinite(_negative_side_cut_log(table))
 
 
 def reference_cut_log(chain, subset):
@@ -258,7 +260,7 @@ def test_move_table_cut_matches_dense_cut_bit_for_bit(spec, kind):
     chain = table.to_kernel()
     signs = [lab[0] if isinstance(lab, tuple) else lab for lab in table.labels]
     subset = [i for i, s in enumerate(signs) if s < 0]
-    dense = cut_bottleneck_log(chain, subset)
+    dense = cut_bottleneck_log(kernel_table(chain), subset)
     assert cut_bottleneck_log(table, subset) == dense
     assert reference_cut_log(chain, subset) == dense
     assert _negative_side_cut_log(table) == math.log(2.0) + dense
@@ -278,7 +280,7 @@ def test_cut_matches_reference_on_random_chains(seed, n, density):
     if np.logaddexp.reduce(chain.log_pi[inA]) > np.logaddexp.reduce(chain.log_pi[~inA]):
         inA = ~inA
     subset = np.flatnonzero(inA).tolist()
-    assert cut_bottleneck_log(chain, subset) == reference_cut_log(chain, subset)
+    assert cut_bottleneck_log(kernel_table(chain), subset) == reference_cut_log(chain, subset)
 
 
 def test_cut_terms_take_math_log():
@@ -289,7 +291,7 @@ def test_cut_terms_take_math_log():
     for v in split.tolist() + [0.3]:
         chain = FiniteKernel(labels=(0, 1), log_pi=np.zeros(2),
                              P=np.array([[1 - v, v], [v, 1 - v]]))
-        assert cut_bottleneck_log(chain, [0]) == math.log(v)
+        assert cut_bottleneck_log(kernel_table(chain), [0]) == math.log(v)
 
 
 def test_slow_verifiers_build_each_chain_once(monkeypatch):
@@ -402,7 +404,7 @@ def test_report_serialization_roundtrip():
 
 
 def test_warmup_projection_check_needs_no_dense_block_chain():
-    # the (1-eps)/4 rate is read off a 4-block projection, not the N x N one
+    # the (1-eps)/4 rate is read off the table's moves, not an N x N projection
     verify.verify_warmup(2.0, 0.3, [10, 12, 14])
     tracemalloc.start()
     try:
@@ -413,6 +415,26 @@ def test_warmup_projection_check_needs_no_dense_block_chain():
     assert len(report.records) == 3
     assert not any("projection up-rate" in f for f in report.failures)
     assert peak < 50e6
+
+
+def test_warmup_audit_reports_a_wrong_projection_rate(monkeypatch):
+    # scale the moves from {+-(mid+1)} to {+-(mid+2)} of each small-world table
+    real = verify.signed_move_table
+
+    def skewed(spec, kind="equi-energy"):
+        table = real(spec, kind)
+        if kind != "small-world":
+            return table
+        level, mid = np.abs(table.labels), spec.N // 2
+        out = (level[table.rows] == mid + 1) & (level[table.cols] == mid + 2)
+        return replace(table, vals=np.where(out, table.vals * (1 + 1e-9), table.vals))
+
+    monkeypatch.setattr(verify, "signed_move_table", skewed)
+    Ns = list(range(10, 41, 2))
+    report = verify.verify_warmup(2.0, 0.3, Ns)
+    rate = [f for f in report.failures if "projection up-rate" in f]
+    assert [f.split(":")[0] for f in rate] == [f"N={N}" for N in Ns]
+    assert all(re.fullmatch(r"N=\d+: projection up-rate \S+ != \(1-eps\)/4", f) for f in rate)
 
 
 def test_warmup_audits_the_cut_when_every_naive_gap_underflows():

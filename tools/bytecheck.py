@@ -8,7 +8,8 @@ and prints one ``sha256  path`` line for each file it wrote, its stdout,
 its stderr and its exit code (paths relative to OUTDIR).  The commands
 are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
-refused by the dense cap, two BEG grids whose sectors outgrow
+refused by the dense cap, two exhaustive conductances refused by their
+24-state cap, two BEG grids whose sectors outgrow
 ``DENSE_SECTOR_MAX`` and go to Lanczos iteration, ``--jobs 2`` twins of
 the README gap-scan and of the BEG naive gap-scan (the worker-pool
 route), three chains that their model does not have or cannot build,
@@ -55,6 +56,8 @@ EXTRA_COMMANDS = (
     "export-kernel --model warmup --n 5000 --theta 2 --kind naive --space full",
     "export-kernel --space unsigned --model beg --n 400 --beta 1 --k 1",
     "export-kernel --space signed --model beg --n 200 --beta 1 --k 1 --kind naive",
+    "conductance --model ising --n 12 --beta 1 --kind naive",
+    "conductance --model beg --n 8 --beta 1 --k 1",
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 2",
