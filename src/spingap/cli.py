@@ -33,6 +33,7 @@ from .kernels import (
     export_kernel_text,
     metropolis_chain,
     signed_lumped_chain,
+    signed_move_table,
     unsigned_lumped_chain,
     format_label,
 )
@@ -404,12 +405,12 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _chain(o: argparse.Namespace):
+def _chain(o: argparse.Namespace, dense: bool = True):
     spec = _spec(o, o.n, o.beta, o.k)
     if o.space == "full":
         return spec, metropolis_chain(spec, o.kind)
     if o.space == "signed":
-        return spec, signed_lumped_chain(spec, o.kind)
+        return spec, (signed_lumped_chain if dense else signed_move_table)(spec, o.kind)
     return spec, unsigned_lumped_chain(spec, o.kind)
 
 
@@ -418,19 +419,20 @@ def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
         # the exhaustive route is capped by a count: refuse before building
         n = check_space(_spec(o, o.n, o.beta, o.k), o.kind, o.space)
         spectral.check_conductance_states(n)
-    spec, kernel = _chain(o)
+    spec, chain = _chain(o, dense=not o.interval)  # the interval cuts read only moves
     payload = {"version": VERSION, "model": asdict(spec), "kind": o.kind,
-               "space": o.space, "states": kernel.n}
+               "space": o.space, "states": chain.n}
     if o.interval:
-        h_up, cut = interval_conductance(kernel)
+        h_up, cut = interval_conductance(chain)
         payload["interval_bound"] = h_up
         payload["cut_index"] = cut
+        payload["underflow"] = bool(h_up < GAP_RESOLUTION)
         payload["note"] = "interval route: upper bound on h over order cuts"
     else:
-        h, members = conductance_exact(kernel)
+        h, members = conductance_exact(chain)
         lo, hi = cheeger_interval(h)
         payload["h"] = h
-        payload["argmin_set"] = [format_label(kernel.labels[i]) for i in members]
+        payload["argmin_set"] = [format_label(chain.labels[i]) for i in members]
         payload["cheeger_lower_lambda1"] = lo
         payload["cheeger_upper_lambda1"] = hi
     _write_json(o.out / "conductance.json", payload)

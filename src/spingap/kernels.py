@@ -164,6 +164,16 @@ class BirthDeathChain:
         return 1.0 - self.up - self.down
 
 
+def _moves(chain: FiniteKernel | MoveTable) -> tuple:
+    """(rows, cols, vals) of the moves: a table's in table order, a dense
+    chain's off-diagonal nonzeros in row-major order."""
+    if isinstance(chain, MoveTable):
+        return chain.rows, chain.cols, chain.vals
+    xs, ys = np.nonzero(chain.P)
+    off = xs != ys
+    return xs[off], ys[off], chain.P[xs[off], ys[off]]
+
+
 # ---------------------------------------------------------------------------
 # Metropolis construction.
 # ---------------------------------------------------------------------------
@@ -187,10 +197,8 @@ def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> Finit
     n = proposal.n
     if lw.shape != (n,):
         raise ValueError(f"target weights have shape {lw.shape}, expected ({n},)")
-    xs, ys = np.nonzero(K)
-    off = xs != ys
-    xs, ys = xs[off], ys[off]
-    fwd, back = K[xs, ys], K[ys, xs]
+    xs, ys, fwd = _moves(proposal)
+    back = K[ys, xs]
     bad = np.flatnonzero(back == 0.0)
     if bad.size:
         row = xs == xs[bad[0]]
@@ -334,11 +342,7 @@ def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> Fini
     np.maximum.at(top, block, lw)
     log_pi_H = top + np.log(np.bincount(block, weights=np.exp(lw - top[block]), minlength=m))
     share = np.exp(lw - log_pi_H[block])  # p(x) / p(A_i) for x in A_i
-    if isinstance(chain, MoveTable):
-        xs, ys, vals = chain.rows, chain.cols, chain.vals
-    else:
-        xs, ys = np.nonzero(chain.P)
-        vals = chain.P[xs, ys]
+    xs, ys, vals = _moves(chain)
     cross = block[xs] != block[ys]
     xs, ys, vals = xs[cross], ys[cross], vals[cross]
     # sum each block pair's run pairwise (reduceat): a sequential bincount

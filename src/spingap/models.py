@@ -348,12 +348,8 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
         raise ValueError(f"N must be positive, got {N}")
     out = np.empty(N + 1)
     for r in range(N + 1):
-        start = 0 if r % 2 == 0 else 1
-        terms = []
-        for s in range(start, r + 1, 2):
-            t = log_binom(r, (r - s) // 2) + K * beta * s * s / N
-            if s > 0:
-                t += math.log(2.0)
-            terms.append(t)
+        s = np.arange(r % 2, r + 1, 2)
+        terms = log_binom_array(r, (r - s) // 2) + K * beta * s * s / N
+        terms[s > 0] += math.log(2.0)
         out[r] = log_binom(N, r) - beta * r + logsumexp(terms)
     return out

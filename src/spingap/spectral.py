@@ -34,7 +34,9 @@ alone.
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
 path bound, the Gershgorin bound, and the asymptotic variance.  The
-log-space cut takes a move table, the Gershgorin bound a birth--death chain.
+log-space cut takes a move table, the interval cuts a move table or a
+dense chain, whose moves they read in O(nnz), and the Gershgorin bound
+a birth--death chain.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -56,6 +58,7 @@ from .kernels import (
     MoveTable,
     Partition,
     _check_dense,
+    _moves,
     lumped_projection,
     restriction,
 )
@@ -570,38 +573,31 @@ def conductance_exact(kernel: FiniteKernel) -> tuple[float, tuple]:
     return h, members
 
 
-def interval_conductance(kernel: FiniteKernel) -> tuple[float, int]:
-    """Bottleneck over the n-1 interval cuts in the kernel's state order.
+def interval_conductance(chain: FiniteKernel | MoveTable) -> tuple[float, int]:
+    """Bottleneck over the n-1 interval cuts in the chain's state order.
 
-    For the cut between k and k+1 the admissible side is the one with
-    mass <= 1/2, so the candidate ratio is flow(k) / min(m_k, 1 - m_k).
-    Minimizing over a subfamily of sets only, the result is an upper
-    bound on the true conductance h, not h itself; it is the honest
-    bottleneck diagnostic for birth--death orderings.  Returns
-    (bound, cut index k).
+    Cut k has the ratio flow(k) / min(m_k, 1 - m_k), m_k the mass of the
+    states 0..k.  Minimizing over a subfamily of sets only, the result is
+    an upper bound on the true conductance h; it is the honest bottleneck
+    diagnostic for birth--death orderings.  Only the moves are read: x -> y
+    carries pi(x)P(x,y)/2 across the cuts min(x, y) <= k < max(x, y).
+    Returns (bound, the first minimizing k).
     """
-    n = kernel.n
+    n = chain.n
     if n < 2:
         raise ValueError("conductance needs at least two states")
-    pi = kernel.stationary()
-    Q = pi[:, None] * kernel.P
-    Q = 0.5 * (Q + Q.T)
-    best = math.inf
-    best_k = 0
-    flow = 0.0
-    mass = 0.0
-    rowsum = Q.sum(axis=1)
-    for k in range(n - 1):
-        # extend the prefix by state k; flow across the cut updates by
-        # the new state's outward mass minus what now stays inside
-        cross_in = Q[:k, k].sum() if k else 0.0
-        flow = flow + rowsum[k] - Q[k, k] - 2 * cross_in
-        mass += pi[k]
-        side = min(mass, 1.0 - mass)
-        if side > 0 and flow / side < best:
-            best = flow / side
-            best_k = k
-    return max(best, 0.0), best_k
+    pi = np.exp(chain.log_pi - logsumexp(chain.log_pi))
+    xs, ys, vals = _moves(chain)
+    q = 0.5 * pi[xs] * vals
+    lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
+    flow = np.cumsum(np.bincount(lo, weights=q, minlength=n)
+                     - np.bincount(hi, weights=q, minlength=n))[:-1]
+    mass = np.cumsum(pi)[:-1]
+    side = np.minimum(mass, 1.0 - mass)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(side > 0, flow / side, math.inf)
+    k = int(np.argmin(ratio))
+    return max(float(ratio[k]), 0.0), k
 
 
 def cut_bottleneck_log(table: MoveTable, subset: Sequence[int]) -> float:

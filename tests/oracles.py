@@ -4,7 +4,8 @@ Nothing under ``src/`` reaches these: they are the configuration check
 and per-configuration helpers, the per-class weight formulas, a
 one-step sampler call from a given state and the move component a step
 took, the sequential ball-placement orbit draw, the validity checks of
-a dense chain, a dense chain as a move table, the dense form of a
+a dense chain, a dense chain as a move table, the interval-cut bound
+summed cut by cut in exact-rounding sums, the dense form of a
 birth-death chain and its detailed-balance check, direct-lumping and
 containment checks, and the literal transcription of a hand-tabulated
 BEG rate table together with its errata.  They stay as code because
@@ -213,8 +214,8 @@ def sample_uniform_class(spec: ModelSpec, c: EnergyClass, rng: np.random.Generat
 
 
 # ---------------------------------------------------------------------------
-# Dense chain checks, a dense chain as a move table, and the dense form of
-# a birth-death chain.
+# Dense chain checks, a dense chain as a move table, the interval-cut
+# reference, and the dense form of a birth-death chain.
 # ---------------------------------------------------------------------------
 
 def row_sum_error(kernel: FiniteKernel) -> float:
@@ -256,6 +257,26 @@ def kernel_table(kernel: FiniteKernel) -> MoveTable:
     rows, cols = np.nonzero(kernel.P)
     return MoveTable(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
                      vals=kernel.P[rows, cols], flip=np.arange(kernel.n))
+
+
+def interval_conductance_reference(chain: Union[FiniteKernel, MoveTable]) -> float:
+    """The interval-cut bound, each cut's flow a math.fsum over the moves that cross it.
+
+    Cut k splits {0..k} from the rest.  Its flow sums pi(x)P(x,y)/2 over
+    the moves x -> y with min(x, y) <= k < max(x, y), and each side's
+    mass is an fsum of its own states.  A dense chain is read as its
+    ``kernel_table``.
+    """
+    table = kernel_table(chain) if isinstance(chain, FiniteKernel) else chain
+    pi = np.exp(table.log_pi - logsumexp(table.log_pi))
+    q = 0.5 * pi[table.rows] * table.vals
+    lo, hi = np.minimum(table.rows, table.cols), np.maximum(table.rows, table.cols)
+    best = math.inf
+    for k in range(table.n - 1):
+        side = min(math.fsum(pi[:k + 1]), math.fsum(pi[k + 1:]))
+        if side > 0:
+            best = min(best, math.fsum(q[(lo <= k) & (k < hi)]) / side)
+    return best
 
 
 def bd_kernel(chain: BirthDeathChain) -> FiniteKernel:

@@ -131,6 +131,28 @@ def test_conductance_interval_route(tmp_path):
     assert "interval_bound" in payload
 
 
+@pytest.mark.parametrize("n, underflow", [(20, False), (200, True)])
+def test_conductance_interval_flags_underflow(tmp_path, n, underflow):
+    # deep cuts fall under the floor that gap-scan flags gaps with
+    rc = main(["conductance", "--model", "ising", "--n", str(n), "--beta", "2",
+               "--kind", "naive", "--space", "signed", "--interval",
+               "--out", str(tmp_path / "i")])
+    assert rc == EXIT_OK
+    payload = json.loads((tmp_path / "i" / "conductance.json").read_text())
+    assert payload["underflow"] is underflow
+
+
+def test_conductance_interval_cuts_signed_table_past_dense_cap(tmp_path):
+    # 20301 signed classes: read as a move table, never made dense
+    rc = main(["conductance", "--model", "beg", "--n", "200", "--beta", "1", "--k", "1",
+               "--kind", "naive", "--space", "signed", "--interval",
+               "--out", str(tmp_path / "i")])
+    assert rc == EXIT_OK
+    payload = json.loads((tmp_path / "i" / "conductance.json").read_text())
+    assert payload["states"] == 20301
+    assert 0.0 < payload["interval_bound"] < 1.0
+
+
 def test_documented_invocations_work(tmp_path):
     # the invocations documented in the README, verbatim shapes
     rc = main(["gap-scan", "--model", "ising", "--beta", "2", "--n", "10..20..2",

@@ -17,7 +17,7 @@ from spingap.kernels import (
     restriction,
     warmup_block_partition,
 )
-from spingap.models import ising, warmup
+from spingap.models import beg, ising, warmup
 from spingap.spectral import (
     HypothesisError,
     NonReversibleError,
@@ -34,7 +34,7 @@ from spingap.spectral import (
     spectrum,
 )
 
-from oracles import bd_kernel, unsigned_class_partition
+from oracles import bd_kernel, interval_conductance_reference, unsigned_class_partition
 
 
 def two_state(q, pi0=0.5):
@@ -260,6 +260,40 @@ def test_interval_conductance_upper_bounds_exact():
     h, _ = conductance_exact(M)
     hi, cut = interval_conductance(M)
     assert hi == pytest.approx(h, rel=1e-10)
+
+
+INTERVAL_CHAINS = {
+    "ising-full": lambda: metropolis_chain(ising(8, beta=1.0), "naive"),
+    "beg-full": lambda: metropolis_chain(beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                         "equi-energy"),
+    "warmup-full": lambda: metropolis_chain(warmup(12, theta=2.0, epsilon=0.3), "small-world"),
+    "ising-40-signed": lambda: kernels.signed_move_table(ising(40, beta=2.0), "naive"),
+    "ising-60-signed": lambda: kernels.signed_move_table(ising(60, beta=2.0), "naive"),
+    "warmup-30-signed": lambda: kernels.signed_move_table(warmup(30, theta=2.0), "naive"),
+    "beg-20-signed": lambda: kernels.signed_move_table(beg(20, beta=1.5, K=2.0), "naive"),
+    "ising-40-unsigned": lambda: kernels.unsigned_lumped_chain(ising(40, beta=2.0), "naive"),
+    "beg-10-unsigned": lambda: kernels.unsigned_lumped_chain(
+        beg(10, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy"),
+    **{f"random-{n}-{seed}": (lambda n=n, seed=seed: random_reversible(n, seed))
+       for n, seed in ((9, 0), (9, 1), (40, 2))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_CHAINS))
+def test_interval_conductance_matches_exact_sum_reference(name):
+    # each cut's flow against its crossing moves summed with math.fsum
+    chain = INTERVAL_CHAINS[name]()
+    ref = interval_conductance_reference(chain)
+    bound, _ = interval_conductance(chain)
+    assert ref >= 1e-10  # each chain here is resolvable
+    assert abs(bound - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("name", ["ising-60-signed", "warmup-30-signed", "beg-20-signed"])
+def test_interval_conductance_table_and_dense_agree(name):
+    table = INTERVAL_CHAINS[name]()
+    bound, _ = interval_conductance(table)
+    assert interval_conductance(table.to_kernel())[0] == pytest.approx(bound, rel=1e-14)
 
 
 def test_cheeger_interval_values():

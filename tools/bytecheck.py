@@ -9,7 +9,10 @@ its stderr and its exit code (paths relative to OUTDIR).  The commands
 are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
 refused by the dense cap, two exhaustive conductances refused by their
-24-state cap, two BEG grids whose sectors outgrow
+24-state cap, interval-cut conductances in all three spaces (one on a
+signed table past the dense cap), a full-space export that goes through
+``metropolize`` and an unsigned one that goes through
+``lumped_projection``, two BEG grids whose sectors outgrow
 ``DENSE_SECTOR_MAX`` and go to Lanczos iteration, ``--jobs 2`` twins of
 the README gap-scan and of the BEG naive gap-scan (the worker-pool
 route), three chains that their model does not have or cannot build,
@@ -58,6 +61,12 @@ EXTRA_COMMANDS = (
     "export-kernel --space signed --model beg --n 200 --beta 1 --k 1 --kind naive",
     "conductance --model ising --n 12 --beta 1 --kind naive",
     "conductance --model beg --n 8 --beta 1 --k 1",
+    "conductance --model beg --n 6 --beta 1 --k 1 --interval",
+    "conductance --model ising --n 40 --beta 2 --space unsigned --interval",
+    "conductance --model ising --n 60 --beta 2 --kind naive --space signed --interval",
+    "conductance --model beg --n 200 --beta 1 --k 1 --kind naive --space signed --interval",
+    "export-kernel --space full --model ising --n 6 --beta 1 --kind equi-energy",
+    "export-kernel --space unsigned --model beg --n 20 --beta 1 --k 1",
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 2",
