@@ -16,7 +16,16 @@ binary search on those keys, so no transposed or permuted matrix is
 built.  The entries are then mapped to even and odd orbit coordinates
 and coalesced again: a tridiagonal sector (Ising, warm-up) comes out as
 its (diagonal, superdiagonal) arrays for the tridiagonal solver, any
-other (BEG) as one CSR matrix for the dense solver or Lanczos.
+other (BEG) as one CSR matrix for the dense solver or Lanczos.  An
+entry that is not finite is refused once, at assembly, on every route.
+
+The large sectors of a stack (in practice the even and odd sectors of
+one BEG table) go to one plain Lanczos run in numpy, written out in
+``_lanczos_extremes``: the sectors are stepped in lockstep as one
+block-diagonal matrix, and both ends of each spectrum are read off its
+own tridiagonal Lanczos matrix.  Each sector's scalars are sums over
+its own segment and the matvec has no BLAS call, so a sector gets the
+same bits in any company and at any BLAS thread count.
 
 Small tables cost mostly numpy's fixed cost per call, about 80 calls
 per assembly.  ``sector_spectrum_batch`` therefore stacks consecutive
@@ -74,9 +83,20 @@ GAP_RESOLUTION = 1e-12
 REVERSIBILITY_TOL = 1e-8
 
 #: flip sectors up to this many states that are not tridiagonal go to the
-#: dense solver; larger ones go to sparse Lanczos iteration.  On BEG
-#: sectors dense eigvalsh wins below about 340 states, Lanczos above 380.
+#: dense solver; larger ones go to Lanczos iteration.  On BEG sectors at one
+#: BLAS thread (2-core x86 host), dense eigvalsh wins below about 220 states
+#: and a one-sector Lanczos run above about 260; the cut stays at 360, which
+#: keeps the bits of every grid whose sectors were solved densely before.
 DENSE_SECTOR_MAX = 360
+
+#: Lanczos steps a sector may take before it is solved densely (or refused)
+LANCZOS_MAX_STEPS = 3000
+
+#: steps between two convergence checks of a Lanczos run
+LANCZOS_CHECK = 10
+
+#: residual at which a Lanczos Ritz value counts as converged
+LANCZOS_TOL = 1e-14
 
 #: consecutive move tables up to this many states in all are stacked and
 #: their flip sectors assembled in one pass, which pays numpy's fixed cost
@@ -245,7 +265,8 @@ def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.nda
     comes back as its (diagonal, superdiagonal) arrays, any other as one
     CSR matrix, with the bits, dtypes and entry order the block gets when
     it is assembled alone: no entry crosses a block, so the coalescing
-    sums each entry's terms in the same order either way.
+    sums each entry's terms in the same order either way.  An entry that
+    is not finite raises ValueError.
     """
     m = int(starts[-1])
     keys, vals = _coalesce(rows, cols, vals, m)
@@ -253,6 +274,8 @@ def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.nda
     keys, vals = _coalesce(np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                            np.concatenate([vals, vals]), m)
     vals = vals * 0.5
+    if not np.isfinite(vals).all():
+        raise ValueError("array must not contain infs or NaNs")
     rows, cols = np.divmod(keys, m)
     # keys ascend, so block k holds the entries ends[k]..ends[k+1]-1
     ends = np.searchsorted(rows, starts)
@@ -356,16 +379,14 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
     state index, each as ``_sector`` returns it.  sqrt(pi) is the unit
     eigenvector of lambda_0 = 1.  Several tables are assembled as one
     block-diagonal stack (``_stack``), whose sectors are the tables'
-    sectors side by side; a stack whose symmetrized entries are not all
-    finite raises ValueError, since a NaN residual would hide another
-    table's refusal.
+    sectors side by side.  A sector entry that is not finite raises
+    ValueError (``_sector``), so in a stack a NaN residual, which passes
+    the tolerance test, cannot hide another table's refusal.
     """
     table = tables[0] if len(tables) == 1 else _stack(tables)
     sizes = [t.n for t in tables]
     starts = np.cumsum([0, *sizes])
     i, j, a = _symmetrization(table)
-    if len(tables) > 1 and not np.isfinite(a).all():
-        raise ValueError("non-finite entries in a stack of move tables")
     idx = np.arange(table.n)
     flip = table.flip
     fixed = flip == idx
@@ -388,15 +409,17 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
                   count_pair[starts])
     # sqrt(pi) projected on the even basis: orbit sums over sqrt(orbit size),
     # each table scaled by its own top weight and normalized on its own array
+    # (np.sum, not the BLAS dot of np.linalg.norm, whose bits follow the
+    # BLAS thread count)
     top = np.repeat([t.log_pi.max() for t in tables], sizes)
     root = np.bincount(orbit, weights=np.exp(0.5 * (table.log_pi - top)))
     root /= np.sqrt(np.bincount(orbit))
     roots = (root[lo:hi].copy() for lo, hi in zip(count[starts[:-1]], count[starts[1:]]))
-    return [(e, o, r / np.linalg.norm(r)) for e, o, r in zip(even, odd, roots)]
+    return [(e, o, r / np.sqrt(np.sum(r * r))) for e, o, r in zip(even, odd, roots)]
 
 
 def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
-    """(largest, smallest) eigenvalue of a sector from ``_sector``.
+    """(largest, smallest) eigenvalue of a tridiagonal or dense-sized sector.
 
     With ``u``, the unit eigenvector of the eigenvalue 1, the largest is
     taken over the rest of the spectrum (-inf if nothing is left).
@@ -406,26 +429,27 @@ def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
     top = m - 1 if u is None else m - 2
     if top < 0:
         return -math.inf, 1.0
-    if tridiagonal:
-        # bisection for the wanted eigenvalues only: O(m) each, straight to
-        # LAPACK (what eigh_tridiagonal(select="i") calls, without its wrapper)
-        from scipy.linalg.lapack import dstebz
-
-        d, e = M
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        if m == 1:  # dstebz refuses an empty e
-            return float(d[0]), float(d[0])
-        out = []
-        for k in (top, 0):
-            found, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "E")
-            if info or found != 1:
-                raise np.linalg.LinAlgError(f"dstebz returned info={info} for eigenvalue {k}")
-            out.append(float(w[0]))
-        return tuple(out)
-    if m <= DENSE_SECTOR_MAX:
+    if not tridiagonal:
         return _dense_extremes(M, top)
-    return _lanczos_extremes(M, u)
+    d, e = M
+    if m == 1:  # dstebz refuses an empty e
+        return float(d[0]), float(d[0])
+    return tuple(float(_bisect(d, e, k)[0][0]) for k in (top, 0))
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, k: int) -> tuple:
+    """The k-th smallest (from 0) eigenvalue of the tridiagonal (d, e), by bisection.
+
+    O(m), straight to LAPACK (what eigh_tridiagonal(select="i") calls,
+    without its wrapper).  Returns dstebz's (w, iblock, isplit), as
+    inverse iteration (dstein) takes them.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    found, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "E")
+    if info or found != 1:
+        raise np.linalg.LinAlgError(f"dstebz returned info={info} for eigenvalue {k}")
+    return w[:1], iblock, isplit
 
 
 def _dense_extremes(M, top: int) -> tuple:
@@ -435,28 +459,120 @@ def _dense_extremes(M, top: int) -> tuple:
     return float(vals[top]), float(vals[0])
 
 
-def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+def _ritz_value(d: np.ndarray, e: np.ndarray, k: int, b: float) -> tuple:
+    """(the k-th smallest (from 0) eigenvalue of a Lanczos T_k, its residual).
 
-    m = M.shape[0]
-    op = M
-    if u is not None:
-        # send the known eigenvalue 1 to -1: Lanczos could miss one copy of
-        # an eigenvalue pair at 1 to machine precision (phase coexistence)
-        def deflated(x):
-            x = x.ravel()
-            return M @ x - 2.0 * (u @ x) * u
+    T_k has diagonal d and off-diagonal e, and b is the norm of the
+    Lanczos vector that would come next, so b |s_k|, s_k the last entry of
+    the eigenvector (by inverse iteration), is the residual of the Ritz pair.
+    """
+    from scipy.linalg.lapack import dstein
 
-        op = LinearOperator(M.shape, matvec=deflated, dtype=float)
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, m)  # fixed start: reproducible bits
-    try:
-        hi = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        lo = eigsh(M, k=1, which="SA", v0=v0, return_eigenvectors=False)
-    except ArpackNoConvergence as e:
-        if m > DEFAULT_MAX_STATES:
-            raise ValueError(f"Lanczos did not converge on a {m}-state sector") from e
-        return _dense_extremes(M, m - 1 if u is None else m - 2)
-    return float(hi[0]), float(lo[0])
+    if len(d) == 1:  # dstebz refuses an empty e
+        return float(d[0]), abs(b)
+    w, iblock, isplit = _bisect(d, e, k)
+    z, info = dstein(d, e, w, iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"dstein returned info={info} for Ritz value {k}")
+    return float(w[0]), abs(b * float(z[-1, 0]))
+
+
+def _block_diagonal(mats: list):
+    """The block-diagonal CSR matrix of CSR ``mats``, each row's entries in its own order."""
+    import scipy.sparse
+
+    if len(mats) == 1:
+        return mats[0]
+    offsets = np.cumsum([0, *(M.shape[0] for M in mats)]).tolist()
+    nnz = np.cumsum([0, *(M.nnz for M in mats)]).tolist()
+    return scipy.sparse.csr_array(
+        (np.concatenate([M.data for M in mats]),
+         np.concatenate([M.indices + lo for M, lo in zip(mats, offsets)]),
+         np.concatenate([[0], *(M.indptr[1:] + z for M, z in zip(mats, nnz))])),
+        shape=(offsets[-1],) * 2)
+
+
+def _lanczos_extremes(blocks: list) -> list:
+    """(largest, smallest) eigenvalue of each large CSR sector, from one Lanczos run.
+
+    ``blocks`` holds (M, u) pairs as ``_sector_extremes`` takes them.  The
+    blocks are stepped side by side as one block-diagonal matrix: a step
+    is one matvec, and each block's scalars are sums over its own segment
+    (np.add.reduceat), so a block gets the bits it gets alone, and no
+    BLAS call is made.  Plain Lanczos, with no reorthogonalization: both
+    ends come off the block's own tridiagonal T_k.  Every LANCZOS_CHECK
+    steps, an end whose residual is at most LANCZOS_TOL, or whose Ritz
+    value has not moved since the last check, is settled; a block leaves
+    the run once both its ends are.  A block still running after
+    LANCZOS_MAX_STEPS is solved densely if it has at most
+    DEFAULT_MAX_STATES states, and refused otherwise.
+    """
+    out = [None] * len(blocks)
+    starts, units, shifts = [], [], []
+    for M, u in blocks:
+        v = np.random.default_rng(0).uniform(0.5, 1.5, M.shape[0])  # fixed start: reproducible bits
+        shift = 0.0
+        if u is not None:
+            # move the known eigenvalue 1 to the Rayleigh quotient of the start
+            # vector with u projected out, inside the rest of the spectrum, so
+            # that neither end sees it (lambda_1 may lie within 1e-14 of 1)
+            x = v - np.sum(u * v) * u
+            shift = 1.0 - np.sum(x * (M @ x)) / np.sum(x * x)
+        starts.append(v / np.sqrt(np.sum(v * v)))
+        units.append(np.zeros(M.shape[0]) if u is None else u)
+        shifts.append(shift)
+    alpha, beta = [[] for _ in blocks], [[] for _ in blocks]
+    # per block, its (largest, smallest) Ritz values at the last check and
+    # whether each has settled
+    last, settled = [[None, None] for _ in blocks], [[False, False] for _ in blocks]
+    live = list(range(len(blocks)))
+    v = np.concatenate(starts)
+    prev, b = np.zeros_like(v), np.zeros(len(live))
+    step = 0
+    while live:
+        sizes = np.array([blocks[k][0].shape[0] for k in live])
+        offsets = np.cumsum(sizes) - sizes
+        A = _block_diagonal([blocks[k][0] for k in live])
+        U = np.concatenate([units[k] for k in live])
+        shift = np.array([shifts[k] for k in live])
+        leave = []
+        while not leave:
+            step += 1
+            w = A @ v
+            w -= np.repeat(shift * np.add.reduceat(U * v, offsets), sizes) * U
+            w -= np.repeat(b, sizes) * prev
+            a = np.add.reduceat(w * v, offsets)
+            w -= np.repeat(a, sizes) * v
+            b = np.sqrt(np.add.reduceat(w * w, offsets))
+            with np.errstate(divide="ignore", invalid="ignore"):  # b = 0: that block leaves now
+                prev, v = v, w / np.repeat(b, sizes)
+            for i, (k, ai, bi) in enumerate(zip(live, a.tolist(), b.tolist())):
+                alpha[k].append(ai)
+                beta[k].append(bi)
+                if step % LANCZOS_CHECK and bi and step < LANCZOS_MAX_STEPS:
+                    continue
+                d, e = np.array(alpha[k]), np.array(beta[k][:-1])
+                for end, index in enumerate((step - 1, 0)):
+                    if not settled[k][end]:
+                        x, r = _ritz_value(d, e, index, bi)
+                        settled[k][end] = r <= LANCZOS_TOL or x == last[k][end]
+                        last[k][end] = x
+                if all(settled[k]):
+                    out[k] = tuple(last[k])
+                elif step >= LANCZOS_MAX_STEPS:
+                    M, u = blocks[k]
+                    m = M.shape[0]
+                    if m > DEFAULT_MAX_STATES:
+                        raise ValueError(f"Lanczos did not converge on a {m}-state sector")
+                    out[k] = _dense_extremes(M, m - 1 if u is None else m - 2)
+                else:
+                    continue
+                leave.append(i)
+        keep = [i for i in range(len(live)) if i not in leave]
+        segment = np.repeat(np.isin(np.arange(len(live)), keep), sizes)
+        v, prev, b = v[segment], prev[segment], b[keep]
+        live = [live[i] for i in keep]
+    return out
 
 
 def _stacks(tables: Iterable[MoveTable]) -> Iterator[list]:
@@ -475,9 +591,9 @@ def _stacks(tables: Iterable[MoveTable]) -> Iterator[list]:
 def _stack_spectra(tables: list) -> list:
     """The SectorSpectrum of each table, its sectors assembled in one stack.
 
-    Whatever the stack raises, the tables are solved one at a time
+    Whatever the assembly raises, the tables are solved one at a time
     instead, so the first table that fails alone raises what it raises
-    alone.
+    alone.  The sectors past DENSE_SECTOR_MAX share one Lanczos run.
     """
     try:
         sectors = _flip_sectors(tables)
@@ -485,13 +601,14 @@ def _stack_spectra(tables: list) -> list:
         if len(tables) == 1:
             raise
         return [s for t in tables for s in _stack_spectra([t])]
-    out = []
-    for t, (even, odd, root) in zip(tables, sectors):
-        even_top, even_min = _sector_extremes(even, root)
-        odd_top, odd_min = _sector_extremes(odd)
-        out.append(SectorSpectrum(even_lambda1=even_top, odd_lambda1=odd_top,
-                                  lambda_min=min(even_min, odd_min), dim=t.n))
-    return out
+    pairs = [(M, u) for even, odd, root in sectors for M, u in ((even, root), (odd, None))]
+    large = [k for k, (M, _) in enumerate(pairs)
+             if not isinstance(M, tuple) and M.shape[0] > DENSE_SECTOR_MAX]
+    solved = dict(zip(large, _lanczos_extremes([pairs[k] for k in large]) if large else []))
+    ext = [solved[k] if k in solved else _sector_extremes(*pairs[k]) for k in range(len(pairs))]
+    return [SectorSpectrum(even_lambda1=even[0], odd_lambda1=odd[0],
+                           lambda_min=min(even[1], odd[1]), dim=t.n)
+            for t, even, odd in zip(tables, ext[::2], ext[1::2])]
 
 
 def sector_spectrum_batch(tables: Iterable[MoveTable]) -> Iterator[tuple]:
@@ -516,7 +633,7 @@ def sector_spectrum(table: MoveTable) -> SectorSpectrum:
     known and left out; the slow mode of a two-phase chain lies in the
     odd sector.  Tridiagonal sectors (nearest-neighbour chains) go to
     the tridiagonal solver, small ones to the dense solver, the rest to
-    Lanczos iteration on the sparse matrix.
+    one Lanczos run on their nonzeros.
     """
     return next(sector_spectrum_batch([table]))[1]
 

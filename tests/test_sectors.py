@@ -1,7 +1,11 @@
 """The flip-sector route to exact gaps against the dense oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from spingap.spectral import (
     SymmetryError,
     _check_reversible,
     _flip_sectors,
+    _lanczos_extremes,
     _sector_extremes,
     _stacks,
     gap,
@@ -104,14 +109,131 @@ def test_lanczos_matches_dense_sector_solve_at_three_phase_coexistence(kind):
 def test_unconverged_lanczos_falls_back_to_dense(monkeypatch):
     spec = beg(40, beta=1.0, K=1.0, p1=0.5, p2=0.25)
     want = exact_gap_record(spec, "equi-energy")
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    solved = []
+    dense = spectral._dense_extremes
+    monkeypatch.setattr(spectral, "_dense_extremes",
+                        lambda M, top: solved.append(M.shape[0]) or dense(M, top))
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
     got = exact_gap_record(spec, "equi-energy")
+    # both sectors (441 and 420 states) ran out of steps and went dense
+    assert sorted(solved) == [420, 441]
     assert got["gap"] == pytest.approx(want["gap"], abs=1e-12)
     assert got["lambda_min"] == pytest.approx(want["lambda_min"], abs=1e-12)
+
+
+def test_unconverged_lanczos_past_the_dense_cap_is_refused(monkeypatch):
+    # N = 180: 16471 classes, an even sector of 8281 states > DEFAULT_MAX_STATES
+    table = signed_move_table(beg(180, **BEG_CELL), "naive")
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
+    assert kernels.DEFAULT_MAX_STATES < 8281
+    with pytest.raises(ValueError, match="Lanczos did not converge on a 8281-state sector"):
+        sector_spectrum(table)
+
+
+def random_block(m, seed, link):
+    """A sparse symmetric m-state block with its spectrum in [-1, 1], and its u.
+
+    With ``link`` None: random signed entries, u None.  Otherwise
+    I - L/d for the Laplacian L of two rings with random chords, joined by
+    one edge of weight ``link``, d its largest degree: u = 1/sqrt(m) is an
+    eigenvector of 1, and lambda_1 lies within about link/d of it.
+    """
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, m, 3 * m), rng.integers(0, m, 3 * m)
+    w = rng.uniform(0.1, 1.0, 3 * m)
+    if link is None:
+        W = scipy.sparse.coo_array((w * rng.choice([-1.0, 1.0], 3 * m), (i, j)), shape=(m, m))
+        W = (W + W.T).tocsr() + scipy.sparse.diags_array(rng.uniform(-1.0, 1.0, m))
+        return (W / abs(W).sum(axis=1).max()).tocsr(), None
+    half = m // 2
+    ring = np.arange(m)
+    nxt = np.where(ring == half - 1, 0, np.where(ring == m - 1, half, ring + 1))
+    same = (i < half) == (j < half)
+    i, j = np.concatenate([i[same], ring, [0]]), np.concatenate([j[same], nxt, [m - 1]])
+    w = np.concatenate([w[same], rng.uniform(0.1, 1.0, m), [link]])
+    W = scipy.sparse.coo_array((w, (i, j)), shape=(m, m)).tocsr()
+    W = W + W.T
+    W.setdiag(0)
+    W.eliminate_zeros()
+    degree = W.sum(axis=1)
+    M = scipy.sparse.eye_array(m) - (scipy.sparse.diags_array(degree) - W) / degree.max()
+    return M.tocsr(), np.full(m, 1.0 / math.sqrt(m))
+
+
+@st.composite
+def lanczos_blocks(draw):
+    return random_block(draw(st.integers(DENSE_SECTOR_MAX + 1, 700)),
+                        draw(st.integers(0, 2**32 - 1)),
+                        draw(st.sampled_from([None, None, 1e-13, 1e-14, 1e-3])))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(lanczos_blocks(), lanczos_blocks())
+def test_lanczos_extremes_match_eigvalsh_and_keep_their_bits_in_company(first, second):
+    together = _lanczos_extremes([first, second])
+    for (M, u), got in zip((first, second), together):
+        vals = np.linalg.eigvalsh(M.toarray())
+        if u is not None:
+            assert vals[-1] == pytest.approx(1.0, abs=1e-14)
+        assert got[0] == pytest.approx(vals[-1 if u is None else -2], abs=1e-12)
+        assert got[1] == pytest.approx(vals[0], abs=1e-12)
+        assert _lanczos_extremes([(M, u)]) == [got]
+
+
+def test_planted_blocks_hold_a_lambda1_within_1e13_of_1():
+    M, u = random_block(500, 3, 1e-13)
+    vals = np.linalg.eigvalsh(M.toarray())
+    assert 0 < 1.0 - vals[-2] < 1e-13
+    assert np.abs(M @ u - u).max() < 1e-15
+
+
+SOLVED_WITHOUT_ARPACK = ["gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10",
+                         "verify beg-fast --beta-k 1:1 --n 30..80..10"]
+
+
+def _no_arpack(*args, **kwargs):
+    raise AssertionError("eigsh was called")
+
+
+@pytest.mark.parametrize("command", SOLVED_WITHOUT_ARPACK)
+def test_beg_grids_past_the_dense_sectors_run_without_eigsh(command, tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _no_arpack)
+    lanczos = spectral._lanczos_extremes
+    runs = []
+    monkeypatch.setattr(spectral, "_lanczos_extremes",
+                        lambda blocks: runs.append(len(blocks)) or lanczos(blocks))
+    assert main([*command.split(), "--out", str(tmp_path)]) == 0
+    # N = 40..80: one run per table, holding both of its sectors
+    assert runs and set(runs) == {2}
+
+
+THREADED = """import sys
+from spingap.cli import main
+code = main(sys.argv[1:])
+assert "scipy.sparse.linalg" not in sys.modules
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 40..70..10",
+    "verify beg-fast --beta-k 1:1 --n 40..80..8",  # six points: the fit runs too
+])
+def test_lanczos_grids_write_the_same_bytes_at_one_and_two_blas_threads(command, tmp_path):
+    # from N = 40 on, every BEG sector is past DENSE_SECTOR_MAX; the dense
+    # route's eigvalsh follows the BLAS thread count (at N = 30 the two
+    # counts differ in the last bits), Lanczos does not
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(Path(spectral.__file__).parents[1]),
+                                                            os.environ.get("PYTHONPATH")])))
+        d = tmp_path / threads
+        subprocess.run([sys.executable, "-c", THREADED, *command.split(), "--out", str(d)],
+                       env=env, check=True, capture_output=True)
+        out[threads] = {p.name: p.read_bytes() for p in sorted(d.glob("*.csv"))}
+    assert out["1"] == out["2"] and out["1"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -283,7 +405,7 @@ def reference_flip_sectors(table):
     root = np.bincount(orbit, weights=np.exp(0.5 * (lw - lw.max())))
     root /= np.sqrt(np.bincount(orbit))
     even, odd = (((M + M.T) * 0.5).tocsr() for M in (even.tocsr(), odd.tocsr()))
-    return even, odd, root / np.linalg.norm(root)
+    return even, odd, root / np.sqrt(np.sum(root * root))
 
 
 def bits(a):
@@ -512,8 +634,21 @@ def test_tridiagonal_extremes_match_eigh_tridiagonal_bit_for_bit():
                 assert _sector_extremes((d, e), u) == extremes(d, e, m - 2)
     assert _sector_extremes((np.array([0.25]), np.zeros(0))) == (0.25, 0.25)
     assert _sector_extremes((np.array([0.25]), np.zeros(0)), np.ones(1)) == (-math.inf, 1.0)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        _sector_extremes((np.array([0.5, np.nan]), np.array([0.1])))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_sector_entry_that_is_not_finite_is_refused_at_assembly(bad):
+    # a tridiagonal sector (the three-state chain) and a sparse one (BEG N = 6)
+    tridiagonal = three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, bad), (2, 1, bad)])
+    table = signed_move_table(beg(6, **BEG_CELL), "naive")
+    ((even, _, _),) = _flip_sectors([table])
+    assert not isinstance(even, tuple)
+    sparse = MoveTable(labels=table.labels, log_pi=table.log_pi, rows=table.rows,
+                       cols=table.cols, vals=np.concatenate([[bad], table.vals[1:]]),
+                       flip=table.flip)
+    for t in (tridiagonal, sparse):
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+            _flip_sectors([t])
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ refused by the dense cap, two exhaustive conductances refused by their
 24-state cap, interval-cut conductances in all three spaces (one on a
 signed table past the dense cap), a full-space export that goes through
 ``metropolize`` and an unsigned one that goes through
-``lumped_projection``, two BEG grids whose sectors outgrow
-``DENSE_SECTOR_MAX`` and go to Lanczos iteration, ``--jobs 2`` twins of
+``lumped_projection``, three BEG grids whose sectors outgrow
+``DENSE_SECTOR_MAX`` and go to Lanczos iteration (one of them at N = 120
+and 200, sectors of thousands of states), ``--jobs 2`` twins of
 the README gap-scan and of the BEG naive gap-scan (the worker-pool
 route), three chains that their model does not have or cannot build,
 a warm-up and an ising-slow grid
@@ -70,6 +71,7 @@ EXTRA_COMMANDS = (
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 2",
+    "gap-scan --model beg --kind equi-energy --beta 1 --k 1 --n 120,200 --p1 0.5 --p2 0.25",
     "gap-scan --model ising --kind equi-energy --beta 2 --n 10..60..2 --p1 0.5 --p2 0.25 "
     "--out out/scan --jobs 2",
     "gap-scan --model ising --kind small-world --beta 1 --n 4",
