@@ -459,8 +459,8 @@ def _dense_extremes(M, top: int) -> tuple:
     return float(vals[top]), float(vals[0])
 
 
-def _ritz_value(d: np.ndarray, e: np.ndarray, k: int, b: float) -> tuple:
-    """(the k-th smallest (from 0) eigenvalue of a Lanczos T_k, its residual).
+def _ritz_value(d: np.ndarray, e: np.ndarray, i: int, b: float) -> tuple:
+    """(the i-th smallest (from 0) eigenvalue of a Lanczos T_k, its residual).
 
     T_k has diagonal d and off-diagonal e, and b is the norm of the
     Lanczos vector that would come next, so b |s_k|, s_k the last entry of
@@ -470,10 +470,10 @@ def _ritz_value(d: np.ndarray, e: np.ndarray, k: int, b: float) -> tuple:
 
     if len(d) == 1:  # dstebz refuses an empty e
         return float(d[0]), abs(b)
-    w, iblock, isplit = _bisect(d, e, k)
+    w, iblock, isplit = _bisect(d, e, i)
     z, info = dstein(d, e, w, iblock, isplit)
     if info:
-        raise np.linalg.LinAlgError(f"dstein returned info={info} for Ritz value {k}")
+        raise np.linalg.LinAlgError(f"dstein returned info={info} for Ritz value {i}")
     return float(w[0]), abs(b * float(z[-1, 0]))
 
 
@@ -511,16 +511,16 @@ def _lanczos_extremes(blocks: list) -> list:
     starts, units, shifts = [], [], []
     for M, u in blocks:
         v = np.random.default_rng(0).uniform(0.5, 1.5, M.shape[0])  # fixed start: reproducible bits
-        shift = 0.0
-        if u is not None:
+        starts.append(v / np.sqrt(np.sum(v * v)))
+        units.append(np.zeros(M.shape[0]) if u is None else u)
+        if u is None:
+            shifts.append(0.0)
+        else:
             # move the known eigenvalue 1 to the Rayleigh quotient of the start
             # vector with u projected out, inside the rest of the spectrum, so
             # that neither end sees it (lambda_1 may lie within 1e-14 of 1)
             x = v - np.sum(u * v) * u
-            shift = 1.0 - np.sum(x * (M @ x)) / np.sum(x * x)
-        starts.append(v / np.sqrt(np.sum(v * v)))
-        units.append(np.zeros(M.shape[0]) if u is None else u)
-        shifts.append(shift)
+            shifts.append(1.0 - np.sum(x * (M @ x)) / np.sum(x * x))
     alpha, beta = [[] for _ in blocks], [[] for _ in blocks]
     # per block, its (largest, smallest) Ritz values at the last check and
     # whether each has settled
