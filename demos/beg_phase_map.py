@@ -70,6 +70,6 @@ for N in (6, 12, 18, 24):
 
 # the projection onto unsigned classes drives the fast-mixing estimate
 spec = beg(20, beta=1.0, K=1.0, p1=p1, p2=p2)
-bar = beg_lumped(spec)
+bar = beg_lumped(spec).to_kernel()
 print(f"\nunsigned projection at N=20, (beta,K)=(1,1): "
       f"{bar.n} classes, gap = {gap(spectrum(bar)):.4e}")

@@ -47,7 +47,7 @@ print(f"  mean ops/step {prof.mean_ops_per_step:.1f} (direct draws), "
 
 # --- batch means vs spectral asymptotic variance ----------------------------
 small = ising(6, beta=1.5, p1=0.5, p2=0.25)
-M = metropolis_chain(small, "equi-energy")
+M = metropolis_chain(small, "equi-energy").to_kernel()
 f = enumerate_states(small).sum(axis=1) / small.N
 res = avar_spectral(M, f)
 rng = np.random.default_rng(7)

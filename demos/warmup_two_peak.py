@@ -34,8 +34,8 @@ print(f"{'N':>4} {'gap naive':>12} {'gap reflected':>14} {'gap*N^2':>10}")
 rows = []
 for N in range(5, 61, 5):
     spec = warmup(N, theta=theta, epsilon=eps)
-    g_naive = gap(spectrum(metropolis_chain(spec, "naive")))
-    g_fast = gap(spectrum(metropolis_chain(spec, "small-world")))
+    g_naive = gap(spectrum(metropolis_chain(spec, "naive").to_kernel()))
+    g_fast = gap(spectrum(metropolis_chain(spec, "small-world").to_kernel()))
     rows.append((N, g_naive, g_fast))
     print(f"{N:>4} {g_naive:>12.3e} {g_fast:>14.3e} {g_fast * N * N:>10.3f}")
 
@@ -50,7 +50,7 @@ with open(OUT / "warmup_gap_reflected.dat", "w") as fh:
 # the bottleneck of the naive chain is the cut at zero, and the exact
 # conductance matches the half-line bound pi(0)/(1 - pi(0))
 spec = warmup(8, theta=theta, epsilon=eps)
-M = metropolis_chain(spec, "naive")
+M = metropolis_chain(spec, "naive").to_kernel()
 h, members = conductance_exact(M)
 pi = M.stationary()
 print(f"\nN=8 naive conductance h = {h:.3e}")
@@ -63,7 +63,7 @@ print(f"Cheeger sandwich: {lo:.6f} <= lambda_1 = {lam1:.6f} <= {hi:.6f}")
 # decomposition bound on the reflected chain: blocks {-1,0,1}, {-i,i}
 Mf = metropolis_chain(spec, "small-world")
 b = decomposition_bound(Mf, warmup_block_partition(spec))
-print(f"\nreflected chain: Gap = {gap(spectrum(Mf)):.4f} >= "
+print(f"\nreflected chain: Gap = {gap(spectrum(Mf.to_kernel())):.4f} >= "
       f"decomposition bound {b.value:.4f}")
 print(f"  projection gap {b.projection_gap:.4f}, "
       f"worst block gap {b.min_restriction_gap:.4f}")

@@ -32,7 +32,6 @@ from .kernels import (
     check_space,
     export_kernel_text,
     metropolis_chain,
-    signed_lumped_chain,
     signed_move_table,
     unsigned_lumped_chain,
     format_label,
@@ -405,13 +404,12 @@ def cmd_simulate(command: Command, o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _chain(o: argparse.Namespace, dense: bool = True):
+def _chain(o: argparse.Namespace):
+    """The spec and the move table of the requested space."""
     spec = _spec(o, o.n, o.beta, o.k)
-    if o.space == "full":
-        return spec, metropolis_chain(spec, o.kind)
-    if o.space == "signed":
-        return spec, (signed_lumped_chain if dense else signed_move_table)(spec, o.kind)
-    return spec, unsigned_lumped_chain(spec, o.kind)
+    build = {"full": metropolis_chain, "signed": signed_move_table,
+             "unsigned": unsigned_lumped_chain}[o.space]
+    return spec, build(spec, o.kind)
 
 
 def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
@@ -419,7 +417,7 @@ def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
         # the exhaustive route is capped by a count: refuse before building
         n = check_space(_spec(o, o.n, o.beta, o.k), o.kind, o.space)
         spectral.check_conductance_states(n)
-    spec, chain = _chain(o, dense=not o.interval)  # the interval cuts read only moves
+    spec, chain = _chain(o)
     payload = {"version": VERSION, "model": asdict(spec), "kind": o.kind,
                "space": o.space, "states": chain.n}
     if o.interval:
@@ -429,7 +427,7 @@ def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
         payload["underflow"] = bool(h_up < GAP_RESOLUTION)
         payload["note"] = "interval route: upper bound on h over order cuts"
     else:
-        h, members = conductance_exact(chain)
+        h, members = conductance_exact(chain.to_kernel())
         lo, hi = cheeger_interval(h)
         payload["h"] = h
         payload["argmin_set"] = [format_label(chain.labels[i]) for i in members]
@@ -440,8 +438,8 @@ def cmd_conductance(command: Command, o: argparse.Namespace) -> int:
 
 
 def cmd_export_kernel(command: Command, o: argparse.Namespace) -> int:
-    _, kernel = _chain(o)
-    (o.out / "kernel.txt").write_text(export_kernel_text(kernel))
+    _, table = _chain(o)
+    (o.out / "kernel.txt").write_text(export_kernel_text(table.to_kernel()))
     return EXIT_OK
 
 

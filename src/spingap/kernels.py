@@ -6,10 +6,11 @@ a partition (with the 1/2 factor that makes the projection lazy),
 restrictions to a block, exact strong lumpings onto signed orbit
 classes, and their projections onto unsigned classes.
 
-Full configuration spaces are materialized as dense matrices and are
-therefore capped at a few thousand states; the class-space chains are
-the large-N route (O(N) or O(N^2) states), held as move tables that
-are made dense only on request.
+Every chain builder returns a move table (``MoveTable``): the full
+space, capped at a few thousand states, as well as the class spaces,
+the large-N route with O(N) or O(N^2) states.  A chain becomes a dense
+matrix only through ``MoveTable.to_kernel``, for the dense oracles and
+the exports.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .models import EnergyClass, ModelSpec, logsumexp
 
 CHAIN_KINDS = ("naive", "equi-energy", "small-world")
 
-#: the one cap on every dense matrix: chains, proposals, projections and
-#: the dense eigensolver; _check_dense reads it at each call
+#: the one cap on every dense matrix and on the spaces that are made dense
+#: (full space, unsigned classes), and on the dense eigensolver;
+#: _check_dense reads it at each call
 DEFAULT_MAX_STATES = 1 << 13
 
 _TINY = 1e-300
@@ -164,58 +166,89 @@ class BirthDeathChain:
         return 1.0 - self.up - self.down
 
 
-def _moves(chain: FiniteKernel | MoveTable) -> tuple:
-    """(rows, cols, vals) of the moves: a table's in table order, a dense
-    chain's off-diagonal nonzeros in row-major order."""
-    if isinstance(chain, MoveTable):
-        return chain.rows, chain.cols, chain.vals
-    xs, ys = np.nonzero(chain.P)
-    off = xs != ys
-    return xs[off], ys[off], chain.P[xs[off], ys[off]]
+def _coalesce(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, sums) of a triplet list keyed row * n + col, in row-major order.
+
+    The keys come back unique and ascending.  The stable sort keeps
+    repeated entries in the given order and np.bincount adds them
+    strictly left to right; entries that sum to exactly zero are dropped.
+    Each temporary is freed once spent, which keeps the build of a
+    full-space proposal below the size of its dense matrix.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    slot = np.cumsum(start)
+    slot -= 1
+    sums = np.bincount(slot, weights=vals)
+    del slot, vals
+    keep = sums != 0
+    return keys[start][keep], sums[keep]
+
+
+def _at(keys: np.ndarray, vals: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The value stored under each key in ``want``, 0 where there is none."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, vals[pos], 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Metropolis construction.
 # ---------------------------------------------------------------------------
 
-def _accepted(lw: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-              fwd: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """K(x,y) min(1, pi(y)K(y,x) / (pi(x)K(x,y))) per move, in log space."""
-    delta = (lw[ys] + np.log(back)) - (lw[xs] + np.log(fwd))
-    return fwd * np.exp(np.minimum(0.0, delta))
+def metropolize(proposal: MoveTable, target_log_weights: np.ndarray) -> MoveTable:
+    """Turn a proposal table into the Metropolis chain for the target.
 
-
-def metropolize(proposal: FiniteKernel, target_log_weights: np.ndarray) -> FiniteKernel:
-    """Turn a proposal chain into the Metropolis chain for the target.
-
-    Off-diagonal: M(x,y) = K(x,y) min(1, pi(y)K(y,x) / (pi(x)K(x,y))),
-    evaluated in log space; the diagonal absorbs all rejected mass.
-    Requires symmetric support: K(x,y) > 0 iff K(y,x) > 0 off-diagonal.
+    Each move keeps M(x,y) = K(x,y) min(1, pi(y)K(y,x) / (pi(x)K(x,y))),
+    evaluated in log space; the rejected mass is holding.  The proposal
+    is row-major with one move per pair, as the proposals here return
+    it, so each move's reverse is found by one binary search on the
+    sorted keys.  Requires symmetric support: K(x,y) > 0 iff K(y,x) > 0.
     """
     lw = np.asarray(target_log_weights, dtype=float)
-    K = proposal.P
     n = proposal.n
     if lw.shape != (n,):
         raise ValueError(f"target weights have shape {lw.shape}, expected ({n},)")
-    xs, ys, fwd = _moves(proposal)
-    back = K[ys, xs]
+    xs, ys, fwd = proposal.rows, proposal.cols, proposal.vals
+    keys = xs * n + ys
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("a proposal table must be row-major with one move per pair")
+    back = _at(keys, fwd, ys * n + xs)
     bad = np.flatnonzero(back == 0.0)
     if bad.size:
-        row = xs == xs[bad[0]]
-        x, y = int(xs[bad[0]]), int(ys[row][np.argmin(back[row])])
+        x, y = int(xs[bad[0]]), int(ys[bad[0]])
         raise SupportError(f"K({x},{y}) > 0 but K({y},{x}) = 0")
-    M = np.zeros_like(K)
-    M[xs, ys] = _accepted(lw, xs, ys, fwd, back)
-    diag = 1.0 - M.sum(axis=1)
-    np.fill_diagonal(M, np.maximum(diag, 0.0))
-    return FiniteKernel(labels=proposal.labels, log_pi=lw.copy(), P=M)
+    delta = (lw[ys] + np.log(back)) - (lw[xs] + np.log(fwd))
+    return replace(proposal, log_pi=lw.copy(), vals=fwd * np.exp(np.minimum(0.0, delta)))
 
 
 # ---------------------------------------------------------------------------
 # Full-space proposal chains.
 # ---------------------------------------------------------------------------
 
-def single_flip_proposal(spec: ModelSpec) -> FiniteKernel:
+def _proposal(labels: tuple, flip: np.ndarray, moves) -> MoveTable:
+    """The proposal of the (rows, cols, vals) move groups, row-major, one move per pair.
+
+    Repeated moves add up in group order.  The groups hold no
+    self-moves: that mass is holding.  ``moves`` may be a generator, so
+    that no group outlives its copy into the table.
+    """
+    n = len(labels)
+    keys, vals = [], []
+    for rows, cols, v in moves:
+        keys.append(rows * n + cols)
+        vals.append(v)
+    keys = np.concatenate(keys)
+    vals = np.concatenate(vals)
+    keys, vals = _coalesce(keys, vals)
+    rows, cols = np.divmod(keys, n)
+    return MoveTable(labels=labels, log_pi=np.zeros(n), rows=rows, cols=cols, vals=vals,
+                     flip=flip)
+
+
+def single_flip_proposal(spec: ModelSpec) -> MoveTable:
     """The local proposal on the full space.
 
     ising: flip one of N coordinates, weight 1/N each.
@@ -225,24 +258,18 @@ def single_flip_proposal(spec: ModelSpec) -> FiniteKernel:
     """
     n = check_space(spec, "naive", "full")
     if spec.kind == "warmup":
-        return _warmup_proposal(spec, None).to_kernel()
+        return _warmup_proposal(spec, None)
     states = models.enumerate_states(spec)
     labels = tuple(tuple(int(v) for v in x) for x in states)
-    P = np.zeros((n, n))
     idx = np.arange(n)
     if spec.kind == "ising":
-        for j in range(spec.N):
-            P[idx, idx ^ (1 << j)] += 1.0 / spec.N
+        moves = [(idx, idx ^ (1 << j), np.full(n, 1.0 / spec.N)) for j in range(spec.N)]
     else:
         pow3 = 3 ** np.arange(spec.N)
         digits = (idx[:, None] // pow3[None, :]) % 3
-        for j in range(spec.N):
-            d = digits[:, j]
-            upd = ((d + 1) % 3 - d) * pow3[j]
-            dnd = ((d - 1) % 3 - d) * pow3[j]
-            np.add.at(P, (idx, idx + upd), 1.0 / (2 * spec.N))
-            np.add.at(P, (idx, idx + dnd), 1.0 / (2 * spec.N))
-    return FiniteKernel(labels=labels, log_pi=np.zeros(n), P=P)
+        moves = [(idx, idx + ((d + step) % 3 - d) * pow3[j], np.full(n, 1.0 / (2 * spec.N)))
+                 for j, d in enumerate(digits.T) for step in (1, -1)]
+    return _proposal(labels, _negation_indices(spec, n), moves)
 
 
 def _negation_indices(spec: ModelSpec, n: int) -> np.ndarray:
@@ -254,39 +281,44 @@ def _negation_indices(spec: ModelSpec, n: int) -> np.ndarray:
     return ((2 - digits) * pow3).sum(axis=1)
 
 
-def equi_energy_proposal(spec: ModelSpec) -> FiniteKernel:
+def equi_energy_proposal(spec: ModelSpec) -> MoveTable:
     """Mixture proposal with orbit jumps (ising and beg).
 
     On zero-magnetization classes: p1 * local + (1-p1) * uniform on the
     class.  Elsewhere: p1 * local + p2 * global flip + (1-p1-p2) *
     uniform on the signed class.  The uniform component includes the
-    current state.
+    current state, whose share is holding.  Where a local move and the
+    global flip reach the same state, their masses add up.
     """
     check_chain(spec, "equi-energy")
     p1, p2 = spec.p1, spec.p2
     base = single_flip_proposal(spec)
-    n = base.n
-    neg = _negation_indices(spec, n)
+    neg = base.flip
     parts = partition_by(signed_class_keys(spec))
-    P = p1 * base.P
-    for key, g in zip(parts.labels, parts.blocks):
-        s_val = key[0] if spec.kind == "beg" else key
-        if s_val == 0:
-            P[np.ix_(g, g)] += (1.0 - p1) / len(g)
-        else:
-            P[np.ix_(g, g)] += (1.0 - p1 - p2) / len(g)
-            P[g, neg[g]] += p2
-    return FiniteKernel(labels=base.labels, log_pi=np.zeros(n), P=P)
+
+    def moves():
+        yield base.rows, base.cols, p1 * base.vals
+        for key, g in zip(parts.labels, parts.blocks):
+            s_val = key[0] if spec.kind == "beg" else key
+            mass = 1.0 - p1 if s_val == 0 else 1.0 - p1 - p2
+            k = len(g)
+            # every pair of distinct class members, row by row
+            yield (np.repeat(g, k - 1), np.tile(g, (k, 1))[~np.eye(k, dtype=bool)],
+                   np.full(k * (k - 1), mass / k))
+            if s_val != 0:
+                yield g, neg[g], np.full(k, p2)
+
+    return _proposal(base.labels, neg, moves())
 
 
-def small_world_proposal(spec: ModelSpec) -> FiniteKernel:
+def small_world_proposal(spec: ModelSpec) -> MoveTable:
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
     check_space(spec, "small-world", "full")
-    return _warmup_proposal(spec, spec.epsilon).to_kernel()
+    return _warmup_proposal(spec, spec.epsilon)
 
 
-def metropolis_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
-    """Materialized Metropolis chain of the requested kind on the full space."""
+def metropolis_chain(spec: ModelSpec, kind: str) -> MoveTable:
+    """The Metropolis chain of the requested kind on the full space, as a move table."""
     check_chain(spec, kind)
     if kind == "naive":
         proposal = single_flip_proposal(spec)
@@ -320,40 +352,38 @@ def check_space(spec: ModelSpec, kind: str, space: str) -> int:
 # Projection, restriction, lumping.
 # ---------------------------------------------------------------------------
 
-def lumped_projection(chain: FiniteKernel | MoveTable, parts: Partition) -> FiniteKernel:
+def lumped_projection(chain: MoveTable, parts: Partition) -> MoveTable:
     """Projection chain on the blocks, with the explicit 1/2 factor.
 
     P_H(i,j) = (1 / 2 p(A_i)) sum_{x in A_i, y in A_j} P(x,y) p(x) for
     i != j; the factor 1/2 makes the projection lazy and is kept exactly
     as defined, since the class chains embed it.  Stationary weights are
-    the block masses.  A move table is projected from its triplets and
-    never made dense; the m x m result is, so more than
-    DEFAULT_MAX_STATES blocks are refused before it is allocated.
+    the block masses.  The table is projected from its triplets; the
+    result is the table of its block pairs in row-major order, with the
+    identity as its flip.
     """
     lw = chain.log_pi
     sizes = [len(b) for b in parts.blocks]
     if sum(sizes) != chain.n:
         raise ValueError("partition does not cover the kernel's state set")
     m = parts.m
-    _check_dense(m, "blocks")
     block = np.empty(chain.n, dtype=np.intp)
     block[np.concatenate(parts.blocks)] = np.repeat(np.arange(m), sizes)
     top = np.full(m, -np.inf)
     np.maximum.at(top, block, lw)
     log_pi_H = top + np.log(np.bincount(block, weights=np.exp(lw - top[block]), minlength=m))
     share = np.exp(lw - log_pi_H[block])  # p(x) / p(A_i) for x in A_i
-    xs, ys, vals = _moves(chain)
-    cross = block[xs] != block[ys]
-    xs, ys, vals = xs[cross], ys[cross], vals[cross]
+    cross = block[chain.rows] != block[chain.cols]
+    xs, ys, vals = chain.rows[cross], chain.cols[cross], chain.vals[cross]
     # sum each block pair's run pairwise (reduceat): a sequential bincount
     # loses tens of ulps on blocks of a hundred states or more
     key = block[xs] * m + block[ys]
     order = np.argsort(key, kind="stable")
     pairs, starts = np.unique(key[order], return_index=True)
-    H = np.zeros((m, m))
-    H.flat[pairs] = 0.5 * np.add.reduceat((share[xs] * vals)[order], starts)
-    np.fill_diagonal(H, 1.0 - H.sum(axis=1))
-    return FiniteKernel(labels=parts.labels, log_pi=log_pi_H, P=H)
+    rows, cols = np.divmod(pairs, m)
+    return MoveTable(labels=parts.labels, log_pi=log_pi_H, rows=rows, cols=cols,
+                     vals=0.5 * np.add.reduceat((share[xs] * vals)[order], starts),
+                     flip=np.arange(m))
 
 
 def restriction(kernel: FiniteKernel, block: Sequence[int]) -> FiniteKernel:
@@ -395,12 +425,14 @@ def warmup_block_partition(spec: ModelSpec) -> Partition:
 
 @dataclass(frozen=True)
 class MoveTable:
-    """A chain on signed classes as triplets: P(rows[k], cols[k]) += vals[k].
+    """A chain as triplets: P(rows[k], cols[k]) += vals[k].
 
-    Only the moves are listed (a target may repeat); the holding mass
-    1 - sum of the row is implied.  ``flip`` maps each state to its
-    mirror image under the global flip J: x -> -x, which every chain
-    here commutes with.
+    Every chain builder returns one, on the full space as on the class
+    spaces.  Only the moves are listed (a target may repeat); the
+    holding mass 1 - sum of the row is implied.  ``flip`` maps each
+    state to its mirror image under the global flip J: x -> -x, which
+    every chain here commutes with; on the unsigned classes, where J
+    acts trivially, it is the identity.
     """
 
     labels: tuple
@@ -487,11 +519,11 @@ def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
 
 
 def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:
-    """The warmup proposal on -N..N, its moves in row-major order.
+    """The warmup proposal on -N..N.
 
     The +-1 walk with mass (1-eps)/2 each way (1/2 for eps None, the
-    plain walk), plus the reflection x -> -x with mass eps for x != 0;
-    x = 0 reflects onto itself, which is holding.
+    plain walk), plus the reflection x -> -x with mass eps; x = 0
+    reflects onto itself, which is holding.
     """
     n = 2 * spec.N + 1
     idx = np.arange(n)
@@ -501,18 +533,7 @@ def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:
     if eps is not None:
         x = np.flatnonzero(idx != spec.N)
         moves.append((x, n - 1 - x, np.full(n - 1, eps)))
-    rows, cols, vals = (np.concatenate(part) for part in zip(*moves))
-    order = np.lexsort((cols, rows))
-    return MoveTable(labels=tuple(range(-spec.N, spec.N + 1)), log_pi=np.zeros(n),
-                     rows=rows[order], cols=cols[order], vals=vals[order], flip=idx[::-1].copy())
-
-
-def _warmup_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    proposal = _warmup_proposal(spec, spec.epsilon if kind == "small-world" else None)
-    lw = models.log_weights_all(spec)
-    # the proposal is symmetric: each move's reverse has the same mass
-    vals = _accepted(lw, proposal.rows, proposal.cols, proposal.vals, proposal.vals)
-    return replace(proposal, log_pi=lw, vals=vals)
+    return _proposal(tuple(range(-spec.N, spec.N + 1)), idx[::-1].copy(), moves)
 
 
 def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
@@ -527,7 +548,8 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     """
     check_space(spec, kind, "signed")
     if spec.kind == "warmup":
-        return _warmup_moves(spec, kind)
+        proposal = _warmup_proposal(spec, spec.epsilon if kind == "small-world" else None)
+        return metropolize(proposal, models.log_weights_all(spec))
     if spec.kind == "ising":
         return _ising_moves(spec, kind)
     return _beg_moves(spec, kind)
@@ -538,7 +560,7 @@ def signed_lumped_chain(spec: ModelSpec, kind: str = "equi-energy") -> FiniteKer
     return signed_move_table(spec, kind).to_kernel()
 
 
-def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
+def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> MoveTable:
     """Projection of ``signed_move_table`` onto the flip orbits {x, -x}.
 
     The orbits are the unsigned classes (|S| for ising, (|S|, R) for
@@ -561,8 +583,8 @@ def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> FiniteKernel:
 def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:
     """Projection of the equi-energy ising chain onto |S|, as a birth-death chain.
 
-    Read off the two off-diagonals of ``unsigned_lumped_chain``.  In
-    closed form the rates on {0, 2, ..., N} are
+    Read off the two off-diagonals of ``unsigned_lumped_chain``'s table.
+    In closed form the rates on {0, 2, ..., N} are
         up(0)   = p1/2
         up(i)   = (p1/4) (N-i)/N
         down(i) = (p1/4) ((N+i)/N) exp(2 beta (1-i)/N)
@@ -571,12 +593,14 @@ def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:
     if spec.kind != "ising":
         raise ValueError("ising only")
     chain = unsigned_lumped_chain(spec, "equi-energy")
-    return BirthDeathChain(up=np.append(np.diag(chain.P, 1), 0.0),
-                           down=np.insert(np.diag(chain.P, -1), 0, 0.0),
-                           log_pi=chain.log_pi, labels=chain.labels)
+    up, down = np.zeros(chain.n), np.zeros(chain.n)
+    step = chain.cols - chain.rows
+    up[chain.rows[step == 1]] = chain.vals[step == 1]
+    down[chain.rows[step == -1]] = chain.vals[step == -1]
+    return BirthDeathChain(up=up, down=down, log_pi=chain.log_pi, labels=chain.labels)
 
 
-def beg_lumped(spec: ModelSpec) -> FiniteKernel:
+def beg_lumped(spec: ModelSpec) -> MoveTable:
     """Projection of the equi-energy beg chain onto the unsigned classes (|s|, r).
 
     This is ``unsigned_lumped_chain``, the authoritative chain: by strong

@@ -43,9 +43,9 @@ alone.
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
 path bound, the Gershgorin bound, and the asymptotic variance.  The
-log-space cut takes a move table, the interval cuts a move table or a
-dense chain, whose moves they read in O(nnz), and the Gershgorin bound
-a birth--death chain.
+log-space cut and the interval cuts take a move table, whose moves they
+read in O(nnz), the decomposition bound a move table that it makes
+dense once, and the Gershgorin bound a birth--death chain.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -66,8 +66,9 @@ from .kernels import (
     FiniteKernel,
     MoveTable,
     Partition,
+    _at,
     _check_dense,
-    _moves,
+    _coalesce,
     lumped_projection,
     restriction,
 )
@@ -224,30 +225,6 @@ class SectorSpectrum:
         return 1.0 - max(self.lambda1, abs(self.lambda_min))
 
 
-def _coalesce(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, sums) of an n x n triplet list in canonical row-major order.
-
-    keys = row * n + col, ascending.  The stable sort keeps repeated
-    entries in the given order and np.bincount adds them strictly left
-    to right; entries that sum to exactly zero are dropped.
-    """
-    keys = rows * n + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = np.ones(len(keys), dtype=bool)
-    start[1:] = keys[1:] != keys[:-1]
-    sums = np.bincount(np.cumsum(start) - 1, weights=vals[order])
-    keep = sums != 0
-    return keys[start][keep], sums[keep]
-
-
-def _at(keys: np.ndarray, vals: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The value stored under each key in ``want``, 0 where there is none."""
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[pos] == want, vals[pos], 0.0)
-
-
 def _mismatch(x: np.ndarray, y: np.ndarray) -> float:
     """Largest |x - y| / max(|x|, |y|) over the pairs that differ, 0 if none."""
     d = np.abs(x - y)
@@ -269,10 +246,9 @@ def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.nda
     is not finite raises ValueError.
     """
     m = int(starts[-1])
-    keys, vals = _coalesce(rows, cols, vals, m)
+    keys, vals = _coalesce(rows * m + cols, vals)
     rows, cols = np.divmod(keys, m)
-    keys, vals = _coalesce(np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-                           np.concatenate([vals, vals]), m)
+    keys, vals = _coalesce(np.concatenate([keys, cols * m + rows]), np.concatenate([vals, vals]))
     vals = vals * 0.5
     if not np.isfinite(vals).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -316,7 +292,7 @@ def _symmetrization(table: MoveTable) -> tuple:
     hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
     lw = table.log_pi
     vals = np.concatenate([table.vals, hold]) * np.exp(0.5 * (lw[rows] - lw[cols]))
-    keys, s = _coalesce(rows, cols, vals, n)
+    keys, s = _coalesce(rows * n + cols, vals)
     rows, cols = np.divmod(keys, n)
     s_rev = _at(keys, s, cols * n + rows)
     _check_reversible(_mismatch(s, s_rev))
@@ -690,7 +666,7 @@ def conductance_exact(kernel: FiniteKernel) -> tuple[float, tuple]:
     return h, members
 
 
-def interval_conductance(chain: FiniteKernel | MoveTable) -> tuple[float, int]:
+def interval_conductance(table: MoveTable) -> tuple[float, int]:
     """Bottleneck over the n-1 interval cuts in the chain's state order.
 
     Cut k has the ratio flow(k) / min(m_k, 1 - m_k), m_k the mass of the
@@ -700,12 +676,12 @@ def interval_conductance(chain: FiniteKernel | MoveTable) -> tuple[float, int]:
     carries pi(x)P(x,y)/2 across the cuts min(x, y) <= k < max(x, y).
     Returns (bound, the first minimizing k).
     """
-    n = chain.n
+    n = table.n
     if n < 2:
         raise ValueError("conductance needs at least two states")
-    pi = np.exp(chain.log_pi - logsumexp(chain.log_pi))
-    xs, ys, vals = _moves(chain)
-    q = 0.5 * pi[xs] * vals
+    pi = np.exp(table.log_pi - logsumexp(table.log_pi))
+    xs, ys = table.rows, table.cols
+    q = 0.5 * pi[xs] * table.vals
     lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
     flow = np.cumsum(np.bincount(lo, weights=q, minlength=n)
                      - np.bincount(hi, weights=q, minlength=n))[:-1]
@@ -742,7 +718,7 @@ def cut_bottleneck_log(table: MoveTable, subset: Sequence[int]) -> float:
     if log_mass - log_comp > 4 * math.ulp(max(abs(log_mass), abs(log_comp))):
         raise ValueError("subset carries more than half the stationary mass")
     cross = inA[table.rows] & ~inA[table.cols]
-    keys, flow = _coalesce(table.rows[cross], table.cols[cross], table.vals[cross], n)
+    keys, flow = _coalesce(table.rows[cross] * n + table.cols[cross], table.vals[cross])
     if not keys.size:
         return -math.inf
     # math.log, not np.log: the SIMD log differs in the last bit on some values
@@ -771,14 +747,15 @@ class DecompositionBound:
     restriction_gaps: tuple
 
 
-def decomposition_bound(kernel: FiniteKernel, parts: Partition) -> DecompositionBound:
-    """Evaluate the decomposition lower bound for the given partition."""
-    H = lumped_projection(kernel, parts)
-    gap_H = gap(spectrum(H))
-    gaps = []
-    for block in parts.blocks:
-        R = restriction(kernel, block)
-        gaps.append(gap(spectrum(R)))
+def decomposition_bound(table: MoveTable, parts: Partition) -> DecompositionBound:
+    """Evaluate the decomposition lower bound for the given partition.
+
+    The projection is taken on the table's moves; the chain is made
+    dense once, for its restrictions to the blocks.
+    """
+    gap_H = gap(spectrum(lumped_projection(table, parts).to_kernel()))
+    kernel = table.to_kernel()
+    gaps = [gap(spectrum(restriction(kernel, block))) for block in parts.blocks]
     min_gap = min(gaps)
     return DecompositionBound(
         value=0.5 * gap_H * min_gap,

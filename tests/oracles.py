@@ -253,8 +253,11 @@ def bd_detailed_balance_error(chain: BirthDeathChain) -> float:
 
 
 def kernel_table(kernel: FiniteKernel) -> MoveTable:
-    """A dense chain as a move table: its nonzeros as triplets, the flip the identity."""
+    """A dense chain as a move table: its off-diagonal nonzeros as triplets in
+    row-major order, the flip the identity."""
     rows, cols = np.nonzero(kernel.P)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
     return MoveTable(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
                      vals=kernel.P[rows, cols], flip=np.arange(kernel.n))
 
@@ -306,9 +309,9 @@ def unsigned_class_partition(spec: ModelSpec) -> Partition:
 
 def unsigned_lumping_deviation(spec: ModelSpec) -> float:
     """Max |derived - direct lumping| over the unsigned equi-energy projection."""
-    derived = unsigned_lumped_chain(spec, "equi-energy")
+    derived = unsigned_lumped_chain(spec, "equi-energy").to_kernel()
     full = metropolis_chain(spec, "equi-energy")
-    direct = lumped_projection(full, unsigned_class_partition(spec))
+    direct = lumped_projection(full, unsigned_class_partition(spec)).to_kernel()
     return float(np.abs(derived.P - direct.P).max())
 
 
@@ -318,7 +321,7 @@ def signed_containment(spec: ModelSpec, kind: str) -> dict:
     Returns the one-sided Hausdorff distance, both gaps, and whether the
     gaps agree to 1e-10 (recorded, not required).
     """
-    full = metropolis_chain(spec, kind)
+    full = metropolis_chain(spec, kind).to_kernel()
     lump = signed_lumped_chain(spec, kind)
     s_full = spectrum(full)
     s_lump = spectrum(lump)
@@ -435,7 +438,7 @@ def beg_rate_discrepancies(spec: ModelSpec) -> list[RateDiscrepancy]:
     with annotated=None is an unexplained defect and should fail any
     audit that sees it.
     """
-    auth = beg_lumped(spec)
+    auth = beg_lumped(spec).to_kernel()
     tab = beg_lumped_tabulated(spec)
     out = []
     n = auth.n

@@ -39,6 +39,7 @@ from oracles import (
     bd_kernel,
     beg_rate_discrepancies,
     check_kernel,
+    kernel_table,
     sample_uniform_class,
     unsigned_class_partition,
 )
@@ -57,10 +58,10 @@ def test_criterion_01_kernel_correctness():
               for N in (2, 4, 6)]
     for spec, kinds in grids:
         for kind in kinds:
-            M = metropolis_chain(spec, kind)
+            M = metropolis_chain(spec, kind).to_kernel()
             check_kernel(M, 1e-12)
             if kind == "equi-energy":
-                K = equi_energy_proposal(spec)
+                K = equi_energy_proposal(spec).to_kernel()
                 keys = kernels.signed_class_keys(spec)
                 same = np.equal.outer(keys, keys) if spec.kind == "ising" else \
                     np.array([[a == b for b in keys] for a in keys])
@@ -118,13 +119,13 @@ def test_criterion_03_signed_lumping_containment():
 
 
 def _cheeger_grid():
-    yield metropolis_chain(warmup(6, theta=2.0, epsilon=0.3), "small-world")
-    yield metropolis_chain(warmup(8, theta=1.5), "naive")
-    yield metropolis_chain(ising(4, beta=1.0, p1=0.5, p2=0.25), "equi-energy")
-    yield metropolis_chain(ising(4, beta=2.5), "naive")
+    yield metropolis_chain(warmup(6, theta=2.0, epsilon=0.3), "small-world").to_kernel()
+    yield metropolis_chain(warmup(8, theta=1.5), "naive").to_kernel()
+    yield metropolis_chain(ising(4, beta=1.0, p1=0.5, p2=0.25), "equi-energy").to_kernel()
+    yield metropolis_chain(ising(4, beta=2.5), "naive").to_kernel()
     yield signed_lumped_chain(ising(20, beta=2.0, p1=0.5, p2=0.25), "equi-energy")
     yield signed_lumped_chain(ising(22, beta=0.5), "naive")
-    yield beg_lumped(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25))
+    yield beg_lumped(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25)).to_kernel()
     yield signed_lumped_chain(beg(4, beta=1.5, K=2.0, p1=0.5, p2=0.25), "equi-energy")
     yield bd_kernel(ising_lumped_bd(ising(24, beta=1.0, p1=0.5, p2=0.25)))
 
@@ -146,10 +147,10 @@ def test_criterion_04_cheeger_sandwich():
 def test_criterion_05_decomposition_bound_audit():
     pairs = 0
 
-    def audit(kernel, parts):
+    def audit(table, parts):
         nonlocal pairs
-        b = decomposition_bound(kernel, parts)
-        g = gap(spectrum(kernel))
+        b = decomposition_bound(table, parts)
+        g = gap(spectrum(table.to_kernel()))
         assert g >= b.value - 1e-10
         pairs += 1
 
@@ -165,14 +166,14 @@ def test_criterion_05_decomposition_bound_audit():
             audit(metropolis_chain(spec, "equi-energy"), unsigned_class_partition(spec))
     # sign partitions of restricted orbit chains
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     for i in (2, 4, 6):
         block = np.flatnonzero(np.abs(S) == i)
         R = restriction(M, block)
         signs = [1 if S[j] > 0 else -1 for j in block]
-        audit(R, partition_by(signs))
+        audit(kernel_table(R), partition_by(signs))
     # beg: full-space energy partition and the quadrupole-row partition
     for (beta_, K_) in ((1.0, 1.0), (1.5, 2.0)):
         bspec = beg(4, beta=beta_, K=K_, p1=0.5, p2=0.25)
@@ -190,7 +191,7 @@ def test_criterion_05_decomposition_bound_audit():
         P = F / F.sum(axis=1, keepdims=True)
         Kr = kernels.FiniteKernel(labels=tuple(range(9)),
                                   log_pi=np.log(F.sum(axis=1)), P=P)
-        audit(Kr, partition_by([i % 3 for i in range(9)]))
+        audit(kernel_table(Kr), partition_by([i % 3 for i in range(9)]))
     assert pairs >= 20
     print(f"\n  audited {pairs} (kernel, partition) pairs")
     _report(5, "decomposition bound audit")
@@ -294,7 +295,7 @@ def test_criterion_11_avar_consistency():
 
     # small ising chain, f = S/N
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     states = models.enumerate_states(spec)
     f = states.sum(axis=1) / spec.N
     res = avar_spectral(M, f)

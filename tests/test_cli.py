@@ -503,6 +503,21 @@ def test_trace_streams_to_disk(tmp_path):
     assert peak < 5e6  # the 45000 rows held in memory until the end took 16 MB
 
 
+def test_full_space_interval_conductance_makes_no_dense_matrix(tmp_path):
+    # BEG N=6 has 729 states; the interval cuts read the move table, whose
+    # build peaks below one dense 729 x 729 matrix
+    n = 3 ** 6
+    tracemalloc.start()
+    try:
+        assert main(["conductance", "--model", "beg", "--n", "6", "--beta", "1", "--k", "1",
+                     "--interval", "--out", str(tmp_path)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "conductance.json").read_text())["states"] == n
+    assert peak < 8 * n * n
+
+
 def test_a_run_refused_before_its_first_step_writes_no_trace(tmp_path, capsys):
     rc = main(["simulate", "--model", "ising", "--n", "8", "--beta", "1", "--observable",
                "quad", "--trace", "--out", str(tmp_path)])
@@ -658,7 +673,7 @@ def test_exhaustive_conductance_refuses_before_building(monkeypatch, tmp_path, c
     def build(*args, **kwargs):
         raise AssertionError("a chain was built")
 
-    for name in ("metropolis_chain", "signed_lumped_chain", "unsigned_lumped_chain"):
+    for name in ("metropolis_chain", "signed_move_table", "unsigned_lumped_chain"):
         monkeypatch.setattr(cli, name, build)
     rc = main(["conductance", *args.split(), "--out", str(tmp_path)])
     assert rc == EXIT_USAGE

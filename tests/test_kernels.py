@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -38,6 +39,7 @@ from oracles import (
     beg_lumped_tabulated,
     beg_rate_discrepancies,
     check_kernel,
+    kernel_table,
     row_sum_error,
     unsigned_class_partition,
     unsigned_lumping_deviation,
@@ -61,7 +63,7 @@ def test_metropolize_uniform_target_keeps_symmetric_proposal():
     np.fill_diagonal(A, 1 - A.sum(axis=1))
     prop = FiniteKernel(labels=tuple(range(5)), log_pi=np.zeros(5), P=A)
     check_kernel(prop, 1e-12)
-    M = metropolize(prop, np.zeros(5))
+    M = metropolize(kernel_table(prop), np.zeros(5)).to_kernel()
     assert np.allclose(M.P, A, atol=1e-15)
 
 
@@ -69,7 +71,7 @@ def test_metropolize_two_state_hand_value():
     # target (2/3, 1/3), symmetric flip-prob 1: M(0,1)=1/2, M(1,0)=1
     prop = FiniteKernel(labels=(0, 1), log_pi=np.zeros(2),
                         P=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    M = metropolize(prop, np.log([2 / 3, 1 / 3]))
+    M = metropolize(kernel_table(prop), np.log([2 / 3, 1 / 3])).to_kernel()
     assert M.P[0, 1] == pytest.approx(0.5, abs=1e-15)
     assert M.P[1, 0] == pytest.approx(1.0, abs=1e-15)
     check_kernel(M, 1e-12)
@@ -77,8 +79,8 @@ def test_metropolize_two_state_hand_value():
 
 def test_metropolize_beta_zero_is_plain_walk():
     spec = ising(4, beta=0.0)
-    M = metropolis_chain(spec, "naive")
-    walk = single_flip_proposal(spec)
+    M = metropolis_chain(spec, "naive").to_kernel()
+    walk = single_flip_proposal(spec).to_kernel()
     assert np.allclose(M.P, walk.P, atol=1e-15)
 
 
@@ -87,14 +89,28 @@ def test_metropolize_idempotent_on_target_reversible_chains():
     spec = ising(6, beta=1.5, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
     again = metropolize(M, M.log_pi)
-    assert np.allclose(again.P, M.P, atol=1e-14)
+    assert np.allclose(again.to_kernel().P, M.to_kernel().P, atol=1e-14)
 
 
 def test_metropolize_rejects_asymmetric_support():
     P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     prop = FiniteKernel(labels=(0, 1, 2), log_pi=np.zeros(3), P=P)
     with pytest.raises(SupportError):
-        metropolize(prop, np.zeros(3))
+        metropolize(kernel_table(prop), np.zeros(3))
+
+
+def test_metropolize_refuses_a_table_out_of_row_major_order():
+    # each reverse move is found by binary search, which needs sorted keys
+    table = metropolis_chain(ising(4, beta=1.0), "naive")
+    order = np.argsort(table.cols, kind="stable")
+    shuffled = dataclasses.replace(table, rows=table.rows[order], cols=table.cols[order],
+                                   vals=table.vals[order])
+    with pytest.raises(ValueError, match="row-major with one move per pair"):
+        metropolize(shuffled, table.log_pi)
+    repeated = dataclasses.replace(table, rows=np.repeat(table.rows, 2),
+                                   cols=np.repeat(table.cols, 2), vals=np.repeat(table.vals, 2))
+    with pytest.raises(ValueError, match="row-major with one move per pair"):
+        metropolize(repeated, table.log_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +119,7 @@ def test_metropolize_rejects_asymmetric_support():
 
 def test_single_flip_ising_small():
     spec = ising(2, beta=1.0)
-    K = single_flip_proposal(spec)
+    K = single_flip_proposal(spec).to_kernel()
     i = K.labels.index((1, 1))
     a = K.labels.index((-1, 1))
     b = K.labels.index((1, -1))
@@ -115,7 +131,7 @@ def test_single_flip_ising_small():
 def test_single_flip_beg_wraparound():
     # x_j = 1 plus-move wraps to -1; x_j = -1 minus-move wraps to +1
     spec = beg(2, beta=1.0, K=1.0)
-    K = single_flip_proposal(spec)
+    K = single_flip_proposal(spec).to_kernel()
     x = K.labels.index((1, 0))
     targets = {
         (-1, 0): 0.25,  # 1+1 = 2 -> -1
@@ -129,7 +145,7 @@ def test_single_flip_beg_wraparound():
 
 def test_single_flip_warmup_boundaries():
     spec = warmup(3, theta=2.0)
-    K = single_flip_proposal(spec)
+    K = single_flip_proposal(spec).to_kernel()
     assert K.P[0, 0] == pytest.approx(0.5)
     assert K.P[0, 1] == pytest.approx(0.5)
     mid = K.labels.index(0)
@@ -139,7 +155,7 @@ def test_single_flip_warmup_boundaries():
 
 def test_equi_energy_proposal_masses():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
-    K = equi_energy_proposal(spec)
+    K = equi_energy_proposal(spec).to_kernel()
     x = K.labels.index((1, 1, 1, -1))   # S = 2
     minus_x = K.labels.index((-1, -1, -1, 1))
     assert K.P[x, minus_x] == pytest.approx(spec.p2, abs=1e-15)
@@ -158,8 +174,9 @@ def test_equi_energy_proposal_masses():
 def test_equi_energy_within_class_acceptance_is_one():
     # metropolize must leave orbit-jump and global-flip entries unchanged
     spec = ising(6, beta=2.0, p1=0.4, p2=0.3)
-    K = equi_energy_proposal(spec)
-    M = metropolize(K, models.log_weights_all(spec))
+    table = equi_energy_proposal(spec)
+    M = metropolize(table, models.log_weights_all(spec)).to_kernel()
+    K = table.to_kernel()
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     same_class = np.equal.outer(S, S)
@@ -173,7 +190,7 @@ def test_equi_energy_within_class_acceptance_is_one():
 
 def test_small_world_proposal_masses():
     spec = warmup(5, theta=2.0, epsilon=0.2)
-    K = small_world_proposal(spec)
+    K = small_world_proposal(spec).to_kernel()
     x = K.labels.index(3)
     assert K.P[x, K.labels.index(-3)] == pytest.approx(0.2)
     assert K.P[x, K.labels.index(2)] == pytest.approx(0.4)
@@ -192,7 +209,7 @@ def test_small_world_proposal_masses():
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_ising_kernels_valid(N, kind):
     spec = ising(N, beta=1.5, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, kind)
+    M = metropolis_chain(spec, kind).to_kernel()
     check_kernel(M, 1e-12)
 
 
@@ -200,14 +217,14 @@ def test_ising_kernels_valid(N, kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_beg_kernels_valid(N, kind):
     spec = beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, kind)
+    M = metropolis_chain(spec, kind).to_kernel()
     check_kernel(M, 1e-12)
 
 
 @pytest.mark.parametrize("kind", ["naive", "small-world"])
 def test_warmup_kernels_valid(kind):
     spec = warmup(8, theta=2.0, epsilon=0.3)
-    M = metropolis_chain(spec, kind)
+    M = metropolis_chain(spec, kind).to_kernel()
     check_kernel(M, 1e-12)
 
 
@@ -219,7 +236,7 @@ def test_lumped_projection_one_block():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
     parts = Partition(blocks=(np.arange(M.n),), labels=("all",))
-    H = lumped_projection(M, parts)
+    H = lumped_projection(M, parts).to_kernel()
     assert H.P.shape == (1, 1)
     assert H.P[0, 0] == pytest.approx(1.0)
 
@@ -229,24 +246,24 @@ def test_lumped_projection_singletons_gives_lazy_chain():
     M = metropolis_chain(spec, "small-world")
     parts = Partition(blocks=tuple(np.array([i]) for i in range(M.n)),
                       labels=tuple(range(M.n)))
-    H = lumped_projection(M, parts)
-    assert np.allclose(H.P, 0.5 * (M.P + np.eye(M.n)), atol=1e-14)
+    H = lumped_projection(M, parts).to_kernel()
+    assert np.allclose(H.P, 0.5 * (M.to_kernel().P + np.eye(M.n)), atol=1e-14)
 
 
 def test_lumped_projection_preserves_measure_and_reversibility():
     spec = beg(4, beta=1.2, K=0.8, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
     parts = unsigned_class_partition(spec)
-    H = lumped_projection(M, parts)
+    H = lumped_projection(M, parts).to_kernel()
     check_kernel(H, 1e-12)
-    pi = M.stationary()
+    pi = M.to_kernel().stationary()
     pushforward = np.array([pi[b].sum() for b in parts.blocks])
     assert np.allclose(H.stationary(), pushforward, atol=1e-12)
 
 
 def test_restriction_whole_space_is_identity_operation():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     R = restriction(M, np.arange(M.n))
     assert np.allclose(R.P, M.P, atol=0)
 
@@ -254,7 +271,7 @@ def test_restriction_whole_space_is_identity_operation():
 def test_restriction_signed_class_is_lazy_uniform():
     # restricted chain on a signed class: (1-p1-p2) * uniform + (p1+p2) * identity
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(S == 2)
@@ -267,13 +284,13 @@ def test_restriction_signed_class_is_lazy_uniform():
 def test_sign_chain_two_by_two():
     # lump the restriction to X_i over {+,-}: off-diagonal p2/2
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
     R = restriction(M, block)
     signs = [1 if S[i] > 0 else -1 for i in block]
-    H = lumped_projection(R, partition_by(signs))
+    H = lumped_projection(kernel_table(R), partition_by(signs)).to_kernel()
     assert H.P[0, 1] == pytest.approx(spec.p2 / 2, abs=1e-14)
     assert H.P[1, 0] == pytest.approx(spec.p2 / 2, abs=1e-14)
 
@@ -285,7 +302,7 @@ def test_warmup_projection_matches_displayed_rates():
     spec = warmup(6, theta=theta, epsilon=eps)
     M = metropolis_chain(spec, "small-world")
     parts = warmup_block_partition(spec)
-    H = lumped_projection(M, parts)
+    H = lumped_projection(M, parts).to_kernel()
     for i in range(1, spec.N - 1):  # block labels 1..N at indices 0..N-1
         assert H.P[i, i + 1] == pytest.approx((1 - eps) / 4, abs=1e-14)
         assert H.P[i, i - 1] == pytest.approx((1 - eps) / (4 * theta), abs=1e-14)
@@ -294,7 +311,7 @@ def test_warmup_projection_matches_displayed_rates():
     assert H.P[last, last - 1] == pytest.approx((1 - eps) / (4 * theta), abs=1e-14)
     for i, block in enumerate(parts.blocks):
         if len(block) == 2:
-            R = restriction(M, block)
+            R = restriction(M.to_kernel(), block)
             assert np.allclose(R.P, np.array([[1 - eps, eps], [eps, 1 - eps]]), atol=1e-14)
 
 
@@ -320,7 +337,7 @@ def test_ising_lumped_matches_direct(N, beta):
 
 def test_beg_lumped_hand_values():
     spec = beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25)
-    L = beg_lumped(spec)
+    L = beg_lumped(spec).to_kernel()
     i00 = L.labels.index((0, 0))
     i11 = L.labels.index((1, 1))
     assert L.P[i00, i11] == pytest.approx(0.25 * math.exp(-0.75), rel=1e-12)
@@ -346,7 +363,7 @@ def test_beg_tabulated_rates_deviate_only_at_annotated_entries():
     # the defective table breaks detailed balance; the corrected one passes
     tab = beg_lumped_tabulated(spec)
     assert tab.detailed_balance_error() > 1e-6
-    check_kernel(beg_lumped(spec), 1e-12)
+    check_kernel(beg_lumped(spec).to_kernel(), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +378,7 @@ def test_strong_lumpability_witness(spec, kind):
     # identical across all member states; the own-class entry carries the
     # diagonal row complement, so 1 ulp of rounding noise is the most the
     # comparison can tolerate
-    M = metropolis_chain(spec, kind)
+    M = metropolis_chain(spec, kind).to_kernel()
     keys = kernels.signed_class_keys(spec)
     order = sorted(set(keys), key=lambda k: (k, ) if not isinstance(k, tuple) else k)
     key_to_col = {k: i for i, k in enumerate(order)}
@@ -378,7 +395,7 @@ def test_strong_lumpability_witness(spec, kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_signed_lumped_matches_direct_ising(kind):
     spec = ising(8, beta=1.5, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, kind)
+    M = metropolis_chain(spec, kind).to_kernel()
     keys = kernels.signed_class_keys(spec)
     chain = signed_lumped_chain(spec, kind)
     # aggregate full rows into class-to-class masses and compare
@@ -396,7 +413,7 @@ def test_signed_lumped_matches_direct_ising(kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_signed_lumped_matches_direct_beg(kind):
     spec = beg(6, beta=1.2, K=2.0, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, kind)
+    M = metropolis_chain(spec, kind).to_kernel()
     keys = kernels.signed_class_keys(spec)
     chain = signed_lumped_chain(spec, kind)
     order = list(chain.labels)
@@ -492,7 +509,7 @@ def table_from_kernel(kernel, flip):
 def test_warmup_move_table_is_the_full_chain(kind):
     spec = warmup(7, theta=1.7, epsilon=0.3)
     chain = signed_lumped_chain(spec, kind)
-    full = metropolis_chain(spec, kind)
+    full = metropolis_chain(spec, kind).to_kernel()
     assert chain.labels == full.labels
     assert np.array_equal(chain.log_pi, full.log_pi)
     assert np.array_equal(chain.P, full.P)
@@ -501,7 +518,7 @@ def test_warmup_move_table_is_the_full_chain(kind):
         for theta in (1.05, 1.7, 2.0, 3.3):
             for eps in (0.01, 0.2, 0.3, 0.77):
                 spec = warmup(N, theta=theta, epsilon=eps)
-                full = metropolis_chain(spec, kind)
+                full = metropolis_chain(spec, kind).to_kernel()
                 want = table_from_kernel(full, np.arange(full.n)[::-1])
                 got = signed_move_table(spec, kind)
                 assert got.labels == want.labels
@@ -513,7 +530,8 @@ def test_warmup_move_table_is_the_full_chain(kind):
 def test_warmup_proposals_densify_the_moves():
     # holding = 1 - row sum; the off-diagonal masses are the closed forms
     spec = warmup(6, theta=2.0, epsilon=0.3)
-    for K, eps in ((single_flip_proposal(spec), 0.0), (small_world_proposal(spec), 0.3)):
+    for K, eps in ((single_flip_proposal(spec).to_kernel(), 0.0),
+                   (small_world_proposal(spec).to_kernel(), 0.3)):
         assert K.labels == tuple(range(-6, 7))
         assert np.array_equal(K.log_pi, np.zeros(13))
         off = K.P - np.diag(np.diag(K.P))
@@ -536,21 +554,21 @@ def test_move_table_flip_is_the_mirror_class():
 
 
 def test_unsigned_projection_of_signed_chain_matches_closed_forms():
-    # lumping the dense signed chain onto unsigned classes reproduces the
+    # lumping the signed chain onto unsigned classes reproduces the
     # per-class loops that wrote the projections out by hand (the two-step
     # lumping telescopes)
     spec = ising(10, beta=1.5, p1=0.5, p2=0.25)
-    chain = signed_lumped_chain(spec, "equi-energy")
+    chain = signed_move_table(spec, "equi-energy")
     parts = partition_by([abs(s) for s in chain.labels])
-    H = lumped_projection(chain, parts)
+    H = lumped_projection(chain, parts).to_kernel()
     assert np.allclose(H.P, bd_kernel(reference_ising_lumped_bd(spec)).P, atol=1e-14)
 
     bspec = beg(8, beta=1.5, K=3.0, p1=0.5, p2=0.25)
-    bchain = signed_lumped_chain(bspec, "equi-energy")
+    bchain = signed_move_table(bspec, "equi-energy")
     bparts = partition_by([(abs(s), r) for s, r in bchain.labels],
                           order=sorted({(abs(s), r) for s, r in bchain.labels},
                                        key=lambda t: (t[1], t[0])))
-    bH = lumped_projection(bchain, bparts)
+    bH = lumped_projection(bchain, bparts).to_kernel()
     assert np.allclose(bH.P, reference_beg_lumped(bspec).P, atol=1e-14)
 
 
@@ -570,7 +588,7 @@ def test_birth_death_validation():
 
 def test_export_kernel_text_roundtrip_shape():
     spec = warmup(2, theta=2.0, epsilon=0.3)
-    M = metropolis_chain(spec, "small-world")
+    M = metropolis_chain(spec, "small-world").to_kernel()
     text = export_kernel_text(M)
     lines = text.strip().split("\n")
     assert len(lines) == M.n
@@ -687,10 +705,10 @@ def test_metropolize_matches_reference_bit_for_bit(seed, n, density, symmetric):
         want = reference_metropolize(proposal, target)
     except SupportError as e:
         with pytest.raises(SupportError) as got:
-            metropolize(proposal, target)
+            metropolize(kernel_table(proposal), target)
         assert str(got.value) == str(e)
         return
-    got = metropolize(proposal, target)
+    got = metropolize(kernel_table(proposal), target).to_kernel()
     assert got.labels == want.labels
     assert np.array_equal(got.log_pi, want.log_pi)
     assert np.array_equal(got.P, want.P)
@@ -698,13 +716,18 @@ def test_metropolize_matches_reference_bit_for_bit(seed, n, density, symmetric):
 
 @pytest.mark.parametrize("spec,kind", [(ising(6, beta=1.5, p1=0.5, p2=0.25), "equi-energy"),
                                        (beg(4, beta=1.2, K=0.8, p1=0.5, p2=0.25), "naive"),
-                                       (warmup(9, theta=2.0, epsilon=0.3), "small-world")])
+                                       (warmup(9, theta=2.0, epsilon=0.3), "small-world"),
+                                       # a one-site move and the global flip reach the same
+                                       # state, (0,-1) -> (0,+1): the ratio takes their sum
+                                       (beg(2, beta=1.2, K=0.8, p1=0.5, p2=0.25), "equi-energy"),
+                                       (beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")])
 def test_metropolis_chains_match_reference_bit_for_bit(spec, kind):
     proposal = {"naive": single_flip_proposal, "equi-energy": equi_energy_proposal,
-                "small-world": small_world_proposal}[kind](spec)
+                "small-world": small_world_proposal}[kind](spec).to_kernel()
     target = models.log_weights_all(spec)
-    assert np.array_equal(metropolize(proposal, target).P,
-                          reference_metropolize(proposal, target).P)
+    want = reference_metropolize(proposal, target).P
+    assert np.array_equal(metropolize(kernel_table(proposal), target).to_kernel().P, want)
+    assert np.array_equal(metropolis_chain(spec, kind).to_kernel().P, want)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -715,7 +738,7 @@ def test_lumped_projection_matches_reference(seed, n, m, density):
     assert kernel.detailed_balance_error() <= 1e-12
     keys = np.random.default_rng(seed + 2).integers(0, m, n).tolist()
     parts = partition_by(keys)
-    got = lumped_projection(kernel, parts)
+    got = lumped_projection(kernel_table(kernel), parts).to_kernel()
     want = reference_lumped_projection(kernel, parts)
     assert got.labels == want.labels
     assert np.allclose(got.log_pi, want.log_pi, rtol=1e-15, atol=1e-14)
@@ -728,14 +751,14 @@ def test_lumped_projection_matches_reference_on_model_chains():
     for spec in (beg(4, beta=1.2, K=0.8, p1=0.5, p2=0.25), ising(8, beta=2.0, p1=0.5, p2=0.25)):
         M = metropolis_chain(spec, "equi-energy")
         parts = unsigned_class_partition(spec)
-        got = lumped_projection(M, parts)
-        want = reference_lumped_projection(M, parts)
+        got = lumped_projection(M, parts).to_kernel()
+        want = reference_lumped_projection(M.to_kernel(), parts)
         assert np.allclose(got.P, want.P, rtol=0.0, atol=1e-15)
     spec = warmup(40, theta=2.0, epsilon=0.3)
     M = metropolis_chain(spec, "small-world")
     parts = warmup_block_partition(spec)
-    assert np.allclose(lumped_projection(M, parts).P,
-                       reference_lumped_projection(M, parts).P, rtol=0.0, atol=1e-15)
+    assert np.allclose(lumped_projection(M, parts).to_kernel().P,
+                       reference_lumped_projection(M.to_kernel(), parts).P, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +821,7 @@ def assert_matches_reference(spec):
         assert np.abs(got.down - want.down).max() <= 1e-14
         got, want = bd_kernel(got), bd_kernel(want)
     else:
-        got, want = beg_lumped(spec), reference_beg_lumped(spec)
+        got, want = beg_lumped(spec).to_kernel(), reference_beg_lumped(spec)
     assert got.labels == want.labels
     assert_log_pi_close(got.log_pi, want.log_pi)
     assert np.abs(got.P - want.P).max() <= 1e-14
@@ -832,8 +855,9 @@ def test_derived_unsigned_projection_matches_hand_written_loops_property(
 
 def test_unsigned_lumped_chain_follows_the_chain_kind():
     spec = beg(6, beta=1.2, K=2.0, p1=0.5, p2=0.25)
-    direct = lumped_projection(metropolis_chain(spec, "naive"), unsigned_class_partition(spec))
-    derived = unsigned_lumped_chain(spec, "naive")
+    direct = lumped_projection(metropolis_chain(spec, "naive"),
+                               unsigned_class_partition(spec)).to_kernel()
+    derived = unsigned_lumped_chain(spec, "naive").to_kernel()
     assert derived.labels == direct.labels
     assert np.abs(derived.P - direct.P).max() < 1e-12
     with pytest.raises(ValueError, match="unsigned projections exist for ising and beg"):
@@ -848,9 +872,11 @@ def test_unsigned_lumped_chain_refuses_too_many_classes_before_allocating():
 
 
 def reference_equi_energy_proposal(spec):
-    """The proposal as it was written before it reused partition_by: a hand grouping."""
+    """The proposal as it was written before it reused partition_by: a hand
+    grouping on a dense matrix, its diagonal left out."""
     p1, p2 = spec.p1, spec.p2
-    base = single_flip_proposal(spec)
+    base = single_flip_proposal(spec).to_kernel()
+    np.fill_diagonal(base.P, 0.0)
     states = models.enumerate_states(spec)
     S = states.sum(axis=1, dtype=np.int64)
     if spec.kind == "beg":
@@ -870,6 +896,7 @@ def reference_equi_energy_proposal(spec):
         else:
             P[np.ix_(g, g)] += (1.0 - p1 - p2) / len(g)
             P[g, neg[g]] += p2
+    np.fill_diagonal(P, 0.0)
     return P
 
 
@@ -878,11 +905,27 @@ def reference_equi_energy_proposal(spec):
                                   beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25),
                                   beg(6, beta=1.5, K=2.0, p1=0.4, p2=0.3)])
 def test_equi_energy_proposal_matches_hand_grouping_bit_for_bit(spec):
-    assert np.array_equal(equi_energy_proposal(spec).P, reference_equi_energy_proposal(spec))
+    got = equi_energy_proposal(spec).to_kernel().P
+    np.fill_diagonal(got, 0.0)
+    assert np.array_equal(got, reference_equi_energy_proposal(spec))
 
 
 class TableBuilt(Exception):
     pass
+
+
+def test_a_full_space_chain_is_made_dense_only_once():
+    # BEG N=6 equi-energy has 729 states: the move table and its build take
+    # less than the dense matrix does, so the chain made dense peaks below
+    # 1.5 matrices (a build on dense proposals held three)
+    n = 3 ** 6
+    tracemalloc.start()
+    try:
+        metropolis_chain(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy").to_kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("spec,classes", [

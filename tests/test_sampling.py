@@ -196,7 +196,7 @@ def test_orbit_jump_stays_in_class():
 
 def test_one_step_frequencies_match_kernel_row():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     x0 = np.array([1, 1, -1, 1], dtype=np.int8)
     row = M.P[state_index(spec, x0)]
     rng = np.random.default_rng(6)
@@ -213,7 +213,7 @@ def test_one_step_frequencies_match_kernel_row():
 def test_warmup_small_world_stationarity():
     # long trajectory histogram vs exact stationary distribution
     spec = warmup(4, theta=2.0, epsilon=0.3)
-    M = metropolis_chain(spec, "small-world")
+    M = metropolis_chain(spec, "small-world").to_kernel()
     rng = np.random.default_rng(8)
     sampler = Sampler(spec, "small-world", rng)
     T, thin = 300_000, 10  # thin to keep the chi-square calibration honest

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from spingap import kernels, spectral, verify
 from spingap.cli import EXIT_USAGE, main
-from spingap.kernels import MoveTable, beg_lumped, signed_lumped_chain, signed_move_table
+from spingap.kernels import (
+    MoveTable,
+    beg_lumped,
+    metropolis_chain,
+    signed_lumped_chain,
+    signed_move_table,
+)
 from spingap.models import beg, ising, warmup
 from spingap.spectral import (
     DENSE_SECTOR_MAX,
@@ -242,16 +248,16 @@ def test_lanczos_grids_write_the_same_bytes_at_one_and_two_blas_threads(command,
 def test_projection_gap_is_half_the_even_sector_gap(N, beta, K, p1, frac):
     spec = beg(2 * N, beta=beta, K=K, p1=p1, p2=frac * (0.99 - p1))
     even = sector_spectrum(signed_move_table(spec, "equi-energy")).even_lambda1
-    assert 0.5 * (1.0 - even) == pytest.approx(gap(spectrum(beg_lumped(spec))),
-                                                  abs=1e-12)
+    want = gap(spectrum(beg_lumped(spec).to_kernel()))
+    assert 0.5 * (1.0 - even) == pytest.approx(want, abs=1e-12)
 
 
 def test_verify_beg_fast_projection_gap_matches_dense():
     rep = verify_beg_fast([(1.0, 1.0)], [30], 0.5, 0.25)
     (rec,) = rep.records
     spec = beg(30, beta=1.0, K=1.0, p1=0.5, p2=0.25)
-    assert rec.values["gap_pbar"] == pytest.approx(gap(spectrum(beg_lumped(spec))),
-                                                   abs=1e-12)
+    want = gap(spectrum(beg_lumped(spec).to_kernel()))
+    assert rec.values["gap_pbar"] == pytest.approx(want, abs=1e-12)
 
 
 def three_state_table(rates, flip=(2, 1, 0)):
@@ -324,6 +330,25 @@ def test_warmup_gaps_and_audit_need_no_dense_chain(monkeypatch):
     for kind in ("naive", "small-world"):
         rec = exact_gap_record(warmup(30, theta=2.0, epsilon=0.3), kind)
         assert rec["dim"] == 61 and 0 <= rec["gap"] <= 1
+
+
+FULL_SPACE_CELLS = [
+    *((ising(N, beta=1.0, p1=0.5, p2=0.25), kind) for N in (2, 4, 6, 8, 10)
+      for kind in ("naive", "equi-energy")),
+    *((beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25), kind) for N in (2, 4, 6)
+      for kind in ("naive", "equi-energy")),
+    (warmup(12, theta=2.0, epsilon=0.3), "small-world"),
+]
+
+
+@pytest.mark.parametrize("spec,kind", FULL_SPACE_CELLS,
+                         ids=[f"{s.kind}-{s.N}-{k}" for s, k in FULL_SPACE_CELLS])
+def test_full_space_sector_gap_matches_dense(spec, kind):
+    # the spin chain's own gap: the full-space table carries the global
+    # negation as its flip, so it splits into flip sectors like a class table
+    table = metropolis_chain(spec, kind)
+    want = gap(spectrum(table.to_kernel()))
+    assert sector_spectrum(table).gap == pytest.approx(want, abs=1e-12)
 
 
 def test_warmup_n20000_gap_without_dense_matrix():

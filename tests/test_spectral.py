@@ -34,7 +34,12 @@ from spingap.spectral import (
     spectrum,
 )
 
-from oracles import bd_kernel, interval_conductance_reference, unsigned_class_partition
+from oracles import (
+    bd_kernel,
+    interval_conductance_reference,
+    kernel_table,
+    unsigned_class_partition,
+)
 
 
 def two_state(q, pi0=0.5):
@@ -69,13 +74,13 @@ def test_two_state_closed_form():
 
 def test_sign_chain_gap_is_p2():
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy")
+    M = metropolis_chain(spec, "equi-energy").to_kernel()
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
     R = restriction(M, block)
     signs = [1 if S[i] > 0 else -1 for i in block]
-    H = lumped_projection(R, partition_by(signs))
+    H = lumped_projection(kernel_table(R), partition_by(signs)).to_kernel()
     s = spectrum(H)
     assert gap(s) == pytest.approx(spec.p2, abs=1e-12)
 
@@ -85,7 +90,7 @@ def test_hypercube_walk_spectrum():
     # 1 - 2k/N with binomial multiplicities
     N = 4
     spec = ising(N, beta=0.0)
-    M = metropolis_chain(spec, "naive")
+    M = metropolis_chain(spec, "naive").to_kernel()
     s = spectrum(M)
     expected = np.concatenate(
         [[1 - 2 * k / N] * math.comb(N, k) for k in range(N + 1)]
@@ -241,7 +246,7 @@ def test_conductance_cap():
 def test_warmup_conductance_bound():
     # the half-line cut certifies h <= pi(0)/(1 - pi(0))
     spec = warmup(5, theta=2.0)
-    M = metropolis_chain(spec, "naive")
+    M = metropolis_chain(spec, "naive").to_kernel()
     h, _ = conductance_exact(M)
     pi = M.stationary()
     p0 = pi[spec.N]
@@ -252,12 +257,12 @@ def test_interval_conductance_upper_bounds_exact():
     for seed in range(3):
         K = random_reversible(9, seed=seed)
         h, _ = conductance_exact(K)
-        hi, _ = interval_conductance(K)
+        hi, _ = interval_conductance(kernel_table(K))
         assert hi >= h - 1e-12
     # on a birth-death chain the bottleneck cut is an interval: equality
     spec = warmup(6, theta=2.0)
     M = metropolis_chain(spec, "naive")
-    h, _ = conductance_exact(M)
+    h, _ = conductance_exact(M.to_kernel())
     hi, cut = interval_conductance(M)
     assert hi == pytest.approx(h, rel=1e-10)
 
@@ -274,7 +279,7 @@ INTERVAL_CHAINS = {
     "ising-40-unsigned": lambda: kernels.unsigned_lumped_chain(ising(40, beta=2.0), "naive"),
     "beg-10-unsigned": lambda: kernels.unsigned_lumped_chain(
         beg(10, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy"),
-    **{f"random-{n}-{seed}": (lambda n=n, seed=seed: random_reversible(n, seed))
+    **{f"random-{n}-{seed}": (lambda n=n, seed=seed: kernel_table(random_reversible(n, seed)))
        for n, seed in ((9, 0), (9, 1), (40, 2))},
 }
 
@@ -291,9 +296,11 @@ def test_interval_conductance_matches_exact_sum_reference(name):
 
 @pytest.mark.parametrize("name", ["ising-60-signed", "warmup-30-signed", "beg-20-signed"])
 def test_interval_conductance_table_and_dense_agree(name):
+    # the dense chain read back as its off-diagonal nonzeros in row-major order
     table = INTERVAL_CHAINS[name]()
     bound, _ = interval_conductance(table)
-    assert interval_conductance(table.to_kernel())[0] == pytest.approx(bound, rel=1e-14)
+    dense = kernel_table(table.to_kernel())
+    assert interval_conductance(dense)[0] == pytest.approx(bound, rel=1e-14)
 
 
 def test_cheeger_interval_values():
@@ -308,8 +315,8 @@ def test_cheeger_interval_values():
     lambda: symmetric_two_state(0.4),
     lambda: random_reversible(6, 5),
     lambda: random_reversible(11, 6),
-    lambda: metropolis_chain(warmup(5, theta=2.0, epsilon=0.3), "small-world"),
-    lambda: metropolis_chain(ising(4, beta=1.0, p1=0.5, p2=0.25), "equi-energy"),
+    lambda: metropolis_chain(warmup(5, theta=2.0, epsilon=0.3), "small-world").to_kernel(),
+    lambda: metropolis_chain(ising(4, beta=1.0, p1=0.5, p2=0.25), "equi-energy").to_kernel(),
 ])
 def test_cheeger_sandwich(kernel_fn):
     K = kernel_fn()
@@ -326,7 +333,7 @@ def test_cheeger_sandwich(kernel_fn):
 def test_decomposition_trivial_partition():
     K = random_reversible(6, seed=7)
     parts = Partition(blocks=(np.arange(6),), labels=("all",))
-    b = decomposition_bound(K, parts)
+    b = decomposition_bound(kernel_table(K), parts)
     g = gap(spectrum(K))
     assert b.value == pytest.approx(g / 2, abs=1e-12)
     assert g >= b.value - 1e-10
@@ -336,7 +343,7 @@ def test_decomposition_warmup_partition():
     spec = warmup(4, theta=2.0, epsilon=0.3)
     M = metropolis_chain(spec, "small-world")
     b = decomposition_bound(M, warmup_block_partition(spec))
-    assert gap(spectrum(M)) >= b.value - 1e-10
+    assert gap(spectrum(M.to_kernel())) >= b.value - 1e-10
     assert b.value > 0
 
 
@@ -344,7 +351,7 @@ def test_decomposition_ising_energy_partition():
     spec = ising(8, beta=2.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
     b = decomposition_bound(M, unsigned_class_partition(spec))
-    assert gap(spectrum(M)) >= b.value - 1e-10
+    assert gap(spectrum(M.to_kernel())) >= b.value - 1e-10
     assert b.value > 0
 
 

@@ -10,10 +10,13 @@ are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
 refused by the dense cap, two exhaustive conductances refused by their
 24-state cap, interval-cut conductances in all three spaces (one on a
-signed table past the dense cap), a full-space export that goes through
-``metropolize`` and an unsigned one that goes through
-``lumped_projection``, three BEG grids whose sectors outgrow
-``DENSE_SECTOR_MAX`` and go to Lanczos iteration (one of them at N = 120
+signed table past the dense cap, one on the BEG N = 8 full space), three
+full-space exports that go through ``metropolize`` (an ising one, a BEG
+one in which a one-site move and the global flip reach the same state,
+so their proposal masses merge, and a small-world warm-up one), an
+unsigned one that goes through ``lumped_projection``, three BEG grids
+whose sectors outgrow ``DENSE_SECTOR_MAX`` and go to Lanczos iteration
+(one of them at N = 120
 and 200, sectors of thousands of states), ``--jobs 2`` twins of
 the README gap-scan and of the BEG naive gap-scan (the worker-pool
 route), three chains that their model does not have or cannot build,
@@ -68,6 +71,9 @@ EXTRA_COMMANDS = (
     "conductance --model beg --n 200 --beta 1 --k 1 --kind naive --space signed --interval",
     "export-kernel --space full --model ising --n 6 --beta 1 --kind equi-energy",
     "export-kernel --space unsigned --model beg --n 20 --beta 1 --k 1",
+    "export-kernel --space full --model beg --n 4 --beta 1 --k 1",
+    "export-kernel --space full --model warmup --n 30 --theta 2 --epsilon 0.3",
+    "conductance --model beg --n 8 --beta 1 --k 1 --interval",
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 2",
