@@ -19,13 +19,13 @@ its (diagonal, superdiagonal) arrays for the tridiagonal solver, any
 other (BEG) as one CSR matrix for the dense solver or Lanczos.  An
 entry that is not finite is refused once, at assembly, on every route.
 
-The large sectors of a stack (in practice the even and odd sectors of
-one BEG table) go to one plain Lanczos run in numpy, written out in
-``_lanczos_extremes``: the sectors are stepped in lockstep as one
-block-diagonal matrix, and both ends of each spectrum are read off its
-own tridiagonal Lanczos matrix.  Each sector's scalars are sums over
-its own segment and the matvec has no BLAS call, so a sector gets the
-same bits in any company and at any BLAS thread count.
+Each sector is solved on its own, by the route ``_sector_extremes``
+picks: bisection for a tridiagonal sector, the dense solver for a CSR
+sector of up to DENSE_SECTOR_MAX states, and past that a plain Lanczos
+run in numpy (``_lanczos_extremes``), both ends of the spectrum read
+off its tridiagonal Lanczos matrix.  Its scalars are sums in a fixed
+order and its matvec makes no BLAS call, so a sector gets the same bits
+at any BLAS thread count.
 
 Small tables cost mostly numpy's fixed cost per call, about 80 calls
 per assembly.  ``sector_spectrum_batch`` therefore stacks consecutive
@@ -85,9 +85,9 @@ REVERSIBILITY_TOL = 1e-8
 
 #: flip sectors up to this many states that are not tridiagonal go to the
 #: dense solver; larger ones go to Lanczos iteration.  On BEG sectors at one
-#: BLAS thread (2-core x86 host), dense eigvalsh wins below about 220 states
-#: and a one-sector Lanczos run above about 260; the cut stays at 360, which
-#: keeps the bits of every grid whose sectors were solved densely before.
+#: BLAS thread (2-core x86 host), dense eigvalsh wins below about 200 states
+#: and Lanczos above about 230; the cut stays at 360, which keeps the bits
+#: of every grid whose sectors were solved densely before.
 DENSE_SECTOR_MAX = 360
 
 #: Lanczos steps a sector may take before it is solved densely (or refused)
@@ -208,7 +208,8 @@ class SectorSpectrum:
     ``even_lambda1`` is the largest eigenvalue of the even sector after
     lambda_0 = 1 (-inf if the sector holds lambda_0 only),
     ``odd_lambda1`` the largest of the odd sector, and ``lambda_min``
-    the smallest over both.  ``dim`` is the chain's size.
+    the smallest over both.  ``dim`` is the chain's size; a one-state
+    chain has gap 1, as in ``gap``.
     """
 
     even_lambda1: float
@@ -222,6 +223,8 @@ class SectorSpectrum:
 
     @property
     def gap(self) -> float:
+        if self.dim == 1:
+            return 1.0
         return 1.0 - max(self.lambda1, abs(self.lambda_min))
 
 
@@ -395,10 +398,13 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
 
 
 def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
-    """(largest, smallest) eigenvalue of a tridiagonal or dense-sized sector.
+    """(largest, smallest) eigenvalue of one flip sector, by the route its form picks.
 
-    With ``u``, the unit eigenvector of the eigenvalue 1, the largest is
-    taken over the rest of the spectrum (-inf if nothing is left).
+    A tridiagonal sector goes to bisection, a CSR one of up to
+    DENSE_SECTOR_MAX states to the dense solver, a larger one to
+    ``_lanczos_extremes``.  With ``u``, the unit eigenvector of the
+    eigenvalue 1, the largest is taken over the rest of the spectrum
+    (-inf if nothing is left).
     """
     tridiagonal = isinstance(M, tuple)
     m = len(M[0]) if tridiagonal else M.shape[0]
@@ -406,7 +412,7 @@ def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
     if top < 0:
         return -math.inf, 1.0
     if not tridiagonal:
-        return _dense_extremes(M, top)
+        return _dense_extremes(M, top) if m <= DENSE_SECTOR_MAX else _lanczos_extremes(M, u)
     d, e = M
     if m == 1:  # dstebz refuses an empty e
         return float(d[0]), float(d[0])
@@ -453,102 +459,56 @@ def _ritz_value(d: np.ndarray, e: np.ndarray, i: int, b: float) -> tuple:
     return float(w[0]), abs(b * float(z[-1, 0]))
 
 
-def _block_diagonal(mats: list):
-    """The block-diagonal CSR matrix of CSR ``mats``, each row's entries in its own order."""
-    import scipy.sparse
+def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
+    """(largest, smallest) eigenvalue of a large CSR sector, by Lanczos in numpy.
 
-    if len(mats) == 1:
-        return mats[0]
-    offsets = np.cumsum([0, *(M.shape[0] for M in mats)]).tolist()
-    nnz = np.cumsum([0, *(M.nnz for M in mats)]).tolist()
-    return scipy.sparse.csr_array(
-        (np.concatenate([M.data for M in mats]),
-         np.concatenate([M.indices + lo for M, lo in zip(mats, offsets)]),
-         np.concatenate([[0], *(M.indptr[1:] + z for M, z in zip(mats, nnz))])),
-        shape=(offsets[-1],) * 2)
-
-
-def _lanczos_extremes(blocks: list) -> list:
-    """(largest, smallest) eigenvalue of each large CSR sector, from one Lanczos run.
-
-    ``blocks`` holds (M, u) pairs as ``_sector_extremes`` takes them.  The
-    blocks are stepped side by side as one block-diagonal matrix: a step
-    is one matvec, and each block's scalars are sums over its own segment
-    (np.add.reduceat), so a block gets the bits it gets alone, and no
-    BLAS call is made.  Plain Lanczos, with no reorthogonalization: both
-    ends come off the block's own tridiagonal T_k.  Every LANCZOS_CHECK
-    steps, an end whose residual is at most LANCZOS_TOL, or whose Ritz
-    value has not moved since the last check, is settled; a block leaves
-    the run once both its ends are.  A block still running after
+    ``u`` is as ``_sector_extremes`` takes it.  Plain Lanczos, with no
+    reorthogonalization: both ends come off the tridiagonal T_k.  Every
+    LANCZOS_CHECK steps, an end whose residual is at most LANCZOS_TOL, or
+    whose Ritz value has not moved since the last check, is settled; the
+    run stops once both ends are.  A sector still running after
     LANCZOS_MAX_STEPS is solved densely if it has at most
-    DEFAULT_MAX_STATES states, and refused otherwise.
+    DEFAULT_MAX_STATES states, and refused otherwise.  The matvec makes
+    no BLAS call, so the bits do not follow the BLAS thread count.
     """
-    out = [None] * len(blocks)
-    starts, units, shifts = [], [], []
-    for M, u in blocks:
-        v = np.random.default_rng(0).uniform(0.5, 1.5, M.shape[0])  # fixed start: reproducible bits
-        starts.append(v / np.sqrt(np.sum(v * v)))
-        units.append(np.zeros(M.shape[0]) if u is None else u)
-        if u is None:
-            shifts.append(0.0)
-        else:
-            # move the known eigenvalue 1 to the Rayleigh quotient of the start
-            # vector with u projected out, inside the rest of the spectrum, so
-            # that neither end sees it (lambda_1 may lie within 1e-14 of 1)
-            x = v - np.sum(u * v) * u
-            shifts.append(1.0 - np.sum(x * (M @ x)) / np.sum(x * x))
-    alpha, beta = [[] for _ in blocks], [[] for _ in blocks]
-    # per block, its (largest, smallest) Ritz values at the last check and
-    # whether each has settled
-    last, settled = [[None, None] for _ in blocks], [[False, False] for _ in blocks]
-    live = list(range(len(blocks)))
-    v = np.concatenate(starts)
-    prev, b = np.zeros_like(v), np.zeros(len(live))
-    step = 0
-    while live:
-        sizes = np.array([blocks[k][0].shape[0] for k in live])
-        offsets = np.cumsum(sizes) - sizes
-        A = _block_diagonal([blocks[k][0] for k in live])
-        U = np.concatenate([units[k] for k in live])
-        shift = np.array([shifts[k] for k in live])
-        leave = []
-        while not leave:
-            step += 1
-            w = A @ v
-            w -= np.repeat(shift * np.add.reduceat(U * v, offsets), sizes) * U
-            w -= np.repeat(b, sizes) * prev
-            a = np.add.reduceat(w * v, offsets)
-            w -= np.repeat(a, sizes) * v
-            b = np.sqrt(np.add.reduceat(w * w, offsets))
-            with np.errstate(divide="ignore", invalid="ignore"):  # b = 0: that block leaves now
-                prev, v = v, w / np.repeat(b, sizes)
-            for i, (k, ai, bi) in enumerate(zip(live, a.tolist(), b.tolist())):
-                alpha[k].append(ai)
-                beta[k].append(bi)
-                if step % LANCZOS_CHECK and bi and step < LANCZOS_MAX_STEPS:
-                    continue
-                d, e = np.array(alpha[k]), np.array(beta[k][:-1])
-                for end, index in enumerate((step - 1, 0)):
-                    if not settled[k][end]:
-                        x, r = _ritz_value(d, e, index, bi)
-                        settled[k][end] = r <= LANCZOS_TOL or x == last[k][end]
-                        last[k][end] = x
-                if all(settled[k]):
-                    out[k] = tuple(last[k])
-                elif step >= LANCZOS_MAX_STEPS:
-                    M, u = blocks[k]
-                    m = M.shape[0]
-                    if m > DEFAULT_MAX_STATES:
-                        raise ValueError(f"Lanczos did not converge on a {m}-state sector")
-                    out[k] = _dense_extremes(M, m - 1 if u is None else m - 2)
-                else:
-                    continue
-                leave.append(i)
-        keep = [i for i in range(len(live)) if i not in leave]
-        segment = np.repeat(np.isin(np.arange(len(live)), keep), sizes)
-        v, prev, b = v[segment], prev[segment], b[keep]
-        live = [live[i] for i in keep]
-    return out
+    m = M.shape[0]
+    v = np.random.default_rng(0).uniform(0.5, 1.5, m)  # fixed start: reproducible bits
+    if u is not None:
+        # move the known eigenvalue 1 to the Rayleigh quotient of the start
+        # vector with u projected out, inside the rest of the spectrum, so
+        # that neither end sees it (lambda_1 may lie within 1e-14 of 1)
+        x = v - np.sum(u * v) * u
+        shift = 1.0 - np.sum(x * (M @ x)) / np.sum(x * x)
+    v = v / np.sqrt(np.sum(v * v))
+    prev, b = np.zeros(m), 0.0
+    alpha, beta = [], []
+    # the (largest, smallest) Ritz values at the last check, and whether each has settled
+    last, settled = [None, None], [False, False]
+    for step in range(1, LANCZOS_MAX_STEPS + 1):
+        # every scalar of a step is a one-segment reduceat, which adds left to
+        # right; np.sum adds pairwise, which would change the bits of a sector
+        w = M @ v
+        if u is not None:
+            w -= (shift * np.add.reduceat(u * v, [0])[0]) * u
+        w -= b * prev
+        a = np.add.reduceat(w * v, [0])[0]
+        w -= a * v
+        b = np.sqrt(np.add.reduceat(w * w, [0])[0])
+        alpha.append(float(a))
+        beta.append(float(b))
+        if not step % LANCZOS_CHECK or not b or step == LANCZOS_MAX_STEPS:
+            d, e = np.array(alpha), np.array(beta[:-1])
+            for end, index in enumerate((step - 1, 0)):
+                if not settled[end]:
+                    x, r = _ritz_value(d, e, index, b)
+                    settled[end] = r <= LANCZOS_TOL or x == last[end]
+                    last[end] = x
+            if all(settled):  # a breakdown (b = 0) settles both ends: their residuals are 0
+                return tuple(last)
+        prev, v = v, w / b
+    if m > DEFAULT_MAX_STATES:
+        raise ValueError(f"Lanczos did not converge on a {m}-state sector")
+    return _dense_extremes(M, m - 1 if u is None else m - 2)
 
 
 def _stacks(tables: Iterable[MoveTable]) -> Iterator[list]:
@@ -569,7 +529,7 @@ def _stack_spectra(tables: list) -> list:
 
     Whatever the assembly raises, the tables are solved one at a time
     instead, so the first table that fails alone raises what it raises
-    alone.  The sectors past DENSE_SECTOR_MAX share one Lanczos run.
+    alone.  Each sector is then solved on its own (``_sector_extremes``).
     """
     try:
         sectors = _flip_sectors(tables)
@@ -577,11 +537,8 @@ def _stack_spectra(tables: list) -> list:
         if len(tables) == 1:
             raise
         return [s for t in tables for s in _stack_spectra([t])]
-    pairs = [(M, u) for even, odd, root in sectors for M, u in ((even, root), (odd, None))]
-    large = [k for k, (M, _) in enumerate(pairs)
-             if not isinstance(M, tuple) and M.shape[0] > DENSE_SECTOR_MAX]
-    solved = dict(zip(large, _lanczos_extremes([pairs[k] for k in large]) if large else []))
-    ext = [solved[k] if k in solved else _sector_extremes(*pairs[k]) for k in range(len(pairs))]
+    ext = [_sector_extremes(M, u) for even, odd, root in sectors
+           for M, u in ((even, root), (odd, None))]
     return [SectorSpectrum(even_lambda1=even[0], odd_lambda1=odd[0],
                            lambda_min=min(even[1], odd[1]), dim=t.n)
             for t, even, odd in zip(tables, ext[::2], ext[1::2])]
@@ -609,7 +566,7 @@ def sector_spectrum(table: MoveTable) -> SectorSpectrum:
     known and left out; the slow mode of a two-phase chain lies in the
     odd sector.  Tridiagonal sectors (nearest-neighbour chains) go to
     the tridiagonal solver, small ones to the dense solver, the rest to
-    one Lanczos run on their nonzeros.
+    a Lanczos run each, on their nonzeros.
     """
     return next(sector_spectrum_batch([table]))[1]
 

@@ -173,17 +173,45 @@ def lanczos_blocks(draw):
                         draw(st.sampled_from([None, None, 1e-13, 1e-14, 1e-3])))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(lanczos_blocks(), lanczos_blocks())
-def test_lanczos_extremes_match_eigvalsh_and_keep_their_bits_in_company(first, second):
-    together = _lanczos_extremes([first, second])
-    for (M, u), got in zip((first, second), together):
-        vals = np.linalg.eigvalsh(M.toarray())
-        if u is not None:
-            assert vals[-1] == pytest.approx(1.0, abs=1e-14)
-        assert got[0] == pytest.approx(vals[-1 if u is None else -2], abs=1e-12)
-        assert got[1] == pytest.approx(vals[0], abs=1e-12)
-        assert _lanczos_extremes([(M, u)]) == [got]
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lanczos_blocks())
+def test_lanczos_extremes_match_eigvalsh(block):
+    M, u = block
+    got = _lanczos_extremes(M, u)
+    vals = np.linalg.eigvalsh(M.toarray())
+    if u is not None:
+        assert vals[-1] == pytest.approx(1.0, abs=1e-14)
+    assert got[0] == pytest.approx(vals[-1 if u is None else -2], abs=1e-12)
+    assert got[1] == pytest.approx(vals[0], abs=1e-12)
+
+
+def diagonal_block(values, planted):
+    """A 400-state diagonal CSR sector that repeats ``values``, and its u.
+
+    Its Krylov spaces have dimension len(values), so a Lanczos run breaks
+    down before its first check; on the zero sector the first step's b is
+    exactly 0.  With ``planted``, one entry is 1 instead, and u is its
+    unit vector.
+    """
+    d = np.resize(np.array(values), 400)
+    u = None
+    if planted:
+        d[7] = 1.0
+        u = np.zeros(400)
+        u[7] = 1.0
+    return scipy.sparse.csr_array(scipy.sparse.diags_array(d)), u
+
+
+@pytest.mark.parametrize("values, planted", [((0.5, -0.3), False), ((0.5, -0.3), True),
+                                             ((0.0,), False)])
+def test_a_lanczos_run_that_breaks_down_before_its_first_check_gives_both_ends(values, planted):
+    M, u = diagonal_block(values, planted)
+    assert M.shape[0] > DENSE_SECTOR_MAX
+    vals = np.linalg.eigvalsh(M.toarray())
+    got = _sector_extremes(M, u)
+    assert not np.isnan(got).any()
+    assert got[0] == pytest.approx(vals[-1 if u is None else -2], abs=1e-12)
+    assert got[1] == pytest.approx(vals[0], abs=1e-12)
 
 
 def test_planted_blocks_hold_a_lambda1_within_1e13_of_1():
@@ -193,24 +221,26 @@ def test_planted_blocks_hold_a_lambda1_within_1e13_of_1():
     assert np.abs(M @ u - u).max() < 1e-15
 
 
-SOLVED_WITHOUT_ARPACK = ["gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10",
-                         "verify beg-fast --beta-k 1:1 --n 30..80..10"]
+# each command with its number of tables past N = 30
+SOLVED_WITHOUT_ARPACK = [("gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10", 4),
+                         ("verify beg-fast --beta-k 1:1 --n 30..80..10", 5)]
 
 
 def _no_arpack(*args, **kwargs):
     raise AssertionError("eigsh was called")
 
 
-@pytest.mark.parametrize("command", SOLVED_WITHOUT_ARPACK)
-def test_beg_grids_past_the_dense_sectors_run_without_eigsh(command, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, tables", SOLVED_WITHOUT_ARPACK)
+def test_beg_grids_past_the_dense_sectors_run_without_eigsh(command, tables, tmp_path,
+                                                            monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _no_arpack)
     lanczos = spectral._lanczos_extremes
     runs = []
     monkeypatch.setattr(spectral, "_lanczos_extremes",
-                        lambda blocks: runs.append(len(blocks)) or lanczos(blocks))
+                        lambda M, u: runs.append(u is not None) or lanczos(M, u))
     assert main([*command.split(), "--out", str(tmp_path)]) == 0
-    # N = 40..80: one run per table, holding both of its sectors
-    assert runs and set(runs) == {2}
+    # N = 40..80: two runs per table, its even sector (with u) and then its odd one
+    assert runs == [True, False] * tables
 
 
 THREADED = """import sys
@@ -496,6 +526,14 @@ def test_triplet_sectors_match_on_lanczos_sectors(kind):
     ((even, odd, _),) = _flip_sectors([table])
     assert min(even.shape[0], odd.shape[0]) > DENSE_SECTOR_MAX
     assert_same_assembly(table)
+
+
+def test_a_one_state_chain_has_the_gap_of_its_dense_spectrum():
+    # its even sector holds lambda_0 = 1 only, its odd sector nothing
+    table = MoveTable(labels=(0,), log_pi=np.zeros(1), rows=np.zeros(0, dtype=np.intp),
+                      cols=np.zeros(0, dtype=np.intp), vals=np.zeros(0),
+                      flip=np.zeros(1, dtype=np.intp))
+    assert sector_spectrum(table).gap == gap(spectrum(table.to_kernel())) == 1.0
 
 
 def test_ising_n2_odd_sector_without_entries():

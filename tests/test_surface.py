@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spingap"
 
 #: exported although nothing reaches them yet: the audits planned in
-#: ROADMAP items 4 (the large-deviation barrier as the slow-mixing rate)
-#: and 7 (the paper's N-scaled proposal weights) are their callers
+#: ROADMAP items 7 (the large-deviation barrier as the slow-mixing rate)
+#: and 10 (the paper's N-scaled proposal weights) are their callers
 RESERVED = {"rate_function", "scaled_params", "scaled_params_consistent"}
 
 
