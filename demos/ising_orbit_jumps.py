@@ -21,9 +21,10 @@ from spingap import (
     gershgorin_bound,
     ising,
     ising_fast_bound,
-    ising_lumped_bd,
+    sector_spectrum,
     signed_lumped_chain,
     spectrum,
+    unsigned_lumped_chain,
 )
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -53,20 +54,21 @@ for beta in (0.5, 2.0):
 # the projection onto |S| is a birth-death chain with closed-form rates;
 # its path bound gives the N^-3 estimate behind the theorem
 spec = ising(40, beta=0.5, p1=p1, p2=p2)
-bd = ising_lumped_bd(spec)
+bd = unsigned_lumped_chain(spec, "equi-energy")
 k = int(np.argmax(bd.log_pi))  # the peak of pi, first on ties
 ev = bd_path_bound(bd, A=p1 / 8, q=1.0, B=2.0, k=k)
-lam1 = spectrum(bd).eigenvalues[1]
+s = sector_spectrum(bd)
+lam1 = s.lambda1
 print(f"\n|S|-projection at N=40, beta=0.5:")
 print(f"  path bound lambda_1 <= {ev.value:.8f} (hypotheses ok: {ev.hypotheses_ok})")
 print(f"  exact lambda_1       = {lam1:.8f}")
 print(f"  Gershgorin floor lambda_min >= {gershgorin_bound(bd):.4f} "
-      f"(exact {spectrum(bd).eigenvalues[-1]:.4f})")
+      f"(exact {s.lambda_min:.4f})")
 
 # at strong coupling and small N the path-bound hypotheses genuinely
 # fail (the down-rates dip under the A n^-q floor); the record says so
 spec_hard = ising(4, beta=2.0, p1=p1, p2=p2)
-bd_hard = ising_lumped_bd(spec_hard)
+bd_hard = unsigned_lumped_chain(spec_hard, "equi-energy")
 ev_hard = bd_path_bound(bd_hard, A=p1 / 8, q=1.0, B=2.0,
                         k=int(np.argmax(bd_hard.log_pi)), strict=False)
 print(f"\nN=4, beta=2: bound value {ev_hard.value:.6f}, "

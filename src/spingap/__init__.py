@@ -28,7 +28,6 @@ from .kernels import (
     beg_lumped,
     equi_energy_proposal,
     export_kernel_text,
-    ising_lumped_bd,
     lumped_projection,
     metropolis_chain,
     metropolize,

@@ -138,7 +138,9 @@ def partition_by(keys: Sequence, order: Optional[Sequence] = None) -> Partition:
 class BirthDeathChain:
     """Nearest-neighbor chain on an ordered finite set.
 
-    up[i] moves i -> i+1, down[i] moves i -> i-1, the rest holds.
+    up[i] moves i -> i+1, down[i] moves i -> i-1, the rest holds.  No
+    program path builds or reads one; the bounds take move tables.  The
+    benchmark tracer (``perfbench/layers.py``) is its only remaining user.
     """
 
     up: np.ndarray
@@ -386,16 +388,23 @@ def lumped_projection(chain: MoveTable, parts: Partition) -> MoveTable:
                      flip=np.arange(m))
 
 
-def restriction(kernel: FiniteKernel, block: Sequence[int]) -> FiniteKernel:
-    """Chain restricted to a block; escaping mass is added to the diagonal."""
-    b = np.asarray(block, dtype=np.intp)
-    if b.size == 0:
-        raise ValueError("empty block")
-    sub = kernel.P[np.ix_(b, b)].copy()
-    escape = kernel.P[b, :].sum(axis=1) - sub.sum(axis=1)
-    sub[np.diag_indices(b.size)] += escape
-    labels = tuple(kernel.labels[int(i)] for i in b)
-    return FiniteKernel(labels=labels, log_pi=kernel.log_pi[b].copy(), P=sub)
+def restriction(table: MoveTable, block: Sequence[int]) -> MoveTable:
+    """The chain restricted to a block: its moves inside, renumbered in block order.
+
+    The mass that leaves the block becomes holding.  The flip is the
+    identity, since a block need not hold the mirrors of its states.
+    """
+    n, b = table.n, np.asarray(block)
+    if (b.ndim != 1 or b.size == 0 or b.dtype.kind not in "iu" or b.min() < 0
+            or b.max() >= n or np.unique(b).size != b.size):
+        raise ValueError(f"a block must list distinct states of 0..{n - 1}, at least one")
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[b] = np.arange(b.size)
+    rows, cols = pos[table.rows], pos[table.cols]
+    keep = (rows >= 0) & (cols >= 0)
+    return MoveTable(labels=tuple(table.labels[i] for i in b.tolist()), log_pi=table.log_pi[b],
+                     rows=rows[keep], cols=cols[keep], vals=table.vals[keep],
+                     flip=np.arange(b.size))
 
 
 def signed_class_keys(spec: ModelSpec) -> list:
@@ -588,7 +597,9 @@ def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:
         up(0)   = p1/2
         up(i)   = (p1/4) (N-i)/N
         down(i) = (p1/4) ((N+i)/N) exp(2 beta (1-i)/N)
-    with the 1/2 projection factor embedded.
+    with the 1/2 projection factor embedded.  No program path calls it;
+    the benchmark tracer's shim list (``perfbench/layers.py``) is its only
+    remaining caller.
     """
     if spec.kind != "ising":
         raise ValueError("ising only")

@@ -1,11 +1,12 @@
 """Exact spectral and geometric analysis of reversible kernels.
 
 Eigenvalues come from the symmetrization D^{1/2} P D^{-1/2} (D the
-diagonal of stationary weights), computed with a dense symmetric solver;
-birth--death chains route to the symmetric-tridiagonal solver.  Exact
-gaps of the signed class chains come from ``sector_spectrum``, which
-splits the chain into the even and odd sectors of the global flip and
-solves each on its nonzeros; the dense routes are its oracles.
+diagonal of stationary weights).  Exact gaps of move tables come from
+``sector_spectrum``, which splits the chain into the even and odd
+sectors of the global flip and solves each on its nonzeros; a table
+whose flip is the identity (a projection, a restriction) is all even
+sector.  ``spectrum``, a dense symmetric solve of a ``FiniteKernel``,
+is its oracle.
 
 The sectors are assembled with numpy index arithmetic on the move
 table's triplets.  Entries are keyed row * n + col and coalesced in
@@ -43,9 +44,10 @@ alone.
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
 path bound, the Gershgorin bound, and the asymptotic variance.  The
-log-space cut and the interval cuts take a move table, whose moves they
-read in O(nnz), the decomposition bound a move table that it makes
-dense once, and the Gershgorin bound a birth--death chain.
+log-space cut, the interval cuts and the three bounds take a move
+table, whose moves they read in O(nnz); the decomposition bound solves
+its projection and its restrictions through the sectors, so no bound
+makes a chain dense.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -56,13 +58,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .kernels import (
     DEFAULT_MAX_STATES,
-    BirthDeathChain,
     FiniteKernel,
     MoveTable,
     Partition,
@@ -144,9 +145,6 @@ class BoundEvaluation:
     detail: Optional[str] = None
 
 
-Chain = Union[FiniteKernel, BirthDeathChain]
-
-
 def _check_reversible(err: float) -> None:
     if err > REVERSIBILITY_TOL:
         raise NonReversibleError(f"detailed-balance residual {err} exceeds {REVERSIBILITY_TOL}")
@@ -164,28 +162,19 @@ def _symmetrize(kernel: FiniteKernel) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def spectrum(chain: Chain) -> Spectrum:
-    """All eigenvalues of a reversible chain, sorted descending.
+def spectrum(kernel: FiniteKernel) -> Spectrum:
+    """All eigenvalues of a dense reversible kernel, sorted descending: the oracle.
 
-    FiniteKernel inputs are checked for detailed balance first and
-    rejected beyond ``REVERSIBILITY_TOL``; birth--death chains go to the
-    symmetric-tridiagonal solver with off-diagonals
-    sqrt(up_i * down_{i+1}).
+    The kernel is checked for detailed balance first and rejected beyond
+    ``REVERSIBILITY_TOL``, then solved by the dense symmetric solver.
     """
     import scipy.linalg
 
-    if isinstance(chain, BirthDeathChain):
-        if chain.n == 1:
-            return Spectrum(eigenvalues=np.array([1.0]), dim=1)
-        d = chain.hold
-        e = np.sqrt(chain.up[:-1] * chain.down[1:])
-        vals = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
-        return Spectrum(eigenvalues=vals[::-1].copy(), dim=chain.n)
-    _check_dense(chain.n, "states")
-    if chain.n == 1:
+    _check_dense(kernel.n, "states")
+    if kernel.n == 1:
         return Spectrum(eigenvalues=np.array([1.0]), dim=1)
-    vals = scipy.linalg.eigvalsh(_symmetrize(chain))
-    return Spectrum(eigenvalues=vals[::-1].copy(), dim=chain.n)
+    vals = scipy.linalg.eigvalsh(_symmetrize(kernel))
+    return Spectrum(eigenvalues=vals[::-1].copy(), dim=kernel.n)
 
 
 def gap(s: Spectrum) -> float:
@@ -422,9 +411,9 @@ def _sector_extremes(M, u: Optional[np.ndarray] = None) -> tuple:
 def _bisect(d: np.ndarray, e: np.ndarray, k: int) -> tuple:
     """The k-th smallest (from 0) eigenvalue of the tridiagonal (d, e), by bisection.
 
-    O(m), straight to LAPACK (what eigh_tridiagonal(select="i") calls,
-    without its wrapper).  Returns dstebz's (w, iblock, isplit), as
-    inverse iteration (dstein) takes them.
+    O(m), straight to LAPACK's dstebz, with no wrapper around it.
+    Returns dstebz's (w, iblock, isplit), as inverse iteration (dstein)
+    takes them.
     """
     from scipy.linalg.lapack import dstebz
 
@@ -663,8 +652,11 @@ def cut_bottleneck_log(table: MoveTable, subset: Sequence[int]) -> float:
     order.
     """
     n = table.n
+    members = np.asarray(list(subset), dtype=np.intp)
+    if members.size and (members.min() < 0 or members.max() >= n):
+        raise ValueError(f"cut states must lie in 0..{n - 1}")
     inA = np.zeros(n, dtype=bool)
-    inA[np.asarray(list(subset), dtype=np.intp)] = True
+    inA[members] = True
     if not inA.any() or inA.all():
         raise ValueError("cut must be a proper nonempty subset")
     lw = table.log_pi
@@ -707,65 +699,57 @@ class DecompositionBound:
 def decomposition_bound(table: MoveTable, parts: Partition) -> DecompositionBound:
     """Evaluate the decomposition lower bound for the given partition.
 
-    The projection is taken on the table's moves; the chain is made
-    dense once, for its restrictions to the blocks.
+    The projection and the restrictions to the blocks are move tables,
+    solved by ``sector_spectrum``, the restrictions as one batch; the
+    chain is never made dense.
     """
-    gap_H = gap(spectrum(lumped_projection(table, parts).to_kernel()))
-    kernel = table.to_kernel()
-    gaps = [gap(spectrum(restriction(kernel, block))) for block in parts.blocks]
-    min_gap = min(gaps)
-    return DecompositionBound(
-        value=0.5 * gap_H * min_gap,
-        projection_gap=gap_H,
-        min_restriction_gap=min_gap,
-        restriction_gaps=tuple(gaps),
-    )
+    gap_H = sector_spectrum(lumped_projection(table, parts)).gap
+    gaps = tuple(s.gap for _, s in
+                 sector_spectrum_batch(restriction(table, block) for block in parts.blocks))
+    return DecompositionBound(value=0.5 * gap_H * min(gaps), projection_gap=gap_H,
+                              min_restriction_gap=min(gaps), restriction_gaps=gaps)
 
 
-def bd_path_bound(chain: BirthDeathChain, A: float, q: float, B: float, k: int,
+def bd_path_bound(table: MoveTable, A: float, q: float, B: float, k: int,
                   strict: bool = True) -> BoundEvaluation:
-    """Path bound lambda_1 <= 1 - (A/B) n^{-(q+2)} for a birth--death chain.
+    """Path bound lambda_1 <= 1 - (A/B) n^{-(q+2)} for a birth--death table.
 
-    Hypotheses, checked programmatically: every defined up/down rate is
-    >= A n^{-q}, and the stationary weights are B-unimodal around index
-    k (pi_i <= B pi_j for i <= j <= k, pi_j <= B pi_i for k <= i <= j).
-    With strict=True a violation raises HypothesisError naming the
-    offending rate or pair; otherwise the returned record carries
-    hypotheses_ok=False and the violation text.
+    Every move of the table must step +-1 (ValueError otherwise); the
+    up and down rates are read off those moves.  Hypotheses, checked
+    programmatically: every defined up/down rate is >= A n^{-q}, and the
+    stationary weights are B-unimodal around index k (pi_i <= B pi_j for
+    i <= j <= k, pi_j <= B pi_i for k <= i <= j).  With strict=True a
+    violation raises HypothesisError naming the offending rate or pair;
+    otherwise the returned record carries hypotheses_ok=False and the
+    violation text.
     """
-    n = chain.n
+    n = table.n
+    step = table.cols - table.rows
+    if not (np.abs(step) == 1).all():
+        raise ValueError("the path bound needs a birth-death table: every move steps +-1")
     if not 0 <= k < n:
         raise ValueError(f"peak index {k} outside 0..{n - 1}")
+    up, down = (np.bincount(table.rows[step == d], weights=table.vals[step == d], minlength=n)
+                for d in (1, -1))
     threshold = A * float(n) ** (-q)
-    logB = math.log(B)
-    lp = chain.log_pi
-    tol = 1e-12
+    logB, lp, tol = math.log(B), table.log_pi, 1e-12
+    rates = np.concatenate([up[:-1], down[1:]])  # up of 0..n-2, then down of 1..n-1
+    low = np.flatnonzero(rates < threshold * (1 - 1e-12))
+    # the states j <= k with a heavier one left of them, i >= k with one right of them
+    heavy_left = np.flatnonzero(np.maximum.accumulate(lp[:k + 1]) > logB + lp[:k + 1] + tol)
+    heavy_right = np.flatnonzero(np.maximum.accumulate(lp[::-1])[::-1][k:] > logB + lp[k:] + tol)
     violation = None
-    rates = [("up", i, chain.up[i]) for i in range(n - 1)]
-    rates += [("down", i, chain.down[i]) for i in range(1, n)]
-    for name, i, rate in rates:
-        if rate < threshold * (1 - 1e-12):
-            violation = (f"{name} rate at index {i} is {rate:.6g} < A n^-q = "
-                         f"{threshold:.6g}")
-            break
-    if violation is None:
-        run_max = -math.inf
-        for j in range(k + 1):
-            run_max = max(run_max, lp[j])
-            if run_max > logB + lp[j] + tol:
-                i = int(np.argmax(lp[: j + 1]))
-                violation = (f"monotone-up condition fails: pi({i}) > B pi({j}) "
-                             f"left of the peak k={k}")
-                break
-    if violation is None:
-        run_max = -math.inf
-        for i in range(n - 1, k - 1, -1):
-            run_max = max(run_max, lp[i])
-            if run_max > logB + lp[i] + tol:
-                j = int(k + np.argmax(lp[k:]))
-                violation = (f"monotone-down condition fails: pi({j}) > B pi({i}) "
-                             f"right of the peak k={k}")
-                break
+    if low.size:
+        at = int(low[0])
+        name, i = ("up", at) if at < n - 1 else ("down", at - n + 2)
+        violation = f"{name} rate at index {i} is {rates[at]:.6g} < A n^-q = {threshold:.6g}"
+    elif heavy_left.size:
+        j = int(heavy_left[0])
+        violation = (f"monotone-up condition fails: pi({int(np.argmax(lp[:j + 1]))}) > "
+                     f"B pi({j}) left of the peak k={k}")
+    elif heavy_right.size:
+        violation = (f"monotone-down condition fails: pi({k + int(np.argmax(lp[k:]))}) > "
+                     f"B pi({k + int(heavy_right[-1])}) right of the peak k={k}")
     value = 1.0 - (A / B) * float(n) ** (-(q + 2.0))
     if violation is not None and strict:
         raise HypothesisError(violation)
@@ -773,9 +757,14 @@ def bd_path_bound(chain: BirthDeathChain, A: float, q: float, B: float, k: int,
                            hypotheses_ok=violation is None, detail=violation)
 
 
-def gershgorin_bound(chain: BirthDeathChain) -> float:
-    """lambda_min >= -1 + 2 min_i P(i,i), read off the holding rates."""
-    return -1.0 + 2.0 * float(chain.hold.min())
+def gershgorin_bound(table: MoveTable) -> float:
+    """lambda_min >= -1 + 2 min_i P(i,i), P(i,i) the holding the moves of row i leave.
+
+    P has the eigenvalues of its symmetrization, so this holds for any
+    reversible table: each lies in a disc of centre P(i,i), radius 1 - P(i,i).
+    """
+    hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=table.n)
+    return -1.0 + 2.0 * float(hold.min())
 
 
 # ---------------------------------------------------------------------------

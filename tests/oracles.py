@@ -4,7 +4,8 @@ Nothing under ``src/`` reaches these: they are the configuration check
 and per-configuration helpers, the per-class weight formulas, a
 one-step sampler call from a given state and the move component a step
 took, the sequential ball-placement orbit draw, the validity checks of
-a dense chain, a dense chain as a move table, the interval-cut bound
+a dense chain, a dense chain as a move table, a birth-death chain as a
+move table, the dense restriction to a block, the interval-cut bound
 summed cut by cut in exact-rounding sums, the dense form of a
 birth-death chain and its detailed-balance check, direct-lumping and
 containment checks, and the literal transcription of a hand-tabulated
@@ -260,6 +261,30 @@ def kernel_table(kernel: FiniteKernel) -> MoveTable:
     rows, cols = rows[off], cols[off]
     return MoveTable(labels=kernel.labels, log_pi=kernel.log_pi, rows=rows, cols=cols,
                      vals=kernel.P[rows, cols], flip=np.arange(kernel.n))
+
+
+def bd_table(up: Sequence[float], down: Sequence[float], log_pi: Sequence[float]) -> MoveTable:
+    """The birth-death chain up[i]: i -> i+1, down[i]: i -> i-1 as a move table.
+
+    Its nonzero rates in row-major order, the flip the identity.
+    """
+    n = len(log_pi)
+    moves = [(i, j, rate) for i in range(n) for j, rate in ((i - 1, down[i]), (i + 1, up[i]))
+             if 0 <= j < n and rate]
+    rows, cols, vals = (np.array([m[f] for m in moves], dtype=dtype)
+                        for f, dtype in ((0, np.intp), (1, np.intp), (2, float)))
+    return MoveTable(labels=tuple(range(n)), log_pi=np.asarray(log_pi, dtype=float),
+                     rows=rows, cols=cols, vals=vals, flip=np.arange(n))
+
+
+def dense_restriction(kernel: FiniteKernel, block: Sequence[int]) -> FiniteKernel:
+    """The dense chain restricted to a block; escaping mass is added to the diagonal."""
+    b = np.asarray(block, dtype=np.intp)
+    sub = kernel.P[np.ix_(b, b)].copy()
+    escape = kernel.P[b, :].sum(axis=1) - sub.sum(axis=1)
+    sub[np.diag_indices(b.size)] += escape
+    labels = tuple(kernel.labels[int(i)] for i in b)
+    return FiniteKernel(labels=labels, log_pi=kernel.log_pi[b].copy(), P=sub)
 
 
 def interval_conductance_reference(chain: Union[FiniteKernel, MoveTable]) -> float:

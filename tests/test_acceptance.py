@@ -166,14 +166,14 @@ def test_criterion_05_decomposition_bound_audit():
             audit(metropolis_chain(spec, "equi-energy"), unsigned_class_partition(spec))
     # sign partitions of restricted orbit chains
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy").to_kernel()
+    M = metropolis_chain(spec, "equi-energy")
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     for i in (2, 4, 6):
         block = np.flatnonzero(np.abs(S) == i)
         R = restriction(M, block)
         signs = [1 if S[j] > 0 else -1 for j in block]
-        audit(kernel_table(R), partition_by(signs))
+        audit(R, partition_by(signs))
     # beg: full-space energy partition and the quadrupole-row partition
     for (beta_, K_) in ((1.0, 1.0), (1.5, 2.0)):
         bspec = beg(4, beta=beta_, K=K_, p1=0.5, p2=0.25)

@@ -39,6 +39,7 @@ from oracles import (
     beg_lumped_tabulated,
     beg_rate_discrepancies,
     check_kernel,
+    dense_restriction,
     kernel_table,
     row_sum_error,
     unsigned_class_partition,
@@ -263,34 +264,34 @@ def test_lumped_projection_preserves_measure_and_reversibility():
 
 def test_restriction_whole_space_is_identity_operation():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
-    M = metropolis_chain(spec, "equi-energy").to_kernel()
+    M = metropolis_chain(spec, "equi-energy")
     R = restriction(M, np.arange(M.n))
-    assert np.allclose(R.P, M.P, atol=0)
+    assert np.allclose(R.to_kernel().P, M.to_kernel().P, atol=0)
 
 
 def test_restriction_signed_class_is_lazy_uniform():
     # restricted chain on a signed class: (1-p1-p2) * uniform + (p1+p2) * identity
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy").to_kernel()
+    M = metropolis_chain(spec, "equi-energy")
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(S == 2)
     R = restriction(M, block)
     size = block.size
     expected = (1 - 0.7) * np.full((size, size), 1.0 / size) + 0.7 * np.eye(size)
-    assert np.allclose(R.P, expected, atol=1e-14)
+    assert np.allclose(R.to_kernel().P, expected, atol=1e-14)
 
 
 def test_sign_chain_two_by_two():
     # lump the restriction to X_i over {+,-}: off-diagonal p2/2
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy").to_kernel()
+    M = metropolis_chain(spec, "equi-energy")
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
     R = restriction(M, block)
     signs = [1 if S[i] > 0 else -1 for i in block]
-    H = lumped_projection(kernel_table(R), partition_by(signs)).to_kernel()
+    H = lumped_projection(R, partition_by(signs)).to_kernel()
     assert H.P[0, 1] == pytest.approx(spec.p2 / 2, abs=1e-14)
     assert H.P[1, 0] == pytest.approx(spec.p2 / 2, abs=1e-14)
 
@@ -311,8 +312,46 @@ def test_warmup_projection_matches_displayed_rates():
     assert H.P[last, last - 1] == pytest.approx((1 - eps) / (4 * theta), abs=1e-14)
     for i, block in enumerate(parts.blocks):
         if len(block) == 2:
-            R = restriction(M.to_kernel(), block)
-            assert np.allclose(R.P, np.array([[1 - eps, eps], [eps, 1 - eps]]), atol=1e-14)
+            R = restriction(M, block)
+            assert np.allclose(R.to_kernel().P, np.array([[1 - eps, eps], [eps, 1 - eps]]),
+                               atol=1e-14)
+
+
+def _restriction_cases():
+    """(table, block) pairs: the blocks the restriction tests above take."""
+    spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
+    M = metropolis_chain(spec, "equi-energy")
+    yield M, np.arange(M.n)
+    spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
+    M = metropolis_chain(spec, "equi-energy")
+    S = models.enumerate_states(spec).sum(axis=1)
+    for i in (2, 4, 6):
+        yield M, np.flatnonzero(S == i)
+        yield M, np.flatnonzero(np.abs(S) == i)
+    spec = warmup(6, theta=2.0, epsilon=0.3)
+    M = metropolis_chain(spec, "small-world")
+    for block in warmup_block_partition(spec).blocks:
+        yield M, block
+    # an unordered block, on a chain with unequal weights
+    table = unsigned_lumped_chain(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    yield table, np.array([7, 2, 11, 3])
+
+
+def test_restriction_matches_the_dense_restriction():
+    for table, block in _restriction_cases():
+        R = restriction(table, block)
+        want = dense_restriction(table.to_kernel(), block)
+        assert R.labels == want.labels
+        assert np.array_equal(R.log_pi, want.log_pi)
+        assert np.array_equal(R.flip, np.arange(len(block)))
+        assert np.abs(R.to_kernel().P - want.P).max() <= 1e-15
+
+
+@pytest.mark.parametrize("block", [[0, 0, 1], [-1], [7], [], [[0, 1]], [0.0, 1.0]])
+def test_restriction_refuses_a_block_that_is_not_distinct_states(block):
+    M = metropolis_chain(warmup(3, theta=2.0, epsilon=0.3), "small-world")
+    with pytest.raises(ValueError, match=r"0\.\.6"):
+        restriction(M, block)
 
 
 # ---------------------------------------------------------------------------

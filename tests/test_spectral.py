@@ -7,14 +7,15 @@ import sympy
 
 from spingap import kernels, models, spectral
 from spingap.kernels import (
-    BirthDeathChain,
     FiniteKernel,
+    MoveTable,
     Partition,
-    ising_lumped_bd,
     lumped_projection,
     metropolis_chain,
     partition_by,
     restriction,
+    signed_move_table,
+    unsigned_lumped_chain,
     warmup_block_partition,
 )
 from spingap.models import beg, ising, warmup
@@ -31,11 +32,13 @@ from spingap.spectral import (
     gap,
     gershgorin_bound,
     interval_conductance,
+    sector_spectrum,
     spectrum,
 )
 
 from oracles import (
-    bd_kernel,
+    bd_table,
+    dense_restriction,
     interval_conductance_reference,
     kernel_table,
     unsigned_class_partition,
@@ -74,13 +77,13 @@ def test_two_state_closed_form():
 
 def test_sign_chain_gap_is_p2():
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
-    M = metropolis_chain(spec, "equi-energy").to_kernel()
+    M = metropolis_chain(spec, "equi-energy")
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
     R = restriction(M, block)
     signs = [1 if S[i] > 0 else -1 for i in block]
-    H = lumped_projection(kernel_table(R), partition_by(signs)).to_kernel()
+    H = lumped_projection(R, partition_by(signs)).to_kernel()
     s = spectrum(H)
     assert gap(s) == pytest.approx(spec.p2, abs=1e-12)
 
@@ -132,15 +135,15 @@ def test_spectrum_against_exact_birth_death():
     for val, mult in Pm.eigenvals().items():
         exact.extend([float(val)] * mult)
     # stationary from detailed balance: pi = (1, 2, 1)
-    bd = BirthDeathChain(up=np.array([1 / 3, 1 / 4, 0.0]),
-                         down=np.array([0.0, 1 / 6, 1 / 2]),
-                         log_pi=np.log([1.0, 2.0, 1.0]),
-                         labels=(0, 1, 2))
-    s = spectrum(bd)
+    bd = bd_table(up=[1 / 3, 1 / 4, 0.0], down=[0.0, 1 / 6, 1 / 2],
+                  log_pi=np.log([1.0, 2.0, 1.0]))
+    s = spectrum(bd.to_kernel())
     assert np.allclose(np.sort(s.eigenvalues), np.sort(exact), atol=1e-12)
-    # and the dense route agrees with the tridiagonal route
-    s2 = spectrum(bd_kernel(bd))
-    assert np.allclose(s.eigenvalues, s2.eigenvalues, atol=1e-12)
+    # and the sector route finds the same extremes
+    exact = sorted(exact, reverse=True)
+    sec = sector_spectrum(bd)
+    assert sec.lambda1 == pytest.approx(exact[1], abs=1e-12)
+    assert sec.lambda_min == pytest.approx(exact[-1], abs=1e-12)
 
 
 def test_power_iteration_spot_check():
@@ -355,26 +358,65 @@ def test_decomposition_ising_energy_partition():
     assert b.value > 0
 
 
+def _quadrupole_rows(table):
+    """The partition of a BEG class table by its quadrupole row r."""
+    return partition_by([r for _, r in table.labels])
+
+
+def _decomposition_case(case):
+    if case == "warmup-40":
+        spec = warmup(40, theta=2.0, epsilon=0.3)
+        return metropolis_chain(spec, "small-world"), warmup_block_partition(spec)
+    if case == "beg-20-signed":
+        table = signed_move_table(beg(20, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    else:
+        table = unsigned_lumped_chain(beg(20, beta=1.5, K=2.0, p1=0.5, p2=0.25), "equi-energy")
+    return table, _quadrupole_rows(table)
+
+
+@pytest.mark.parametrize("case", ["beg-20-signed", "beg-20-unsigned", "warmup-40"])
+def test_decomposition_bound_matches_the_dense_route(case):
+    table, parts = _decomposition_case(case)
+    # the dense route: the projection and each restriction made dense and fully solved
+    gap_H = gap(spectrum(lumped_projection(table, parts).to_kernel()))
+    kernel = table.to_kernel()
+    gaps = [gap(spectrum(dense_restriction(kernel, block))) for block in parts.blocks]
+    b = decomposition_bound(table, parts)
+    assert b.projection_gap == pytest.approx(gap_H, abs=1e-12)
+    assert np.allclose(b.restriction_gaps, gaps, rtol=0, atol=1e-12)
+    assert b.value == pytest.approx(0.5 * gap_H * min(gaps), abs=1e-12)
+
+
+def test_decomposition_bound_past_the_dense_cap(monkeypatch):
+    table = signed_move_table(beg(130, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    assert table.n == 8646 > kernels.DEFAULT_MAX_STATES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decomposition bound made a chain dense")
+
+    monkeypatch.setattr(MoveTable, "to_kernel", refuse)
+    monkeypatch.setattr(spectral, "spectrum", refuse)
+    b = decomposition_bound(table, _quadrupole_rows(table))
+    assert math.isfinite(b.value) and b.value > 0
+    assert len(b.restriction_gaps) == 131
+
+
 # ---------------------------------------------------------------------------
 # birth-death path bound, Gershgorin
 # ---------------------------------------------------------------------------
 
 def test_bd_path_bound_symmetric_walk():
-    bd = BirthDeathChain(up=np.array([0.5, 0.5, 0.0]),
-                         down=np.array([0.0, 0.5, 0.5]),
-                         log_pi=np.zeros(3), labels=(0, 1, 2))
+    bd = bd_table(up=[0.5, 0.5, 0.0], down=[0.0, 0.5, 0.5], log_pi=np.zeros(3))
     ev = bd_path_bound(bd, A=1.5, q=1.0, B=1.0, k=1)
     assert ev.hypotheses_ok
     assert ev.value == pytest.approx(1 - 1.5 / 27)
-    lam1 = spectrum(bd).eigenvalues[1]
+    lam1 = sector_spectrum(bd).lambda1
     assert ev.value >= lam1 - 1e-12
 
 
 def test_bd_path_bound_violation_names_pair():
     # weights dip in the middle: not B-unimodal around any peak at k=2
-    bd = BirthDeathChain(up=np.array([0.2, 0.2, 0.0]),
-                         down=np.array([0.0, 0.2, 0.2]),
-                         log_pi=np.log([1.0, 0.01, 1.0]), labels=(0, 1, 2))
+    bd = bd_table(up=[0.2, 0.2, 0.0], down=[0.0, 0.2, 0.2], log_pi=np.log([1.0, 0.01, 1.0]))
     with pytest.raises(HypothesisError, match="monotone-up"):
         bd_path_bound(bd, A=0.6, q=1.0, B=2.0, k=2)
     ev = bd_path_bound(bd, A=0.6, q=1.0, B=2.0, k=2, strict=False)
@@ -383,9 +425,7 @@ def test_bd_path_bound_violation_names_pair():
 
 
 def test_bd_path_bound_rate_violation():
-    bd = BirthDeathChain(up=np.array([0.5, 1e-6, 0.0]),
-                         down=np.array([0.0, 0.5, 0.5]),
-                         log_pi=np.zeros(3), labels=(0, 1, 2))
+    bd = bd_table(up=[0.5, 1e-6, 0.0], down=[0.0, 0.5, 0.5], log_pi=np.zeros(3))
     with pytest.raises(HypothesisError, match="up rate at index 1"):
         bd_path_bound(bd, A=1.5, q=1.0, B=1.0, k=1)
 
@@ -395,7 +435,7 @@ def test_bd_path_bound_ising_projection_strong_beta():
     # factor undercuts A n^{-q} at i=N for small N); the bound value is
     # still the substituted 1 - (p1/16)(N/2+1)^{-3}
     spec = ising(4, beta=2.0, p1=0.5, p2=0.25)
-    bd = ising_lumped_bd(spec)
+    bd = unsigned_lumped_chain(spec, "equi-energy")
     k = int(np.argmax(bd.log_pi))
     ev = bd_path_bound(bd, A=spec.p1 / 8, q=1.0, B=2.0, k=k, strict=False)
     assert ev.value == pytest.approx(1 - 0.5 / 16 / 27, rel=1e-12)
@@ -406,26 +446,95 @@ def test_bd_path_bound_ising_projection_strong_beta():
 
 def test_bd_path_bound_ising_projection_mild_beta():
     spec = ising(10, beta=0.5, p1=0.5, p2=0.25)
-    bd = ising_lumped_bd(spec)
+    bd = unsigned_lumped_chain(spec, "equi-energy")
     k = int(np.argmax(bd.log_pi))
     ev = bd_path_bound(bd, A=spec.p1 / 8, q=1.0, B=2.0, k=k)
     assert ev.hypotheses_ok
-    lam1 = spectrum(bd).eigenvalues[1]
+    lam1 = sector_spectrum(bd).lambda1
     assert ev.value >= lam1 - 1e-12
 
 
 def test_gershgorin_cases():
-    ident = BirthDeathChain(up=np.zeros(2), down=np.zeros(2), log_pi=np.zeros(2), labels=(0, 1))
+    ident = bd_table(up=np.zeros(2), down=np.zeros(2), log_pi=np.zeros(2))
     assert gershgorin_bound(ident) == pytest.approx(1.0)
-    flip = BirthDeathChain(up=np.array([1.0, 0.0]), down=np.array([0.0, 1.0]),
-                           log_pi=np.zeros(2), labels=(0, 1))
+    flip = bd_table(up=[1.0, 0.0], down=[0.0, 1.0], log_pi=np.zeros(2))
     assert gershgorin_bound(flip) == pytest.approx(-1.0)
     spec = ising(8, beta=1.0, p1=0.5, p2=0.25)
-    bd = ising_lumped_bd(spec)
+    bd = unsigned_lumped_chain(spec, "equi-energy")
     b = gershgorin_bound(bd)
     assert b >= 1 - spec.p1 - 1e-14  # up+down never exceeds p1/2
-    lam_min = spectrum(bd).eigenvalues[-1]
+    lam_min = sector_spectrum(bd).lambda_min
     assert lam_min >= b - 1e-10
+
+
+def test_gershgorin_bound_on_a_table_that_is_not_birth_death():
+    table = unsigned_lumped_chain(beg(8, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    kernel = table.to_kernel()
+    assert gershgorin_bound(table) == pytest.approx(-1 + 2 * np.diag(kernel.P).min(), abs=1e-15)
+    assert spectrum(kernel).eigenvalues[-1] >= gershgorin_bound(table) - 1e-12
+
+
+def test_bd_path_bound_refuses_a_table_that_is_not_birth_death():
+    table = unsigned_lumped_chain(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    with pytest.raises(ValueError, match="birth-death"):
+        bd_path_bound(table, A=0.1, q=1.0, B=2.0, k=0)
+    signed = signed_move_table(ising(6, beta=1.0, p1=0.5, p2=0.25), "equi-energy")
+    with pytest.raises(ValueError, match="birth-death"):
+        bd_path_bound(signed, A=0.1, q=1.0, B=2.0, k=3)
+
+
+def reference_bd_path_violation(up, down, lp, A, q, B, k):
+    """The hypothesis checks of the path bound, one state at a time."""
+    n = len(lp)
+    threshold = A * float(n) ** (-q)
+    logB, tol = math.log(B), 1e-12
+    rates = [("up", i, up[i]) for i in range(n - 1)] + [("down", i, down[i]) for i in range(1, n)]
+    for name, i, rate in rates:
+        if rate < threshold * (1 - 1e-12):
+            return f"{name} rate at index {i} is {rate:.6g} < A n^-q = {threshold:.6g}"
+    run_max = -math.inf
+    for j in range(k + 1):
+        run_max = max(run_max, lp[j])
+        if run_max > logB + lp[j] + tol:
+            i = int(np.argmax(lp[: j + 1]))
+            return f"monotone-up condition fails: pi({i}) > B pi({j}) left of the peak k={k}"
+    run_max = -math.inf
+    for i in range(n - 1, k - 1, -1):
+        run_max = max(run_max, lp[i])
+        if run_max > logB + lp[i] + tol:
+            j = int(k + np.argmax(lp[k:]))
+            return f"monotone-down condition fails: pi({j}) > B pi({i}) right of the peak k={k}"
+    return None
+
+
+def test_bd_path_bound_matches_the_state_by_state_checks():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        up = np.append(rng.uniform(0.0, 0.5, n - 1), 0.0)
+        down = np.insert(rng.uniform(0.0, 0.5, n - 1), 0, 0.0)
+        lp = rng.normal(0.0, 1.0, n)
+        k = int(rng.integers(0, n))
+        A = float(rng.choice([0.0, 0.2, 1.0]))
+        want = reference_bd_path_violation(up, down, lp, A, 1.0, 2.0, k)
+        ev = bd_path_bound(bd_table(up, down, lp), A=A, q=1.0, B=2.0, k=k, strict=False)
+        assert ev.detail == want
+        assert ev.hypotheses_ok == (want is None)
+        seen.add(None if want is None else want.split()[0])
+    assert seen == {None, "up", "down", "monotone-up", "monotone-down"}
+
+
+# ---------------------------------------------------------------------------
+# out-of-range states
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("subset", [[-11, -10], [11], [0, 11]])
+def test_cut_refuses_states_outside_the_table(subset):
+    table = signed_move_table(ising(10, beta=1.0), "naive")
+    assert table.n == 11
+    with pytest.raises(ValueError, match=r"0\.\.10"):
+        spectral.cut_bottleneck_log(table, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ route), three chains that their model does not have or cannot build,
 a warm-up and an ising-slow grid
 in which every naive gap underflows, a beg-slow grid with too few
 resolvable gaps to fit, a ``--deep`` cell outside its grid, two
-failing beg-fast grids, four profile scans and audits at N < 1, three
+failing beg-fast grids, a beg-fast grid that skips its double-peaked
+cell and passes on the other, an ising unimodality scan that succeeds,
+four profile scans and audits at N < 1, three
 ``simulate`` step counts too large to hold, a fractional ``--steps`` and
 ``--burn-in``, a ``--thin`` in float notation, a negative ``--seed``, a
 ``--beta-k`` item without its ``:K`` or with an empty ``K``, a ``--beta``
@@ -94,6 +96,8 @@ EXTRA_COMMANDS = (
     "verify beg-slow --beta-k 3:5 --deep 1:1 --n 6..10..2",
     "verify beg-fast --beta-k 1:1 --n 6..16..2 --slope-floor 0",
     "verify beg-fast --beta-k 1:1 --n 2..4..2",
+    "verify beg-fast --beta-k 2.5:1.082,1:1 --n 6..16..2 --p1 0.5 --p2 0.25",
+    "unimodality-scan --model ising --beta 0.5,2 --n 10..40..10",
     "unimodality-scan --model ising --beta 2 --n 0",
     "unimodality-scan --model ising --beta 2 --n -2",
     "unimodality-scan --model beg --beta-k 1:1 --n 0",
