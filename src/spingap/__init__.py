@@ -32,7 +32,7 @@ from .kernels import (
     metropolis_chain,
     metropolize,
     partition_by,
-    restriction,
+    restrictions,
     signed_lumped_chain,
     signed_move_table,
     single_flip_proposal,

@@ -112,13 +112,21 @@ def parse_int_range(text: str) -> list[int]:
     return [_convert(int, v, "whole numbers") for v in _items(text)]
 
 
+def parse_real(text: str) -> float:
+    """A finite real: every real-valued option, list entry and pair member."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, not {text!r}")
+    return value
+
+
 def parse_float_list(text: str) -> list[float]:
-    return [_convert(float, v, "numbers") for v in _items(text)]
+    return [_convert(parse_real, v, "numbers") for v in _items(text)]
 
 
 def _pair(item: str) -> tuple[float, float]:
     beta, K = item.split(":")
-    return float(beta), float(K)
+    return parse_real(beta), parse_real(K)
 
 
 def parse_pair_list(text: str) -> list[tuple[float, float]]:
@@ -495,22 +503,22 @@ MODEL = Option("model", "--model", "model.kind", choices=models.KINDS, required=
 #: follows --model, which every command lists before it
 CHAIN = Option("kind", "--kind", "run.chain", choices=CHAIN_KINDS,
                default=lambda v: "small-world" if v.model == "warmup" else "equi-energy")
-THETA = Option("theta", "--theta", "model.theta", float, models=("warmup",))
-EPSILON = Option("epsilon", "--epsilon", "model.epsilon", float, models=("warmup",))
-P1 = Option("p1", "--p1", "model.p1", float, models=SPIN_MODELS)
-P2 = Option("p2", "--p2", "model.p2", float, models=SPIN_MODELS)
+THETA = Option("theta", "--theta", "model.theta", parse_real, models=("warmup",))
+EPSILON = Option("epsilon", "--epsilon", "model.epsilon", parse_real, models=("warmup",))
+P1 = Option("p1", "--p1", "model.p1", parse_real, models=SPIN_MODELS)
+P2 = Option("p2", "--p2", "model.p2", parse_real, models=SPIN_MODELS)
 #: one model instance (simulate, conductance, export-kernel)
 SPEC = (MODEL, Option("n", "--n", "model.n", int, required=True, help="system size"), CHAIN)
-SPEC_PARAMS = (Option("beta", "--beta", "model.beta", float, models=SPIN_MODELS),
-               Option("k", "--k", "model.k", float, models=("beg",), help="beg coupling K"),
+SPEC_PARAMS = (Option("beta", "--beta", "model.beta", parse_real, models=SPIN_MODELS),
+               Option("k", "--k", "model.k", parse_real, models=("beg",), help="beg coupling K"),
                THETA, EPSILON, P1, P2)
 UNRECORDED_SPEC_PARAMS = tuple(replace(o, record="never") for o in SPEC_PARAMS)
 SPACE = Option("space", "--space", default="full", choices=("full", "signed", "unsigned"))
 
 GRID_N = Option("n", "--n", "grid.n", parse_int_range, "10..30..2", help=RANGE_HELP)
-GRID_P1 = Option("p1", "--p1", "grid.p1", float, DEFAULT_P1)
-GRID_P2 = Option("p2", "--p2", "grid.p2", float, DEFAULT_P2)
-SLOPE_THRESHOLD = Option("slope_threshold", "--slope-threshold", parse=float, default=-0.05)
+GRID_P1 = Option("p1", "--p1", "grid.p1", parse_real, DEFAULT_P1)
+GRID_P2 = Option("p2", "--p2", "grid.p2", parse_real, DEFAULT_P2)
+SLOPE_THRESHOLD = Option("slope_threshold", "--slope-threshold", parse=parse_real, default=-0.05)
 
 
 def _verify(target: str, help: str, audit, *options: Option) -> Command:
@@ -538,8 +546,8 @@ COMMANDS = (
             Option("beta", "--beta", "grid.beta", parse_float_list, "2"), SLOPE_THRESHOLD),
     _verify("warmup", "gap scaling of the naive and small-world warm-up chains",
             lambda o: verify_mod.verify_warmup(o.theta, o.epsilon, o.n),
-            Option("theta", "--theta", "grid.theta", float, 2.0),
-            Option("epsilon", "--epsilon", "grid.epsilon", float, 0.3)),
+            Option("theta", "--theta", "grid.theta", parse_real, 2.0),
+            Option("epsilon", "--epsilon", "grid.epsilon", parse_real, 0.3)),
     _verify("beg-slow", "exponential gap collapse of the naive beg chain",
             lambda o: verify_mod.verify_beg_slow(o.beta_k, o.n, deep=o.deep or None,
                                                  slope_threshold=o.slope_threshold),
@@ -552,7 +560,7 @@ COMMANDS = (
                                                  slope_floor=o.slope_floor),
             Option("beta_k", "--beta-k", "grid.beta_k", parse_pair_list, "1:1", help=PAIRS_HELP),
             GRID_P1, GRID_P2,
-            Option("slope_floor", "--slope-floor", parse=float, default=-6.25)),
+            Option("slope_floor", "--slope-floor", parse=parse_real, default=-6.25)),
     Command("unimodality-scan", "class-weight profile scans", cmd_unimodality_scan, (
         Option("model", "--model", "model.kind", default="beg", choices=SPIN_MODELS),
         Option("n", "--n", "grid.n", parse_int_range, "5..30..5", help=RANGE_HELP),

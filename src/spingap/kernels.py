@@ -3,7 +3,7 @@
 Proposal chains (single-flip, orbit-jump mixtures, small-world), their
 Metropolis chains, and the derived class-space chains: projections onto
 a partition (with the 1/2 factor that makes the projection lazy),
-restrictions to a block, exact strong lumpings onto signed orbit
+restrictions to its blocks, exact strong lumpings onto signed orbit
 classes, and their projections onto unsigned classes.
 
 Every chain builder returns a move table (``MoveTable``): the full
@@ -97,41 +97,39 @@ class FiniteKernel:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint blocks of state indices covering the whole space."""
+    """States split into nonempty blocks: state x lies in block ``block[x]``."""
 
-    blocks: tuple
+    block: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.labels):
-            raise ValueError("one label per block required")
-        seen = set()
-        for b in self.blocks:
-            if len(b) == 0:
-                raise ValueError("empty block")
-            bs = set(int(i) for i in b)
-            if seen & bs:
-                raise ValueError("blocks overlap")
-            seen |= bs
-        if seen != set(range(len(seen))) or max(seen, default=-1) + 1 != len(seen):
-            raise ValueError("blocks must cover indices 0..n-1 exactly")
+        if self.block.ndim != 1 or self.block.dtype.kind not in "iu":
+            raise ValueError("a block index must be a 1-D integer array")
+        if not np.array_equal(np.unique(self.block), np.arange(self.m)):
+            raise ValueError(f"block indices must cover 0..{self.m - 1}, each at least once")
 
     @property
     def m(self) -> int:
-        return len(self.blocks)
+        return len(self.labels)
+
+    @property
+    def blocks(self) -> tuple:
+        """Each block's states in ascending order."""
+        order = np.argsort(self.block, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(self.block, minlength=self.m)))[:-1])
 
 
 def partition_by(keys: Sequence, order: Optional[Sequence] = None) -> Partition:
-    """Group indices 0..n-1 by key; block order follows sorted unique keys."""
+    """Group indices 0..n-1 by key, blocks in ``order`` (default: the sorted unique keys)."""
     keys = list(keys)
     if order is None:
         order = sorted(set(keys))
-    members = {k: [] for k in order}
-    for i, key in enumerate(keys):
-        if key in members:
-            members[key].append(i)
-    blocks = tuple(np.array(members[k], dtype=np.intp) for k in order)
-    return Partition(blocks=blocks, labels=tuple(order))
+    # a key that order repeats leaves its first block empty, which Partition refuses
+    index = {k: i for i, k in enumerate(order)}
+    block = np.array([index.get(k, -1) for k in keys], dtype=np.intp)
+    if (block < 0).any():
+        raise ValueError(f"key {keys[block.argmin()]!r} is not in order")
+    return Partition(block=block, labels=tuple(order))
 
 
 @dataclass(frozen=True)
@@ -364,13 +362,9 @@ def lumped_projection(chain: MoveTable, parts: Partition) -> MoveTable:
     result is the table of its block pairs in row-major order, with the
     identity as its flip.
     """
-    lw = chain.log_pi
-    sizes = [len(b) for b in parts.blocks]
-    if sum(sizes) != chain.n:
+    lw, block, m = chain.log_pi, parts.block, parts.m
+    if block.size != chain.n:
         raise ValueError("partition does not cover the kernel's state set")
-    m = parts.m
-    block = np.empty(chain.n, dtype=np.intp)
-    block[np.concatenate(parts.blocks)] = np.repeat(np.arange(m), sizes)
     top = np.full(m, -np.inf)
     np.maximum.at(top, block, lw)
     log_pi_H = top + np.log(np.bincount(block, weights=np.exp(lw - top[block]), minlength=m))
@@ -388,23 +382,23 @@ def lumped_projection(chain: MoveTable, parts: Partition) -> MoveTable:
                      flip=np.arange(m))
 
 
-def restriction(table: MoveTable, block: Sequence[int]) -> MoveTable:
-    """The chain restricted to a block: its moves inside, renumbered in block order.
+def restrictions(table: MoveTable, parts: Partition) -> tuple[MoveTable, ...]:
+    """The chain restricted to each block: its moves inside, in table order, states ascending.
 
-    The mass that leaves the block becomes holding.  The flip is the
+    The mass that leaves a block becomes holding.  The flip is the
     identity, since a block need not hold the mirrors of its states.
     """
-    n, b = table.n, np.asarray(block)
-    if (b.ndim != 1 or b.size == 0 or b.dtype.kind not in "iu" or b.min() < 0
-            or b.max() >= n or np.unique(b).size != b.size):
-        raise ValueError(f"a block must list distinct states of 0..{n - 1}, at least one")
-    pos = np.full(n, -1, dtype=np.intp)
-    pos[b] = np.arange(b.size)
-    rows, cols = pos[table.rows], pos[table.cols]
-    keep = (rows >= 0) & (cols >= 0)
-    return MoveTable(labels=tuple(table.labels[i] for i in b.tolist()), log_pi=table.log_pi[b],
-                     rows=rows[keep], cols=cols[keep], vals=table.vals[keep],
-                     flip=np.arange(b.size))
+    block, m = parts.block, parts.m
+    if block.size != table.n:
+        raise ValueError("partition does not cover the kernel's state set")
+    inside = np.flatnonzero(block[table.rows] == block[table.cols])
+    inside = inside[np.argsort(block[table.rows[inside]], kind="stable")]
+    moves = np.split(inside, np.cumsum(np.bincount(block[table.rows[inside]], minlength=m)))[:-1]
+    return tuple(MoveTable(labels=tuple(table.labels[i] for i in states.tolist()),
+                           log_pi=table.log_pi[states], vals=table.vals[k],
+                           rows=np.searchsorted(states, table.rows[k]),
+                           cols=np.searchsorted(states, table.cols[k]), flip=np.arange(states.size))
+                 for states, k in zip(parts.blocks, moves))
 
 
 def signed_class_keys(spec: ModelSpec) -> list:
@@ -423,9 +417,8 @@ def warmup_block_partition(spec: ModelSpec) -> Partition:
     """The warmup decomposition: A_1 = {-1,0,1}, A_i = {-i,+i} for i > 1."""
     if spec.kind != "warmup":
         raise ValueError("warmup partition requested for a different model")
-    N = spec.N
-    keys = [max(abs(int(x)), 1) for x in range(-N, N + 1)]
-    return partition_by(keys, order=list(range(1, N + 1)))
+    level = np.abs(np.arange(-spec.N, spec.N + 1))
+    return Partition(block=np.maximum(level, 1) - 1, labels=tuple(range(1, spec.N + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +577,9 @@ def unsigned_lumped_chain(spec: ModelSpec, kind: str) -> MoveTable:
     # within an orbit the table orders S ascending, so the S >= 0 member
     # has the larger index
     rep = np.maximum(idx, table.flip)
-    order = [table.labels[i] for i in np.flatnonzero(rep == idx)]
-    parts = partition_by([table.labels[i] for i in rep], order=order)
-    return lumped_projection(table, parts)
+    head = np.flatnonzero(rep == idx)
+    return lumped_projection(table, Partition(block=np.searchsorted(head, rep),
+                                              labels=tuple(table.labels[i] for i in head)))
 
 
 def ising_lumped_bd(spec: ModelSpec) -> BirthDeathChain:

@@ -67,7 +67,7 @@ class ModelSpec:
         if self.kind in ("ising", "beg"):
             if self.N % 2 != 0:
                 raise OddSizeError(f"{self.kind} model requires even N, got {self.N}")
-            if self.beta is None or self.beta < 0:
+            if self.beta is None or not 0 <= self.beta < math.inf:
                 raise ValueError("beta must be a nonnegative real")
             if self.p1 is not None or self.p2 is not None:
                 if self.p1 is None or self.p2 is None:
@@ -77,10 +77,10 @@ class ModelSpec:
                 if self.p1 + self.p2 >= 1:
                     raise ValueError(f"p1 + p2 must be < 1, got {self.p1 + self.p2}")
         if self.kind == "beg":
-            if self.K is None or self.K <= 0:
+            if self.K is None or not 0 < self.K < math.inf:
                 raise ValueError("K must be a positive real")
         if self.kind == "warmup":
-            if self.theta is None or self.theta <= 1:
+            if self.theta is None or not 1 < self.theta < math.inf:
                 raise ValueError(f"theta must be > 1, got {self.theta}")
             if self.epsilon is not None and not (0 < self.epsilon < 1):
                 raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
@@ -332,6 +332,8 @@ def ising_magnetization_log_profile(N: int, beta: float) -> tuple[np.ndarray, np
         raise ValueError(f"N must be positive, got {N}")
     if N % 2 != 0:
         raise OddSizeError(f"even N required, got {N}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be a finite real, got {beta}")
     i = np.arange(0, N + 1, 2)
     return i, log_binom_array(N, (N - i) // 2) + beta * i * i / (2 * N)
 
@@ -346,6 +348,8 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
+    if not (math.isfinite(beta) and math.isfinite(K)):
+        raise ValueError(f"beta and K must be finite reals, got {beta}, {K}")
     out = np.empty(N + 1)
     for r in range(N + 1):
         s = np.arange(r % 2, r + 1, 2)

@@ -45,9 +45,9 @@ On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
 path bound, the Gershgorin bound, and the asymptotic variance.  The
 log-space cut, the interval cuts and the three bounds take a move
-table, whose moves they read in O(nnz); the decomposition bound solves
-its projection and its restrictions through the sectors, so no bound
-makes a chain dense.
+table, whose moves they read in O(nnz); the decomposition bound builds
+its projection and its restrictions in one pass each over the moves and
+solves them through the sectors, so no bound makes a chain dense.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -71,7 +71,7 @@ from .kernels import (
     _check_dense,
     _coalesce,
     lumped_projection,
-    restriction,
+    restrictions,
 )
 from .models import logsumexp
 
@@ -704,8 +704,7 @@ def decomposition_bound(table: MoveTable, parts: Partition) -> DecompositionBoun
     chain is never made dense.
     """
     gap_H = sector_spectrum(lumped_projection(table, parts)).gap
-    gaps = tuple(s.gap for _, s in
-                 sector_spectrum_batch(restriction(table, block) for block in parts.blocks))
+    gaps = tuple(s.gap for _, s in sector_spectrum_batch(restrictions(table, parts)))
     return DecompositionBound(value=0.5 * gap_H * min(gaps), projection_gap=gap_H,
                               min_restriction_gap=min(gaps), restriction_gaps=gaps)
 

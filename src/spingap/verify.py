@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import models
-from .kernels import MoveTable, signed_lumped_chain, signed_move_table
+from .kernels import (MoveTable, lumped_projection, signed_lumped_chain, signed_move_table,
+                      warmup_block_partition)
 from .models import ModelSpec, beg, ising, logsumexp, warmup
 from .spectral import (
     GAP_RESOLUTION,
@@ -316,17 +317,11 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs
                                    for kind in ("small-world", "naive"))
     # two tables per N, small-world first: each zip step takes both
-    for N, (table, fast), (_, naive) in zip(Ns, solved, solved):
+    for N, spec, (table, fast), (_, naive) in zip(Ns, specs, solved, solved):
         if N > 2:
-            mid = N // 2
-            # projection rate from A_{mid+1} = {±(mid+1)} to A_{mid+2}: half
-            # the mass of the moves between them, each weighted p(x)/p(A_{mid+1})
-            level = np.abs(table.labels)
-            inside = level == mid + 1
-            out = inside[table.rows] & (level[table.cols] == mid + 2)
-            lw = table.log_pi
-            share = np.exp(lw[table.rows[out]] - logsumexp(lw[inside]))
-            up = 0.5 * float(np.sum(share * table.vals[out]))
+            # projection rate from A_{mid+1} = {±(mid+1)}, block mid = N // 2, to A_{mid+2}
+            H = lumped_projection(table, warmup_block_partition(spec))
+            up = float(H.vals[(H.rows == N // 2) & (H.cols == N // 2 + 1)].sum())
             if not math.isclose(up, (1 - epsilon) / 4, rel_tol=1e-12):
                 failures.append(f"N={N}: projection up-rate {up} != (1-eps)/4")
         fast, naive = _gap_record(fast), _gap_record(naive)

@@ -367,6 +367,31 @@ def test_a_refusal_names_its_input(tmp_path, capsys, command, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,message", [
+    # each used to exit 0 or 3, writing nan or Infinity where it wrote a value
+    ("export-kernel --model ising --n 4 --beta nan", "--beta must be a finite number, not 'nan'"),
+    ("simulate --model warmup --n 10 --theta nan --epsilon 0.3 --steps 2000",
+     "--theta must be a finite number, not 'nan'"),
+    ("conductance --model ising --n 4 --beta inf --interval --space signed",
+     "--beta must be a finite number, not 'inf'"),
+    ("unimodality-scan --model beg --beta-k nan:1 --n 5..10..5",
+     "--beta-k must list beta:K pairs, not 'nan:1'"),
+    ("verify ising-slow --beta 2 --n 10..20..2 --slope-threshold nan",
+     "--slope-threshold must be a finite number, not 'nan'"),
+    # refused only at sector assembly, after a RuntimeWarning
+    ("gap-scan --model ising --beta inf --n 10", "--beta must list numbers, not 'inf'"),
+    ("gap-scan --model ising --beta 1,-inf --n 10", "--beta must list numbers, not '-inf'"),
+    ("export-kernel --model ising --n 4 --config model.ini",
+     "[model] beta must be a finite number, not '-inf'"),
+])
+def test_a_non_finite_real_exits_2(tmp_path, capsys, monkeypatch, command, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.ini").write_text("[model]\nbeta = -inf\n")
+    assert main([*command.split(), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,code", [
     ("gap-scan --model ising --beta 1 --n 6..8..2", EXIT_OK),
     ("verify warmup --theta 2 --epsilon 0.3 --n 10..40..2", EXIT_OK),

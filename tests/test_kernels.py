@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from spingap.kernels import (
     metropolis_chain,
     metropolize,
     partition_by,
-    restriction,
+    restrictions,
     signed_lumped_chain,
     signed_move_table,
     single_flip_proposal,
@@ -236,7 +237,7 @@ def test_warmup_kernels_valid(kind):
 def test_lumped_projection_one_block():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
-    parts = Partition(blocks=(np.arange(M.n),), labels=("all",))
+    parts = Partition(block=np.zeros(M.n, dtype=np.intp), labels=("all",))
     H = lumped_projection(M, parts).to_kernel()
     assert H.P.shape == (1, 1)
     assert H.P[0, 0] == pytest.approx(1.0)
@@ -245,8 +246,7 @@ def test_lumped_projection_one_block():
 def test_lumped_projection_singletons_gives_lazy_chain():
     spec = warmup(4, theta=2.0, epsilon=0.3)
     M = metropolis_chain(spec, "small-world")
-    parts = Partition(blocks=tuple(np.array([i]) for i in range(M.n)),
-                      labels=tuple(range(M.n)))
+    parts = Partition(block=np.arange(M.n), labels=tuple(range(M.n)))
     H = lumped_projection(M, parts).to_kernel()
     assert np.allclose(H.P, 0.5 * (M.to_kernel().P + np.eye(M.n)), atol=1e-14)
 
@@ -265,7 +265,7 @@ def test_lumped_projection_preserves_measure_and_reversibility():
 def test_restriction_whole_space_is_identity_operation():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
-    R = restriction(M, np.arange(M.n))
+    R = restrictions(M, partition_by([0] * M.n))[0]
     assert np.allclose(R.to_kernel().P, M.to_kernel().P, atol=0)
 
 
@@ -276,7 +276,7 @@ def test_restriction_signed_class_is_lazy_uniform():
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(S == 2)
-    R = restriction(M, block)
+    R = restrictions(M, partition_by(S == 2))[1]
     size = block.size
     expected = (1 - 0.7) * np.full((size, size), 1.0 / size) + 0.7 * np.eye(size)
     assert np.allclose(R.to_kernel().P, expected, atol=1e-14)
@@ -289,7 +289,7 @@ def test_sign_chain_two_by_two():
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
-    R = restriction(M, block)
+    R = restrictions(M, partition_by(np.abs(S) == 4))[1]
     signs = [1 if S[i] > 0 else -1 for i in block]
     H = lumped_projection(R, partition_by(signs)).to_kernel()
     assert H.P[0, 1] == pytest.approx(spec.p2 / 2, abs=1e-14)
@@ -312,46 +312,93 @@ def test_warmup_projection_matches_displayed_rates():
     assert H.P[last, last - 1] == pytest.approx((1 - eps) / (4 * theta), abs=1e-14)
     for i, block in enumerate(parts.blocks):
         if len(block) == 2:
-            R = restriction(M, block)
+            R = restrictions(M, parts)[i]
             assert np.allclose(R.to_kernel().P, np.array([[1 - eps, eps], [eps, 1 - eps]]),
                                atol=1e-14)
 
 
 def _restriction_cases():
-    """(table, block) pairs: the blocks the restriction tests above take."""
+    """(table, partition) pairs: the blocks the restriction tests above take."""
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
-    yield M, np.arange(M.n)
+    yield M, partition_by([0] * M.n)
     spec = ising(6, beta=1.3, p1=0.5, p2=0.2)
     M = metropolis_chain(spec, "equi-energy")
     S = models.enumerate_states(spec).sum(axis=1)
     for i in (2, 4, 6):
-        yield M, np.flatnonzero(S == i)
-        yield M, np.flatnonzero(np.abs(S) == i)
+        yield M, partition_by(S == i)
+        yield M, partition_by(np.abs(S) == i)
     spec = warmup(6, theta=2.0, epsilon=0.3)
-    M = metropolis_chain(spec, "small-world")
-    for block in warmup_block_partition(spec).blocks:
-        yield M, block
-    # an unordered block, on a chain with unequal weights
-    table = unsigned_lumped_chain(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
-    yield table, np.array([7, 2, 11, 3])
+    yield metropolis_chain(spec, "small-world"), warmup_block_partition(spec)
 
 
-def test_restriction_matches_the_dense_restriction():
-    for table, block in _restriction_cases():
-        R = restriction(table, block)
-        want = dense_restriction(table.to_kernel(), block)
+def check_restrictions(table, parts):
+    """Each block's restriction against the dense restriction, to 1e-15."""
+    kernel = table.to_kernel()
+    got = restrictions(table, parts)
+    assert len(got) == parts.m
+    for i, R in enumerate(got):
+        block = np.flatnonzero(parts.block == i)
+        want = dense_restriction(kernel, block)
         assert R.labels == want.labels
         assert np.array_equal(R.log_pi, want.log_pi)
         assert np.array_equal(R.flip, np.arange(len(block)))
         assert np.abs(R.to_kernel().P - want.P).max() <= 1e-15
 
 
-@pytest.mark.parametrize("block", [[0, 0, 1], [-1], [7], [], [[0, 1]], [0.0, 1.0]])
-def test_restriction_refuses_a_block_that_is_not_distinct_states(block):
-    M = metropolis_chain(warmup(3, theta=2.0, epsilon=0.3), "small-world")
-    with pytest.raises(ValueError, match=r"0\.\.6"):
-        restriction(M, block)
+def test_restriction_matches_the_dense_restriction():
+    for table, parts in _restriction_cases():
+        check_restrictions(table, parts)
+
+
+def _model_partition(case):
+    if case == "beg-20-signed":
+        table = signed_move_table(beg(20, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+        return table, partition_by([r for _, r in table.labels])
+    if case == "warmup-40":
+        spec = warmup(40, theta=2.0, epsilon=0.3)
+        return metropolis_chain(spec, "small-world"), warmup_block_partition(spec)
+    spec = ising(8, beta=2.0, p1=0.5, p2=0.25)
+    return metropolis_chain(spec, "equi-energy"), unsigned_class_partition(spec)
+
+
+@pytest.mark.parametrize("case", ["beg-20-signed", "warmup-40", "ising-8-full"])
+def test_restrictions_match_the_dense_restriction_on_every_block(case):
+    check_restrictions(*_model_partition(case))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), m=st.integers(1, 6),
+       density=st.floats(0.0, 1.0))
+def test_restrictions_match_the_dense_restriction_on_random_partitions(seed, n, m, density):
+    kernel = random_kernel(seed, n, density, reversible=True)
+    keys = np.random.default_rng(seed + 3).integers(0, m, n).tolist()
+    check_restrictions(kernel_table(kernel), partition_by(keys))
+
+
+@pytest.mark.parametrize("block,labels", [
+    (np.zeros((2, 2), dtype=np.intp), ("a",)),
+    (np.array([0.0, 1.0]), ("a", "b")),
+    (np.array([0, -1]), ("a", "b")),
+    (np.array([0, 2]), ("a", "b")),
+    (np.array([0, 0]), ("a", "b")),
+], ids=["2-D", "float", "negative", "past-m", "empty-block"])
+def test_partition_refuses_a_bad_block_index(block, labels):
+    with pytest.raises(ValueError):
+        Partition(block=block, labels=labels)
+
+
+def test_partition_by_refuses_a_key_outside_order_and_a_repeated_order():
+    with pytest.raises(ValueError, match="key 3 is not in order"):
+        partition_by([1, 2, 3], order=[1, 2])
+    with pytest.raises(ValueError, match="each at least once"):
+        partition_by([1, 2], order=[1, 2, 2])
+
+
+def test_partition_blocks_list_each_block_in_ascending_order():
+    parts = Partition(block=np.array([2, 0, 2, 1, 0]), labels=("a", "b", "c"))
+    assert [b.tolist() for b in parts.blocks] == [[1, 4], [3], [0, 2]]
+    assert all(b.dtype == np.intp for b in parts.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +685,7 @@ def test_export_kernel_text_roundtrip_shape():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        Partition(blocks=(np.array([0, 1]), np.array([1, 2])), labels=("a", "b"))
-    with pytest.raises(ValueError):
-        Partition(blocks=(np.array([], dtype=int),), labels=("a",))
+        Partition(block=np.array([], dtype=np.intp), labels=("a",))
 
 
 def test_unsigned_class_partition_orders():
@@ -659,7 +704,7 @@ def reference_partition_by(keys, order=None):
         order = sorted(set(keys))
     blocks = tuple(np.array([i for i, key in enumerate(keys) if key == k], dtype=np.intp)
                    for k in order)
-    return Partition(blocks=blocks, labels=tuple(order))
+    return SimpleNamespace(blocks=blocks, labels=tuple(order))
 
 
 def reference_metropolize(proposal, target_log_weights):

@@ -53,6 +53,32 @@ def test_spec_validation():
         warmup(4, theta=2.0, epsilon=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_a_non_finite_parameter(value):
+    # nan fails no comparison and inf passes beta >= 0, K > 0 and theta > 1
+    for make, message in ((lambda: ising(4, beta=value), "beta must be a nonnegative real"),
+                          (lambda: beg(4, beta=value, K=1.0), "beta must be a nonnegative real"),
+                          (lambda: beg(4, beta=1.0, K=value), "K must be a positive real"),
+                          (lambda: warmup(4, theta=value), f"theta must be > 1, got {value}")):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_profiles_refuse_a_non_finite_parameter(value):
+    for profile, message in (
+            (lambda: models.ising_magnetization_log_profile(4, value),
+             f"beta must be a finite real, got {value}"),
+            (lambda: models.beg_row_log_profile(4, value, 1.0),
+             f"beta and K must be finite reals, got {value}, 1.0"),
+            (lambda: models.beg_row_log_profile(4, 1.0, value),
+             f"beta and K must be finite reals, got 1.0, {value}")):
+        with pytest.raises(ValueError) as refused:
+            profile()
+        assert str(refused.value) == message
+
+
 def test_magnetization():
     assert magnetization([1, 1, -1, -1]) == 0
     assert magnetization([1, 1, 1, 1]) == 4

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from spingap.kernels import (
     lumped_projection,
     metropolis_chain,
     partition_by,
-    restriction,
+    restrictions,
     signed_move_table,
     unsigned_lumped_chain,
     warmup_block_partition,
@@ -81,7 +85,7 @@ def test_sign_chain_gap_is_p2():
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
-    R = restriction(M, block)
+    R = restrictions(M, partition_by(np.abs(S) == 4))[1]
     signs = [1 if S[i] > 0 else -1 for i in block]
     H = lumped_projection(R, partition_by(signs)).to_kernel()
     s = spectrum(H)
@@ -335,7 +339,7 @@ def test_cheeger_sandwich(kernel_fn):
 
 def test_decomposition_trivial_partition():
     K = random_reversible(6, seed=7)
-    parts = Partition(blocks=(np.arange(6),), labels=("all",))
+    parts = Partition(block=np.zeros(6, dtype=np.intp), labels=("all",))
     b = decomposition_bound(kernel_table(K), parts)
     g = gap(spectrum(K))
     assert b.value == pytest.approx(g / 2, abs=1e-12)
@@ -399,6 +403,43 @@ def test_decomposition_bound_past_the_dense_cap(monkeypatch):
     b = decomposition_bound(table, _quadrupole_rows(table))
     assert math.isfinite(b.value) and b.value > 0
     assert len(b.restriction_gaps) == 131
+
+
+PINNED_BOUNDS = """import hashlib
+from spingap import (beg, decomposition_bound, ising, partition_by, signed_move_table, warmup,
+                     warmup_block_partition)
+
+def quadrupole_rows(N):
+    table = signed_move_table(beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    return table, partition_by([r for _, r in table.labels])
+
+spec = warmup(2000, theta=2.0, epsilon=0.3)
+ising_table = signed_move_table(ising(2000, beta=2.0, p1=0.5, p2=0.25), "equi-energy")
+for table, parts in (quadrupole_rows(300),
+                     (signed_move_table(spec, "small-world"), warmup_block_partition(spec)),
+                     quadrupole_rows(126),
+                     (ising_table, partition_by([s >= 0 for s in ising_table.labels]))):
+    print(hashlib.sha256(repr(decomposition_bound(table, parts)).encode()).hexdigest())
+"""
+
+
+def test_decomposition_bound_keeps_its_pinned_bits():
+    # BEG N = 300 and 126 by quadrupole row (301 and 127 blocks), the
+    # warm-up N = 2000 small-world chain by warmup_block_partition, and
+    # Ising N = 2000 split into S < 0 and S >= 0: the sha256 of each
+    # bound's repr, at one BLAS thread (the dense sector solves follow
+    # the thread count in their last bits)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(spectral.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PINNED_BOUNDS], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [
+        "a489ca33c9e314f796bec8efdbd0d797e8626deac865fa92ff68161ed402de37",
+        "4afdf0cbc5395ad5deee0e577c1c4fd4e41eae63b62aa59bcd15cfa3abda3c32",
+        "54cbd1dfbd216d81528b9667909db05884630f073925cdc008ca14cb4e0c2a75",
+        "6fb6b2c933c82f89cfe4ce15b4403b265a9f2c1ee0cd4afa9dfe4952e70e7780",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ four profile scans and audits at N < 1, three
 ``simulate`` step counts too large to hold, a fractional ``--steps`` and
 ``--burn-in``, a ``--thin`` in float notation, a negative ``--seed``, a
 ``--beta-k`` item without its ``:K`` or with an empty ``K``, a ``--beta``
-item that is not a number, and short ``simulate`` runs
+item that is not a number, five commands that name a real-valued
+option nan or inf (a single value, a list, a ``--beta-k`` pair and a
+verifier's slope bar), and short ``simulate`` runs
 of every (model, kind) with default, thinned and burn-in settings, most
 with a trace.
 After them it runs each script under ``demos/``, copied into its own
@@ -109,6 +111,11 @@ EXTRA_COMMANDS = (
     "verify beg-slow --beta-k 3",
     "verify beg-slow --beta-k 3:",
     "verify ising-slow --beta 0.5,x",
+    "export-kernel --model ising --n 4 --beta nan",
+    "simulate --model warmup --n 10 --theta nan --epsilon 0.3 --steps 2000",
+    "conductance --model ising --n 4 --beta inf --interval --space signed",
+    "unimodality-scan --model beg --beta-k nan:1 --n 5..10..5",
+    "verify ising-slow --beta 2 --n 10..20..2 --slope-threshold nan",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
