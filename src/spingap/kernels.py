@@ -198,6 +198,17 @@ def _at(keys: np.ndarray, vals: np.ndarray, want: np.ndarray) -> np.ndarray:
 # Metropolis construction.
 # ---------------------------------------------------------------------------
 
+def _check_log_weights(lw: np.ndarray) -> None:
+    """Refuse log weights that overflowed (inf) or lost their value (nan).
+
+    Finite parameters can still overflow, e.g. beta = 1e308 in
+    beta S^2 / 2N; no chain or artifact is built from such weights.
+    """
+    if not np.isfinite(lw).all():
+        raise ValueError("the log weights of the stationary distribution are not all "
+                         "finite: the parameters overflow float64")
+
+
 def metropolize(proposal: MoveTable, target_log_weights: np.ndarray) -> MoveTable:
     """Turn a proposal table into the Metropolis chain for the target.
 
@@ -205,12 +216,14 @@ def metropolize(proposal: MoveTable, target_log_weights: np.ndarray) -> MoveTabl
     evaluated in log space; the rejected mass is holding.  The proposal
     is row-major with one move per pair, as the proposals here return
     it, so each move's reverse is found by one binary search on the
-    sorted keys.  Requires symmetric support: K(x,y) > 0 iff K(y,x) > 0.
+    sorted keys.  Requires symmetric support: K(x,y) > 0 iff K(y,x) > 0,
+    and finite target log weights (ValueError).
     """
     lw = np.asarray(target_log_weights, dtype=float)
     n = proposal.n
     if lw.shape != (n,):
         raise ValueError(f"target weights have shape {lw.shape}, expected ({n},)")
+    _check_log_weights(lw)
     xs, ys, fwd = proposal.rows, proposal.cols, proposal.vals
     keys = xs * n + ys
     if (keys[1:] <= keys[:-1]).any():
@@ -463,7 +476,8 @@ def _exp_nonpositive(delta: np.ndarray) -> np.ndarray:
 
 
 def _move_table(labels, log_pi, flip, moves) -> MoveTable:
-    """Concatenate (rows, cols, vals) move groups in order."""
+    """Concatenate (rows, cols, vals) move groups in order; log_pi must be finite."""
+    _check_log_weights(log_pi)
     rows, cols, vals = (np.concatenate(part) for part in zip(*moves))
     return MoveTable(labels=labels, log_pi=log_pi, rows=rows, cols=cols, vals=vals,
                      flip=flip)

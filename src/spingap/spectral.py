@@ -307,35 +307,48 @@ def _symmetrization(table: MoveTable) -> tuple:
     return rows, cols, a
 
 
+def _check_table(t: MoveTable) -> None:
+    """Raise ValueError unless ``t``'s arrays line up with its states.
+
+    That is: 1-D arrays of the right length and dtype, every index
+    inside the table, and a flip that is an involution.  Shifted into a
+    stack, a table that failed this could reach into its neighbour
+    instead of failing; a flip that is not an involution (a 3-cycle,
+    say) can still commute with the chain, and the even and odd sectors
+    then misread its spectrum.
+    """
+    arrays = (t.log_pi, t.vals, t.rows, t.cols, t.flip)
+    if not (all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
+            and t.log_pi.dtype == t.vals.dtype == np.float64
+            and all(x.dtype.kind == "i" for x in arrays[2:])
+            and len(t.log_pi) == len(t.flip) == t.n
+            and len(t.vals) == len(t.rows) == len(t.cols)):
+        raise ValueError("a move table's arrays do not line up with its states")
+    if not all(((x >= 0) & (x < t.n)).all() for x in arrays[2:]):
+        raise ValueError("a move table indexes outside its own states")
+    if not (t.flip[t.flip] == np.arange(t.n)).all():
+        raise ValueError("a move table's flip is not an involution")
+
+
 def _stack(tables: Sequence[MoveTable]) -> MoveTable:
     """The block-diagonal MoveTable of ``tables``, each shifted past the ones before.
 
-    Raises ValueError for a table whose arrays do not line up with its
-    states (wrong length, dtype or shape, an index outside the table):
-    shifted, it could reach into its neighbour instead of failing.
+    Each table is checked first (``_check_table``, ValueError); a lone
+    table comes back as it is, its arrays not copied.
     """
     for t in tables:
-        arrays = (t.log_pi, t.vals, t.rows, t.cols, t.flip)
-        if not (all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
-                and t.log_pi.dtype == t.vals.dtype == np.float64
-                and all(x.dtype.kind == "i" for x in arrays[2:])
-                and len(t.log_pi) == len(t.flip) == t.n
-                and len(t.vals) == len(t.rows) == len(t.cols)):
-            raise ValueError("a move table's arrays do not line up with its states")
+        _check_table(t)
+    if len(tables) == 1:
+        return tables[0]
     sizes = [t.n for t in tables]
     starts = np.cumsum([0, *sizes[:-1]])
-    moves = [len(t.rows) for t in tables]
-    limit, shift = np.repeat(sizes, moves), np.repeat(starts, moves)
-    rows, cols = (np.concatenate([getattr(t, f) for t in tables]) for f in ("rows", "cols"))
-    flip = np.concatenate([t.flip for t in tables])
-    if not all(((x >= 0) & (x < n)).all() for x, n in
-               ((rows, limit), (cols, limit), (flip, np.repeat(sizes, sizes)))):
-        raise ValueError("a move table indexes outside its own states")
+    shift = np.repeat(starts, [len(t.rows) for t in tables])
     return MoveTable(labels=tuple(itertools.chain.from_iterable(t.labels for t in tables)),
                      log_pi=np.concatenate([t.log_pi for t in tables]),
-                     rows=rows + shift, cols=cols + shift,
+                     rows=np.concatenate([t.rows for t in tables]) + shift,
+                     cols=np.concatenate([t.cols for t in tables]) + shift,
                      vals=np.concatenate([t.vals for t in tables]),
-                     flip=flip + np.repeat(starts, sizes))
+                     flip=np.concatenate([t.flip for t in tables]) + np.repeat(starts, sizes))
 
 
 def _flip_sectors(tables: Sequence[MoveTable]) -> list:
@@ -347,11 +360,12 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
     state index, each as ``_sector`` returns it.  sqrt(pi) is the unit
     eigenvector of lambda_0 = 1.  Several tables are assembled as one
     block-diagonal stack (``_stack``), whose sectors are the tables'
-    sectors side by side.  A sector entry that is not finite raises
-    ValueError (``_sector``), so in a stack a NaN residual, which passes
-    the tolerance test, cannot hide another table's refusal.
+    sectors side by side; a lone table goes through the same checks.  A
+    sector entry that is not finite raises ValueError (``_sector``), so
+    in a stack a NaN residual, which passes the tolerance test, cannot
+    hide another table's refusal.
     """
-    table = tables[0] if len(tables) == 1 else _stack(tables)
+    table = _stack(tables)
     sizes = [t.n for t in tables]
     starts = np.cumsum([0, *sizes])
     i, j, a = _symmetrization(table)
@@ -474,8 +488,9 @@ def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
     # the (largest, smallest) Ritz values at the last check, and whether each has settled
     last, settled = [None, None], [False, False]
     for step in range(1, LANCZOS_MAX_STEPS + 1):
-        # every scalar of a step is a one-segment reduceat, which adds left to
-        # right; np.sum adds pairwise, which would change the bits of a sector
+        # every scalar of a step is a one-segment reduceat; on numpy 2.4 that is
+        # x[0] plus the pairwise sum of x[1:], not a left-to-right sum, and its
+        # bits differ from np.sum's, so swapping np.sum in would change a sector's
         w = M @ v
         if u is not None:
             w -= (shift * np.add.reduceat(u * v, [0])[0]) * u

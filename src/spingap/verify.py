@@ -20,7 +20,7 @@ import numpy as np
 from . import models
 from .kernels import (MoveTable, lumped_projection, signed_lumped_chain, signed_move_table,
                       warmup_block_partition)
-from .models import ModelSpec, beg, ising, logsumexp, warmup
+from .models import ModelSpec, beg, ising, warmup
 from .spectral import (
     GAP_RESOLUTION,
     SectorSpectrum,
@@ -545,66 +545,60 @@ def _first_onward(Ns: Sequence[int], flags: Sequence[bool]) -> Optional[int]:
 # Large-deviation rate function.
 # ---------------------------------------------------------------------------
 
-def _log_mgf(t: float, beta: float) -> float:
-    """log[(1 + e^{-beta}(e^t + e^{-t})) / (1 + 2 e^{-beta})]."""
-    num = logsumexp([0.0, -beta + t, -beta - t])
-    return float(num) - math.log1p(2.0 * math.exp(-beta))
+def _log_mgf(t, beta: float):
+    """log[(1 + e^{-beta}(e^t + e^{-t})) / (1 + 2 e^{-beta})], elementwise."""
+    return np.logaddexp(0.0, np.logaddexp(t, -t) - beta) - math.log1p(2.0 * math.exp(-beta))
 
 
-def _mgf_mean(t: float, beta: float) -> float:
-    """Derivative of the cumulant: the tilted mean in (-1, 1)."""
-    ep = math.exp(-beta + t)
-    em = math.exp(-beta - t)
-    return (ep - em) / (1.0 + ep + em)
+def _tilt(a, beta: float):
+    """The tilt t >= 0 whose tilted mean is a in [0, 1], elementwise, in closed form.
+
+    With u = e^t and c = e^{-beta}, u is the positive root of
+    c(1-a)u^2 - a u - c(1+a) = 0, taken in log space so that u, which
+    overflows past beta ~ 709, is never formed: 0 at a = 0, +inf at a = 1.
+    """
+    a = np.asarray(a, dtype=float)
+    s = np.hypot(a, 2.0 * math.exp(-beta) * np.sqrt((1.0 - a) * (1.0 + a)))
+    with np.errstate(divide="ignore"):
+        t = np.log(a + s) - math.log(2.0) + beta - np.log1p(-a)
+    return np.where(a > 0, t, 0.0)
 
 
-def legendre_transform(z: float, beta: float) -> float:
-    """J(z) = sup_t [ t z - log_mgf(t) ], by bisection on the tilted mean."""
-    if abs(z) > 1:
+def legendre_transform(z, beta: float):
+    """J(z) = sup_t [ t z - log_mgf(t) ], elementwise, at the closed-form tilt.
+
+    A scalar z gives a float; |z| > 1 raises ValueError.
+    """
+    a = np.abs(np.asarray(z, dtype=float))
+    if (a > 1).any():
         raise ValueError(f"z must lie in [-1, 1], got {z}")
-    if abs(z) == 1.0:
-        return beta + math.log1p(2.0 * math.exp(-beta))
-    lo, hi = -80.0, 80.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _mgf_mean(mid, beta) < z:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return t * z - _log_mgf(t, beta)
+    t = _tilt(a, beta)
+    with np.errstate(invalid="ignore"):  # inf - inf at |z| = 1, where the closed value stands
+        J = np.where(a == 1, beta + math.log1p(2.0 * math.exp(-beta)), t * a - _log_mgf(t, beta))
+    return float(J) if J.ndim == 0 else J
 
 
-def _tilted_free_energy(z: float, beta: float, K: float) -> float:
+def _tilted_free_energy(z, beta: float, K: float):
     return legendre_transform(z, beta) - beta * K * z * z
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def rate_function_argmin(beta: float, K: float) -> tuple:
-    """Zero set of the rate function: {0} or {-z*, +z*} by symmetry."""
+    """Zero set of the rate function: {0} or {-z*, +z*} by symmetry.
+
+    z* is the grid minimizer of the tilted free energy J(z) - beta K z^2
+    on [0, 1], refined by bisection on its stationarity condition
+    t(z) = 2 beta K z inside the grid cells around it.
+    """
     zs = np.linspace(0.0, 1.0, 2001)
-    vals = [_tilted_free_energy(z, beta, K) for z in zs]
-    i = int(np.argmin(vals))
-    lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, 2000)]
-    zstar = _golden_min(lambda z: _tilted_free_energy(z, beta, K), lo, hi)
+    i = int(np.argmin(_tilted_free_energy(zs, beta, K)))
+    lo, hi = zs[max(i - 1, 0)], zs[min(i + 1, 2000)]
+    while hi - lo >= 1e-15:
+        mid = 0.5 * (lo + hi)
+        if _tilt(mid, beta) < 2.0 * beta * K * mid:
+            lo = mid
+        else:
+            hi = mid
+    zstar = float(0.5 * (lo + hi))
     if zstar < 1e-6:
         return (0.0,)
     return (-zstar, zstar)

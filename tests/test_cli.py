@@ -392,6 +392,23 @@ def test_a_non_finite_real_exits_2(tmp_path, capsys, monkeypatch, command, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    # the first exited 0 with nan rows, the second with "interval_bound": Infinity
+    "export-kernel --model ising --n 4 --beta 1e308",
+    "conductance --model ising --n 4 --beta 1e308 --interval --space signed",
+    "gap-scan --model ising --beta 1e308 --n 10",
+])
+def test_log_weights_that_overflow_exit_2(tmp_path, capsys, command):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([*command.split(), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith("error: the log weights of the stationary distribution are not all "
+                        "finite: the parameters overflow float64\n")
+    assert err.count("error:") == 1
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 @pytest.mark.parametrize("command,code", [
     ("gap-scan --model ising --beta 1 --n 6..8..2", EXIT_OK),
     ("verify warmup --theta 2 --epsilon 0.3 --n 10..40..2", EXIT_OK),

@@ -101,6 +101,18 @@ def test_metropolize_rejects_asymmetric_support():
         metropolize(kernel_table(prop), np.zeros(3))
 
 
+def test_every_chain_builder_refuses_log_weights_that_are_not_finite():
+    table = metropolis_chain(ising(4, beta=1.0), "naive")
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="log weights .* not all finite"):
+            metropolize(table, np.concatenate([[bad], table.log_pi[1:]]))
+    # beta S^2 / 2N overflows in the class tables' weights as in the full space's
+    for spec in (ising(4, beta=1e308), beg(4, beta=1.0, K=1e308)):
+        with pytest.raises(ValueError, match="log weights .* not all finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            signed_move_table(spec, "naive")
+
+
 def test_metropolize_refuses_a_table_out_of_row_major_order():
     # each reverse move is found by binary search, which needs sorted keys
     table = metropolis_chain(ising(4, beta=1.0), "naive")

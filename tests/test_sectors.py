@@ -854,6 +854,9 @@ def one_state_table(target):
 
 
 # runs of tables that fail, or would pass, only alone
+# the uniform walk on three states with holding 0.3
+CYCLE_MOVES = [(i, j, 0.35) for i in range(3) for j in range(3) if i != j]
+
 MALFORMED = {
     "nonreversible": [NONREVERSIBLE],
     "not-flip-symmetric": [three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, 0.3),
@@ -864,16 +867,20 @@ MALFORMED = {
                                     (2, 1, 0.2)])],
     "move-past-the-end": [three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 3, 0.2),
                                              (2, 1, 0.2)])],
-    # alone, -1 wraps to the last state; shifted in a stack it would not
+    # refused alone as out of range, though -1 would wrap to the last
+    # state; shifted in a stack it would not
     "negative-index": [three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, -1, 0.2),
                                           (2, 1, 0.2)])],
-    # alone each indexes past its one state; stacked, they would make one
+    # the chain commutes with the 3-cycle, so only the involution check refuses it
+    "flip-not-an-involution": [three_state_table(CYCLE_MOVES, flip=(1, 2, 0))],
+    # each refused alone as out of range; stacked, they would make one
     # reversible, flip-invariant chain across the two tables
     "moves-into-the-neighbour": [one_state_table(1), one_state_table(-1)],
     "empty": [MoveTable(labels=(), log_pi=np.zeros(0), rows=np.zeros(0, dtype=np.intp),
                         cols=np.zeros(0, dtype=np.intp), vals=np.zeros(0),
                         flip=np.zeros(0, dtype=np.intp))],
-    # reversible to 1e-8 in float32 arithmetic alone, and other bits in float64
+    # refused alone by its dtype; solved, it would be reversible to 1e-8 in
+    # float32 arithmetic, and other bits in float64
     "log-weights-in-float32": [MoveTable(
         labels=(-1, 0, 1), log_pi=np.array([0.25, 0.0, 0.25], dtype=np.float32),
         rows=np.array([0, 1, 1, 2]), cols=np.array([1, 0, 2, 1]),
@@ -897,6 +904,20 @@ def test_a_malformed_table_in_a_batch_fails_as_it_fails_alone(name, where,
     # and with no other table refused, the same spectra or the same refusal
     tables = GOOD + MALFORMED[name] + GOOD
     assert outcome(batched, tables) == outcome(one_by_one, tables)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("flip-not-an-involution", "a move table's flip is not an involution"),
+    ("negative-index", "a move table indexes outside its own states"),
+])
+def test_the_table_check_refuses_a_table_alone_and_in_a_batch(name, message):
+    # with flip (1, 2, 0) the sectors read a gap of 0.85 where the dense gap is 0.95
+    (table,) = MALFORMED[name]
+    for tables in ([table], [*GOOD, table, *GOOD]):
+        for solve in (one_by_one, batched):
+            with pytest.raises(ValueError) as got:
+                solve(tables)
+            assert type(got.value) is ValueError and str(got.value) == message
 
 
 def test_the_first_malformed_table_in_order_fails_the_batch():

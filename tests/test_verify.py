@@ -129,6 +129,65 @@ def test_legendre_transform_endpoints_and_zero():
         legendre_transform(1.5, beta)
 
 
+def _mp_tilted_mean(t, beta):
+    import mpmath as mp
+
+    c = mp.exp(-mp.mpf(beta))
+    return (c * mp.exp(t) - c * mp.exp(-t)) / (1 + c * mp.exp(t) + c * mp.exp(-t))
+
+
+def test_legendre_transform_matches_a_50_digit_evaluation():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for beta in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 79.0, 100.0, 300.0, 700.0):
+            zs = np.linspace(-1.0, 1.0, 401)  # holds -1, 0 and 1
+            got = legendre_transform(zs, beta)
+            b, c = mp.mpf(beta), mp.exp(-mp.mpf(beta))
+            for z, J in zip(zs, got):
+                a = abs(mp.mpf(z))
+                if a == 1:
+                    want = b + mp.log(1 + 2 * c)
+                else:
+                    # the tilt solves c(1-a)u^2 - a u - c(1+a) = 0 for u = e^t
+                    u = (a + mp.sqrt(a * a + 4 * c * c * (1 - a * a))) / (2 * c * (1 - a))
+                    t = mp.log(u)
+                    assert abs(_mp_tilted_mean(t, beta) - a) < mp.mpf(10) ** -40
+                    want = t * a - mp.log((1 + c * (u + 1 / u)) / (1 + 2 * c))
+                assert abs(J - float(want)) <= 1e-14 * max(abs(J), 1.0), (beta, z)
+
+
+def test_legendre_transform_past_a_tilt_of_80():
+    # a bisection bracketed in [-80, 80] gave 39.99999999793870 here
+    assert legendre_transform(0.5, 100.0) == pytest.approx(49.30685281944005, rel=1e-14)
+
+
+def test_legendre_transform_on_an_array_has_the_bits_of_scalar_calls():
+    zs = np.concatenate([np.linspace(-1.0, 1.0, 97), [1e-300, -1e-17, 0.999999999999]])
+    for beta in (0.0, 1.3, 40.0, 700.0):
+        got = legendre_transform(zs, beta)
+        want = [legendre_transform(float(z), beta) for z in zs]
+        assert all(type(w) is float for w in want)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_tilt_is_zero_at_zero_and_infinite_at_one():
+    assert verify._tilt(0.0, 2.0) == 0.0
+    assert verify._tilt(1.0, 2.0) == math.inf
+    assert legendre_transform(0.0, 800.0) == 0.0
+
+
+@pytest.mark.parametrize("beta,K", [(1.5, 2.0), (3.0, 5.0), (1.0, 1.2), (2.0, 1.2),
+                                    (20.0, 1.2), (0.5, 5.0)])
+def test_rate_function_argmin_matches_a_40_digit_root(beta, K):
+    mp = pytest.importorskip("mpmath")
+    zstar = rate_function_argmin(beta, K)[1]
+    with mp.workdps(40):
+        # z* = m(t) at the tilt t = 2 beta K z*, m the tilted mean
+        t = mp.findroot(lambda t: t - 2 * mp.mpf(beta) * K * _mp_tilted_mean(t, beta),
+                        mp.mpf(2 * beta * K * zstar))
+        assert abs(zstar - _mp_tilted_mean(t, beta)) <= 1e-13
+
+
 def test_rate_function_properties():
     beta, K = 1.5, 2.0
     zs = rate_function_argmin(beta, K)
@@ -145,6 +204,7 @@ def test_rate_function_phase_boundary_near_gamma_c():
     # at large beta the boundary sits near K = 1.082
     assert len(rate_function_argmin(20.0, 1.2)) == 2
     assert rate_function_argmin(20.0, 0.9) == (0.0,)
+    assert rate_function_argmin(1.0, 1.0) == (0.0,)
 
 
 def test_rate_function_matches_class_table_mode():
