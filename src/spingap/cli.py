@@ -22,7 +22,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -223,11 +223,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def write_provenance(command: Command, values: argparse.Namespace) -> None:
-    """provenance.json and effective_config.ini: the value of each recorded option."""
+    """provenance.json and effective_config.ini: each option but --out and --config."""
     effective = {}
     for o in command.options:
-        unread = bool(o.models) and values.model not in o.models
-        if o.record == "never" or (o.record == "read" and unread):
+        if o in (OUT, CONFIG):
             continue
         value = getattr(values, o.name)
         if o.parse in _LIST_TEXT:
@@ -465,8 +464,6 @@ class Option:
     options are flags without a value.  A callable ``default`` is given
     the values resolved before it.  For a model outside ``models``
     (empty: all) the option is not read and resolves to None.
-    ``record``: provenance records it "always" (unread as empty), when
-    "read", or "never".
     """
 
     name: str
@@ -477,7 +474,6 @@ class Option:
     choices: tuple = ()
     required: bool = False
     models: tuple = ()
-    record: str = "always"
     help: Optional[str] = None
 
 
@@ -497,8 +493,8 @@ PAIRS_HELP = "beg cells 'beta:K,beta:K'"
 SPIN_MODELS = ("ising", "beg")
 
 OUT = Option("out", "--out", "output.dir", Path, lambda _: os.environ.get(OUTPUT_ENV, "out"),
-             record="never", help=f"output directory (default ${OUTPUT_ENV} or ./out)")
-CONFIG = Option("config", "--config", record="never", help="INI config file; flags override it")
+             help=f"output directory (default ${OUTPUT_ENV} or ./out)")
+CONFIG = Option("config", "--config", help="INI config file; flags override it")
 MODEL = Option("model", "--model", "model.kind", choices=models.KINDS, required=True)
 #: follows --model, which every command lists before it
 CHAIN = Option("kind", "--kind", "run.chain", choices=CHAIN_KINDS,
@@ -512,7 +508,6 @@ SPEC = (MODEL, Option("n", "--n", "model.n", int, required=True, help="system si
 SPEC_PARAMS = (Option("beta", "--beta", "model.beta", parse_real, models=SPIN_MODELS),
                Option("k", "--k", "model.k", parse_real, models=("beg",), help="beg coupling K"),
                THETA, EPSILON, P1, P2)
-UNRECORDED_SPEC_PARAMS = tuple(replace(o, record="never") for o in SPEC_PARAMS)
 SPACE = Option("space", "--space", default="full", choices=("full", "signed", "unsigned"))
 
 GRID_N = Option("n", "--n", "grid.n", parse_int_range, "10..30..2", help=RANGE_HELP)
@@ -565,9 +560,9 @@ COMMANDS = (
         Option("model", "--model", "model.kind", default="beg", choices=SPIN_MODELS),
         Option("n", "--n", "grid.n", parse_int_range, "5..30..5", help=RANGE_HELP),
         Option("beta_k", "--beta-k", "grid.beta_k", parse_pair_list, "1:1,2.5:1.082",
-               models=("beg",), record="read", help=PAIRS_HELP),
+               models=("beg",), help=PAIRS_HELP),
         Option("beta", "--beta", "grid.beta", parse_float_list, "0.5,2",
-               models=("ising",), record="read"),
+               models=("ising",)),
         OUT, CONFIG)),
     Command("simulate", "trajectory estimate at sampling scale", cmd_simulate, (
         *SPEC, *SPEC_PARAMS,
@@ -580,12 +575,12 @@ COMMANDS = (
         Option("trace", "--trace", "run.trace", parse_bool, False, help="write the thinned trace"),
         OUT, CONFIG)),
     Command("conductance", "exact bottleneck analysis (<= 24 states)", cmd_conductance, (
-        *SPEC, *UNRECORDED_SPEC_PARAMS, SPACE,
+        *SPEC, *SPEC_PARAMS, SPACE,
         Option("interval", "--interval", parse=parse_bool, default=False,
                help="interval-cut upper bound instead of the exact h"),
         OUT, CONFIG)),
     Command("export-kernel", "write a kernel in the text format", cmd_export_kernel, (
-        *SPEC, *UNRECORDED_SPEC_PARAMS, SPACE, OUT, CONFIG)),
+        *SPEC, *SPEC_PARAMS, SPACE, OUT, CONFIG)),
 )
 
 #: every accepted INI key, as "section.key"
@@ -625,9 +620,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
+    made = []  # the directories this run creates, deepest first
     try:
         config = load_config(args.config) if args.config else {}
         values = resolve(args.command, args, config)
+        made = [d for d in (values.out, *values.out.parents) if not d.exists()]
         values.out.mkdir(parents=True, exist_ok=True)
         code = args.command.run(args.command, values)
         # every command returns 0 or 3; one that raises leaves no provenance
@@ -635,6 +632,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        # a refused run removes the directories it made while they are empty
+        for d in made:
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
         return EXIT_USAGE
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models
-from .models import EnergyClass, ModelSpec, logsumexp
+from .models import EnergyClass, ModelSpec, check_log_weights, logsumexp
 
 CHAIN_KINDS = ("naive", "equi-energy", "small-world")
 
@@ -198,17 +198,6 @@ def _at(keys: np.ndarray, vals: np.ndarray, want: np.ndarray) -> np.ndarray:
 # Metropolis construction.
 # ---------------------------------------------------------------------------
 
-def _check_log_weights(lw: np.ndarray) -> None:
-    """Refuse log weights that overflowed (inf) or lost their value (nan).
-
-    Finite parameters can still overflow, e.g. beta = 1e308 in
-    beta S^2 / 2N; no chain or artifact is built from such weights.
-    """
-    if not np.isfinite(lw).all():
-        raise ValueError("the log weights of the stationary distribution are not all "
-                         "finite: the parameters overflow float64")
-
-
 def metropolize(proposal: MoveTable, target_log_weights: np.ndarray) -> MoveTable:
     """Turn a proposal table into the Metropolis chain for the target.
 
@@ -223,7 +212,7 @@ def metropolize(proposal: MoveTable, target_log_weights: np.ndarray) -> MoveTabl
     n = proposal.n
     if lw.shape != (n,):
         raise ValueError(f"target weights have shape {lw.shape}, expected ({n},)")
-    _check_log_weights(lw)
+    check_log_weights(lw)
     xs, ys, fwd = proposal.rows, proposal.cols, proposal.vals
     keys = xs * n + ys
     if (keys[1:] <= keys[:-1]).any():
@@ -470,68 +459,61 @@ class MoveTable:
         return FiniteKernel(labels=self.labels, log_pi=self.log_pi, P=P)
 
 
-def _exp_nonpositive(delta: np.ndarray) -> np.ndarray:
-    """exp(min(0, delta)) through math.exp, matching the per-state formulas bit for bit."""
-    return np.array([math.exp(d) for d in np.minimum(0.0, delta).tolist()])
+def _class_chain(spec: ModelSpec, kind: str, labels: tuple, log_pi: np.ndarray,
+                 flip: np.ndarray, sites: int, groups) -> MoveTable:
+    """The Metropolis chain on signed classes from its groups of site moves.
 
-
-def _move_table(labels, log_pi, flip, moves) -> MoveTable:
-    """Concatenate (rows, cols, vals) move groups in order; log_pi must be finite."""
-    _check_log_weights(log_pi)
+    A group (target, count, delta) gives, over all classes, the class that
+    ``count`` of the ``sites`` site moves reach and their log-weight change.
+    Each move with count > 0 keeps p1 * count / sites * exp(min(0, delta)),
+    p1 = 1 on the naive chain, through math.exp to match the per-state
+    formulas bit for bit.  Equi-energy appends the global flip, mass p2 out
+    of every class but its own mirror; the uniform jump in a class is holding.
+    """
+    p1 = spec.p1 if kind == "equi-energy" else 1.0
+    idx = np.arange(len(labels))
+    moves = []
+    for target, count, delta in groups:
+        m = count > 0
+        accept = np.array([math.exp(d) for d in np.minimum(0.0, delta[m]).tolist()])
+        moves.append((idx[m], target[m], p1 * count[m] / sites * accept))
+    if kind == "equi-energy":
+        signed = idx != flip
+        moves.append((idx[signed], flip[signed], np.full(int(signed.sum()), spec.p2)))
+    check_log_weights(log_pi)
     rows, cols, vals = (np.concatenate(part) for part in zip(*moves))
     return MoveTable(labels=labels, log_pi=log_pi, rows=rows, cols=cols, vals=vals,
                      flip=flip)
 
 
 def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    p1, p2 = (spec.p1, spec.p2) if kind == "equi-energy" else (1.0, 0.0)
     N, beta = spec.N, spec.beta
     S = np.arange(-N, N + 1, 2)
     idx = np.arange(len(S))
-    flip = idx[::-1].copy()
-    n_minus = (N - S) // 2
-    n_plus = (N + S) // 2
-    up = n_minus > 0
-    down = n_plus > 0
-    moves = [
-        (idx[up], idx[up] + 1,
-         p1 * n_minus[up] / N * _exp_nonpositive(2 * beta * (S[up] + 1) / N)),
-        (idx[down], idx[down] - 1,
-         p1 * n_plus[down] / N * _exp_nonpositive(2 * beta * (1 - S[down]) / N)),
-    ]
-    if kind == "equi-energy":
-        signed = S != 0
-        moves.append((idx[signed], flip[signed], np.full(int(signed.sum()), p2)))
+    # a flip of one of the (N - S)/2 minus spins moves S up by 2, of a plus spin down
+    groups = [(idx + 1, (N - S) // 2, 2 * beta * (S + 1) / N),
+              (idx - 1, (N + S) // 2, 2 * beta * (1 - S) / N)]
     log_pi = models.log_binom_array(N, (N + S) // 2) + beta * S * S / (2 * N)
-    return _move_table(tuple(S.tolist()), log_pi, flip, moves)
+    return _class_chain(spec, kind, tuple(S.tolist()), log_pi, idx[::-1].copy(), N, groups)
 
 
 def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    p1, p2 = (spec.p1, spec.p2) if kind == "equi-energy" else (1.0, 0.0)
     N, beta, K = spec.N, spec.beta, spec.K
     # classes (s, r) ordered by r, then s: (s, r) sits at r(r+1)/2 + (s+r)/2
     r = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
     idx = np.arange(len(r))
     s = 2 * (idx - r * (r + 1) // 2) - r
     index = lambda s2, r2: r2 * (r2 + 1) // 2 + (s2 + r2) // 2
-    flip = index(-s, r)
-    n0 = N - r
-    npl = (r + s) // 2
-    nmi = (r - s) // 2
-    moves = []
-    for ds, dr, cnt in ((1, 1, n0), (-1, 1, n0), (-2, 0, npl),
-                        (-1, -1, npl), (2, 0, nmi), (1, -1, nmi)):
-        m = cnt > 0
-        s2 = s[m] + ds
-        delta = -beta * dr + K * beta * (s2 * s2 - s[m] * s[m]) / N
-        moves.append((idx[m], index(s2, r[m] + dr),
-                      p1 * cnt[m] / (2 * N) * _exp_nonpositive(delta)))
-    if kind == "equi-energy":
-        signed = np.flatnonzero(s)
-        moves.append((signed, flip[signed], np.full(len(signed), p2)))
+    n0, npl, nmi = N - r, (r + s) // 2, (r - s) // 2
+    # each of the 2N site moves x_j -> x_j +- 1 (with wraparound) shifts (s, r) by (ds, dr)
+    groups = [(index(s + ds, r + dr), cnt,
+               -beta * dr + K * beta * ((s + ds) * (s + ds) - s * s) / N)
+              for ds, dr, cnt in ((1, 1, n0), (-1, 1, n0), (-2, 0, npl),
+                                  (-1, -1, npl), (2, 0, nmi), (1, -1, nmi))]
     log_pi = (models.log_binom_array(N, r) + models.log_binom_array(r, (r - s) // 2)
               - beta * r + K * beta * s * s / N)
-    return _move_table(tuple(zip(s.tolist(), r.tolist())), log_pi, flip, moves)
+    return _class_chain(spec, kind, tuple(zip(s.tolist(), r.tolist())), log_pi,
+                        index(-s, r), 2 * N, groups)
 
 
 def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:

@@ -193,6 +193,14 @@ def check_class_count(spec: ModelSpec) -> int:
     return n
 
 
+def check_log_weights(lw) -> None:
+    """Refuse log weights that overflowed (inf) or lost their value (nan), as
+    beta S^2 / 2N does at beta = 1e308: no chain, profile or run starts from them."""
+    if not np.isfinite(lw).all():
+        raise ValueError("the log weights of the stationary distribution are not all "
+                         "finite: the parameters overflow float64")
+
+
 def enumerate_beg_classes(N: int) -> list[tuple[int, int]]:
     """All (s, r) with 0 <= s <= r <= N and s = r (mod 2), sorted by (r, s)."""
     if N % 2 != 0 or N < 2:
@@ -335,7 +343,9 @@ def ising_magnetization_log_profile(N: int, beta: float) -> tuple[np.ndarray, np
     if not math.isfinite(beta):
         raise ValueError(f"beta must be a finite real, got {beta}")
     i = np.arange(0, N + 1, 2)
-    return i, log_binom_array(N, (N - i) // 2) + beta * i * i / (2 * N)
+    log_q = log_binom_array(N, (N - i) // 2) + beta * i * i / (2 * N)
+    check_log_weights(log_q)
+    return i, log_q
 
 
 def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
@@ -356,4 +366,5 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
         terms = log_binom_array(r, (r - s) // 2) + K * beta * s * s / N
         terms[s > 0] += math.log(2.0)
         out[r] = log_binom(N, r) - beta * r + logsumexp(terms)
+    check_log_weights(out)
     return out

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import check_chain
-from .models import EnergyClass, ModelSpec
+from .models import EnergyClass, ModelSpec, check_log_weights
 
 OBSERVABLES = ("mag", "abs_mag", "quad", "const")
 
@@ -179,6 +179,9 @@ class Sampler:
         if spec.kind == "warmup":
             self.x, self.S, self.R = 0, 0, None
             return
+        # each term of a log weight is largest at |S| = N (beg: and R = N)
+        check_log_weights(spec.beta * N * N / (2 * N) if spec.kind == "ising"
+                          else -spec.beta * N + spec.K * spec.beta * N * N / N)
         if spec.kind == "ising":
             self.x = np.where(rng.random(N) < 0.5, -1, 1).astype(np.int8)
         else:

@@ -397,6 +397,11 @@ def test_a_non_finite_real_exits_2(tmp_path, capsys, monkeypatch, command, messa
     "export-kernel --model ising --n 4 --beta 1e308",
     "conductance --model ising --n 4 --beta 1e308 --interval --space signed",
     "gap-scan --model ising --beta 1e308 --n 10",
+    # the scans exited 0 with inf in their profiles and an N0, the run with an estimate
+    "unimodality-scan --model ising --beta 1e308 --n 10..20..10",
+    "unimodality-scan --model beg --beta-k 1e308:1 --n 5",
+    "simulate --model ising --n 4 --beta 1e308 --steps 100",
+    "simulate --model beg --n 4 --beta 1e308 --k 1 --steps 100",
 ])
 def test_log_weights_that_overflow_exit_2(tmp_path, capsys, command):
     with np.errstate(over="ignore", invalid="ignore"):
@@ -407,6 +412,20 @@ def test_log_weights_that_overflow_exit_2(tmp_path, capsys, command):
                         "finite: the parameters overflow float64\n")
     assert err.count("error:") == 1
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_a_refused_run_removes_only_the_empty_output_directory_it_made(tmp_path, capsys):
+    argv = ["export-kernel", "--model", "ising", "--n", "4", "--beta", "1e308", "--out"]
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, str(existing)]) == EXIT_USAGE
+        # it used to leave these behind, empty
+        assert main([*argv, str(tmp_path / "made")]) == EXIT_USAGE
+        assert main([*argv, str(tmp_path / "made" / "nested")]) == EXIT_USAGE
+        assert main([*argv, str(existing / "nested")]) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert list(existing.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,code", [
@@ -801,6 +820,30 @@ def test_provenance_records_deep_and_trace(tmp_path):
     assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "ini")]) == EXIT_OK
     assert provenance(tmp_path / "ini")["trace"] is True
     assert (tmp_path / "ini" / "trace.csv").exists()
+
+
+def test_provenance_records_every_option_but_out_and_config(tmp_path):
+    # export-kernel and conductance used to record only model, n, kind and space
+    for beta in ("1", "2"):
+        assert main(["export-kernel", "--model", "ising", "--n", "4", "--beta", beta,
+                     "--out", str(tmp_path / beta)]) == EXIT_OK
+    assert provenance(tmp_path / "1") == {
+        "model": "ising", "n": 4, "kind": "equi-energy", "beta": 1.0, "k": None,
+        "theta": None, "epsilon": None, "p1": 0.5, "p2": 0.25, "space": "full"}
+    assert provenance(tmp_path / "2")["beta"] == 2.0
+    assert main(["conductance", "--model", "beg", "--n", "4", "--beta", "1", "--k", "1.5",
+                 "--kind", "naive", "--space", "signed", "--out", str(tmp_path / "h")]) == EXIT_OK
+    assert provenance(tmp_path / "h") == {
+        "model": "beg", "n": 4, "kind": "naive", "beta": 1.0, "k": 1.5, "theta": None,
+        "epsilon": None, "p1": None, "p2": None, "space": "signed", "interval": False}
+    assert "k = 1.5\n" in (tmp_path / "h" / "effective_config.ini").read_text()
+    # a scan records the grid its model does not read as empty
+    assert main(["unimodality-scan", "--model", "ising", "--beta", "2", "--n", "10",
+                 "--out", str(tmp_path / "i")]) == EXIT_OK
+    assert provenance(tmp_path / "i")["beta_k"] == ""
+    assert main(["unimodality-scan", "--model", "beg", "--beta-k", "1:1", "--n", "5",
+                 "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert provenance(tmp_path / "b")["beta"] == ""
 
 
 def test_gap_scan_records_the_beta_it_ran(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -590,6 +591,33 @@ def test_signed_chain_matches_scalar_reference_bit_for_bit(spec, kind):
     assert chain.labels == labels
     assert np.array_equal(chain.log_pi, log_pi)
     assert np.array_equal(chain.P, P)
+
+
+#: sha256 of the rows, cols, vals, log_pi and flip bytes of each signed
+#: table, recorded before the Ising and BEG tables shared one builder.
+#: The dense P above cannot see the move order, which the holding sums
+#: of the sector route read; ising N = 80 takes the lgamma binomials,
+#: and at beg N = 2 a (+-2, 0) site move and the flip reach the same class.
+PINNED_TABLE_DIGESTS = {
+    (80, "naive"): "1b8e3acfb379840c8d8492832f0f23a70fb160ac9b807bfd761eabf733eb5e3e",
+    (80, "equi-energy"): "51f0581fefe534abf6027aa0c715c55d0dd823b8779d40466596701672445485",
+    (2, "naive"): "3059d977b3659d6d75b3e11d001fbb7b750519582fbc9b7bc70a4a94a07ef5ab",
+    (2, "equi-energy"): "77cb78d54a2d0a6dd0f26659440b837c3f276794fb50008629af5d001ccce8c6",
+    (64, "naive"): "a56def70896db3021359bda7ccb03e8840bc6780f7e5a023dc420176d9c58146",
+    (64, "equi-energy"): "321696949d5d5be0fea29aabbd8742e5ecec6ba4a6c714d6deaec014595076e3",
+}
+
+
+@pytest.mark.parametrize("kind", ["naive", "equi-energy"])
+@pytest.mark.parametrize("spec", [ising(80, beta=0.6, p1=0.5, p2=0.25),
+                                  beg(2, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                  beg(64, beta=0.3, K=0.7, p1=0.5, p2=0.25)])
+def test_signed_table_triplets_are_pinned_in_order(spec, kind):
+    table = signed_move_table(spec, kind)
+    arrays = (table.rows, table.cols, table.vals, table.log_pi, table.flip)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64, np.float64, np.int64]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == PINNED_TABLE_DIGESTS[spec.N, kind]
 
 
 def table_from_kernel(kernel, flip):

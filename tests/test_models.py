@@ -79,6 +79,16 @@ def test_profiles_refuse_a_non_finite_parameter(value):
         assert str(refused.value) == message
 
 
+def test_profiles_refuse_log_weights_that_overflow():
+    # finite parameters whose profile values overflow: each used to return inf or nan
+    for profile in (lambda: models.ising_magnetization_log_profile(10, 1e308),
+                    lambda: models.beg_row_log_profile(5, 1e308, 1.0),
+                    lambda: models.beg_row_log_profile(4, 1.0, 1e308)):
+        with pytest.raises(ValueError, match="log weights .* not all finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            profile()
+
+
 def test_magnetization():
     assert magnetization([1, 1, -1, -1]) == 0
     assert magnetization([1, 1, 1, 1]) == 4

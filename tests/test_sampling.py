@@ -673,3 +673,13 @@ def test_step_matches_per_method_reference(spec, kind):
 def test_sampler_refuses_an_invalid_start(spec, x0):
     with pytest.raises(AlphabetError):
         step(spec, "naive", x0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("spec", [ising(4, beta=1e308), beg(4, beta=1e308, K=1.0),
+                                  beg(4, beta=1.0, K=1e308)])
+def test_a_sampler_refuses_log_weights_that_overflow_before_its_first_draw(spec):
+    # the ising run used to exit 0 with an estimate after 100 steps
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="log weights .* not all finite"):
+        Sampler(spec, "naive", rng)
+    assert rng.random() == np.random.default_rng(0).random()

@@ -34,8 +34,9 @@ four profile scans and audits at N < 1, three
 ``--beta-k`` item without its ``:K`` or with an empty ``K``, a ``--beta``
 item that is not a number, five commands that name a real-valued
 option nan or inf (a single value, a list, a ``--beta-k`` pair and a
-verifier's slope bar), three whose finite beta = 1e308 overflows the
-log weights, and short ``simulate`` runs
+verifier's slope bar), six whose finite beta = 1e308 overflows the
+log weights (an export, a conductance, a gap-scan, both profile scans
+and a ``simulate`` run), and short ``simulate`` runs
 of every (model, kind) with default, thinned and burn-in settings, most
 with a trace.
 After them it runs each script under ``demos/``, copied into its own
@@ -120,6 +121,9 @@ EXTRA_COMMANDS = (
     "export-kernel --model ising --n 4 --beta 1e308",
     "conductance --model ising --n 4 --beta 1e308 --interval --space signed",
     "gap-scan --model ising --beta 1e308 --n 10",
+    "unimodality-scan --model ising --beta 1e308 --n 10..20..10",
+    "unimodality-scan --model beg --beta-k 1e308:1 --n 5",
+    "simulate --model ising --n 4 --beta 1e308 --steps 100",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
