@@ -15,7 +15,6 @@ from .models import (
     beg,
     beg_row_log_profile,
     class_table,
-    enumerate_beg_classes,
     enumerate_states,
     ising,
     warmup,
@@ -31,7 +30,6 @@ from .kernels import (
     lumped_projection,
     metropolis_chain,
     metropolize,
-    partition_by,
     restrictions,
     signed_lumped_chain,
     signed_move_table,

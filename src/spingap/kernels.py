@@ -120,7 +120,11 @@ class Partition:
 
 
 def partition_by(keys: Sequence, order: Optional[Sequence] = None) -> Partition:
-    """Group indices 0..n-1 by key, blocks in ``order`` (default: the sorted unique keys)."""
+    """Group indices 0..n-1 by key, blocks in ``order`` (default: the sorted unique keys).
+
+    No program path calls it; the tests and the benchmark tracer's shim
+    list (``perfbench/layers.py``) do.
+    """
     keys = list(keys)
     if order is None:
         order = sorted(set(keys))
@@ -296,12 +300,17 @@ def equi_energy_proposal(spec: ModelSpec) -> MoveTable:
     p1, p2 = spec.p1, spec.p2
     base = single_flip_proposal(spec)
     neg = base.flip
-    parts = partition_by(signed_class_keys(spec))
+    states = models.enumerate_states(spec)
+    S = states.sum(axis=1, dtype=np.int64)
+    R = np.count_nonzero(states, axis=1) if spec.kind == "beg" else None
+    # blocks labelled by S; a flip never stays in its class, so a move's
+    # terms add up local, uniform, flip in any class order
+    parts = Partition(block=models.signed_class_position(spec, S, R),
+                      labels=tuple(models.signed_class_order(spec)[0].tolist()))
 
     def moves():
         yield base.rows, base.cols, p1 * base.vals
-        for key, g in zip(parts.labels, parts.blocks):
-            s_val = key[0] if spec.kind == "beg" else key
+        for s_val, g in zip(parts.labels, parts.blocks):
             mass = 1.0 - p1 if s_val == 0 else 1.0 - p1 - p2
             k = len(g)
             # every pair of distinct class members, row by row
@@ -403,18 +412,6 @@ def restrictions(table: MoveTable, parts: Partition) -> tuple[MoveTable, ...]:
                  for states, k in zip(parts.blocks, moves))
 
 
-def signed_class_keys(spec: ModelSpec) -> list:
-    """Per-state signed orbit key (S, or (S, R)) in enumeration order."""
-    states = models.enumerate_states(spec)
-    if spec.kind == "warmup":
-        return [int(x) for x in states]
-    S = states.sum(axis=1, dtype=np.int64)
-    if spec.kind == "ising":
-        return S.tolist()
-    R = np.count_nonzero(states, axis=1)
-    return list(zip(S.tolist(), R.tolist()))
-
-
 def warmup_block_partition(spec: ModelSpec) -> Partition:
     """The warmup decomposition: A_1 = {-1,0,1}, A_i = {-i,+i} for i > 1."""
     if spec.kind != "warmup":
@@ -488,32 +485,29 @@ def _class_chain(spec: ModelSpec, kind: str, labels: tuple, log_pi: np.ndarray,
 
 def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
     N, beta = spec.N, spec.beta
-    S = np.arange(-N, N + 1, 2)
-    idx = np.arange(len(S))
+    S, _ = models.signed_class_order(spec)
+    at = models.signed_class_position
     # a flip of one of the (N - S)/2 minus spins moves S up by 2, of a plus spin down
-    groups = [(idx + 1, (N - S) // 2, 2 * beta * (S + 1) / N),
-              (idx - 1, (N + S) // 2, 2 * beta * (1 - S) / N)]
+    groups = [(at(spec, S + 2), (N - S) // 2, 2 * beta * (S + 1) / N),
+              (at(spec, S - 2), (N + S) // 2, 2 * beta * (1 - S) / N)]
     log_pi = models.log_binom_array(N, (N + S) // 2) + beta * S * S / (2 * N)
-    return _class_chain(spec, kind, tuple(S.tolist()), log_pi, idx[::-1].copy(), N, groups)
+    return _class_chain(spec, kind, tuple(S.tolist()), log_pi, at(spec, -S), N, groups)
 
 
 def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
     N, beta, K = spec.N, spec.beta, spec.K
-    # classes (s, r) ordered by r, then s: (s, r) sits at r(r+1)/2 + (s+r)/2
-    r = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
-    idx = np.arange(len(r))
-    s = 2 * (idx - r * (r + 1) // 2) - r
-    index = lambda s2, r2: r2 * (r2 + 1) // 2 + (s2 + r2) // 2
+    s, r = models.signed_class_order(spec)
+    at = models.signed_class_position
     n0, npl, nmi = N - r, (r + s) // 2, (r - s) // 2
     # each of the 2N site moves x_j -> x_j +- 1 (with wraparound) shifts (s, r) by (ds, dr)
-    groups = [(index(s + ds, r + dr), cnt,
+    groups = [(at(spec, s + ds, r + dr), cnt,
                -beta * dr + K * beta * ((s + ds) * (s + ds) - s * s) / N)
               for ds, dr, cnt in ((1, 1, n0), (-1, 1, n0), (-2, 0, npl),
                                   (-1, -1, npl), (2, 0, nmi), (1, -1, nmi))]
     log_pi = (models.log_binom_array(N, r) + models.log_binom_array(r, (r - s) // 2)
               - beta * r + K * beta * s * s / N)
     return _class_chain(spec, kind, tuple(zip(s.tolist(), r.tolist())), log_pi,
-                        index(-s, r), 2 * N, groups)
+                        at(spec, -s, r), 2 * N, groups)
 
 
 def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:
@@ -540,9 +534,8 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     Every transition mass out of a state depends only on its signed
     class, so the lumping is exact and its spectrum is a subset of the
     full chain's.  Every table is built in O(states) memory.  For warmup
-    the signed classes are the states -N..N themselves.  ising states are
-    ordered by magnetization S ascending; beg states by (r, S) with r
-    ascending.
+    the signed classes are the states -N..N themselves.  The states come
+    in ``models.signed_class_order``: ising by S ascending, beg by r, then s.
     """
     check_space(spec, kind, "signed")
     if spec.kind == "warmup":

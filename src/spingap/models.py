@@ -44,9 +44,10 @@ class OddSizeError(ValueError):
 class ModelSpec:
     """Which model plus every parameter it needs, validated on construction.
 
-    Unused parameters for a given kind are None.  ``a`` records the
-    scaled-parameter mode (p1, p2 derived from a and N) when one of the
-    ``scaled_*`` helpers produced this spec; it is informational only.
+    Unused parameters for a given kind are None.  No code sets ``a``: the
+    ``verify.scaled_*`` helpers return ``ScaledParams``, not a spec.  It
+    stays as a key of the ``model`` record in ``runstats.json`` and
+    ``conductance.json``, always null.
     """
 
     kind: str
@@ -138,15 +139,6 @@ def logsumexp(a) -> np.float64:
     return out[0]
 
 
-def log_binom(n: int, k: int) -> float:
-    """log C(n, k); exact integer arithmetic for small n, lgamma beyond."""
-    if k < 0 or k > n:
-        return -math.inf
-    if n <= _EXACT_BINOM_LIMIT:
-        return math.log(math.comb(n, k))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 @cache
 def _exact_log_binoms() -> np.ndarray:
     """log C(n, k) for n, k <= _EXACT_BINOM_LIMIT from exact integers (-inf for k > n)."""
@@ -156,10 +148,10 @@ def _exact_log_binoms() -> np.ndarray:
 
 
 def log_binom_array(n, k) -> np.ndarray:
-    """``log_binom`` elementwise over integer arrays, bit for bit.
+    """log C(n, k) elementwise over integer arrays, -inf outside 0 <= k <= n.
 
     n <= _EXACT_BINOM_LIMIT reads the exact-integer values; larger n
-    subtract entries of one lgamma table in log_binom's order.
+    take lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) from one lgamma table.
     """
     n, k = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(k, dtype=np.int64))
     out = np.full(n.shape, -math.inf)
@@ -201,42 +193,40 @@ def check_log_weights(lw) -> None:
                          "finite: the parameters overflow float64")
 
 
+def signed_class_order(spec: ModelSpec) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(S, R) of every signed class, in the one order that every class table uses.
+
+    warmup: x = -N..N; ising: S = -N..N in steps of 2 (R is None for
+    both); beg: r = 0..N, then s = -r..r in steps of 2.
+    ``signed_class_position`` gives a class's place in it.
+    """
+    N = spec.N
+    if spec.kind != "beg":
+        return np.arange(-N, N + 1, 1 if spec.kind == "warmup" else 2), None
+    r = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    # row r opens with the class (-r, r)
+    return 2 * (np.arange(r.size) - signed_class_position(spec, -r, r)) - r, r
+
+
+def signed_class_position(spec: ModelSpec, s, r=None):
+    """The index of class (s, r) in ``signed_class_order``, elementwise."""
+    if spec.kind == "beg":
+        return r * (r + 1) // 2 + (s + r) // 2
+    return (s + spec.N) // (1 if spec.kind == "warmup" else 2)
+
+
 def enumerate_beg_classes(N: int) -> list[tuple[int, int]]:
-    """All (s, r) with 0 <= s <= r <= N and s = r (mod 2), sorted by (r, s)."""
+    """The s >= 0 half of the beg class order: (s, r) sorted by (r, s).
+
+    No program path calls it; the tests and the benchmark tracer's shim
+    list (``perfbench/layers.py``) do.
+    """
     if N % 2 != 0 or N < 2:
         raise OddSizeError(f"beg class enumeration requires even N >= 2, got {N}")
-    pairs = []
-    for r in range(N + 1):
-        start = 0 if r % 2 == 0 else 1
-        for s in range(start, r + 1, 2):
-            pairs.append((s, r))
-    return pairs
-
-
-def signed_classes(spec: ModelSpec) -> list[EnergyClass]:
-    """Canonical ordered list of signed classes.
-
-    Warmup/ising: s ascending, minus before plus.  Beg: (r, s)
-    lexicographic, minus before plus.  This fixed order makes every
-    matrix and CSV built on top reproducible bit for bit.
-    """
-    out = []
-    if spec.kind == "beg":
-        for s, r in enumerate_beg_classes(spec.N):
-            if s == 0:
-                out.append(EnergyClass(0, r, 0))
-            else:
-                out.append(EnergyClass(s, r, -1))
-                out.append(EnergyClass(s, r, +1))
-        return out
-    step = 1 if spec.kind == "warmup" else 2
-    for s in range(0, spec.N + 1, step):
-        if s == 0:
-            out.append(EnergyClass(0, None, 0))
-        else:
-            out.append(EnergyClass(s, None, -1))
-            out.append(EnergyClass(s, None, +1))
-    return out
+    # the order reads only the model and N
+    s, r = signed_class_order(beg(N, beta=0.0, K=1.0))
+    half = s >= 0
+    return list(zip(s[half].tolist(), r[half].tolist()))
 
 
 @dataclass(frozen=True)
@@ -264,25 +254,26 @@ class ClassTable:
 def class_table(spec: ModelSpec) -> ClassTable:
     """Build the exact signed-class table for spec.
 
-    The limit is on the class count (ising has N/2+1 unsigned classes,
-    beg O(N^2)), never on the 2^N or 3^N configuration count.
+    The classes come in ``signed_class_order``.  The limit is on the
+    class count (ising has N/2+1 unsigned classes, beg O(N^2)), never on
+    the 2^N or 3^N configuration count.
     """
     check_class_count(spec)
-    classes = signed_classes(spec)
-    s = np.array([c.s for c in classes])
+    signed, r = signed_class_order(spec)
+    s = np.abs(signed)
     if spec.kind == "warmup":
-        log_card, log_sw = np.zeros(len(classes)), s * math.log(spec.theta)
+        log_card, log_sw = np.zeros(s.size), s * math.log(spec.theta)
     elif spec.kind == "ising":
         log_card = log_binom_array(spec.N, (spec.N - s) // 2)
         log_sw = spec.beta * s * s / (2 * spec.N)
     else:
-        r = np.array([c.r for c in classes])
         log_card = log_binom_array(spec.N, r) + log_binom_array(r, (r - s) // 2)
         log_sw = -spec.beta * r + spec.K * spec.beta * s * s / spec.N
     log_cw = log_card + log_sw
+    rs = [None] * s.size if r is None else r.tolist()
     return ClassTable(
         spec=spec,
-        classes=tuple(classes),
+        classes=tuple(map(EnergyClass, s.tolist(), rs, np.sign(signed).tolist())),
         log_cardinality=log_card,
         log_state_weight=log_sw,
         log_class_weight=log_cw,
@@ -360,11 +351,11 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
         raise ValueError(f"N must be positive, got {N}")
     if not (math.isfinite(beta) and math.isfinite(K)):
         raise ValueError(f"beta and K must be finite reals, got {beta}, {K}")
-    out = np.empty(N + 1)
+    out = log_binom_array(N, np.arange(N + 1))
     for r in range(N + 1):
         s = np.arange(r % 2, r + 1, 2)
         terms = log_binom_array(r, (r - s) // 2) + K * beta * s * s / N
         terms[s > 0] += math.log(2.0)
-        out[r] = log_binom(N, r) - beta * r + logsumexp(terms)
+        out[r] = out[r] - beta * r + logsumexp(terms)
     check_log_weights(out)
     return out

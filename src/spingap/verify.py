@@ -455,20 +455,9 @@ def is_unimodal(log_values: Sequence[float]) -> bool:
     Differences within 1e-12 (of the weights, i.e. absolute on logs)
     count as plateau and constrain nothing.
     """
-    lv = np.asarray(log_values, dtype=float)
-    directions = []
-    for d in np.diff(lv):
-        if d > 1e-12:
-            directions.append(1)
-        elif d < -1e-12:
-            directions.append(-1)
-    seen_down = False
-    for d in directions:
-        if d < 0:
-            seen_down = True
-        elif seen_down:
-            return False
-    return True
+    d = np.diff(np.asarray(log_values, dtype=float))
+    # a definite rise after the first definite descent
+    return not (d > 1e-12)[np.cumsum(d < -1e-12) > 0].any()
 
 
 def is_monotone_decreasing(log_values: Sequence[float]) -> bool:

@@ -1,7 +1,8 @@
 """Reference code that tests compare the library against.
 
 Nothing under ``src/`` reaches these: they are the configuration check
-and per-configuration helpers, the per-class weight formulas, a
+and per-configuration helpers, each state's signed class key, the
+scalar log-binomial, the per-class weight formulas, a
 one-step sampler call from a given state and the move component a step
 took, the sequential ball-placement orbit draw, the validity checks of
 a dense chain, a dense chain as a move table, a birth-death chain as a
@@ -31,7 +32,6 @@ from spingap.kernels import (
     lumped_projection,
     metropolis_chain,
     partition_by,
-    signed_class_keys,
     signed_lumped_chain,
     unsigned_lumped_chain,
 )
@@ -111,6 +111,18 @@ def class_of(spec: ModelSpec, x: State) -> EnergyClass:
     return EnergyClass(abs(s), None, sign)
 
 
+def signed_class_keys(spec: ModelSpec) -> list:
+    """Per-state signed orbit key (S, or (S, R)) in enumeration order."""
+    states = models.enumerate_states(spec)
+    if spec.kind == "warmup":
+        return [int(x) for x in states]
+    S = states.sum(axis=1, dtype=np.int64)
+    if spec.kind == "ising":
+        return S.tolist()
+    R = np.count_nonzero(states, axis=1)
+    return list(zip(S.tolist(), R.tolist()))
+
+
 def state_index(spec: ModelSpec, x: State) -> int:
     """Inverse of enumerate_states ordering."""
     if spec.kind == "warmup":
@@ -121,13 +133,23 @@ def state_index(spec: ModelSpec, x: State) -> int:
     return int((digits * base ** np.arange(spec.N)).sum())
 
 
+def log_binom(n: int, k: int) -> float:
+    """log C(n, k) one pair at a time, the reference for ``models.log_binom_array``:
+    exact integer arithmetic for small n, lgamma beyond."""
+    if k < 0 or k > n:
+        return -math.inf
+    if n <= models._EXACT_BINOM_LIMIT:
+        return math.log(math.comb(n, k))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
 def class_log_cardinality(spec: ModelSpec, c: EnergyClass) -> float:
     """Log size of the signed class c (sign 0 means the full orbit)."""
     if spec.kind == "warmup":
         return 0.0
     if spec.kind == "ising":
-        return models.log_binom(spec.N, (spec.N - c.s) // 2)
-    return models.log_binom(spec.N, c.r) + models.log_binom(c.r, (c.r - c.s) // 2)
+        return log_binom(spec.N, (spec.N - c.s) // 2)
+    return log_binom(spec.N, c.r) + log_binom(c.r, (c.r - c.s) // 2)
 
 
 def class_log_state_weight(spec: ModelSpec, c: EnergyClass) -> float:

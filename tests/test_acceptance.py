@@ -41,6 +41,7 @@ from oracles import (
     check_kernel,
     kernel_table,
     sample_uniform_class,
+    signed_class_keys,
     unsigned_class_partition,
 )
 
@@ -62,7 +63,7 @@ def test_criterion_01_kernel_correctness():
             check_kernel(M, 1e-12)
             if kind == "equi-energy":
                 K = equi_energy_proposal(spec).to_kernel()
-                keys = kernels.signed_class_keys(spec)
+                keys = signed_class_keys(spec)
                 same = np.equal.outer(keys, keys) if spec.kind == "ising" else \
                     np.array([[a == b for b in keys] for a in keys])
                 np.fill_diagonal(same, False)

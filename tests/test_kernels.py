@@ -43,7 +43,9 @@ from oracles import (
     check_kernel,
     dense_restriction,
     kernel_table,
+    log_binom,
     row_sum_error,
+    signed_class_keys,
     unsigned_class_partition,
     unsigned_lumping_deviation,
 )
@@ -478,7 +480,7 @@ def test_strong_lumpability_witness(spec, kind):
     # diagonal row complement, so 1 ulp of rounding noise is the most the
     # comparison can tolerate
     M = metropolis_chain(spec, kind).to_kernel()
-    keys = kernels.signed_class_keys(spec)
+    keys = signed_class_keys(spec)
     order = sorted(set(keys), key=lambda k: (k, ) if not isinstance(k, tuple) else k)
     key_to_col = {k: i for i, k in enumerate(order)}
     cols = np.array([key_to_col[k] for k in keys])
@@ -495,7 +497,7 @@ def test_strong_lumpability_witness(spec, kind):
 def test_signed_lumped_matches_direct_ising(kind):
     spec = ising(8, beta=1.5, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, kind).to_kernel()
-    keys = kernels.signed_class_keys(spec)
+    keys = signed_class_keys(spec)
     chain = signed_lumped_chain(spec, kind)
     # aggregate full rows into class-to-class masses and compare
     order = list(chain.labels)
@@ -513,7 +515,7 @@ def test_signed_lumped_matches_direct_ising(kind):
 def test_signed_lumped_matches_direct_beg(kind):
     spec = beg(6, beta=1.2, K=2.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, kind).to_kernel()
-    keys = kernels.signed_class_keys(spec)
+    keys = signed_class_keys(spec)
     chain = signed_lumped_chain(spec, kind)
     order = list(chain.labels)
     key_to_col = {k: i for i, k in enumerate(order)}
@@ -544,7 +546,7 @@ def scalar_signed_chain(spec, kind):
     N, beta = spec.N, spec.beta
     if spec.kind == "ising":
         states = list(range(-N, N + 1, 2))
-        log_w = lambda s: models.log_binom(N, (N + s) // 2) + beta * s * s / (2 * N)
+        log_w = lambda s: log_binom(N, (N + s) // 2) + beta * s * s / (2 * N)
         moves = lambda s: ((s + 2, (N - s) // 2, 2 * beta * (s + 1) / N),
                            (s - 2, (N + s) // 2, 2 * beta * (1 - s) / N))
         mirror = lambda s: -s
@@ -553,7 +555,7 @@ def scalar_signed_chain(spec, kind):
         K = spec.K
         states = sorted(((s, r) for r in range(N + 1) for s in range(-r, r + 1, 2)),
                         key=lambda t: (t[1], t[0]))
-        log_w = lambda c: (models.log_binom(N, c[1]) + models.log_binom(c[1], (c[1] - c[0]) // 2)
+        log_w = lambda c: (log_binom(N, c[1]) + log_binom(c[1], (c[1] - c[0]) // 2)
                            - beta * c[1] + K * beta * c[0] * c[0] / N)
         def moves(c):
             s, r = c
@@ -613,11 +615,39 @@ PINNED_TABLE_DIGESTS = {
                                   beg(2, beta=1.0, K=1.0, p1=0.5, p2=0.25),
                                   beg(64, beta=0.3, K=0.7, p1=0.5, p2=0.25)])
 def test_signed_table_triplets_are_pinned_in_order(spec, kind):
-    table = signed_move_table(spec, kind)
+    assert triplet_digest(signed_move_table(spec, kind)) == PINNED_TABLE_DIGESTS[spec.N, kind]
+
+
+def triplet_digest(table):
+    """sha256 of a table's rows, cols, vals, log_pi and flip bytes, their dtypes checked."""
     arrays = (table.rows, table.cols, table.vals, table.log_pi, table.flip)
     assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64, np.float64, np.int64]
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert digest == PINNED_TABLE_DIGESTS[spec.N, kind]
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+#: the same digests of the full-space equi-energy proposal and its
+#: Metropolis chain, recorded before the proposal grouped its states by
+#: the class index of ``models``; at beg N = 4 a one-site move and the
+#: global flip reach the same state, so their proposal masses merge
+PINNED_FULL_DIGESTS = {
+    ("ising", 8, "proposal"): "8fa16e7f49093fe24094a565040ae13b419478a84270c5e1772a2ac7d0227088",
+    ("ising", 8, "chain"): "9ac91292d4251c63c0be3b3858ac9814e813e29a84ae36b39f95398a1d265b82",
+    ("beg", 4, "proposal"): "6763a5ba9b4607d5ce1a8315986cf899cc9215a2c80cde6fbf57d877a0f56889",
+    ("beg", 4, "chain"): "2dec9934d465446b7874e95f27c404465798edc6ca9e2b6742a30746053648c5",
+    ("beg", 6, "proposal"): "01d11169b09b221526397bc48a3ae984a03f99c0a116e4ab1124b3a1c2ccd853",
+    ("beg", 6, "chain"): "330c6cca7541fea560e5301763fe2c97628d110b45616deadfe1f6295db9b84d",
+}
+
+
+@pytest.mark.parametrize("build", ["proposal", "chain"])
+@pytest.mark.parametrize("spec", [ising(8, beta=1.0, p1=0.5, p2=0.25),
+                                  beg(4, beta=1.0, K=1.0, p1=0.5, p2=0.25),
+                                  beg(6, beta=1.5, K=2.0, p1=0.4, p2=0.3)])
+def test_full_space_equi_energy_triplets_are_pinned_in_order(spec, build):
+    # the dense bit-for-bit tests cannot see the order of a move's terms
+    table = (equi_energy_proposal(spec) if build == "proposal"
+             else metropolis_chain(spec, "equi-energy"))
+    assert triplet_digest(table) == PINNED_FULL_DIGESTS[spec.kind, spec.N, build]
 
 
 def table_from_kernel(kernel, flip):
@@ -916,7 +946,7 @@ def reference_beg_lumped(spec):
     log_pi = np.empty(n)
     for i, (s, r) in enumerate(classes):
         two = 0.0 if s == 0 else math.log(2.0)
-        log_pi[i] = (two + models.log_binom(N, r) + models.log_binom(r, (r - s) // 2)
+        log_pi[i] = (two + log_binom(N, r) + log_binom(r, (r - s) // 2)
                      - beta * r + K * beta * s * s / N)
         n0, npl, nmi = N - r, (r + s) // 2, (r - s) // 2
         for s2, r2, cnt in ((s + 1, r + 1, n0), (s - 1, r + 1, n0), (s - 2, r, npl),

@@ -29,9 +29,11 @@ from oracles import (
     class_log_cardinality,
     class_log_state_weight,
     class_of,
+    log_binom,
     log_weight,
     magnetization,
     quadrupole,
+    signed_class_keys,
     state_index,
 )
 
@@ -191,6 +193,30 @@ def test_enumerate_beg_classes():
     assert found == pairs4
 
 
+@pytest.mark.parametrize("spec", [
+    *(warmup(N, theta=2.0) for N in (1, 2, 5)),
+    *(ising(N, beta=1.0) for N in (2, 4, 6, 8, 10)),
+    *(beg(N, beta=1.0, K=1.0) for N in (2, 4, 6)),
+])
+def test_the_signed_class_order_matches_brute_force(spec):
+    s, r = models.signed_class_order(spec)
+    classes = s.tolist() if r is None else list(zip(s.tolist(), r.tolist()))
+    keys = signed_class_keys(spec)
+    # every state's (S, R) once, by S ascending, for beg by R and then S
+    assert classes == sorted(set(keys), key=lambda k: k[::-1] if spec.kind == "beg" else k)
+    assert len(classes) == models.state_count(spec, "signed")
+    assert models.signed_class_position(spec, s, r).tolist() == list(range(len(classes)))
+    # each state's class sits where the position formula puts it
+    states = enumerate_states(spec)
+    S = states if spec.kind == "warmup" else states.sum(axis=1)
+    R = np.count_nonzero(states, axis=1) if spec.kind == "beg" else None
+    assert models.signed_class_position(spec, S, R).tolist() == [classes.index(k) for k in keys]
+    # the mirror of class (S, R) is (-S, R)
+    mirror = models.signed_class_position(spec, -s, r)
+    assert [classes[i] for i in mirror] == [
+        -k if r is None else (-k[0], k[1]) for k in classes]
+
+
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
 def test_beg_class_count_closed_form(N):
     count = sum(r // 2 + 1 for r in range(0, N + 1, 2)) + sum(
@@ -249,7 +275,7 @@ def test_class_table_matches_the_per_class_formulas_bit_for_bit(spec):
 @pytest.mark.parametrize("spec", [warmup(7, theta=2.0), ising(12, beta=1.0),
                                   beg(12, beta=1.0, K=1.0)])
 def test_the_class_count_is_the_class_table_length(monkeypatch, spec):
-    n = len(models.signed_classes(spec))
+    n = models.state_count(spec, "signed")
     monkeypatch.setattr(models, "MAX_CLASSES", n)
     assert len(class_table(spec)) == n
     monkeypatch.setattr(models, "MAX_CLASSES", n - 1)
@@ -319,8 +345,8 @@ def test_log_binom_exact_and_lgamma_agree():
     for n in (40, 60, 61, 200):
         for k in (0, 1, n // 3, n // 2, n):
             exact = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            assert models.log_binom(n, k) == pytest.approx(exact, rel=1e-12, abs=1e-12)
-    assert models.log_binom(5, 7) == -math.inf
+            assert log_binom(n, k) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    assert log_binom(5, 7) == -math.inf
 
 
 def _bits(x):
@@ -371,6 +397,6 @@ def test_cli_import_skips_scipy_special(tmp_path):
     lambda n: st.tuples(st.just(n), st.integers(-2, n + 2))), min_size=1, max_size=40))
 def test_log_binom_array_matches_scalar_bit_for_bit(pairs):
     n, k = np.array(pairs).T
-    want = [models.log_binom(a, b) for a, b in pairs]
+    want = [log_binom(a, b) for a, b in pairs]
     assert models.log_binom_array(n, k).tolist() == want
 

@@ -406,8 +406,9 @@ def test_decomposition_bound_past_the_dense_cap(monkeypatch):
 
 
 PINNED_BOUNDS = """import hashlib
-from spingap import (beg, decomposition_bound, ising, partition_by, signed_move_table, warmup,
+from spingap import (beg, decomposition_bound, ising, signed_move_table, warmup,
                      warmup_block_partition)
+from spingap.kernels import partition_by
 
 def quadrupole_rows(N):
     table = signed_move_table(beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")

@@ -5,7 +5,11 @@
 Runs each command with ``python -m spingap.cli``, importing the sources
 under ``src/`` next to this script, in a fresh directory ``OUTDIR/NN``,
 and prints one ``sha256  path`` line for each file it wrote, its stdout,
-its stderr and its exit code (paths relative to OUTDIR).  The commands
+its stderr and its exit code (paths relative to OUTDIR).  In stderr each
+Python warning from the package is cut to ``spingap/<module>.py:
+<Category>Warning: ...``, without the checkout's path, the line number
+and the source line printed under it, so that neither where the tree
+lives nor an edit above the warning moves the hash.  The commands
 are the README's ``spingap`` lines, the grids and gap-scans whose digests
 ``tests/test_cli.py`` pins, a longer ising-slow grid, three exports
 refused by the dense cap, two exhaustive conductances refused by their
@@ -145,6 +149,11 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
 
 
+#: a warning as Python prints it: the source file and line, then the source line
+WARNING = re.compile(rb"^[^\n]*/(spingap/\w+\.py):\d+: (\w*Warning: [^\n]*\n)(?:  [^\n]*\n)?",
+                     re.M)
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -175,7 +184,7 @@ def main(argv: list[str]) -> int:
             (run_dir / script.name).unlink()
         (run_dir / "command").write_text(label + "\n")
         (run_dir / "stdout").write_bytes(proc.stdout)
-        (run_dir / "stderr").write_bytes(proc.stderr)
+        (run_dir / "stderr").write_bytes(WARNING.sub(rb"\1: \2", proc.stderr))
         (run_dir / "exit").write_text(f"{proc.returncode}\n")
         for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
             print(f"{sha256(path)}  {path.relative_to(outdir)}", flush=True)
