@@ -76,20 +76,25 @@ def fmt_tag(x) -> str:
     return fmt(x)
 
 
-def _items(text: str) -> list[str]:
-    """The entries of a comma-separated list; an empty list would audit nothing."""
-    items = [v.strip() for v in str(text).split(",") if v.strip()]
-    if not items:
+def _grid(text: str, convert: Callable[[str], Any], what: str) -> list:
+    """The entries of a comma-separated list, converted, each value once.
+
+    Refused: an empty list, which would audit nothing; an entry that does
+    not convert or that repeats a value (a grid point solved and fitted
+    twice), named in the message.
+    """
+    values = []
+    for item in filter(None, (v.strip() for v in str(text).split(","))):
+        try:
+            value = convert(item)
+        except ValueError:
+            raise ConfigError(f"must list {what}, not {item!r}") from None
+        if value in values:
+            raise ConfigError(f"must list each value once, not {item!r} again")
+        values.append(value)
+    if not values:
         raise ConfigError("must list at least one value")
-    return items
-
-
-def _convert(convert: Callable[[str], Any], item: str, what: str):
-    """``convert(item)``, refused with a message that names the item and the form wanted."""
-    try:
-        return convert(item)
-    except ValueError:
-        raise ConfigError(f"must list {what}, not {item!r}") from None
+    return values
 
 
 def _range(text: str) -> list[int]:
@@ -109,7 +114,7 @@ def parse_int_range(text: str) -> list[int]:
             return _range(text)
         except ValueError:
             raise ConfigError(f"bad range {text!r}") from None
-    return [_convert(int, v, "whole numbers") for v in _items(text)]
+    return _grid(text, int, "whole numbers")
 
 
 def parse_real(text: str) -> float:
@@ -121,7 +126,7 @@ def parse_real(text: str) -> float:
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [_convert(parse_real, v, "numbers") for v in _items(text)]
+    return _grid(text, parse_real, "numbers")
 
 
 def _pair(item: str) -> tuple[float, float]:
@@ -131,7 +136,7 @@ def _pair(item: str) -> tuple[float, float]:
 
 def parse_pair_list(text: str) -> list[tuple[float, float]]:
     """'3:5,1.5:2' -> [(3.0, 5.0), (1.5, 2.0)]."""
-    return [_convert(_pair, item, "beta:K pairs") for item in _items(text)]
+    return _grid(text, _pair, "beta:K pairs")
 
 
 def parse_count(text: str) -> int:
@@ -335,16 +340,15 @@ def _flatten_report(outdir: Path, report) -> None:
               [[label, *(getattr(f, k) for k in fit_keys)] for label, f in report.fits])
     by_series = {}
     for rec in report.records:
-        if "N" not in rec.cell or "gap" not in rec.values:
+        # a series plots the gaps that its records do not flag as underflow
+        if "N" not in rec.cell or "gap" not in rec.values or rec.values["underflow"]:
             continue
         key = tuple(sorted((k, v) for k, v in rec.cell.items() if k != "N"))
         by_series.setdefault(key, []).append((rec.cell["N"], rec.values["gap"]))
     for key, pts in by_series.items():
         tag = "_".join(f"{k}{fmt_tag(v)}" for k, v in key if k not in ("model", "kind"))
         name = f"gap_vs_N_{tag}.dat" if tag else "gap_vs_N.dat"
-        pts = [(n, g) for n, g in sorted(pts) if g >= GAP_RESOLUTION]
-        if pts:
-            write_series(outdir / name, [p[0] for p in pts], [p[1] for p in pts])
+        write_series(outdir / name, *zip(*sorted(pts)))
     (outdir / "plot_template.gp").write_text(_GNUPLOT_TEMPLATE)
 
 

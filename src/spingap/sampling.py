@@ -303,12 +303,10 @@ def run_estimate(spec: ModelSpec, kind: str, cfg: RunConfig,
     burn = cfg.effective_burn_in
     trace = np.empty(cfg.retained)
     slot = itertools.count()
-    if trace_sink is None:
-        def keep(t, S, R):
-            trace[next(slot)] = value(S, R)
-    else:
-        def keep(t, S, R):
-            v = trace[next(slot)] = value(S, R)
+
+    def keep(t, S, R):
+        v = trace[next(slot)] = value(S, R)
+        if trace_sink is not None:
             trace_sink(t, _class_label(S, R), v)
     sampler.run(cfg.steps, keep, burn, cfg.thinning)
     estimate = float(trace.mean())

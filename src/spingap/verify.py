@@ -53,6 +53,8 @@ def ols_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     n = len(x)
     if n < 3:
         raise ValueError(f"need at least 3 points to fit, got {n}")
+    if len(np.unique(x)) < 2:
+        raise ValueError(f"need at least 2 distinct x values to fit a slope, got {x[0]:.17g} only")
     xm, ym = x.mean(), y.mean()
     sxx = float(((x - xm) ** 2).sum())
     slope = float(((x - xm) * (y - ym)).sum()) / sxx
@@ -150,34 +152,34 @@ def _negative_side_cut_log(table: MoveTable) -> float:
 
 
 def _sweep(model: Callable[..., ModelSpec], kind: str, Ns: Sequence[int],
-           values: Callable[[ModelSpec, MoveTable, SectorSpectrum], tuple],
+           values: Callable[[ModelSpec, MoveTable, SectorSpectrum, dict], Optional[bool]],
            **params) -> list[CellRecord]:
     """The (cell, N) loop of the audits: one record per N of one cell.
 
     The signed move tables are built and solved in N order, a stack at a
-    time (``sector_spectrum_batch``).  ``values(spec, table, sectors)``
-    gives each record's ``(values, passed)`` from its model, move table
-    and flip-sector spectrum; the cell reads {"model", "kind", "N",
-    **params}, and a record whose gap lies under the resolution floor
-    carries the note "underflow".
+    time (``sector_spectrum_batch``).  Each record's ``vals`` start as the
+    gap record of its flip-sector spectrum; ``values(spec, table, sectors,
+    vals)`` adds the audit's own fields and returns the pass flag.  The
+    cell reads {"model", "kind", "N", **params}; a gap under the
+    resolution floor is flagged and noted "underflow".
     """
     specs = [model(N, **params) for N in Ns]
     solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs)
     records = []
     for N, spec in zip(Ns, specs):
-        # no name keeps the (table, sectors) pair, so each table is freed in turn
-        vals, passed = values(spec, *next(solved))
+        table, sectors = next(solved)
+        vals = _gap_record(sectors)
+        passed = values(spec, table, sectors, vals)
+        del table  # freed before the next stack is built
         records.append(CellRecord(cell={"model": spec.kind, "kind": kind, "N": N, **params},
                                   values=vals, passed=passed,
                                   note="underflow" if vals["underflow"] else ""))
     return records
 
 
-def _slow_cell_values(spec: ModelSpec, table: MoveTable, sectors: SectorSpectrum) -> tuple:
-    """Naive-chain gap record and negative-side cut, from one move table; no pass flag."""
-    vals = _gap_record(sectors)
+def _slow_cell_values(spec: ModelSpec, table: MoveTable, sectors: SectorSpectrum, vals: dict):
+    """The naive chain's negative-side cut, from its move table; no pass flag."""
     vals["log_2h_cut"] = _negative_side_cut_log(table)
-    return vals, None
 
 
 def _gap_fit(records):
@@ -187,19 +189,18 @@ def _gap_fit(records):
     return ols_fit(*zip(*pts)) if len(pts) >= 6 else None
 
 
-def _collapse_fit(Ns: Sequence[int], gaps: Sequence[float],
+def _collapse_fit(resolvable: Sequence[tuple],
                   cut_fit: Callable[[], FitResult]) -> Optional[tuple]:
     """The slow-mixing verdict rule: the ``(route, fit)`` to judge, or None.
 
-    Six or more resolvable gaps: ("gap", OLS of log Gap on N).  No
-    resolvable gap: ("2hcut", ``cut_fit()``), the OLS of log(2h) at the
-    negative-side cut on N, which bounds log Gap from above at any depth.
-    One to five resolvable gaps: no verdict.
+    Six or more (N, gap) pairs not flagged ``underflow``: ("gap", OLS of
+    log Gap on N).  None: ("2hcut", ``cut_fit()``), the OLS of log(2h) at
+    the negative-side cut on N, which bounds log Gap from above at any
+    depth.  One to five: no verdict.
     """
-    pts = [(N, math.log(g)) for N, g in zip(Ns, gaps) if not g < GAP_RESOLUTION]
-    if len(pts) >= 6:
-        return "gap", ols_fit(*zip(*pts))
-    return None if pts else ("2hcut", cut_fit())
+    if len(resolvable) >= 6:
+        return "gap", ols_fit(*zip(*((N, math.log(g)) for N, g in resolvable)))
+    return None if resolvable else ("2hcut", cut_fit())
 
 
 def _naive_decay(model: Callable[..., ModelSpec], param_names: tuple, cells: Sequence[tuple],
@@ -226,8 +227,9 @@ def _naive_decay(model: Callable[..., ModelSpec], param_names: tuple, cells: Seq
         # bottleneck and stays finite under the resolution floor
         cut_fit = ols_fit(Ns, [r.values["log_2h_cut"] for r in cell_records])
         fits.append((f"semilog-2hcut-{tag}", cut_fit))
-        route, fit = _collapse_fit(Ns, [r.values["gap"] for r in cell_records],
-                                   lambda: cut_fit) or (None, cut_fit)
+        resolvable = [(N, r.values["gap"]) for N, r in zip(Ns, cell_records)
+                      if not r.values["underflow"]]
+        route, fit = _collapse_fit(resolvable, lambda: cut_fit) or (None, cut_fit)
         if route == "gap":
             fits.append((f"semilog-gap-{tag}", fit))
         slopes[",".join(map(str, params))] = fit.slope
@@ -258,10 +260,9 @@ def verify_ising_fast(betas: Sequence[float], Ns: Sequence[int],
     N from which the inequality holds through the grid maximum, and the
     audit fails only when no such N0 exists.
     """
-    def values(spec, table, sectors):
-        vals = _gap_record(sectors)
+    def values(spec, table, sectors, vals):
         vals["bound"] = ising_fast_bound(spec.N, p1, p2)
-        return vals, vals["gap"] >= vals["bound"]
+        return vals["gap"] >= vals["bound"]
 
     records, fits, failures, n0s = [], [], [], {}
     for beta in betas:
@@ -354,8 +355,9 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
             r.values["naive_log_2h_cut"] = _negative_side_cut_log(table)
         return ols_fit(Ns, [r.values["naive_log_2h_cut"] for r in records])
 
-    route, fit_naive = _collapse_fit(
-        Ns, [r.values["naive_gap"] for r in records], naive_cut_fit) or (None, None)
+    route, fit_naive = _collapse_fit([(N, r.values["naive_gap"]) for N, r in zip(Ns, records)
+                                      if not r.values["naive_underflow"]],
+                                     naive_cut_fit) or (None, None)
     if route is None:
         failures.append("fewer than 6 resolvable naive gaps")
     else:
@@ -410,12 +412,11 @@ def verify_beg_fast(cells: Sequence[tuple], Ns: Sequence[int], p1: float, p2: fl
     """
     floor = beg_decomposition_floor(p1, p2)
 
-    def values(spec, table, sectors):
-        vals = _gap_record(sectors)
+    def values(spec, table, sectors, vals):
         # P_bar = (I + E)/2, E the even sector as a chain on unsigned classes
         vals["gap_pbar"] = 0.5 * (1.0 - sectors.even_lambda1)
         vals["decomposition_floor"] = vals["gap_pbar"] * floor
-        return vals, vals["gap"] >= vals["decomposition_floor"] - 1e-12
+        return vals["gap"] >= vals["decomposition_floor"] - 1e-12
 
     records, fits, failures, constants = [], [], [], {}
     for beta, K in cells:

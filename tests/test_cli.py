@@ -7,6 +7,7 @@ import re
 import shlex
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -603,6 +604,48 @@ def test_an_empty_grid_list_exits_2(tmp_path, capsys, command, flag, value):
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {flag} must list at least one value\n"
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    # each exited 1 with a ZeroDivisionError traceback from the fit
+    ("verify ising-slow --beta 2 --n 10,10,10", "--n must list each value once, not '10' again"),
+    ("verify warmup --theta 2 --epsilon 0.3 --n 10,10,10",
+     "--n must list each value once, not '10' again"),
+    ("verify beg-slow --beta-k 3:5 --n 6,6,6", "--n must list each value once, not '6' again"),
+    # each passed on a slope fitted to the rounding of mean(log N)
+    ("verify ising-fast --beta 0.5 --n 10,10,10,10,10,10",
+     "--n must list each value once, not '10' again"),
+    ("verify beg-fast --beta-k 1:1 --n 6,6,6,6,6,6",
+     "--n must list each value once, not '6' again"),
+    # wrote two fits.csv rows but one fit and one N0 to report.json
+    ("verify ising-fast --beta 0.5,0.5 --n 10..30..2",
+     "--beta must list each value once, not '0.5' again"),
+    ("unimodality-scan --model beg --beta-k 1:1,1.0:1 --n 5",
+     "--beta-k must list each value once, not '1.0:1' again"),
+])
+def test_a_grid_that_repeats_a_value_exits_2(tmp_path, capsys, command, message):
+    assert main([*command.split(), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_underflow_flag_alone_picks_the_gaps_fitted_and_plotted(monkeypatch, tmp_path):
+    # a gap of exactly the floor is resolvable; the float just under it is not
+    at, under = spectral.GAP_RESOLUTION, float(np.nextafter(spectral.GAP_RESOLUTION, 0))
+    Ns = list(range(10, 26, 2))
+    gaps = [10.0 ** -k for k in range(3, 9)] + [at, under]
+    solved = iter(gaps)
+    monkeypatch.setattr(verify, "sector_spectrum_batch", lambda tables: (
+        (t, SimpleNamespace(gap=g, lambda1=1 - g, lambda_min=0.0, dim=2))
+        for t, g in zip(tables, solved)))
+    report = verify.verify_ising_slow([2.0], Ns)
+    assert [r.values["underflow"] for r in report.records] == [False] * 7 + [True]
+    want = verify.ols_fit(Ns[:7], [math.log(g) for g in gaps[:7]])
+    assert dict(report.fits)["semilog-gap-beta=2.0"] == want  # the _collapse_fit route
+    assert verify._gap_fit(report.records).n_points == 7
+    cli._flatten_report(tmp_path, report)
+    lines = (tmp_path / "gap_vs_N_beta2.0.dat").read_text().splitlines()
+    assert lines[-1] == f"22 {cli.fmt(at)}" and len(lines) == 7
 
 
 def test_an_empty_ini_grid_list_exits_2(tmp_path, capsys):

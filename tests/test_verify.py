@@ -49,6 +49,13 @@ def test_ols_fit_exact_line():
         ols_fit([1, 2], [1, 2])
 
 
+@pytest.mark.parametrize("x", [[2.0, 2.0, 2.0], [math.log(10)] * 6])
+def test_ols_fit_refuses_an_x_without_spread(x):
+    # one used to divide by zero, the other to fit the rounding of mean(x)
+    with pytest.raises(ValueError, match="^need at least 2 distinct x values to fit a slope"):
+        ols_fit(x, range(len(x)))
+
+
 def test_ols_fit_known_noise():
     rng = np.random.default_rng(0)
     x = np.arange(50.0)
@@ -380,14 +387,15 @@ def test_collapse_fit_states_the_verdict_rule_once():
         return "cut"
 
     # six or more resolvable gaps: the log-gap fit, and no cut is built
-    route, fit = verify._collapse_fit(Ns, resolvable, cut_fit)
+    pairs = list(zip(Ns, resolvable))
+    route, fit = verify._collapse_fit(pairs, cut_fit)
     assert route == "gap" and fit.n_points == 7
     assert fit.slope == pytest.approx(-0.3, rel=1e-12)
     # one to five resolvable gaps: no verdict
-    assert verify._collapse_fit(Ns, resolvable[:5] + [1e-13, 1e-14], cut_fit) is None
+    assert verify._collapse_fit(pairs[:5], cut_fit) is None
     assert calls == []
     # no resolvable gap: the cut fit
-    assert verify._collapse_fit(Ns, [1e-13] * 7, cut_fit) == ("2hcut", "cut")
+    assert verify._collapse_fit([], cut_fit) == ("2hcut", "cut")
     assert calls == [1]
 
 

@@ -32,7 +32,8 @@ in which every naive gap underflows, a beg-slow grid with too few
 resolvable gaps to fit, a ``--deep`` cell outside its grid, two
 failing beg-fast grids, a beg-fast grid that skips its double-peaked
 cell and passes on the other, an ising unimodality scan that succeeds,
-four profile scans and audits at N < 1, three
+four profile scans and audits at N < 1, six audit grids that
+repeat a value, three
 ``simulate`` step counts too large to hold, a fractional ``--steps`` and
 ``--burn-in``, a ``--thin`` in float notation, a negative ``--seed``, a
 ``--beta-k`` item without its ``:K`` or with an empty ``K``, a ``--beta``
@@ -110,6 +111,12 @@ EXTRA_COMMANDS = (
     "unimodality-scan --model ising --beta 2 --n -2",
     "unimodality-scan --model beg --beta-k 1:1 --n 0",
     "verify beg-fast --beta-k 1:1 --n 0,2,4",
+    "verify ising-slow --beta 2 --n 10,10,10",
+    "verify warmup --theta 2 --epsilon 0.3 --n 10,10,10",
+    "verify beg-slow --beta-k 3:5 --n 6,6,6",
+    "verify ising-fast --beta 0.5 --n 10,10,10,10,10,10",
+    "verify beg-fast --beta-k 1:1 --n 6,6,6,6,6,6",
+    "verify ising-fast --beta 0.5,0.5 --n 10..30..2",
     *(f"simulate --model ising --n 4 --beta 1 --steps {steps}"
       for steps in ("1e15", "1e20", "1e400")),
     *(f"simulate --model ising --n 4 --beta 1 {count}"
