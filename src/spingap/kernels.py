@@ -434,6 +434,13 @@ class MoveTable:
     state to its mirror image under the global flip J: x -> -x, which
     every chain here commutes with; on the unsigned classes, where J
     acts trivially, it is the identity.
+
+    The class chains also carry, for each move, the position in the table
+    of its reverse (j -> i) and of its mirror (Ji -> Jj), and its ``place``:
+    how many entries of its row of P come before it in column order, the
+    holding counted as the diagonal entry and moves to one state in table
+    order.  With them ``spectral`` assembles the flip sectors by index
+    arithmetic alone; every other table leaves them None.
     """
 
     labels: tuple
@@ -442,6 +449,9 @@ class MoveTable:
     cols: np.ndarray
     vals: np.ndarray
     flip: np.ndarray
+    reverse: Optional[np.ndarray] = None
+    mirror: Optional[np.ndarray] = None
+    place: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -460,36 +470,68 @@ def _class_chain(spec: ModelSpec, kind: str, labels: tuple, log_pi: np.ndarray,
                  flip: np.ndarray, sites: int, groups) -> MoveTable:
     """The Metropolis chain on signed classes from its groups of site moves.
 
-    A group (target, count, delta) gives, over all classes, the class that
-    ``count`` of the ``sites`` site moves reach and their log-weight change.
-    Each move with count > 0 keeps p1 * count / sites * exp(min(0, delta)),
-    p1 = 1 on the naive chain, through math.exp to match the per-state
+    A group (step, target, count, key, delta) gives, over all classes, the
+    class that ``count`` of the ``sites`` site moves reach and their
+    log-weight change delta[key].  Each move with count > 0 keeps
+    p1 * count / sites * exp(min(0, delta[key])), p1 = 1 on the naive chain,
+    through math.exp, once per entry of delta, to match the per-state
     formulas bit for bit.  Equi-energy appends the global flip, mass p2 out
     of every class but its own mirror; the uniform jump in a class is holding.
+
+    The reverse of group ``step`` is group -step, its mirror the group whose
+    step has its first (magnetization) component negated; the flip is its
+    own reverse and mirror.  So each move's reverse and mirror positions
+    are read off the groups, and its place in its row from their targets.
     """
     p1 = spec.p1 if kind == "equi-energy" else 1.0
-    idx = np.arange(len(labels))
-    moves = []
-    for target, count, delta in groups:
+    n = len(labels)
+    idx = np.arange(n)
+    steps, moves, targets, vals = [], [], [], []
+    for step, target, count, key, delta in groups:
+        accept = np.array([math.exp(d) for d in np.minimum(0.0, delta).tolist()])
         m = count > 0
-        accept = np.array([math.exp(d) for d in np.minimum(0.0, delta[m]).tolist()])
-        moves.append((idx[m], target[m], p1 * count[m] / sites * accept))
+        steps.append(step)
+        moves.append(m)
+        targets.append(target)
+        vals.append(p1 * count[m] / sites * accept[key[m]])
     if kind == "equi-energy":
         signed = idx != flip
-        moves.append((idx[signed], flip[signed], np.full(int(signed.sum()), spec.p2)))
+        steps.append(None)
+        moves.append(signed)
+        targets.append(flip)
+        vals.append(np.full(int(signed.sum()), spec.p2))
     check_log_weights(log_pi)
-    rows, cols, vals = (np.concatenate(part) for part in zip(*moves))
-    return MoveTable(labels=labels, log_pi=log_pi, rows=rows, cols=cols, vals=vals,
-                     flip=flip)
+    # one row per group: the table's moves are the True entries of ``moves``
+    # in row-major order; ``ends`` has each target, n where there is no move
+    moves = np.array(moves)
+    ends = np.where(moves, targets, n)
+    # at[g, i]: the table position of group g's move out of class i; int32
+    # positions and int8 places keep the pairs at 9 bytes a move
+    at = np.full(moves.shape, -1, dtype=np.int32)
+    at[moves] = np.arange(int(moves.sum()))
+    reverse = [g if st is None else steps.index(tuple(-d for d in st))
+               for g, st in enumerate(steps)]
+    mirror = [g if st is None else steps.index((-st[0], *st[1:])) for g, st in enumerate(steps)]
+    # a move's place counts the entries of its row before it: the moves to
+    # smaller targets or to its own from an earlier group, which ``order``
+    # ranks, and the diagonal if it lies before its target
+    order = ends * len(steps) + np.arange(len(steps))[:, None]
+    place = (order[None, :, :] < order[:, None, :]).sum(axis=1) + (idx < ends)
+    return MoveTable(labels=labels, log_pi=log_pi, rows=np.broadcast_to(idx, moves.shape)[moves],
+                     cols=ends[moves], vals=np.concatenate(vals), flip=flip,
+                     reverse=at[np.array(reverse)[:, None], np.minimum(ends, n - 1)][moves],
+                     mirror=at[np.array(mirror)[:, None], flip][moves],
+                     place=place[moves].astype(np.int8))
 
 
 def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
     N, beta = spec.N, spec.beta
     S, _ = models.signed_class_order(spec)
     at = models.signed_class_position
+    every = np.arange(S.size)
     # a flip of one of the (N - S)/2 minus spins moves S up by 2, of a plus spin down
-    groups = [(at(spec, S + 2), (N - S) // 2, 2 * beta * (S + 1) / N),
-              (at(spec, S - 2), (N + S) // 2, 2 * beta * (1 - S) / N)]
+    groups = [((2,), at(spec, S + 2), (N - S) // 2, every, 2 * beta * (S + 1) / N),
+              ((-2,), at(spec, S - 2), (N + S) // 2, every, 2 * beta * (1 - S) / N)]
     log_pi = models.log_binom_array(N, (N + S) // 2) + beta * S * S / (2 * N)
     return _class_chain(spec, kind, tuple(S.tolist()), log_pi, at(spec, -S), N, groups)
 
@@ -499,9 +541,12 @@ def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
     s, r = models.signed_class_order(spec)
     at = models.signed_class_position
     n0, npl, nmi = N - r, (r + s) // 2, (r - s) // 2
-    # each of the 2N site moves x_j -> x_j +- 1 (with wraparound) shifts (s, r) by (ds, dr)
-    groups = [(at(spec, s + ds, r + dr), cnt,
-               -beta * dr + K * beta * ((s + ds) * (s + ds) - s * s) / N)
+    # each of the 2N site moves x_j -> x_j +- 1 (with wraparound) shifts (s, r)
+    # by (ds, dr); its log-weight change depends on s alone, so it is taken
+    # over every s = -N..N and read at s + N
+    every = np.arange(-N, N + 1)
+    groups = [((ds, dr), at(spec, s + ds, r + dr), cnt, s + N,
+               -beta * dr + K * beta * ((every + ds) * (every + ds) - every * every) / N)
               for ds, dr, cnt in ((1, 1, n0), (-1, 1, n0), (-2, 0, npl),
                                   (-1, -1, npl), (2, 0, nmi), (1, -1, nmi))]
     log_pi = (models.log_binom_array(N, r) + models.log_binom_array(r, (r - s) // 2)

@@ -147,6 +147,20 @@ def _exact_log_binoms() -> np.ndarray:
                      for n in range(size)])
 
 
+#: lgamma(i + 1) for i = 0, 1, ...: log_binom_array's one table, grown on demand
+_log_factorials = np.zeros(1)
+
+
+def _log_factorials_upto(n: int) -> np.ndarray:
+    """The lgamma table, grown (at least doubled) to hold lgamma(n + 1)."""
+    global _log_factorials
+    have = _log_factorials.size
+    if have <= n:
+        more = [math.lgamma(i + 1) for i in range(have, max(n + 1, 2 * have))]
+        _log_factorials = np.concatenate([_log_factorials, more])
+    return _log_factorials
+
+
 def log_binom_array(n, k) -> np.ndarray:
     """log C(n, k) elementwise over integer arrays, -inf outside 0 <= k <= n.
 
@@ -161,7 +175,7 @@ def log_binom_array(n, k) -> np.ndarray:
     large = valid & ~small
     if large.any():
         n, k = n[large], k[large]
-        lgamma = np.array([math.lgamma(i + 1) for i in range(int(n.max()) + 1)])
+        lgamma = _log_factorials_upto(int(n.max()))
         out[large] = lgamma[n] - lgamma[k] - lgamma[n - k]
     return out
 
@@ -351,11 +365,31 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
         raise ValueError(f"N must be positive, got {N}")
     if not (math.isfinite(beta) and math.isfinite(K)):
         raise ValueError(f"beta and K must be finite reals, got {beta}, {K}")
-    out = log_binom_array(N, np.arange(N + 1))
-    for r in range(N + 1):
-        s = np.arange(r % 2, r + 1, 2)
-        terms = log_binom_array(r, (r - s) // 2) + K * beta * s * s / N
-        terms[s > 0] += math.log(2.0)
-        out[r] = out[r] - beta * r + logsumexp(terms)
+    # the (r, s) triangle row by row: s = r mod 2, r mod 2 + 2, ..., r
+    r = np.arange(N + 1)
+    size = r // 2 + 1
+    ends = np.cumsum(size)
+    starts = ends - size
+    row = np.repeat(r, size)
+    s = row % 2 + 2 * (np.arange(ends[-1]) - np.repeat(starts, size))
+    terms = log_binom_array(row, (row - s) // 2) + K * beta * s * s / N
+    terms[s > 0] += math.log(2.0)
+    # logsumexp's steps on every row at once, but one np.sum per row: its
+    # pairwise order follows the row's own length
+    rows = list(zip(starts.tolist(), ends.tolist()))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.maximum.reduceat(terms, starts)
+        at_top = terms == top[row]
+        m = np.bincount(row, weights=at_top)
+        e = np.exp(np.where(at_top, -np.inf, terms) - top[row])
+        total = np.array([np.sum(e[lo:hi]) for lo, hi in rows])
+        lse = np.log1p(np.where(total == 0, total, total / m)) + np.log(m) + top
+        for k in np.flatnonzero(~np.isfinite(lse)).tolist():
+            lo, hi = rows[k]
+            lse[k] = np.log(np.sum(np.exp(terms[lo:hi])))
+    out = log_binom_array(N, r)
+    # in scalar steps, row by row, so that an overflow warns as a scalar add
+    for k in range(N + 1):
+        out[k] = out[k] - beta * k + lse[k]
     check_log_weights(out)
     return out

@@ -9,13 +9,20 @@ sector.  ``spectrum``, a dense symmetric solve of a ``FiniteKernel``,
 is its oracle.
 
 The sectors are assembled with numpy index arithmetic on the move
-table's triplets.  Entries are keyed row * n + col and coalesced in
-row-major order by a stable sort, repeated entries summed left to right
-in table order (np.bincount).  Detailed balance and flip invariance are
-checked by pairing each entry with its reverse and its mirror through a
-binary search on those keys, so no transposed or permuted matrix is
-built.  The entries are then mapped to even and odd orbit coordinates
-and coalesced again: a tridiagonal sector (Ising, warm-up) comes out as
+table's triplets, by one of two routes that give the same bits.  The
+Ising and BEG class chains carry each move's reverse and mirror
+positions and its place in its row (``MoveTable``), so detailed balance
+and flip invariance are checked by gathering each move's reverse and
+mirror, and each sector entry is written straight to its place in its
+row, with no sort and no binary search (``_paired_sectors``).  Every
+other table (warm-up, restrictions, projections, the full space) goes
+the generic way, which is also the other's oracle: entries are keyed
+row * n + col and coalesced in row-major order by a stable sort,
+repeated entries summed left to right in table order (np.bincount);
+each entry is paired with its reverse and its mirror through a binary
+search on those keys, so no transposed or permuted matrix is built; the
+entries are then mapped to even and odd orbit coordinates and coalesced
+again.  Either way a tridiagonal sector (Ising, warm-up) comes out as
 its (diagonal, superdiagonal) arrays for the tridiagonal solver, any
 other (BEG) as one CSR matrix for the dense solver or Lanczos.  An
 entry that is not finite is refused once, at assembly, on every route.
@@ -230,23 +237,34 @@ def _mismatch(x: np.ndarray, y: np.ndarray) -> float:
 def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
     """The blocks of (M + M^T)/2 for the block-diagonal M the triplets add up to.
 
-    Block k spans indices starts[k]..starts[k+1]-1.  A tridiagonal block
-    comes back as its (diagonal, superdiagonal) arrays, any other as one
-    CSR matrix, with the bits, dtypes and entry order the block gets when
-    it is assembled alone: no entry crosses a block, so the coalescing
-    sums each entry's terms in the same order either way.  An entry that
-    is not finite raises ValueError.
+    Block k spans indices starts[k]..starts[k+1]-1.  The triplets are
+    coalesced in row-major order, each entry's terms summed in the given
+    order, then each entry adds its transpose and halves; the blocks come
+    as ``_blocks`` cuts them, with the bits, dtypes and entry order a block
+    gets when it is assembled alone: no entry crosses a block, so the
+    coalescing sums each entry's terms in the same order either way.
     """
     m = int(starts[-1])
     keys, vals = _coalesce(rows * m + cols, vals)
     rows, cols = np.divmod(keys, m)
     keys, vals = _coalesce(np.concatenate([keys, cols * m + rows]), np.concatenate([vals, vals]))
-    vals = vals * 0.5
+    rows, cols = np.divmod(keys, m)
+    return _blocks(rows, cols, vals * 0.5, starts)
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
+    """The diagonal blocks of the row-major entries (rows, cols, vals), each as a sector.
+
+    Block k spans indices starts[k]..starts[k+1]-1.  A tridiagonal block
+    comes back as its (diagonal, superdiagonal) arrays, any other as one
+    CSR matrix.  An entry that is not finite raises ValueError.
+    """
     if not np.isfinite(vals).all():
         raise ValueError("array must not contain infs or NaNs")
-    rows, cols = np.divmod(keys, m)
-    # keys ascend, so block k holds the entries ends[k]..ends[k+1]-1
-    ends = np.searchsorted(rows, starts)
+    m = int(starts[-1])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    # rows ascend, so block k holds the entries ends[k]..ends[k+1]-1
+    ends = indptr[starts]
     wide = np.concatenate([[0], np.cumsum(np.abs(rows - cols) > 1)])[ends]
     tridiagonal = (wide[1:] == wide[:-1]).tolist()
     if any(tridiagonal):
@@ -256,8 +274,6 @@ def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.nda
         e[rows[above]] = vals[above]
     if not all(tridiagonal):
         import scipy.sparse
-
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
     blocks = []
     for k, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
         if tridiagonal[k]:
@@ -275,7 +291,9 @@ def _symmetrization(table: MoveTable) -> tuple:
     A is assembled from the table's triplets and checked for detailed
     balance (NonReversibleError) and for invariance under the flip
     (SymmetryError) in O(nnz log nnz): each entry is paired with its
-    reverse and its mirror by binary search on the sorted keys.
+    reverse and its mirror by binary search on the sorted keys.  The
+    route of the tables without move pairs, and the oracle of
+    ``_paired_sectors``.
     """
     n = table.n
     idx = np.arange(n)
@@ -301,17 +319,123 @@ def _symmetrization(table: MoveTable) -> tuple:
     moves = np.bincount(table.rows, minlength=n)
     slack = np.finfo(float).eps * np.maximum(moves[rows], moves[flip[rows]])
     same = (rows == cols) & (np.abs(a - mirror) <= slack)
-    err = _mismatch(a[~same], mirror[~same])
+    _check_flip_invariant(_mismatch(a[~same], mirror[~same]))
+    return rows, cols, a
+
+
+def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
+                    even_starts: np.ndarray, odd_starts: np.ndarray) -> tuple:
+    """The even and odd sector blocks of a table that carries its move pairs.
+
+    The assembly of ``_symmetrization`` and ``_sector``, with the same
+    residuals, refusals and bits, by index arithmetic on each move's
+    reverse and mirror positions and its place (``MoveTable``): no sort
+    and no binary search.  It relies on what the class chains guarantee:
+    only a state's moves to its own mirror image share a target, and
+    they add up in table order; and no move leads from a state i < Ji to
+    a state j > Jj other than Ji.  So each sector entry off the diagonal
+    is kept by one move out of a lower state, its terms are that move's
+    and its mirror's, in this order, and a lower state's moves ascend in
+    sector column as they do in place.  Its transpose has the same two
+    terms, which add up the same either way round.
+    """
+    n = table.n
+    rows, cols, flip, mirror = table.rows, table.cols, table.flip, table.mirror
+    lw = table.log_pi
+    idx = np.arange(n)
+    fixed, first = flip == idx, idx <= flip
+    moves = np.bincount(rows, minlength=n)
+    hold = 1.0 - np.bincount(rows, weights=table.vals, minlength=n)
+    s = table.vals * np.exp(0.5 * (lw[rows] - lw[cols]))
+    s_hold = hold * np.exp(0.5 * (lw - lw))
+    # S(i, Ji): a state's moves to its mirror image add up to one entry, in
+    # table order, and each of them reads it
+    to_mirror = cols == flip[rows]
+    at = np.flatnonzero(to_mirror)
+    s_flip = np.bincount(rows[at], weights=s[at], minlength=n)
+    s[at] = s_flip[rows[at]]
+    s_rev = s[table.reverse]
+    # np.maximum keeps a NaN residual, which passes the tolerance test
+    _check_reversible(np.maximum(_mismatch(s, s_rev), _mismatch(s_hold, s_hold)))
+    a = s + s_rev
+    del s, s_rev
+    a *= 0.5
+    a_flip = 0.5 * (s_flip + s_flip[flip])
+    a_hold = 0.5 * (s_hold + s_hold)
+    # the holding masses match their mirrors up to rounding, as in _symmetrization
+    slack = np.finfo(float).eps * np.maximum(moves, moves[flip])
+    off = np.flatnonzero(~(np.abs(a_hold - a_hold[flip]) <= slack))
+    _check_flip_invariant(np.maximum(_mismatch(a, a[mirror]),
+                                     _mismatch(a_hold[off], a_hold[flip[off]])))
+    # the move that keeps each entry off the diagonal: one out of a lower
+    # state, to a state no higher than its mirror if it leaves a fixed one
+    k = np.flatnonzero(first[rows] & ~to_mirror & (~fixed[rows] | (cols <= flip[cols])))
+    i, j, a_k, a_m = rows[k], cols[k], a[k], a[mirror[k]]
+    fi, fj = fixed[i], fixed[j]
+    width = int(moves.max()) + 1
+    hold_place = np.bincount(rows[cols < rows], minlength=n)
+    # a move between fixed states is its own mirror, the one term of its entry
+    w = _even_weight(fi, fj)
+    m = w * a_k + np.where(mirror[k] == k, 0.0, w * a_m)
+    # the diagonal's terms are (i, i), (i, Ji), (Ji, i), (Ji, Ji), or (i, i) alone
+    w = np.where(fixed, 1.0, 0.5)
+    d = np.where(fixed, a_hold, ((w * a_hold + w * a_flip) + w * a_flip[flip]) + w * a_hold[flip])
+    # the k-th lower state keeps the diagonal of orbit k
+    states = np.flatnonzero(first)
+    even = _placed_sector(
+        ((orbit[i], table.place[k], orbit[j], m + m),
+         (np.arange(states.size), hold_place[states], np.arange(states.size),
+          d[states] + d[states])), even_starts, width)
+    # <odd_k, A odd_l> = +-1/2 on both terms of an entry between two pairs
+    q = np.flatnonzero(~fi & ~fj)
+    sign = np.where(first, 1.0, -1.0)
+    f = 0.5 * sign[i[q]] * sign[j[q]]
+    m = f * a_k[q] + f * a_m[q]
+    d = ((0.5 * a_hold + -0.5 * a_flip) + -0.5 * a_flip[flip]) + 0.5 * a_hold[flip]
+    states = np.flatnonzero(idx < flip)
+    odd = _placed_sector(
+        ((odd_orbit[i[q]], table.place[k[q]], odd_orbit[j[q]], m + m),
+         (np.arange(states.size), hold_place[states], np.arange(states.size),
+          d[states] + d[states])), odd_starts, width)
+    return even, odd
+
+
+def _placed_sector(parts: tuple, starts: np.ndarray, width: int) -> list:
+    """``_blocks`` of the entries (row, place in the row, column, value) of ``parts``.
+
+    Each row has ``width`` places, and its entries ascend in column as
+    they do in place, so reading the places row by row gives row-major
+    order.  As in ``_sector``, an entry whose value is 0 is dropped and
+    the rest are halved.
+    """
+    m = int(starts[-1])
+    grid = np.zeros(m * width)
+    col = np.zeros(m * width, dtype=np.intp)
+    for rows, places, cols, vals in parts:
+        slot = rows * width + places
+        grid[slot] = vals
+        col[slot] = cols
+    kept = np.flatnonzero(grid)
+    return _blocks(kept // width, col[kept], grid[kept] * 0.5, starts)
+
+
+def _even_weight(fixed_i: np.ndarray, fixed_j: np.ndarray) -> np.ndarray:
+    """<even_k, A even_l> per entry (i, j): 1/sqrt(2) from each state of a mirror pair."""
+    return np.where(fixed_i & fixed_j, 1.0, np.where(fixed_i | fixed_j, math.sqrt(0.5), 0.5))
+
+
+def _check_flip_invariant(err: float) -> None:
     if err > REVERSIBILITY_TOL:
         raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
-    return rows, cols, a
 
 
 def _check_table(t: MoveTable) -> None:
     """Raise ValueError unless ``t``'s arrays line up with its states.
 
     That is: 1-D arrays of the right length and dtype, every index
-    inside the table, and a flip that is an involution.  Shifted into a
+    inside the table, a flip that is an involution, and move pairs that
+    are all given or all None, each reverse and mirror position inside
+    the moves and each place inside its row.  Shifted into a
     stack, a table that failed this could reach into its neighbour
     instead of failing; a flip that is not an involution (a 3-cycle,
     say) can still commute with the chain, and the even and odd sectors
@@ -328,6 +452,16 @@ def _check_table(t: MoveTable) -> None:
         raise ValueError("a move table indexes outside its own states")
     if not (t.flip[t.flip] == np.arange(t.n)).all():
         raise ValueError("a move table's flip is not an involution")
+    pairs = (t.reverse, t.mirror, t.place)
+    if all(x is None for x in pairs):
+        return
+    if not all(isinstance(x, np.ndarray) and x.shape == t.rows.shape and x.dtype.kind == "i"
+               for x in pairs):
+        raise ValueError("a move table's reverse, mirror and place do not line up with its moves")
+    nnz = len(t.rows)
+    if not (all(((x >= 0) & (x < nnz)).all() for x in pairs[:2])
+            and ((t.place >= 0) & (t.place <= np.bincount(t.rows, minlength=t.n)[t.rows])).all()):
+        raise ValueError("a move table's reverse, mirror or place points outside its moves")
 
 
 def _stack(tables: Sequence[MoveTable]) -> MoveTable:
@@ -340,15 +474,23 @@ def _stack(tables: Sequence[MoveTable]) -> MoveTable:
         _check_table(t)
     if len(tables) == 1:
         return tables[0]
-    sizes = [t.n for t in tables]
+    sizes, moves = [t.n for t in tables], [len(t.rows) for t in tables]
     starts = np.cumsum([0, *sizes[:-1]])
-    shift = np.repeat(starts, [len(t.rows) for t in tables])
+    shift = np.repeat(starts, moves)
+    pairs = {}
+    if all(t.reverse is not None for t in tables):
+        # the positions of the moves, shifted past the moves of the tables before
+        step = np.repeat(np.cumsum([0, *moves[:-1]]), moves)
+        pairs = dict(reverse=np.concatenate([t.reverse for t in tables]) + step,
+                     mirror=np.concatenate([t.mirror for t in tables]) + step,
+                     place=np.concatenate([t.place for t in tables]))
     return MoveTable(labels=tuple(itertools.chain.from_iterable(t.labels for t in tables)),
                      log_pi=np.concatenate([t.log_pi for t in tables]),
                      rows=np.concatenate([t.rows for t in tables]) + shift,
                      cols=np.concatenate([t.cols for t in tables]) + shift,
                      vals=np.concatenate([t.vals for t in tables]),
-                     flip=np.concatenate([t.flip for t in tables]) + np.repeat(starts, sizes))
+                     flip=np.concatenate([t.flip for t in tables]) + np.repeat(starts, sizes),
+                     **pairs)
 
 
 def _flip_sectors(tables: Sequence[MoveTable]) -> list:
@@ -361,14 +503,16 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
     eigenvector of lambda_0 = 1.  Several tables are assembled as one
     block-diagonal stack (``_stack``), whose sectors are the tables'
     sectors side by side; a lone table goes through the same checks.  A
-    sector entry that is not finite raises ValueError (``_sector``), so
-    in a stack a NaN residual, which passes the tolerance test, cannot
-    hide another table's refusal.
+    stack whose tables all carry their move pairs is assembled from them
+    (``_paired_sectors``), with no sort or binary search; any other goes
+    through ``_symmetrization`` and ``_sector``, with the same bits and
+    refusals.  A sector entry that is not finite raises ValueError
+    (``_blocks``), so in a stack a NaN residual, which passes the
+    tolerance test, cannot hide another table's refusal.
     """
     table = _stack(tables)
     sizes = [t.n for t in tables]
     starts = np.cumsum([0, *sizes])
-    i, j, a = _symmetrization(table)
     idx = np.arange(table.n)
     flip = table.flip
     fixed = flip == idx
@@ -378,17 +522,18 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
     first, first_pair = idx <= flip, idx < flip
     count, count_pair = (np.concatenate([[0], np.cumsum(x)]) for x in (first, first_pair))
     orbit = (count[1:] - 1)[lower]
-    # <even_k, A even_l>: 1/sqrt(2) from each state of a mirror pair
-    w = np.where(fixed[i] & fixed[j], 1.0,
-                 np.where(fixed[i] | fixed[j], math.sqrt(0.5), 0.5))
-    even = _sector(orbit[i], orbit[j], w * a, count[starts])
-    # <odd_k, A odd_l>: +-1/sqrt(2), minus on the higher state of a pair
-    pair = ~fixed[i] & ~fixed[j]
     odd_orbit = (count_pair[1:] - 1)[lower]
-    sign = np.where(idx == lower, 1.0, -1.0)
-    i, j = i[pair], j[pair]
-    odd = _sector(odd_orbit[i], odd_orbit[j], 0.5 * sign[i] * sign[j] * a[pair],
-                  count_pair[starts])
+    if table.reverse is not None:
+        even, odd = _paired_sectors(table, orbit, odd_orbit, count[starts], count_pair[starts])
+    else:
+        i, j, a = _symmetrization(table)
+        even = _sector(orbit[i], orbit[j], _even_weight(fixed[i], fixed[j]) * a, count[starts])
+        # <odd_k, A odd_l>: +-1/sqrt(2), minus on the higher state of a pair
+        pair = ~fixed[i] & ~fixed[j]
+        sign = np.where(idx == lower, 1.0, -1.0)
+        i, j = i[pair], j[pair]
+        odd = _sector(odd_orbit[i], odd_orbit[j], 0.5 * sign[i] * sign[j] * a[pair],
+                      count_pair[starts])
     # sqrt(pi) projected on the even basis: orbit sums over sqrt(orbit size),
     # each table scaled by its own top weight and normalized on its own array
     # (np.sum, not the BLAS dot of np.linalg.norm, whose bits follow the

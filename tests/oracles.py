@@ -2,7 +2,8 @@
 
 Nothing under ``src/`` reaches these: they are the configuration check
 and per-configuration helpers, each state's signed class key, the
-scalar log-binomial, the per-class weight formulas, a
+scalar log-binomial, the per-class weight formulas, the BEG row
+profile summed one row at a time, a
 one-step sampler call from a given state and the move component a step
 took, the sequential ball-placement orbit draw, the validity checks of
 a dense chain, a dense chain as a move table, a birth-death chain as a
@@ -171,6 +172,23 @@ def beg_row_log_weights(table: models.ClassTable) -> np.ndarray:
         sel = [i for i, c in enumerate(table.classes) if c.r == r]
         if sel:
             out[r] = logsumexp(table.log_class_weight[sel])
+    return out
+
+
+def beg_row_log_profile_by_rows(N: int, beta: float, K: float) -> np.ndarray:
+    """``models.beg_row_log_profile`` one row r at a time: its reference, bit for bit,
+    its warnings included."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    if not (math.isfinite(beta) and math.isfinite(K)):
+        raise ValueError(f"beta and K must be finite reals, got {beta}, {K}")
+    out = models.log_binom_array(N, np.arange(N + 1))
+    for r in range(N + 1):
+        s = np.arange(r % 2, r + 1, 2)
+        terms = models.log_binom_array(r, (r - s) // 2) + K * beta * s * s / N
+        terms[s > 0] += math.log(2.0)
+        out[r] = out[r] - beta * r + logsumexp(terms)
+    models.check_log_weights(out)
     return out
 
 

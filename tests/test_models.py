@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 import subprocess
 import sys
 from collections import Counter
@@ -25,6 +26,7 @@ from spingap.models import (
 
 from oracles import (
     AlphabetError,
+    beg_row_log_profile_by_rows,
     beg_row_log_weights,
     class_log_cardinality,
     class_log_state_weight,
@@ -400,3 +402,37 @@ def test_log_binom_array_matches_scalar_bit_for_bit(pairs):
     want = [log_binom(a, b) for a, b in pairs]
     assert models.log_binom_array(n, k).tolist() == want
 
+
+
+def run_recording_warnings(profile, *args):
+    """(the profile or its refusal, each distinct warning message in order of appearance)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = profile(*args).view(np.int64).tolist()
+        except ValueError as err:
+            out = str(err)
+    return out, list(dict.fromkeys(str(w.message) for w in caught))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 10, 30, 31, 61, 80, 150])
+def test_beg_row_profile_equals_its_row_by_row_reference_bit_for_bit(N):
+    for beta, K in ((0.0, 1.0), (0.3, 0.1), (1.0, 1.0), (2.5, 1.082), (3.0, 5.0), (40.0, 0.7)):
+        assert (run_recording_warnings(models.beg_row_log_profile, N, beta, K)
+                == run_recording_warnings(beg_row_log_profile_by_rows, N, beta, K))
+
+
+@pytest.mark.parametrize("N,beta,K", [(5, 1e308, 1.0), (4, 1.0, 1e308), (6, 1e308, 1e308),
+                                      (60, 1e200, 1e200), (60, 1e307, 0.5)])
+def test_beg_row_profile_overflows_with_the_warnings_of_its_reference(N, beta, K):
+    got = run_recording_warnings(models.beg_row_log_profile, N, beta, K)
+    assert got == run_recording_warnings(beg_row_log_profile_by_rows, N, beta, K)
+    assert "not all finite" in got[0]
+
+
+def test_log_binom_array_reads_one_lgamma_table_in_any_call_order(monkeypatch):
+    monkeypatch.setattr(models, "_log_factorials", np.zeros(1))
+    for n in (61, 1100, 70, 3000, 62):
+        k = np.arange(-1, n + 2)
+        assert models.log_binom_array(n, k).tolist() == [log_binom(n, int(j)) for j in k]
+    assert models._log_factorials.size >= 3001

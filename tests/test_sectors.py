@@ -1,5 +1,6 @@
 """The flip-sector route to exact gaps against the dense oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -931,3 +932,145 @@ def test_the_first_malformed_table_in_order_fails_the_batch():
         with pytest.raises(type(err)) as got:
             batched(tables)
         assert type(got.value) is type(err) and str(got.value) == str(err)
+
+
+# ---------------------------------------------------------------------------
+# Class tables carry their move pairs: the sectors by index arithmetic alone.
+# ---------------------------------------------------------------------------
+
+def unpaired(table):
+    """The table without its reverse, mirror and place: the generic assembly's input."""
+    return dataclasses.replace(table, reverse=None, mirror=None, place=None)
+
+
+def assert_same_block(want, got):
+    assert isinstance(got, tuple) == isinstance(want, tuple)
+    if isinstance(want, tuple):
+        assert all(len(w) == len(g) and np.array_equal(bits(w), bits(g))
+                   for w, g in zip(want, got))
+        return
+    assert got.shape == want.shape
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(bits(got.data), bits(want.data))
+
+
+def assert_pairs_match_the_generic_assembly(tables):
+    """The paired and the generic assembly: the same sectors bit for bit, or the same refusal."""
+    want = outcome(_flip_sectors, [unpaired(t) for t in tables])
+    got = outcome(_flip_sectors, tables)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want) == len(tables)
+    for w, g in zip(want, got):
+        assert_same_block(w[0], g[0])
+        assert_same_block(w[1], g[1])
+        assert np.array_equal(bits(w[2]), bits(g[2]))
+
+
+PAIRED = [(model, N, cell, kind)
+          for model, cells in (("ising", (dict(beta=0.5), dict(beta=2.0))),
+                               ("beg", (dict(beta=1.0, K=1.0), dict(beta=1.5, K=2.0),
+                                        dict(beta=0.0, K=1.0))))
+          for cell in cells for N in (2, 4, 6, 10, 16, 30, 50, 80)
+          for kind in ("naive", "equi-energy")]
+WEIGHTS = ((0.5, 0.25), (0.3, 0.4))
+
+
+def paired_table(model, N, cell, kind, p):
+    make = ising if model == "ising" else beg
+    return signed_move_table(make(N, **cell, p1=p[0], p2=p[1]), kind)
+
+
+@pytest.mark.parametrize("p", WEIGHTS)
+@pytest.mark.parametrize("model,N,cell,kind", PAIRED)
+def test_paired_sectors_equal_the_generic_assembly_bit_for_bit(model, N, cell, kind, p):
+    # BEG's odd rows hold the classes |s| = 1, where a one-site move and the
+    # flip reach the same class; at beta = 0 a naive holding mass is 0 at
+    # (s, r) and 1.1e-16 at (-s, r)
+    table = paired_table(model, N, cell, kind, p)
+    assert table.reverse is not None
+    assert_pairs_match_the_generic_assembly([table])
+
+
+@pytest.mark.parametrize("p", WEIGHTS)
+def test_paired_stacks_of_mixed_sizes_equal_the_generic_assembly(p):
+    tables = [paired_table(*key, p) for key in PAIRED if key[1] <= 16]
+    stacks = list(_stacks(tables))
+    assert len(stacks) > 1 and max(len(s) for s in stacks) > 10
+    for stack in stacks:
+        assert_pairs_match_the_generic_assembly(stack)
+    assert batched(tables) == one_by_one([unpaired(t) for t in tables])
+
+
+def test_paired_sectors_match_on_lanczos_sectors():
+    table = signed_move_table(beg(60, **THREE_PHASE), "equi-energy")
+    assert_pairs_match_the_generic_assembly([table])
+
+
+def scaled(table, moves, factor):
+    """``table`` with the rates of ``moves`` scaled, its move pairs kept."""
+    vals = table.vals.copy()
+    vals[moves] *= factor
+    return dataclasses.replace(table, vals=vals)
+
+
+@pytest.mark.parametrize("spec", [ising(10, beta=1.0, p1=0.5, p2=0.25), beg(6, **BEG_CELL)],
+                         ids=["ising", "beg"])
+@pytest.mark.parametrize("kind", ["naive", "equi-energy"])
+def test_a_perturbed_rate_is_refused_as_the_generic_assembly_refuses_it(spec, kind):
+    table = signed_move_table(spec, kind)
+    for k in range(len(table.vals)):
+        # a move, its reverse kept: detailed balance fails
+        bad = scaled(table, [k], 1.3)
+        assert outcome(_flip_sectors, [bad])[0] is NonReversibleError
+        assert_pairs_match_the_generic_assembly([bad])
+        # a move and its reverse, their mirrors kept: flip invariance fails
+        if table.mirror[k] not in (k, table.reverse[k]):
+            bad = scaled(table, [k, table.reverse[k]], 1.3)
+            assert outcome(_flip_sectors, [bad])[0] is SymmetryError
+            assert_pairs_match_the_generic_assembly([bad])
+        assert_pairs_match_the_generic_assembly([scaled(table, [k], 1.0 + 3e-9)])
+        with np.errstate(invalid="ignore"):
+            nan = scaled(table, [k], math.nan)
+            assert outcome(_flip_sectors, [nan]) == (ValueError,
+                                                     "array must not contain infs or NaNs")
+            assert_pairs_match_the_generic_assembly([nan])
+            # in a stack, the NaN residual hides no other table's refusal
+            stack = [table, nan, scaled(table, [k], 1.3)]
+            assert outcome(batched, stack) == outcome(one_by_one, [unpaired(t) for t in stack])
+
+
+def test_the_paired_assembly_sorts_and_searches_nothing(monkeypatch):
+    tables = [signed_move_table(beg(30, **BEG_CELL), "equi-energy"),
+              signed_move_table(ising(40, beta=2.0, p1=0.5, p2=0.25), "naive")]
+    want = [_flip_sectors([unpaired(t)]) for t in tables]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sort or a binary search")
+
+    for name in ("argsort", "sort", "searchsorted", "unique", "lexsort"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(spectral, "_coalesce", refuse)
+    monkeypatch.setattr(spectral, "_at", refuse)
+    for table, w in zip(tables, want):
+        ((even, odd, root),) = _flip_sectors([table])
+        assert_same_block(w[0][0], even)
+        assert_same_block(w[0][1], odd)
+
+
+def test_move_pairs_out_of_range_are_refused_alone_and_in_a_batch():
+    table = signed_move_table(beg(6, **BEG_CELL), "naive")
+    past = len(table.rows)
+    for bad in (dataclasses.replace(table, reverse=table.reverse + past),
+                dataclasses.replace(table, mirror=table.mirror - past),
+                dataclasses.replace(table, place=table.place + table.n),
+                dataclasses.replace(table, place=None)):
+        for tables in ([bad], [*GOOD, bad, *GOOD]):
+            want = ("a move table's reverse, mirror or place points outside its moves"
+                    if bad.place is not None else
+                    "a move table's reverse, mirror and place do not line up with its moves")
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                batched(tables)

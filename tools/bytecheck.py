@@ -21,7 +21,8 @@ so their proposal masses merge, and a small-world warm-up one), an
 unsigned one that goes through ``lumped_projection``, three BEG grids
 whose sectors outgrow ``DENSE_SECTOR_MAX`` and go to Lanczos iteration
 (one of them at N = 120
-and 200, sectors of thousands of states), a Lanczos gap-scan of the
+and 200, sectors of thousands of states), the same cell at N = 300
+(45,451 classes), a Lanczos gap-scan of the
 double-peaked BEG cell beta = 2.5, K = 1.082, whose even lambda_1 lies
 1.7e-4 (N = 40) to 2e-6 (N = 120) below the eigenvalue 1 that the
 Lanczos shift moves, ``--jobs 2`` twins of
@@ -92,6 +93,7 @@ EXTRA_COMMANDS = (
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 2",
     "gap-scan --model beg --kind equi-energy --beta 1 --k 1 --n 120,200 --p1 0.5 --p2 0.25",
+    "gap-scan --model beg --kind equi-energy --beta 1 --k 1 --n 300 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind equi-energy --beta 2.5 --k 1.082 --n 40..120..40 "
     "--p1 0.5 --p2 0.25",
     "gap-scan --model ising --kind equi-energy --beta 2 --n 10..60..2 --p1 0.5 --p2 0.25 "
