@@ -264,7 +264,7 @@ def single_flip_proposal(spec: ModelSpec) -> MoveTable:
     """
     n = check_space(spec, "naive", "full")
     if spec.kind == "warmup":
-        return _warmup_proposal(spec, None)
+        return _warmup_proposal(np.array([spec.N]), [None])
     states = models.enumerate_states(spec)
     labels = tuple(tuple(int(v) for v in x) for x in states)
     idx = np.arange(n)
@@ -325,7 +325,7 @@ def equi_energy_proposal(spec: ModelSpec) -> MoveTable:
 def small_world_proposal(spec: ModelSpec) -> MoveTable:
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
     check_space(spec, "small-world", "full")
-    return _warmup_proposal(spec, spec.epsilon)
+    return _warmup_proposal(np.array([spec.N]), [spec.epsilon])
 
 
 def metropolis_chain(spec: ModelSpec, kind: str) -> MoveTable:
@@ -466,34 +466,44 @@ class MoveTable:
         return FiniteKernel(labels=self.labels, log_pi=self.log_pi, P=P)
 
 
-def _class_chain(spec: ModelSpec, kind: str, labels: tuple, log_pi: np.ndarray,
-                 flip: np.ndarray, sites: int, groups) -> MoveTable:
-    """The Metropolis chain on signed classes from its groups of site moves.
+def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
+                 log_pi: np.ndarray, flip: np.ndarray, sites: np.ndarray, groups) -> MoveTable:
+    """The Metropolis chains on signed classes of a stack of tables, from their groups of site moves.
 
-    A group (step, target, count, key, delta) gives, over all classes, the
-    class that ``count`` of the ``sites`` site moves reach and their
-    log-weight change delta[key].  Each move with count > 0 keeps
+    The tables hold ``sizes`` classes each, one after another, and every
+    array below runs over the classes of the whole stack.  A group (step,
+    target, count, key, delta) gives, over all classes, the class that
+    ``count`` of the ``sites`` site moves reach and their log-weight change
+    delta[key].  Each move with count > 0 keeps
     p1 * count / sites * exp(min(0, delta[key])), p1 = 1 on the naive chain,
-    through math.exp, once per entry of delta, to match the per-state
-    formulas bit for bit.  Equi-energy appends the global flip, mass p2 out
-    of every class but its own mirror; the uniform jump in a class is holding.
+    through math.exp, once per entry of delta that is negative or NaN, to
+    match the per-state formulas bit for bit (exp(0) is exactly 1).
+    Equi-energy appends the global flip, mass p2 out of every class but its
+    own mirror; the uniform jump in a class is holding.
 
     The reverse of group ``step`` is group -step, its mirror the group whose
     step has its first (magnetization) component negated; the flip is its
     own reverse and mirror.  So each move's reverse and mirror positions
     are read off the groups, and its place in its row from their targets.
+    The moves come table by table, each table's group by group, as
+    ``spectral._stack`` lays out the tables built one at a time; their
+    positions are counted, not sorted.  A stack of one table is listed in
+    that order already.
     """
     p1 = spec.p1 if kind == "equi-energy" else 1.0
     n = len(labels)
     idx = np.arange(n)
     steps, moves, targets, vals = [], [], [], []
     for step, target, count, key, delta in groups:
-        accept = np.array([math.exp(d) for d in np.minimum(0.0, delta).tolist()])
+        low = np.minimum(0.0, delta)
+        accept = np.ones(low.size)
+        below = np.flatnonzero(~(low >= 0))
+        accept[below] = [math.exp(d) for d in low[below].tolist()]
         m = count > 0
         steps.append(step)
         moves.append(m)
         targets.append(target)
-        vals.append(p1 * count[m] / sites * accept[key[m]])
+        vals.append(p1 * count[m] / sites[m] * accept[key[m]])
     if kind == "equi-energy":
         signed = idx != flip
         steps.append(None)
@@ -501,76 +511,154 @@ def _class_chain(spec: ModelSpec, kind: str, labels: tuple, log_pi: np.ndarray,
         targets.append(flip)
         vals.append(np.full(int(signed.sum()), spec.p2))
     check_log_weights(log_pi)
-    # one row per group: the table's moves are the True entries of ``moves``
-    # in row-major order; ``ends`` has each target, n where there is no move
+    # one row per group: the moves are the True entries of ``moves``, listed
+    # group by group over the whole stack; ``ends`` has each target, n where
+    # there is no move
     moves = np.array(moves)
     ends = np.where(moves, targets, n)
-    # at[g, i]: the table position of group g's move out of class i; int32
-    # positions and int8 places keep the pairs at 9 bytes a move
-    at = np.full(moves.shape, -1, dtype=np.int32)
-    at[moves] = np.arange(int(moves.sum()))
-    reverse = [g if st is None else steps.index(tuple(-d for d in st))
-               for g, st in enumerate(steps)]
-    mirror = [g if st is None else steps.index((-st[0], *st[1:])) for g, st in enumerate(steps)]
+    del targets
+    vals = np.concatenate(vals)
+    rows = np.broadcast_to(idx, moves.shape)[moves]
     # a move's place counts the entries of its row before it: the moves to
     # smaller targets or to its own from an earlier group, which ``order``
     # ranks, and the diagonal if it lies before its target
     order = ends * len(steps) + np.arange(len(steps))[:, None]
-    place = (order[None, :, :] < order[:, None, :]).sum(axis=1) + (idx < ends)
-    return MoveTable(labels=labels, log_pi=log_pi, rows=np.broadcast_to(idx, moves.shape)[moves],
-                     cols=ends[moves], vals=np.concatenate(vals), flip=flip,
-                     reverse=at[np.array(reverse)[:, None], np.minimum(ends, n - 1)][moves],
-                     mirror=at[np.array(mirror)[:, None], flip][moves],
-                     place=place[moves].astype(np.int8))
+    place = (idx < ends).astype(np.int8)
+    for o in order:
+        place += o < order
+    del order
+    cols = ends[moves]
+    # at[g, i]: the table position of group g's move out of class i; int32
+    # positions and int8 places keep the pairs at 9 bytes a move
+    at = np.full(moves.shape, -1, dtype=np.int32)
+    at[moves] = np.arange(rows.size)
+    if sizes.size > 1:
+        # the stack holds its tables one after another and each table's moves
+        # group by group: each (group, table) block of moves shifts from its
+        # place in the list to its place there
+        count = np.add.reduceat(moves, np.cumsum(sizes) - sizes, axis=1, dtype=np.intp)
+        shift = np.cumsum(count.T).reshape(count.T.shape).T - np.cumsum(count).reshape(count.shape)
+        group = np.repeat(np.arange(len(moves)), count.sum(axis=1))
+        at[moves] += shift[group, np.repeat(np.arange(sizes.size), sizes)[rows]]
+    reverse = [g if st is None else steps.index(tuple(-d for d in st))
+               for g, st in enumerate(steps)]
+    mirror = [g if st is None else steps.index((-st[0], *st[1:])) for g, st in enumerate(steps)]
+    np.minimum(ends, n - 1, out=ends)  # a class everywhere, so that ``at`` can be read there
+    table = dict(rows=rows, cols=cols, vals=vals,
+                 reverse=at[np.array(reverse)[:, None], ends][moves],
+                 mirror=at[np.array(mirror)[:, None], flip][moves], place=place[moves])
+    if sizes.size > 1:
+        listed = np.empty(rows.size, dtype=np.intp)
+        listed[at[moves]] = np.arange(rows.size)
+        table = {name: x[listed] for name, x in table.items()}
+    return MoveTable(labels=labels, log_pi=log_pi, flip=flip, **table)
 
 
-def _ising_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    N, beta = spec.N, spec.beta
-    S, _ = models.signed_class_order(spec)
-    at = models.signed_class_position
-    every = np.arange(S.size)
+def _stacked(Ns: np.ndarray, sizes: np.ndarray) -> tuple:
+    """(index, first index of its table, N of its table) of each state of a stack of tables."""
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.arange(first.size), first, np.repeat(Ns, sizes)
+
+
+def _ising_moves(spec: ModelSpec, kind: str, Ns: np.ndarray) -> MoveTable:
+    beta = spec.beta
+    sizes = Ns + 1
+    idx, first, N = _stacked(Ns, sizes)
+    S = 2 * (idx - first) - N
     # a flip of one of the (N - S)/2 minus spins moves S up by 2, of a plus spin down
-    groups = [((2,), at(spec, S + 2), (N - S) // 2, every, 2 * beta * (S + 1) / N),
-              ((-2,), at(spec, S - 2), (N + S) // 2, every, 2 * beta * (1 - S) / N)]
+    groups = [((2,), idx + 1, (N - S) // 2, idx, 2 * beta * (S + 1) / N),
+              ((-2,), idx - 1, (N + S) // 2, idx, 2 * beta * (1 - S) / N)]
     log_pi = models.log_binom_array(N, (N + S) // 2) + beta * S * S / (2 * N)
-    return _class_chain(spec, kind, tuple(S.tolist()), log_pi, at(spec, -S), N, groups)
+    return _class_chain(spec, kind, sizes, tuple(S.tolist()), log_pi, 2 * first + N - idx, N,
+                        groups)
 
 
-def _beg_moves(spec: ModelSpec, kind: str) -> MoveTable:
-    N, beta, K = spec.N, spec.beta, spec.K
-    s, r = models.signed_class_order(spec)
+def _beg_moves(spec: ModelSpec, kind: str, Ns: np.ndarray) -> MoveTable:
+    beta, K = spec.beta, spec.K
+    sizes = (Ns + 1) * (Ns + 2) // 2
+    idx, first, N = _stacked(Ns, sizes)
     at = models.signed_class_position
+    # each table's rows r = 0..N, then the classes s = -r..r of each row, as
+    # in models.signed_class_order
+    r, past, _ = _stacked(Ns, Ns + 1)
+    r -= past
+    r = np.repeat(r, r + 1)
+    s = 2 * (idx - first - at(spec, -r, r)) - r
     n0, npl, nmi = N - r, (r + s) // 2, (r - s) // 2
     # each of the 2N site moves x_j -> x_j +- 1 (with wraparound) shifts (s, r)
     # by (ds, dr); its log-weight change depends on s alone, so it is taken
-    # over every s = -N..N and read at s + N
-    every = np.arange(-N, N + 1)
-    groups = [((ds, dr), at(spec, s + ds, r + dr), cnt, s + N,
-               -beta * dr + K * beta * ((every + ds) * (every + ds) - every * every) / N)
+    # over every s = -N..N of each table and read at s + N past the tables before
+    every, past, Ne = _stacked(Ns, 2 * Ns + 1)
+    every = every - past - Ne
+    key = s + N + np.repeat(np.cumsum(2 * Ns + 1) - 2 * Ns - 1, sizes)
+    groups = [((ds, dr), first + at(spec, s + ds, r + dr), cnt, key,
+               -beta * dr + K * beta * ((every + ds) * (every + ds) - every * every) / Ne)
               for ds, dr, cnt in ((1, 1, n0), (-1, 1, n0), (-2, 0, npl),
                                   (-1, -1, npl), (2, 0, nmi), (1, -1, nmi))]
     log_pi = (models.log_binom_array(N, r) + models.log_binom_array(r, (r - s) // 2)
               - beta * r + K * beta * s * s / N)
-    return _class_chain(spec, kind, tuple(zip(s.tolist(), r.tolist())), log_pi,
-                        at(spec, -s, r), 2 * N, groups)
+    return _class_chain(spec, kind, sizes, tuple(zip(s.tolist(), r.tolist())), log_pi,
+                        first + at(spec, -s, r), 2 * N, groups)
 
 
-def _warmup_proposal(spec: ModelSpec, eps: Optional[float]) -> MoveTable:
-    """The warmup proposal on -N..N.
+def _warmup_proposal(Ns: np.ndarray, eps: Sequence[Optional[float]]) -> MoveTable:
+    """The warmup proposals on -N..N of a stack of tables, one per (N, eps).
 
     The +-1 walk with mass (1-eps)/2 each way (1/2 for eps None, the
     plain walk), plus the reflection x -> -x with mass eps; x = 0
-    reflects onto itself, which is holding.
+    reflects onto itself, which is holding.  Each state's moves are
+    listed in column order (x - 1, x + 1, -x below 0; -x, x - 1, x + 1
+    above), so the stack is row-major with one move per pair, as
+    ``spectral._stack`` stacks the tables built one at a time.
     """
-    n = 2 * spec.N + 1
-    idx = np.arange(n)
-    walk = 0.5 if eps is None else (1.0 - eps) * 0.5
-    moves = [(idx[1:], idx[:-1], np.full(n - 1, walk)),
-             (idx[:-1], idx[1:], np.full(n - 1, walk))]
-    if eps is not None:
-        x = np.flatnonzero(idx != spec.N)
-        moves.append((x, n - 1 - x, np.full(n - 1, eps)))
-    return _proposal(tuple(range(-spec.N, spec.N + 1)), idx[::-1].copy(), moves)
+    sizes = 2 * Ns + 1
+    idx, first, N = _stacked(Ns, sizes)
+    x = idx - first - N
+    walk = np.repeat([0.5 if e is None else (1.0 - e) * 0.5 for e in eps], sizes)
+    jump = np.repeat([0.0 if e is None else e for e in eps], sizes)
+    # each state's moves in column order, as (target, mass, whether it exists):
+    # x - 1, x + 1, -x below the middle, and -x, x - 1, x + 1 above it
+    lo, hi = (idx - 1, walk, x > -N), (idx + 1, walk, x < N)
+    ref = (idx - 2 * x, jump, (jump > 0) & (x != 0))
+    up = x > 0
+    cols, vals, keep = (np.stack([np.where(up, c, a), np.where(up, a, b), np.where(up, b, c)],
+                                 axis=1).ravel() for a, b, c in zip(lo, hi, ref))
+    return MoveTable(labels=tuple(x.tolist()), log_pi=np.zeros(idx.size),
+                     rows=np.repeat(idx, 3)[keep], cols=cols[keep], vals=vals[keep],
+                     flip=idx - 2 * x)
+
+
+def stack_key(spec: ModelSpec, kind: str) -> tuple:
+    """What the cells of one ``signed_move_stack`` share: the spec but its N, and
+    the chain kind but on warm-up."""
+    return (*(v for k, v in vars(spec).items() if k != "N"),
+            None if spec.kind == "warmup" else kind)
+
+
+def signed_move_stack(cells: Sequence[tuple]) -> MoveTable:
+    """The tables ``signed_move_table(spec, kind)`` of the (spec, kind) cells, stacked, in one pass.
+
+    The specs differ in N alone; the Ising and BEG cells share one kind,
+    warm-up cells may differ in it.  The stack is the block-diagonal table
+    that ``spectral._stack`` makes of the tables built one at a time: the
+    same arrays, the same order and the same bits, each table shifted past
+    the states (and, in the move pairs, the moves) of the tables before
+    it.  A lone cell is its own table.
+    """
+    spec, kind = cells[0]
+    key = stack_key(spec, kind)
+    for cell in cells:
+        check_space(*cell, "signed")
+        if stack_key(*cell) != key:
+            raise ValueError("the cells of a stack differ in N alone (warm-up: and in kind)")
+    Ns = np.array([other.N for other, _ in cells])
+    if spec.kind == "ising":
+        return _ising_moves(spec, kind, Ns)
+    if spec.kind == "beg":
+        return _beg_moves(spec, kind, Ns)
+    proposal = _warmup_proposal(Ns, [spec.epsilon if chain == "small-world" else None
+                                     for _, chain in cells])
+    return metropolize(proposal, np.abs(np.array(proposal.labels)) * math.log(spec.theta))
 
 
 def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
@@ -581,14 +669,9 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     full chain's.  Every table is built in O(states) memory.  For warmup
     the signed classes are the states -N..N themselves.  The states come
     in ``models.signed_class_order``: ising by S ascending, beg by r, then s.
+    It is the stack of one cell (``signed_move_stack``).
     """
-    check_space(spec, kind, "signed")
-    if spec.kind == "warmup":
-        proposal = _warmup_proposal(spec, spec.epsilon if kind == "small-world" else None)
-        return metropolize(proposal, models.log_weights_all(spec))
-    if spec.kind == "ising":
-        return _ising_moves(spec, kind)
-    return _beg_moves(spec, kind)
+    return signed_move_stack([(spec, kind)])
 
 
 def signed_lumped_chain(spec: ModelSpec, kind: str = "equi-energy") -> FiniteKernel:

@@ -36,17 +36,22 @@ order and its matvec makes no BLAS call, so a sector gets the same bits
 at any BLAS thread count.
 
 Small tables cost mostly numpy's fixed cost per call, about 80 calls
-per assembly.  ``sector_spectrum_batch`` therefore stacks consecutive
-tables, up to STACK_STATES states in all, into one block-diagonal move
-table and assembles its sectors in one pass; a larger table is
-assembled alone, and ``sector_spectrum`` is the batch of one.  No entry
-crosses a block, so each entry's terms are summed in the order they
-have alone, and each table's sectors are cut back out with the bits,
-dtypes and entry order of its own assembly; each table's sqrt(pi)
-takes its own top weight and norm, and each table is solved on its
-own.  A stack that raises, or that holds a non-finite entry, is solved
-one table at a time instead, so a malformed table is refused as it is
-alone.
+per assembly and as many again per build.  So the class chains of a
+grid are built a stack at a time: the audits and ``gap-scan`` cut their
+cells into runs that differ in N alone, of up to STACK_STATES states in
+all (counted from N, before anything is built), build each run as one
+block-diagonal move table in one pass (``kernels.signed_move_stack``)
+and assemble its sectors in one pass (``_stack_spectra``); a larger
+table is built and assembled alone.  ``sector_spectrum_batch`` stacks
+any other consecutive tables the same way (``_stack``), and
+``sector_spectrum`` is the batch of one.  No entry crosses a block, so
+each entry's terms are summed in the order they have alone, and each
+table's sectors are cut back out with the bits, dtypes and entry order
+of its own assembly; each table's sqrt(pi) takes its own top weight
+and norm, and each table is solved on its own.  A stack that raises,
+or that holds a non-finite entry, is solved one table at a time
+instead (each cut out of the stack, ``_unstack``), so a malformed
+table is refused as it is alone.
 
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
@@ -65,7 +70,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -225,13 +230,21 @@ class SectorSpectrum:
 
 
 def _mismatch(x: np.ndarray, y: np.ndarray) -> float:
-    """Largest |x - y| / max(|x|, |y|) over the pairs that differ, 0 if none."""
-    d = np.abs(x - y)
-    differ = d != 0
+    """Largest |x - y| / max(|x|, |y|) over the pairs that differ, 0 if none.
+
+    Each residual is |x - y| * (1 / max(|x|, |y|)); the pairs that do not
+    differ keep 0, in place, so no array is gathered.
+    """
+    d = np.subtract(x, y)
+    differ = d != 0  # a NaN differs
     if not differ.any():
         return 0.0
-    x, y = x[differ], y[differ]
-    return float(np.max(d[differ] * (1.0 / np.maximum(np.abs(x), np.abs(y)))))
+    np.abs(d, out=d)
+    scale = np.abs(x)
+    np.maximum(scale, np.abs(y), out=scale)
+    np.divide(1.0, scale, out=scale, where=differ)
+    np.multiply(d, scale, out=d, where=differ)
+    return float(np.max(d))
 
 
 def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
@@ -468,7 +481,9 @@ def _stack(tables: Sequence[MoveTable]) -> MoveTable:
     """The block-diagonal MoveTable of ``tables``, each shifted past the ones before.
 
     Each table is checked first (``_check_table``, ValueError); a lone
-    table comes back as it is, its arrays not copied.
+    table comes back as it is, its arrays not copied.  The class chains
+    are built in this layout a stack at a time (``signed_move_stack``);
+    ``_stack`` stacks any other tables.
     """
     for t in tables:
         _check_table(t)
@@ -493,16 +508,38 @@ def _stack(tables: Sequence[MoveTable]) -> MoveTable:
                      **pairs)
 
 
-def _flip_sectors(tables: Sequence[MoveTable]) -> list:
-    """(even, odd, sqrt(pi) in the even basis) of each table's symmetrized chain.
+def _unstack(table: MoveTable, sizes: Sequence[int]) -> list:
+    """The tables of the block-diagonal ``table``, of sizes[k] states each: ``_stack`` undone.
+
+    Each table's moves lie together, table after table, as ``_stack``
+    and ``signed_move_stack`` lay them out; each table comes back shifted
+    to its own states and moves.  A lone table comes back as it is.
+    """
+    if len(sizes) == 1:
+        return [table]
+    states = np.cumsum([0, *sizes]).tolist()
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    moves = np.cumsum([0, *np.bincount(owner[table.rows], minlength=len(sizes))]).tolist()
+    tables = []
+    for lo, hi, a, b in zip(states[:-1], states[1:], moves[:-1], moves[1:]):
+        pairs = {} if table.reverse is None else dict(
+            reverse=table.reverse[a:b] - a, mirror=table.mirror[a:b] - a, place=table.place[a:b])
+        tables.append(MoveTable(labels=table.labels[lo:hi], log_pi=table.log_pi[lo:hi],
+                                rows=table.rows[a:b] - lo, cols=table.cols[a:b] - lo,
+                                vals=table.vals[a:b], flip=table.flip[lo:hi] - lo, **pairs))
+    return tables
+
+
+def _flip_sectors(table: MoveTable, sizes: Sequence[int]) -> list:
+    """(even, odd, sqrt(pi) in the even basis) of each table of a stack's symmetrized chain.
 
     The even basis has (e_i + e_Ji)/sqrt(2) per mirror pair and e_i per
     fixed state, the odd basis (e_i - e_Ji)/sqrt(2) per pair; the sectors
     are ``_symmetrization`` in these bases, orbits ordered by their lower
     state index, each as ``_sector`` returns it.  sqrt(pi) is the unit
-    eigenvector of lambda_0 = 1.  Several tables are assembled as one
-    block-diagonal stack (``_stack``), whose sectors are the tables'
-    sectors side by side; a lone table goes through the same checks.  A
+    eigenvector of lambda_0 = 1.  ``table`` is a block-diagonal stack
+    of tables, sizes[k] states each (``_stack``, ``signed_move_stack``),
+    whose sectors are the tables' sectors side by side.  A
     stack whose tables all carry their move pairs is assembled from them
     (``_paired_sectors``), with no sort or binary search; any other goes
     through ``_symmetrization`` and ``_sector``, with the same bits and
@@ -510,8 +547,6 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
     (``_blocks``), so in a stack a NaN residual, which passes the
     tolerance test, cannot hide another table's refusal.
     """
-    table = _stack(tables)
-    sizes = [t.n for t in tables]
     starts = np.cumsum([0, *sizes])
     idx = np.arange(table.n)
     flip = table.flip
@@ -538,7 +573,8 @@ def _flip_sectors(tables: Sequence[MoveTable]) -> list:
     # each table scaled by its own top weight and normalized on its own array
     # (np.sum, not the BLAS dot of np.linalg.norm, whose bits follow the
     # BLAS thread count)
-    top = np.repeat([t.log_pi.max() for t in tables], sizes)
+    top = np.repeat([table.log_pi[lo:hi].max() for lo, hi in zip(starts[:-1], starts[1:])],
+                    sizes)
     root = np.bincount(orbit, weights=np.exp(0.5 * (table.log_pi - top)))
     root /= np.sqrt(np.bincount(orbit))
     roots = (root[lo:hi].copy() for lo, hi in zip(count[starts[:-1]], count[starts[1:]]))
@@ -660,37 +696,43 @@ def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
     return _dense_extremes(M, m - 1 if u is None else m - 2)
 
 
-def _stacks(tables: Iterable[MoveTable]) -> Iterator[list]:
-    """Runs of consecutive tables of at most STACK_STATES states in all; a larger table alone."""
+def _stacks(items: Iterable, size: Callable = lambda t: t.n) -> Iterator[list]:
+    """Runs of consecutive items (tables) of at most STACK_STATES states in all; a larger one alone.
+
+    ``size`` gives an item's states: a table's own count by default, or
+    one read off a cell's N, so that no table is built to size a stack.
+    """
     stack, states = [], 0
-    for t in tables:
-        if stack and states + t.n > STACK_STATES:
+    for item in items:
+        n = size(item)
+        if stack and states + n > STACK_STATES:
             yield stack
             stack, states = [], 0
-        stack.append(t)
-        states += t.n
+        stack.append(item)
+        states += n
     if stack:
         yield stack
 
 
-def _stack_spectra(tables: list) -> list:
-    """The SectorSpectrum of each table, its sectors assembled in one stack.
+def _stack_spectra(table: MoveTable, sizes: Sequence[int]) -> list:
+    """The SectorSpectrum of each table of a stack, sizes[k] states each, assembled in one pass.
 
-    Whatever the assembly raises, the tables are solved one at a time
-    instead, so the first table that fails alone raises what it raises
-    alone.  Each sector is then solved on its own (``_sector_extremes``).
+    Whatever the assembly raises, the tables are cut out of the stack
+    (``_unstack``) and solved one at a time instead, so the first table
+    that fails alone raises what it raises alone.  Each sector is then
+    solved on its own (``_sector_extremes``).
     """
     try:
-        sectors = _flip_sectors(tables)
+        sectors = _flip_sectors(table, sizes)
     except ValueError:
-        if len(tables) == 1:
+        if len(sizes) == 1:
             raise
-        return [s for t in tables for s in _stack_spectra([t])]
+        return [s for t in _unstack(table, sizes) for s in _stack_spectra(t, [t.n])]
     ext = [_sector_extremes(M, u) for even, odd, root in sectors
            for M, u in ((even, root), (odd, None))]
     return [SectorSpectrum(even_lambda1=even[0], odd_lambda1=odd[0],
-                           lambda_min=min(even[1], odd[1]), dim=t.n)
-            for t, even, odd in zip(tables, ext[::2], ext[1::2])]
+                           lambda_min=min(even[1], odd[1]), dim=n)
+            for n, even, odd in zip(sizes, ext[::2], ext[1::2])]
 
 
 def sector_spectrum_batch(tables: Iterable[MoveTable]) -> Iterator[tuple]:
@@ -704,7 +746,14 @@ def sector_spectrum_batch(tables: Iterable[MoveTable]) -> Iterator[tuple]:
     spectra have the bits of tables solved one by one.
     """
     for stack in _stacks(tables):
-        yield from zip(stack, _stack_spectra(stack))
+        try:
+            table = _stack(stack)
+        except ValueError:  # a malformed table: each is solved, and refused, as it is alone
+            spectra = [s for t in stack for s in _stack_spectra(_stack([t]), [t.n])]
+        else:
+            spectra = _stack_spectra(table, [t.n for t in stack])
+            del table
+        yield from zip(stack, spectra)
         del stack  # the caller is done with these tables: free them before the next stack
 
 

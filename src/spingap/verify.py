@@ -11,22 +11,26 @@ resolution floor are excluded from fits and counted separately.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import models
-from .kernels import (MoveTable, lumped_projection, signed_lumped_chain, signed_move_table,
-                      warmup_block_partition)
+from .kernels import (MoveTable, lumped_projection, signed_lumped_chain, signed_move_stack,
+                      signed_move_table, stack_key, warmup_block_partition)
 from .models import ModelSpec, beg, ising, warmup
 from .spectral import (
     GAP_RESOLUTION,
     SectorSpectrum,
+    _stack_spectra,
+    _stacks,
+    _unstack,
     cut_bottleneck_log,
     sector_spectrum,
-    sector_spectrum_batch,
 )
 
 
@@ -117,15 +121,37 @@ def _gap_record(s: SectorSpectrum) -> dict:
     }
 
 
+def _solved(cells: Sequence[tuple]) -> Iterator[tuple]:
+    """(table, SectorSpectrum) of each (spec, kind) cell's signed class chain, in order.
+
+    The cells are cut into runs that differ in N alone (warm-up: and in
+    kind) and hold up to STACK_STATES states in all (a larger cell
+    alone), counted by ``models.state_count``, so no table is built to
+    size a stack.  Each run is built as one stack (``signed_move_stack``)
+    and its sectors are assembled in one pass (``_stack_spectra``); the
+    spectra are those of the cells solved one by one.  ``table()`` cuts
+    the cell's table out of its stack, for the readers that need it.
+    """
+    def states(cell):
+        return models.state_count(cell[0], "signed")
+
+    runs = (run for _, same in itertools.groupby(cells, lambda cell: stack_key(*cell))
+            for run in _stacks(same, states))
+    for run in runs:
+        stack, sizes = signed_move_stack(run), [states(cell) for cell in run]
+        tables = functools.cache(functools.partial(_unstack, stack, sizes))
+        for k, sectors in enumerate(_stack_spectra(stack, sizes)):
+            yield (lambda tables=tables, k=k: tables()[k]), sectors
+        del stack, tables  # freed before the next stack is built
+
+
 def exact_gap_records(specs: Sequence[ModelSpec], kind: str) -> list[dict]:
     """Gap of each signed class chain, solved on its two flip sectors.
 
-    The move tables are built and solved a stack at a time
-    (``sector_spectrum_batch``); the records are those of the cells
-    solved one by one.
+    The move tables are built and solved a stack at a time (``_solved``);
+    the records are those of the cells solved one by one.
     """
-    solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs)
-    return [_gap_record(next(solved)[1]) for _ in specs]
+    return [_gap_record(sectors) for _, sectors in _solved([(spec, kind) for spec in specs])]
 
 
 def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
@@ -152,22 +178,22 @@ def _negative_side_cut_log(table: MoveTable) -> float:
 
 
 def _sweep(model: Callable[..., ModelSpec], kind: str, Ns: Sequence[int],
-           values: Callable[[ModelSpec, MoveTable, SectorSpectrum, dict], Optional[bool]],
+           values: Callable[[ModelSpec, Callable[[], MoveTable], SectorSpectrum, dict],
+                            Optional[bool]],
            **params) -> list[CellRecord]:
     """The (cell, N) loop of the audits: one record per N of one cell.
 
     The signed move tables are built and solved in N order, a stack at a
-    time (``sector_spectrum_batch``).  Each record's ``vals`` start as the
-    gap record of its flip-sector spectrum; ``values(spec, table, sectors,
-    vals)`` adds the audit's own fields and returns the pass flag.  The
-    cell reads {"model", "kind", "N", **params}; a gap under the
-    resolution floor is flagged and noted "underflow".
+    time (``_solved``).  Each record's ``vals`` start as the gap record of
+    its flip-sector spectrum; ``values(spec, table, sectors, vals)`` adds
+    the audit's own fields and returns the pass flag, where ``table()``
+    gives the cell's move table.  The cell reads {"model", "kind", "N",
+    **params}; a gap under the resolution floor is flagged and noted
+    "underflow".
     """
     specs = [model(N, **params) for N in Ns]
-    solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs)
     records = []
-    for N, spec in zip(Ns, specs):
-        table, sectors = next(solved)
+    for N, spec, (table, sectors) in zip(Ns, specs, _solved([(spec, kind) for spec in specs])):
         vals = _gap_record(sectors)
         passed = values(spec, table, sectors, vals)
         del table  # freed before the next stack is built
@@ -177,9 +203,10 @@ def _sweep(model: Callable[..., ModelSpec], kind: str, Ns: Sequence[int],
     return records
 
 
-def _slow_cell_values(spec: ModelSpec, table: MoveTable, sectors: SectorSpectrum, vals: dict):
+def _slow_cell_values(spec: ModelSpec, table: Callable[[], MoveTable], sectors: SectorSpectrum,
+                      vals: dict):
     """The naive chain's negative-side cut, from its move table; no pass flag."""
-    vals["log_2h_cut"] = _negative_side_cut_log(table)
+    vals["log_2h_cut"] = _negative_side_cut_log(table())
 
 
 def _gap_fit(records):
@@ -315,13 +342,12 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     fits = []
     # its own loop, not `_sweep`: one record holds both chains and no kind
     specs = [warmup(N, theta=theta, epsilon=epsilon) for N in Ns]
-    solved = sector_spectrum_batch(signed_move_table(spec, kind) for spec in specs
-                                   for kind in ("small-world", "naive"))
+    solved = _solved([(spec, kind) for spec in specs for kind in ("small-world", "naive")])
     # two tables per N, small-world first: each zip step takes both
     for N, spec, (table, fast), (_, naive) in zip(Ns, specs, solved, solved):
         if N > 2:
             # projection rate from A_{mid+1} = {±(mid+1)}, block mid = N // 2, to A_{mid+2}
-            H = lumped_projection(table, warmup_block_partition(spec))
+            H = lumped_projection(table(), warmup_block_partition(spec))
             up = float(H.vals[(H.rows == N // 2) & (H.cols == N // 2 + 1)].sum())
             if not math.isclose(up, (1 - epsilon) / 4, rel_tol=1e-12):
                 failures.append(f"N={N}: projection up-rate {up} != (1-eps)/4")

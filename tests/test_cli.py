@@ -635,9 +635,9 @@ def test_the_underflow_flag_alone_picks_the_gaps_fitted_and_plotted(monkeypatch,
     Ns = list(range(10, 26, 2))
     gaps = [10.0 ** -k for k in range(3, 9)] + [at, under]
     solved = iter(gaps)
-    monkeypatch.setattr(verify, "sector_spectrum_batch", lambda tables: (
-        (t, SimpleNamespace(gap=g, lambda1=1 - g, lambda_min=0.0, dim=2))
-        for t, g in zip(tables, solved)))
+    monkeypatch.setattr(verify, "_stack_spectra", lambda table, sizes: [
+        SimpleNamespace(gap=g, lambda1=1 - g, lambda_min=0.0, dim=2)
+        for _, g in zip(sizes, solved)])
     report = verify.verify_ising_slow([2.0], Ns)
     assert [r.values["underflow"] for r in report.records] == [False] * 7 + [True]
     want = verify.ols_fit(Ns[:7], [math.log(g) for g in gaps[:7]])

@@ -1198,6 +1198,19 @@ def test_class_tables_carry_each_moves_reverse_mirror_and_place(spec, kind):
     assert not ((rows < flip[rows]) & (cols > flip[cols]) & (cols != flip[rows])).any()
 
 
+def test_the_class_chains_call_math_exp_only_where_the_log_ratio_is_negative(monkeypatch):
+    # exp(0) is exactly 1: an Ising N = 200 table needs one exp per class
+    # below S = -1 going up and above S = 1 going down, not one per entry
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda d: calls.append(d) or exp(d))
+    signed_move_table(ising(200, beta=1.0), "naive")
+    assert len(calls) == 200 and all(d < 0 for d in calls)
+    calls.clear()
+    signed_move_table(beg(20, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    assert 0 < len(calls) < 6 * 41 and all(d < 0 for d in calls)
+
+
 def test_only_the_class_chains_carry_move_pairs():
     for table in (signed_move_table(warmup(6, theta=2.0, epsilon=0.3), "small-world"),
                   metropolis_chain(ising(4, beta=1.0, p1=0.5, p2=0.25), "equi-energy"),

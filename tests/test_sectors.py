@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spingap import kernels, spectral, verify
+from spingap import kernels, models, spectral, verify
 from spingap.cli import EXIT_USAGE, main
 from spingap.kernels import (
     MoveTable,
@@ -35,6 +36,7 @@ from spingap.spectral import (
     _flip_sectors,
     _lanczos_extremes,
     _sector_extremes,
+    _stack,
     _stacks,
     gap,
     sector_spectrum,
@@ -42,6 +44,11 @@ from spingap.spectral import (
     spectrum,
 )
 from spingap.verify import exact_gap_record, verify_beg_fast
+
+def flip_sectors(tables):
+    """``_flip_sectors`` of the stack of ``tables`` (``_stack``)."""
+    return _flip_sectors(_stack(tables), [t.n for t in tables])
+
 
 CHAINS = {"ising": ("naive", "equi-energy"), "beg": ("naive", "equi-energy"),
           "warmup": ("naive", "small-world")}
@@ -101,7 +108,7 @@ def test_sector_route_matches_dense_at_three_phase_coexistence(kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_lanczos_matches_dense_sector_solve_at_three_phase_coexistence(kind):
     table = signed_move_table(beg(80, **THREE_PHASE), kind)
-    ((even, odd, _),) = _flip_sectors([table])
+    ((even, odd, _),) = flip_sectors([table])
     assert min(even.shape[0], odd.shape[0]) > DENSE_SECTOR_MAX
     ev_even = np.linalg.eigvalsh(even.toarray())
     ev_odd = np.linalg.eigvalsh(odd.toarray())
@@ -492,10 +499,10 @@ def assert_same_assembly(table):
         ref = reference_flip_sectors(table)
     except ValueError as err:
         with pytest.raises(type(err)) as got:
-            _flip_sectors([table])
+            flip_sectors([table])
         assert str(got.value) == str(err)
         return
-    ((even, odd, root),) = _flip_sectors([table])
+    ((even, odd, root),) = flip_sectors([table])
     assert_same_sector(ref[0], even)
     assert_same_sector(ref[1], odd)
     assert np.array_equal(bits(root), bits(ref[2]))
@@ -524,7 +531,7 @@ def test_triplet_sectors_match_the_sparse_assembly_bit_for_bit(spec, kind):
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
 def test_triplet_sectors_match_on_lanczos_sectors(kind):
     table = signed_move_table(beg(60, **THREE_PHASE), kind)
-    ((even, odd, _),) = _flip_sectors([table])
+    ((even, odd, _),) = flip_sectors([table])
     assert min(even.shape[0], odd.shape[0]) > DENSE_SECTOR_MAX
     assert_same_assembly(table)
 
@@ -541,7 +548,7 @@ def test_ising_n2_odd_sector_without_entries():
     # states S = -2, 0, 2 at beta = 0: both end states move to 0 with
     # probability 1, so the odd sector (e_-2 - e_2)/sqrt(2) holds no entry
     table = signed_move_table(ising(2, beta=0.0, p1=0.5, p2=0.25), "naive")
-    ((even, odd, _),) = _flip_sectors([table])
+    ((even, odd, _),) = flip_sectors([table])
     assert len(even[0]) == 2
     assert np.array_equal(odd[0], [0.0]) and len(odd[1]) == 0
     assert_same_assembly(table)
@@ -562,10 +569,10 @@ def test_tridiagonal_sectors_build_no_sparse_matrix_and_beg_one_csr_each(monkeyp
         monkeypatch.setattr(scipy.sparse, name, counted)
     for spec, kind in ((ising(200, beta=2.0, p1=0.5, p2=0.25), "equi-energy"),
                        (warmup(300, theta=2.0, epsilon=0.3), "small-world")):
-        ((even, odd, _),) = _flip_sectors([signed_move_table(spec, kind)])
+        ((even, odd, _),) = flip_sectors([signed_move_table(spec, kind)])
         assert isinstance(even, tuple) and isinstance(odd, tuple)
     assert built == []
-    ((even, odd, _),) = _flip_sectors([signed_move_table(
+    ((even, odd, _),) = flip_sectors([signed_move_table(
         beg(30, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")])
     assert built == ["csr_array", "csr_array"]
 
@@ -643,11 +650,11 @@ def test_refusals_carry_the_reference_residual(table, k, factor):
 def test_a_move_without_its_reverse_is_refused():
     table = three_state_table([(0, 1, 0.3), (1, 0, 0.3), (1, 2, 0.3)])
     with pytest.raises(NonReversibleError, match="detailed-balance residual 1.0 exceeds 1e-08"):
-        _flip_sectors([table])
+        flip_sectors([table])
     assert_same_assembly(table)
     asym = three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, 0.3), (2, 1, 0.3)])
     with pytest.raises(SymmetryError) as err:
-        _flip_sectors([asym])
+        flip_sectors([asym])
     with pytest.raises(SymmetryError, match=str(err.value)):
         reference_flip_sectors(asym)
 
@@ -705,14 +712,14 @@ def test_a_sector_entry_that_is_not_finite_is_refused_at_assembly(bad):
     # a tridiagonal sector (the three-state chain) and a sparse one (BEG N = 6)
     tridiagonal = three_state_table([(0, 1, 0.2), (1, 0, 0.2), (1, 2, bad), (2, 1, bad)])
     table = signed_move_table(beg(6, **BEG_CELL), "naive")
-    ((even, _, _),) = _flip_sectors([table])
+    ((even, _, _),) = flip_sectors([table])
     assert not isinstance(even, tuple)
     sparse = MoveTable(labels=table.labels, log_pi=table.log_pi, rows=table.rows,
                        cols=table.cols, vals=np.concatenate([[bad], table.vals[1:]]),
                        flip=table.flip)
     for t in (tridiagonal, sparse):
         with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
-            _flip_sectors([t])
+            flip_sectors([t])
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +773,7 @@ def test_the_straddling_tables_stack_past_the_budget_and_hold_every_sector_route
     for stack in stacks:
         here = {"tridiagonal" if isinstance(M, tuple)
                 else "dense" if M.shape[0] <= DENSE_SECTOR_MAX else "lanczos"
-                for sectors in _flip_sectors(stack) for M in sectors[:2]}
+                for sectors in flip_sectors(stack) for M in sectors[:2]}
         routes |= here
         mixed |= len(stack) > 1 and {"tridiagonal", "lanczos"} <= here
     assert routes == {"tridiagonal", "dense", "lanczos"}
@@ -783,8 +790,8 @@ def test_a_batch_equals_its_tables_solved_one_by_one():
 
 def test_stacked_sectors_have_the_bits_dtypes_and_order_of_sectors_assembled_alone():
     for stack in _stacks(straddling_tables()):
-        for table, (even, odd, root) in zip(stack, _flip_sectors(stack)):
-            ((even1, odd1, root1),) = _flip_sectors([table])
+        for table, (even, odd, root) in zip(stack, flip_sectors(stack)):
+            ((even1, odd1, root1),) = flip_sectors([table])
             for got, want in ((even, even1), (odd, odd1)):
                 assert isinstance(got, tuple) == isinstance(want, tuple)
                 arrays = (lambda M: M if isinstance(M, tuple)
@@ -822,7 +829,7 @@ def test_with_a_budget_of_one_state_every_audit_writes_the_same_bytes(tmp_path, 
     widths = []
     stack = spectral._flip_sectors
     monkeypatch.setattr(spectral, "_flip_sectors",
-                        lambda tables: widths.append(len(tables)) or stack(tables))
+                        lambda table, sizes: widths.append(len(sizes)) or stack(table, sizes))
 
     def run(tag):
         out = {}
@@ -958,8 +965,8 @@ def assert_same_block(want, got):
 
 def assert_pairs_match_the_generic_assembly(tables):
     """The paired and the generic assembly: the same sectors bit for bit, or the same refusal."""
-    want = outcome(_flip_sectors, [unpaired(t) for t in tables])
-    got = outcome(_flip_sectors, tables)
+    want = outcome(flip_sectors, [unpaired(t) for t in tables])
+    got = outcome(flip_sectors, tables)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -1025,17 +1032,17 @@ def test_a_perturbed_rate_is_refused_as_the_generic_assembly_refuses_it(spec, ki
     for k in range(len(table.vals)):
         # a move, its reverse kept: detailed balance fails
         bad = scaled(table, [k], 1.3)
-        assert outcome(_flip_sectors, [bad])[0] is NonReversibleError
+        assert outcome(flip_sectors, [bad])[0] is NonReversibleError
         assert_pairs_match_the_generic_assembly([bad])
         # a move and its reverse, their mirrors kept: flip invariance fails
         if table.mirror[k] not in (k, table.reverse[k]):
             bad = scaled(table, [k, table.reverse[k]], 1.3)
-            assert outcome(_flip_sectors, [bad])[0] is SymmetryError
+            assert outcome(flip_sectors, [bad])[0] is SymmetryError
             assert_pairs_match_the_generic_assembly([bad])
         assert_pairs_match_the_generic_assembly([scaled(table, [k], 1.0 + 3e-9)])
         with np.errstate(invalid="ignore"):
             nan = scaled(table, [k], math.nan)
-            assert outcome(_flip_sectors, [nan]) == (ValueError,
+            assert outcome(flip_sectors, [nan]) == (ValueError,
                                                      "array must not contain infs or NaNs")
             assert_pairs_match_the_generic_assembly([nan])
             # in a stack, the NaN residual hides no other table's refusal
@@ -1046,7 +1053,7 @@ def test_a_perturbed_rate_is_refused_as_the_generic_assembly_refuses_it(spec, ki
 def test_the_paired_assembly_sorts_and_searches_nothing(monkeypatch):
     tables = [signed_move_table(beg(30, **BEG_CELL), "equi-energy"),
               signed_move_table(ising(40, beta=2.0, p1=0.5, p2=0.25), "naive")]
-    want = [_flip_sectors([unpaired(t)]) for t in tables]
+    want = [flip_sectors([unpaired(t)]) for t in tables]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sort or a binary search")
@@ -1056,7 +1063,7 @@ def test_the_paired_assembly_sorts_and_searches_nothing(monkeypatch):
     monkeypatch.setattr(spectral, "_coalesce", refuse)
     monkeypatch.setattr(spectral, "_at", refuse)
     for table, w in zip(tables, want):
-        ((even, odd, root),) = _flip_sectors([table])
+        ((even, odd, root),) = flip_sectors([table])
         assert_same_block(w[0][0], even)
         assert_same_block(w[0][1], odd)
 
@@ -1074,3 +1081,186 @@ def test_move_pairs_out_of_range_are_refused_alone_and_in_a_batch():
                     "a move table's reverse, mirror and place do not line up with its moves")
             with pytest.raises(ValueError, match=f"^{want}$"):
                 batched(tables)
+
+
+# ---------------------------------------------------------------------------
+# Class chains built a stack at a time.
+# ---------------------------------------------------------------------------
+
+def state_count(cell):
+    return models.state_count(cell[0], "signed")
+
+
+def runs_of(cells):
+    """The stacks the audits build of ``cells``: runs of STACK_STATES states at most."""
+    return list(_stacks(cells, state_count))
+
+
+# N runs that span at least three stacks each, as the audits cut them
+STACKED_RUNS = [
+    (ising, dict(beta=0.5), range(2, 200, 4)),
+    (ising, dict(beta=2.0), range(10, 400, 10)),
+    (beg, dict(beta=1.0, K=1.0), range(2, 32, 2)),
+    (beg, dict(beta=1.5, K=2.0), range(2, 40, 4)),
+    (beg, dict(beta=0.0, K=1.0), range(30, 2, -2)),
+]
+
+
+def stacked_cells(make, cell, Ns, kind, p):
+    return [(make(N, **cell, p1=p[0], p2=p[1]), kind) for N in Ns]
+
+
+def warmup_cells(Ns):
+    """Small-world and naive warm-up cells, interleaved as ``verify_warmup`` orders them."""
+    return [(warmup(N, theta=2.0, epsilon=0.3), kind) for N in Ns
+            for kind in ("small-world", "naive")]
+
+
+def assert_same_table(got, want, pair_dtypes=True):
+    """The same arrays, bit for bit, in the same order and with the same dtypes."""
+    assert got.labels == want.labels
+    for field in ("log_pi", "vals", "rows", "cols", "flip", "reverse", "mirror", "place"):
+        x, y = getattr(got, field), getattr(want, field)
+        if y is None:
+            assert x is None, field
+            continue
+        # _stack widens the int32 move pairs as it shifts them; both are indices
+        same_dtype = x.dtype == y.dtype or (not pair_dtypes and field in ("reverse", "mirror")
+                                            and x.dtype.kind == y.dtype.kind == "i")
+        assert same_dtype, (field, x.dtype, y.dtype)
+        assert x.shape == y.shape and x.tobytes() == y.astype(x.dtype).tobytes(), field
+
+
+def assert_the_stacked_build_is_the_stack_of_single_builds(cells):
+    runs = runs_of(cells)
+    assert len(runs) >= 3 and max(len(run) for run in runs) > 1
+    for run in runs:
+        tables = [signed_move_table(*cell) for cell in run]
+        stack, sizes = kernels.signed_move_stack(run), [t.n for t in tables]
+        assert sizes == [state_count(cell) for cell in run]
+        assert_same_table(stack, _stack(tables), pair_dtypes=len(run) == 1)
+        # each table cut out of the stack is the table built alone
+        for got, want in zip(spectral._unstack(stack, sizes), tables, strict=True):
+            assert_same_table(got, want)
+        for got, want in zip(_flip_sectors(stack, sizes), flip_sectors(tables), strict=True):
+            assert_same_block(want[0], got[0])
+            assert_same_block(want[1], got[1])
+            assert np.array_equal(bits(want[2]), bits(got[2]))
+        assert spectral._stack_spectra(stack, sizes) == one_by_one(tables)
+
+
+@pytest.mark.parametrize("p", WEIGHTS)
+@pytest.mark.parametrize("kind", ["naive", "equi-energy"])
+@pytest.mark.parametrize("make,cell,Ns", STACKED_RUNS)
+def test_a_stack_of_class_chains_is_the_stack_of_the_tables_built_alone(make, cell, Ns, kind, p):
+    assert_the_stacked_build_is_the_stack_of_single_builds(
+        stacked_cells(make, cell, Ns, kind, p))
+
+
+def test_a_stack_of_warmup_chains_is_the_stack_of_the_tables_built_alone():
+    assert_the_stacked_build_is_the_stack_of_single_builds(warmup_cells(range(1, 300, 7)))
+
+
+def test_a_stack_holds_cells_that_differ_in_n_alone():
+    refused = [[(ising(10, beta=1.0), "naive"), (ising(12, beta=2.0), "naive")],
+               [(ising(10, beta=1.0, p1=0.5, p2=0.25), "naive"),
+                (ising(12, beta=1.0, p1=0.5, p2=0.25), "equi-energy")],
+               [(beg(6, **BEG_CELL), "naive"), (beg(8, beta=1.0, K=2.0, p1=0.5, p2=0.25), "naive")],
+               [(warmup(4, theta=2.0), "naive"), (warmup(6, theta=3.0), "naive")]]
+    for cells in refused:
+        with pytest.raises(ValueError, match=r"^the cells of a stack differ in N alone"):
+            kernels.signed_move_stack(cells)
+    # warm-up cells may differ in kind
+    cells = warmup_cells([3, 5])
+    assert_same_table(kernels.signed_move_stack(cells),
+                      _stack([signed_move_table(*cell) for cell in cells]))
+
+
+def test_the_stacked_build_sorts_and_searches_nothing(monkeypatch):
+    cells = [run for make, cell, Ns in STACKED_RUNS[:3]
+             for run in runs_of(stacked_cells(make, cell, Ns, "equi-energy", WEIGHTS[1]))]
+    warm = runs_of(warmup_cells(range(1, 120, 7)))
+    want = [kernels.signed_move_stack(run) for run in cells + warm]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sort or a binary search")
+
+    for name in ("argsort", "sort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(kernels, "_coalesce", refuse)
+    # metropolize finds each warm-up move's reverse by binary search: the
+    # layout of the stack is what is counted, not sorted
+    got = [kernels.signed_move_stack(run) for run in warm]
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    monkeypatch.setattr(kernels, "_at", refuse)
+    got = [kernels.signed_move_stack(run) for run in cells] + got
+    for g, w in zip(got, want, strict=True):
+        assert_same_table(g, w)
+
+
+def test_an_audit_sizes_its_stacks_before_it_builds_them(monkeypatch):
+    built = []
+    real = kernels.signed_move_stack
+
+    def counted(cells):
+        built.append([spec.N for spec, _ in cells])
+        return real(cells)
+
+    monkeypatch.setattr(verify, "signed_move_stack", counted)
+    monkeypatch.setattr(verify, "signed_move_table", None)  # no table is built alone
+    Ns = range(10, 202, 2)
+    verify.verify_ising_fast([0.5, 2.0], Ns, 0.5, 0.25)
+    # a stack holds one beta: the run of each beta is cut by the N of its cells
+    assert built == [[spec.N for spec, _ in run] for b in (0.5, 2.0) for run in runs_of(
+        [(ising(N, beta=b, p1=0.5, p2=0.25), "equi-energy") for N in Ns])]
+    assert all(sum(N + 1 for N in run) <= STACK_STATES for run in built) and len(built) > 10
+
+
+def warning_lines(stderr):
+    """stderr with each package warning cut to its module, category and message."""
+    return re.sub(r"(?m)^[^\n]*/(spingap/\w+\.py):\d+: (\w*Warning: [^\n]*\n)(?:  [^\n]*\n)?",
+                  r"\1: \2", stderr)
+
+
+OVERFLOW = ("error: the log weights of the stationary distribution are not all finite: "
+            "the parameters overflow float64\n")
+MULTIPLY = "spingap/kernels.py: RuntimeWarning: overflow encountered in multiply\n"
+
+
+@pytest.mark.parametrize("command,warned", [
+    ("gap-scan --model ising --beta 1e308 --n 10..30..10", MULTIPLY),
+    ("verify ising-slow --beta 1e308 --n 10..30..2", MULTIPLY),
+    ("verify beg-slow --beta-k 1e308:1 --n 6..12..2",
+     MULTIPLY + MULTIPLY + "spingap/kernels.py: RuntimeWarning: invalid value encountered in add\n"),
+    ("gap-scan --model beg --beta 1 --k 1e308 --n 6..12..2", MULTIPLY + MULTIPLY),
+])
+def test_a_grid_that_overflows_in_its_first_stack_warns_and_exits_2(tmp_path, command, warned):
+    # each warning once, as when the first table was built alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(spectral.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "spingap.cli", *command.split(),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert warning_lines(proc.stderr) == warned + OVERFLOW
+    assert not (tmp_path / "out").exists()
+
+
+def test_mismatch_keeps_the_residual_of_every_pair_that_differs():
+    def reference(x, y):
+        d = np.abs(x - y)
+        differ = d != 0
+        if not differ.any():
+            return 0.0
+        x, y = x[differ], y[differ]
+        return float(np.max(d[differ] * (1.0 / np.maximum(np.abs(x), np.abs(y)))))
+
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x = rng.choice([0.0, -0.0, 1e-300, 0.5, -2.0, math.inf, math.nan], 40) \
+            * rng.uniform(0.5, 1.5, 40)
+        y = np.where(rng.random(40) < 0.5, x, x * (1 + rng.normal(0, 1e-9, 40)))
+        y[rng.random(40) < 0.1] = -0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got, want = spectral._mismatch(x, y), reference(x, y)
+        assert got == want or (math.isnan(got) and math.isnan(want))

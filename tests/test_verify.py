@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
-from spingap import models
+from spingap import models, spectral
 from spingap.kernels import FiniteKernel, signed_move_table
 from spingap.models import beg, class_table, ising, warmup
 from spingap.spectral import SectorSpectrum, cut_bottleneck_log
@@ -363,13 +363,13 @@ def test_cut_terms_take_math_log():
 
 def test_slow_verifiers_build_each_chain_once(monkeypatch):
     calls = []
-    real = verify.signed_move_table
+    real = verify.signed_move_stack
 
-    def counted(spec, kind="equi-energy"):
-        calls.append((spec.kind, spec.N, kind))
-        return real(spec, kind)
+    def counted(cells):
+        calls.extend((spec.kind, spec.N, kind) for spec, kind in cells)
+        return real(cells)
 
-    monkeypatch.setattr(verify, "signed_move_table", counted)
+    monkeypatch.setattr(verify, "signed_move_stack", counted)
     monkeypatch.setattr(verify, "signed_lumped_chain", None)  # no dense chain either
     verify.verify_ising_slow([2.0], [10, 12, 14])
     verify.verify_beg_slow([(3.0, 5.0)], [6, 8, 10])
@@ -412,7 +412,7 @@ def test_beg_slow_refuses_a_deep_cell_outside_the_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("no chain is built for a refused grid")
 
-    monkeypatch.setattr(verify, "signed_move_table", refuse)
+    monkeypatch.setattr(verify, "signed_move_stack", refuse)
     with pytest.raises(ValueError, match=r"^deep cells outside the grid: 1\.0:1\.0, 2:3$"):
         verify.verify_beg_slow([(3.0, 5.0)], [6, 8, 10], deep=[(1.0, 1.0), (3.0, 5.0), (2, 3)])
 
@@ -447,8 +447,7 @@ def test_verify_beg_fast_skips_non_member_cells():
 def test_a_fast_audit_notes_underflow_like_the_slow_ones(monkeypatch):
     # every audit's records carry "underflow" where the gap is under the floor
     below = SectorSpectrum(even_lambda1=1 - 1e-13, odd_lambda1=0.5, lambda_min=0.0, dim=3)
-    monkeypatch.setattr(verify, "sector_spectrum_batch",
-                        lambda tables: ((t, below) for t in tables))
+    monkeypatch.setattr(verify, "_stack_spectra", lambda table, sizes: [below] * len(sizes))
     rep = verify_ising_fast([2.0], [10, 12], 0.5, 0.25)
     assert [r.note for r in rep.records] == ["underflow", "underflow"]
     assert not rep.passed and rep.to_dict()["passed"] is False
@@ -487,17 +486,16 @@ def test_warmup_projection_check_needs_no_dense_block_chain():
 
 def test_warmup_audit_reports_a_wrong_projection_rate(monkeypatch):
     # scale the moves from {+-(mid+1)} to {+-(mid+2)} of each small-world table
-    real = verify.signed_move_table
-
-    def skewed(spec, kind="equi-energy"):
-        table = real(spec, kind)
+    def skewed(spec, kind):
+        table = signed_move_table(spec, kind)
         if kind != "small-world":
             return table
         level, mid = np.abs(table.labels), spec.N // 2
         out = (level[table.rows] == mid + 1) & (level[table.cols] == mid + 2)
         return replace(table, vals=np.where(out, table.vals * (1 + 1e-9), table.vals))
 
-    monkeypatch.setattr(verify, "signed_move_table", skewed)
+    monkeypatch.setattr(verify, "signed_move_stack",
+                        lambda cells: spectral._stack([skewed(*cell) for cell in cells]))
     Ns = list(range(10, 41, 2))
     report = verify.verify_warmup(2.0, 0.3, Ns)
     rate = [f for f in report.failures if "projection up-rate" in f]

@@ -25,7 +25,9 @@ and 200, sectors of thousands of states), the same cell at N = 300
 (45,451 classes), a Lanczos gap-scan of the
 double-peaked BEG cell beta = 2.5, K = 1.082, whose even lambda_1 lies
 1.7e-4 (N = 40) to 2e-6 (N = 120) below the eigenvalue 1 that the
-Lanczos shift moves, ``--jobs 2`` twins of
+Lanczos shift moves, a BEG gap-scan whose beta and K change between
+the stacks its class chains are built in, an Ising gap-scan whose N
+run spans a dozen stacks, ``--jobs 2`` twins of
 the README gap-scan and of the BEG naive gap-scan (the worker-pool
 route), three chains that their model does not have or cannot build,
 a warm-up and an ising-slow grid
@@ -42,7 +44,9 @@ item that is not a number, five commands that name a real-valued
 option nan or inf (a single value, a list, a ``--beta-k`` pair and a
 verifier's slope bar), six whose finite beta = 1e308 overflows the
 log weights (an export, a conductance, a gap-scan, both profile scans
-and a ``simulate`` run), and short ``simulate`` runs
+and a ``simulate`` run), three grids that overflow in their first stack
+of class chains (an Ising gap-scan, a BEG gap-scan at K = 1e308 and a
+beg-slow audit at beta = 1e308), and short ``simulate`` runs
 of every (model, kind) with default, thinned and burn-in settings, most
 with a trace.
 After them it runs each script under ``demos/``, copied into its own
@@ -98,6 +102,8 @@ EXTRA_COMMANDS = (
     "--p1 0.5 --p2 0.25",
     "gap-scan --model ising --kind equi-energy --beta 2 --n 10..60..2 --p1 0.5 --p2 0.25 "
     "--out out/scan --jobs 2",
+    "gap-scan --model beg --kind equi-energy --beta 0.5,1 --k 1,2 --n 6..16..2 --p1 0.5 --p2 0.25",
+    "gap-scan --model ising --kind naive --beta 1.5 --n 10..400..10",
     "gap-scan --model ising --kind small-world --beta 1 --n 4",
     "simulate --model warmup --kind equi-energy --theta 2 --n 4 --steps 10",
     "gap-scan --model warmup --kind small-world --theta 2 --n 4",
@@ -137,6 +143,9 @@ EXTRA_COMMANDS = (
     "unimodality-scan --model ising --beta 1e308 --n 10..20..10",
     "unimodality-scan --model beg --beta-k 1e308:1 --n 5",
     "simulate --model ising --n 4 --beta 1e308 --steps 100",
+    "gap-scan --model ising --beta 1e308 --n 10..30..10",
+    "gap-scan --model beg --beta 1 --k 1e308 --n 6..12..2",
+    "verify beg-slow --beta-k 1e308:1 --n 6..12..2",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
