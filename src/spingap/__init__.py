@@ -53,7 +53,6 @@ from .spectral import (
     gershgorin_bound,
     interval_conductance,
     sector_spectrum,
-    sector_spectrum_batch,
     spectrum,
 )
 from .sampling import (

@@ -393,23 +393,27 @@ def lumped_projection(chain: MoveTable, parts: Partition) -> MoveTable:
                      flip=np.arange(m))
 
 
-def restrictions(table: MoveTable, parts: Partition) -> tuple[MoveTable, ...]:
-    """The chain restricted to each block: its moves inside, in table order, states ascending.
+def restrictions(table: MoveTable, parts: Partition) -> tuple[MoveTable, list]:
+    """The chain restricted to each block, as one block-diagonal table, and its block sizes.
 
-    The mass that leaves a block becomes holding.  The flip is the
-    identity, since a block need not hold the mirrors of its states.
+    Block after block, each block's states ascending and its moves inside
+    in table order; the mass that leaves a block becomes holding.  The
+    flip is the identity, since a block need not hold the mirrors of its
+    states.  ``_unstack`` cuts out the restriction to each block.
     """
-    block, m = parts.block, parts.m
+    block = parts.block
     if block.size != table.n:
         raise ValueError("partition does not cover the kernel's state set")
+    order = np.argsort(block, kind="stable")
+    at = np.empty(table.n, dtype=np.intp)
+    at[order] = np.arange(table.n)
     inside = np.flatnonzero(block[table.rows] == block[table.cols])
     inside = inside[np.argsort(block[table.rows[inside]], kind="stable")]
-    moves = np.split(inside, np.cumsum(np.bincount(block[table.rows[inside]], minlength=m)))[:-1]
-    return tuple(MoveTable(labels=tuple(table.labels[i] for i in states.tolist()),
-                           log_pi=table.log_pi[states], vals=table.vals[k],
-                           rows=np.searchsorted(states, table.rows[k]),
-                           cols=np.searchsorted(states, table.cols[k]), flip=np.arange(states.size))
-                 for states, k in zip(parts.blocks, moves))
+    return (MoveTable(labels=tuple(table.labels[i] for i in order.tolist()),
+                      log_pi=table.log_pi[order], rows=at[table.rows[inside]],
+                      cols=at[table.cols[inside]], vals=table.vals[inside],
+                      flip=np.arange(table.n)),
+            np.bincount(block, minlength=parts.m).tolist())
 
 
 def warmup_block_partition(spec: ModelSpec) -> Partition:
@@ -485,8 +489,8 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     step has its first (magnetization) component negated; the flip is its
     own reverse and mirror.  So each move's reverse and mirror positions
     are read off the groups, and its place in its row from their targets.
-    The moves come table by table, each table's group by group, as
-    ``spectral._stack`` lays out the tables built one at a time; their
+    The moves come table by table, each table's group by group, each
+    table shifted past the states and moves of the tables before it; their
     positions are counted, not sorted.  A stack of one table is listed in
     that order already.
     """
@@ -608,8 +612,8 @@ def _warmup_proposal(Ns: np.ndarray, eps: Sequence[Optional[float]]) -> MoveTabl
     plain walk), plus the reflection x -> -x with mass eps; x = 0
     reflects onto itself, which is holding.  Each state's moves are
     listed in column order (x - 1, x + 1, -x below 0; -x, x - 1, x + 1
-    above), so the stack is row-major with one move per pair, as
-    ``spectral._stack`` stacks the tables built one at a time.
+    above), so the stack is row-major with one move per pair, each table
+    after the ones before it.
     """
     sizes = 2 * Ns + 1
     idx, first, N = _stacked(Ns, sizes)
@@ -640,10 +644,10 @@ def signed_move_stack(cells: Sequence[tuple]) -> MoveTable:
 
     The specs differ in N alone; the Ising and BEG cells share one kind,
     warm-up cells may differ in it.  The stack is the block-diagonal table
-    that ``spectral._stack`` makes of the tables built one at a time: the
-    same arrays, the same order and the same bits, each table shifted past
-    the states (and, in the move pairs, the moves) of the tables before
-    it.  A lone cell is its own table.
+    of the tables built one at a time: the same arrays, the same order and
+    the same bits, each table shifted past the states (and, in the move
+    pairs, the moves) of the tables before it; ``_unstack`` cuts them
+    out.  A lone cell is its own table.
     """
     spec, kind = cells[0]
     key = stack_key(spec, kind)
@@ -659,6 +663,29 @@ def signed_move_stack(cells: Sequence[tuple]) -> MoveTable:
     proposal = _warmup_proposal(Ns, [spec.epsilon if chain == "small-world" else None
                                      for _, chain in cells])
     return metropolize(proposal, np.abs(np.array(proposal.labels)) * math.log(spec.theta))
+
+
+def _unstack(table: MoveTable, sizes: Sequence[int]) -> list:
+    """The tables of the block-diagonal ``table``, of sizes[k] states each.
+
+    Each table's moves lie together, table after table, as
+    ``signed_move_stack`` and ``restrictions`` lay them out; each table
+    comes back shifted to its own states and moves.  A lone table comes
+    back as it is.
+    """
+    if len(sizes) == 1:
+        return [table]
+    states = np.cumsum([0, *sizes]).tolist()
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    moves = np.cumsum([0, *np.bincount(owner[table.rows], minlength=len(sizes))]).tolist()
+    tables = []
+    for lo, hi, a, b in zip(states[:-1], states[1:], moves[:-1], moves[1:]):
+        pairs = {} if table.reverse is None else dict(
+            reverse=table.reverse[a:b] - a, mirror=table.mirror[a:b] - a, place=table.place[a:b])
+        tables.append(MoveTable(labels=table.labels[lo:hi], log_pi=table.log_pi[lo:hi],
+                                rows=table.rows[a:b] - lo, cols=table.cols[a:b] - lo,
+                                vals=table.vals[a:b], flip=table.flip[lo:hi] - lo, **pairs))
+    return tables
 
 
 def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:

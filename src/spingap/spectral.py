@@ -42,16 +42,16 @@ cells into runs that differ in N alone, of up to STACK_STATES states in
 all (counted from N, before anything is built), build each run as one
 block-diagonal move table in one pass (``kernels.signed_move_stack``)
 and assemble its sectors in one pass (``_stack_spectra``); a larger
-table is built and assembled alone.  ``sector_spectrum_batch`` stacks
-any other consecutive tables the same way (``_stack``), and
-``sector_spectrum`` is the batch of one.  No entry crosses a block, so
-each entry's terms are summed in the order they have alone, and each
-table's sectors are cut back out with the bits, dtypes and entry order
-of its own assembly; each table's sqrt(pi) takes its own top weight
-and norm, and each table is solved on its own.  A stack that raises,
-or that holds a non-finite entry, is solved one table at a time
-instead (each cut out of the stack, ``_unstack``), so a malformed
-table is refused as it is alone.
+table is built and assembled alone.  The restrictions of a partition
+come as one such table too (``kernels.restrictions``), solved in runs
+of up to STACK_STATES states, and ``sector_spectrum`` is the stack of
+one.  No entry crosses a block, so each entry's terms are summed in the
+order they have alone, and each table's sectors are cut back out with
+the bits, dtypes and entry order of its own assembly; each table's
+sqrt(pi) takes its own top weight and norm, and each table is solved on
+its own.  A stack that raises, or that holds a non-finite entry, is
+solved one table at a time instead (each cut out of the stack,
+``kernels._unstack``), so a table that fails is refused as it is alone.
 
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
@@ -67,7 +67,6 @@ hypotheses flag) so reports can audit them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -82,6 +81,7 @@ from .kernels import (
     _at,
     _check_dense,
     _coalesce,
+    _unstack,
     lumped_projection,
     restrictions,
 )
@@ -477,59 +477,6 @@ def _check_table(t: MoveTable) -> None:
         raise ValueError("a move table's reverse, mirror or place points outside its moves")
 
 
-def _stack(tables: Sequence[MoveTable]) -> MoveTable:
-    """The block-diagonal MoveTable of ``tables``, each shifted past the ones before.
-
-    Each table is checked first (``_check_table``, ValueError); a lone
-    table comes back as it is, its arrays not copied.  The class chains
-    are built in this layout a stack at a time (``signed_move_stack``);
-    ``_stack`` stacks any other tables.
-    """
-    for t in tables:
-        _check_table(t)
-    if len(tables) == 1:
-        return tables[0]
-    sizes, moves = [t.n for t in tables], [len(t.rows) for t in tables]
-    starts = np.cumsum([0, *sizes[:-1]])
-    shift = np.repeat(starts, moves)
-    pairs = {}
-    if all(t.reverse is not None for t in tables):
-        # the positions of the moves, shifted past the moves of the tables before
-        step = np.repeat(np.cumsum([0, *moves[:-1]]), moves)
-        pairs = dict(reverse=np.concatenate([t.reverse for t in tables]) + step,
-                     mirror=np.concatenate([t.mirror for t in tables]) + step,
-                     place=np.concatenate([t.place for t in tables]))
-    return MoveTable(labels=tuple(itertools.chain.from_iterable(t.labels for t in tables)),
-                     log_pi=np.concatenate([t.log_pi for t in tables]),
-                     rows=np.concatenate([t.rows for t in tables]) + shift,
-                     cols=np.concatenate([t.cols for t in tables]) + shift,
-                     vals=np.concatenate([t.vals for t in tables]),
-                     flip=np.concatenate([t.flip for t in tables]) + np.repeat(starts, sizes),
-                     **pairs)
-
-
-def _unstack(table: MoveTable, sizes: Sequence[int]) -> list:
-    """The tables of the block-diagonal ``table``, of sizes[k] states each: ``_stack`` undone.
-
-    Each table's moves lie together, table after table, as ``_stack``
-    and ``signed_move_stack`` lay them out; each table comes back shifted
-    to its own states and moves.  A lone table comes back as it is.
-    """
-    if len(sizes) == 1:
-        return [table]
-    states = np.cumsum([0, *sizes]).tolist()
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    moves = np.cumsum([0, *np.bincount(owner[table.rows], minlength=len(sizes))]).tolist()
-    tables = []
-    for lo, hi, a, b in zip(states[:-1], states[1:], moves[:-1], moves[1:]):
-        pairs = {} if table.reverse is None else dict(
-            reverse=table.reverse[a:b] - a, mirror=table.mirror[a:b] - a, place=table.place[a:b])
-        tables.append(MoveTable(labels=table.labels[lo:hi], log_pi=table.log_pi[lo:hi],
-                                rows=table.rows[a:b] - lo, cols=table.cols[a:b] - lo,
-                                vals=table.vals[a:b], flip=table.flip[lo:hi] - lo, **pairs))
-    return tables
-
-
 def _flip_sectors(table: MoveTable, sizes: Sequence[int]) -> list:
     """(even, odd, sqrt(pi) in the even basis) of each table of a stack's symmetrized chain.
 
@@ -538,7 +485,7 @@ def _flip_sectors(table: MoveTable, sizes: Sequence[int]) -> list:
     are ``_symmetrization`` in these bases, orbits ordered by their lower
     state index, each as ``_sector`` returns it.  sqrt(pi) is the unit
     eigenvector of lambda_0 = 1.  ``table`` is a block-diagonal stack
-    of tables, sizes[k] states each (``_stack``, ``signed_move_stack``),
+    of tables, sizes[k] states each (``signed_move_stack``, ``restrictions``),
     whose sectors are the tables' sectors side by side.  A
     stack whose tables all carry their move pairs is assembled from them
     (``_paired_sectors``), with no sort or binary search; any other goes
@@ -696,11 +643,11 @@ def _lanczos_extremes(M, u: Optional[np.ndarray]) -> tuple:
     return _dense_extremes(M, m - 1 if u is None else m - 2)
 
 
-def _stacks(items: Iterable, size: Callable = lambda t: t.n) -> Iterator[list]:
-    """Runs of consecutive items (tables) of at most STACK_STATES states in all; a larger one alone.
+def _stacks(items: Iterable, size: Callable) -> Iterator[list]:
+    """Runs of consecutive items of at most STACK_STATES states in all; a larger one alone.
 
-    ``size`` gives an item's states: a table's own count by default, or
-    one read off a cell's N, so that no table is built to size a stack.
+    ``size`` gives an item's states: read off a cell's N, so that no
+    table is built to size a stack, or a block's own count.
     """
     stack, states = [], 0
     for item in items:
@@ -735,28 +682,6 @@ def _stack_spectra(table: MoveTable, sizes: Sequence[int]) -> list:
             for n, even, odd in zip(sizes, ext[::2], ext[1::2])]
 
 
-def sector_spectrum_batch(tables: Iterable[MoveTable]) -> Iterator[tuple]:
-    """Each table with its ``sector_spectrum``, solved a stack at a time.
-
-    Consecutive tables of up to STACK_STATES states in all share one
-    assembly; the tables are drawn from ``tables`` a stack at a time and
-    each (table, SectorSpectrum) pair is yielded in order, so a caller
-    that builds its tables lazily and keeps no pair it has used holds
-    one stack of them at once, and the first table of the next.  The
-    spectra have the bits of tables solved one by one.
-    """
-    for stack in _stacks(tables):
-        try:
-            table = _stack(stack)
-        except ValueError:  # a malformed table: each is solved, and refused, as it is alone
-            spectra = [s for t in stack for s in _stack_spectra(_stack([t]), [t.n])]
-        else:
-            spectra = _stack_spectra(table, [t.n for t in stack])
-            del table
-        yield from zip(stack, spectra)
-        del stack  # the caller is done with these tables: free them before the next stack
-
-
 def sector_spectrum(table: MoveTable) -> SectorSpectrum:
     """lambda_1 and lambda_min of a flip-invariant chain from its two sectors.
 
@@ -764,9 +689,11 @@ def sector_spectrum(table: MoveTable) -> SectorSpectrum:
     known and left out; the slow mode of a two-phase chain lies in the
     odd sector.  Tridiagonal sectors (nearest-neighbour chains) go to
     the tridiagonal solver, small ones to the dense solver, the rest to
-    a Lanczos run each, on their nonzeros.
+    a Lanczos run each, on their nonzeros.  The table's arrays are
+    checked first (``_check_table``, ValueError).
     """
-    return next(sector_spectrum_batch([table]))[1]
+    _check_table(table)
+    return _stack_spectra(table, [table.n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -908,12 +835,17 @@ class DecompositionBound:
 def decomposition_bound(table: MoveTable, parts: Partition) -> DecompositionBound:
     """Evaluate the decomposition lower bound for the given partition.
 
-    The projection and the restrictions to the blocks are move tables,
-    solved by ``sector_spectrum``, the restrictions as one batch; the
-    chain is never made dense.
+    The projection and the restrictions to the blocks are move tables
+    solved on their sectors, the restrictions as one stack cut into runs
+    of up to STACK_STATES states (a larger block alone), which bounds the
+    memory of one assembly; the chain is never made dense.
     """
     gap_H = sector_spectrum(lumped_projection(table, parts)).gap
-    gaps = tuple(s.gap for _, s in sector_spectrum_batch(restrictions(table, parts)))
+    stack, sizes = restrictions(table, parts)
+    runs = list(_stacks(sizes, int))
+    tables = _unstack(stack, [sum(run) for run in runs])
+    del stack  # the runs copy its indices: free it before they are solved
+    gaps = tuple(s.gap for run, t in zip(runs, tables) for s in _stack_spectra(t, run))
     return DecompositionBound(value=0.5 * gap_H * min(gaps), projection_gap=gap_H,
                               min_restriction_gap=min(gaps), restriction_gaps=gaps)
 

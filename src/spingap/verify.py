@@ -20,17 +20,15 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import models
-from .kernels import (MoveTable, lumped_projection, signed_lumped_chain, signed_move_stack,
-                      signed_move_table, stack_key, warmup_block_partition)
+from .kernels import (MoveTable, _unstack, lumped_projection, signed_lumped_chain,
+                      signed_move_stack, signed_move_table, stack_key, warmup_block_partition)
 from .models import ModelSpec, beg, ising, warmup
 from .spectral import (
     GAP_RESOLUTION,
     SectorSpectrum,
     _stack_spectra,
     _stacks,
-    _unstack,
     cut_bottleneck_log,
-    sector_spectrum,
 )
 
 
@@ -157,11 +155,12 @@ def exact_gap_records(specs: Sequence[ModelSpec], kind: str) -> list[dict]:
 def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
     """Gap of the signed class chain, solved on its two flip sectors.
 
-    The program solves its gaps through ``exact_gap_records``; the
-    benchmark tracer's shim list (``perfbench/layers.py``) is this
-    function's only remaining caller outside the tests.
+    ``exact_gap_records`` of one spec.  The program solves its gaps
+    through ``exact_gap_records``; the benchmark tracer's shim list
+    (``perfbench/layers.py``) is this function's only remaining caller
+    outside the tests.
     """
-    return _gap_record(sector_spectrum(signed_move_table(spec, kind)))
+    return exact_gap_records([spec], kind)[0]
 
 
 def _negative_side_cut_log(table: MoveTable) -> float:

@@ -7,7 +7,8 @@ profile summed one row at a time, a
 one-step sampler call from a given state and the move component a step
 took, the sequential ball-placement orbit draw, the validity checks of
 a dense chain, a dense chain as a move table, a birth-death chain as a
-move table, the dense restriction to a block, the interval-cut bound
+move table, the block-diagonal stack of move tables (the layout oracle),
+the dense restriction to a block, the interval-cut bound
 summed cut by cut in exact-rounding sums, the dense form of a
 birth-death chain and its detailed-balance check, direct-lumping and
 containment checks, and the literal transcription of a hand-tabulated
@@ -17,6 +18,7 @@ other tests measure the library's results against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -38,7 +40,7 @@ from spingap.kernels import (
 )
 from spingap.models import EnergyClass, ModelSpec, logsumexp
 from spingap.sampling import Sampler, _orbit_draw, bose_einstein_sample
-from spingap.spectral import gap, spectrum
+from spingap.spectral import _check_table, gap, spectrum
 
 State = Union[int, Sequence[int], np.ndarray]
 
@@ -315,6 +317,36 @@ def bd_table(up: Sequence[float], down: Sequence[float], log_pi: Sequence[float]
                         for f, dtype in ((0, np.intp), (1, np.intp), (2, float)))
     return MoveTable(labels=tuple(range(n)), log_pi=np.asarray(log_pi, dtype=float),
                      rows=rows, cols=cols, vals=vals, flip=np.arange(n))
+
+
+def stack(tables: Sequence[MoveTable]) -> MoveTable:
+    """The block-diagonal MoveTable of ``tables``, each shifted past the ones before.
+
+    Each table is checked first (``_check_table``, ValueError); a lone
+    table comes back as it is, its arrays not copied.  The layout that
+    ``signed_move_stack`` and ``restrictions`` build in one pass.
+    """
+    for t in tables:
+        _check_table(t)
+    if len(tables) == 1:
+        return tables[0]
+    sizes, moves = [t.n for t in tables], [len(t.rows) for t in tables]
+    starts = np.cumsum([0, *sizes[:-1]])
+    shift = np.repeat(starts, moves)
+    pairs = {}
+    if all(t.reverse is not None for t in tables):
+        # the positions of the moves, shifted past the moves of the tables before
+        step = np.repeat(np.cumsum([0, *moves[:-1]]), moves)
+        pairs = dict(reverse=np.concatenate([t.reverse for t in tables]) + step,
+                     mirror=np.concatenate([t.mirror for t in tables]) + step,
+                     place=np.concatenate([t.place for t in tables]))
+    return MoveTable(labels=tuple(itertools.chain.from_iterable(t.labels for t in tables)),
+                     log_pi=np.concatenate([t.log_pi for t in tables]),
+                     rows=np.concatenate([t.rows for t in tables]) + shift,
+                     cols=np.concatenate([t.cols for t in tables]) + shift,
+                     vals=np.concatenate([t.vals for t in tables]),
+                     flip=np.concatenate([t.flip for t in tables]) + np.repeat(starts, sizes),
+                     **pairs)
 
 
 def dense_restriction(kernel: FiniteKernel, block: Sequence[int]) -> FiniteKernel:

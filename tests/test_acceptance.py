@@ -172,7 +172,7 @@ def test_criterion_05_decomposition_bound_audit():
     S = states.sum(axis=1)
     for i in (2, 4, 6):
         block = np.flatnonzero(np.abs(S) == i)
-        R = restrictions(M, partition_by(np.abs(S) == i))[1]
+        R = kernels._unstack(*restrictions(M, partition_by(np.abs(S) == i)))[1]
         signs = [1 if S[j] > 0 else -1 for j in block]
         audit(R, partition_by(signs))
     # beg: full-space energy partition and the quadrupole-row partition

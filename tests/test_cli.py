@@ -195,8 +195,7 @@ def test_gap_scan_pool_solves_its_shares_in_batches(tmp_path, monkeypatch):
             "--n", "8..16..4"]
     assert main(base + ["--out", str(tmp_path / "serial")]) == EXIT_OK
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for module, name in ((verify, "exact_gap_record"), (verify, "sector_spectrum"),
-                         (spectral, "sector_spectrum")):
+    for module, name in ((verify, "exact_gap_record"), (spectral, "sector_spectrum")):
         monkeypatch.setattr(module, name, _one_cell_solve)
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "pool")]) == EXIT_OK
     assert ((tmp_path / "serial" / "gaps.csv").read_bytes()

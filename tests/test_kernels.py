@@ -46,6 +46,7 @@ from oracles import (
     log_binom,
     row_sum_error,
     signed_class_keys,
+    stack,
     unsigned_class_partition,
     unsigned_lumping_deviation,
 )
@@ -280,7 +281,7 @@ def test_lumped_projection_preserves_measure_and_reversibility():
 def test_restriction_whole_space_is_identity_operation():
     spec = ising(4, beta=1.0, p1=0.5, p2=0.25)
     M = metropolis_chain(spec, "equi-energy")
-    R = restrictions(M, partition_by([0] * M.n))[0]
+    R = kernels._unstack(*restrictions(M, partition_by([0] * M.n)))[0]
     assert np.allclose(R.to_kernel().P, M.to_kernel().P, atol=0)
 
 
@@ -291,7 +292,7 @@ def test_restriction_signed_class_is_lazy_uniform():
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(S == 2)
-    R = restrictions(M, partition_by(S == 2))[1]
+    R = kernels._unstack(*restrictions(M, partition_by(S == 2)))[1]
     size = block.size
     expected = (1 - 0.7) * np.full((size, size), 1.0 / size) + 0.7 * np.eye(size)
     assert np.allclose(R.to_kernel().P, expected, atol=1e-14)
@@ -304,7 +305,7 @@ def test_sign_chain_two_by_two():
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
-    R = restrictions(M, partition_by(np.abs(S) == 4))[1]
+    R = kernels._unstack(*restrictions(M, partition_by(np.abs(S) == 4)))[1]
     signs = [1 if S[i] > 0 else -1 for i in block]
     H = lumped_projection(R, partition_by(signs)).to_kernel()
     assert H.P[0, 1] == pytest.approx(spec.p2 / 2, abs=1e-14)
@@ -327,7 +328,7 @@ def test_warmup_projection_matches_displayed_rates():
     assert H.P[last, last - 1] == pytest.approx((1 - eps) / (4 * theta), abs=1e-14)
     for i, block in enumerate(parts.blocks):
         if len(block) == 2:
-            R = restrictions(M, parts)[i]
+            R = kernels._unstack(*restrictions(M, parts))[i]
             assert np.allclose(R.to_kernel().P, np.array([[1 - eps, eps], [eps, 1 - eps]]),
                                atol=1e-14)
 
@@ -348,9 +349,23 @@ def _restriction_cases():
 
 
 def check_restrictions(table, parts):
-    """Each block's restriction against the dense restriction, to 1e-15."""
+    """Each block's restriction against the dense restriction, to 1e-15.
+
+    The restrictions come as one stack of the partition's block sizes, no
+    move crosses a block, and the stack is the layout oracle's stack of the
+    restrictions cut out of it.
+    """
     kernel = table.to_kernel()
-    got = restrictions(table, parts)
+    restricted, sizes = restrictions(table, parts)
+    assert np.array_equal(sizes, np.bincount(parts.block))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    assert (owner[restricted.rows] == owner[restricted.cols]).all()
+    got = kernels._unstack(restricted, sizes)
+    restacked = stack(got)
+    assert restacked.labels == restricted.labels
+    for field in ("log_pi", "rows", "cols", "vals", "flip"):
+        x, y = getattr(restacked, field), getattr(restricted, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
     assert len(got) == parts.m
     for i, R in enumerate(got):
         block = np.flatnonzero(parts.block == i)

@@ -36,18 +36,20 @@ from spingap.spectral import (
     _flip_sectors,
     _lanczos_extremes,
     _sector_extremes,
-    _stack,
+    _stack_spectra,
     _stacks,
     gap,
     sector_spectrum,
-    sector_spectrum_batch,
     spectrum,
 )
 from spingap.verify import exact_gap_record, verify_beg_fast
 
+import oracles
+
+
 def flip_sectors(tables):
-    """``_flip_sectors`` of the stack of ``tables`` (``_stack``)."""
-    return _flip_sectors(_stack(tables), [t.n for t in tables])
+    """``_flip_sectors`` of the stack of ``tables`` (``oracles.stack``)."""
+    return _flip_sectors(oracles.stack(tables), [t.n for t in tables])
 
 
 CHAINS = {"ising": ("naive", "equi-energy"), "beg": ("naive", "equi-energy"),
@@ -727,7 +729,18 @@ def test_a_sector_entry_that_is_not_finite_is_refused_at_assembly(bad):
 # ---------------------------------------------------------------------------
 
 def batched(tables):
-    return [s for _, s in sector_spectrum_batch(tables)]
+    """The tables solved a run at a time, each run stacked (``oracles.stack``) and
+    solved in one pass; a run that holds a malformed table one table at a time,
+    so that each is refused as it is alone."""
+    spectra = []
+    for run in _stacks(tables, lambda t: t.n):
+        try:
+            stack = oracles.stack(run)
+        except ValueError:
+            spectra += one_by_one(run)
+        else:
+            spectra += _stack_spectra(stack, [t.n for t in run])
+    return spectra
 
 
 def one_by_one(tables):
@@ -765,7 +778,7 @@ def straddling_tables():
 
 def test_the_straddling_tables_stack_past_the_budget_and_hold_every_sector_route():
     tables = straddling_tables()
-    stacks = list(_stacks(tables))
+    stacks = list(_stacks(tables, lambda t: t.n))
     assert [t for stack in stacks for t in stack] == tables
     assert all(sum(t.n for t in stack) <= STACK_STATES for stack in stacks)
     assert sum(len(stack) > 1 for stack in stacks) >= 3
@@ -783,13 +796,11 @@ def test_the_straddling_tables_stack_past_the_budget_and_hold_every_sector_route
 
 def test_a_batch_equals_its_tables_solved_one_by_one():
     tables = straddling_tables()
-    pairs = list(sector_spectrum_batch(iter(tables)))
-    assert [t for t, _ in pairs] == tables
-    assert [s for _, s in pairs] == one_by_one(tables)
+    assert batched(tables) == one_by_one(tables)
 
 
 def test_stacked_sectors_have_the_bits_dtypes_and_order_of_sectors_assembled_alone():
-    for stack in _stacks(straddling_tables()):
+    for stack in _stacks(straddling_tables(), lambda t: t.n):
         for table, (even, odd, root) in zip(stack, flip_sectors(stack)):
             ((even1, odd1, root1),) = flip_sectors([table])
             for got, want in ((even, even1), (odd, odd1)):
@@ -1005,7 +1016,7 @@ def test_paired_sectors_equal_the_generic_assembly_bit_for_bit(model, N, cell, k
 @pytest.mark.parametrize("p", WEIGHTS)
 def test_paired_stacks_of_mixed_sizes_equal_the_generic_assembly(p):
     tables = [paired_table(*key, p) for key in PAIRED if key[1] <= 16]
-    stacks = list(_stacks(tables))
+    stacks = list(_stacks(tables, lambda t: t.n))
     assert len(stacks) > 1 and max(len(s) for s in stacks) > 10
     for stack in stacks:
         assert_pairs_match_the_generic_assembly(stack)
@@ -1124,7 +1135,7 @@ def assert_same_table(got, want, pair_dtypes=True):
         if y is None:
             assert x is None, field
             continue
-        # _stack widens the int32 move pairs as it shifts them; both are indices
+        # oracles.stack widens the int32 move pairs as it shifts them; both are indices
         same_dtype = x.dtype == y.dtype or (not pair_dtypes and field in ("reverse", "mirror")
                                             and x.dtype.kind == y.dtype.kind == "i")
         assert same_dtype, (field, x.dtype, y.dtype)
@@ -1138,9 +1149,9 @@ def assert_the_stacked_build_is_the_stack_of_single_builds(cells):
         tables = [signed_move_table(*cell) for cell in run]
         stack, sizes = kernels.signed_move_stack(run), [t.n for t in tables]
         assert sizes == [state_count(cell) for cell in run]
-        assert_same_table(stack, _stack(tables), pair_dtypes=len(run) == 1)
+        assert_same_table(stack, oracles.stack(tables), pair_dtypes=len(run) == 1)
         # each table cut out of the stack is the table built alone
-        for got, want in zip(spectral._unstack(stack, sizes), tables, strict=True):
+        for got, want in zip(kernels._unstack(stack, sizes), tables, strict=True):
             assert_same_table(got, want)
         for got, want in zip(_flip_sectors(stack, sizes), flip_sectors(tables), strict=True):
             assert_same_block(want[0], got[0])
@@ -1173,7 +1184,7 @@ def test_a_stack_holds_cells_that_differ_in_n_alone():
     # warm-up cells may differ in kind
     cells = warmup_cells([3, 5])
     assert_same_table(kernels.signed_move_stack(cells),
-                      _stack([signed_move_table(*cell) for cell in cells]))
+                      oracles.stack([signed_move_table(*cell) for cell in cells]))
 
 
 def test_the_stacked_build_sorts_and_searches_nothing(monkeypatch):

@@ -85,7 +85,7 @@ def test_sign_chain_gap_is_p2():
     states = models.enumerate_states(spec)
     S = states.sum(axis=1)
     block = np.flatnonzero(np.abs(S) == 4)
-    R = restrictions(M, partition_by(np.abs(S) == 4))[1]
+    R = kernels._unstack(*restrictions(M, partition_by(np.abs(S) == 4)))[1]
     signs = [1 if S[i] > 0 else -1 for i in block]
     H = lumped_projection(R, partition_by(signs)).to_kernel()
     s = spectrum(H)
@@ -403,6 +403,30 @@ def test_decomposition_bound_past_the_dense_cap(monkeypatch):
     b = decomposition_bound(table, _quadrupole_rows(table))
     assert math.isfinite(b.value) and b.value > 0
     assert len(b.restriction_gaps) == 131
+
+
+def test_decomposition_bound_solves_its_restrictions_in_runs_of_the_stack_budget(monkeypatch):
+    # BEG N = 60 by quadrupole row: 1891 states in 61 blocks of 1..61 states,
+    # so the restrictions outgrow one run of STACK_STATES states
+    table = signed_move_table(beg(60, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")
+    parts = _quadrupole_rows(table)
+    assert (table.n, parts.m) == (1891, 61) and table.n > spectral.STACK_STATES
+    want = decomposition_bound(table, parts)
+    runs = []
+    real = spectral._stack_spectra
+
+    def recorded(stack, sizes):
+        runs.append(list(sizes))
+        return real(stack, sizes)
+
+    monkeypatch.setattr(spectral, "_stack_spectra", recorded)
+    assert decomposition_bound(table, parts) == want
+    # the projection first, alone; then the blocks in order, a run at a time
+    projection, *runs = runs
+    assert projection == [parts.m]
+    assert [n for run in runs for n in run] == np.bincount(parts.block).tolist()
+    assert len(runs) > 1 and max(len(run) for run in runs) > 1
+    assert all(sum(run) <= spectral.STACK_STATES or len(run) == 1 for run in runs)
 
 
 PINNED_BOUNDS = """import hashlib

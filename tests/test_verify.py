@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
-from spingap import models, spectral
+from spingap import models
 from spingap.kernels import FiniteKernel, signed_move_table
 from spingap.models import beg, class_table, ising, warmup
 from spingap.spectral import SectorSpectrum, cut_bottleneck_log
@@ -33,7 +33,7 @@ from spingap.verify import (
     verify_ising_fast,
 )
 
-from oracles import kernel_table, signed_containment
+from oracles import kernel_table, signed_containment, stack
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def test_warmup_audit_reports_a_wrong_projection_rate(monkeypatch):
         return replace(table, vals=np.where(out, table.vals * (1 + 1e-9), table.vals))
 
     monkeypatch.setattr(verify, "signed_move_stack",
-                        lambda cells: spectral._stack([skewed(*cell) for cell in cells]))
+                        lambda cells: stack([skewed(*cell) for cell in cells]))
     Ns = list(range(10, 41, 2))
     report = verify.verify_warmup(2.0, 0.3, Ns)
     rate = [f for f in report.failures if "projection up-rate" in f]
