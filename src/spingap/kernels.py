@@ -170,12 +170,14 @@ class BirthDeathChain:
         return 1.0 - self.up - self.down
 
 
-def _coalesce(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coalesce(keys: np.ndarray, vals: np.ndarray,
+              drop: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(keys, sums) of a triplet list keyed row * n + col, in row-major order.
 
     The keys come back unique and ascending.  The stable sort keeps
     repeated entries in the given order and np.bincount adds them
-    strictly left to right; entries that sum to exactly zero are dropped.
+    strictly left to right; entries that sum to exactly zero are dropped
+    unless ``drop`` is False.
     Each temporary is freed once spent, which keeps the build of a
     full-space proposal below the size of its dense matrix.
     """
@@ -188,7 +190,7 @@ def _coalesce(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarra
     slot -= 1
     sums = np.bincount(slot, weights=vals)
     del slot, vals
-    keep = sums != 0
+    keep = sums != 0 if drop else slice(None)
     return keys[start][keep], sums[keep]
 
 
@@ -264,7 +266,7 @@ def single_flip_proposal(spec: ModelSpec) -> MoveTable:
     """
     n = check_space(spec, "naive", "full")
     if spec.kind == "warmup":
-        return _warmup_proposal(np.array([spec.N]), [None])
+        return _warmup_proposal(np.array([spec.N]), None)
     states = models.enumerate_states(spec)
     labels = tuple(tuple(int(v) for v in x) for x in states)
     idx = np.arange(n)
@@ -325,7 +327,7 @@ def equi_energy_proposal(spec: ModelSpec) -> MoveTable:
 def small_world_proposal(spec: ModelSpec) -> MoveTable:
     """(1-eps) * nearest-neighbor walk + eps * reflection x -> -x (warmup)."""
     check_space(spec, "small-world", "full")
-    return _warmup_proposal(np.array([spec.N]), [spec.epsilon])
+    return _warmup_proposal(np.array([spec.N]), spec.epsilon)
 
 
 def metropolis_chain(spec: ModelSpec, kind: str) -> MoveTable:
@@ -489,10 +491,9 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     step has its first (magnetization) component negated; the flip is its
     own reverse and mirror.  So each move's reverse and mirror positions
     are read off the groups, and its place in its row from their targets.
-    The moves come table by table, each table's group by group, each
-    table shifted past the states and moves of the tables before it; their
-    positions are counted, not sorted.  A stack of one table is listed in
-    that order already.
+    The moves come table by table, each table's group by group, shifted
+    past the states and moves of the tables before it; their positions are
+    counted, not sorted.
     """
     p1 = spec.p1 if kind == "equi-energy" else 1.0
     n = len(labels)
@@ -605,8 +606,8 @@ def _beg_moves(spec: ModelSpec, kind: str, Ns: np.ndarray) -> MoveTable:
                         first + at(spec, -s, r), 2 * N, groups)
 
 
-def _warmup_proposal(Ns: np.ndarray, eps: Sequence[Optional[float]]) -> MoveTable:
-    """The warmup proposals on -N..N of a stack of tables, one per (N, eps).
+def _warmup_proposal(Ns: np.ndarray, eps: Optional[float]) -> MoveTable:
+    """The warmup proposals on -N..N of a stack of tables, one per N.
 
     The +-1 walk with mass (1-eps)/2 each way (1/2 for eps None, the
     plain walk), plus the reflection x -> -x with mass eps; x = 0
@@ -618,8 +619,7 @@ def _warmup_proposal(Ns: np.ndarray, eps: Sequence[Optional[float]]) -> MoveTabl
     sizes = 2 * Ns + 1
     idx, first, N = _stacked(Ns, sizes)
     x = idx - first - N
-    walk = np.repeat([0.5 if e is None else (1.0 - e) * 0.5 for e in eps], sizes)
-    jump = np.repeat([0.0 if e is None else e for e in eps], sizes)
+    walk, jump = (0.5, 0.0) if eps is None else ((1.0 - eps) * 0.5, eps)
     # each state's moves in column order, as (target, mass, whether it exists):
     # x - 1, x + 1, -x below the middle, and -x, x - 1, x + 1 above it
     lo, hi = (idx - 1, walk, x > -N), (idx + 1, walk, x < N)
@@ -632,36 +632,22 @@ def _warmup_proposal(Ns: np.ndarray, eps: Sequence[Optional[float]]) -> MoveTabl
                      flip=idx - 2 * x)
 
 
-def stack_key(spec: ModelSpec, kind: str) -> tuple:
-    """What the cells of one ``signed_move_stack`` share: the spec but its N, and
-    the chain kind but on warm-up."""
-    return (*(v for k, v in vars(spec).items() if k != "N"),
-            None if spec.kind == "warmup" else kind)
+def signed_move_stack(spec: ModelSpec, kind: str, Ns: Sequence[int]) -> MoveTable:
+    """The tables ``signed_move_table`` of ``spec`` and ``kind`` at each N of ``Ns``, stacked.
 
-
-def signed_move_stack(cells: Sequence[tuple]) -> MoveTable:
-    """The tables ``signed_move_table(spec, kind)`` of the (spec, kind) cells, stacked, in one pass.
-
-    The specs differ in N alone; the Ising and BEG cells share one kind,
-    warm-up cells may differ in it.  The stack is the block-diagonal table
-    of the tables built one at a time: the same arrays, the same order and
+    The stack is built in one pass.  It is the block-diagonal table of
+    the tables built one at a time: the same arrays, the same order and
     the same bits, each table shifted past the states (and, in the move
     pairs, the moves) of the tables before it; ``_unstack`` cuts them
-    out.  A lone cell is its own table.
+    out.  A stack of one N is its own table.
     """
-    spec, kind = cells[0]
-    key = stack_key(spec, kind)
-    for cell in cells:
-        check_space(*cell, "signed")
-        if stack_key(*cell) != key:
-            raise ValueError("the cells of a stack differ in N alone (warm-up: and in kind)")
-    Ns = np.array([other.N for other, _ in cells])
+    check_space(replace(spec, N=max(Ns)), kind, "signed")  # the count grows with N
+    Ns = np.array(Ns)
     if spec.kind == "ising":
         return _ising_moves(spec, kind, Ns)
     if spec.kind == "beg":
         return _beg_moves(spec, kind, Ns)
-    proposal = _warmup_proposal(Ns, [spec.epsilon if chain == "small-world" else None
-                                     for _, chain in cells])
+    proposal = _warmup_proposal(Ns, spec.epsilon if kind == "small-world" else None)
     return metropolize(proposal, np.abs(np.array(proposal.labels)) * math.log(spec.theta))
 
 
@@ -696,9 +682,9 @@ def signed_move_table(spec: ModelSpec, kind: str = "equi-energy") -> MoveTable:
     full chain's.  Every table is built in O(states) memory.  For warmup
     the signed classes are the states -N..N themselves.  The states come
     in ``models.signed_class_order``: ising by S ascending, beg by r, then s.
-    It is the stack of one cell (``signed_move_stack``).
+    It is the stack of one N (``signed_move_stack``).
     """
-    return signed_move_stack([(spec, kind)])
+    return signed_move_stack(spec, kind, [spec.N])
 
 
 def signed_lumped_chain(spec: ModelSpec, kind: str = "equi-energy") -> FiniteKernel:

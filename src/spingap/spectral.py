@@ -22,10 +22,13 @@ repeated entries summed left to right in table order (np.bincount);
 each entry is paired with its reverse and its mirror through a binary
 search on those keys, so no transposed or permuted matrix is built; the
 entries are then mapped to even and odd orbit coordinates and coalesced
-again.  Either way a tridiagonal sector (Ising, warm-up) comes out as
-its (diagonal, superdiagonal) arrays for the tridiagonal solver, any
-other (BEG) as one CSR matrix for the dense solver or Lanczos.  An
-entry that is not finite is refused once, at assembly, on every route.
+again.  On both routes a pair that fails the detailed-balance test only
+because one of its rates underflowed takes its reverse's entry
+(``_reverse_entries``).  Either way a tridiagonal sector (Ising,
+warm-up) comes out as its (diagonal, superdiagonal) arrays for the
+tridiagonal solver, any other (BEG) as one CSR matrix for the dense
+solver or Lanczos.  An entry that is not finite is refused once, at
+assembly, on every route.
 
 Each sector is solved on its own, by the route ``_sector_extremes``
 picks: bisection for a tridiagonal sector, the dense solver for a CSR
@@ -35,23 +38,20 @@ off its tridiagonal Lanczos matrix.  Its scalars are sums in a fixed
 order and its matvec makes no BLAS call, so a sector gets the same bits
 at any BLAS thread count.
 
-Small tables cost mostly numpy's fixed cost per call, about 80 calls
-per assembly and as many again per build.  So the class chains of a
-grid are built a stack at a time: the audits and ``gap-scan`` cut their
-cells into runs that differ in N alone, of up to STACK_STATES states in
-all (counted from N, before anything is built), build each run as one
-block-diagonal move table in one pass (``kernels.signed_move_stack``)
-and assemble its sectors in one pass (``_stack_spectra``); a larger
-table is built and assembled alone.  The restrictions of a partition
-come as one such table too (``kernels.restrictions``), solved in runs
-of up to STACK_STATES states, and ``sector_spectrum`` is the stack of
-one.  No entry crosses a block, so each entry's terms are summed in the
-order they have alone, and each table's sectors are cut back out with
-the bits, dtypes and entry order of its own assembly; each table's
-sqrt(pi) takes its own top weight and norm, and each table is solved on
-its own.  A stack that raises, or that holds a non-finite entry, is
-solved one table at a time instead (each cut out of the stack,
-``kernels._unstack``), so a table that fails is refused as it is alone.
+Small tables cost mostly numpy's fixed cost per call, so the class
+chains of a grid are built a stack at a time: the audits and
+``gap-scan`` cut their cells into runs of one chain kind that differ in
+N alone, of up to STACK_STATES states in all (counted from N, before
+anything is built), build each run as one block-diagonal move table
+(``kernels.signed_move_stack``) and assemble its sectors in one pass
+(``_stack_spectra``); a larger table runs alone.  The restrictions of a
+partition come as one such table too (``kernels.restrictions``), and
+``sector_spectrum`` is the stack of one.  No entry crosses a block, so
+each table's sectors are cut back out with the bits, dtypes and entry
+order of its own assembly (its own top weight and norm in sqrt(pi)), and
+each is solved on its own.  A stack that raises, or that holds a
+non-finite entry, is solved one table at a time (``kernels._unstack``),
+so a table that fails is refused as it is alone.
 
 On top of the spectrum: spectral gap, exhaustive conductance with the
 Cheeger sandwich, the chain-decomposition lower bound, the birth--death
@@ -242,9 +242,32 @@ def _mismatch(x: np.ndarray, y: np.ndarray) -> float:
     np.abs(d, out=d)
     scale = np.abs(x)
     np.maximum(scale, np.abs(y), out=scale)
-    np.divide(1.0, scale, out=scale, where=differ)
+    with np.errstate(over="ignore"):  # 1 / a subnormal is inf: the pair fails
+        np.divide(1.0, scale, out=scale, where=differ)
     np.multiply(d, scale, out=d, where=differ)
     return float(np.max(d))
+
+
+def _reverse_entries(s: np.ndarray, reverse: Callable, scale: Callable) -> tuple:
+    """(s, s_rev, residual) of the entries ``s`` and their reverses ``reverse(s)``.
+
+    An entry is a rate times ``scale()`` = e^(delta/2).  A downhill rate
+    p e^(-delta), delta past about 708, is a subnormal or 0, so its entry
+    comes out inexact, 0 or 0 * inf = NaN, while its reverse's is exact.
+    So past REVERSIBILITY_TOL (or at NaN), a move of a failing pair takes
+    its reverse's entry where both its rate and the rate its reverse
+    implies are below the smallest normal float.
+    """
+    s_rev = reverse(s)
+    err = _mismatch(s, s_rev)
+    if not err <= REVERSIBILITY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fails = ~(np.abs(s - s_rev) <= REVERSIBILITY_TOL * np.maximum(abs(s), abs(s_rev)))
+            low = ~(np.fmax(s, s_rev) >= np.finfo(float).tiny * scale())
+        s = np.where(fails & low, s_rev, s)
+        s_rev = reverse(s)
+        err = _mismatch(s, s_rev)
+    return s, s_rev, err
 
 
 def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
@@ -314,11 +337,15 @@ def _symmetrization(table: MoveTable) -> tuple:
     cols = np.concatenate([table.cols, idx])
     hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
     lw = table.log_pi
-    vals = np.concatenate([table.vals, hold]) * np.exp(0.5 * (lw[rows] - lw[cols]))
-    keys, s = _coalesce(rows * n + cols, vals)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where a rate underflowed
+        vals = np.concatenate([table.vals, hold]) * np.exp(0.5 * (lw[rows] - lw[cols]))
+    # a zero entry keeps its key, so that a rate that underflowed to 0 can
+    # take its reverse's entry
+    keys, s = _coalesce(rows * n + cols, vals, drop=False)
     rows, cols = np.divmod(keys, n)
-    s_rev = _at(keys, s, cols * n + rows)
-    _check_reversible(_mismatch(s, s_rev))
+    s, s_rev, err = _reverse_entries(s, lambda s: _at(keys, s, cols * n + rows),
+                                     lambda: np.exp(0.5 * (lw[rows] - lw[cols])))
+    _check_reversible(err)
     # past the check every entry has its reverse (a missing one counts as 1),
     # so A = (S + S^T)/2 lives on the keys of S
     a = s + s_rev
@@ -359,7 +386,8 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
     fixed, first = flip == idx, idx <= flip
     moves = np.bincount(rows, minlength=n)
     hold = 1.0 - np.bincount(rows, weights=table.vals, minlength=n)
-    s = table.vals * np.exp(0.5 * (lw[rows] - lw[cols]))
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where a rate underflowed
+        s = table.vals * np.exp(0.5 * (lw[rows] - lw[cols]))
     s_hold = hold * np.exp(0.5 * (lw - lw))
     # S(i, Ji): a state's moves to its mirror image add up to one entry, in
     # table order, and each of them reads it
@@ -367,9 +395,10 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
     at = np.flatnonzero(to_mirror)
     s_flip = np.bincount(rows[at], weights=s[at], minlength=n)
     s[at] = s_flip[rows[at]]
-    s_rev = s[table.reverse]
+    s, s_rev, err = _reverse_entries(s, lambda s: s[table.reverse],
+                                     lambda: np.exp(0.5 * (lw[rows] - lw[cols])))
     # np.maximum keeps a NaN residual, which passes the tolerance test
-    _check_reversible(np.maximum(_mismatch(s, s_rev), _mismatch(s_hold, s_hold)))
+    _check_reversible(np.maximum(err, _mismatch(s_hold, s_hold)))
     a = s + s_rev
     del s, s_rev
     a *= 0.5
@@ -484,13 +513,10 @@ def _flip_sectors(table: MoveTable, sizes: Sequence[int]) -> list:
     fixed state, the odd basis (e_i - e_Ji)/sqrt(2) per pair; the sectors
     are ``_symmetrization`` in these bases, orbits ordered by their lower
     state index, each as ``_sector`` returns it.  sqrt(pi) is the unit
-    eigenvector of lambda_0 = 1.  ``table`` is a block-diagonal stack
-    of tables, sizes[k] states each (``signed_move_stack``, ``restrictions``),
-    whose sectors are the tables' sectors side by side.  A
-    stack whose tables all carry their move pairs is assembled from them
-    (``_paired_sectors``), with no sort or binary search; any other goes
-    through ``_symmetrization`` and ``_sector``, with the same bits and
-    refusals.  A sector entry that is not finite raises ValueError
+    eigenvector of lambda_0 = 1.  ``table`` stacks tables of sizes[k]
+    states each.  A stack whose tables carry their move pairs goes through
+    ``_paired_sectors``, any other through ``_symmetrization`` and
+    ``_sector``.  A sector entry that is not finite raises ValueError
     (``_blocks``), so in a stack a NaN residual, which passes the
     tolerance test, cannot hide another table's refusal.
     """
@@ -665,9 +691,8 @@ def _stack_spectra(table: MoveTable, sizes: Sequence[int]) -> list:
     """The SectorSpectrum of each table of a stack, sizes[k] states each, assembled in one pass.
 
     Whatever the assembly raises, the tables are cut out of the stack
-    (``_unstack``) and solved one at a time instead, so the first table
-    that fails alone raises what it raises alone.  Each sector is then
-    solved on its own (``_sector_extremes``).
+    (``_unstack``) and solved one at a time, so the first table that
+    fails alone raises what it raises alone.
     """
     try:
         sectors = _flip_sectors(table, sizes)
@@ -687,10 +712,8 @@ def sector_spectrum(table: MoveTable) -> SectorSpectrum:
 
     The even sector holds lambda_0 = 1, whose eigenvector sqrt(pi) is
     known and left out; the slow mode of a two-phase chain lies in the
-    odd sector.  Tridiagonal sectors (nearest-neighbour chains) go to
-    the tridiagonal solver, small ones to the dense solver, the rest to
-    a Lanczos run each, on their nonzeros.  The table's arrays are
-    checked first (``_check_table``, ValueError).
+    odd sector.  The table's arrays are checked first (``_check_table``,
+    ValueError); it is solved as a stack of one.
     """
     _check_table(table)
     return _stack_spectra(table, [table.n])[0]

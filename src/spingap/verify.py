@@ -21,7 +21,7 @@ import numpy as np
 
 from . import models
 from .kernels import (MoveTable, _unstack, lumped_projection, signed_lumped_chain,
-                      signed_move_stack, signed_move_table, stack_key, warmup_block_partition)
+                      signed_move_stack, warmup_block_partition)
 from .models import ModelSpec, beg, ising, warmup
 from .spectral import (
     GAP_RESOLUTION,
@@ -100,11 +100,8 @@ class BoundReport:
 
 
 def chain_for(spec: ModelSpec, kind: str):
-    """The exact spectral surrogate: the signed lumping (for warmup, the chain itself).
-
-    No program path calls it; the benchmark tracer's shim list
-    (``perfbench/layers.py``) is its only remaining caller.
-    """
+    """The signed lumping, dense (for warmup, the chain itself); only the benchmark
+    tracer's shim list (``perfbench/layers.py``) calls it."""
     return signed_lumped_chain(spec, kind)
 
 
@@ -122,44 +119,34 @@ def _gap_record(s: SectorSpectrum) -> dict:
 def _solved(cells: Sequence[tuple]) -> Iterator[tuple]:
     """(table, SectorSpectrum) of each (spec, kind) cell's signed class chain, in order.
 
-    The cells are cut into runs that differ in N alone (warm-up: and in
-    kind) and hold up to STACK_STATES states in all (a larger cell
-    alone), counted by ``models.state_count``, so no table is built to
-    size a stack.  Each run is built as one stack (``signed_move_stack``)
-    and its sectors are assembled in one pass (``_stack_spectra``); the
-    spectra are those of the cells solved one by one.  ``table()`` cuts
-    the cell's table out of its stack, for the readers that need it.
+    The cells are cut into runs of one kind and one spec but its N, of up
+    to STACK_STATES states in all (a larger cell alone), counted from N
+    before anything is built.  Each run is built as one stack
+    (``signed_move_stack``) and solved in one pass (``_stack_spectra``),
+    with the spectra of its cells solved one by one; ``table()`` cuts the
+    cell's table out of its stack.
     """
     def states(cell):
         return models.state_count(cell[0], "signed")
 
-    runs = (run for _, same in itertools.groupby(cells, lambda cell: stack_key(*cell))
-            for run in _stacks(same, states))
-    for run in runs:
-        stack, sizes = signed_move_stack(run), [states(cell) for cell in run]
-        tables = functools.cache(functools.partial(_unstack, stack, sizes))
-        for k, sectors in enumerate(_stack_spectra(stack, sizes)):
-            yield (lambda tables=tables, k=k: tables()[k]), sectors
-        del stack, tables  # freed before the next stack is built
+    for _, group in itertools.groupby(cells, lambda cell: (cell[1], {**vars(cell[0]), "N": 0})):
+        for run in _stacks(group, states):
+            (spec, kind), sizes = run[0], [states(cell) for cell in run]
+            stack = signed_move_stack(spec, kind, [cell[0].N for cell in run])
+            tables = functools.cache(functools.partial(_unstack, stack, sizes))
+            for k, sectors in enumerate(_stack_spectra(stack, sizes)):
+                yield (lambda tables=tables, k=k: tables()[k]), sectors
+            del stack, tables  # freed before the next stack is built
 
 
 def exact_gap_records(specs: Sequence[ModelSpec], kind: str) -> list[dict]:
-    """Gap of each signed class chain, solved on its two flip sectors.
-
-    The move tables are built and solved a stack at a time (``_solved``);
-    the records are those of the cells solved one by one.
-    """
+    """Gap of each spec's signed class chain, from its flip sectors, a stack at a time."""
     return [_gap_record(sectors) for _, sectors in _solved([(spec, kind) for spec in specs])]
 
 
 def exact_gap_record(spec: ModelSpec, kind: str) -> dict:
-    """Gap of the signed class chain, solved on its two flip sectors.
-
-    ``exact_gap_records`` of one spec.  The program solves its gaps
-    through ``exact_gap_records``; the benchmark tracer's shim list
-    (``perfbench/layers.py``) is this function's only remaining caller
-    outside the tests.
-    """
+    """``exact_gap_records`` of one spec; outside the tests only the benchmark
+    tracer's shim list (``perfbench/layers.py``) calls it."""
     return exact_gap_records([spec], kind)[0]
 
 
@@ -182,12 +169,11 @@ def _sweep(model: Callable[..., ModelSpec], kind: str, Ns: Sequence[int],
            **params) -> list[CellRecord]:
     """The (cell, N) loop of the audits: one record per N of one cell.
 
-    The signed move tables are built and solved in N order, a stack at a
-    time (``_solved``).  Each record's ``vals`` start as the gap record of
-    its flip-sector spectrum; ``values(spec, table, sectors, vals)`` adds
-    the audit's own fields and returns the pass flag, where ``table()``
-    gives the cell's move table.  The cell reads {"model", "kind", "N",
-    **params}; a gap under the resolution floor is flagged and noted
+    The chains are solved in N order (``_solved``).  Each record's
+    ``vals`` start as the gap record; ``values(spec, table, sectors,
+    vals)`` adds the audit's own fields and returns the pass flag, where
+    ``table()`` gives the cell's move table.  The cell reads {"model",
+    "kind", "N", **params}; a gap under the resolution floor is noted
     "underflow".
     """
     specs = [model(N, **params) for N in Ns]
@@ -251,7 +237,9 @@ def _naive_decay(model: Callable[..., ModelSpec], param_names: tuple, cells: Seq
         tag = "-".join(f"{k}={v}" for k, v in named.items())
         # the cut route decays like the class-weight ratio at the S=0
         # bottleneck and stays finite under the resolution floor
-        cut_fit = ols_fit(Ns, [r.values["log_2h_cut"] for r in cell_records])
+        cuts = [r.values["log_2h_cut"] for r in cell_records]
+        with np.errstate(invalid="ignore"):  # a -inf cut makes the fit NaN
+            cut_fit = ols_fit(Ns, cuts)
         fits.append((f"semilog-2hcut-{tag}", cut_fit))
         resolvable = [(N, r.values["gap"]) for N, r in zip(Ns, cell_records)
                       if not r.values["underflow"]]
@@ -262,6 +250,9 @@ def _naive_decay(model: Callable[..., ModelSpec], param_names: tuple, cells: Seq
         where = ",".join(f"{k}={v}" for k, v in named.items())
         if params in deep and route is None:
             failures.append(f"{where}: too few resolvable gaps to fit")
+        elif params in deep and route == "2hcut" and -math.inf in cuts:
+            failures.append(f"{where}: log(2h) at the negative-side cut is -inf at N="
+                            + ",".join(str(N) for N, c in zip(Ns, cuts) if c == -math.inf))
         elif params in deep and not fit.ci_hi < slope_threshold:
             failures.append(f"{where}: slope CI [{fit.ci_lo:.4g}, {fit.ci_hi:.4g}] "
                             f"not entirely below {slope_threshold}")
@@ -336,14 +327,11 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
     cross-checks the projection rate (1-eps)/4 out of the middle block
     for N >= 3.
     """
-    records = []
-    failures = []
-    fits = []
+    records, failures, fits, cuts = [], [], [], []
     # its own loop, not `_sweep`: one record holds both chains and no kind
     specs = [warmup(N, theta=theta, epsilon=epsilon) for N in Ns]
-    solved = _solved([(spec, kind) for spec in specs for kind in ("small-world", "naive")])
-    # two tables per N, small-world first: each zip step takes both
-    for N, spec, (table, fast), (_, naive) in zip(Ns, specs, solved, solved):
+    streams = (_solved([(spec, kind) for spec in specs]) for kind in ("small-world", "naive"))
+    for N, spec, (table, fast), (naive_table, naive) in zip(Ns, specs, *streams):
         if N > 2:
             # projection rate from A_{mid+1} = {±(mid+1)}, block mid = N // 2, to A_{mid+2}
             H = lumped_projection(table(), warmup_block_partition(spec))
@@ -351,10 +339,13 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
             if not math.isclose(up, (1 - epsilon) / 4, rel_tol=1e-12):
                 failures.append(f"N={N}: projection up-rate {up} != (1-eps)/4")
         fast, naive = _gap_record(fast), _gap_record(naive)
-        vals = {k: fast[k] for k in ("gap", "lambda1", "lambda_min", "underflow")}
-        vals["gap_times_N2"] = vals["gap"] * N * N
-        vals["naive_gap"] = naive["gap"]
-        vals["naive_underflow"] = naive["underflow"]
+        # the negative-side cut serves only a grid whose every naive gap underflows
+        if naive["underflow"] and len(cuts) == len(records):
+            cuts.append(_negative_side_cut_log(naive_table()))
+        del table, naive_table  # freed before the next stacks are built
+        vals = {**{k: fast[k] for k in ("gap", "lambda1", "lambda_min", "underflow")},
+                "gap_times_N2": fast["gap"] * N * N, "naive_gap": naive["gap"],
+                "naive_underflow": naive["underflow"]}
         records.append(CellRecord(
             cell={"model": "warmup", "N": N, "theta": theta, "epsilon": epsilon},
             values=vals))
@@ -374,11 +365,10 @@ def verify_warmup(theta: float, epsilon: float, Ns: Sequence[int]) -> BoundRepor
             "dips below -0.1")
 
     def naive_cut_fit():
-        # every naive gap underflows: only then are the naive tables rebuilt
-        for r in records:
-            table = signed_move_table(warmup(r.cell["N"], theta=theta), "naive")
-            r.values["naive_log_2h_cut"] = _negative_side_cut_log(table)
-        return ols_fit(Ns, [r.values["naive_log_2h_cut"] for r in records])
+        # every naive gap underflows, so every cut was taken
+        for r, cut in zip(records, cuts, strict=True):
+            r.values["naive_log_2h_cut"] = cut
+        return ols_fit(Ns, cuts)
 
     route, fit_naive = _collapse_fit([(N, r.values["naive_gap"]) for N, r in zip(Ns, records)
                                       if not r.values["naive_underflow"]],

@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -278,6 +279,34 @@ def test_slow_audits_fall_back_to_the_cut_only_when_every_gap_underflows(
     assert capsys.readouterr().err == message
     rows = csv.DictReader((tmp_path / "fits.csv").open())
     assert [row["label"] for row in rows] == fits
+
+
+@pytest.mark.parametrize("command,rc,message", [
+    ("gap-scan --model ising --kind naive --beta 400 --n 10..40..10", EXIT_OK, ""),
+    ("gap-scan --model ising --kind equi-energy --beta 400 --n 10..40..10", EXIT_OK, ""),
+    ("gap-scan --model beg --kind equi-energy --beta 400 --k 1 --n 6..12..2", EXIT_OK, ""),
+    ("verify ising-slow --beta 400 --n 10..30..2", EXIT_OK, ""),
+    ("gap-scan --model ising --kind naive --beta 1000 --n 10..40..10", EXIT_OK, ""),
+    ("gap-scan --model ising --kind equi-energy --beta 1000 --n 10..40..10", EXIT_OK, ""),
+    ("gap-scan --model beg --kind equi-energy --beta 1000 --k 1 --n 6..12..2", EXIT_OK, ""),
+    ("verify ising-slow --beta 1000 --n 10..30..2", EXIT_OK, ""),
+    ("verify beg-slow --beta-k 300:5 --n 6..16..2", EXIT_OK, ""),
+    ("verify ising-slow --beta 1e5 --n 10..30..2", EXIT_AUDIT_FAILED,
+     "AUDIT FAILURE: beta=100000.0: log(2h) at the negative-side cut is -inf "
+     "at N=10,12,14,16,18,20,22,24,26,28,30\n"),
+])
+def test_a_deep_cell_is_solved_though_its_rates_underflow(tmp_path, capsys, command, rc, message):
+    # a downhill rate past e^-708 is subnormal or 0; the pair takes its reverse's entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command.split() + ["--out", str(tmp_path)]) == rc
+    assert capsys.readouterr().err == message
+    if command.startswith("gap-scan"):
+        rows = list(csv.DictReader((tmp_path / "gaps.csv").open()))
+        deep = "naive" in command or "beg" in command
+        assert [r["underflow"] for r in rows] == ["true" if deep else "false"] * len(rows)
+        if not deep:
+            assert float(rows[0]["gap"]) == pytest.approx(0.05)
 
 
 @pytest.mark.parametrize("command,message", [

@@ -1,12 +1,14 @@
 """The flip-sector route to exact gaps against the dense oracles."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1061,6 +1063,53 @@ def test_a_perturbed_rate_is_refused_as_the_generic_assembly_refuses_it(spec, ki
             assert outcome(batched, stack) == outcome(one_by_one, [unpaired(t) for t in stack])
 
 
+DEEP = [(ising(10, beta=400.0), "naive"),
+        (ising(10, beta=400.0, p1=0.5, p2=0.25), "equi-energy"),
+        (ising(20, beta=1000.0), "naive"),
+        (ising(20, beta=1000.0, p1=0.5, p2=0.25), "equi-energy"),
+        (beg(6, beta=400.0, K=1.0, p1=0.5, p2=0.25), "equi-energy"),
+        (beg(8, beta=300.0, K=5.0), "naive")]
+
+
+@pytest.mark.parametrize("spec,kind", DEEP)
+def test_a_rate_that_underflowed_takes_its_reverses_entry(spec, kind):
+    # a downhill rate past e^-708 is subnormal or 0: its entry comes out
+    # inexact, 0 or 0 * inf = NaN, its reverse's exactly
+    table = signed_move_table(spec, kind)
+    assert (table.vals < np.finfo(float).tiny).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not isinstance(outcome(flip_sectors, [table]), tuple)
+        assert_pairs_match_the_generic_assembly([table])
+        assert batched([table] * 3) == one_by_one([table] * 3)
+
+
+def test_a_full_space_rate_that_underflowed_to_0_takes_its_reverses_entry():
+    # the downhill rates out of S = 3 are 0 and their entries 0 * e^666: the
+    # generic assembly keeps their keys, so that they take their reverse's entry
+    chain = metropolis_chain(ising(6, beta=1000.0), "naive")
+    assert (chain.vals == 0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sector_spectrum(chain).gap < spectral.GAP_RESOLUTION
+
+
+def test_a_pair_that_fails_with_both_rates_normal_is_still_refused():
+    table = signed_move_table(ising(10, beta=400.0), "naive")
+    normal = table.vals >= np.finfo(float).tiny
+    pairs = np.flatnonzero(normal & normal[table.reverse]
+                           & (table.reverse != np.arange(normal.size)))
+    assert pairs.size and not normal.all()
+    for k in pairs:
+        bad = scaled(table, [k], 1.3)
+        assert outcome(flip_sectors, [bad])[0] is NonReversibleError
+        assert_pairs_match_the_generic_assembly([bad])
+    # a zero rate whose reverse implies a normal one is a missing move
+    table = three_state_table([(0, 1, 0.0), (1, 0, 0.3), (1, 2, 0.3), (2, 1, 0.0)])
+    with pytest.raises(NonReversibleError, match="detailed-balance residual 1.0 exceeds 1e-08"):
+        flip_sectors([table])
+
+
 def test_the_paired_assembly_sorts_and_searches_nothing(monkeypatch):
     tables = [signed_move_table(beg(30, **BEG_CELL), "equi-energy"),
               signed_move_table(ising(40, beta=2.0, p1=0.5, p2=0.25), "naive")]
@@ -1103,8 +1152,16 @@ def state_count(cell):
 
 
 def runs_of(cells):
-    """The stacks the audits build of ``cells``: runs of STACK_STATES states at most."""
-    return list(_stacks(cells, state_count))
+    """The stacks the audits build of ``cells``: runs of one kind and one spec but
+    its N, of STACK_STATES states at most."""
+    same = itertools.groupby(cells, lambda cell: (cell[1], {**vars(cell[0]), "N": 0}))
+    return [run for _, group in same for run in _stacks(group, state_count)]
+
+
+def build(run):
+    """``signed_move_stack`` of a run of cells."""
+    (spec, kind), Ns = run[0], [cell[0].N for cell in run]
+    return kernels.signed_move_stack(spec, kind, Ns)
 
 
 # N runs that span at least three stacks each, as the audits cut them
@@ -1122,9 +1179,9 @@ def stacked_cells(make, cell, Ns, kind, p):
 
 
 def warmup_cells(Ns):
-    """Small-world and naive warm-up cells, interleaved as ``verify_warmup`` orders them."""
-    return [(warmup(N, theta=2.0, epsilon=0.3), kind) for N in Ns
-            for kind in ("small-world", "naive")]
+    """The small-world, then the naive warm-up cells, as ``verify_warmup`` solves them."""
+    return [(warmup(N, theta=2.0, epsilon=0.3), kind) for kind in ("small-world", "naive")
+            for N in Ns]
 
 
 def assert_same_table(got, want, pair_dtypes=True):
@@ -1147,7 +1204,7 @@ def assert_the_stacked_build_is_the_stack_of_single_builds(cells):
     assert len(runs) >= 3 and max(len(run) for run in runs) > 1
     for run in runs:
         tables = [signed_move_table(*cell) for cell in run]
-        stack, sizes = kernels.signed_move_stack(run), [t.n for t in tables]
+        stack, sizes = build(run), [t.n for t in tables]
         assert sizes == [state_count(cell) for cell in run]
         assert_same_table(stack, oracles.stack(tables), pair_dtypes=len(run) == 1)
         # each table cut out of the stack is the table built alone
@@ -1172,26 +1229,43 @@ def test_a_stack_of_warmup_chains_is_the_stack_of_the_tables_built_alone():
     assert_the_stacked_build_is_the_stack_of_single_builds(warmup_cells(range(1, 300, 7)))
 
 
-def test_a_stack_holds_cells_that_differ_in_n_alone():
-    refused = [[(ising(10, beta=1.0), "naive"), (ising(12, beta=2.0), "naive")],
-               [(ising(10, beta=1.0, p1=0.5, p2=0.25), "naive"),
-                (ising(12, beta=1.0, p1=0.5, p2=0.25), "equi-energy")],
-               [(beg(6, **BEG_CELL), "naive"), (beg(8, beta=1.0, K=2.0, p1=0.5, p2=0.25), "naive")],
-               [(warmup(4, theta=2.0), "naive"), (warmup(6, theta=3.0), "naive")]]
-    for cells in refused:
-        with pytest.raises(ValueError, match=r"^the cells of a stack differ in N alone"):
-            kernels.signed_move_stack(cells)
-    # warm-up cells may differ in kind
-    cells = warmup_cells([3, 5])
-    assert_same_table(kernels.signed_move_stack(cells),
-                      oracles.stack([signed_move_table(*cell) for cell in cells]))
+def test_a_stack_holds_cells_that_differ_in_n_alone(monkeypatch):
+    built = []
+    real = kernels.signed_move_stack
+
+    def counted(spec, kind, Ns):
+        built.append((spec, kind, list(Ns)))
+        return real(spec, kind, Ns)
+
+    monkeypatch.setattr(verify, "signed_move_stack", counted)
+    # cells that differ in beta, K, p1/p2, theta, epsilon or kind
+    apart = [[(ising(10, beta=1.0), "naive"), (ising(12, beta=2.0), "naive")],
+             [(beg(6, **BEG_CELL), "naive"),
+              (beg(8, beta=1.0, K=2.0, p1=0.5, p2=0.25), "naive")],
+             [(ising(10, beta=1.0, p1=0.5, p2=0.25), "equi-energy"),
+              (ising(12, beta=1.0, p1=0.4, p2=0.25), "equi-energy")],
+             [(warmup(4, theta=2.0), "naive"), (warmup(6, theta=3.0), "naive")],
+             [(warmup(4, theta=2.0, epsilon=0.3), "small-world"),
+              (warmup(6, theta=2.0, epsilon=0.2), "small-world")],
+             [(ising(10, beta=1.0, p1=0.5, p2=0.25), "naive"),
+              (ising(12, beta=1.0, p1=0.5, p2=0.25), "equi-energy")],
+             warmup_cells([3])]
+    for cells in apart:
+        built.clear()
+        list(verify._solved(cells))
+        assert built == [(spec, kind, [spec.N]) for spec, kind in cells]
+    # cells that differ in N alone share a stack
+    built.clear()
+    cells = [(ising(N, beta=1.0, p1=0.5, p2=0.25), "equi-energy") for N in (10, 12)]
+    list(verify._solved(cells))
+    assert built == [(cells[0][0], "equi-energy", [10, 12])]
 
 
 def test_the_stacked_build_sorts_and_searches_nothing(monkeypatch):
     cells = [run for make, cell, Ns in STACKED_RUNS[:3]
              for run in runs_of(stacked_cells(make, cell, Ns, "equi-energy", WEIGHTS[1]))]
     warm = runs_of(warmup_cells(range(1, 120, 7)))
-    want = [kernels.signed_move_stack(run) for run in cells + warm]
+    want = [build(run) for run in cells + warm]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sort or a binary search")
@@ -1201,10 +1275,10 @@ def test_the_stacked_build_sorts_and_searches_nothing(monkeypatch):
     monkeypatch.setattr(kernels, "_coalesce", refuse)
     # metropolize finds each warm-up move's reverse by binary search: the
     # layout of the stack is what is counted, not sorted
-    got = [kernels.signed_move_stack(run) for run in warm]
+    got = [build(run) for run in warm]
     monkeypatch.setattr(np, "searchsorted", refuse)
     monkeypatch.setattr(kernels, "_at", refuse)
-    got = [kernels.signed_move_stack(run) for run in cells] + got
+    got = [build(run) for run in cells] + got
     for g, w in zip(got, want, strict=True):
         assert_same_table(g, w)
 
@@ -1213,12 +1287,13 @@ def test_an_audit_sizes_its_stacks_before_it_builds_them(monkeypatch):
     built = []
     real = kernels.signed_move_stack
 
-    def counted(cells):
-        built.append([spec.N for spec, _ in cells])
-        return real(cells)
+    def counted(spec, kind, Ns):
+        built.append(list(Ns))
+        return real(spec, kind, Ns)
 
     monkeypatch.setattr(verify, "signed_move_stack", counted)
-    monkeypatch.setattr(verify, "signed_move_table", None)  # no table is built alone
+    # no table is built alone
+    monkeypatch.setattr(verify, "signed_move_table", None, raising=False)
     Ns = range(10, 202, 2)
     verify.verify_ising_fast([0.5, 2.0], Ns, 0.5, 0.25)
     # a stack holds one beta: the run of each beta is cut by the N of its cells

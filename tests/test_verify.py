@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
-from spingap import models
+from spingap import kernels, models
 from spingap.kernels import FiniteKernel, signed_move_table
 from spingap.models import beg, class_table, ising, warmup
 from spingap.spectral import SectorSpectrum, cut_bottleneck_log
@@ -365,9 +365,9 @@ def test_slow_verifiers_build_each_chain_once(monkeypatch):
     calls = []
     real = verify.signed_move_stack
 
-    def counted(cells):
-        calls.extend((spec.kind, spec.N, kind) for spec, kind in cells)
-        return real(cells)
+    def counted(spec, kind, Ns):
+        calls.extend((spec.kind, N, kind) for N in Ns)
+        return real(spec, kind, Ns)
 
     monkeypatch.setattr(verify, "signed_move_stack", counted)
     monkeypatch.setattr(verify, "signed_lumped_chain", None)  # no dense chain either
@@ -409,7 +409,7 @@ def test_ising_slow_records_the_same_fits_at_every_beta():
 
 
 def test_beg_slow_refuses_a_deep_cell_outside_the_grid(monkeypatch):
-    def refuse(*args):
+    def refuse(spec, kind, Ns):
         raise AssertionError("no chain is built for a refused grid")
 
     monkeypatch.setattr(verify, "signed_move_stack", refuse)
@@ -494,13 +494,37 @@ def test_warmup_audit_reports_a_wrong_projection_rate(monkeypatch):
         out = (level[table.rows] == mid + 1) & (level[table.cols] == mid + 2)
         return replace(table, vals=np.where(out, table.vals * (1 + 1e-9), table.vals))
 
-    monkeypatch.setattr(verify, "signed_move_stack",
-                        lambda cells: stack([skewed(*cell) for cell in cells]))
+    monkeypatch.setattr(verify, "signed_move_stack", lambda spec, kind, Ns: stack(
+        [skewed(replace(spec, N=N), kind) for N in Ns]))
     Ns = list(range(10, 41, 2))
     report = verify.verify_warmup(2.0, 0.3, Ns)
     rate = [f for f in report.failures if "projection up-rate" in f]
     assert [f.split(":")[0] for f in rate] == [f"N={N}" for N in Ns]
     assert all(re.fullmatch(r"N=\d+: projection up-rate \S+ != \(1-eps\)/4", f) for f in rate)
+
+
+def test_the_warmup_audit_builds_each_table_once(monkeypatch):
+    built = []
+    real = kernels._warmup_proposal
+
+    def counted(Ns, eps):
+        built.extend((N, eps) for N in Ns.tolist())
+        return real(Ns, eps)
+
+    monkeypatch.setattr(kernels, "_warmup_proposal", counted)
+    report = verify.verify_warmup(2.0, 0.3, [8200, 8300, 8400])
+    assert report.passed, report.failures
+    # every naive gap underflows: the cuts come from the naive tables already built
+    assert len(built) == 6
+    assert set(built) == {(N, eps) for N in (8200, 8300, 8400) for eps in (0.3, None)}
+
+
+def test_a_cut_at_minus_inf_is_named_in_the_failure():
+    # at beta = 1e5 every rate across S = 0 underflows in the table itself
+    report = verify.verify_ising_slow([1e5], range(10, 31, 2))
+    assert all(r.values["log_2h_cut"] == -math.inf for r in report.records)
+    assert report.failures == ("beta=100000.0: log(2h) at the negative-side cut is -inf "
+                               "at N=10,12,14,16,18,20,22,24,26,28,30",)
 
 
 def test_warmup_audits_the_cut_when_every_naive_gap_underflows():

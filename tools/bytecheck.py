@@ -46,7 +46,11 @@ verifier's slope bar), six whose finite beta = 1e308 overflows the
 log weights (an export, a conductance, a gap-scan, both profile scans
 and a ``simulate`` run), three grids that overflow in their first stack
 of class chains (an Ising gap-scan, a BEG gap-scan at K = 1e308 and a
-beg-slow audit at beta = 1e308), and short ``simulate`` runs
+beg-slow audit at beta = 1e308), ten deep grids whose downhill rates
+underflow to subnormals or 0 (gap-scans of the Ising naive and
+equi-energy and the BEG equi-energy chains and ising-slow audits at
+beta = 400 and 1000, a beg-slow audit at beta = 300, K = 5, and an
+ising-slow audit at beta = 1e5 whose every cut is -inf), and short ``simulate`` runs
 of every (model, kind) with default, thinned and burn-in settings, most
 with a trace.
 After them it runs each script under ``demos/``, copied into its own
@@ -146,6 +150,16 @@ EXTRA_COMMANDS = (
     "gap-scan --model ising --beta 1e308 --n 10..30..10",
     "gap-scan --model beg --beta 1 --k 1e308 --n 6..12..2",
     "verify beg-slow --beta-k 1e308:1 --n 6..12..2",
+    "gap-scan --model ising --kind naive --beta 400 --n 10..40..10",
+    "gap-scan --model ising --kind equi-energy --beta 400 --n 10..40..10",
+    "gap-scan --model beg --kind equi-energy --beta 400 --k 1 --n 6..12..2",
+    "gap-scan --model ising --kind naive --beta 1000 --n 10..40..10",
+    "gap-scan --model ising --kind equi-energy --beta 1000 --n 10..40..10",
+    "gap-scan --model beg --kind equi-energy --beta 1000 --k 1 --n 6..12..2",
+    "verify ising-slow --beta 400 --n 10..30..2",
+    "verify ising-slow --beta 1000 --n 10..30..2",
+    "verify beg-slow --beta-k 300:5 --n 6..16..2",
+    "verify ising-slow --beta 1e5 --n 10..30..2",
     *(f"simulate {chain} --steps 20000 {variant}"
       for chain, observable in (
           ("--model ising --kind naive --n 20 --beta 1.2", "abs_mag"),
