@@ -224,7 +224,9 @@ _LIST_TEXT = {
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=fmt) + "\n")
+    """``obj`` as strict JSON: a float that is not finite is written as null."""
+    text = json.dumps(obj, sort_keys=True, default=fmt)
+    path.write_text(json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2) + "\n")
 
 
 def write_provenance(command: Command, values: argparse.Namespace) -> None:

@@ -116,27 +116,36 @@ class EnergyClass(NamedTuple):
 
 
 def logsumexp(a) -> np.float64:
-    """log(sum(exp(a))) over a 1-D real array, as scipy.special.logsumexp.
-
-    The same steps as scipy 1.17, so the same bits: the maxima (m of
-    them) are set to -inf, not removed, which would regroup numpy's
-    pairwise sum; the array is shifted by the maximum, exponentiated and
-    summed, and the result is log1p(sum / m) + log(m) + max.  A
-    non-finite result falls back to log(sum(exp(a))).
-    """
+    """log(sum(exp(a))) over a 1-D real array, as scipy.special.logsumexp."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if not a.size:
         return np.float64(-np.inf)
+    return _row_logsumexp(a, np.array([0]))[0]
+
+
+def _row_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``logsumexp`` of each row a[starts[k]:starts[k+1]] (the last to the end), none empty.
+
+    The same steps as scipy 1.17, so the same bits: the maxima (m of
+    them) are set to -inf, not removed, which would regroup numpy's
+    pairwise sum; the row is shifted by its maximum, exponentiated and
+    summed by one np.sum of its own length, and the result is
+    log1p(sum / m) + log(m) + max.  A non-finite result falls back to
+    log(sum(exp(row))).
+    """
+    rows = list(zip(starts.tolist(), [*starts[1:].tolist(), a.size]))
+    row = np.repeat(np.arange(starts.size), [hi - lo for lo, hi in rows])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, keepdims=True)
-        top = a == a_max
-        m = np.sum(top.astype(float), keepdims=True)
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out[0]):
-            out = np.log(np.sum(np.exp(a), keepdims=True))
-    return out[0]
+        top = np.maximum.reduceat(a, starts)
+        at_top = a == top[row]
+        m = np.bincount(row, weights=at_top)
+        e = np.exp(np.where(at_top, -np.inf, a) - top[row])
+        total = np.array([np.sum(e[lo:hi]) for lo, hi in rows])
+        lse = np.log1p(np.where(total == 0, total, total / m)) + np.log(m) + top
+        for k in np.flatnonzero(~np.isfinite(lse)).tolist():
+            lo, hi = rows[k]
+            lse[k] = np.log(np.sum(np.exp(a[lo:hi])))
+    return lse
 
 
 @cache
@@ -374,19 +383,7 @@ def beg_row_log_profile(N: int, beta: float, K: float) -> np.ndarray:
     s = row % 2 + 2 * (np.arange(ends[-1]) - np.repeat(starts, size))
     terms = log_binom_array(row, (row - s) // 2) + K * beta * s * s / N
     terms[s > 0] += math.log(2.0)
-    # logsumexp's steps on every row at once, but one np.sum per row: its
-    # pairwise order follows the row's own length
-    rows = list(zip(starts.tolist(), ends.tolist()))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.maximum.reduceat(terms, starts)
-        at_top = terms == top[row]
-        m = np.bincount(row, weights=at_top)
-        e = np.exp(np.where(at_top, -np.inf, terms) - top[row])
-        total = np.array([np.sum(e[lo:hi]) for lo, hi in rows])
-        lse = np.log1p(np.where(total == 0, total, total / m)) + np.log(m) + top
-        for k in np.flatnonzero(~np.isfinite(lse)).tolist():
-            lo, hi = rows[k]
-            lse[k] = np.log(np.sum(np.exp(terms[lo:hi])))
+    lse = _row_logsumexp(terms, starts)
     out = log_binom_array(N, r)
     # in scalar steps, row by row, so that an overflow warns as a scalar add
     for k in range(N + 1):

@@ -9,26 +9,26 @@ sector.  ``spectrum``, a dense symmetric solve of a ``FiniteKernel``,
 is its oracle.
 
 The sectors are assembled with numpy index arithmetic on the move
-table's triplets, by one of two routes that give the same bits.  The
-Ising and BEG class chains carry each move's reverse and mirror
-positions and its place in its row (``MoveTable``), so detailed balance
-and flip invariance are checked by gathering each move's reverse and
-mirror, and each sector entry is written straight to its place in its
-row, with no sort and no binary search (``_paired_sectors``).  Every
-other table (warm-up, restrictions, projections, the full space) goes
-the generic way, which is also the other's oracle: entries are keyed
-row * n + col and coalesced in row-major order by a stable sort,
-repeated entries summed left to right in table order (np.bincount);
-each entry is paired with its reverse and its mirror through a binary
-search on those keys, so no transposed or permuted matrix is built; the
-entries are then mapped to even and odd orbit coordinates and coalesced
-again.  On both routes a pair that fails the detailed-balance test only
-because one of its rates underflowed takes its reverse's entry
-(``_reverse_entries``).  Either way a tridiagonal sector (Ising,
-warm-up) comes out as its (diagonal, superdiagonal) arrays for the
-tridiagonal solver, any other (BEG) as one CSR matrix for the dense
-solver or Lanczos.  An entry that is not finite is refused once, at
-assembly, on every route.
+table's triplets, by one of two routes that give the same bits and
+differ only in how each entry meets its reverse and its mirror: one
+function forms the entries of both, checks detailed balance and flip
+invariance, and lets a pair that fails only because one of its rates
+underflowed take its reverse's entry (``_symmetrized``).  The Ising and
+BEG class chains carry each move's reverse and mirror positions and its
+place in its row (``MoveTable``), which are gathered, and each sector
+entry is written straight to its place, with no sort and no binary
+search (``_paired_sectors``).  Every other table (warm-up,
+restrictions, projections, the full space) goes the generic way, which
+is also the other's oracle: entries are keyed row * n + col and
+coalesced in row-major order by a stable sort, repeated entries summed
+left to right in table order (np.bincount); each entry is paired with
+its reverse and its mirror through a binary search on those keys, so no
+transposed or permuted matrix is built; the entries are then mapped to
+even and odd orbit coordinates and coalesced again.  Either way a
+tridiagonal sector (Ising, warm-up) comes out as its (diagonal,
+superdiagonal) arrays for the tridiagonal solver, any other (BEG) as
+one CSR matrix for the dense solver or Lanczos.  An entry that is not
+finite is refused once, at assembly, on every route.
 
 Each sector is solved on its own, by the route ``_sector_extremes``
 picks: bisection for a tridiagonal sector, the dense solver for a CSR
@@ -248,26 +248,58 @@ def _mismatch(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(d))
 
 
-def _reverse_entries(s: np.ndarray, reverse: Callable, scale: Callable) -> tuple:
-    """(s, s_rev, residual) of the entries ``s`` and their reverses ``reverse(s)``.
+def _symmetrized(table: MoveTable, pair: Callable) -> tuple:
+    """(rows, cols, a, a_hold, a_flip) of A = D^{1/2} P D^{-1/2}, off and on the diagonal.
 
-    An entry is a rate times ``scale()`` = e^(delta/2).  A downhill rate
-    p e^(-delta), delta past about 708, is a subnormal or 0, so its entry
-    comes out inexact, 0 or 0 * inf = NaN, while its reverse's is exact.
-    So past REVERSIBILITY_TOL (or at NaN), a move of a failing pair takes
-    its reverse's entry where both its rate and the rate its reverse
-    implies are below the smallest normal float.
+    ``pair(s)`` gives the moves' entries S = P e^(delta/2) back as (rows,
+    cols, s, reverse, mirror), one per move or coalesced, ``reverse(x)``
+    and ``mirror(x)`` gathering x at each entry's j -> i and Ji -> Jj.  A
+    state's entries to its mirror image add up to S(i, Ji) in table order,
+    and each reads it; ``a_flip`` is A(i, Ji).  Detailed balance
+    (NonReversibleError) and flip invariance (SymmetryError) are checked.
+    A downhill rate p e^(-delta), delta past about 708, is a subnormal or
+    0, so its entry is inexact, 0 or 0 * inf = NaN, while its reverse's is
+    exact: past REVERSIBILITY_TOL (or at NaN), an entry of a failing pair
+    takes its reverse's where both rates are below the smallest normal.
     """
+    n, flip, lw = table.n, table.flip, table.log_pi
+    moves = np.bincount(table.rows, minlength=n)
+    hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where a rate underflowed
+        s = table.vals * np.exp(0.5 * (lw[table.rows] - lw[table.cols]))
+    s_hold = hold * np.exp(0.5 * (lw - lw))
+    rows, cols, s, reverse, mirror = pair(s)
+    at = np.flatnonzero(cols == flip[rows])
+    s_flip = np.bincount(rows[at], weights=s[at], minlength=n)
+    s[at] = s_flip[rows[at]]
     s_rev = reverse(s)
     err = _mismatch(s, s_rev)
     if not err <= REVERSIBILITY_TOL:
         with np.errstate(over="ignore", invalid="ignore"):
             fails = ~(np.abs(s - s_rev) <= REVERSIBILITY_TOL * np.maximum(abs(s), abs(s_rev)))
-            low = ~(np.fmax(s, s_rev) >= np.finfo(float).tiny * scale())
+            scale = np.exp(0.5 * (lw[rows] - lw[cols]))
+            low = ~(np.fmax(s, s_rev) >= np.finfo(float).tiny * scale)
         s = np.where(fails & low, s_rev, s)
         s_rev = reverse(s)
         err = _mismatch(s, s_rev)
-    return s, s_rev, err
+    # np.maximum keeps a NaN residual, which passes the tolerance test
+    _check_reversible(np.maximum(err, _mismatch(s_hold, s_hold)))
+    # a missing reverse fails the check, so A = (S + S^T)/2 lives on S's entries
+    a = s + s_rev
+    del s, s_rev
+    a *= 0.5
+    a_flip = 0.5 * (s_flip + s_flip[flip])
+    a_hold = 0.5 * (s_hold + s_hold)
+    # a holding mass is 1 - (row sum), exact only to the rounding of that sum,
+    # at most one ulp of 1 per move: two that differ by less match, so a
+    # mass that is zero in exact arithmetic compares as zero.  A zero entry
+    # and its nonzero mirror give a residual of 1 whichever side is checked.
+    slack = np.finfo(float).eps * np.maximum(moves, moves[flip])
+    off = np.flatnonzero(~(np.abs(a_hold - a_hold[flip]) <= slack))
+    err = np.maximum(_mismatch(a, mirror(a)), _mismatch(a_hold[off], a_hold[flip[off]]))
+    if err > REVERSIBILITY_TOL:
+        raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
+    return rows, cols, a, a_hold, a_flip
 
 
 def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
@@ -324,43 +356,25 @@ def _blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.nda
 def _symmetrization(table: MoveTable) -> tuple:
     """(rows, cols, vals) of A = D^{1/2} P D^{-1/2} in row-major order.
 
-    A is assembled from the table's triplets and checked for detailed
-    balance (NonReversibleError) and for invariance under the flip
-    (SymmetryError) in O(nnz log nnz): each entry is paired with its
-    reverse and its mirror by binary search on the sorted keys.  The
-    route of the tables without move pairs, and the oracle of
-    ``_paired_sectors``.
+    ``_symmetrized``, the moves' entries coalesced by key row * n + col (a
+    zero one kept, so that a rate that underflowed to 0 can take its
+    reverse's entry) and paired by binary search on the keys.  The
+    diagonal goes back to its row-major place, after a state's moves to
+    itself.  The route of the tables without move pairs, and the oracle
+    of ``_paired_sectors``.
     """
-    n = table.n
+    n, flip = table.n, table.flip
+
+    def pair(s):
+        keys, s = _coalesce(table.rows * n + table.cols, s, drop=False)
+        rows, cols = np.divmod(keys, n)
+        return (rows, cols, s, lambda x: _at(keys, x, cols * n + rows),
+                lambda x: _at(keys, x, flip[rows] * n + flip[cols]))
+
+    rows, cols, a, a_hold, _ = _symmetrized(table, pair)
     idx = np.arange(n)
-    rows = np.concatenate([table.rows, idx])
-    cols = np.concatenate([table.cols, idx])
-    hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
-    lw = table.log_pi
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where a rate underflowed
-        vals = np.concatenate([table.vals, hold]) * np.exp(0.5 * (lw[rows] - lw[cols]))
-    # a zero entry keeps its key, so that a rate that underflowed to 0 can
-    # take its reverse's entry
-    keys, s = _coalesce(rows * n + cols, vals, drop=False)
-    rows, cols = np.divmod(keys, n)
-    s, s_rev, err = _reverse_entries(s, lambda s: _at(keys, s, cols * n + rows),
-                                     lambda: np.exp(0.5 * (lw[rows] - lw[cols])))
-    _check_reversible(err)
-    # past the check every entry has its reverse (a missing one counts as 1),
-    # so A = (S + S^T)/2 lives on the keys of S
-    a = s + s_rev
-    keep = a != 0
-    keys, rows, cols, a = keys[keep], rows[keep], cols[keep], 0.5 * a[keep]
-    flip = table.flip
-    mirror = _at(keys, a, flip[rows] * n + flip[cols])
-    # a holding mass is 1 - (row sum), exact only to the rounding of that sum,
-    # at most one ulp of 1 per move: two that differ by less match, so a
-    # mass that is zero in exact arithmetic compares as zero
-    moves = np.bincount(table.rows, minlength=n)
-    slack = np.finfo(float).eps * np.maximum(moves[rows], moves[flip[rows]])
-    same = (rows == cols) & (np.abs(a - mirror) <= slack)
-    _check_flip_invariant(_mismatch(a[~same], mirror[~same]))
-    return rows, cols, a
+    at = np.searchsorted(rows * n + cols, idx * (n + 1), side="right")
+    return np.insert(rows, at, idx), np.insert(cols, at, idx), np.insert(a, at, a_hold)
 
 
 def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
@@ -381,40 +395,17 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
     """
     n = table.n
     rows, cols, flip, mirror = table.rows, table.cols, table.flip, table.mirror
-    lw = table.log_pi
+    _, _, a, a_hold, a_flip = _symmetrized(
+        table, lambda s: (rows, cols, s, lambda x: x[table.reverse], lambda x: x[mirror]))
     idx = np.arange(n)
     fixed, first = flip == idx, idx <= flip
-    moves = np.bincount(rows, minlength=n)
-    hold = 1.0 - np.bincount(rows, weights=table.vals, minlength=n)
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where a rate underflowed
-        s = table.vals * np.exp(0.5 * (lw[rows] - lw[cols]))
-    s_hold = hold * np.exp(0.5 * (lw - lw))
-    # S(i, Ji): a state's moves to its mirror image add up to one entry, in
-    # table order, and each of them reads it
     to_mirror = cols == flip[rows]
-    at = np.flatnonzero(to_mirror)
-    s_flip = np.bincount(rows[at], weights=s[at], minlength=n)
-    s[at] = s_flip[rows[at]]
-    s, s_rev, err = _reverse_entries(s, lambda s: s[table.reverse],
-                                     lambda: np.exp(0.5 * (lw[rows] - lw[cols])))
-    # np.maximum keeps a NaN residual, which passes the tolerance test
-    _check_reversible(np.maximum(err, _mismatch(s_hold, s_hold)))
-    a = s + s_rev
-    del s, s_rev
-    a *= 0.5
-    a_flip = 0.5 * (s_flip + s_flip[flip])
-    a_hold = 0.5 * (s_hold + s_hold)
-    # the holding masses match their mirrors up to rounding, as in _symmetrization
-    slack = np.finfo(float).eps * np.maximum(moves, moves[flip])
-    off = np.flatnonzero(~(np.abs(a_hold - a_hold[flip]) <= slack))
-    _check_flip_invariant(np.maximum(_mismatch(a, a[mirror]),
-                                     _mismatch(a_hold[off], a_hold[flip[off]])))
     # the move that keeps each entry off the diagonal: one out of a lower
     # state, to a state no higher than its mirror if it leaves a fixed one
     k = np.flatnonzero(first[rows] & ~to_mirror & (~fixed[rows] | (cols <= flip[cols])))
     i, j, a_k, a_m = rows[k], cols[k], a[k], a[mirror[k]]
     fi, fj = fixed[i], fixed[j]
-    width = int(moves.max()) + 1
+    width = int(np.bincount(rows, minlength=n).max()) + 1
     hold_place = np.bincount(rows[cols < rows], minlength=n)
     # a move between fixed states is its own mirror, the one term of its entry
     w = _even_weight(fi, fj)
@@ -466,11 +457,6 @@ def _even_weight(fixed_i: np.ndarray, fixed_j: np.ndarray) -> np.ndarray:
     return np.where(fixed_i & fixed_j, 1.0, np.where(fixed_i | fixed_j, math.sqrt(0.5), 0.5))
 
 
-def _check_flip_invariant(err: float) -> None:
-    if err > REVERSIBILITY_TOL:
-        raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
-
-
 def _check_table(t: MoveTable) -> None:
     """Raise ValueError unless ``t``'s arrays line up with its states.
 
@@ -481,7 +467,9 @@ def _check_table(t: MoveTable) -> None:
     stack, a table that failed this could reach into its neighbour
     instead of failing; a flip that is not an involution (a 3-cycle,
     say) can still commute with the chain, and the even and odd sectors
-    then misread its spectrum.
+    then misread its spectrum.  Move pairs must also hold what
+    ``_paired_sectors`` relies on, or it reads a wrong gap; that is
+    checked in O(nnz), with no sort.
     """
     arrays = (t.log_pi, t.vals, t.rows, t.cols, t.flip)
     if not (all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
@@ -500,10 +488,21 @@ def _check_table(t: MoveTable) -> None:
     if not all(isinstance(x, np.ndarray) and x.shape == t.rows.shape and x.dtype.kind == "i"
                for x in pairs):
         raise ValueError("a move table's reverse, mirror and place do not line up with its moves")
-    nnz = len(t.rows)
+    rows, cols, flip, nnz = t.rows, t.cols, t.flip, len(t.rows)
+    moves = np.bincount(rows, minlength=t.n)
     if not (all(((x >= 0) & (x < nnz)).all() for x in pairs[:2])
-            and ((t.place >= 0) & (t.place <= np.bincount(t.rows, minlength=t.n)[t.rows])).all()):
+            and ((t.place >= 0) & (t.place <= moves[rows])).all()):
         raise ValueError("a move table's reverse, mirror or place points outside its moves")
+    # each reverse is j -> i, each mirror Ji -> Jj, no move but to Ji leads
+    # from i < Ji to j > Jj, and no two entries of a row (the diagonal's
+    # place counted) share a place
+    width = int(moves.max(initial=0)) + 1
+    hold = np.arange(t.n) * width + np.bincount(rows[cols < rows], minlength=t.n)
+    fr, fc = flip[rows], flip[cols]
+    agree = ((rows[t.reverse] == cols) & (cols[t.reverse] == rows) & (rows[t.mirror] == fr)
+             & (cols[t.mirror] == fc) & ((rows >= fr) | (cols <= fc) | (cols == fr)))
+    if not agree.all() or (np.bincount(np.concatenate([rows * width + t.place, hold])) > 1).any():
+        raise ValueError("a move table's reverse, mirror or place disagrees with its moves")
 
 
 def _flip_sectors(table: MoveTable, sizes: Sequence[int]) -> list:

@@ -309,6 +309,38 @@ def test_a_deep_cell_is_solved_though_its_rates_underflow(tmp_path, capsys, comm
             assert float(rows[0]["gap"]) == pytest.approx(0.05)
 
 
+def test_a_non_finite_float_is_written_to_json_as_null(tmp_path):
+    # every cut is -inf and the fit NaN: bare NaN and -Infinity are not JSON
+    command = "verify ising-slow --beta 1e5 --n 10..30..2"
+    assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_AUDIT_FAILED
+
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    got = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    report = verify.verify_ising_slow([1e5], range(10, 31, 2))
+    want = json.loads(json.dumps(report.to_dict(), default=cli.fmt))
+    nulls = []
+
+    def check(got, want):
+        if isinstance(want, dict):
+            assert sorted(got) == sorted(want)
+            for k in want:
+                check(got[k], want[k])
+        elif isinstance(want, list):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                check(g, w)
+        elif isinstance(want, float) and not math.isfinite(want):
+            assert got is None
+            nulls.append(want)
+        else:
+            assert type(got) is type(want) and got == want
+
+    check(got, want)
+    assert len(nulls) == 16 and -math.inf in nulls
+
+
 @pytest.mark.parametrize("command,message", [
     ("verify beg-fast --beta-k 1:1 --n 6..16..2 --slope-floor 0",
      "AUDIT FAILURE: beta=1.0,K=1.0: slope CI [-1.219, -1.202] dips below 0.0\n"),
@@ -985,6 +1017,14 @@ def test_readme_commands_parse():
         argv = shlex.split(line)
         assert argv[0] == "spingap"
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_python_block_runs(capsys):
+    # the library tour, verbatim: its asserts hold and it prints two numbers
+    (block,) = re.findall(r"```python\n(.*?)```", readme_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(math.isfinite(float(x)) for x in printed)
 
 
 def test_readme_lists_the_ini_keys():

@@ -1143,6 +1143,39 @@ def test_move_pairs_out_of_range_are_refused_alone_and_in_a_batch():
                 batched(tables)
 
 
+def relabelled(table, perm):
+    """``table`` with state x renamed perm[x]; its moves and move pairs keep their order."""
+    inverse = np.argsort(perm)
+    return dataclasses.replace(table, labels=tuple(table.labels[i] for i in inverse),
+                               log_pi=table.log_pi[inverse], rows=perm[table.rows],
+                               cols=perm[table.cols], flip=perm[table.flip[inverse]])
+
+
+def test_move_pairs_that_disagree_with_the_moves_are_refused_alone_and_in_a_batch():
+    table = signed_move_table(beg(10, **BEG_CELL), "equi-energy")
+    assert sector_spectrum(table).gap == pytest.approx(0.0291, abs=1e-4)
+    # read as given, colliding places make the paired assembly read a wrong gap
+    placed = dataclasses.replace(table, place=np.zeros_like(table.place))
+    assert _stack_spectra(placed, [placed.n])[0].gap == pytest.approx(0.0637, abs=1e-4)
+    # S = -4 and S = 4 swap indices: the move -2 -> -4 now leads up past its
+    # mirror, though the chain and its spectrum are the same
+    ising4 = signed_move_table(ising(4, beta=1.0), "naive")
+    swapped = relabelled(ising4, np.array([4, 1, 2, 3, 0]))
+    assert sector_spectrum(unpaired(swapped)) == sector_spectrum(ising4)
+    moves = np.arange(len(table.rows))
+    row = table.rows == table.rows[0]
+    diagonal = np.count_nonzero(row & (table.cols < table.rows[0]))
+    for bad in (dataclasses.replace(table, reverse=moves),  # not j -> i
+                dataclasses.replace(table, mirror=table.reverse),  # not Ji -> Jj
+                swapped, placed,
+                # a move at the diagonal's place
+                dataclasses.replace(table, place=np.where(moves == 0, diagonal, table.place))):
+        for tables in ([bad], [*GOOD, bad, *GOOD]):
+            with pytest.raises(ValueError, match="^a move table's reverse, mirror or place "
+                                                 "disagrees with its moves$"):
+                batched(tables)
+
+
 # ---------------------------------------------------------------------------
 # Class chains built a stack at a time.
 # ---------------------------------------------------------------------------
