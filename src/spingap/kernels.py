@@ -491,9 +491,9 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     step has its first (magnetization) component negated; the flip is its
     own reverse and mirror.  So each move's reverse and mirror positions
     are read off the groups, and its place in its row from their targets.
-    The moves come table by table, each table's group by group, shifted
-    past the states and moves of the tables before it; their positions are
-    counted, not sorted.
+    The moves are listed group by group; a stack of two or more tables is
+    put in table order by one stable sort of that list by table, each
+    move's reverse and mirror through its inverse.  A lone table takes none.
     """
     p1 = spec.p1 if kind == "equi-energy" else 1.0
     n = len(labels)
@@ -538,13 +538,9 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     at = np.full(moves.shape, -1, dtype=np.int32)
     at[moves] = np.arange(rows.size)
     if sizes.size > 1:
-        # the stack holds its tables one after another and each table's moves
-        # group by group: each (group, table) block of moves shifts from its
-        # place in the list to its place there
-        count = np.add.reduceat(moves, np.cumsum(sizes) - sizes, axis=1, dtype=np.intp)
-        shift = np.cumsum(count.T).reshape(count.T.shape).T - np.cumsum(count).reshape(count.shape)
-        group = np.repeat(np.arange(len(moves)), count.sum(axis=1))
-        at[moves] += shift[group, np.repeat(np.arange(sizes.size), sizes)[rows]]
+        # each table's moves after the ones before it, still group by group
+        listed = np.argsort(np.repeat(np.arange(sizes.size), sizes)[rows], kind="stable")
+        at.flat[np.flatnonzero(moves)[listed]] = np.arange(rows.size)
     reverse = [g if st is None else steps.index(tuple(-d for d in st))
                for g, st in enumerate(steps)]
     mirror = [g if st is None else steps.index((-st[0], *st[1:])) for g, st in enumerate(steps)]
@@ -553,8 +549,6 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
                  reverse=at[np.array(reverse)[:, None], ends][moves],
                  mirror=at[np.array(mirror)[:, None], flip][moves], place=place[moves])
     if sizes.size > 1:
-        listed = np.empty(rows.size, dtype=np.intp)
-        listed[at[moves]] = np.arange(rows.size)
         table = {name: x[listed] for name, x in table.items()}
     return MoveTable(labels=labels, log_pi=log_pi, flip=flip, **table)
 
@@ -611,25 +605,18 @@ def _warmup_proposal(Ns: np.ndarray, eps: Optional[float]) -> MoveTable:
 
     The +-1 walk with mass (1-eps)/2 each way (1/2 for eps None, the
     plain walk), plus the reflection x -> -x with mass eps; x = 0
-    reflects onto itself, which is holding.  Each state's moves are
-    listed in column order (x - 1, x + 1, -x below 0; -x, x - 1, x + 1
-    above), so the stack is row-major with one move per pair, each table
-    after the ones before it.
+    reflects onto itself, which is holding.  Its three groups of moves go
+    through ``_proposal`` (the plain walk's reflection, of mass 0, drops
+    out), so each table comes after the ones before it.
     """
     sizes = 2 * Ns + 1
     idx, first, N = _stacked(Ns, sizes)
     x = idx - first - N
     walk, jump = (0.5, 0.0) if eps is None else ((1.0 - eps) * 0.5, eps)
-    # each state's moves in column order, as (target, mass, whether it exists):
-    # x - 1, x + 1, -x below the middle, and -x, x - 1, x + 1 above it
-    lo, hi = (idx - 1, walk, x > -N), (idx + 1, walk, x < N)
-    ref = (idx - 2 * x, jump, (jump > 0) & (x != 0))
-    up = x > 0
-    cols, vals, keep = (np.stack([np.where(up, c, a), np.where(up, a, b), np.where(up, b, c)],
-                                 axis=1).ravel() for a, b, c in zip(lo, hi, ref))
-    return MoveTable(labels=tuple(x.tolist()), log_pi=np.zeros(idx.size),
-                     rows=np.repeat(idx, 3)[keep], cols=cols[keep], vals=vals[keep],
-                     flip=idx - 2 * x)
+    flip = idx - 2 * x
+    groups = ((x > -N, idx - 1, walk), (x < N, idx + 1, walk), (x != 0, flip, jump))
+    return _proposal(tuple(x.tolist()), flip, ((idx[m], to[m], np.full(np.count_nonzero(m), v))
+                                               for m, to, v in groups))
 
 
 def signed_move_stack(spec: ModelSpec, kind: str, Ns: Sequence[int]) -> MoveTable:

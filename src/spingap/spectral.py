@@ -27,8 +27,10 @@ transposed or permuted matrix is built; the entries are then mapped to
 even and odd orbit coordinates and coalesced again.  Either way a
 tridiagonal sector (Ising, warm-up) comes out as its (diagonal,
 superdiagonal) arrays for the tridiagonal solver, any other (BEG) as
-one CSR matrix for the dense solver or Lanczos.  An entry that is not
-finite is refused once, at assembly, on every route.
+one CSR matrix for the dense solver or Lanczos.  The log weights are
+finite, as every builder and ``_check_log_pi`` demand, so a holding
+mass is its own diagonal entry; an entry that is not finite is refused
+once, at assembly, on every route.
 
 Each sector is solved on its own, by the route ``_sector_extremes``
 picks: bisection for a tridiagonal sector, the dense solver for a CSR
@@ -59,7 +61,8 @@ path bound, the Gershgorin bound, and the asymptotic variance.  The
 log-space cut, the interval cuts and the three bounds take a move
 table, whose moves they read in O(nnz); the decomposition bound builds
 its projection and its restrictions in one pass each over the moves and
-solves them through the sectors, so no bound makes a chain dense.
+solves them through the sectors, so no bound makes a chain dense.  The
+cuts and that bound refuse log weights that are not all finite by name.
 
 Every inequality evaluation returns a structured record (name, value,
 hypotheses flag) so reports can audit them.
@@ -255,7 +258,8 @@ def _symmetrized(table: MoveTable, pair: Callable) -> tuple:
     cols, s, reverse, mirror), one per move or coalesced, ``reverse(x)``
     and ``mirror(x)`` gathering x at each entry's j -> i and Ji -> Jj.  A
     state's entries to its mirror image add up to S(i, Ji) in table order,
-    and each reads it; ``a_flip`` is A(i, Ji).  Detailed balance
+    and each reads it; ``a_flip`` is A(i, Ji), ``a_hold`` the holding mass
+    itself, the log weights being finite.  Detailed balance
     (NonReversibleError) and flip invariance (SymmetryError) are checked.
     A downhill rate p e^(-delta), delta past about 708, is a subnormal or
     0, so its entry is inexact, 0 or 0 * inf = NaN, while its reverse's is
@@ -267,7 +271,6 @@ def _symmetrized(table: MoveTable, pair: Callable) -> tuple:
     hold = 1.0 - np.bincount(table.rows, weights=table.vals, minlength=n)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where a rate underflowed
         s = table.vals * np.exp(0.5 * (lw[table.rows] - lw[table.cols]))
-    s_hold = hold * np.exp(0.5 * (lw - lw))
     rows, cols, s, reverse, mirror = pair(s)
     at = np.flatnonzero(cols == flip[rows])
     s_flip = np.bincount(rows[at], weights=s[at], minlength=n)
@@ -282,24 +285,22 @@ def _symmetrized(table: MoveTable, pair: Callable) -> tuple:
         s = np.where(fails & low, s_rev, s)
         s_rev = reverse(s)
         err = _mismatch(s, s_rev)
-    # np.maximum keeps a NaN residual, which passes the tolerance test
-    _check_reversible(np.maximum(err, _mismatch(s_hold, s_hold)))
+    _check_reversible(err)
     # a missing reverse fails the check, so A = (S + S^T)/2 lives on S's entries
     a = s + s_rev
     del s, s_rev
     a *= 0.5
     a_flip = 0.5 * (s_flip + s_flip[flip])
-    a_hold = 0.5 * (s_hold + s_hold)
     # a holding mass is 1 - (row sum), exact only to the rounding of that sum,
     # at most one ulp of 1 per move: two that differ by less match, so a
     # mass that is zero in exact arithmetic compares as zero.  A zero entry
     # and its nonzero mirror give a residual of 1 whichever side is checked.
     slack = np.finfo(float).eps * np.maximum(moves, moves[flip])
-    off = np.flatnonzero(~(np.abs(a_hold - a_hold[flip]) <= slack))
-    err = np.maximum(_mismatch(a, mirror(a)), _mismatch(a_hold[off], a_hold[flip[off]]))
+    off = np.flatnonzero(~(np.abs(hold - hold[flip]) <= slack))
+    err = np.maximum(_mismatch(a, mirror(a)), _mismatch(hold[off], hold[flip[off]]))
     if err > REVERSIBILITY_TOL:
         raise SymmetryError(f"flip-invariance residual {err} exceeds {REVERSIBILITY_TOL}")
-    return rows, cols, a, a_hold, a_flip
+    return rows, cols, a, hold, a_flip
 
 
 def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
@@ -457,19 +458,25 @@ def _even_weight(fixed_i: np.ndarray, fixed_j: np.ndarray) -> np.ndarray:
     return np.where(fixed_i & fixed_j, 1.0, np.where(fixed_i | fixed_j, math.sqrt(0.5), 0.5))
 
 
+def _check_log_pi(t: MoveTable) -> None:
+    """Refuse a move table whose log weights hold an inf or a NaN, in O(n)."""
+    if not np.isfinite(t.log_pi).all():
+        raise ValueError("a move table's log weights are not all finite")
+
+
 def _check_table(t: MoveTable) -> None:
     """Raise ValueError unless ``t``'s arrays line up with its states.
 
-    That is: 1-D arrays of the right length and dtype, every index
-    inside the table, a flip that is an involution, and move pairs that
-    are all given or all None, each reverse and mirror position inside
-    the moves and each place inside its row.  Shifted into a
-    stack, a table that failed this could reach into its neighbour
-    instead of failing; a flip that is not an involution (a 3-cycle,
-    say) can still commute with the chain, and the even and odd sectors
-    then misread its spectrum.  Move pairs must also hold what
-    ``_paired_sectors`` relies on, or it reads a wrong gap; that is
-    checked in O(nnz), with no sort.
+    That is: 1-D arrays of the right length and dtype, finite log
+    weights (``_check_log_pi``), every index inside the table, a flip
+    that is an involution, and move pairs that are all given or all None,
+    each reverse and mirror position inside the moves and each place
+    inside its row.  Shifted into a stack, a table that failed this
+    could reach into its neighbour instead of failing; a flip that is
+    not an involution (a 3-cycle, say) can still commute with the chain,
+    and the even and odd sectors then misread its spectrum.  Move pairs
+    must also hold what ``_paired_sectors`` relies on, or it reads a
+    wrong gap; that is checked in O(nnz), with no sort.
     """
     arrays = (t.log_pi, t.vals, t.rows, t.cols, t.flip)
     if not (all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
@@ -478,6 +485,7 @@ def _check_table(t: MoveTable) -> None:
             and len(t.log_pi) == len(t.flip) == t.n
             and len(t.vals) == len(t.rows) == len(t.cols)):
         raise ValueError("a move table's arrays do not line up with its states")
+    _check_log_pi(t)
     if not all(((x >= 0) & (x < t.n)).all() for x in arrays[2:]):
         raise ValueError("a move table indexes outside its own states")
     if not (t.flip[t.flip] == np.arange(t.n)).all():
@@ -780,6 +788,7 @@ def interval_conductance(table: MoveTable) -> tuple[float, int]:
     carries pi(x)P(x,y)/2 across the cuts min(x, y) <= k < max(x, y).
     Returns (bound, the first minimizing k).
     """
+    _check_log_pi(table)
     n = table.n
     if n < 2:
         raise ValueError("conductance needs at least two states")
@@ -809,6 +818,7 @@ def cut_bottleneck_log(table: MoveTable, subset: Sequence[int]) -> float:
     in ``MoveTable.to_kernel``, and the terms are summed in row-major
     order.
     """
+    _check_log_pi(table)
     n = table.n
     members = np.asarray(list(subset), dtype=np.intp)
     if members.size and (members.min() < 0 or members.max() >= n):
@@ -862,6 +872,7 @@ def decomposition_bound(table: MoveTable, parts: Partition) -> DecompositionBoun
     of up to STACK_STATES states (a larger block alone), which bounds the
     memory of one assembly; the chain is never made dense.
     """
+    _check_log_pi(table)
     gap_H = sector_spectrum(lumped_projection(table, parts)).gap
     stack, sizes = restrictions(table, parts)
     runs = list(_stacks(sizes, int))

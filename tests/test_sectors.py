@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,8 +229,16 @@ def test_a_lanczos_run_that_breaks_down_before_its_first_check_gives_both_ends(v
 
 def test_planted_blocks_hold_a_lambda1_within_1e13_of_1():
     M, u = random_block(500, 3, 1e-13)
+    # a dense solve puts lambda_1 within an ulp or two of 1, on either side
+    # of it as the BLAS thread count goes: lambda_1 < 1 is read off the graph,
+    # connected, and in two components once its joining edge is cut
+    assert scipy.sparse.csgraph.connected_components(M, directed=False)[0] == 1
+    cut = M.copy()
+    cut[0, 499] = cut[499, 0] = 0.0
+    cut.eliminate_zeros()
+    assert scipy.sparse.csgraph.connected_components(cut, directed=False)[0] == 2
     vals = np.linalg.eigvalsh(M.toarray())
-    assert 0 < 1.0 - vals[-2] < 1e-13
+    assert abs(1.0 - vals[-2]) < 1e-13
     assert np.abs(M @ u - u).max() < 1e-15
 
 
@@ -1294,24 +1303,36 @@ def test_a_stack_holds_cells_that_differ_in_n_alone(monkeypatch):
     assert built == [(cells[0][0], "equi-energy", [10, 12])]
 
 
-def test_the_stacked_build_sorts_and_searches_nothing(monkeypatch):
+def test_a_stack_takes_one_stable_sort_and_its_class_chains_no_search(monkeypatch):
     cells = [run for make, cell, Ns in STACKED_RUNS[:3]
              for run in runs_of(stacked_cells(make, cell, Ns, "equi-energy", WEIGHTS[1]))]
+    cells += [run[:1] for run in cells[:3]]  # a lone table takes no sort
     warm = runs_of(warmup_cells(range(1, 120, 7)))
     want = [build(run) for run in cells + warm]
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        assert kwargs == {"kind": "stable"}
+        sorts.append(args)
+        return argsort(*args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sort or a binary search")
 
-    for name in ("argsort", "sort", "lexsort", "unique"):
+    for name in ("sort", "lexsort", "unique"):
         monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(kernels, "_coalesce", refuse)
-    # metropolize finds each warm-up move's reverse by binary search: the
-    # layout of the stack is what is counted, not sorted
+    monkeypatch.setattr(np, "argsort", counted)
+    # a warm-up stack is coalesced (one sort) and metropolized, which finds
+    # each move's reverse by binary search
     got = [build(run) for run in warm]
+    assert len(sorts) == len(warm)
+    sorts.clear()
     monkeypatch.setattr(np, "searchsorted", refuse)
     monkeypatch.setattr(kernels, "_at", refuse)
+    monkeypatch.setattr(kernels, "_coalesce", refuse)
     got = [build(run) for run in cells] + got
+    assert len(sorts) == sum(len(run) > 1 for run in cells) < len(cells)
     for g, w in zip(got, want, strict=True):
         assert_same_table(g, w)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -601,6 +602,21 @@ def test_cut_refuses_states_outside_the_table(subset):
     assert table.n == 11
     with pytest.raises(ValueError, match=r"0\.\.10"):
         spectral.cut_bottleneck_log(table, subset)
+
+
+@pytest.mark.parametrize("log_pi", [(0.0, math.inf, 0.0), (math.nan, 0.0, math.nan),
+                                    (-math.inf, 0.0, -math.inf), (0.0, -math.inf, 0.0)])
+def test_log_weights_that_are_not_all_finite_are_refused_by_name(log_pi):
+    table = bd_table([0.5, 0.25, 0.0], [0.0, 0.25, 0.5], log_pi)
+    table = MoveTable(**{**vars(table), "flip": np.array([2, 1, 0])})
+    parts = Partition(block=np.array([0, 0, 1]), labels=(0, 1))
+    calls = (lambda: sector_spectrum(table), lambda: decomposition_bound(table, parts),
+             lambda: interval_conductance(table), lambda: spectral.cut_bottleneck_log(table, [0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="^a move table's log weights are not all finite$"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ signed table past the dense cap, one on the BEG N = 8 full space), three
 full-space exports that go through ``metropolize`` (an ising one, a BEG
 one in which a one-site move and the global flip reach the same state,
 so their proposal masses merge, and a small-world warm-up one), an
-unsigned one that goes through ``lumped_projection``, three BEG grids
+unsigned one that goes through ``lumped_projection``, a signed naive
+warm-up export and a small-world warm-up interval conductance on the
+signed classes (an interval cut sums a table's flows in move order, so
+it is where the layout of a warm-up table would show), three BEG grids
 whose sectors outgrow ``DENSE_SECTOR_MAX`` and go to Lanczos iteration
 (one of them at N = 120
 and 200, sectors of thousands of states), the same cell at N = 300
@@ -96,6 +99,9 @@ EXTRA_COMMANDS = (
     "export-kernel --space unsigned --model beg --n 20 --beta 1 --k 1",
     "export-kernel --space full --model beg --n 4 --beta 1 --k 1",
     "export-kernel --space full --model warmup --n 30 --theta 2 --epsilon 0.3",
+    "export-kernel --space signed --model warmup --n 30 --theta 2 --kind naive",
+    "conductance --model warmup --n 40 --theta 2 --epsilon 0.3 --kind small-world --space signed "
+    "--interval",
     "conductance --model beg --n 8 --beta 1 --k 1 --interval",
     "verify beg-fast --beta-k 1:1 --n 30..80..10 --p1 0.5 --p2 0.25",
     "gap-scan --model beg --kind naive --beta 1.5 --k 2 --n 30..70..10 --jobs 1",
