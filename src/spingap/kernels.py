@@ -442,11 +442,9 @@ class MoveTable:
     acts trivially, it is the identity.
 
     The class chains also carry, for each move, the position in the table
-    of its reverse (j -> i) and of its mirror (Ji -> Jj), and its ``place``:
-    how many entries of its row of P come before it in column order, the
-    holding counted as the diagonal entry and moves to one state in table
-    order.  With them ``spectral`` assembles the flip sectors by index
-    arithmetic alone; every other table leaves them None.
+    of its reverse (j -> i) and of its mirror (Ji -> Jj).  With them
+    ``spectral`` pairs each move with both by index arithmetic alone;
+    every other table leaves them None.
     """
 
     labels: tuple
@@ -457,7 +455,6 @@ class MoveTable:
     flip: np.ndarray
     reverse: Optional[np.ndarray] = None
     mirror: Optional[np.ndarray] = None
-    place: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -490,14 +487,13 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     The reverse of group ``step`` is group -step, its mirror the group whose
     step has its first (magnetization) component negated; the flip is its
     own reverse and mirror.  So each move's reverse and mirror positions
-    are read off the groups, and its place in its row from their targets.
-    The moves are listed group by group; a stack of two or more tables is
-    put in table order by one stable sort of that list by table, each
-    move's reverse and mirror through its inverse.  A lone table takes none.
+    are read off the groups.  The moves are listed group by group; a
+    stack of two or more tables is put in table order by one stable sort
+    of that list by table, each move's reverse and mirror through its
+    inverse.  A lone table takes none.
     """
     p1 = spec.p1 if kind == "equi-energy" else 1.0
-    n = len(labels)
-    idx = np.arange(n)
+    idx = np.arange(len(labels))
     steps, moves, targets, vals = [], [], [], []
     for step, target, count, key, delta in groups:
         low = np.minimum(0.0, delta)
@@ -517,24 +513,16 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
         vals.append(np.full(int(signed.sum()), spec.p2))
     check_log_weights(log_pi)
     # one row per group: the moves are the True entries of ``moves``, listed
-    # group by group over the whole stack; ``ends`` has each target, n where
-    # there is no move
+    # group by group over the whole stack; ``ends`` has each target, and
+    # class 0 where there is no move, so that ``at`` can be read everywhere
     moves = np.array(moves)
-    ends = np.where(moves, targets, n)
+    ends = np.where(moves, targets, 0)
     del targets
     vals = np.concatenate(vals)
     rows = np.broadcast_to(idx, moves.shape)[moves]
-    # a move's place counts the entries of its row before it: the moves to
-    # smaller targets or to its own from an earlier group, which ``order``
-    # ranks, and the diagonal if it lies before its target
-    order = ends * len(steps) + np.arange(len(steps))[:, None]
-    place = (idx < ends).astype(np.int8)
-    for o in order:
-        place += o < order
-    del order
     cols = ends[moves]
     # at[g, i]: the table position of group g's move out of class i; int32
-    # positions and int8 places keep the pairs at 9 bytes a move
+    # positions keep the pairs at 8 bytes a move
     at = np.full(moves.shape, -1, dtype=np.int32)
     at[moves] = np.arange(rows.size)
     if sizes.size > 1:
@@ -544,10 +532,9 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     reverse = [g if st is None else steps.index(tuple(-d for d in st))
                for g, st in enumerate(steps)]
     mirror = [g if st is None else steps.index((-st[0], *st[1:])) for g, st in enumerate(steps)]
-    np.minimum(ends, n - 1, out=ends)  # a class everywhere, so that ``at`` can be read there
     table = dict(rows=rows, cols=cols, vals=vals,
                  reverse=at[np.array(reverse)[:, None], ends][moves],
-                 mirror=at[np.array(mirror)[:, None], flip][moves], place=place[moves])
+                 mirror=at[np.array(mirror)[:, None], flip][moves])
     if sizes.size > 1:
         table = {name: x[listed] for name, x in table.items()}
     return MoveTable(labels=labels, log_pi=log_pi, flip=flip, **table)
@@ -654,7 +641,7 @@ def _unstack(table: MoveTable, sizes: Sequence[int]) -> list:
     tables = []
     for lo, hi, a, b in zip(states[:-1], states[1:], moves[:-1], moves[1:]):
         pairs = {} if table.reverse is None else dict(
-            reverse=table.reverse[a:b] - a, mirror=table.mirror[a:b] - a, place=table.place[a:b])
+            reverse=table.reverse[a:b] - a, mirror=table.mirror[a:b] - a)
         tables.append(MoveTable(labels=table.labels[lo:hi], log_pi=table.log_pi[lo:hi],
                                 rows=table.rows[a:b] - lo, cols=table.cols[a:b] - lo,
                                 vals=table.vals[a:b], flip=table.flip[lo:hi] - lo, **pairs))

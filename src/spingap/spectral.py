@@ -14,23 +14,24 @@ differ only in how each entry meets its reverse and its mirror: one
 function forms the entries of both, checks detailed balance and flip
 invariance, and lets a pair that fails only because one of its rates
 underflowed take its reverse's entry (``_symmetrized``).  The Ising and
-BEG class chains carry each move's reverse and mirror positions and its
-place in its row (``MoveTable``), which are gathered, and each sector
-entry is written straight to its place, with no sort and no binary
-search (``_paired_sectors``).  Every other table (warm-up,
-restrictions, projections, the full space) goes the generic way, which
-is also the other's oracle: entries are keyed row * n + col and
-coalesced in row-major order by a stable sort, repeated entries summed
-left to right in table order (np.bincount); each entry is paired with
-its reverse and its mirror through a binary search on those keys, so no
-transposed or permuted matrix is built; the entries are then mapped to
-even and odd orbit coordinates and coalesced again.  Either way a
+BEG class chains carry each move's reverse and mirror positions
+(``MoveTable``), which are gathered, and each sector entry is kept by
+one move, in no particular order (``_paired_sectors``).  Every other
+table (warm-up, restrictions, projections, the full space) goes the
+generic way, which is also the other's oracle: entries are keyed
+row * n + col and coalesced in row-major order by a stable sort,
+repeated entries summed left to right in table order (np.bincount);
+each entry is paired with its reverse and its mirror through a binary
+search on those keys, so no transposed or permuted matrix is built; the
+entries are then mapped to even and odd orbit coordinates and coalesced
+again.  Either way ``_blocks`` takes the entries in any order: a
 tridiagonal sector (Ising, warm-up) comes out as its (diagonal,
 superdiagonal) arrays for the tridiagonal solver, any other (BEG) as
-one CSR matrix for the dense solver or Lanczos.  The log weights are
-finite, as every builder and ``_check_log_pi`` demand, so a holding
-mass is its own diagonal entry; an entry that is not finite is refused
-once, at assembly, on every route.
+one CSR matrix, each row in column order, for the dense solver or
+Lanczos.  The log weights are finite, as every builder and
+``_check_log_pi`` demand, so a holding mass is its own diagonal entry;
+an entry that is not finite, or one given twice, is refused once, at
+assembly, on every route.
 
 Each sector is solved on its own, by the route ``_sector_extremes``
 picks: bisection for a tridiagonal sector, the dense solver for a CSR
@@ -322,35 +323,43 @@ def _sector(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.nda
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray) -> list:
-    """The diagonal blocks of the row-major entries (rows, cols, vals), each as a sector.
+    """The diagonal blocks of the entries (rows, cols, vals), in any order, each as a sector.
 
     Block k spans indices starts[k]..starts[k+1]-1.  A tridiagonal block
     comes back as its (diagonal, superdiagonal) arrays, any other as one
-    CSR matrix.  An entry that is not finite raises ValueError.
+    CSR matrix cut from the CSR matrix of all the entries, which scipy
+    builds, each row in column order, only when some block needs it.  An
+    entry that is not finite, or one given twice, raises ValueError.
     """
     if not np.isfinite(vals).all():
         raise ValueError("array must not contain infs or NaNs")
+    twice = "a flip sector is given one of its entries twice"
     m = int(starts[-1])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
-    # rows ascend, so block k holds the entries ends[k]..ends[k+1]-1
-    ends = indptr[starts]
-    wide = np.concatenate([[0], np.cumsum(np.abs(rows - cols) > 1)])[ends]
-    tridiagonal = (wide[1:] == wide[:-1]).tolist()
+    band = np.abs(rows - cols) <= 1
+    block = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    tridiagonal = (np.bincount(block[rows[~band]], minlength=len(starts) - 1) == 0).tolist()
     if any(tridiagonal):
+        r, c = rows[band], cols[band]
+        if (np.bincount(3 * r + (c - r + 1)) > 1).any():
+            raise ValueError(twice)
         d, e = np.zeros(m), np.zeros(m)
         on, above = rows == cols, cols == rows + 1
         d[rows[on]] = vals[on]
         e[rows[above]] = vals[above]
     if not all(tridiagonal):
         import scipy.sparse
+
+        M = scipy.sparse.csr_array((vals, (rows, cols)), shape=(m, m))
+        if M.nnz < len(vals):
+            raise ValueError(twice)
     blocks = []
     for k, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
         if tridiagonal[k]:
             blocks.append((d[lo:hi], e[lo:max(hi - 1, lo)]))
         else:
-            a, b = ends[k], ends[k + 1]
+            a, b = M.indptr[lo], M.indptr[hi]
             blocks.append(scipy.sparse.csr_array(
-                (vals[a:b], cols[a:b] - lo, indptr[lo:hi + 1] - indptr[lo]), shape=(hi - lo,) * 2))
+                (M.data[a:b], M.indices[a:b] - lo, M.indptr[lo:hi + 1] - a), shape=(hi - lo,) * 2))
     return blocks
 
 
@@ -384,15 +393,15 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
 
     The assembly of ``_symmetrization`` and ``_sector``, with the same
     residuals, refusals and bits, by index arithmetic on each move's
-    reverse and mirror positions and its place (``MoveTable``): no sort
-    and no binary search.  It relies on what the class chains guarantee:
-    only a state's moves to its own mirror image share a target, and
-    they add up in table order; and no move leads from a state i < Ji to
-    a state j > Jj other than Ji.  So each sector entry off the diagonal
-    is kept by one move out of a lower state, its terms are that move's
-    and its mirror's, in this order, and a lower state's moves ascend in
-    sector column as they do in place.  Its transpose has the same two
-    terms, which add up the same either way round.
+    reverse and mirror positions (``MoveTable``): no binary search, and
+    no sort but the one by column within each row of scipy's CSR form
+    (``_blocks``).  It relies on what the class chains guarantee: only a
+    state's moves to its own mirror image share a target, and they add up
+    in table order; and no move leads from a state i < Ji to a state
+    j > Jj other than Ji.  So each sector entry off the diagonal is kept
+    by one move out of a lower state, and its terms are that move's and
+    its mirror's, in this order.  Its transpose has the same two terms,
+    which add up the same either way round.
     """
     n = table.n
     rows, cols, flip, mirror = table.rows, table.cols, table.flip, table.mirror
@@ -406,8 +415,6 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
     k = np.flatnonzero(first[rows] & ~to_mirror & (~fixed[rows] | (cols <= flip[cols])))
     i, j, a_k, a_m = rows[k], cols[k], a[k], a[mirror[k]]
     fi, fj = fixed[i], fixed[j]
-    width = int(np.bincount(rows, minlength=n).max()) + 1
-    hold_place = np.bincount(rows[cols < rows], minlength=n)
     # a move between fixed states is its own mirror, the one term of its entry
     w = _even_weight(fi, fj)
     m = w * a_k + np.where(mirror[k] == k, 0.0, w * a_m)
@@ -416,10 +423,9 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
     d = np.where(fixed, a_hold, ((w * a_hold + w * a_flip) + w * a_flip[flip]) + w * a_hold[flip])
     # the k-th lower state keeps the diagonal of orbit k
     states = np.flatnonzero(first)
-    even = _placed_sector(
-        ((orbit[i], table.place[k], orbit[j], m + m),
-         (np.arange(states.size), hold_place[states], np.arange(states.size),
-          d[states] + d[states])), even_starts, width)
+    at = np.arange(states.size)
+    even = _nonzero_sector(((orbit[i], orbit[j], m + m), (at, at, d[states] + d[states])),
+                           even_starts)
     # <odd_k, A odd_l> = +-1/2 on both terms of an entry between two pairs
     q = np.flatnonzero(~fi & ~fj)
     sign = np.where(first, 1.0, -1.0)
@@ -427,30 +433,23 @@ def _paired_sectors(table: MoveTable, orbit: np.ndarray, odd_orbit: np.ndarray,
     m = f * a_k[q] + f * a_m[q]
     d = ((0.5 * a_hold + -0.5 * a_flip) + -0.5 * a_flip[flip]) + 0.5 * a_hold[flip]
     states = np.flatnonzero(idx < flip)
-    odd = _placed_sector(
-        ((odd_orbit[i[q]], table.place[k[q]], odd_orbit[j[q]], m + m),
-         (np.arange(states.size), hold_place[states], np.arange(states.size),
-          d[states] + d[states])), odd_starts, width)
+    at = np.arange(states.size)
+    odd = _nonzero_sector(((odd_orbit[i[q]], odd_orbit[j[q]], m + m),
+                           (at, at, d[states] + d[states])), odd_starts)
     return even, odd
 
 
-def _placed_sector(parts: tuple, starts: np.ndarray, width: int) -> list:
-    """``_blocks`` of the entries (row, place in the row, column, value) of ``parts``.
+def _nonzero_sector(parts: tuple, starts: np.ndarray) -> list:
+    """``_blocks`` of the entries (rows, cols, vals) of ``parts``.
 
-    Each row has ``width`` places, and its entries ascend in column as
-    they do in place, so reading the places row by row gives row-major
-    order.  As in ``_sector``, an entry whose value is 0 is dropped and
-    the rest are halved.
+    As in ``_sector``, an entry whose value is 0 is dropped and the rest
+    are halved.
     """
-    m = int(starts[-1])
-    grid = np.zeros(m * width)
-    col = np.zeros(m * width, dtype=np.intp)
-    for rows, places, cols, vals in parts:
-        slot = rows * width + places
-        grid[slot] = vals
-        col[slot] = cols
-    kept = np.flatnonzero(grid)
-    return _blocks(kept // width, col[kept], grid[kept] * 0.5, starts)
+    kept = [np.flatnonzero(vals) for _, _, vals in parts]
+    rows, cols, vals = (np.concatenate([part[x][at] for part, at in zip(parts, kept)])
+                        for x in range(3))
+    vals *= 0.5
+    return _blocks(rows, cols, vals, starts)
 
 
 def _even_weight(fixed_i: np.ndarray, fixed_j: np.ndarray) -> np.ndarray:
@@ -469,14 +468,16 @@ def _check_table(t: MoveTable) -> None:
 
     That is: 1-D arrays of the right length and dtype, finite log
     weights (``_check_log_pi``), every index inside the table, a flip
-    that is an involution, and move pairs that are all given or all None,
-    each reverse and mirror position inside the moves and each place
-    inside its row.  Shifted into a stack, a table that failed this
-    could reach into its neighbour instead of failing; a flip that is
-    not an involution (a 3-cycle, say) can still commute with the chain,
-    and the even and odd sectors then misread its spectrum.  Move pairs
-    must also hold what ``_paired_sectors`` relies on, or it reads a
-    wrong gap; that is checked in O(nnz), with no sort.
+    that is an involution, and move pairs that are both given or both
+    None, each reverse and mirror position inside the moves.  Shifted
+    into a stack, a table that failed this could reach into its
+    neighbour instead of failing; a flip that is not an involution (a
+    3-cycle, say) can still commute with the chain, and the even and odd
+    sectors then misread its spectrum.  Move pairs must also hold what
+    ``_paired_sectors`` relies on, or it reads a wrong gap; that is
+    checked in O(nnz), with no sort.  Two moves of a state that share a
+    target other than its mirror image pass it, and give their sector
+    entry twice, which ``_blocks`` refuses.
     """
     arrays = (t.log_pi, t.vals, t.rows, t.cols, t.flip)
     if not (all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
@@ -490,27 +491,22 @@ def _check_table(t: MoveTable) -> None:
         raise ValueError("a move table indexes outside its own states")
     if not (t.flip[t.flip] == np.arange(t.n)).all():
         raise ValueError("a move table's flip is not an involution")
-    pairs = (t.reverse, t.mirror, t.place)
+    pairs = (t.reverse, t.mirror)
     if all(x is None for x in pairs):
         return
     if not all(isinstance(x, np.ndarray) and x.shape == t.rows.shape and x.dtype.kind == "i"
                for x in pairs):
-        raise ValueError("a move table's reverse, mirror and place do not line up with its moves")
-    rows, cols, flip, nnz = t.rows, t.cols, t.flip, len(t.rows)
-    moves = np.bincount(rows, minlength=t.n)
-    if not (all(((x >= 0) & (x < nnz)).all() for x in pairs[:2])
-            and ((t.place >= 0) & (t.place <= moves[rows])).all()):
-        raise ValueError("a move table's reverse, mirror or place points outside its moves")
-    # each reverse is j -> i, each mirror Ji -> Jj, no move but to Ji leads
-    # from i < Ji to j > Jj, and no two entries of a row (the diagonal's
-    # place counted) share a place
-    width = int(moves.max(initial=0)) + 1
-    hold = np.arange(t.n) * width + np.bincount(rows[cols < rows], minlength=t.n)
+        raise ValueError("a move table's reverse and mirror do not line up with its moves")
+    rows, cols, flip = t.rows, t.cols, t.flip
+    if not all(((x >= 0) & (x < len(rows))).all() for x in pairs):
+        raise ValueError("a move table's reverse or mirror points outside its moves")
+    # each reverse is j -> i, each mirror Ji -> Jj, and no move but to Ji
+    # leads from i < Ji to j > Jj
     fr, fc = flip[rows], flip[cols]
     agree = ((rows[t.reverse] == cols) & (cols[t.reverse] == rows) & (rows[t.mirror] == fr)
              & (cols[t.mirror] == fc) & ((rows >= fr) | (cols <= fc) | (cols == fr)))
-    if not agree.all() or (np.bincount(np.concatenate([rows * width + t.place, hold])) > 1).any():
-        raise ValueError("a move table's reverse, mirror or place disagrees with its moves")
+    if not agree.all():
+        raise ValueError("a move table's reverse or mirror disagrees with its moves")
 
 
 def _flip_sectors(table: MoveTable, sizes: Sequence[int]) -> list:

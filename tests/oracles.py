@@ -338,8 +338,7 @@ def stack(tables: Sequence[MoveTable]) -> MoveTable:
         # the positions of the moves, shifted past the moves of the tables before
         step = np.repeat(np.cumsum([0, *moves[:-1]]), moves)
         pairs = dict(reverse=np.concatenate([t.reverse for t in tables]) + step,
-                     mirror=np.concatenate([t.mirror for t in tables]) + step,
-                     place=np.concatenate([t.place for t in tables]))
+                     mirror=np.concatenate([t.mirror for t in tables]) + step)
     return MoveTable(labels=tuple(itertools.chain.from_iterable(t.labels for t in tables)),
                      log_pi=np.concatenate([t.log_pi for t in tables]),
                      rows=np.concatenate([t.rows for t in tables]) + shift,

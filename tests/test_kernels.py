@@ -1191,19 +1191,13 @@ def test_unsigned_projection_refuses_the_chain_before_the_dense_cap():
                          + [beg(N, beta=1.0, K=1.0, p1=0.5, p2=0.25) for N in (2, 4, 8, 20)],
                          ids=lambda s: f"{s.kind}-N{s.N}")
 @pytest.mark.parametrize("kind", ["naive", "equi-energy"])
-def test_class_tables_carry_each_moves_reverse_mirror_and_place(spec, kind):
+def test_class_tables_carry_each_moves_reverse_and_mirror(spec, kind):
     table = signed_move_table(spec, kind)
     rows, cols, flip, each = table.rows, table.cols, table.flip, np.arange(len(table.rows))
     rev, mir = table.reverse, table.mirror
     assert np.array_equal(rows[rev], cols) and np.array_equal(cols[rev], rows)
     assert np.array_equal(rows[mir], flip[rows]) and np.array_equal(cols[mir], flip[cols])
     assert np.array_equal(rev[rev], each) and np.array_equal(mir[mir], each)
-    # place: the move's rank in its row of P by column, the holding counted as
-    # the diagonal entry, moves to one class in table order
-    order = np.lexsort((each, cols, rows))
-    rank = np.empty_like(each)
-    rank[order] = each - np.searchsorted(rows[order], rows[order])
-    assert np.array_equal(table.place, rank + (cols > rows))
     # what the paired sector assembly relies on: only moves to a class's own
     # mirror share a target, and no move leads from a class i < Ji to a class
     # j > Jj other than Ji
@@ -1230,4 +1224,4 @@ def test_only_the_class_chains_carry_move_pairs():
     for table in (signed_move_table(warmup(6, theta=2.0, epsilon=0.3), "small-world"),
                   metropolis_chain(ising(4, beta=1.0, p1=0.5, p2=0.25), "equi-energy"),
                   unsigned_lumped_chain(beg(6, beta=1.0, K=1.0, p1=0.5, p2=0.25), "naive")):
-        assert table.reverse is table.mirror is table.place is None
+        assert table.reverse is table.mirror is None

@@ -569,7 +569,7 @@ def test_ising_n2_odd_sector_without_entries():
                                                        abs=1e-15)
 
 
-def test_tridiagonal_sectors_build_no_sparse_matrix_and_beg_one_csr_each(monkeypatch):
+def test_tridiagonal_sectors_build_no_sparse_matrix_and_beg_two_csr_each(monkeypatch):
     built = []
     for name in ("csr_array", "csc_array", "coo_array", "csr_matrix", "csc_matrix",
                  "coo_matrix"):
@@ -587,7 +587,8 @@ def test_tridiagonal_sectors_build_no_sparse_matrix_and_beg_one_csr_each(monkeyp
     assert built == []
     ((even, odd, _),) = flip_sectors([signed_move_table(
         beg(30, beta=1.0, K=1.0, p1=0.5, p2=0.25), "equi-energy")])
-    assert built == ["csr_array", "csr_array"]
+    # per sector: the CSR matrix of all its entries, and its one block cut from it
+    assert built == ["csr_array"] * 4
 
 
 @st.composite
@@ -968,8 +969,8 @@ def test_the_first_malformed_table_in_order_fails_the_batch():
 # ---------------------------------------------------------------------------
 
 def unpaired(table):
-    """The table without its reverse, mirror and place: the generic assembly's input."""
-    return dataclasses.replace(table, reverse=None, mirror=None, place=None)
+    """The table without its reverse and mirror: the generic assembly's input."""
+    return dataclasses.replace(table, reverse=None, mirror=None)
 
 
 def assert_same_block(want, got):
@@ -1119,7 +1120,8 @@ def test_a_pair_that_fails_with_both_rates_normal_is_still_refused():
         flip_sectors([table])
 
 
-def test_the_paired_assembly_sorts_and_searches_nothing(monkeypatch):
+def test_the_paired_assembly_sorts_and_searches_nothing_but_scipy_orders_the_csr_rows(
+        monkeypatch):
     tables = [signed_move_table(beg(30, **BEG_CELL), "equi-energy"),
               signed_move_table(ising(40, beta=2.0, p1=0.5, p2=0.25), "naive")]
     want = [flip_sectors([unpaired(t)]) for t in tables]
@@ -1141,14 +1143,10 @@ def test_move_pairs_out_of_range_are_refused_alone_and_in_a_batch():
     table = signed_move_table(beg(6, **BEG_CELL), "naive")
     past = len(table.rows)
     for bad in (dataclasses.replace(table, reverse=table.reverse + past),
-                dataclasses.replace(table, mirror=table.mirror - past),
-                dataclasses.replace(table, place=table.place + table.n),
-                dataclasses.replace(table, place=None)):
+                dataclasses.replace(table, mirror=table.mirror - past)):
         for tables in ([bad], [*GOOD, bad, *GOOD]):
-            want = ("a move table's reverse, mirror or place points outside its moves"
-                    if bad.place is not None else
-                    "a move table's reverse, mirror and place do not line up with its moves")
-            with pytest.raises(ValueError, match=f"^{want}$"):
+            with pytest.raises(ValueError, match="^a move table's reverse or mirror points "
+                                                 "outside its moves$"):
                 batched(tables)
 
 
@@ -1163,26 +1161,100 @@ def relabelled(table, perm):
 def test_move_pairs_that_disagree_with_the_moves_are_refused_alone_and_in_a_batch():
     table = signed_move_table(beg(10, **BEG_CELL), "equi-energy")
     assert sector_spectrum(table).gap == pytest.approx(0.0291, abs=1e-4)
-    # read as given, colliding places make the paired assembly read a wrong gap
-    placed = dataclasses.replace(table, place=np.zeros_like(table.place))
-    assert _stack_spectra(placed, [placed.n])[0].gap == pytest.approx(0.0637, abs=1e-4)
     # S = -4 and S = 4 swap indices: the move -2 -> -4 now leads up past its
     # mirror, though the chain and its spectrum are the same
     ising4 = signed_move_table(ising(4, beta=1.0), "naive")
     swapped = relabelled(ising4, np.array([4, 1, 2, 3, 0]))
     assert sector_spectrum(unpaired(swapped)) == sector_spectrum(ising4)
     moves = np.arange(len(table.rows))
-    row = table.rows == table.rows[0]
-    diagonal = np.count_nonzero(row & (table.cols < table.rows[0]))
     for bad in (dataclasses.replace(table, reverse=moves),  # not j -> i
                 dataclasses.replace(table, mirror=table.reverse),  # not Ji -> Jj
-                swapped, placed,
-                # a move at the diagonal's place
-                dataclasses.replace(table, place=np.where(moves == 0, diagonal, table.place))):
+                swapped):
         for tables in ([bad], [*GOOD, bad, *GOOD]):
-            with pytest.raises(ValueError, match="^a move table's reverse, mirror or place "
+            with pytest.raises(ValueError, match="^a move table's reverse or mirror "
                                                  "disagrees with its moves$"):
                 batched(tables)
+
+
+def split(table):
+    """``table`` with every move listed twice at half its rate, its move pairs kept."""
+    nnz = len(table.rows)
+    return dataclasses.replace(table, rows=np.tile(table.rows, 2), cols=np.tile(table.cols, 2),
+                               vals=np.tile(table.vals * 0.5, 2),
+                               reverse=np.concatenate([table.reverse, table.reverse + nnz]),
+                               mirror=np.concatenate([table.mirror, table.mirror + nnz]))
+
+
+TWICE = "^a flip sector is given one of its entries twice$"
+
+
+@pytest.mark.parametrize("spec,kind", [
+    (ising(6, beta=1.0), "naive"), (ising(6, beta=1.0, p1=0.5, p2=0.25), "equi-energy"),
+    (beg(6, **BEG_CELL), "naive"), (beg(6, **BEG_CELL), "equi-energy")],
+    ids=["ising-naive", "ising-equi-energy", "beg-naive", "beg-equi-energy"])
+def test_a_sector_entry_given_twice_is_refused_alone_and_in_a_batch(spec, kind):
+    # each move and its copy keep one sector entry each: summed, they give the
+    # chain's own gap, and either one read alone a wrong one
+    table = signed_move_table(spec, kind)
+    bad = split(table)
+    want = gap(spectrum(table.to_kernel()))
+    assert sector_spectrum(unpaired(bad)).gap == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError, match=TWICE):
+        sector_spectrum(bad)
+    # between tables that carry their move pairs too, so that the stack is paired
+    paired = [t for t in GOOD if t.reverse is not None]
+    for tables in ([bad], [*paired, bad, *paired]):
+        with pytest.raises(ValueError, match=TWICE):
+            _stack_spectra(oracles.stack(tables), [t.n for t in tables])
+
+
+@st.composite
+def block_entries(draw):
+    """Random blocks, empty, one-state, tridiagonal and wider, as (starts, row-major
+    rows, cols, vals) of their nonzero entries."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    starts = np.cumsum([0, *sizes])
+    entries = []
+    for lo, m in zip(starts[:-1].tolist(), sizes):
+        band = draw(st.booleans())
+        cells = [(i, j) for i in range(m) for j in range(m) if not band or abs(i - j) <= 1]
+        for i, j in draw(st.lists(st.sampled_from(cells), unique=True) if cells
+                         else st.just([])):
+            entries.append((lo + i, lo + j, draw(st.floats(-2.0, 2.0).filter(bool))))
+    entries.sort()
+    rows, cols = (np.array([e[k] for e in entries], dtype=np.intp) for k in (0, 1))
+    return starts, rows, cols, np.array([e[2] for e in entries], dtype=float)
+
+
+def sector_arrays(M):
+    return M if isinstance(M, tuple) else (M.indptr, M.indices, M.data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(blocks=block_entries(), order=st.randoms(use_true_random=False), repeat=st.booleans())
+def test_blocks_take_their_entries_in_any_order(blocks, order, repeat):
+    starts, rows, cols, vals = blocks
+    perm = np.arange(len(rows))
+    order.shuffle(perm)
+    if repeat and len(rows):
+        # one entry given twice, in either order, is refused
+        perm = np.append(perm, perm[0])
+        for at in (np.sort(perm), perm):
+            with pytest.raises(ValueError, match=TWICE):
+                spectral._blocks(rows[at], cols[at], vals[at], starts)
+        return
+    want = spectral._blocks(rows, cols, vals, starts)
+    got = spectral._blocks(rows[perm], cols[perm], vals[perm], starts)
+    dense = np.zeros((starts[-1],) * 2)
+    dense[rows, cols] = vals
+    for lo, hi, w, g in zip(starts[:-1], starts[1:], want, got, strict=True):
+        block = dense[lo:hi, lo:hi]
+        assert isinstance(w, tuple) == (np.abs(np.subtract(*np.nonzero(block))) <= 1).all()
+        assert isinstance(g, tuple) == isinstance(w, tuple)
+        for x, y in zip(sector_arrays(g), sector_arrays(w), strict=True):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        full = (np.diag(w[0]) + np.diag(w[1], 1) if isinstance(w, tuple) else w.toarray())
+        assert np.array_equal(np.triu(full), np.triu(block))
 
 
 # ---------------------------------------------------------------------------
@@ -1229,7 +1301,7 @@ def warmup_cells(Ns):
 def assert_same_table(got, want, pair_dtypes=True):
     """The same arrays, bit for bit, in the same order and with the same dtypes."""
     assert got.labels == want.labels
-    for field in ("log_pi", "vals", "rows", "cols", "flip", "reverse", "mirror", "place"):
+    for field in ("log_pi", "vals", "rows", "cols", "flip", "reverse", "mirror"):
         x, y = getattr(got, field), getattr(want, field)
         if y is None:
             assert x is None, field
