@@ -259,34 +259,23 @@ def _proposal(labels: tuple, flip: np.ndarray, moves) -> MoveTable:
 def single_flip_proposal(spec: ModelSpec) -> MoveTable:
     """The local proposal on the full space.
 
-    ising: flip one of N coordinates, weight 1/N each.
-    beg: one of 2N moves x_j -> x_j +- 1 with wraparound 2 = -1, -2 = 1,
-    weight 1/2N each.  warmup: the +-1 nearest-neighbor walk with
-    holding 1/2 at the endpoints.
+    ising, beg: one of the (q - 1)N moves that set a spin to another value
+    in ``models.SPINS``, weight 1/((q - 1)N) each; the flip complements
+    the digits.  warmup: the +-1 nearest-neighbor walk with holding 1/2
+    at the endpoints.
     """
     n = check_space(spec, "naive", "full")
     if spec.kind == "warmup":
         return _warmup_proposal(np.array([spec.N]), None)
-    states = models.enumerate_states(spec)
-    labels = tuple(tuple(int(v) for v in x) for x in states)
+    labels = tuple(map(models.Spins, models.enumerate_states(spec).tolist()))
+    q = len(models.SPINS[spec.kind])
     idx = np.arange(n)
-    if spec.kind == "ising":
-        moves = [(idx, idx ^ (1 << j), np.full(n, 1.0 / spec.N)) for j in range(spec.N)]
-    else:
-        pow3 = 3 ** np.arange(spec.N)
-        digits = (idx[:, None] // pow3[None, :]) % 3
-        moves = [(idx, idx + ((d + step) % 3 - d) * pow3[j], np.full(n, 1.0 / (2 * spec.N)))
-                 for j, d in enumerate(digits.T) for step in (1, -1)]
-    return _proposal(labels, _negation_indices(spec, n), moves)
-
-
-def _negation_indices(spec: ModelSpec, n: int) -> np.ndarray:
-    idx = np.arange(n)
-    if spec.kind == "ising":
-        return idx ^ (n - 1)
-    pow3 = 3 ** np.arange(spec.N)
-    digits = (idx[:, None] // pow3[None, :]) % 3
-    return ((2 - digits) * pow3).sum(axis=1)
+    place = q ** np.arange(spec.N)
+    digits = idx[:, None] // place % q
+    # spin j moves from digit d to (d + step) % q
+    moves = [(idx, idx + ((d + step) % q - d) * place[j], np.full(n, 1.0 / ((q - 1) * spec.N)))
+             for j, d in enumerate(digits.T) for step in range(1, q)]
+    return _proposal(labels, ((q - 1 - digits) * place).sum(axis=1), moves)
 
 
 def equi_energy_proposal(spec: ModelSpec) -> MoveTable:
@@ -304,7 +293,7 @@ def equi_energy_proposal(spec: ModelSpec) -> MoveTable:
     neg = base.flip
     states = models.enumerate_states(spec)
     S = states.sum(axis=1, dtype=np.int64)
-    R = np.count_nonzero(states, axis=1) if spec.kind == "beg" else None
+    R = np.count_nonzero(states, axis=1)
     # blocks labelled by S; a flip never stays in its class, so a move's
     # terms add up local, uniform, flip in any class order
     parts = Partition(block=models.signed_class_position(spec, S, R),
@@ -470,14 +459,15 @@ class MoveTable:
 
 
 def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
-                 log_pi: np.ndarray, flip: np.ndarray, sites: np.ndarray, groups) -> MoveTable:
+                 log_pi: np.ndarray, flip: np.ndarray, groups: list) -> MoveTable:
     """The Metropolis chains on signed classes of a stack of tables, from their groups of site moves.
 
     The tables hold ``sizes`` classes each, one after another, and every
     array below runs over the classes of the whole stack.  A group (step,
     target, count, key, delta) gives, over all classes, the class that
-    ``count`` of the ``sites`` site moves reach and their log-weight change
-    delta[key].  Each move with count > 0 keeps
+    ``count`` site moves reach and their log-weight change delta[key]; the
+    groups' counts add up to the number of site moves ``sites`` (N on
+    Ising, 2N on BEG).  Each move with count > 0 keeps
     p1 * count / sites * exp(min(0, delta[key])), p1 = 1 on the naive chain,
     through math.exp, once per entry of delta that is negative or NaN, to
     match the per-state formulas bit for bit (exp(0) is exactly 1).
@@ -494,6 +484,7 @@ def _class_chain(spec: ModelSpec, kind: str, sizes: np.ndarray, labels: tuple,
     """
     p1 = spec.p1 if kind == "equi-energy" else 1.0
     idx = np.arange(len(labels))
+    sites = sum(count for _, _, count, _, _ in groups)
     steps, moves, targets, vals = [], [], [], []
     for step, target, count, key, delta in groups:
         low = np.minimum(0.0, delta)
@@ -555,8 +546,7 @@ def _ising_moves(spec: ModelSpec, kind: str, Ns: np.ndarray) -> MoveTable:
     groups = [((2,), idx + 1, (N - S) // 2, idx, 2 * beta * (S + 1) / N),
               ((-2,), idx - 1, (N + S) // 2, idx, 2 * beta * (1 - S) / N)]
     log_pi = models.log_binom_array(N, (N + S) // 2) + beta * S * S / (2 * N)
-    return _class_chain(spec, kind, sizes, tuple(S.tolist()), log_pi, 2 * first + N - idx, N,
-                        groups)
+    return _class_chain(spec, kind, sizes, tuple(S.tolist()), log_pi, 2 * first + N - idx, groups)
 
 
 def _beg_moves(spec: ModelSpec, kind: str, Ns: np.ndarray) -> MoveTable:
@@ -584,7 +574,7 @@ def _beg_moves(spec: ModelSpec, kind: str, Ns: np.ndarray) -> MoveTable:
     log_pi = (models.log_binom_array(N, r) + models.log_binom_array(r, (r - s) // 2)
               - beta * r + K * beta * s * s / N)
     return _class_chain(spec, kind, sizes, tuple(zip(s.tolist(), r.tolist())), log_pi,
-                        first + at(spec, -s, r), 2 * N, groups)
+                        first + at(spec, -s, r), groups)
 
 
 def _warmup_proposal(Ns: np.ndarray, eps: Optional[float]) -> MoveTable:
@@ -726,16 +716,17 @@ def beg_lumped(spec: ModelSpec) -> MoveTable:
 # ---------------------------------------------------------------------------
 
 def format_label(label) -> str:
-    """Compact deterministic text for a state or class label."""
+    """Compact deterministic text for a state or class label: a configuration
+    (``models.Spins``) one character a spin, any other integer tuple as (s,r)."""
     if isinstance(label, EnergyClass):
         sign = {0: "", 1: "+", -1: "-"}[label.sign]
         mid = "" if label.r is None else f"r{label.r}"
         return f"s{label.s}{mid}{sign}"
     if isinstance(label, (int, np.integer)):
         return str(int(label))
+    if isinstance(label, models.Spins):
+        return "".join("-0+"[v + 1] for v in label)
     if isinstance(label, tuple) and all(isinstance(v, (int, np.integer)) for v in label):
-        if all(v in (-1, 0, 1) for v in label) and len(label) > 2:
-            return "".join({-1: "-", 0: "0", 1: "+"}[int(v)] for v in label)
         return "(" + ",".join(str(int(v)) for v in label) + ")"
     return str(label)
 

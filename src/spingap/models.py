@@ -27,6 +27,9 @@ import numpy as np
 
 KINDS = ("warmup", "ising", "beg")
 
+#: the q values of a spin, in digit order (the encoding: ``enumerate_states``)
+SPINS = {"ising": (-1, 1), "beg": (-1, 0, 1)}
+
 # exact integer binomials stay cheap up to here; lgamma beyond
 _EXACT_BINOM_LIMIT = 60
 
@@ -193,7 +196,7 @@ def state_count(spec: ModelSpec, space: str) -> int:
     """From N: the "full" configurations, "signed" classes or "unsigned" orbits {c, -c}."""
     N = spec.N
     if space == "full":
-        return 2 * N + 1 if spec.kind == "warmup" else (2 if spec.kind == "ising" else 3) ** N
+        return 2 * N + 1 if spec.kind == "warmup" else len(SPINS[spec.kind]) ** N
     if space == "signed":
         return {"warmup": 2 * N + 1, "ising": N + 1, "beg": (N + 1) * (N + 2) // 2}[spec.kind]
     half = N // 2 + 1
@@ -312,20 +315,23 @@ def enumerate_states(spec: ModelSpec) -> np.ndarray:
     """All configurations in canonical index order.
 
     warmup: shape (2N+1,), values -N..N ascending.
-    ising:  shape (2^N, N); index b has spin_j = +1 iff bit j of b is set.
-    beg:    shape (3^N, N); index b has spin_j = (j-th base-3 digit) - 1.
+    ising, beg: shape (q^N, N), int8; index b has spin_j = SPINS[kind][d_j],
+    d_j the j-th base-q digit of b.  The values are symmetric, so -x has
+    the digits q - 1 - d_j.
     """
     if spec.kind == "warmup":
         return np.arange(-spec.N, spec.N + 1)
-    base = 2 if spec.kind == "ising" else 3
-    n_states = base ** spec.N
+    n_states = state_count(spec, "full")
     if n_states > MAX_ENUMERATED_STATES:
         raise ValueError(f"{n_states} states exceed the enumeration limit {MAX_ENUMERATED_STATES}")
-    idx = np.arange(n_states)
-    digits = (idx[:, None] // base ** np.arange(spec.N)[None, :]) % base
-    if spec.kind == "ising":
-        return (2 * digits - 1).astype(np.int8)
-    return (digits - 1).astype(np.int8)
+    q = len(SPINS[spec.kind])
+    digits = np.arange(n_states)[:, None] // q ** np.arange(spec.N) % q
+    return np.array(SPINS[spec.kind], dtype=np.int8)[digits]
+
+
+class Spins(tuple):
+    """A full-space label: a configuration's spins, equal to their plain tuple;
+    ``kernels.format_label`` prints it one character a spin."""
 
 
 def log_weights_all(spec: ModelSpec) -> np.ndarray:

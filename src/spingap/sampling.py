@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import check_chain
-from .models import EnergyClass, ModelSpec, check_log_weights
+from .models import SPINS, EnergyClass, ModelSpec, check_log_weights
 
 OBSERVABLES = ("mag", "abs_mag", "quad", "const")
 
@@ -166,7 +166,8 @@ class Sampler:
 
     x is the configuration (an int8 spin array, or the warmup coordinate),
     S its magnetization and R its count of nonzero spins (beg only).  It
-    starts from uniform spins drawn from ``rng`` (warmup: from x = 0).
+    starts from independent uniform spins: spin j is
+    ``models.SPINS[kind][floor(q u_j)]``, u = rng.random(N) (warmup: x = 0).
     """
 
     def __init__(self, spec: ModelSpec, kind: str, rng: np.random.Generator):
@@ -182,10 +183,8 @@ class Sampler:
         # each term of a log weight is largest at |S| = N (beg: and R = N)
         check_log_weights(spec.beta * N * N / (2 * N) if spec.kind == "ising"
                           else -spec.beta * N + spec.K * spec.beta * N * N / N)
-        if spec.kind == "ising":
-            self.x = np.where(rng.random(N) < 0.5, -1, 1).astype(np.int8)
-        else:
-            self.x = np.floor(rng.random(N) * 3).astype(np.int8) - 1
+        spins = np.array(SPINS[spec.kind], dtype=np.int8)
+        self.x = spins[np.floor(rng.random(N) * spins.size).astype(np.intp)]
         self.S = int(self.x.sum())
         self.R = int(np.count_nonzero(self.x)) if spec.kind == "beg" else None
 

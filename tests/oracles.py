@@ -2,6 +2,7 @@
 
 Nothing under ``src/`` reaches these: they are the configuration check
 and per-configuration helpers, each state's signed class key, the
+index of each configuration and of its negation, the
 scalar log-binomial, the per-class weight formulas, the BEG row
 profile summed one row at a time, a
 one-step sampler call from a given state and the move component a step
@@ -134,6 +135,11 @@ def state_index(spec: ModelSpec, x: State) -> int:
     base = 2 if spec.kind == "ising" else 3
     digits = (arr + 1) // 2 if spec.kind == "ising" else arr + 1
     return int((digits * base ** np.arange(spec.N)).sum())
+
+
+def negation_indices(spec: ModelSpec) -> np.ndarray:
+    """The index of -x for each enumerated configuration x, by ``state_index``."""
+    return np.array([state_index(spec, -x) for x in models.enumerate_states(spec)])
 
 
 def log_binom(n: int, k: int) -> float:

@@ -40,6 +40,7 @@ from oracles import (
     beg_rate_discrepancies,
     check_kernel,
     kernel_table,
+    negation_indices,
     sample_uniform_class,
     signed_class_keys,
     unsigned_class_partition,
@@ -68,7 +69,7 @@ def test_criterion_01_kernel_correctness():
                     np.array([[a == b for b in keys] for a in keys])
                 np.fill_diagonal(same, False)
                 assert np.array_equal(M.P[same], K.P[same])  # acceptance = 1
-                neg = kernels._negation_indices(spec, K.n)
+                neg = negation_indices(spec)
                 s_of = np.array([k if spec.kind == "ising" else k[0] for k in keys])
                 nz = np.flatnonzero(s_of != 0)
                 assert np.array_equal(M.P[nz, neg[nz]], K.P[nz, neg[nz]])

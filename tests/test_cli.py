@@ -124,6 +124,26 @@ def test_conductance_and_export(tmp_path):
     assert text.splitlines()[0].startswith("-4:")
 
 
+def test_a_configuration_of_two_spins_prints_as_spins_and_a_class_as_a_pair(tmp_path):
+    # a full-space label is a configuration at every N, never read off its length
+    assert main(["export-kernel", "--space", "full", "--model", "beg", "--n", "2", "--beta", "1",
+                 "--k", "1", "--kind", "naive", "--out", str(tmp_path / "full")]) == EXIT_OK
+    rows = (tmp_path / "full" / "kernel.txt").read_text().splitlines()
+    assert [row.split(":")[0] for row in rows] == ["--", "0-", "+-", "-0", "00", "+0",
+                                                   "-+", "0+", "++"]
+    assert rows[0].split()[1].startswith("--=")
+    assert main(["conductance", "--model", "ising", "--n", "2", "--beta", "1", "--kind", "naive",
+                 "--out", str(tmp_path / "h")]) == EXIT_OK
+    payload = json.loads((tmp_path / "h" / "conductance.json").read_text())
+    assert payload["argmin_set"] == ["+-", "++"]
+    # the signed BEG class s = 1, r = 1 still prints as a pair
+    assert main(["export-kernel", "--space", "signed", "--model", "beg", "--n", "2", "--beta", "1",
+                 "--k", "1", "--kind", "naive", "--out", str(tmp_path / "signed")]) == EXIT_OK
+    signed = (tmp_path / "signed" / "kernel.txt").read_text().splitlines()
+    assert [row.split(":")[0] for row in signed] == ["(0,0)", "(-1,1)", "(1,1)", "(-2,2)",
+                                                     "(0,2)", "(2,2)"]
+
+
 def test_conductance_interval_route(tmp_path):
     rc = main(["conductance", "--model", "ising", "--n", "40", "--beta", "2",
                "--kind", "naive", "--space", "signed", "--interval",

@@ -44,6 +44,7 @@ from oracles import (
     dense_restriction,
     kernel_table,
     log_binom,
+    negation_indices,
     row_sum_error,
     signed_class_keys,
     stack,
@@ -200,7 +201,7 @@ def test_equi_energy_within_class_acceptance_is_one():
     same_class = np.equal.outer(S, S)
     np.fill_diagonal(same_class, False)
     assert np.allclose(M.P[same_class], K.P[same_class], atol=1e-15)
-    neg = kernels._negation_indices(spec, K.n)
+    neg = negation_indices(spec)
     nz = S != 0
     assert np.allclose(M.P[np.flatnonzero(nz), neg[nz]],
                        K.P[np.flatnonzero(nz), neg[nz]], atol=1e-15)
@@ -1052,7 +1053,7 @@ def reference_equi_energy_proposal(spec):
         keys = list(zip(S.tolist(), np.count_nonzero(states, axis=1).tolist()))
     else:
         keys = S.tolist()
-    neg = kernels._negation_indices(spec, base.n)
+    neg = negation_indices(spec)
     P = p1 * base.P
     groups = {}
     for i, k in enumerate(keys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from spingap import models
+from spingap.kernels import single_flip_proposal
 from spingap.models import (
     EnergyClass,
     OddSizeError,
@@ -320,10 +321,15 @@ def test_warmup_table_and_states():
 
 
 def test_state_index_roundtrip():
-    for spec in (ising(6, beta=1.0), beg(4, beta=1.0, K=1.0), warmup(5, theta=1.5)):
+    # every configuration, and the full-space labels are the enumerated rows
+    for spec in (*(ising(N, beta=1.0) for N in range(2, 13, 2)),
+                 *(beg(N, beta=1.0, K=1.0) for N in range(2, 9, 2)), warmup(5, theta=1.5)):
         states = enumerate_states(spec)
-        for i in np.linspace(0, len(states) - 1, 17).astype(int):
-            assert state_index(spec, states[i]) == i
+        assert [state_index(spec, x) for x in states] == list(range(len(states)))
+        if spec.kind != "warmup":
+            labels = single_flip_proposal(spec).labels
+            assert labels == tuple(map(tuple, states.tolist()))
+            assert all(type(label) is models.Spins for label in labels)
 
 
 @pytest.mark.parametrize("N", [2, 4, 8, 14, 20])
